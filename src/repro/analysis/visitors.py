@@ -272,15 +272,23 @@ def _is_mutable_literal(node: ast.AST) -> bool:
     return False
 
 
+def _is_counter_call(node: ast.AST) -> bool:
+    """``itertools.count(...)`` (or a bare imported ``count(...)``)."""
+    return isinstance(node, ast.Call) \
+        and _call_name(node) in ("itertools.count", "count")
+
+
 @register_checker(RULE_CLASS_STATE)
 class ClassStateChecker(BaseChecker):
-    """Class-body mutable attributes and ``Cls.attr += 1`` counter mutation.
+    """Class-body mutable attributes and counters, ``Cls.attr += 1`` mutation.
 
     Annotated class-body assignments are exempt: they are dataclass /
     typed-field declarations (mutable defaults there are already a
     ``TypeError`` for dataclasses and a deliberate, visible choice
     elsewhere).  The exact PR 2 bug shape -- a class-body ``_next_id = 0``
-    bumped via ``SomeClass._next_id += 1`` -- is flagged at both ends.
+    bumped via ``SomeClass._next_id += 1`` -- is flagged at both ends, and
+    so is its iterator spelling, a class-body ``_ids = itertools.count(1)``
+    drained with ``next()`` (no assignment to catch at the use site).
     """
 
     def __init__(self, path: str, source_lines: List[str]):
@@ -289,13 +297,18 @@ class ClassStateChecker(BaseChecker):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         for statement in node.body:
-            if isinstance(statement, ast.Assign) \
-                    and _is_mutable_literal(statement.value):
-                names = ", ".join(t.id for t in statement.targets
-                                  if isinstance(t, ast.Name))
+            if not isinstance(statement, ast.Assign):
+                continue
+            names = ", ".join(t.id for t in statement.targets
+                              if isinstance(t, ast.Name))
+            if _is_mutable_literal(statement.value):
                 self.report(statement,
                             f"class-level mutable attribute `{names}` is "
                             f"shared by every instance and every simulation")
+            elif _is_counter_call(statement.value):
+                self.report(statement,
+                            f"class-level counter `{names}` is advanced by "
+                            f"every instance of every simulation in the process")
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()

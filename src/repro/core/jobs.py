@@ -126,18 +126,25 @@ class Job:
         self.state = JobState.PENDING
         self.created_at = created_at
         self.stats = JobStats()
-        #: live runtime instances (handles owned by the daemons)
-        self.instances: List[Any] = []
+        #: recorded runtime instances (handles owned by the daemons), keyed by
+        #: handle in record order.  A handle leaves on ``record_stop`` only,
+        #: so an instance that exited on its own stays listed (dead).  The
+        #: order is digest-relevant: ``job_status`` and ``CtlShard.stop``
+        #: iterate it.
+        self.instances: Dict[Any, None] = {}
         #: every placement ever made, live or dead (for log attribution)
         self.placements: List[Placement] = []
         #: shared mutable state visible to all instances (e.g. bootstrap ref)
         self.shared: Dict[str, Any] = {}
         self._next_instance_id = 0
-        # Memoized id-sorted live-instance list.  Every death path funnels
-        # through record_stop (controller kills) or the daemon's reap hook
-        # (self-exits, host failures), both of which call _invalidate_live;
-        # the sanitizer cross-checks the cache against a from-scratch
-        # recompute after every control action (check_store_caches).
+        # The alive subset of ``instances``, by instance id.  Every death
+        # path funnels through the daemon's reap hook (controller kills,
+        # self-exits, host failures), which calls record_death; the sanitizer
+        # cross-checks the table against a from-scratch recompute and against
+        # the daemons' own tables after every control action
+        # (check_store_caches).
+        self._live: Dict[int, Any] = {}
+        # Memoized id-sorted list of ``_live``, dropped on every change.
         self._live_cache: Optional[List[Any]] = None
 
     # ------------------------------------------------------------- bookkeeping
@@ -155,25 +162,28 @@ class Job:
         return value
 
     def record_start(self, instance: Any, placement: Placement) -> None:
-        self.instances.append(instance)
+        self.instances[instance] = None
         self.placements.append(placement)
         # Keep the allocator ahead of manually recorded placements too.
-        self._next_instance_id = max(self._next_instance_id,
-                                     placement.instance_id + 1)
+        if placement.instance_id >= self._next_instance_id:
+            self._next_instance_id = placement.instance_id + 1
         self.stats.instances_started += 1
-        self._live_cache = None
+        if instance.alive:  # an app factory may have exited already
+            self._live[instance.instance_id] = instance
+            self._live_cache = None
 
     def record_stop(self, instance: Any, failed: bool = False) -> None:
-        if instance in self.instances:
-            self.instances.remove(instance)
+        self.instances.pop(instance, None)
         if failed:
             self.stats.instances_failed += 1
         else:
             self.stats.instances_stopped += 1
+        self._live.pop(instance.instance_id, None)
         self._live_cache = None
 
-    def _invalidate_live(self) -> None:
-        """Drop the memoized live view (called by every instance-death path)."""
+    def record_death(self, instance: Any) -> None:
+        """Drop ``instance`` from the live view (called by every death path)."""
+        self._live.pop(instance.instance_id, None)
         self._live_cache = None
 
     # ---------------------------------------------------------------- queries
@@ -184,22 +194,21 @@ class Job:
         on every lookup/control action, so rebuilding per call is an O(N)
         cost per event at scale.  Callers must not mutate the returned list.
         """
-        live = self._live_cache
-        if live is None:
-            live = [i for i in self.instances if i.alive]
-            live.sort(key=lambda i: i.instance_id)
-            self._live_cache = live
-        return live
+        cache = self._live_cache
+        if cache is None:
+            live = self._live
+            cache = self._live_cache = [live[i] for i in sorted(live)]
+        return cache
 
     def _recompute_live_instances(self) -> List[Any]:
-        """From-scratch live view, bypassing the cache (sanitizer cross-check)."""
+        """From-scratch live view, bypassing the live table (sanitizer cross-check)."""
         live = [i for i in self.instances if i.alive]
         live.sort(key=lambda i: i.instance_id)
         return live
 
     @property
     def live_count(self) -> int:
-        return len(self.live_instances())
+        return len(self._live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Job #{self.job_id} {self.spec.name} {self.state.value} live={self.live_count}>"

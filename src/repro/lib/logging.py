@@ -80,25 +80,28 @@ class SplayLogger:
     remote_sink:
         Callable invoked with each admitted :class:`LogRecord`; the daemon
         wires this to the controller's log collector.
-    budget:
-        Restriction (in bytes) on remote shipping, enforced by the daemon.
+    max_bytes:
+        Restriction (in bytes) on remote shipping, enforced by the daemon;
+        the :class:`LogBudget` that counts against it is allocated on the
+        first shipped record.
     clock:
         Callable returning the current virtual time.
     """
 
-    __slots__ = ("source", "host", "level", "remote_sink", "_budget", "clock",
-                 "keep_local", "_records", "enabled")
+    __slots__ = ("source", "host", "level", "remote_sink", "max_bytes",
+                 "_budget", "clock", "keep_local", "_records", "enabled")
 
     def __init__(self, source: str, level: LogLevel | str = LogLevel.INFO,
                  remote_sink: Optional[Callable[[LogRecord], None]] = None,
-                 budget: Optional[LogBudget] = None,
+                 max_bytes: Optional[int] = None,
                  clock: Callable[[], float] = lambda: 0.0,
                  keep_local: int = 1000, host: str = ""):
         self.source = source
         self.host = host
         self.level = LogLevel.coerce(level)
         self.remote_sink = remote_sink
-        self._budget = budget
+        self.max_bytes = max_bytes
+        self._budget: Optional[LogBudget] = None
         self.clock = clock
         self.keep_local = keep_local
         # The local buffer and the shipping budget are allocated on first use:
@@ -109,7 +112,7 @@ class SplayLogger:
     @property
     def budget(self) -> LogBudget:
         if self._budget is None:
-            self._budget = LogBudget()
+            self._budget = LogBudget(max_bytes=self.max_bytes)
         return self._budget
 
     @property
@@ -130,7 +133,8 @@ class SplayLogger:
         """
         if not self.enabled:
             return None
-        level = LogLevel.coerce(level)
+        if level.__class__ is not LogLevel:
+            level = LogLevel.coerce(level)
         if level < self.level:
             return None
         record = LogRecord(time=self.clock(), level=level, source=self.source,

@@ -98,10 +98,9 @@ class RpcService:
         # Per-instance counters materialise on first touch (services that
         # only ever answer pings pay nothing until then).
         self._stats: Optional[RpcStats] = None
-        self._handlers: Dict[str, Callable[..., Any]] = {
-            "__ping__": lambda: True,
-            "__batch__": self._serve_batch,
-        }
+        #: application handlers (the built-ins live in :meth:`_builtin`, not
+        #: in every instance's table)
+        self._handlers: Dict[str, Callable[..., Any]] = {}
         #: call_id -> in-flight _PendingCall
         self._pending: Dict[int, "_PendingCall"] = {}
         # Call ids are per-service: uniqueness is only needed to match replies
@@ -160,7 +159,7 @@ class RpcService:
         call_id = payload.get("id")
         method = payload.get("method", "")
         args = payload.get("args", [])
-        handler = self._handlers.get(method)
+        handler = self._handlers.get(method) or self._builtin(method)
         if handler is None:
             self._send_reply(message.src, call_id, ok=False,
                              error=f"unknown method: {method}")
@@ -197,6 +196,10 @@ class RpcService:
                            self.sim.now, 0.0, cat="rpc")
             self._send_reply(message.src, call_id, ok=True, value=result)
 
+    def _builtin(self, method: str) -> Optional[Callable[..., Any]]:
+        """Handlers every service has unless the application registered the name."""
+        return {"__ping__": _pong, "__batch__": self._serve_batch}.get(method)
+
     def _serve_batch(self, calls: list) -> Any:
         """Handler behind :meth:`batch_call`: run the sub-calls in order.
 
@@ -210,7 +213,7 @@ class RpcService:
             for entry in calls:
                 method = entry.get("method", "") if isinstance(entry, dict) else ""
                 args = entry.get("args", []) if isinstance(entry, dict) else []
-                handler = self._handlers.get(method)
+                handler = self._handlers.get(method) or self._builtin(method)
                 if handler is None:
                     outcomes.append({"ok": False, "error": f"unknown method: {method}"})
                     continue
@@ -427,6 +430,10 @@ def call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any) 
 def a_call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any) -> Future:
     """Module-level convenience mirroring the paper's ``rpc.a_call(node, ...)``."""
     return service.a_call(dst, method, *args, **kwargs)
+
+
+def _pong() -> bool:
+    return True
 
 
 def _is_generator(value: Any) -> bool:

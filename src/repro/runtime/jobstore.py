@@ -32,9 +32,10 @@ Public entry points: :class:`JobStore`, :class:`CtlShard`,
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.churn import ChurnManager, parse_churn_script, trace_churn_actions
 from repro.core.jobs import Job, JobSpec, JobState, Placement
@@ -367,16 +368,18 @@ class JobStore:
         """
         plan: List[Tuple[Splayd, int]] = []
         buckets: Dict[int, List[Splayd]] = {}
-        available = 0
-        for daemon in self.alive_daemons():
+        for daemon in self.alive_daemons():  # every alive host, once per plan
             load = len(daemon.instances)
             cap = daemon.limits.max_instances
-            if cap is not None and load >= cap:
-                continue
-            buckets.setdefault(load, []).append(daemon)
-            available += 1
+            if cap is None or load < cap:
+                pool = buckets.get(load)
+                if pool is None:
+                    buckets[load] = [daemon]
+                else:
+                    pool.append(daemon)
         if not buckets:
             return plan
+        available = sum(map(len, buckets.values()))
         # Buckets are ip-sorted lazily, the first time they become the
         # minimum: promotions only ever append *above* the active bucket,
         # so each bucket is sorted at most once per level pass.
@@ -423,9 +426,20 @@ class JobStore:
         return self._rng.choice(pool)
 
 
-def _daemon_ip(daemon: Splayd) -> str:
-    """Sort key for placement pools (module-level: no per-sort closure)."""
-    return daemon.ip
+#: sort key for placement pools
+_daemon_ip = operator.attrgetter("ip")
+
+
+def _grouped(pairs: Iterable[Tuple[Any, Any]]) -> Dict[Any, list]:
+    """Group ``(key, item)`` pairs per key; keys and items in first-seen order."""
+    grouped: Dict[Any, list] = {}
+    for key, item in pairs:
+        items = grouped.get(key)
+        if items is None:
+            grouped[key] = [item]
+        else:
+            items.append(item)
+    return grouped
 
 
 @dataclass
@@ -524,11 +538,8 @@ class CtlShard:
         are returned when capacity runs out.
         """
         plan = self.store.plan_placements(job, count)
-        grouped: Dict[str, Tuple[Splayd, List[int]]] = {}
-        for daemon, instance_id in plan:
-            grouped.setdefault(daemon.ip, (daemon, []))[1].append(instance_id)
         started: List[Instance] = []
-        for daemon, instance_ids in grouped.values():
+        for daemon, instance_ids in _grouped(plan).items():
             commands = [("spawn", job, instance_id) for instance_id in instance_ids]
             error: Optional[Exception] = None
             for outcome in self._dispatch(daemon, commands):
@@ -566,25 +577,26 @@ class CtlShard:
     # ---------------------------------------------------------------- control
     def kill_instances(self, instances: List[Instance], reason: str = "controller stop",
                        failed: bool = False) -> None:
-        """Stop several instances, batching the commands per daemon."""
-        grouped: Dict[str, Tuple[Splayd, List[Instance]]] = {}
-        for instance in instances:
-            grouped.setdefault(instance.daemon.ip,
-                               (instance.daemon, []))[1].append(instance)
-        for daemon, victims in grouped.values():
+        """Stop several instances, batching the commands per daemon.
+
+        A kill that raised (a failing instance cleanup) does not stop the
+        round: every other victim is still killed and recorded, then the
+        first failure is re-raised.
+        """
+        error: Optional[Exception] = None
+        grouped = _grouped([(instance.daemon, instance) for instance in instances])
+        for daemon, victims in grouped.items():
             commands = [("kill", instance, reason) for instance in victims]
-            outcomes = self._dispatch(daemon, commands)
-            error: Optional[Exception] = None
-            for instance, outcome in zip(victims, outcomes):
+            for instance, outcome in zip(victims, self._dispatch(daemon, commands)):
                 if (isinstance(outcome, Exception)
                         and not isinstance(outcome, SplaydError)):
                     error = error or outcome
                     continue
                 instance.job.record_stop(instance, failed=failed)
                 self.stats.instances_killed += 1
-            if error is not None:
-                raise error
         self._check_caches()
+        if error is not None:
+            raise error
 
     def kill_instance(self, instance: Instance, reason: str = "controller stop",
                       failed: bool = False) -> None:
@@ -607,14 +619,17 @@ class CtlShard:
         if daemon is None:
             raise ControllerError(f"no daemon on {ip}")
         victims = list(daemon.instances)
-        killed = daemon.fail()
-        for instance in victims:
-            instance.job.record_stop(instance, failed=True)
-        self.store.host_state[ip] = "down"
-        self.store.host_failures_total += 1
-        self.stats.hosts_failed += 1
-        self._check_caches()
-        return killed
+        try:
+            # A failing instance cleanup surfaces from here only after the
+            # whole host went down, so the bookkeeping below still holds.
+            return daemon.fail()
+        finally:
+            for instance in victims:
+                instance.job.record_stop(instance, failed=True)
+            self.store.host_state[ip] = "down"
+            self.store.host_failures_total += 1
+            self.stats.hosts_failed += 1
+            self._check_caches()
 
     def recover_host(self, ip: str) -> None:
         """Bring a failed daemon back (empty, like a freshly booted splayd).

@@ -22,13 +22,12 @@ handle :class:`Instance`, and the administrator limits
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.jobs import Job
-from repro.lib.logging import LogBudget, SplayLogger
+from repro.lib.logging import LogRecord, SplayLogger
 from repro.lib.rpc import RpcService
 from repro.lib.sbfs import SandboxedFS
 from repro.lib.sbsocket import RestrictedSocket, SocketPolicy
@@ -79,18 +78,16 @@ class Instance:
     the ``job`` table a SPLAY application receives: ``instance.me`` is the
     node's own reference, ``instance.events``/``rpc``/``fs``/``logger`` are
     the sandboxed libraries, and ``instance.options`` carries the job's
-    deployment options.
+    deployment options (the job's own dict, shared by every instance:
+    read-only for applications).
     """
 
-    _serials = itertools.count(1)
-
-    __slots__ = ("serial", "job", "instance_id", "daemon", "context", "events",
-                 "socket", "rpc", "fs", "logger", "me", "options", "app")
+    __slots__ = ("job", "instance_id", "daemon", "context", "events",
+                 "socket", "rpc", "_fs", "logger", "me", "options", "app")
 
     def __init__(self, job: Job, instance_id: int, daemon: "Splayd",
                  context: AppContext, events: Events, socket: RestrictedSocket,
-                 rpc: RpcService, fs: SandboxedFS, logger: SplayLogger):
-        self.serial = next(Instance._serials)
+                 rpc: RpcService, logger: SplayLogger):
         self.job = job
         self.instance_id = instance_id
         self.daemon = daemon
@@ -98,10 +95,12 @@ class Instance:
         self.events = events
         self.socket = socket
         self.rpc = rpc
-        self.fs = fs
+        # The sandboxed filesystem materialises on first use: no bundled
+        # workload touches it, and it is two containers per instance.
+        self._fs: Optional[SandboxedFS] = None
         self.logger = logger
-        self.me = NodeRef(socket.local.ip, socket.local.port)
-        self.options: Dict[str, Any] = dict(job.spec.options)
+        self.me = NodeRef.from_address(socket.local)
+        self.options: Dict[str, Any] = job.spec.options
         #: set by the daemon after the app factory runs
         self.app: Any = None
 
@@ -112,6 +111,28 @@ class Instance:
     @property
     def address(self) -> Address:
         return self.socket.local
+
+    @property
+    def fs(self) -> SandboxedFS:
+        fs = self._fs
+        if fs is None:
+            limits, spec = self.daemon.limits, self.job.spec
+            fs = self._fs = SandboxedFS(
+                max_bytes=_stricter(limits.fs_max_bytes, spec.fs_max_bytes),
+                max_open_files=spec.fs_max_files)
+        return fs
+
+    def _reap(self) -> None:
+        """Context cleanup: the one death path every kill funnels through
+        (controller stop, host failure, the app's own ``events.exit()``), so
+        this is where the daemon's and the job's tables let the handle go."""
+        daemon = self.daemon
+        daemon.instances.pop(self, None)
+        daemon._allocated_ports.discard(self.socket.local.port)
+        self.socket.close()
+        if self._fs is not None:
+            self._fs.wipe()
+        self.job.record_death(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"
@@ -138,13 +159,18 @@ class Splayd:
         self.sim = sim
         self.network = network
         self.host = Host(ip)
+        self.ip = self.host.ip
         self.limits = limits or SplaydLimits()
         self.controller: Optional["Controller"] = None
         #: set by JobStore.add_daemon — lets fail/recover invalidate the
         #: store's memoized alive/failed host views without a lookup
         self.store: Optional[Any] = None
-        self.instances: List[Instance] = []
+        #: live instances keyed by handle, in spawn order (``fail`` kills in
+        #: this order); the reap hook pops a handle on any death
+        self.instances: Dict[Instance, None] = {}
         self._allocated_ports: set[int] = set()
+        #: one log sink per job on this host, shared by its instances
+        self._log_sinks: Dict[Job, Callable[[LogRecord], None]] = {}
         self.spawned_total = 0
         self.killed_total = 0
         self.batches_received = 0
@@ -155,10 +181,6 @@ class Splayd:
         network.add_host(self.host)
 
     # ---------------------------------------------------------------- queries
-    @property
-    def ip(self) -> str:
-        return self.host.ip
-
     @property
     def alive(self) -> bool:
         return self.host.alive
@@ -171,62 +193,43 @@ class Splayd:
         return max(0, self.limits.max_instances - len(self.instances))
 
     def has_capacity(self) -> bool:
-        return self.alive and (self.free_slots is None or self.free_slots > 0)
+        cap = self.limits.max_instances
+        return self.host.alive and (cap is None or len(self.instances) < cap)
 
     # ------------------------------------------------------------------ spawn
     def spawn(self, job: Job, instance_id: int) -> Instance:
         """Instantiate one sandboxed application instance for ``job``."""
+        spec, limits = job.spec, self.limits
         if not self.host.alive:
             raise SplaydError(f"host {self.ip} is down")
         if not self.has_capacity():
             raise SplaydError(f"daemon {self.ip} is at capacity "
-                              f"({self.limits.max_instances} instances)")
-        port = self._allocate_port(job.spec.base_port)
-        name = f"{job.spec.name}#{job.job_id}.i{instance_id}@{self.ip}:{port}"
+                              f"({limits.max_instances} instances)")
+        address = self._allocate_address(spec.base_port)
+        name = f"{spec.name}#{job.job_id}.i{instance_id}@{address.ip}:{address.port}"
         context = AppContext(self.sim, name=name)
         events = Events(self.sim, context)
-        policy = self.limits.socket_policy
-        if job.spec.socket_policy is not None:
-            policy = policy.merged_with(job.spec.socket_policy)
-        socket = RestrictedSocket(self.network, context, Address(self.ip, port),
+        policy = limits.socket_policy
+        if spec.socket_policy is not None:
+            policy = policy.merged_with(spec.socket_policy)
+        socket = RestrictedSocket(self.network, context, address,
                                   policy=policy, seed=self.sim.seed)
-        fs = SandboxedFS(
-            max_bytes=_stricter(self.limits.fs_max_bytes, job.spec.fs_max_bytes),
-            max_open_files=_stricter(None, job.spec.fs_max_files))
-        sink = None
-        if self.controller is not None:
-            sink = self.controller.make_log_sink(job, self.ip)
-        # The shipping budget only exists where something enforces it; the
-        # logger allocates a default lazily if an unbounded one is needed.
-        log_max = _stricter(self.limits.log_max_bytes, job.spec.log_max_bytes)
-        budget = LogBudget(max_bytes=log_max) if log_max is not None else None
         logger = SplayLogger(
-            source=name, level=job.spec.log_level, remote_sink=sink,
-            budget=budget, clock=self._clock, host=self.ip)
+            source=name, level=spec.log_level, remote_sink=self._log_sink(job),
+            max_bytes=_stricter(limits.log_max_bytes, spec.log_max_bytes),
+            clock=self._clock, host=address.ip)
         rpc = RpcService(socket, events)
         obs = getattr(self.sim, "_obs", None)
         if obs is not None and obs.metrics_enabled and self.controller is not None:
             # Same store-resident path the log sink takes: the registry is
             # per-job and survives shard failover with the store.
             rpc.bind_metrics(self.controller.metrics_for(job))
-        instance = Instance(job, instance_id, self, context, events, socket, rpc, fs, logger)
-        self.instances.append(instance)
+        instance = Instance(job, instance_id, self, context, events, socket, rpc, logger)
+        self.instances[instance] = None
         self.spawned_total += 1
-
-        def _reap() -> None:
-            if instance in self.instances:
-                self.instances.remove(instance)
-            self._allocated_ports.discard(port)
-            socket.close()
-            fs.wipe()
-            # Cleanups are the one death path every kill funnels through
-            # (controller stop, host failure, the app's own events.exit()),
-            # so this is where the job's live view goes stale.
-            job._invalidate_live()
-
-        context.add_cleanup(_reap)
+        context.add_cleanup(instance._reap)
         try:
-            instance.app = job.spec.app_factory(instance)
+            instance.app = spec.app_factory(instance)
         except Exception:
             # A broken application factory must not leave a half-built
             # instance holding a slot, port and listener on this daemon.
@@ -234,14 +237,28 @@ class Splayd:
             raise
         return instance
 
-    def _allocate_port(self, base_port: int) -> int:
-        port = base_port
-        while port in self._allocated_ports or self.network.is_listening(Address(self.ip, port)):
+    def _log_sink(self, job: Job) -> Optional[Callable[[LogRecord], None]]:
+        """The sink this host's instances of ``job`` ship records into."""
+        if self.controller is None:
+            return None
+        sink = self._log_sinks.get(job)
+        if sink is None:
+            sink = self._log_sinks[job] = self.controller.make_log_sink(job, self.ip)
+        return sink
+
+    def _allocate_address(self, base_port: int) -> Address:
+        """The lowest free endpoint at or above ``base_port`` (now reserved)."""
+        ip, port = self.ip, base_port
+        while True:
+            if port not in self._allocated_ports:
+                address = Address(ip, port)
+                if not self.network.is_listening(address):
+                    break
             port += 1
             if port > 65535:
-                raise SplaydError(f"no free port on {self.ip} at or above {base_port}")
+                raise SplaydError(f"no free port on {ip} at or above {base_port}")
         self._allocated_ports.add(port)
-        return port
+        return address
 
     # ------------------------------------------------------------------ batch
     def batch_exec(self, commands: List[tuple]) -> List[object]:
@@ -294,9 +311,16 @@ class Splayd:
         if self.store is not None:
             self.store._note_host_state_changed()
         victims = list(self.instances)
+        reason = f"host failure: {self.ip}"
+        error: Optional[Exception] = None
         for instance in victims:
-            self.stop_instance(instance, reason=f"host failure: {self.ip}")
+            try:
+                self.stop_instance(instance, reason=reason)
+            except Exception as exc:  # noqa: BLE001 - the whole host goes down first
+                error = error or exc
         self.network.bandwidth.cancel_host(self.ip)
+        if error is not None:
+            raise error
         return len(victims)
 
     def recover(self) -> None:

@@ -76,7 +76,11 @@ class AppContext:
 
     # ------------------------------------------------------------------ kill
     def kill(self, reason: str = "killed") -> None:
-        """Terminate everything the application created."""
+        """Terminate everything the application created.
+
+        Every cleanup runs even when one of them raises; the first failure
+        is re-raised once the teardown is complete.
+        """
         if not self.alive:
             return
         self.alive = False
@@ -87,11 +91,16 @@ class AppContext:
             process.kill(reason)
         self._processes.clear()
         cleanups, self._cleanups = self._cleanups, []
+        error: Optional[Exception] = None
         for callback in cleanups:
             try:
                 callback()
-            except Exception:  # noqa: BLE001 - cleanup must not cascade
-                pass
+            except Exception as exc:  # noqa: BLE001 - finish the teardown first
+                error = error or exc
+        if error is not None:
+            # Cleanups keep the control plane's tables truthful (the daemon's
+            # reap hook is one), so a failing one must reach the caller.
+            raise error
 
     # --------------------------------------------------------------- queries
     @property
@@ -138,7 +147,11 @@ class Events:
     # --------------------------------------------------------------- threads
     def thread(self, fn: Callable[..., Any], *args: Any, name: str = "", delay: float = 0.0) -> Process:
         """Spawn ``fn(*args)`` as a new coroutine ("thread" in SPLAY terms)."""
-        if _is_generator_function(fn):
+        # Plain functions and bound methods carry the answer in a code flag;
+        # only partials and callable objects need inspect's unwrapping.
+        code = getattr(fn, "__code__", None)
+        if (code.co_flags & inspect.CO_GENERATOR if code is not None
+                else inspect.isgeneratorfunction(fn)):
             target: Any = fn(*args)
         elif args:
             target = lambda: fn(*args)  # noqa: E731 - deferred invocation
@@ -222,6 +235,3 @@ class Events:
     def exit(self) -> None:
         """Terminate the application instance (kills all its coroutines)."""
         self.context.kill("events.exit")
-
-
-_is_generator_function = inspect.isgeneratorfunction

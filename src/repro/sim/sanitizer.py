@@ -21,9 +21,10 @@ directly), cheap observation-only checks run on the hot path:
 * **bandwidth-flow conservation** -- the max-min allocation never hands a
   link more rate than its capacity;
 * **store-cache coherence** -- the control plane's memoized alive/failed
-  host views and each job's live-instance cache must equal a from-scratch
-  recompute after every control action (guards the incremental
-  invalidation the O(N)-scan elimination relies on).
+  host views and each job's live-instance table and cache must equal a
+  from-scratch recompute after every control action, and the job's live
+  table must equal the union of its daemons' instance tables (guards the
+  incremental bookkeeping the O(N)-scan elimination relies on).
 
 Violations are *recorded*, never repaired, and carry event provenance
 (which callback -- and thereby which process or timer -- scheduled the
@@ -319,15 +320,36 @@ class Sanitizer:
                     f"failed-ip cache lists {len(cached)} hosts, "
                     f"recompute finds {len(expected)}",
                     provenance=self.current_label())
+        # The two instance tables — each job's live view and each daemon's
+        # own table — are maintained by different hooks (record_start /
+        # record_death vs spawn / reap) and must agree on who is alive.
+        hosted: Dict[Any, set] = {}
+        for daemon in daemons.values():
+            for instance in daemon.instances:
+                hosted.setdefault(instance.job, set()).add(instance)
         for job_id in sorted(store.jobs):
             job = store.jobs[job_id]
+            expected = job._recompute_live_instances()
             cached = job._live_cache
-            if cached is not None and cached != job._recompute_live_instances():
+            if cached is not None and cached != expected:
                 self.record(
                     "store_cache",
                     f"job #{job_id} live-instance cache lists {len(cached)} "
-                    f"instances, recompute finds "
-                    f"{len(job._recompute_live_instances())}",
+                    f"instances, recompute finds {len(expected)}",
+                    provenance=self.current_label())
+            live = set(job._live.values())
+            if live != set(expected):
+                self.record(
+                    "store_cache",
+                    f"job #{job_id} live table holds {len(live)} instances, "
+                    f"recompute finds {len(expected)}",
+                    provenance=self.current_label())
+            on_daemons = hosted.get(job, set())
+            if live != on_daemons:
+                self.record(
+                    "store_cache",
+                    f"job #{job_id} live table holds {len(live)} instances, "
+                    f"its daemons' tables hold {len(on_daemons)}",
                     provenance=self.current_label())
 
     def check_flow_conservation(self, model: Any) -> None:

@@ -173,6 +173,34 @@ def test_det104_flags_class_level_mutable_state_and_counters():
     """)
 
 
+def test_det104_flags_class_body_itertools_counters():
+    # The shape Instance._serials had: nothing is assigned at the use site
+    # (``next(Cls._serials)``), so the class-body declaration is the only
+    # place the linter can see the process-wide counter.
+    assert "DET104" in _active_ids("""
+        import itertools
+
+        class Instance:
+            _serials = itertools.count(1)
+
+            def __init__(self):
+                self.serial = next(Instance._serials)
+    """)
+    assert "DET104" in _active_ids("""
+        from itertools import count
+
+        class Instance:
+            _serials = count()
+    """)
+    assert "DET104" not in _active_ids("""
+        import itertools
+
+        class Allocator:
+            def __init__(self):
+                self._ids = itertools.count(1)
+    """)
+
+
 def test_det104_allows_instance_state_and_immutable_class_constants():
     assert "DET104" not in _active_ids("""
         class Node:

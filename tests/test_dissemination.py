@@ -55,7 +55,7 @@ def test_first_instance_seeds_and_everyone_completes():
 
 def test_chunks_travel_through_the_bandwidth_model():
     sim, _controller, job = _deploy(nodes=6)
-    network = job.instances[0].daemon.network
+    network = next(iter(job.instances)).daemon.network
     sim.run(until=200.0)
     downloaders = [a for a in _apps(job) if not a.is_seed]
     fetched = sum(a.stats.chunks_fetched for a in downloaders)

@@ -221,6 +221,28 @@ def test_sanitizer_catches_a_stale_live_instance_cache():
     assert any("live-instance cache" in v.detail for v in san.violations)
 
 
+@pytest.mark.parametrize("stale_side", ["job", "daemon"])
+def test_sanitizer_catches_disagreeing_instance_tables(stale_side):
+    sim, _network, controller = _world(seed=9)
+    san = Sanitizer(sim).install()
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=4))
+    other = controller.submit(JobSpec(name="other",
+                                      app_factory=lambda i: None, instances=1))
+    controller.start(job)
+    assert san.counts == {}
+    # Stale one table the way a missed hook would: the daemon's reap forgot
+    # to tell the job (or the job heard of a death the daemon never reaped).
+    victim = job.live_instances()[2]
+    if stale_side == "job":
+        victim.daemon.instances.pop(victim)
+    else:
+        job.record_death(victim)
+    controller.start(other)  # a control action on another job cross-checks
+    assert san.counts.get("store_cache", 0) >= 1
+    assert any("daemons' tables" in v.detail for v in san.violations)
+
+
 # ---------------------------------------------------------- bucketed planner
 def test_bucketed_placement_matches_the_naive_kill_switch_path():
     # The bucketed planner must consume the RNG and pick daemons exactly

@@ -272,7 +272,7 @@ def test_raising_app_factory_surfaces_and_leaves_no_orphans():
     assert all(instance in job.instances for instance in daemon.instances)
     assert job.live_count == len(daemon.instances) == 2
     controller.stop(job)
-    assert daemon.instances == []
+    assert not daemon.instances
     assert daemon.has_capacity()
 
 
@@ -285,7 +285,7 @@ def test_instance_ids_are_never_reused_after_failed_spawns():
                                     instances=1, base_port=65535))
     controller.start(job)  # instance 0 holds the daemon's only usable port
     assert controller.start_instances(job, 1) == []  # id 1 consumed, spawn failed
-    controller.kill_instance(job.instances[0])  # frees the port
+    controller.kill_instance(next(iter(job.instances)))  # frees the port
     (replacement,) = controller.start_instances(job, 1)
     assert replacement.instance_id == 2  # id 1 is gone for good, not recycled
     ids = [p.instance_id for p in job.placements]

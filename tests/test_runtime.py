@@ -135,6 +135,58 @@ def test_kill_instance_tears_down_sandbox_and_frees_the_slot():
     assert len(controller.start_instances(job, 1)) == 1
 
 
+def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():
+    sim, network, controller = _world(daemons=1, max_instances=2)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=2))
+    broken, bystander = controller.start(job)
+    daemon, address = broken.daemon, broken.address
+    ran = []
+
+    def boom():
+        raise RuntimeError("cleanup exploded")
+
+    # First in line, so every sandbox cleanup (listener, pending RPCs, the
+    # daemon's reap hook) and the application's own come after the failure.
+    broken.context._cleanups.insert(0, boom)
+    broken.context.add_cleanup(lambda: ran.append("app cleanup"))
+
+    with pytest.raises(RuntimeError, match="cleanup exploded"):
+        controller.kill_instances([broken, bystander], reason="test")
+    assert ran == ["app cleanup"]
+    assert not broken.alive
+    assert not network.is_listening(address)
+    assert broken not in daemon.instances
+    assert address.port not in daemon._allocated_ports
+    # The failure did not stop the round: the other victim died and was
+    # recorded, and both freed slots can be reused.
+    assert not bystander.alive
+    assert job.live_count == 0
+    assert job.stats.instances_stopped == 1
+    assert len(controller.start_instances(job, 2)) == 2
+
+
+def test_host_failure_survives_a_failing_cleanup():
+    _sim, _network, controller = _world(daemons=1, max_instances=3)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=3))
+    first, *_rest = controller.start(job)
+
+    def boom():
+        raise RuntimeError("cleanup exploded")
+
+    first.context._cleanups.insert(0, boom)
+    with pytest.raises(RuntimeError, match="cleanup exploded"):
+        controller.fail_host("10.0.0.1")
+    # Every instance of the host died, not just the ones before the failure.
+    assert not any(instance.alive for instance in [first, *_rest])
+    assert job.live_count == 0
+    assert job.stats.instances_failed == 3
+    assert not job.instances
+    assert not controller.store.daemons["10.0.0.1"].instances
+    assert controller.failed_host_ips() == ["10.0.0.1"]
+
+
 def test_host_failure_kills_all_instances_on_it():
     sim, _network, controller = _world(daemons=1, max_instances=4)
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
