@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
+from repro.lib.misc import Membership
 from repro.lib.ring import between, hash_key, ring_add, ring_distance
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
@@ -94,7 +95,7 @@ class ChordNode:
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Create the ring (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("chord_members", [])
+        members = self.instance.job.shared.setdefault("chord_members", Membership())
         if not self.instance.job.shared.get("chord_created"):
             # First instance of the job bootstraps the ring immediately.
             self.instance.job.shared["chord_created"] = True
@@ -104,14 +105,11 @@ class ChordNode:
             self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
                                delay=delay)
         # Keep the shared member registry honest on teardown.
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: members.discard(self.me))
 
     def _become_member(self) -> None:
         self.joined = True
-        members = self.instance.job.shared["chord_members"]
-        if self.me not in members:
-            members.append(self.me)
+        self.instance.job.shared["chord_members"].add(self.me)
         self.events.periodic(self._stabilize, self.stabilize_interval,
                              jitter=self.stabilize_interval * 0.25)
         self.events.periodic(self._fix_fingers, self.fix_fingers_interval,
@@ -149,11 +147,8 @@ class ChordNode:
 
     def _pick_bootstrap(self) -> Optional[NodeRef]:
         """A live ring member to join through (the controller's node list)."""
-        members = [m for m in self.instance.job.shared.get("chord_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
+        others = self.instance.job.shared["chord_members"].without(self.me)
+        return self._rng.choice(others) if others else None
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:

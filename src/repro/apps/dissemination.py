@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
+from repro.lib.misc import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.net.bwalloc import BULK
@@ -92,7 +93,7 @@ class SwarmNode:
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        members = self.instance.job.shared.setdefault("swarm_members", [])
+        members = self.instance.job.shared.setdefault("swarm_members", Membership())
         if not self.instance.job.shared.get("swarm_seeded"):
             self.instance.job.shared["swarm_seeded"] = True
             self.is_seed = True
@@ -102,14 +103,11 @@ class SwarmNode:
         else:
             delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
             self._go_live(delay=delay)
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: members.discard(self.me))
 
     def _go_live(self, delay: float) -> None:
         def _up() -> None:
-            members = self.instance.job.shared["swarm_members"]
-            if self.me not in members:
-                members.append(self.me)
+            self.instance.job.shared["swarm_members"].add(self.me)
             self.joined = True
             # The measured download time starts when the fetch workers do,
             # not at instance creation — the join stagger is not download
@@ -196,11 +194,8 @@ class SwarmNode:
                                   f"({self.chunks} chunks)")
 
     def _pick_peer(self) -> Optional[NodeRef]:
-        members = [m for m in self.instance.job.shared.get("swarm_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
+        others = self.instance.job.shared["swarm_members"].without(self.me)
+        return self._rng.choice(others) if others else None
 
     def _pick_chunk(self, wanted: List[int]) -> int:
         """Rarest-first among what the peer offers (ties broken randomly)."""

@@ -41,11 +41,13 @@ from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional
 
 from repro.core.jobs import Job, JobSpec
+from repro.lib.rpc import RpcError
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
+from repro.sim.futures import FutureCancelled
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, ProcessKilled
 from repro.testbeds import get_testbed
 
 #: the flagship churn timeline shared by the Chord/Pastry/gossip scenarios:
@@ -393,11 +395,12 @@ def joined_apps(job: Job) -> list:
 def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: int,
                   rng, results: List[OpResult],
                   expected_owner: Callable[[Job, int], object],
-                  failure: type = Exception) -> Generator:
+                  failure: type) -> Generator:
     """Coroutine issuing ``count`` key lookups from random live nodes.
 
     The application object must expose ``joined`` and a generator
-    ``lookup(key) -> (owner, hops)`` raising ``failure`` on routing failure;
+    ``lookup(key) -> (owner, hops)`` raising ``failure`` (the workload's own
+    exception type) on routing failure;
     ``expected_owner(job, key)`` supplies the ground truth against which the
     returned owner is checked.
     """
@@ -411,9 +414,9 @@ def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: in
         started = sim.now
         try:
             owner, hops = yield from origin.lookup(key)
-        except failure:
-            results.append(OpResult(key, started, sim.now - started, 0, False, False))
-        except Exception:  # noqa: BLE001 - origin died mid-lookup (churn)
+        except (failure, RpcError, FutureCancelled, ProcessKilled):
+            # No route, or the origin was killed mid-lookup (its pending
+            # futures are cancelled); anything else is a bug and propagates.
             results.append(OpResult(key, started, sim.now - started, 0, False, False))
         else:
             expected = expected_owner(job, key)

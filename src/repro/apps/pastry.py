@@ -21,15 +21,16 @@ probing, mirroring Pastry's self-stabilisation.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
+from repro.lib.misc import Membership
 from repro.lib.ring import (
     between,
     digit_at,
     hash_key,
     numeric_distance,
-    ring_distance,
     shared_prefix_length,
 )
 from repro.lib.rpc import RpcError
@@ -96,9 +97,12 @@ class PastryNode:
 
         self.me = instance.me.with_id(
             hash_key(f"{instance.me.ip}:{instance.me.port}", self.bits))
-        #: known leaf-set candidates, keyed by endpoint (trimmed to the
-        #: closest ``leaf_half`` on each side after every merge)
+        #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
+        #: of the two sides (a node sits on both while the ring is small)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
+        #: the ``leaf_half`` nearest nodes clockwise and counter-clockwise,
+        #: nearest first; each tuple is replaced when that side changes
+        self._sides: List[Tuple[NodeRef, ...]] = [(), ()]
         #: routing table: ``table[row][column]`` — row = shared prefix
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
@@ -119,7 +123,7 @@ class PastryNode:
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Create the overlay (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("pastry_members", [])
+        members = self.instance.job.shared.setdefault("pastry_members", Membership())
         if not self.instance.job.shared.get("pastry_created"):
             self.instance.job.shared["pastry_created"] = True
             self._become_member()
@@ -127,14 +131,11 @@ class PastryNode:
             delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
             self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
                                delay=delay)
-        self.instance.context.add_cleanup(
-            lambda: members.remove(self.me) if self.me in members else None)
+        self.instance.context.add_cleanup(lambda: members.discard(self.me))
 
     def _become_member(self) -> None:
         self.joined = True
-        members = self.instance.job.shared["pastry_members"]
-        if self.me not in members:
-            members.append(self.me)
+        self.instance.job.shared["pastry_members"].add(self.me)
         self.events.periodic(self._leafset_repair, self.repair_interval,
                              jitter=self.repair_interval * 0.25)
         self.events.periodic(self._table_maintenance, self.table_probe_interval,
@@ -183,11 +184,8 @@ class PastryNode:
         self.events.exit()
 
     def _pick_bootstrap(self) -> Optional[NodeRef]:
-        members = [m for m in self.instance.job.shared.get("pastry_members", [])
-                   if m != self.me]
-        if not members:
-            return None
-        return self._rng.choice(members)
+        others = self.instance.job.shared["pastry_members"].without(self.me)
+        return self._rng.choice(others) if others else None
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:
@@ -218,7 +216,7 @@ class PastryNode:
         otherwise) repairs stale-route errors.
         """
         key = int(key) % (1 << self.bits)
-        best = min(self._leaf_nodes() + [self.me], key=self._closeness_key(key))
+        best = min((*self._leaf_nodes(), self.me), key=self._closeness_key(key))
         if best == self.me:
             return {"mine": True}
         return {"mine": False, "node": best}
@@ -228,11 +226,12 @@ class PastryNode:
         owner, _hops = yield from self.lookup(int(key))
         return owner
 
-    def _rpc_leafset(self) -> List[NodeRef]:
+    # Replies travel by reference: hand out only what is never mutated again.
+    def _rpc_leafset(self) -> Tuple[NodeRef, ...]:
         return self._leaf_nodes()
 
-    def _rpc_table_dump(self) -> List[NodeRef]:
-        return [entry for row in self.table for entry in row if entry is not None]
+    def _rpc_table_dump(self) -> Tuple[NodeRef, ...]:
+        return tuple(entry for row in self.table for entry in row if entry is not None)
 
     def _rpc_notify(self, node) -> bool:
         self._learned(NodeRef.coerce(node))
@@ -378,33 +377,26 @@ class PastryNode:
         """Deterministic total order on 'numerically closest to ``key``'."""
         return lambda n: (numeric_distance(key, n.id, self.bits), n.id, n.ip, n.port)
 
-    def _leaf_nodes(self) -> List[NodeRef]:
-        return sorted(self.leaves.values(), key=lambda n: (n.ip, n.port))
+    def _leaf_nodes(self) -> Tuple[NodeRef, ...]:
+        """The leaf set in ``(ip, port)`` order (the order replies carry)."""
+        return tuple(self.leaves.values())
 
-    def _cw(self) -> List[NodeRef]:
+    def _cw(self) -> Tuple[NodeRef, ...]:
         """Leaves ordered by clockwise distance from us (nearest first)."""
-        return sorted(self.leaves.values(),
-                      key=lambda n: (ring_distance(self.me.id, n.id, self.bits),
-                                     n.ip, n.port))[: self.leaf_half]
+        return self._sides[0]
 
-    def _ccw(self) -> List[NodeRef]:
+    def _ccw(self) -> Tuple[NodeRef, ...]:
         """Leaves ordered by counter-clockwise distance from us (nearest first)."""
-        return sorted(self.leaves.values(),
-                      key=lambda n: (ring_distance(n.id, self.me.id, self.bits),
-                                     n.ip, n.port))[: self.leaf_half]
+        return self._sides[1]
 
     def _leaf_covers(self, key: int) -> bool:
         """True when ``key`` falls inside the span of our leaf set."""
-        cw, ccw = self._cw(), self._ccw()
-        if not cw and not ccw:
-            return True  # alone on the ring: we own everything
         if len(self.leaves) < 2 * self.leaf_half:
-            # The leaf set is not saturated, so it holds every member we
-            # know of — ownership is decided by numeric closeness directly.
+            # Alone we own everything, and an unsaturated leaf set holds every
+            # member we know of: numeric closeness decides ownership directly.
             return True
-        low = ccw[-1].id if ccw else self.me.id
-        high = cw[-1].id if cw else self.me.id
-        return between(key, low, high, include_low=True, include_high=True)
+        return between(key, self._sides[1][-1].id, self._sides[0][-1].id,
+                       include_low=True, include_high=True)
 
     def _rare_case(self, key: int, row: int, avoided: set) -> Optional[NodeRef]:
         """Any known node with prefix >= ``row`` strictly closer to ``key``."""
@@ -423,41 +415,71 @@ class PastryNode:
                 best, best_key = node, candidate_key
         return best
 
-    def _known_nodes(self) -> List[NodeRef]:
-        known = {(n.ip, n.port): n for n in self.leaves.values()}
+    def _known_nodes(self) -> Tuple[NodeRef, ...]:
+        known = dict(self.leaves)
         for table_row in self.table:
             for entry in table_row:
                 if entry is not None:
                     known.setdefault((entry.ip, entry.port), entry)
-        return [known[k] for k in sorted(known)]
+        return tuple(known[k] for k in sorted(known))
+
+    def _slot(self, node_id: int) -> Optional[Tuple[int, int]]:
+        """The one routing-table ``(row, column)`` a node with this id can fill."""
+        row = shared_prefix_length(node_id, self.me.id, self.digits, self.base_bits)
+        if row == self.digits:
+            return None
+        return row, digit_at(node_id, row, self.digits, self.base_bits)
 
     def _learned(self, node: NodeRef) -> None:
         """Fold a freshly observed node into the leaf set and routing table."""
         if node is None or node.id is None or node == self.me:
             return
-        self.leaves[(node.ip, node.port)] = node
-        self._trim_leaves()
-        row = shared_prefix_length(node.id, self.me.id, self.digits, self.base_bits)
-        if row < self.digits:
-            column = digit_at(node.id, row, self.digits, self.base_bits)
-            if self.table[row][column] is None:
-                self.table[row][column] = node
+        if (node.ip, node.port) not in self.leaves and self._offer_leaf(node):
+            self._sides_changed()
+        slot = self._slot(node.id)
+        if slot is not None and self.table[slot[0]][slot[1]] is None:
+            self.table[slot[0]][slot[1]] = node
 
-    def _trim_leaves(self) -> None:
-        keep = {(n.ip, n.port) for n in self._cw()} | {(n.ip, n.port) for n in self._ccw()}
-        if len(keep) < len(self.leaves):
-            self.leaves = {k: v for k, v in self.leaves.items() if k in keep}
+    def _leaf_key(self, node: NodeRef, direction: int) -> tuple:
+        """Sort key of a side: ring distance from us going ``direction``, then endpoint."""
+        return direction * (node.id - self.me.id) % (1 << self.bits), node.ip, node.port
+
+    def _offer_leaf(self, node: NodeRef) -> bool:
+        """Insert a node we do not hold on each side where it is among the nearest.
+
+        One farther than both tails of a full leaf set costs two comparisons.
+        """
+        admitted = False
+        for index, direction in enumerate((1, -1)):  # clockwise, counter-clockwise
+            side = self._sides[index]
+            if (len(side) < self.leaf_half or self._leaf_key(node, direction)
+                    < self._leaf_key(side[-1], direction)):
+                grown = list(side)
+                insort(grown, node, key=lambda n: self._leaf_key(n, direction))
+                self._sides[index] = tuple(grown[: self.leaf_half])
+                admitted = True
+        return admitted
+
+    def _sides_changed(self) -> None:
+        """Re-derive the leaf set from the sides."""
+        union = {(n.ip, n.port): n for side in self._sides for n in side}
+        self.leaves = {endpoint: union[endpoint] for endpoint in sorted(union)}
 
     def _note_dead(self, node: NodeRef) -> None:
         """Purge a dead node from local routing state."""
         if node == self.me:
             return
         self.stats.dead_nodes_noticed += 1
-        self.leaves.pop((node.ip, node.port), None)
-        for table_row in self.table:
-            for column, entry in enumerate(table_row):
-                if entry == node:
-                    table_row[column] = None
+        if self.leaves.pop((node.ip, node.port), None) is not None:
+            # The vacancy on a side goes to the nearest survivor from the
+            # other side: offer every survivor to both sides afresh.
+            self._sides = [(), ()]
+            for survivor in self.leaves.values():
+                self._offer_leaf(survivor)
+            self._sides_changed()
+        slot = self._slot(node.id)
+        if slot is not None and self.table[slot[0]][slot[1]] == node:
+            self.table[slot[0]][slot[1]] = None
 
     def routing_snapshot(self) -> dict:
         """Debug/report view of this node's routing state."""

@@ -9,13 +9,12 @@ the framework are implemented here.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
-from typing import Any, Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from collections.abc import Sequence
+from typing import Any, Dict, Generic, Iterator, List, Optional, TypeVar
 
 from repro.lib.ring import between as between  # re-exported, mirrors misc.between_c
 
 K = TypeVar("K")
-V = TypeVar("V")
 
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d)?\s*$")
 _DURATION_FACTORS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, None: 1.0}
@@ -69,76 +68,69 @@ def format_size(nbytes: float) -> str:
     return f"{nbytes:.0f}B"
 
 
-class LRUCache(Generic[K, V]):
-    """A fixed-capacity LRU map (used by the cooperative web cache)."""
+class Membership(Generic[K]):
+    """A job's rendezvous directory: a set of hashable members in join order.
 
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("LRU capacity must be positive")
-        self.capacity = capacity
-        self._data: "OrderedDict[K, V]" = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key: K) -> Optional[V]:
-        if key not in self._data:
-            return None
-        self._data.move_to_end(key)
-        return self._data[key]
-
-    def put(self, key: K, value: V) -> None:
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def pop(self, key: K) -> Optional[V]:
-        return self._data.pop(key, None)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self) -> Iterator[Tuple[K, V]]:
-        return iter(self._data.items())
-
-
-class TokenBucket:
-    """A token bucket used by the restricted socket layer for bandwidth caps.
-
-    Tokens are bytes; the bucket refills at ``rate_bytes_per_s`` up to
-    ``capacity_bytes``.  ``consume`` returns the delay (seconds) the caller
-    must wait before the requested amount is available, charging the bucket
-    immediately (so concurrent callers queue up behind each other).
+    A member that leaves and returns re-joins at the end.  ``add`` (idempotent),
+    ``discard``, ``in`` and the random pick of a peer (:meth:`without`) are O(1).
     """
 
-    def __init__(self, rate_bytes_per_s: float, capacity_bytes: Optional[float] = None):
-        if rate_bytes_per_s <= 0:
-            raise ValueError("token bucket rate must be positive")
-        self.rate = rate_bytes_per_s
-        self.capacity = capacity_bytes if capacity_bytes is not None else rate_bytes_per_s
-        self._tokens = self.capacity
-        self._last_refill = 0.0
+    def __init__(self) -> None:
+        #: member -> position in ``_order`` (stale while that is ``None``);
+        #: the keys are the join order
+        self._index: Dict[K, int] = {}
+        self._order: Optional[List[K]] = []
 
-    def consume(self, amount: float, now: float) -> float:
-        """Charge ``amount`` bytes; return how long the caller must wait."""
-        self._refill(now)
-        self._tokens -= amount
-        if self._tokens >= 0:
-            return 0.0
-        return -self._tokens / self.rate
+    def add(self, member: K) -> None:
+        if member not in self._index:
+            self._index[member] = len(self._index)
+            if self._order is not None:
+                self._order.append(member)
 
-    def available(self, now: float) -> float:
-        self._refill(now)
-        return max(0.0, self._tokens)
+    def discard(self, member: K) -> None:
+        if self._index.pop(member, None) is not None:
+            self._order = None  # positions shifted: renumber on next use
 
-    def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
+    def __contains__(self, member: object) -> bool:
+        return member in self._index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __iter__(self) -> Iterator[K]:
+        return iter(self._index)
+
+    def without(self, member: K) -> "Sequence[K]":
+        """Everyone but ``member``, in join order, without a scan.
+
+        Indexes and length are those of ``[m for m in self if m != member]``,
+        so ``rng.choice`` / ``rng.sample`` draw and return what they did on it.
+        """
+        order, index = self._order, self._index
+        if order is None:
+            order = self._order = list(index)
+            for position, each in enumerate(order):
+                index[each] = position
+        return _Without(order, index.get(member, len(order)))
+
+
+class _Without(Sequence):
+    """``items`` minus the element at position ``hole`` (none if past the end)."""
+
+    __slots__ = ("_items", "_hole", "_size")
+
+    def __init__(self, items: list, hole: int):
+        self._items, self._hole = items, hole
+        self._size = len(items) - (hole < len(items))  # fixed: joins append to items
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, position: int):
+        if not -self._size <= position < self._size:
+            raise IndexError("membership view index out of range")
+        position %= self._size
+        return self._items[position + (position >= self._hole)]
 
 
 class Counter:

@@ -2,15 +2,19 @@
 
 import pytest
 
-from repro.apps.chord import chord_factory
+from repro.apps import harness
+from repro.apps.chord import LookupFailed, chord_factory, expected_owner
 from repro.core.jobs import JobSpec
 from repro.lib.ring import ring_distance
+from repro.lib.rpc import RpcError
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
+from repro.sim.futures import FutureCancelled
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, ProcessKilled
+from repro.sim.rng import substream
 
 BITS = 16
 
@@ -137,3 +141,41 @@ def test_same_seed_builds_the_same_ring():
         return tuple((m.ip, m.port, m.id) for m in _members(job))
 
     assert fingerprint(5) == fingerprint(5)
+
+
+# ------------------------------------------------------ the workload driver
+def _stream(sim, job, raising):
+    """Run ``harness.lookup_stream`` with every lookup raising ``raising``."""
+    def _broken_lookup(key):
+        raise raising
+        yield  # pragma: no cover - makes this a generator
+
+    for app in _live_apps(job):
+        app.lookup = _broken_lookup
+    results = []
+    driver = Process(sim, harness.lookup_stream(
+        sim, job, 3, 0.25, BITS, substream(0, "test"), results,
+        lambda job, key: expected_owner(job, key, BITS), failure=LookupFailed))
+    driver.start()
+    sim.run(until=sim.now + 5.0)
+    return driver, results
+
+
+@pytest.mark.parametrize("raising", [
+    LookupFailed("no route"), RpcError("timed out"), FutureCancelled(),
+    ProcessKilled("origin killed")])
+def test_lookup_stream_records_churn_failures_as_failed_lookups(raising):
+    sim, _controller, job = _deploy(nodes=4)
+    sim.run(until=30.0)
+    driver, results = _stream(sim, job, raising)
+    assert driver.done.result() is None
+    assert [(r.completed, r.correct) for r in results] == [(False, False)] * 3
+
+
+def test_lookup_stream_lets_any_other_exception_fail_the_driver():
+    sim, _controller, job = _deploy(nodes=4)
+    sim.run(until=30.0)
+    driver, results = _stream(sim, job, KeyError("a bug, not churn"))
+    assert results == []
+    with pytest.raises(KeyError):
+        driver.done.result()

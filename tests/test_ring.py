@@ -1,5 +1,7 @@
 """Ring arithmetic: wrap-around intervals (Chord) and prefix digits (Pastry)."""
 
+import random
+
 import pytest
 
 from repro.lib.ring import (
@@ -80,6 +82,44 @@ def test_shared_prefix_length_with_base_bits_one_counts_matching_bits():
     assert shared_prefix_length(0b1101, 0b1100, digits=4, base_bits=1) == 3
     # ...but only 1 leading 2-bit digit (11 vs 11, then 01 vs 00).
     assert shared_prefix_length(0b1101, 0b1100, digits=2, base_bits=2) == 1
+
+
+def _prefix_digit_by_digit(a, b, digits, base_bits):
+    """The per-digit loop ``shared_prefix_length`` used to be: the oracle."""
+    if a == b:
+        return digits
+    prefix = 0
+    for position in range(digits - 1, -1, -1):
+        shift = position * base_bits
+        digit_a = (a >> shift) & ((1 << base_bits) - 1)
+        digit_b = (b >> shift) & ((1 << base_bits) - 1)
+        if digit_a != digit_b:
+            break
+        prefix += 1
+    return prefix
+
+
+@pytest.mark.parametrize("digits, base_bits", [(8, 1), (4, 2), (2, 4), (3, 2), (2, 3), (1, 5)])
+def test_shared_prefix_length_matches_the_digit_loop_exhaustively(digits, base_bits):
+    # two bits beyond the identifier width: they must be ignored, as the loop did
+    span = 1 << (digits * base_bits + 2)
+    for a in range(span):
+        for b in range(span):
+            assert shared_prefix_length(a, b, digits, base_bits) == \
+                _prefix_digit_by_digit(a, b, digits, base_bits)
+
+
+@pytest.mark.parametrize("bits, base_bits", [(32, 4), (32, 1), (160, 4), (160, 8)])
+def test_shared_prefix_length_matches_the_digit_loop_on_wide_identifiers(bits, base_bits):
+    rng = random.Random(bits * 31 + base_bits)
+    digits = bits // base_bits
+    for _ in range(4000):
+        a = rng.getrandbits(bits)
+        # mostly near pairs: identical above a random bit, noise below it
+        cut = rng.randrange(bits + 1)
+        b = a ^ rng.getrandbits(cut) if rng.random() < 0.9 else rng.getrandbits(bits)
+        assert shared_prefix_length(a, b, digits, base_bits) == \
+            _prefix_digit_by_digit(a, b, digits, base_bits)
 
 
 def test_digit_at_extracts_most_significant_first():

@@ -114,3 +114,27 @@ def test_plot_scale_rejects_csv_without_scale_rows(tmp_path, capsys):
     status = plot_scale.main([str(csv_path)])
     assert status == 2
     assert "no scale rows" in capsys.readouterr().err
+
+
+def test_work_counter_gate_fails_only_above_the_ceiling():
+    gate = _load("check_work_counters")
+    metrics = {name: {"value": value, "unit": "count"} for name, value in
+               (("apps.workload.calls", 700), ("lib.ring.calls", 300), ("other.calls", 5))}
+    counters = ["apps.workload.calls", "lib.ring.calls"]
+    assert gate.over_ceiling(metrics, counters, 1000) == (1000, False)
+    assert gate.over_ceiling(metrics, counters, 999) == (1000, True)
+    assert gate.over_ceiling(metrics, counters, 5000) == (1000, False)
+
+
+def test_work_counter_ceilings_name_declared_benchmark_counters():
+    import json
+
+    spec = json.loads((_TOOLS / "work_counter_ceilings.json").read_text())
+    contract = json.loads((_REPO / "BENCHMARK.json").read_text())
+    declared = {metric["name"] for metric in contract["per_layer"]}
+    workloads = {workload["name"] for workload in contract["workloads"]}
+    assert spec["workloads"]
+    for workload, gate in spec["workloads"].items():
+        assert workload in workloads
+        assert set(gate["counters"]) <= declared
+        assert gate["ceiling"] > 0
