@@ -124,8 +124,9 @@ RULE_UNORDERED_ITER = register_rule(Rule(
 RULE_CLASS_STATE = register_rule(Rule(
     id="DET104",
     name="class-level-state",
-    summary="class-level mutable state / counter (shared across every "
-            "simulation in the process -- the PR 2 pid-counter bug class)",
+    summary="class-level mutable state / class- or module-level counter "
+            "(shared across every simulation in the process -- the PR 2 "
+            "pid-counter bug class)",
     fixit="move the state onto the instance (e.g. allocate ids from the "
           "owning Simulator) so co-hosted seeded runs stay independent",
 ))

@@ -288,27 +288,37 @@ class ClassStateChecker(BaseChecker):
     elsewhere).  The exact PR 2 bug shape -- a class-body ``_next_id = 0``
     bumped via ``SomeClass._next_id += 1`` -- is flagged at both ends, and
     so is its iterator spelling, a class-body ``_ids = itertools.count(1)``
-    drained with ``next()`` (no assignment to catch at the use site).
+    drained with ``next()`` (no assignment to catch at the use site).  A
+    module-level ``_ids = itertools.count(1)`` is the same counter one scope
+    up and is flagged too.
     """
 
     def __init__(self, path: str, source_lines: List[str]):
         super().__init__(path, source_lines)
         self._class_stack: List[str] = []
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        for statement in node.body:
+    def _check_body(self, body: List[ast.stmt], scope: str) -> None:
+        """Flag shared state bound directly in a class or module body."""
+        for statement in body:
             if not isinstance(statement, ast.Assign):
                 continue
             names = ", ".join(t.id for t in statement.targets
                               if isinstance(t, ast.Name))
-            if _is_mutable_literal(statement.value):
+            if scope == "class" and _is_mutable_literal(statement.value):
                 self.report(statement,
                             f"class-level mutable attribute `{names}` is "
                             f"shared by every instance and every simulation")
             elif _is_counter_call(statement.value):
                 self.report(statement,
-                            f"class-level counter `{names}` is advanced by "
-                            f"every instance of every simulation in the process")
+                            f"{scope}-level counter `{names}` is advanced by "
+                            f"every simulation in the process")
+
+    def visit_Module(self, node: ast.Module) -> None:
+        self._check_body(node.body, "module")
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._check_body(node.body, "class")
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()

@@ -381,12 +381,16 @@ class ChordNode:
         candidates = [f for f in self.fingers if f is not None] + self.successors
         best: Optional[NodeRef] = None
         best_distance = -1
+        me_id = self.me.id
         for node in candidates:
-            if node.id in avoided or node == self.me:
+            node_id = node.id
+            # Ids hash the endpoint: another id is another node, and an equal
+            # one (us, or a collision) is never strictly between us and the key.
+            if node_id == me_id or node_id in avoided:
                 continue
-            if not between(node.id, self.me.id, key):
+            if not between(node_id, me_id, key):
                 continue
-            distance = ring_distance(self.me.id, node.id, self.bits)
+            distance = ring_distance(me_id, node_id, self.bits)
             if distance > best_distance:
                 best, best_distance = node, distance
         if best is not None:

@@ -11,14 +11,11 @@ drives instance kills and joins against the same job record.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (lib -> core -> lib)
     from repro.lib.sbsocket import SocketPolicy
-
-_job_ids = itertools.count(1)
 
 
 class JobState(enum.Enum):
@@ -113,15 +110,14 @@ class JobStats:
 class Job:
     """The controller-side record of one submitted job.
 
-    ``job_id`` should be supplied by the controller (its per-deployment
-    counter) so that id-derived randomness is reproducible; the process-wide
-    fallback counter only serves standalone/test use.
+    ``job_id`` is supplied by the owning job store (its per-deployment
+    count) so that id-derived randomness is reproducible; a process-wide
+    counter here would interleave between co-hosted seeded simulations.
     """
 
-    def __init__(self, spec: JobSpec, created_at: float = 0.0,
-                 job_id: Optional[int] = None):
+    def __init__(self, spec: JobSpec, created_at: float = 0.0, *, job_id: int):
         spec.validate()
-        self.job_id = job_id if job_id is not None else next(_job_ids)
+        self.job_id = job_id
         self.spec = spec
         self.state = JobState.PENDING
         self.created_at = created_at

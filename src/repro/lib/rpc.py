@@ -33,6 +33,7 @@ from types import GeneratorType
 from typing import Any, Callable, Dict, Optional
 
 from repro.lib.sbsocket import RestrictedSocket, SocketRestrictionError
+from repro.lib.serializer import _approx_size, envelope_size
 from repro.net.address import Address, NodeRef
 from repro.net.bwalloc import CONTROL
 from repro.net.message import Message
@@ -66,6 +67,12 @@ class RpcStats:
 #: payload keys — kept short since they travel in every RPC message
 _CALL, _REPLY = "call", "reply"
 _PENDING = FutureState.PENDING
+#: Wire sizes of the three envelope shapes with their per-message slots empty:
+#: a message's size is its shape's constant plus the sizes of what fills the
+#: slots, computed once per call or reply instead of re-walked on every send.
+_CALL_SIZE = envelope_size({"rpc": _CALL, "id": None, "method": "", "args": None})
+_OK_SIZE = envelope_size({"rpc": _REPLY, "id": None, "ok": True, "value": None})
+_ERROR_SIZE = envelope_size({"rpc": _REPLY, "id": None, "ok": False, "error": ""})
 
 
 class RpcService:
@@ -123,10 +130,9 @@ class RpcService:
 
     @property
     def stats(self) -> RpcStats:
-        stats = self._stats
-        if stats is None:
-            stats = self._stats = RpcStats()
-        return stats
+        if self._stats is None:
+            self._stats = RpcStats()
+        return self._stats
 
     # ------------------------------------------------------------ server side
     def register(self, name: str, handler: Callable[..., Any]) -> None:
@@ -147,15 +153,17 @@ class RpcService:
 
     def _on_message(self, message: Message) -> None:
         payload = message.payload
-        if not isinstance(payload, dict) or "rpc" not in payload:
+        if type(payload) is not dict:
             return  # not RPC traffic; other listeners may handle it
-        if payload["rpc"] == _CALL:
+        rpc = payload.get("rpc")
+        if rpc == _CALL:
             self._serve_call(message, payload)
-        elif payload["rpc"] == _REPLY:
+        elif rpc == _REPLY:
             self._accept_reply(payload)
 
     def _serve_call(self, message: Message, payload: dict) -> None:
-        self.stats.calls_received += 1
+        stats = self._stats or self.stats  # the property allocates
+        stats.calls_received += 1
         call_id = payload.get("id")
         method = payload.get("method", "")
         args = payload.get("args", [])
@@ -170,9 +178,9 @@ class RpcService:
             self._send_reply(message.src, call_id, ok=False, error=repr(exc))
             return
         tracer = self._tracer
-        if _is_generator(result):
+        if type(result) is GeneratorType:
             # Coroutine handler: run it on the app context, reply when done.
-            started = self.sim.now
+            started = self.sim._now
             process = self.events.thread(lambda: result,
                                          name=f"{self.events.context.name}.rpc.{method}")
 
@@ -219,7 +227,7 @@ class RpcService:
                     continue
                 try:
                     value = handler(*args)
-                    if _is_generator(value):
+                    if type(value) is GeneratorType:
                         value = yield from value
                 except Exception as exc:  # noqa: BLE001 - shipped to the caller
                     outcomes.append({"ok": False, "error": repr(exc)})
@@ -231,18 +239,22 @@ class RpcService:
 
     def _send_reply(self, dst: Address, call_id: Any, ok: bool,
                     value: Any = None, error: Optional[str] = None) -> None:
-        payload: Dict[str, Any] = {"rpc": _REPLY, "id": call_id, "ok": ok}
+        # The caller chose the id: anything but an int is sized the long way.
+        size = len(str(call_id)) if type(call_id) is int else _approx_size(call_id)
         if ok:
-            payload["value"] = value
+            payload = {"rpc": _REPLY, "id": call_id, "ok": True, "value": value}
+            size += _OK_SIZE + _approx_size(value)
         else:
-            payload["error"] = error
+            payload = {"rpc": _REPLY, "id": call_id, "ok": False, "error": error}
+            size += _ERROR_SIZE + len(error)
+        stats = self._stats  # allocated by _serve_call, the only way here
         try:
-            self.socket.send(dst, payload, kind="rpc", priority=CONTROL)
-            self.stats.replies_sent += 1
+            self.socket.send(dst, payload, size, "rpc", CONTROL)
+            stats.replies_sent += 1
         except SocketRestrictionError:
             # The instance died or hit its budget mid-reply; the caller will
             # observe a timeout, as with any crashed peer.
-            self.stats.send_failures += 1
+            stats.send_failures += 1
 
     # ------------------------------------------------------------ client side
     def a_call(self, dst: "Address | NodeRef | dict | str", method: str, *args: Any,
@@ -252,8 +264,10 @@ class RpcService:
         attempts = (retries if retries is not None else self.default_retries) + 1
         self._call_ids = call_id = self._call_ids + 1
         result = Future()
-        payload = {"rpc": _CALL, "id": call_id, "method": method, "args": list(args)}
-        _PendingCall(self, dst, method, payload, result,
+        args = list(args)
+        payload = {"rpc": _CALL, "id": call_id, "method": method, "args": args}
+        size = _CALL_SIZE + len(str(call_id)) + len(method) + _approx_size(args)
+        _PendingCall(self, dst, method, payload, size, result,
                      timeout, attempts, call_id).attempt()
         return result
 
@@ -306,18 +320,19 @@ class RpcService:
         pending.timer = None
         if timer is not None:
             timer.cancel()
-        self.stats.replies_received += 1
+        stats = self._stats  # allocated when the call was sent
+        stats.replies_received += 1
         if self._metrics is not None or self._tracer is not None:
             self._observe_round_trip(pending)
         if payload.get("ok"):
             future.set_result(payload.get("value"))
         else:
-            self.stats.remote_errors += 1
+            stats.remote_errors += 1
             future.set_exception(RpcError(str(payload.get("error"))))
 
     def _observe_round_trip(self, pending: "_PendingCall") -> None:
         """Latency histogram + client span for one completed call (cold path)."""
-        elapsed = self.sim.now - pending.sent_at
+        elapsed = self.sim._now - pending.sent_at
         if self._metrics is not None:
             self._metrics.observe(f"rpc.latency_s.{pending.method}", elapsed)
         tracer = self._tracer
@@ -349,16 +364,18 @@ class _PendingCall:
     slotted object with two bound-method callbacks carries the same state.
     """
 
-    __slots__ = ("service", "dst", "method", "payload", "result", "timeout",
-                 "attempts", "attempts_left", "call_id", "timer", "sent_at",
-                 "issued_by")
+    __slots__ = ("service", "dst", "method", "payload", "size", "result",
+                 "timeout", "attempts", "attempts_left", "call_id", "timer",
+                 "sent_at", "issued_by")
 
     def __init__(self, service: RpcService, dst: Any, method: str, payload: dict,
-                 result: Future, timeout: float, attempts: int, call_id: int):
+                 size: int, result: Future, timeout: float, attempts: int, call_id: int):
         self.service = service
         self.dst = dst
         self.method = method
         self.payload = payload
+        #: wire size of ``payload``, the same for every retransmission
+        self.size = size
         self.result = result
         self.timeout = timeout
         self.attempts = attempts
@@ -379,14 +396,13 @@ class _PendingCall:
         if result._state is not _PENDING:
             return
         service = self.service
-        stats = service.stats
+        stats = service._stats or service.stats  # the property allocates
         self.attempts_left -= 1
         if self.attempts_left < self.attempts - 1:
             stats.retries += 1
         stats.calls_sent += 1
         try:
-            service.socket.send(self.dst, self.payload, kind="rpc",
-                                priority=CONTROL)
+            service.socket.send(self.dst, self.payload, self.size, "rpc", CONTROL)
         except SocketRestrictionError as exc:
             stats.send_failures += 1
             service._pending.pop(self.call_id, None)
@@ -407,14 +423,14 @@ class _PendingCall:
             self.attempt()
             return
         service = self.service
-        service.stats.timeouts += 1
+        service._stats.timeouts += 1
         service._pending.pop(self.call_id, None)
         if service._metrics is not None:
             service._metrics.inc(f"rpc.timeout.{self.method}")
         tracer = service._tracer
         if tracer is not None:
             tracer.add(service.socket.local.ip, f"rpc.{self.method}.timeout",
-                       self.sent_at, service.sim.now - self.sent_at, cat="rpc",
+                       self.sent_at, service.sim._now - self.sent_at, cat="rpc",
                        args=({"issued_by": self.issued_by}
                              if self.issued_by is not None else None))
         result.set_exception(RpcTimeout(
@@ -435,6 +451,3 @@ def a_call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any
 def _pong() -> bool:
     return True
 
-
-def _is_generator(value: Any) -> bool:
-    return isinstance(value, GeneratorType)

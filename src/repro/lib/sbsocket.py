@@ -135,23 +135,38 @@ class RestrictedSocket:
     # ---------------------------------------------------------------- sending
     def send(self, dst: "Address | NodeRef | dict | str", payload: Any,
              size: Optional[int] = None, kind: str = "data",
-             priority: int = LOOKUP) -> Future:
-        """Send one message to ``dst``; returns the network delivery future."""
-        self._check_closed()
-        dst_address = _coerce_address(dst)
-        size = size if size is not None else estimate_size(payload)
-        self._enforce_destination(dst_address)
-        self._enforce_budget(size)
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size
-        if self.policy.drop_rate > 0 and self._drop_rng().random() < self.policy.drop_rate:
+             priority: int = LOOKUP) -> None:
+        """Send one datagram to ``dst``: fire and forget, nothing is returned.
+
+        Raises :class:`SocketRestrictionError` when the socket is closed or
+        the policy refuses the message (blacklist, byte budget).  A message
+        let through may still be lost without the sender being told — to the
+        local ``drop_rate`` (``stats.messages_dropped_locally``) or in the
+        network (``Network.stats``).  ``size`` is the wire size when the
+        caller knows it (the RPC layer does), else estimated from ``payload``.
+        """
+        # One frame per message: a helper runs only for a restriction in force.
+        if self._closed or not self.context.alive:
+            raise SocketRestrictionError("socket is closed")
+        if type(dst) is NodeRef:
+            dst = dst.address
+        elif type(dst) is not Address:
+            dst = _coerce_address(dst)
+        if size is None:
+            size = estimate_size(payload)
+        policy = self.policy
+        if policy.blacklist is not None:
+            self._enforce_destination(dst)
+        if policy.max_total_bytes is not None:
+            self._enforce_budget(size)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
+        if policy.drop_rate > 0 and self._drop_rng().random() < policy.drop_rate:
             # Locally injected loss (lossy-link emulation requested at deploy time).
-            self.stats.messages_dropped_locally += 1
-            dropped = Future(name="sbsocket.drop")
-            dropped.set_result(False)
-            return dropped
-        return self.network.send(self.local, dst_address, payload, size, kind=kind,
-                                 priority=priority)
+            stats.messages_dropped_locally += 1
+            return
+        self.network.send(self.local, dst, payload, size, kind, priority)
 
     def transfer(self, dst: "Address | NodeRef | dict | str", nbytes: float,
                  priority: int = BULK) -> Future:

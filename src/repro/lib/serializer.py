@@ -199,6 +199,16 @@ def estimate_size(value: Any) -> int:
     return _approx_size(value) + FRAMING_OVERHEAD
 
 
+def envelope_size(template: dict) -> int:
+    """Wire size of a fixed-key envelope, not counting its ``None`` slots.
+
+    Adding ``_approx_size`` of each value put in a ``None`` slot gives
+    :func:`estimate_size` of the filled envelope; a ``""`` placeholder keeps
+    the quotes, so a string slot adds just ``len(text)``.
+    """
+    return estimate_size(template) - 4 * sum(v is None for v in template.values())
+
+
 class LLEncStream:
     """Incremental message demarcation over a byte stream.
 

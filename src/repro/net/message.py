@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.net.address import Address
 from repro.net.bwalloc import LOOKUP
-
-_msg_counter = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -33,12 +30,6 @@ class Message:
     #: bwalloc priority class (CONTROL for RPC, LOOKUP for protocol messages);
     #: per-class traffic accounting keys off it
     priority: int = LOOKUP
-    msg_id: int = field(default_factory=_msg_counter.__next__)
-
-    def reply_to(self, payload: Any, size: int, kind: str = "reply") -> "Message":
-        """Build a response message addressed back to the sender."""
-        return Message(src=self.dst, dst=self.src, payload=payload, size=size,
-                       kind=kind, priority=self.priority)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Message #{self.msg_id} {self.kind} {self.src}->{self.dst} {self.size}B>"
+        return f"<Message {self.kind} {self.src}->{self.dst} {self.size}B>"

@@ -8,6 +8,7 @@ payloads go through the flow-level :class:`~repro.net.bandwidth.BandwidthModel`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -41,7 +42,7 @@ class NetworkStats:
     drops_no_listener: int = 0
     #: bytes offered per bwalloc priority class (messages and transfers);
     #: digest-excluded ``metrics`` report section only
-    bytes_by_class: Dict[int, int] = field(default_factory=dict)
+    bytes_by_class: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
     last_errors: List[str] = field(default_factory=list)
 
     def record_error(self, error: str, cap: int = 20) -> None:
@@ -176,125 +177,92 @@ class Network:
 
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: Any, size: int,
-             kind: str = "data", priority: int = LOOKUP) -> Future:
-        """Send one message; the returned future completes with ``True`` on delivery.
+             kind: str = "data", priority: int = LOOKUP) -> None:
+        """Send one datagram: fire and forget, nothing is returned.
 
         Delivery requires the source and destination hosts to be alive and a
-        live listener on the destination endpoint.  Messages may also be
-        dropped by the loss model.  The sender is *not* notified of drops
-        (the future is a convenience for tests and for the RPC layer's
-        timeout bookkeeping); this mirrors datagram semantics.
+        live listener on the destination endpoint, and the loss model may
+        drop the message on the way.  The sender is never told: a drop shows
+        only in :attr:`stats` (``messages_dropped`` and its ``drops_*``
+        split), a delivery in ``messages_delivered`` and at the receiving
+        listener.  Reliability (timeouts, retries) is the RPC layer's job.
         """
-        outcome = Future()  # naming 250k+ futures per run was measurable
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
-        by_class = stats.bytes_by_class
-        by_class[priority] = by_class.get(priority, 0) + size
+        stats.bytes_by_class[priority] += size
 
         # Aliveness probes are inlined (self.host_alive is a method call per
-        # probe, and this path runs once per simulated message).
+        # probe, and this path runs once per simulated message).  Loopback is
+        # no special case: it probes its one host twice and still gets its
+        # loss draw, so seeded runs do not depend on the path a message takes.
         hosts = self.hosts
         src_ip = src.ip
         dst_ip = dst.ip
         src_host = hosts.get(src_ip)
-        src_alive = src_host is not None and getattr(src_host, "alive", True)
-        if src_ip == dst_ip:
-            # Loopback fast path: the payload is handed to the listener by
-            # reference (never encoded) and one aliveness probe covers both
-            # endpoints.  The loss model still gets its draw so that seeded
-            # runs are unaffected by which path a message takes.
-            if not src_alive:
-                stats.messages_dropped += 1
-                stats.drops_dead_host += 1
-                outcome.set_result(False)
-                return outcome
-        else:
-            dst_host = hosts.get(dst_ip)
-            if not src_alive or dst_host is None \
-                    or not getattr(dst_host, "alive", True):
-                stats.messages_dropped += 1
-                stats.drops_dead_host += 1
-                outcome.set_result(False)
-                return outcome
+        dst_host = hosts.get(dst_ip)
+        if (src_host is None or dst_host is None
+                or not getattr(src_host, "alive", True)
+                or not getattr(dst_host, "alive", True)):
+            stats.messages_dropped += 1
+            stats.drops_dead_host += 1
+            return
         if self.loss.should_drop(src_ip, dst_ip):
             stats.messages_dropped += 1
             stats.drops_loss += 1
-            outcome.set_result(False)
-            return outcome
+            return
 
-        message = Message(src=src, dst=dst, payload=payload, size=size, kind=kind,
-                          sent_at=self.sim.now, priority=priority)
-        delay = self._message_delay(src, dst, size)
-        self.sim.schedule(delay, self._deliver, message, outcome)
-        return outcome
-
-    def _message_delay(self, src: Address, dst: Address, size: int) -> float:
-        src_ip = src.ip
-        dst_ip = dst.ip
         delay = self.latency.one_way(src_ip, dst_ip)
         if self.jitter:
             delay += delay * self._rng.uniform(0.0, self.jitter)
-        # Transmission time over the narrower of the two access links
-        # (loopback needs a single capacity lookup: both ends are one host).
-        # Capacity probes are inlined dict lookups: this runs per message.
+        # Transmission time over the narrower of the two access links.  Read
+        # per message on purpose — capacities, the latency model and the
+        # processing-delay hooks are all mutable mid-run, so no route cache.
         bandwidth = self.bandwidth
         capacities = bandwidth._capacities
-        if src_ip == dst_ip:
-            entry = capacities.get(src_ip)
-            if entry is not None:
-                up, down = entry
-            else:
-                up = bandwidth.default_uplink_bps
-                down = bandwidth.default_downlink_bps
-        else:
-            entry = capacities.get(src_ip)
-            up = entry[0] if entry is not None else bandwidth.default_uplink_bps
-            entry = capacities.get(dst_ip)
-            down = entry[1] if entry is not None else bandwidth.default_downlink_bps
+        entry = capacities.get(src_ip)
+        up = entry[0] if entry is not None else bandwidth.default_uplink_bps
+        entry = capacities.get(dst_ip)
+        down = entry[1] if entry is not None else bandwidth.default_downlink_bps
         narrow = up if up < down else down
         if narrow < UNLIMITED_BPS and size > 0:
             delay += size * 8.0 / narrow
         # Receiver/sender-side processing delay (host load, swap penalty, ...).
-        if self._proc_delay:
-            dst_hook = self._proc_delay.get(dst_ip)
+        proc_delay = self._proc_delay
+        if proc_delay:
+            dst_hook = proc_delay.get(dst_ip)
             if dst_hook is not None:
                 delay += max(0.0, dst_hook(size))
-            src_hook = self._proc_delay.get(src_ip)
+            src_hook = proc_delay.get(src_ip)
             if src_hook is not None:
                 delay += max(0.0, src_hook(size))
-        return delay
+        sim = self.sim
+        sim.schedule(delay, self._deliver,
+                     Message(src, dst, payload, size, kind, sim._now, priority))
 
-    def _deliver(self, message: Message, outcome: Future) -> None:
+    def _deliver(self, message: Message) -> None:
         dst = message.dst
-        host = self.hosts.get(dst.ip)
+        dst_ip = dst.ip
+        stats = self.stats
+        host = self.hosts.get(dst_ip)
         if host is None or not getattr(host, "alive", True):
-            self.stats.messages_dropped += 1
-            self.stats.drops_dead_host += 1
-            outcome.set_result(False)
+            stats.messages_dropped += 1
+            stats.drops_dead_host += 1
             return
-        listener = self._listeners.get((dst.ip, dst.port))
-        if listener is None:
-            self.stats.messages_dropped += 1
-            self.stats.drops_no_listener += 1
-            outcome.set_result(False)
-            return
-        context = listener.context
-        if context is not None and not context.alive:
-            self.stats.messages_dropped += 1
-            self.stats.drops_no_listener += 1
-            outcome.set_result(False)
+        listener = self._listeners.get((dst_ip, dst.port))
+        context = None if listener is None else listener.context
+        if listener is None or (context is not None and not context.alive):
+            stats.messages_dropped += 1
+            stats.drops_no_listener += 1
             return
         try:
             listener.handler(message)
         except Exception as exc:  # noqa: BLE001 - handler bugs must not kill the run
             if self.strict:
                 raise
-            self.stats.record_error(f"{message.dst}: {exc!r}")
-            outcome.set_result(False)
+            stats.record_error(f"{dst}: {exc!r}")
             return
-        self.stats.messages_delivered += 1
-        outcome.set_result(True)
+        stats.messages_delivered += 1
 
     # -------------------------------------------------------------- transfers
     def transfer(self, src: Address, dst: Address, nbytes: float,
@@ -311,8 +279,7 @@ class Network:
             return result
         stats = self.stats
         stats.transfers_started += 1
-        by_class = stats.bytes_by_class
-        by_class[priority] = by_class.get(priority, 0) + int(nbytes)
+        stats.bytes_by_class[priority] += int(nbytes)
         propagation = self.latency.one_way(src.ip, dst.ip)
         transfer = self.bandwidth.transfer(src.ip, dst.ip, nbytes,
                                            priority=priority)

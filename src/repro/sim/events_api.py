@@ -230,7 +230,7 @@ class Events:
     # ------------------------------------------------------------------ misc
     def now(self) -> float:
         """Current virtual time (seconds)."""
-        return self.sim.now
+        return self.sim._now
 
     def exit(self) -> None:
         """Terminate the application instance (kills all its coroutines)."""

@@ -51,8 +51,8 @@ class Future:
         self._state = FutureState.PENDING
         self._result: Any = None
         self._exception: Optional[BaseException] = None
-        # Allocated on first add_done_callback: most hot-path futures (message
-        # sends, transfers) complete without ever attracting an observer.
+        # Allocated on first add_done_callback: many hot-path futures (process
+        # ``done`` tokens, fire-and-forget calls) never attract an observer.
         self._callbacks: Optional[List[Callable[["Future"], None]]] = None
         self.name = name
 
@@ -92,8 +92,8 @@ class Future:
             return
         self._state = FutureState.DONE
         self._result = value
-        # Callback dispatch is inlined: set_result runs once per message
-        # delivery and per process step, and most futures have no observers.
+        # Callback dispatch is inlined: set_result runs once per RPC reply and
+        # per finished coroutine, and many futures have no observers.
         callbacks = self._callbacks
         if callbacks is not None:
             self._callbacks = None

@@ -220,18 +220,14 @@ class Simulator:
 
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Every event of both kernels is inserted in this one frame.
+        """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self._insert(self._now + delay, callback, args)
-
-    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` to run at absolute virtual time ``when``."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        return self._insert(when, callback, args)
-
-    def _insert(self, when: float, callback: Callable[..., Any], args: tuple) -> ScheduledEvent:
+        now = self._now
+        when = now + delay
         self._seq = seq = self._seq + 1
         free = self._free
         san = self._san
@@ -258,7 +254,7 @@ class Simulator:
         if not self._use_wheel:
             heappush(self._heap, event)
             return event
-        if when == self._now:
+        if when == now:
             # Hot path: process steps / future resumptions scheduled "now".
             # The deque stays sorted because time and seq are both monotonic.
             self._ready.append((when, seq, event))
@@ -281,9 +277,23 @@ class Simulator:
             heappush(self._overflow, (when, seq, event))
         return event
 
+    def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` to run at absolute virtual time ``when``."""
+        now = self._now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past: {when} < {now}")
+        # ``now + (when - now)`` can round one ulp off ``when``; from a clock at
+        # zero the delay *is* the absolute time.  (An event for this instant
+        # then sits in the cursor heap, which the run loop merges by key.)
+        self._now = 0.0
+        try:
+            return self.schedule(when, callback, *args)
+        finally:
+            self._now = now
+
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at the current instant (after pending same-time events)."""
-        return self._insert(self._now, callback, args)
+        return self.schedule(0.0, callback, *args)
 
     # -------------------------------------------------------- wheel internals
     def _bucket_of(self, when: float) -> int:

@@ -25,9 +25,10 @@ from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.futures import Future, FutureState
+from repro.sim.kernel import ScheduledEvent, Simulator
 
 _PENDING = FutureState.PENDING
-from repro.sim.kernel import ScheduledEvent, Simulator
+_DONE = FutureState.DONE
 
 
 class ProcessKilled(Exception):
@@ -178,44 +179,43 @@ class Process:
             if self.done._state is _PENDING:
                 self.done.set_exception(error)
             return
-        self._handle_yield(yielded)
-
-    def _handle_yield(self, yielded: Any) -> None:
+        # What the coroutine yielded says what it waits for.
         if type(yielded) is Future:
-            # Fast path: blocking on an RPC reply or a delivery future is by
-            # far the most common yield in the workloads.
-            self._wait_future(yielded)
+            # Fast path: blocking on an RPC reply is by far the most common
+            # yield in the workloads.
+            future = yielded
         elif yielded is None:
             self._pending_event = self.sim.schedule(0.0, self._step, None, None)
+            return
         elif isinstance(yielded, (int, float)):
             self._pending_event = self.sim.schedule(float(yielded), self._step, None, None)
+            return
         elif isinstance(yielded, Future):
-            self._wait_future(yielded)
+            future = yielded
         elif isinstance(yielded, Process):
-            self._wait_future(yielded.done)
+            future = yielded.done
         elif isinstance(yielded, GeneratorType):
             child = Process(self.sim, yielded, name=f"{self.name}.child")
             child.start()
-            self._wait_future(child.done)
+            future = child.done
         else:
             self._step(None, TypeError(f"cannot wait on yielded value {yielded!r}"))
-
-    def _wait_future(self, future: Future) -> None:
+            return
         self._waiting_on = future
+        future.add_done_callback(self._resume)
 
-        def _resume(fut: Future) -> None:
-            if self._waiting_on is not fut:
-                return  # the process was killed or re-targeted meanwhile
-            self._waiting_on = None
-            if self._killed or self.done.done():
-                return
-            if fut.state is FutureState.DONE:
-                self._pending_event = self.sim.schedule(0.0, self._step, fut.result(), None)
-            else:
-                error = fut.exception() or RuntimeError("future cancelled")
-                self._pending_event = self.sim.schedule(0.0, self._step, None, error)
-
-        future.add_done_callback(_resume)
+    def _resume(self, fut: Future) -> None:
+        """Done-callback of the future this process waits on."""
+        if self._waiting_on is not fut:
+            return  # the process was killed or re-targeted meanwhile
+        self._waiting_on = None
+        if self._killed or self.done._state is not _PENDING:
+            return
+        if fut._state is _DONE:
+            self._pending_event = self.sim.schedule(0.0, self._step, fut._result, None)
+        else:
+            error = fut._exception or RuntimeError("future cancelled")
+            self._pending_event = self.sim.schedule(0.0, self._step, None, error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done.done() else ("running" if self._started else "new")

@@ -201,6 +201,32 @@ def test_det104_flags_class_body_itertools_counters():
     """)
 
 
+def test_det104_flags_module_level_itertools_counters():
+    # The shape net/message._msg_counter and core/jobs._job_ids had: two
+    # seeded simulations in one process draw from the same sequence.
+    assert "DET104" in _active_ids("""
+        import itertools
+
+        _msg_counter = itertools.count(1)
+
+        class Message:
+            def __init__(self):
+                self.msg_id = next(_msg_counter)
+    """)
+    assert "DET104" in _active_ids("""
+        from itertools import count
+
+        _ids = count()
+    """)
+    assert "DET104" not in _active_ids("""
+        import itertools
+
+        def numbered(items):
+            ids = itertools.count(1)
+            return [(next(ids), item) for item in items]
+    """)
+
+
 def test_det104_allows_instance_state_and_immutable_class_constants():
     assert "DET104" not in _active_ids("""
         class Node:

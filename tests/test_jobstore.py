@@ -122,7 +122,8 @@ class TestBatchedCommands:
         daemon = Splayd(sim, network, "10.0.9.1", SplaydLimits(max_instances=1))
         from repro.core.jobs import Job
 
-        job = Job(JobSpec(name="j", app_factory=lambda i: None, instances=1))
+        job = Job(JobSpec(name="j", app_factory=lambda i: None, instances=1),
+                  job_id=1)
         outcomes = daemon.batch_exec([("spawn", job, 0), ("spawn", job, 1),
                                       ("bogus-op",)])
         assert outcomes[0].__class__.__name__ == "Instance"

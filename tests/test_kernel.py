@@ -1,5 +1,7 @@
 """Kernel: virtual clock, event ordering, determinism, timer wheel."""
 
+import random
+
 import pytest
 
 from repro.sim.kernel import Simulator
@@ -219,6 +221,30 @@ def test_scheduling_into_the_jumped_until_window_works_on_the_wheel():
     sim.run(until=9.0)
     assert fired == ["soon", "mid", "later"]
     assert sim.now == 9.0
+
+
+def test_schedule_at_lands_on_the_requested_instant_exactly():
+    # schedule_at goes through schedule(delay), and now + (when - now) rounds
+    # one ulp off ``when`` for about one float pair in a hundred of these.
+    rng = random.Random(42)
+    off_by_an_ulp = 0
+    for kernel in KERNELS:
+        sim = Simulator(kernel=kernel)
+        fired = []
+        for _ in range(1000):
+            sim.run(until=sim.now + rng.random())
+            when = sim.now * (1.0 + rng.random() * rng.choice([1e-9, 1.0, 3.0]))
+            off_by_an_ulp += sim.now + (when - sim.now) != when
+            assert sim.schedule_at(when, fired.append, when).time == when
+        same_instant = sim.schedule_at(sim.now, fired.append, "now")
+        sim.schedule(0.0, fired.append, "after")
+        assert same_instant.time == sim.now
+        sim.run()
+        at = fired.index("now")
+        assert fired[at + 1] == "after"
+        del fired[at:at + 2]
+        assert fired == sorted(fired) and len(fired) == 1000
+    assert off_by_an_ulp > 0
 
 
 def test_call_soon_runs_after_already_scheduled_same_time_events():

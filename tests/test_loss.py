@@ -12,6 +12,7 @@ from repro.net.network import Network
 from repro.sim.events_api import AppContext, Events
 from repro.sim.futures import FutureState
 from repro.sim.kernel import Simulator
+from repro.sim.sanitizer import Sanitizer
 from repro.testbeds import get_testbed
 
 
@@ -72,13 +73,12 @@ def test_per_pair_loss_only_affects_that_direction_on_the_network():
     received = []
     network.listen(Address("10.0.0.2", 9), received.append)
     network.listen(Address("10.0.0.1", 9), received.append)
-    doomed = network.send(Address("10.0.0.1", 9), Address("10.0.0.2", 9), "x", 10)
-    fine = network.send(Address("10.0.0.2", 9), Address("10.0.0.1", 9), "y", 10)
+    network.send(Address("10.0.0.1", 9), Address("10.0.0.2", 9), "x", 10)
+    network.send(Address("10.0.0.2", 9), Address("10.0.0.1", 9), "y", 10)
     sim.run()
-    assert doomed.result() is False
-    assert fine.result() is True
     assert [m.payload for m in received] == ["y"]
-    assert network.stats.messages_dropped == 1
+    assert network.stats.messages_dropped == network.stats.drops_loss == 1
+    assert network.stats.messages_delivered == 1
 
 
 # --------------------------------------------------- sbsocket injected loss
@@ -104,10 +104,9 @@ def test_sbsocket_drop_rate_injects_loss_before_the_network():
     _c2, _e2, receiver = _endpoint(sim, network, "10.0.0.2")
     received = []
     receiver.listen(received.append)
-    future = sender.send(Address("10.0.0.2", 1000), "doomed")
+    assert sender.send(Address("10.0.0.2", 1000), "doomed") is None
     sim.run()
     # the drop happens inside the sandbox: the network never saw the message
-    assert future.result() is False
     assert received == []
     assert sender.stats.messages_dropped_locally == 1
     assert sender.stats.messages_sent == 1  # charged against the app's stats
@@ -132,6 +131,34 @@ def test_sbsocket_partial_drop_rate_is_deterministic_and_counted():
     assert (delivered, dropped) == run()
     assert delivered + dropped == 40
     assert 0 < dropped < 40
+
+
+def test_sbsocket_drop_rate_draws_and_charges_exactly_as_before_the_inlined_checks():
+    # Which messages the local drop rate lets through is a function of the
+    # seed alone: the survivors below were recorded when send() still went
+    # through one helper per check and returned a delivery future.
+    sim = Simulator(5)
+    network = Network(sim, latency=ConstantLatency(0.001), seed=5)
+    sanitizer = Sanitizer(sim, strict=True).install()
+    sanitizer.watch_network(network)
+    try:
+        _c1, _e1, sender = _endpoint(sim, network, "10.0.0.1",
+                                     policy=SocketPolicy(drop_rate=0.4))
+        _c2, _e2, receiver = _endpoint(sim, network, "10.0.0.2")
+        received = []
+        receiver.listen(received.append)
+        for i in range(40):
+            sender.send(Address("10.0.0.2", 1000), i)
+        sim.run()
+    finally:
+        sanitizer.uninstall()
+    assert [m.payload for m in received] == [0, 1, 7, 9, 10, 14, 16, 17, 18, 19, 20,
+                                             21, 23, 25, 28, 31, 35, 37, 38]
+    assert sender.stats.messages_dropped_locally == 21
+    # every message is charged to the sender, only the survivors to the network
+    assert (sender.stats.messages_sent, sender.stats.bytes_sent) == (40, 470)
+    assert (network.stats.messages_sent, network.stats.bytes_sent) == (19, 224)
+    assert network.loss.evaluated == 19  # one loss-model draw per message sent on
 
 
 # ------------------------------------------------------ RPC on lossy testbeds

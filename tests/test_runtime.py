@@ -90,7 +90,7 @@ def _submitted_job(sim, network, **spec_kwargs):
 
     defaults = dict(name="j", app_factory=lambda i: None, instances=1)
     defaults.update(spec_kwargs)
-    return Job(JobSpec(**defaults), created_at=sim.now)
+    return Job(JobSpec(**defaults), created_at=sim.now, job_id=1)
 
 
 def test_merged_policy_daemon_blacklist_applies_to_instances():

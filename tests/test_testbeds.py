@@ -94,15 +94,23 @@ def test_planetlab_latencies_are_heavy_tailed_and_deterministic():
 
 
 def test_planetlab_has_substrate_loss_and_host_load():
-    _sim, ips, built = _build("planetlab")
+    sim, ips, built = _build("planetlab")
     assert built.network.loss.rate_for(ips[0], ips[1]) == PLANETLAB_SUBSTRATE_LOSS
     up, _down = built.network.bandwidth.capacity(ips[0])
     assert up == PLANETLAB_LINK_BPS
     # every host pays a load-dependent processing delay on message delivery
-    base = built.network.latency.one_way(ips[0], ips[1])
+    network = built.network
+    base = network.latency.one_way(ips[0], ips[1])
     from repro.net.address import Address
-    total = built.network._message_delay(Address(ips[0], 1), Address(ips[1], 2), 100)
-    assert total > base
+    from repro.runtime.splayd import Host
+    for ip in ips[:2]:
+        network.add_host(Host(ip))
+    network.loss.default_rate = 0.0  # this message must arrive
+    arrivals = []
+    network.listen(Address(ips[1], 2), lambda message: arrivals.append(sim.now))
+    network.send(Address(ips[0], 1), Address(ips[1], 2), "x", 100)
+    sim.run()
+    assert len(arrivals) == 1 and arrivals[0] > base
 
 
 def test_mixed_splits_hosts_and_keeps_loss_on_the_planetlab_half():

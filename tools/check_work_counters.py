@@ -4,7 +4,8 @@
 Wall-clock gates need a tolerance as wide as the machines they run on; the
 profiled per-layer *call counters* of a traced benchmark run are a pure
 function of ``(workload, seed, interpreter version)``, so they are gated
-with zero tolerance.  For every workload in ``work_counter_ceilings.json``
+with zero tolerance (the ten message-path layers on ``chord_steady`` are
+the per-RPC frame budget).  For every workload in ``work_counter_ceilings.json``
 this runs::
 
     python3 benchmarks/run.py --workload W --seed SEED --seconds 15 --trace 1
