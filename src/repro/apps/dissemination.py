@@ -244,7 +244,6 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
                                profile: bool = False,
                                log_level: str = "INFO",
                                bw_alloc: str = "max-min",
-                               bw_global: bool = False,
                                gc_policy: str = "tuned",
                                store_caches: bool = True) -> dict:
     """Run the chunk-swarming workload and return the report dict.
@@ -267,7 +266,7 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
         join_window=join_window, settle=settle, ctl_shards=ctl_shards,
         sanitize=sanitize, metrics=metrics, trace_out=trace_out,
         profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        bw_global=bw_global, gc_policy=gc_policy, store_caches=store_caches)
+        gc_policy=gc_policy, store_caches=store_caches)
     sim, job = deployment.sim, deployment.job
 
     horizon = deployment.measure_start + max(120.0, 0.02 * chunks * nodes)

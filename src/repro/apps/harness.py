@@ -223,10 +223,6 @@ class Deployment:
     observability: Optional[object] = None
     #: destination file for the Chrome trace-event JSON, or ``None``
     trace_out: Optional[str] = None
-    #: bandwidth allocator selected with ``--bw-alloc``
-    bw_alloc: str = "max-min"
-    #: ``True`` when ``--bw-global`` forced brute-force recomputation
-    bw_global: bool = False
     #: GC discipline (:mod:`repro.sim.gcpolicy`), or ``None`` for ``off``
     gc_policy: Optional[object] = None
     #: wall seconds per phase — ``deploy`` (substrate build + job start),
@@ -271,8 +267,7 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
            sanitize: bool = False, metrics: bool = False,
            trace_out: Optional[str] = None, profile: bool = False,
            log_level: str = "INFO", bw_alloc: str = "max-min",
-           bw_global: bool = False, gc_policy: str = "off",
-           store_caches: bool = True) -> Deployment:
+           gc_policy: str = "off", store_caches: bool = True) -> Deployment:
     """Build the substrate, register daemons, submit and start the job.
 
     ``testbed`` names the environment preset (:mod:`repro.testbeds`) the
@@ -295,10 +290,8 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
     combination yields byte-identical report digests.  ``log_level`` sets
     the job's minimum log severity (the paper's controller-set verbosity).
     ``bw_alloc`` selects the flow-level bandwidth allocation strategy
-    (:mod:`repro.net.bwalloc`) and ``bw_global`` disables the incremental
-    connected-component recomputation (brute-force full recompute on every
-    flow change) — for the default ``max-min`` the two recomputation modes
-    are bit-identical, so only the allocator *choice* can move digests.
+    (:mod:`repro.net.bwalloc`) — the one bandwidth setting that can move
+    digests.
     ``gc_policy`` selects the deployment's garbage-collection discipline
     (:mod:`repro.sim.gcpolicy`: ``off`` / ``tuned`` / ``manual``) and
     ``store_caches`` is the kill switch for the controller store's memoized
@@ -331,7 +324,7 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
 
     built = testbed_spec.build(sim, ips, seed)
     network = built.network
-    network.bandwidth.configure(allocator=bw_alloc, incremental=not bw_global)
+    network.bandwidth.configure(allocator=bw_alloc)
     if sanitizer is not None:
         sanitizer.watch_network(network)
 
@@ -381,7 +374,6 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
                       warmup_end=warmup_end, churn_end=churn_end,
                       measure_start=churn_end + settle, sanitizer=sanitizer,
                       observability=observability, trace_out=trace_out,
-                      bw_alloc=bw_alloc, bw_global=bw_global,
                       gc_policy=policy, phase_wall=phase_wall)
 
 
@@ -511,6 +503,7 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
             "reallocations": network.bandwidth.reallocations,
             "flows_allocated": network.bandwidth.flows_allocated,
             "by_class": network.bandwidth.class_stats(),
+            "busiest_links": network.bandwidth.busiest_links(),
         },
         "log_records_collected": len(controller.job_logs(job)),
         "log_records_dropped": job.stats.log_records_dropped,

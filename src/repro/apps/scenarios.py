@@ -673,7 +673,7 @@ def _bwalloc_step_bench(allocator: str, flows: int, mode: str, seed: int = 7,
     transfers with random endpoints, then measures the wall time of ``steps``
     churn steps (cancel one random flow, start a replacement — two rate
     recomputations each).  ``mode`` selects incremental component-walk
-    recomputation or the ``--bw-global`` brute force; the reported
+    recomputation or the brute-force global one; the reported
     events/sec is *reallocations per second*, the number the incremental
     engine exists to raise.  Incremental cells also verify the final rate
     vector bit-identically matches a global recompute (``rates_match``) —
@@ -719,8 +719,7 @@ def _bwalloc_step_bench(allocator: str, flows: int, mode: str, seed: int = 7,
             # Oracle cross-check: replaying the final state through a global
             # recompute must reproduce the incremental rates bit for bit.
             expected = [(t.transfer_id, t.rate_bps) for t in model._active]
-            model._incremental = False
-            model._reallocate()
+            model.configure(incremental=False)
             got = [(t.transfer_id, t.rate_bps) for t in model._active]
             if got != expected:
                 rates_match = False
@@ -957,10 +956,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         help="flow-level bandwidth allocation strategy "
                              f"({', '.join(allocator_names())}; the default "
                              "max-min keeps the historical digests)")
-    parser.add_argument("--bw-global", action="store_true",
-                        help="recompute every flow's rate on each change "
-                             "instead of only the changed flow's connected "
-                             "component (bit-identical results, slower)")
     parser.add_argument("--cdf", type=str, default=None, metavar="PATH",
                         help="write the measured latency CDF as "
                              "(latency_ms, fraction) CSV to PATH")
@@ -1034,7 +1029,7 @@ def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> 
                   metrics=args.metrics or bool(args.metrics_out),
                   trace_out=args.trace_out, profile=args.profile,
                   log_level=args.log_level, bw_alloc=args.bw_alloc,
-                  bw_global=args.bw_global, gc_policy=args.gc_policy,
+                  gc_policy=args.gc_policy,
                   store_caches=not args.no_store_caches)
     kwargs.update(spec.make_kwargs(args))
     report = spec.runner(**kwargs)

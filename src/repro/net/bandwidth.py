@@ -7,47 +7,63 @@ pluggable :mod:`~repro.net.bwalloc` allocator (max-min fairness by default)
 over those access links.  Rates are recomputed whenever a transfer starts,
 completes or is cancelled, which is exact for this link model.
 
-Recomputation is **incremental** by default: a flow arriving or leaving can
-only change the rates of flows it (transitively) shares an access link with,
-so :meth:`BandwidthModel._reallocate` walks the connected component of the
-flow/link graph around the changed flows and re-allocates just that
-component.  Every registered allocator is per-component decomposable (no
-global normalisation terms), which makes the incremental rates *bit-identical*
-to a full recompute — the oracle test in ``tests/test_bwalloc.py`` replays
-hundreds of random steps asserting exactly that, and ``--bw-global`` forces
-the brute-force path at runtime.  At dissemination scale (thousands of
-mostly-disjoint swarming flows) the component walk is what keeps the
-allocation step off the profile.
+The flow/link graph is held in objects, not tables: each access link that
+ever carried a flow is one persistent :class:`~repro.net.bwalloc.Link`
+(capacity, live flows in ``transfer_id`` order, fill scratch) and each
+:class:`Transfer` points at its two, so a recompute builds no key and looks
+nothing up: one pass over the live flows (settle progress, split off what
+finished or was cancelled), one epoch-marked walk over the links around what
+changed, one in-place fill, one minimum over the finish times.
+
+Recomputation is **incremental**: a flow arriving or leaving can only change
+the rates of flows it (transitively) shares an access link with, so only
+that connected component is re-allocated.  Every registered allocator is
+per-component decomposable (no global normalisation terms), which makes the
+incremental rates *bit-identical* to a full recompute — the oracle test in
+``tests/test_bwalloc.py`` asserts exactly that, step by step, against
+``configure(incremental=False)``, the brute-force hook kept for it.
+(Coalescing the recomputes of one simulated instant was measured and not
+built — ``docs/BANDWIDTH.md`` has the numbers.)
 """
 
 from __future__ import annotations
 
+from math import inf
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.net import bwalloc
-from repro.net.bwalloc import BULK, BandwidthAllocator, make_allocator
+from repro.net.bwalloc import BULK, BandwidthAllocator, Link, make_allocator
 from repro.sim.futures import Future
 from repro.sim.kernel import ScheduledEvent, Simulator
 
 #: capacity used for hosts without an explicit limit (effectively unlimited)
 UNLIMITED_BPS = 1e15
 
+_BY_ID = attrgetter("transfer_id")
+
 
 class Transfer:
     """One in-flight bulk transfer."""
 
-    __slots__ = ("transfer_id", "src_ip", "dst_ip", "total_bytes", "remaining_bytes",
-                 "rate_bps", "started_at", "accrued_at", "priority", "done",
-                 "cancelled")
+    __slots__ = ("transfer_id", "src_ip", "dst_ip", "up", "down", "total_bytes",
+                 "remaining_bytes", "rate_bps", "weight", "started_at",
+                 "accrued_at", "priority", "done", "cancelled")
 
-    def __init__(self, src_ip: str, dst_ip: str, nbytes: float, started_at: float,
+    def __init__(self, up: Link, down: Link, nbytes: float, started_at: float,
                  transfer_id: int = 0, priority: int = BULK):
         self.transfer_id = transfer_id
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
+        self.src_ip = up.ip
+        self.dst_ip = down.ip
+        #: the two access links the flow crosses (source uplink, destination
+        #: downlink) — the fixed order every allocator and the walk share
+        self.up = up
+        self.down = down
         self.total_bytes = float(nbytes)
         self.remaining_bytes = float(nbytes)
         self.rate_bps = 0.0
+        #: the allocator's fill state (see :func:`repro.net.bwalloc._fill`)
+        self.weight = 0.0
         self.started_at = started_at
         #: virtual time up to which ``remaining_bytes`` is accurate; progress
         #: between rate recomputations is extrapolated from here
@@ -75,19 +91,9 @@ class Transfer:
         in_flight = self.rate_bps * max(0.0, now - self.accrued_at) / 8.0
         return min(self.total_bytes, accrued + in_flight)
 
-    def duration_so_far(self, now: float) -> float:
-        """Elapsed time since the transfer started, in seconds."""
-        return max(0.0, now - self.started_at)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Transfer #{self.transfer_id} {self.src_ip}->{self.dst_ip} "
                 f"{self.remaining_bytes:.0f}/{self.total_bytes:.0f}B @{self.rate_bps:.0f}bps>")
-
-
-#: a transfer's two access links, in the fixed enumeration order every
-#: allocator and the component walk share
-def _links_of(transfer: Transfer) -> Tuple[Tuple[str, str], Tuple[str, str]]:
-    return ("up", transfer.src_ip), ("down", transfer.dst_ip)
 
 
 class BandwidthModel:
@@ -103,19 +109,26 @@ class BandwidthModel:
         self.sim = sim
         self.default_uplink_bps = default_uplink_bps or UNLIMITED_BPS
         self.default_downlink_bps = default_downlink_bps or UNLIMITED_BPS
-        self._capacities: Dict[str, Tuple[float, float]] = {}
+        #: configured ``(uplink, downlink)`` per host, the one source of truth:
+        #: read by :meth:`capacity` and per message by ``Network.send``,
+        #: written by :meth:`set_capacity` only (which updates the link objects)
+        self.capacities: Dict[str, Tuple[float, float]] = {}
+        #: live transfers in ``transfer_id`` order
         self._active: List[Transfer] = []
-        #: live transfers per access link (dict-as-ordered-set), the adjacency
-        #: the incremental component walk traverses.  Kept in lockstep with
-        #: ``_active`` by the add/remove paths; the sanitizer cross-checks it.
-        self._flows_on_link: Dict[Tuple[str, str], Dict[Transfer, None]] = {}
+        #: the access links that ever carried a flow, per direction and host;
+        #: their ``flows`` lists are the adjacency the component walk follows,
+        #: kept in lockstep with ``_active`` (the sanitizer cross-checks them)
+        self._uplinks: Dict[str, Link] = {}
+        self._downlinks: Dict[str, Link] = {}
+        #: visit mark of the component walk and the link enumeration
+        self._epoch = 0
         self._last_update = 0.0
         self._completion_event: Optional[ScheduledEvent] = None
-        # Per-model ids keep co-hosted seeded simulations reproducible (a
-        # process-wide counter would interleave them).
+        # per-model ids: a process-wide counter would interleave co-hosted runs
         self._transfer_ids = 0
-        self._allocator: BandwidthAllocator = make_allocator("max-min", self)
-        self._incremental = True
+        self._allocator: BandwidthAllocator = make_allocator("max-min")
+        #: ``False`` = brute-force global recompute (see :meth:`configure`)
+        self.incremental = True
         #: completed transfer count (for stats/tests)
         self.completed = 0
         #: bytes fully delivered by completed transfers (metrics section)
@@ -125,9 +138,8 @@ class BandwidthModel:
         #: per-priority-class splits of the two counters above
         self.bytes_completed_by_class: Dict[int, float] = {}
         self.preemptions_by_class: Dict[int, int] = {}
-        #: allocation-step accounting: recomputations run, and how many flows
-        #: each handed to the allocator (global recompute counts every live
-        #: flow; incremental counts only the touched component)
+        #: recomputations run, and flows handed to the allocator in total
+        #: (incremental counts only the touched component)
         self.reallocations = 0
         self.flows_allocated = 0
         #: runtime sanitizer (repro.sim.sanitizer) or None
@@ -138,34 +150,50 @@ class BandwidthModel:
                   incremental: Optional[bool] = None) -> None:
         """Select the allocation strategy and/or the recomputation mode.
 
-        Safe mid-run: switching with live flows triggers one full recompute
-        so every rate reflects the new policy.
+        ``incremental=False`` re-allocates every live flow on every change:
+        the brute-force oracle the tests and ``bench --bwalloc`` hold the
+        component walk to.  Safe mid-run: switching with live flows triggers
+        one full recompute so every rate reflects the new policy.
         """
         if allocator is not None:
-            self._allocator = make_allocator(allocator, self)
+            self._allocator = make_allocator(allocator)
         if incremental is not None:
-            self._incremental = incremental
+            self.incremental = incremental
         if self._active:
-            self._advance_progress()
             self._reallocate()
 
     @property
     def allocator_name(self) -> str:
         return self._allocator.name
 
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
-
     # ------------------------------------------------------------- capacities
     def set_capacity(self, ip: str, uplink_bps: Optional[float], downlink_bps: Optional[float]) -> None:
-        """Set the access-link capacities of host ``ip`` (``None`` = unlimited)."""
+        """Set the access-link capacities of host ``ip`` (``None`` = unlimited).
+
+        Safe mid-run: messages read the new value at once, flows at the next
+        recompute that touches the link.
+        """
         up = uplink_bps if uplink_bps and uplink_bps > 0 else UNLIMITED_BPS
         down = downlink_bps if downlink_bps and downlink_bps > 0 else UNLIMITED_BPS
-        self._capacities[ip] = (up, down)
+        self.capacities[ip] = (up, down)
+        link = self._uplinks.get(ip)
+        if link is not None:
+            link.capacity = up
+        link = self._downlinks.get(ip)
+        if link is not None:
+            link.capacity = down
 
     def capacity(self, ip: str) -> Tuple[float, float]:
-        return self._capacities.get(ip, (self.default_uplink_bps, self.default_downlink_bps))
+        return self.capacities.get(ip, (self.default_uplink_bps, self.default_downlink_bps))
+
+    def busiest_links(self, count: int = 5) -> List[Dict[str, object]]:
+        """The ``count`` links that carried the most completed bytes."""
+        links = [link for table in (self._uplinks, self._downlinks)
+                 for link in table.values() if link.bytes_carried > 0]
+        links.sort(key=lambda link: (-link.bytes_carried, link.ip, link.direction))
+        return [{"host": link.ip, "direction": link.direction,
+                 "bytes_carried": round(link.bytes_carried),
+                 "peak_flows": link.peak_flows} for link in links[:count]]
 
     # --------------------------------------------------------------- transfers
     def transfer(self, src_ip: str, dst_ip: str, nbytes: float,
@@ -173,194 +201,191 @@ class BandwidthModel:
         """Start a bulk transfer of ``nbytes`` bytes; returns its :class:`Transfer`."""
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
+        up = self._uplinks.get(src_ip)
+        if up is None:
+            up = self._uplinks[src_ip] = Link("up", src_ip, self.capacity(src_ip)[0])
+        down = self._downlinks.get(dst_ip)
+        if down is None:
+            down = self._downlinks[dst_ip] = Link("down", dst_ip, self.capacity(dst_ip)[1])
         self._transfer_ids += 1
-        transfer = Transfer(src_ip, dst_ip, nbytes, self.sim.now,
+        transfer = Transfer(up, down, nbytes, self.sim.now,
                             transfer_id=self._transfer_ids, priority=priority)
         if nbytes == 0:
             transfer.done.set_result(self.sim.now)
             self.completed += 1
             return transfer
-        self._advance_progress()
-        self._active.append(transfer)
-        for link in _links_of(transfer):
-            self._flows_on_link.setdefault(link, {})[transfer] = None
-        self._reallocate(changed=(transfer,))
+        self._reallocate(transfer)
         return transfer
 
     def cancel_transfer(self, transfer: Transfer) -> None:
-        """Abort an in-flight transfer (its future is cancelled).
+        """Abort an in-flight transfer (its future is cancelled)."""
+        if not transfer.done.done():
+            self._abort(transfer)
+            self._reallocate()
 
-        The transfer is only marked here; the next :meth:`_reallocate` drops
-        all cancelled entries in one partition pass instead of an O(n)
-        ``list.remove`` per victim.
+    def cancel_host(self, ip: str) -> int:
+        """Abort every transfer with ``ip`` as source or destination (host failure).
+
+        The victims are read off the host's two links and cancelled in
+        ``transfer_id`` order; one rate recomputation covers them all.
         """
-        if transfer.done.done():
-            return
-        self._advance_progress()
+        victims: List[Transfer] = []
+        link = self._uplinks.get(ip)
+        if link is not None:
+            victims += [t for t in link.flows if not t.cancelled]
+        link = self._downlinks.get(ip)
+        if link is not None:
+            victims += [t for t in link.flows if not t.cancelled and t.src_ip != ip]
+        if victims:
+            victims.sort(key=_BY_ID)
+            for transfer in victims:
+                self._abort(transfer)
+            self._reallocate()
+        return len(victims)
+
+    def _abort(self, transfer: Transfer) -> None:
+        """Mark only: the next :meth:`_reallocate` pass drops cancelled entries."""
         transfer.cancelled = True
         transfer.done.cancel()
         self.preemptions += 1
         self.preemptions_by_class[transfer.priority] = (
             self.preemptions_by_class.get(transfer.priority, 0) + 1)
-        self._reallocate()
-
-    def cancel_host(self, ip: str) -> int:
-        """Abort every transfer with ``ip`` as source or destination (host failure).
-
-        Single pass: victims are marked and their futures cancelled, then one
-        rate recomputation covers them all (the old per-victim
-        ``cancel_transfer`` loop recomputed rates O(victims) times).
-        """
-        victims = [t for t in self._active
-                   if not t.cancelled and (t.src_ip == ip or t.dst_ip == ip)]
-        if not victims:
-            return 0
-        self._advance_progress()
-        for transfer in victims:
-            transfer.cancelled = True
-            transfer.done.cancel()
-            self.preemptions_by_class[transfer.priority] = (
-                self.preemptions_by_class.get(transfer.priority, 0) + 1)
-        self.preemptions += len(victims)
-        self._reallocate()
-        return len(victims)
 
     @property
     def active_transfers(self) -> int:
         return len(self._active)
 
-    def current_rate(self, transfer: Transfer) -> float:
-        """The instantaneous allocated rate of ``transfer`` in bits/second."""
-        return transfer.rate_bps
-
     # --------------------------------------------------------------- internals
-    def _advance_progress(self) -> None:
-        """Account for the bytes sent since the last rate change."""
-        now = self.sim.now
-        elapsed = now - self._last_update
-        if elapsed > 0:
-            for transfer in self._active:
-                transfer.remaining_bytes -= transfer.rate_bps * elapsed / 8.0
-                if transfer.remaining_bytes < 1e-6:
-                    transfer.remaining_bytes = 0.0
-                transfer.accrued_at = now
-        self._last_update = now
-
     def _component(self, seeds: List[Transfer]) -> List[Transfer]:
         """Live transfers transitively sharing an access link with ``seeds``.
 
-        Walks the flow/link bipartite graph from the seeds' links and returns
-        the members sorted by ``transfer_id`` — the relative order they hold
-        in ``_active``, so the allocator sees the same enumeration (and hence
-        the same link insertion order and tie-breaks) a full recompute would.
+        Walks the flow/link graph outwards from the seeds, stamping each link
+        with a fresh epoch as it is reached.  Every flow crosses exactly one
+        uplink, so the members are the flows of the uplinks reached, each met
+        once; they come back sorted by ``transfer_id`` — their order in
+        ``_active`` — so the allocator sees the enumeration a full recompute
+        would.
         """
-        flows_on_link = self._flows_on_link
-        seen_links: Dict[Tuple[str, str], None] = {}
-        frontier: List[Tuple[str, str]] = []
-        for transfer in seeds:
-            for link in _links_of(transfer):
-                if link not in seen_links:
-                    seen_links[link] = None
-                    frontier.append(link)
-        members: Dict[Transfer, None] = {}
+        epoch = self._epoch = self._epoch + 1
+        members: List[Transfer] = []
+        frontier = [seeds]
         while frontier:
-            link = frontier.pop()
-            for transfer in flows_on_link.get(link, ()):
-                if transfer in members:
-                    continue
-                members[transfer] = None
-                for other in _links_of(transfer):
-                    if other not in seen_links:
-                        seen_links[other] = None
-                        frontier.append(other)
-        return sorted(members, key=lambda t: t.transfer_id)
+            for transfer in frontier.pop():
+                link = transfer.up
+                if link.epoch != epoch:
+                    link.epoch = epoch
+                    members += link.flows
+                    frontier.append(link.flows)
+                link = transfer.down
+                if link.epoch != epoch:
+                    link.epoch = epoch
+                    frontier.append(link.flows)
+        members.sort(key=_BY_ID)
+        return members
 
-    def _allocate_rates(self, transfers: List[Transfer]) -> List[float]:
-        """Allocator seam (tests monkeypatch this to inject rate schedules)."""
-        return self._allocator.allocate(transfers)
+    def _reallocate(self, added: Optional[Transfer] = None) -> None:
+        """Settle progress, retire what is over, recompute rates, re-tick.
 
-    def _reallocate(self, changed: Tuple[Transfer, ...] = ()) -> None:
-        """Recompute rates and schedule the next completion.
+        ``added`` is a transfer starting now; transfers leaving (finished or
+        cancelled) are found by the pass below.  Together they seed the
+        component walk: only flows sharing a link (transitively) with a
+        changed flow can see their rate move.  With no seeds at all — an
+        external call, or ``incremental=False`` — every live flow is redone.
 
-        ``changed`` lists transfers just *added*; transfers leaving (finished
-        or cancelled) are discovered by the partition pass below.  Together
-        they seed the incremental component walk: only flows sharing a
-        bottleneck link (transitively) with a changed flow can see their rate
-        move, so only that component is re-allocated.  With no seeds at all —
-        an external call, or ``--bw-global`` — every live flow is.
+        The order *leave the tables, resolve futures, allocate, schedule* is
+        load-bearing: resolving a future runs its callbacks inline, and they
+        re-enter :meth:`transfer` / :meth:`cancel_transfer`.
         """
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
 
-        # One partition pass: drop cancelled entries, complete transfers with
-        # no bytes left, keep the rest (order preserved for determinism).
+        # One pass: account for the bytes sent since the last rate change
+        # and pick out the cancelled and the finished.
         now = self.sim.now
-        live: List[Transfer] = []
-        finished: List[Transfer] = []
+        elapsed = now - self._last_update
+        self._last_update = now
+        active = self._active
         removed: List[Transfer] = []
-        for transfer in self._active:
-            if transfer.cancelled:
-                removed.append(transfer)
-                continue
-            if transfer.remaining_bytes <= 0.0:
-                finished.append(transfer)
-                removed.append(transfer)
-            else:
-                live.append(transfer)
-        self._active = live
-        flows_on_link = self._flows_on_link
+        if elapsed > 0:
+            for transfer in active:
+                remaining = transfer.remaining_bytes - transfer.rate_bps * elapsed / 8.0
+                if remaining < 1e-6:
+                    remaining = 0.0
+                transfer.remaining_bytes = remaining
+                transfer.accrued_at = now
+                if remaining <= 0.0 or transfer.cancelled:
+                    removed.append(transfer)
+        else:
+            for transfer in active:
+                if transfer.remaining_bytes <= 0.0 or transfer.cancelled:
+                    removed.append(transfer)
+        if added is not None:
+            active.append(added)
+            for link in (added.up, added.down):
+                flows = link.flows
+                flows.append(added)
+                if len(flows) > link.peak_flows:
+                    link.peak_flows = len(flows)
         for transfer in removed:
-            for link in _links_of(transfer):
-                flows = flows_on_link.get(link)
-                if flows is not None:
-                    flows.pop(transfer, None)
-                    if not flows:
-                        del flows_on_link[link]
-        for transfer in finished:
+            active.remove(transfer)
+            transfer.up.flows.remove(transfer)
+            transfer.down.flows.remove(transfer)
+        for transfer in [t for t in removed if not t.cancelled]:
+            nbytes = transfer.total_bytes
+            transfer.up.bytes_carried += nbytes
+            transfer.down.bytes_carried += nbytes
             transfer.done.set_result(now)
             self.completed += 1
-            self.bytes_completed += transfer.total_bytes
+            self.bytes_completed += nbytes
             self.bytes_completed_by_class[transfer.priority] = (
-                self.bytes_completed_by_class.get(transfer.priority, 0.0)
-                + transfer.total_bytes)
+                self.bytes_completed_by_class.get(transfer.priority, 0.0) + nbytes)
 
-        if not self._active:
+        if not active:
             return
 
-        seeds = [t for t in changed if not t.done.done()] + removed
-        if self._incremental and seeds:
-            targets = self._component(seeds)
-        else:
-            targets = self._active
+        if added is not None and not added.done.done():
+            removed.append(added)  # the walk's seeds: what left plus what arrived
+        targets = self._component(removed) if self.incremental and removed else active
         if targets:
-            rates = self._allocate_rates(targets)
-            for transfer, rate in zip(targets, rates):
-                transfer.rate_bps = rate
+            # Their links in first-appearance order, uplink before downlink:
+            # the tie-break order every allocator inherits.
+            epoch = self._epoch = self._epoch + 1
+            links: List[Link] = []
+            for transfer in targets:
+                link = transfer.up
+                if link.epoch != epoch:
+                    link.epoch = epoch
+                    links.append(link)
+                link = transfer.down
+                if link.epoch != epoch:
+                    link.epoch = epoch
+                    links.append(link)
+            self._allocator.allocate(targets, links)
         self.reallocations += 1
         self.flows_allocated += len(targets)
         if self._san is not None:
             self._san.check_flow_conservation(self)
             self._san.check_flow_table(self)
 
-        # Progressive filling can legitimately leave a flow at rate 0 (e.g. a
-        # shared uplink exhausted by a downlink-bottlenecked flow, float dust
-        # zeroing a link's remaining capacity, or a strict-priority class
-        # starved outright).  Zero-rate flows make no progress, so they must
-        # not drive the completion tick — and if every flow is stalled there
-        # is nothing to schedule: the next call to _reallocate (a transfer
-        # starting, completing or being cancelled frees capacity) re-ticks
-        # them.
-        finish_times = [t.remaining_bytes * 8.0 / t.rate_bps
-                        for t in self._active if t.rate_bps > 0]
-        if not finish_times:
-            return
-        next_finish = max(min(finish_times), 0.0)
-        self._completion_event = self.sim.schedule(next_finish, self._on_completion_tick)
+        # A fill can legitimately leave a flow at rate 0 (a shared uplink
+        # exhausted by a downlink-bottlenecked flow, float dust, a starved
+        # priority class).  Such flows make no progress and must not drive
+        # the completion tick; if every flow is stalled nothing is scheduled,
+        # and the next _reallocate (capacity freed) re-ticks them.
+        next_finish = inf
+        for transfer in active:
+            rate = transfer.rate_bps
+            if rate > 0:
+                finish = transfer.remaining_bytes * 8.0 / rate
+                if finish < next_finish:
+                    next_finish = finish
+        if next_finish < inf:
+            self._completion_event = self.sim.schedule(
+                next_finish if next_finish > 0.0 else 0.0, self._on_completion_tick)
 
     def _on_completion_tick(self) -> None:
         self._completion_event = None
-        self._advance_progress()
         self._reallocate()
 
     def class_stats(self) -> Dict[str, Dict[str, float]]:

@@ -1,11 +1,12 @@
 """Pluggable bandwidth allocators with traffic priority classes.
 
-The flow-level :class:`~repro.net.bandwidth.BandwidthModel` used to
-hard-wire one global max-min recompute on every transfer start/finish.  This
-module extracts the *allocation strategy* behind a small interface (the
-shape of psim's ``BandwidthAllocator`` hierarchy): given the live transfer
-list and the per-host access-link capacities, an allocator returns one rate
-per transfer.  Four strategies are registered:
+The flow-level :class:`~repro.net.bandwidth.BandwidthModel` owns the flow
+bookkeeping; this module owns the *allocation strategy* behind a small
+interface (the shape of psim's ``BandwidthAllocator`` hierarchy) and the
+persistent :class:`Link` objects both sides work on.  An allocator is handed
+the flows of whole connected components (id-sorted) and their links
+(first-appearance order) and writes ``rate_bps`` on each flow in place — no
+table is built and no key hashed.  Four strategies are registered:
 
 ``max-min``
     Progressive-filling max-min fairness over access links — the historical
@@ -35,20 +36,19 @@ only on the flows it (transitively) shares an access link with.  The model
 exploits that for incremental recomputation — see
 :meth:`~repro.net.bandwidth.BandwidthModel._reallocate`.  Allocators must
 keep that property (no global normalisation terms), or incremental and
-global recomputes would diverge; the differential harness in
-``tests/test_bwalloc.py`` replays every registered allocator against the
-shared invariants and catches violations.
+global recomputes would diverge; ``tests/test_bwalloc.py`` replays every
+registered allocator against the shared invariants, and
+``tests/test_bwalloc_reference.py`` holds each to the rates of the
+table-based implementation it replaced, float for float.
 
-Adding an allocator: subclass :class:`BandwidthAllocator`, set ``name``,
-implement :meth:`~BandwidthAllocator.allocate`, decorate with
-:func:`register_allocator`.  The CLI flag choices, the bench column and the
-differential test harness all enumerate the registry.
+Adding an allocator: see ``docs/BANDWIDTH.md``; the CLI flag choices, the
+bench column and the differential test harnesses enumerate the registry.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+from math import inf
+from typing import Dict, List, Optional
 
 #: priority classes, lower value = more important.  CONTROL is the
 #: control-plane RPC class, LOOKUP the application protocol-message class,
@@ -65,8 +65,32 @@ PRIORITY_NAMES: Dict[int, str] = {CONTROL: "control", LOOKUP: "lookup",
 #: is shared 4:2:1 between CONTROL, LOOKUP and BULK flows
 CLASS_WEIGHTS: Dict[int, float] = {CONTROL: 4.0, LOOKUP: 2.0, BULK: 1.0}
 
-#: link key: ("up", src_ip) or ("down", dst_ip)
-Link = Tuple[str, str]
+
+class Link:
+    """One direction of one host's access link, kept from its first flow on.
+
+    ``flows`` holds the live transfers crossing the link in ``transfer_id``
+    order and nothing else, so an idle link pins no dead flow.  ``residual``
+    and ``pending`` are the fill's scratch (capacity not yet handed out,
+    summed weight of the flows not yet pinned) and mean nothing between
+    allocations; ``epoch`` is the model's visit mark.
+    """
+
+    __slots__ = ("direction", "ip", "capacity", "flows", "residual",
+                 "pending", "epoch", "bytes_carried", "peak_flows")
+
+    def __init__(self, direction: str, ip: str, capacity: float):
+        self.direction = direction
+        self.ip = ip
+        self.capacity = capacity
+        self.flows: List = []
+        self.residual = 0.0
+        self.pending = 0.0
+        self.epoch = 0
+        #: bytes of the transfers that completed over this link
+        self.bytes_carried = 0.0
+        #: most flows that ever shared the link at one instant
+        self.peak_flows = 0
 
 
 class UnknownAllocatorError(KeyError):
@@ -74,48 +98,23 @@ class UnknownAllocatorError(KeyError):
 
 
 class BandwidthAllocator:
-    """Base class: rate assignment over per-host uplink/downlink capacities.
+    """Base class: rate assignment over per-host uplink/downlink links.
 
-    The allocator is stateless between calls; everything it needs is the
-    transfer list (objects exposing ``src_ip``/``dst_ip``/``priority``) and
-    the owning model's :meth:`capacity` lookup.  ``allocate`` must return
-    one rate (bits/second) per transfer, in input order, and must never
-    oversubscribe a link — the sanitizer's flow-conservation check and the
-    differential harness both assert that for every registered strategy.
+    Stateless between calls.  ``allocate(flows, links)`` receives the flows
+    of one or more *whole* connected components, sorted by ``transfer_id``,
+    and the links they cross in first-appearance order over that enumeration
+    (a flow's uplink before its downlink) — the deterministic tie-break
+    every strategy inherits.  Each link's ``flows`` list is exactly the
+    given flows that cross it, in the same order.  The allocator must write
+    ``rate_bps`` (bits/second) on every flow and never oversubscribe a link
+    (the sanitizer and the differential harness assert both).
     """
 
     #: registry key, CLI flag value and bench-CSV cell
     name: str = ""
 
-    def __init__(self, model) -> None:
-        self.model = model
-
-    def allocate(self, transfers: List) -> List[float]:
+    def allocate(self, flows: List, links: List[Link]) -> None:
         raise NotImplementedError
-
-    # ------------------------------------------------------------- helpers
-    def link_tables(self, transfers: List) -> Tuple[
-            Dict[Link, float], Dict[Link, List[int]], List[Tuple[Link, Link]]]:
-        """Shared link bookkeeping: capacities, flows per link, links per flow.
-
-        Insertion order of the ``links`` dict follows transfer enumeration
-        order — the deterministic tie-break every strategy inherits.
-        """
-        capacity = self.model.capacity
-        links: Dict[Link, float] = {}
-        flows_on_link: Dict[Link, List[int]] = {}
-        flow_links: List[Tuple[Link, Link]] = []
-        for index, transfer in enumerate(transfers):
-            up_link = ("up", transfer.src_ip)
-            down_link = ("down", transfer.dst_ip)
-            up, _ = capacity(transfer.src_ip)
-            _, down = capacity(transfer.dst_ip)
-            links.setdefault(up_link, up)
-            links.setdefault(down_link, down)
-            flows_on_link.setdefault(up_link, []).append(index)
-            flows_on_link.setdefault(down_link, []).append(index)
-            flow_links.append((up_link, down_link))
-        return links, flows_on_link, flow_links
 
 
 _ALLOCATORS: Dict[str, type] = {}
@@ -138,59 +137,75 @@ def allocator_names() -> List[str]:
     return list(_ALLOCATORS)
 
 
-def make_allocator(name: str, model) -> BandwidthAllocator:
+def make_allocator(name: str) -> BandwidthAllocator:
     try:
         cls = _ALLOCATORS[name]
     except KeyError:
         known = ", ".join(_ALLOCATORS)
         raise UnknownAllocatorError(
             f"unknown bandwidth allocator {name!r} (known: {known})") from None
-    return cls(model)
+    return cls()
 
 
-def _progressive_fill(links: Dict[Link, float],
-                      flows_on_link: Dict[Link, List[int]],
-                      flow_links: List[Tuple[Link, Link]],
-                      rates: List[float], eligible: List[int],
-                      weights: List[float]) -> None:
-    """Weighted progressive filling over ``eligible`` flow indices, in place.
+def _open(links: List[Link]) -> None:
+    """Start an allocation: every link has its whole capacity to hand out."""
+    for link in links:
+        link.residual = link.capacity
 
-    ``links`` holds each link's *remaining* capacity and is consumed (so a
-    caller can fill one priority class, then the next against the residue).
-    Each round saturates the link offering the smallest per-weight share to
-    its unallocated flows; those flows are pinned at ``weight * share`` and
-    their demand leaves every link they cross.  With unit weights this is
-    classic max-min fairness — the loop below is the historical
-    ``_max_min_fair_rates`` body with a weight column threaded through.
+
+def _fill(flows: List, links: List[Link],
+          weights: Optional[Dict[int, float]] = None) -> None:
+    """Weighted progressive filling of ``flows`` over ``links``, in place.
+
+    Link residuals are consumed, so a caller can fill one priority class,
+    then the next against what is left; flows on the links that are not in
+    ``flows`` are left alone.  ``weights`` maps priority class to weight
+    (``None``: every flow weighs 1.0, classic max-min fairness).  A flow's
+    ``weight`` field is its fill state: positive while it waits for a rate,
+    0.0 once pinned and between allocations.  Each round saturates the link
+    offering the smallest per-weight share to its waiting flows (the first
+    such link in ``links`` order on a tie); those flows are pinned at
+    ``weight * share`` and their demand leaves both links they cross.
     """
-    allocated = [False] * len(rates)
-    pending_weight: Dict[Link, float] = {}
-    for link, flows in flows_on_link.items():
-        pending_weight[link] = sum(weights[f] for f in flows)
-    n_unallocated = len(eligible)
-    while n_unallocated:
-        best_link = None
-        best_share = math.inf
-        for link, capacity in links.items():
-            weight = pending_weight[link]
-            if weight <= 0.0:
-                continue
-            share = capacity / weight
-            if share < best_share:
-                best_share = share
-                best_link = link
-        if best_link is None:
-            break
-        for flow in flows_on_link[best_link]:
-            if allocated[flow]:
-                continue
-            rate = best_share * weights[flow]
-            rates[flow] = rate
-            allocated[flow] = True
-            n_unallocated -= 1
-            for link in flow_links[flow]:
-                links[link] = max(0.0, links[link] - rate)
-                pending_weight[link] -= weights[flow]
+    for link in links:
+        link.pending = 0.0
+    for flow in flows:
+        weight = 1.0 if weights is None else weights.get(flow.priority, 1.0)
+        flow.weight = weight
+        flow.up.pending += weight
+        flow.down.pending += weight
+    waiting = len(flows)
+    while waiting:
+        best = None
+        best_share = inf
+        for link in links:
+            pending = link.pending
+            if pending > 0.0:
+                share = link.residual / pending
+                if share < best_share:
+                    best_share = share
+                    best = link
+        if best is None:
+            # Weights that do not sum exactly left no link with anything
+            # pending: the stragglers run at rate 0.
+            for flow in flows:
+                if flow.weight > 0.0:
+                    flow.weight = flow.rate_bps = 0.0
+            return
+        for flow in best.flows:
+            weight = flow.weight
+            if weight > 0.0:
+                flow.weight = 0.0
+                flow.rate_bps = rate = best_share * weight
+                waiting -= 1
+                link = flow.up
+                left = link.residual - rate
+                link.residual = left if left > 0.0 else 0.0
+                link.pending -= weight
+                link = flow.down
+                left = link.residual - rate
+                link.residual = left if left > 0.0 else 0.0
+                link.pending -= weight
 
 
 @register_allocator
@@ -204,13 +219,9 @@ class MaxMinAllocator(BandwidthAllocator):
 
     name = "max-min"
 
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        rates = [0.0] * len(transfers)
-        _progressive_fill(links, flows_on_link, flow_links, rates,
-                          list(range(len(transfers))),
-                          [1.0] * len(transfers))
-        return rates
+    def allocate(self, flows: List, links: List[Link]) -> None:
+        _open(links)
+        _fill(flows, links)
 
 
 @register_allocator
@@ -225,12 +236,13 @@ class FairShareAllocator(BandwidthAllocator):
 
     name = "fair-share"
 
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        share: Dict[Link, float] = {
-            link: capacity / len(flows_on_link[link])
-            for link, capacity in links.items()}
-        return [min(share[up], share[down]) for up, down in flow_links]
+    def allocate(self, flows: List, links: List[Link]) -> None:
+        for link in links:
+            link.residual = link.capacity / len(link.flows)
+        for flow in flows:
+            up = flow.up.residual
+            down = flow.down.residual
+            flow.rate_bps = down if down < up else up
 
 
 @register_allocator
@@ -246,28 +258,13 @@ class FixedPriorityAllocator(BandwidthAllocator):
 
     name = "fixed-priority"
 
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        rates = [0.0] * len(transfers)
-        weights = [1.0] * len(transfers)
-        by_class: Dict[int, List[int]] = {}
-        for index, transfer in enumerate(transfers):
-            by_class.setdefault(transfer.priority, []).append(index)
+    def allocate(self, flows: List, links: List[Link]) -> None:
+        by_class: Dict[int, List] = {}
+        for flow in flows:
+            by_class.setdefault(flow.priority, []).append(flow)
+        _open(links)
         for priority in sorted(by_class):
-            eligible = by_class[priority]
-            eligible_set = set(eligible)  # membership only, never iterated
-            class_flows: Dict[Link, List[int]] = {}
-            for link, flows in flows_on_link.items():
-                mine = [f for f in flows if f in eligible_set]
-                if mine:
-                    class_flows[link] = mine
-            class_links = {link: links[link] for link in class_flows}
-            _progressive_fill(class_links, class_flows, flow_links, rates,
-                              eligible, weights)
-            # What this class consumed leaves the shared residue.
-            for link in class_links:
-                links[link] = class_links[link]
-        return rates
+            _fill(by_class[priority], links)
 
 
 @register_allocator
@@ -283,10 +280,6 @@ class PriorityQueueAllocator(BandwidthAllocator):
 
     name = "priority-queue"
 
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        rates = [0.0] * len(transfers)
-        weights = [CLASS_WEIGHTS.get(t.priority, 1.0) for t in transfers]
-        _progressive_fill(links, flows_on_link, flow_links, rates,
-                          list(range(len(transfers))), weights)
-        return rates
+    def allocate(self, flows: List, links: List[Link]) -> None:
+        _open(links)
+        _fill(flows, links, CLASS_WEIGHTS)

@@ -219,7 +219,7 @@ class Network:
         # per message on purpose — capacities, the latency model and the
         # processing-delay hooks are all mutable mid-run, so no route cache.
         bandwidth = self.bandwidth
-        capacities = bandwidth._capacities
+        capacities = bandwidth.capacities
         entry = capacities.get(src_ip)
         up = entry[0] if entry is not None else bandwidth.default_uplink_bps
         entry = capacities.get(dst_ip)

@@ -171,6 +171,7 @@ class Observability:
                 # Per-priority-class completed bytes and preemptions, plus
                 # offered bytes per class (messages and transfers together).
                 "by_class": bandwidth.class_stats(),
+                "busiest_links": bandwidth.busiest_links(),
                 "bytes_offered_by_class": {
                     _bwalloc.PRIORITY_NAMES.get(cls, str(cls)): count
                     for cls, count in sorted(stats.bytes_by_class.items())

@@ -250,33 +250,27 @@ class Sanitizer:
 
     # ----------------------------------------------------- bandwidth seam
     def check_flow_table(self, model: Any) -> None:
-        """The incremental flow/link table must mirror the live transfer list.
+        """Every link's flow list must mirror the live transfer list.
 
-        The component walk of ``BandwidthModel._reallocate`` trusts
-        ``_flows_on_link`` for adjacency; a stale entry silently shrinks or
-        inflates components, which breaks the bit-identical-to-global
-        guarantee long before any rate looks wrong.
+        The component walk of ``BandwidthModel._reallocate`` trusts the
+        links' ``flows`` lists for adjacency; a stale or missing entry
+        silently shrinks or inflates components, which breaks the
+        bit-identical-to-global guarantee long before any rate looks wrong.
+        A link may sit idle, but must never hold a transfer that is not live.
         """
-        expected: Dict[tuple, dict] = {}
-        for transfer in model._active:
-            expected.setdefault(("up", transfer.src_ip), {})[transfer] = None
-            expected.setdefault(("down", transfer.dst_ip), {})[transfer] = None
-        table = model._flows_on_link
-        for link, flows in expected.items():
-            have = table.get(link)
-            if have is None or set(have) != set(flows):
-                self.record(
-                    "bandwidth_table",
-                    f"flow table for {link[1]} {link[0]}link lists "
-                    f"{len(have or ())} flows, live set has {len(flows)}",
-                    provenance=self.current_label())
-        for link in table:
-            if link not in expected:
-                self.record(
-                    "bandwidth_table",
-                    f"flow table keeps {link[1]} {link[0]}link with no live "
-                    f"flows crossing it",
-                    provenance=self.current_label())
+        for direction, table in (("up", model._uplinks), ("down", model._downlinks)):
+            expected: Dict[str, list] = {}
+            for transfer in model._active:
+                ip = transfer.src_ip if direction == "up" else transfer.dst_ip
+                expected.setdefault(ip, []).append(transfer)
+            for ip in sorted(set(table) | set(expected)):
+                have = table[ip].flows if ip in table else []
+                if have != expected.get(ip, []):
+                    self.record(
+                        "bandwidth_table",
+                        f"flow table for {ip} {direction}link lists {len(have)} "
+                        f"flows, live set has {len(expected.get(ip, []))}",
+                        provenance=self.current_label())
 
     # --------------------------------------------------- control-plane seam
     def check_store_caches(self, store: Any) -> None:
@@ -353,21 +347,27 @@ class Sanitizer:
                     provenance=self.current_label())
 
     def check_flow_conservation(self, model: Any) -> None:
-        """Sum of allocated rates on every access link <= its capacity."""
-        load: Dict[tuple, float] = {}
-        for transfer in model._active:
-            if transfer.rate_bps <= 0:
-                continue
-            up = ("up", transfer.src_ip)
-            down = ("down", transfer.dst_ip)
-            load[up] = load.get(up, 0.0) + transfer.rate_bps
-            load[down] = load.get(down, 0.0) + transfer.rate_bps
-        for (direction, ip), total in sorted(load.items()):
-            up_cap, down_cap = model.capacity(ip)
-            capacity = up_cap if direction == "up" else down_cap
-            if total > capacity * (1.0 + FLOW_CONSERVATION_SLACK):
-                self.record(
-                    "bandwidth",
-                    f"{direction}link of {ip} allocated {total:.1f} bps "
-                    f"against capacity {capacity:.1f} bps",
-                    provenance=self.current_label())
+        """Sum of allocated rates on every access link <= its capacity.
+
+        The capacity is the configured one (``model.capacity``); a link
+        object that disagrees with it missed a ``set_capacity``.
+        """
+        for direction, table in (("up", model._uplinks), ("down", model._downlinks)):
+            for ip in sorted(table):
+                link = table[ip]
+                capacity = model.capacity(ip)[0 if direction == "up" else 1]
+                if link.capacity != capacity:
+                    self.record(
+                        "bandwidth",
+                        f"{direction}link of {ip} fills against "
+                        f"{link.capacity:.1f} bps, configured capacity is "
+                        f"{capacity:.1f} bps",
+                        provenance=self.current_label())
+                total = sum(flow.rate_bps for flow in link.flows
+                            if flow.rate_bps > 0)
+                if total > capacity * (1.0 + FLOW_CONSERVATION_SLACK):
+                    self.record(
+                        "bandwidth",
+                        f"{direction}link of {ip} allocated {total:.1f} bps "
+                        f"against capacity {capacity:.1f} bps",
+                        provenance=self.current_label())

@@ -3,7 +3,28 @@
 import pytest
 
 from repro.net.bandwidth import BandwidthModel
+from repro.net.bwalloc import BULK, CONTROL, allocator_names
+from repro.net.network import Network
 from repro.sim.kernel import Simulator
+
+
+class _RiggedAllocator:
+    """The seam the stall tests use: the real allocator runs, then ``rig``
+    edits the rates it wrote — ``_reallocate`` around it stays the real one."""
+
+    def __init__(self, model, rig):
+        self.inner = model._allocator
+        self.name = self.inner.name
+        self.rig = rig
+
+    def allocate(self, flows, links):
+        self.inner.allocate(flows, links)
+        self.rig(flows)
+
+
+def _no_flow_on_any_link(bw):
+    return not any(link.flows for table in (bw._uplinks, bw._downlinks)
+                   for link in table.values())
 
 
 def test_equal_flows_share_the_bottleneck_uplink():
@@ -70,15 +91,12 @@ def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash():
     sim = Simulator()
     bw = BandwidthModel(sim)
     forced = {"zero": True}
-    original = BandwidthModel._allocate_rates
 
-    def patched(self, transfers):
-        rates = original(self, transfers)
-        if forced["zero"] and len(rates) > 1:
-            rates[-1] = 0.0  # the shared uplink left nothing for the last flow
-        return rates
+    def starve_the_last(flows):
+        if forced["zero"] and len(flows) > 1:
+            flows[-1].rate_bps = 0.0  # the shared uplink left nothing for the last flow
 
-    bw._allocate_rates = patched.__get__(bw, BandwidthModel)
+    bw._allocator = _RiggedAllocator(bw, starve_the_last)
     bw.set_capacity("A", 8_000_000, None)
     healthy = bw.transfer("A", "B", 1_000_000)
     stalled = bw.transfer("A", "C", 1_000_000)
@@ -99,12 +117,18 @@ def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash():
 def test_all_flows_zero_rate_schedules_no_tick_and_recovers():
     sim = Simulator()
     bw = BandwidthModel(sim)
-    bw._allocate_rates = (lambda transfers: [0.0] * len(transfers))
+    real = bw._allocator
+
+    def stall_all(flows):
+        for flow in flows:
+            flow.rate_bps = 0.0
+
+    bw._allocator = _RiggedAllocator(bw, stall_all)
     bw.set_capacity("A", 8_000_000, None)
     stalled = bw.transfer("A", "B", 1_000_000)  # must not raise ValueError
     assert stalled.rate_bps == 0.0
     assert sim.pending_events == 0  # no completion tick for a fully stalled set
-    del bw._allocate_rates  # capacity "frees": restore the real allocator
+    bw._allocator = real  # capacity "frees": restore the real allocator
     bw._reallocate()
     sim.run()
     assert stalled.done.result() == pytest.approx(1.0)
@@ -124,7 +148,7 @@ def test_shared_uplink_two_flows_complete_with_fair_timing():
     assert bw.completed == 2
 
 
-def test_transfer_progress_and_duration_accounting():
+def test_transfer_progress_accounting():
     sim = Simulator()
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)  # 1 MB/s
@@ -133,8 +157,7 @@ def test_transfer_progress_and_duration_accounting():
     # Trigger a progress update by starting another flow at t = 1 s.
     bw.transfer("A", "C", 1)
     assert transfer.bytes_transferred() == pytest.approx(1_000_000, rel=0.01)
-    assert transfer.duration_so_far(sim.now) == pytest.approx(1.0)
-    assert transfer.duration_so_far(0.5) == pytest.approx(0.5)
+    assert transfer.started_at == 0.0
 
 
 @pytest.mark.parametrize("kernel", ["wheel", "heap"])
@@ -185,7 +208,7 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     assert bystander.done.done() and not bystander.done.cancelled()
     assert bw.completed == 2 and bw.preemptions == 1
     assert bw.active_transfers == 0
-    assert not bw._flows_on_link  # nested removal left no stale adjacency
+    assert _no_flow_on_any_link(bw)  # nested removal left no stale adjacency
     assert bw.bytes_completed == short.total_bytes + bystander.total_bytes
 
 
@@ -225,4 +248,141 @@ def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
     assert first.done.result() == second.done.result()  # exact, not approx
     assert first.done.result() == pytest.approx(2.0)
     assert bw.completed == 2 and bw.active_transfers == 0
-    assert not bw._flows_on_link
+    assert _no_flow_on_any_link(bw)
+
+
+# ------------------------------------------------------------- link objects
+def test_capacity_change_mid_run_reaches_flows_and_messages():
+    """One ``set_capacity`` must move both readers of a host's capacity.
+
+    The link objects fill against their own ``capacity`` field and
+    ``Network.send`` probes the model's capacity table; a change that
+    reached only one of them would let transfer rates and message
+    transmission times disagree about the same access link.
+    """
+    sim = Simulator()
+    network = Network(sim)
+    bw = network.bandwidth
+    for ip in ("A", "B", "C"):
+        network.add_host(type("Host", (), {"ip": ip, "alive": True})())
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    first = bw.transfer("A", "B", 4_000_000)
+    assert first.rate_bps == 8_000_000
+    sim.run(until=1.0)
+    bw.set_capacity("A", 2_000_000, 8_000_000)  # A's uplink shrinks mid-flow
+    assert bw.capacity("A") == (2_000_000, 8_000_000)
+    assert first.up.capacity == 2_000_000
+    # The next recompute touching the link sees it ...
+    second = bw.transfer("A", "C", 1_000_000)
+    assert first.rate_bps == 1_000_000 and second.rate_bps == 1_000_000
+    # ... and so does the very next message: 1000 bytes over 2 Mbps = 4 ms.
+    from repro.net.address import Address
+    arrivals = []
+    network.listen(Address("B", 1), lambda message: arrivals.append(sim.now))
+    sent_at = sim.now
+    network.send(Address("A", 1), Address("B", 1), "x", size=1000)
+    sim.run(until=sent_at + 1.0)
+    base = network.one_way_delay("A", "B")
+    assert arrivals == [pytest.approx(sent_at + base + 0.004)]
+    # A host that never carried a flow has no link objects to update.
+    bw.set_capacity("C", 1_000_000, 1_000_000)
+    assert "C" not in bw._uplinks and bw._downlinks["C"].capacity == 1_000_000
+
+
+def test_host_failure_cancels_both_directions_in_id_order_with_one_recompute():
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    for ip in "ABCD":
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    inbound_1 = bw.transfer("B", "A", 1_000_000)
+    outbound_1 = bw.transfer("A", "C", 1_000_000)
+    bystander = bw.transfer("C", "D", 1_000_000)
+    inbound_2 = bw.transfer("D", "A", 1_000_000)
+    outbound_2 = bw.transfer("A", "B", 1_000_000)
+    order = []
+    for transfer in (inbound_1, outbound_1, bystander, inbound_2, outbound_2):
+        transfer.done.add_done_callback(
+            lambda fut, t=transfer: order.append(t.transfer_id))
+    before = bw.reallocations
+    assert bw.cancel_host("A") == 4
+    assert order == [1, 2, 4, 5]  # transfer_id order, not uplink-then-downlink
+    assert bw.reallocations == before + 1
+    assert bw.preemptions == 4 and bw.active_transfers == 1
+    assert bystander.rate_bps == 8_000_000
+    assert bw.cancel_host("A") == 0  # nothing left to cancel, no recompute
+    assert bw.reallocations == before + 1
+    sim.run()
+    assert bystander.done.done() and not bystander.done.cancelled()
+    assert _no_flow_on_any_link(bw)
+
+
+@pytest.mark.parametrize("allocator", allocator_names())
+def test_transfer_started_from_a_completion_callback(allocator):
+    """``done.set_result`` runs callbacks inline: ``transfer()`` re-enters
+    ``_reallocate`` while the outer recompute has left the tables but not yet
+    allocated.  The chained flow must be allocated, the bystander must get
+    the freed capacity, and the tables must come out consistent."""
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    bw.configure(allocator=allocator)
+    for ip in "ABCD":
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    chained = []
+    short = bw.transfer("A", "B", 500_000, priority=CONTROL)
+    bystander = bw.transfer("A", "C", 4_000_000, priority=BULK)
+    short.done.add_done_callback(
+        lambda fut: chained.append(bw.transfer("D", "C", 1_000_000, priority=CONTROL)))
+    sim.run()
+    (follow_up,) = chained
+    assert follow_up.started_at == short.done.result()
+    for transfer in (short, bystander, follow_up):
+        assert transfer.done.done() and not transfer.done.cancelled()
+    assert bw.completed == 3 and bw.active_transfers == 0
+    assert bw.bytes_completed == 5_500_000
+    assert _no_flow_on_any_link(bw)
+    # The chained flow shared C's downlink with the bystander from the
+    # instant it started: nobody was left on a rate from before the change.
+    assert bw._downlinks["C"].peak_flows == 2
+
+
+def test_idle_link_does_not_keep_a_finished_transfer_alive():
+    import gc
+
+    from repro.net.bandwidth import Transfer
+
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    bw.set_capacity("A", 8_000_000, None)
+    bw.transfer("A", "B", 1_000)
+    bw.cancel_transfer(bw.transfer("A", "C", 1_000_000))
+    sim.run()
+    uplink = bw._uplinks["A"]
+    assert uplink.flows == [] and uplink.peak_flows == 2
+    gc.collect()
+    # Transfers point at their links for good; nothing may point back.
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, Transfer) and obj.up is uplink]
+
+
+def test_busiest_links_on_a_scripted_three_host_exchange():
+    """``bytes_carried`` counts completed transfers only, per direction;
+    ``peak_flows`` is the most flows that shared the link at one instant."""
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    for ip in "ABC":
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    bw.transfer("A", "B", 3_000_000)
+    bw.transfer("A", "C", 1_000_000)
+    bw.transfer("B", "C", 2_000_000)
+    aborted = bw.transfer("C", "A", 5_000_000)
+    sim.run(until=0.5)
+    bw.cancel_transfer(aborted)  # carried nothing: it never completed
+    sim.run()
+    bw.transfer("A", "B", 0)  # zero-byte transfers never cross a link
+    assert bw.busiest_links() == [
+        {"host": "A", "direction": "up", "bytes_carried": 4_000_000, "peak_flows": 2},
+        {"host": "B", "direction": "down", "bytes_carried": 3_000_000, "peak_flows": 1},
+        {"host": "C", "direction": "down", "bytes_carried": 3_000_000, "peak_flows": 2},
+        {"host": "B", "direction": "up", "bytes_carried": 2_000_000, "peak_flows": 1},
+    ]
+    assert bw.busiest_links(1) == bw.busiest_links()[:1]

@@ -146,7 +146,7 @@ def test_strict_sanitizer_catches_a_corrupted_flow_table():
     """The new flow-table check fires when adjacency and reality diverge."""
     sim, model, ips, _ = _model(sanitize=True)
     model.transfer(ips[0], ips[1], 1_000_000)
-    model._flows_on_link.clear()  # simulate a bookkeeping bug
+    model._uplinks[ips[0]].flows.clear()  # simulate a bookkeeping bug
     with pytest.raises(SanitizerError, match="flow table"):
         model.transfer(ips[2], ips[3], 1_000_000)
 
@@ -158,7 +158,7 @@ def test_incremental_rates_bit_identical_to_global_oracle(allocator, seed):
     """Component-walk recomputation == brute-force global, at every step.
 
     Two models replay the identical 220-step script, one incremental and one
-    with the ``--bw-global`` brute force; after every step the full
+    with the ``configure(incremental=False)`` brute force; after every step the full
     ``(transfer_id, rate_bps, remaining_bytes)`` state must match with
     ``==`` — bit-identical floats, not approximately equal ones.
     """
@@ -286,7 +286,7 @@ def test_registry_lists_max_min_first_and_rejects_unknown_names():
     assert set(names) == {"max-min", "fair-share", "fixed-priority",
                           "priority-queue"}
     with pytest.raises(UnknownAllocatorError, match="max-min"):
-        make_allocator("wfq", None)
+        make_allocator("wfq")
 
 
 def test_configure_switches_allocator_mid_run_and_recomputes():
@@ -302,16 +302,22 @@ def test_configure_switches_allocator_mid_run_and_recomputes():
 # ------------------------------------------------------------- digest parity
 @pytest.mark.slow
 @pytest.mark.parametrize("kernel", ["wheel", "heap"])
-def test_churning_chord_max_min_digest_matches_pre_refactor(kernel):
+def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch):
     """``--bw-alloc max-min`` reproduces the pre-refactor flagship report.
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
-    with the allocator and (on wheel) the brute-force recompute requested
-    explicitly — neither the refactor, the priority threading nor the
-    incremental engine may move a single byte.
+    with the allocator requested explicitly and, on wheel, the brute-force
+    recompute forced through the model's oracle hook — neither the refactor,
+    the priority threading nor the incremental engine may move a single byte.
     """
+    if kernel == "wheel":
+        configure = BandwidthModel.configure
+        monkeypatch.setattr(
+            BandwidthModel, "configure",
+            lambda self, allocator=None, incremental=None:
+                configure(self, allocator, incremental=False))
     report = run_chord_scenario(nodes=12, hosts=8, seed=11, churn=True,
                                 lookups=15, join_window=30.0, settle=40.0,
-                                kernel=kernel, bw_alloc="max-min",
-                                bw_global=(kernel == "wheel"))
+                                kernel=kernel, bw_alloc="max-min")
+    assert report["bw_alloc"]["incremental"] is (kernel != "wheel")
     assert harness.report_digest(report) == PRE_REFACTOR_CHURN_DIGEST

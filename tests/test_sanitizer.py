@@ -201,10 +201,46 @@ def test_overcommitted_link_allocation_is_caught():
     model.set_capacity("10.0.0.1", 1_000_000, 1_000_000)
     model.set_capacity("10.0.0.2", 1_000_000, 1_000_000)
     # Corrupt the allocator: it hands every flow far more than any link has.
-    model._allocate_rates = lambda transfers: [5_000_000.0] * len(transfers)
+    class Overcommit:
+        name = "overcommit"
+
+        def allocate(self, flows, links):
+            for flow in flows:
+                flow.rate_bps = 5_000_000.0
+
+    model._allocator = Overcommit()
     model.transfer("10.0.0.1", "10.0.0.2", 1_000_000)
     assert san.counts.get("bandwidth") == 2  # uplink of src, downlink of dst
     assert "against capacity" in san.violations[0].detail
+
+
+def test_link_holding_a_dead_transfer_is_caught():
+    """A finished flow left on a link would be walked, filled and kept alive."""
+    sim, san = _installed()
+    model = BandwidthModel(sim)
+    model._san = san
+    model.set_capacity("10.0.0.1", 1_000_000, 1_000_000)
+    dead = model.transfer("10.0.0.1", "10.0.0.2", 1_000)
+    sim.run()
+    assert dead.done.done() and san.violations == []
+    dead.down.flows.append(dead)  # the removal path "forgot" the downlink
+    model.transfer("10.0.0.1", "10.0.0.3", 1_000)
+    assert san.counts.get("bandwidth_table") == 1
+    assert "10.0.0.2 downlink lists 1 flows, live set has 0" in san.violations[0].detail
+
+
+def test_link_capacity_out_of_step_with_the_configured_one_is_caught():
+    sim, san = _installed()
+    model = BandwidthModel(sim)
+    model._san = san
+    model.set_capacity("10.0.0.1", 1_000_000, 1_000_000)
+    model.transfer("10.0.0.1", "10.0.0.2", 1_000_000)
+    assert san.violations == []
+    model.capacities["10.0.0.1"] = (500_000.0, 1_000_000.0)  # bypasses set_capacity
+    model.transfer("10.0.0.1", "10.0.0.3", 1_000_000)
+    details = [v.detail for v in san.violations]
+    assert any("configured capacity is 500000.0" in d for d in details)
+    assert any("against capacity 500000.0" in d for d in details)
 
 
 def test_max_min_fair_allocation_records_nothing():

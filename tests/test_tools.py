@@ -134,7 +134,11 @@ def test_work_counter_ceilings_name_declared_benchmark_counters():
     declared = {metric["name"] for metric in contract["per_layer"]}
     workloads = {workload["name"] for workload in contract["workloads"]}
     assert spec["workloads"]
-    for workload, gate in spec["workloads"].items():
-        assert workload in workloads
-        assert set(gate["counters"]) <= declared
-        assert gate["ceiling"] > 0
+    for workload, gates in spec["workloads"].items():
+        assert workload in workloads and gates
+        for gate in gates:
+            assert set(gate["counters"]) <= declared
+            assert gate["ceiling"] > 0
+    swarm = [set(gate["counters"]) for gate in spec["workloads"]["dissemination_swarm"]]
+    assert {"net.network.calls"} in swarm
+    assert {"net.bandwidth.calls", "net.bwalloc.calls"} in swarm
