@@ -16,8 +16,9 @@ route around nodes that died mid-lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional
 
+from repro.apps import harness
 from repro.lib.misc import Membership
 from repro.lib.ring import between, hash_key, ring_add, ring_distance
 from repro.lib.rpc import RpcError
@@ -453,7 +454,7 @@ def _dedupe(nodes: List[NodeRef]) -> List[NodeRef]:
 
 
 # ----------------------------------------------------------------- scenario
-from repro.apps.harness import FLAGSHIP_CHURN_SCRIPT as DEFAULT_CHURN_SCRIPT  # noqa: E402
+DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
 
 
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
@@ -464,81 +465,19 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     return min(members, key=lambda m: (ring_distance(key, m.id, bits), m.ip, m.port))
 
 
-def run_chord_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int = 0,
-                       churn: bool = False, churn_script: Optional[str] = None,
-                       lookups: int = 200, bits: int = 32,
-                       join_window: Optional[float] = None,
-                       settle: Optional[float] = None, spacing: float = 0.25,
-                       probe_interval: float = 2.0, kernel: str = "wheel",
-                       duration: str = "full", ctl_shards: int = 1,
-                       testbed: str = "transit-stub",
-                       churn_trace: Optional[str] = None,
-                       sanitize: bool = False, metrics: bool = False,
-                       trace_out: Optional[str] = None, profile: bool = False,
-                       log_level: str = "INFO",
-                       bw_alloc: str = "max-min",
-                       gc_policy: str = "tuned",
-                       store_caches: bool = True) -> dict:
+def run_chord_scenario(config: harness.RunConfig, *, lookups: int = 200,
+                       bits: int = 32, spacing: float = 0.25,
+                       probe_interval: float = 2.0) -> dict:
     """Run the flagship Chord-under-churn scenario and return the report dict.
 
-    ``join_window`` and ``settle`` default to values scaled with the ring
-    size — big rings need proportionally longer to join and re-converge
-    (``duration="short"`` is the quick CI preset).  ``kernel`` selects the
-    event-queue implementation (``"wheel"`` or the baseline ``"heap"``);
-    both produce byte-identical results for one seed.  ``testbed`` selects
-    the deployment environment preset and ``churn_trace`` replays an
-    availability trace as host-level churn (see :mod:`repro.testbeds` and
-    :mod:`repro.core.churn`).
+    ``config`` says how the run executes (:class:`repro.apps.harness.RunConfig`:
+    size, seed, testbed, churn, windows, observation flags); the parameters
+    here are the workload's own.
     """
-    from repro.apps import harness
-    from repro.sim.process import Process
-    from repro.sim.rng import substream
-
-    join_window, settle = harness.scaled_windows(nodes, join_window, settle, duration)
-    lookups = harness.scaled_ops(lookups, duration)
-    script = churn_script if churn_script is not None else (
-        DEFAULT_CHURN_SCRIPT if churn else None)
-    deployment = harness.deploy(
-        "chord", chord_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
-        testbed=testbed, options={"bits": bits},
-        join_window=join_window, settle=settle, ctl_shards=ctl_shards,
-        sanitize=sanitize, metrics=metrics, trace_out=trace_out,
-        profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        gc_policy=gc_policy, store_caches=store_caches)
-    sim, job = deployment.sim, deployment.job
-
-    def _owner(job, key):
-        return expected_owner(job, key, bits)
-
-    # Probe lookups issued while churn is active (reported, not gating).
-    probe_results: List["harness.OpResult"] = []
-    if (script or churn_trace) and deployment.churn_end > deployment.warmup_end:
-        probe_count = int((deployment.churn_end - deployment.warmup_end) / probe_interval)
-        probe = Process(sim, harness.lookup_stream(
-            sim, job, probe_count, probe_interval, bits,
-            substream(seed, "workload-churn"), probe_results, _owner,
-            failure=LookupFailed), name="workload.under-churn")
-        probe.start(delay=deployment.warmup_end)
-
-    # The measured workload starts once the ring has re-converged.
-    results: List["harness.OpResult"] = []
-    driver = Process(sim, harness.lookup_stream(
-        sim, job, lookups, spacing, bits, substream(seed, "workload"),
-        results, _owner, failure=LookupFailed), name="workload.measured")
-    driver.start(delay=deployment.measure_start)
-
-    # Run until the measured workload drains (lookups take several RTTs each,
-    # so a fixed horizon would truncate the stream); a hard cap bounds runaway.
-    hard_cap = deployment.measure_start + lookups * (spacing + 30.0) + 300.0
-    harness.drain(sim, driver, hard_cap, deployment=deployment)
-
-    report = harness.base_report("chord", deployment, bits=bits)
-    report["under_churn"] = harness.summarise(probe_results) if probe_results else None
-    report["measured"] = harness.summarise(results)
-    report["cdf_samples_ms"] = sorted(
-        round(1000.0 * r.latency, 3) for r in results if r.completed)
-    return report
+    return harness.run_lookup_scenario(
+        "chord", config, chord_factory(), LookupFailed, expected_owner,
+        lookups=lookups, bits=bits, spacing=spacing,
+        probe_interval=probe_interval, default_churn_script=DEFAULT_CHURN_SCRIPT)
 
 
 def _register() -> None:

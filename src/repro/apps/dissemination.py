@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
+from repro.apps import harness
 from repro.lib.misc import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
@@ -228,24 +229,8 @@ from 150s to 240s every 30s replace 5%
 """
 
 
-def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
-                               seed: int = 0, churn: bool = False,
-                               churn_script: Optional[str] = None,
-                               chunks: int = 24, chunk_size: int = 65536,
-                               join_window: Optional[float] = None,
-                               settle: Optional[float] = None,
-                               kernel: str = "wheel",
-                               duration: str = "full",
-                               ctl_shards: int = 1,
-                               testbed: str = "transit-stub",
-                               churn_trace: Optional[str] = None,
-                               sanitize: bool = False, metrics: bool = False,
-                               trace_out: Optional[str] = None,
-                               profile: bool = False,
-                               log_level: str = "INFO",
-                               bw_alloc: str = "max-min",
-                               gc_policy: str = "tuned",
-                               store_caches: bool = True) -> dict:
+def run_dissemination_scenario(config: harness.RunConfig, *, chunks: int = 24,
+                               chunk_size: int = 65536) -> dict:
     """Run the chunk-swarming workload and return the report dict.
 
     Every non-seed node is one measured operation: its latency is the time
@@ -253,23 +238,15 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
     when it completed within the horizon.  The horizon scales with the
     churn window plus a settle period so churned-in nodes get their chance.
     """
-    from repro.apps import harness
     from repro.sim.process import Process
 
-    join_window, settle = harness.scaled_windows(nodes, join_window, settle, duration)
-    script = churn_script if churn_script is not None else (
-        DEFAULT_CHURN_SCRIPT if churn else None)
     deployment = harness.deploy(
-        "dissemination", swarm_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
-        testbed=testbed, options={"chunks": chunks, "chunk_size": chunk_size},
-        join_window=join_window, settle=settle, ctl_shards=ctl_shards,
-        sanitize=sanitize, metrics=metrics, trace_out=trace_out,
-        profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        gc_policy=gc_policy, store_caches=store_caches)
+        "dissemination", swarm_factory(), config,
+        options={"chunks": chunks, "chunk_size": chunk_size},
+        default_churn_script=DEFAULT_CHURN_SCRIPT)
     sim, job = deployment.sim, deployment.job
 
-    horizon = deployment.measure_start + max(120.0, 0.02 * chunks * nodes)
+    horizon = deployment.measure_start + max(120.0, 0.02 * chunks * config.nodes)
 
     def _wait_for_swarm() -> Generator:
         while sim.now < horizon:
@@ -283,7 +260,7 @@ def run_dissemination_scenario(nodes: int = 50, hosts: Optional[int] = None,
 
     driver = Process(sim, _wait_for_swarm(), name="workload.swarm-wait")
     driver.start()
-    harness.drain(sim, driver, horizon, deployment=deployment)
+    harness.drain(deployment, driver, horizon)
 
     apps = [a for a in harness.joined_apps(job) if not a.is_seed]
     seeds = [a for a in harness.joined_apps(job) if a.is_seed]

@@ -20,8 +20,9 @@ and the time/hop count ("rounds") to full coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
 
+from repro.apps import harness
 from repro.lib.misc import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
@@ -264,25 +265,12 @@ def gossip_factory(**options):
 
 # ----------------------------------------------------------------- scenario
 #: identical timeline to the DHT flagship scripts
-from repro.apps.harness import FLAGSHIP_CHURN_SCRIPT as DEFAULT_CHURN_SCRIPT  # noqa: E402
+DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
 
 
-def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int = 0,
-                        churn: bool = False, churn_script: Optional[str] = None,
-                        broadcasts: int = 100, spacing: float = 1.0,
-                        eval_window: float = 30.0, fanout: int = 3,
-                        view_size: int = 8,
-                        join_window: Optional[float] = None,
-                        settle: Optional[float] = None, kernel: str = "wheel",
-                        duration: str = "full", ctl_shards: int = 1,
-                        testbed: str = "transit-stub",
-                        churn_trace: Optional[str] = None,
-                        sanitize: bool = False, metrics: bool = False,
-                        trace_out: Optional[str] = None, profile: bool = False,
-                        log_level: str = "INFO",
-                        bw_alloc: str = "max-min",
-                        gc_policy: str = "tuned",
-                        store_caches: bool = True) -> dict:
+def run_gossip_scenario(config: harness.RunConfig, *, broadcasts: int = 100,
+                        spacing: float = 1.0, eval_window: float = 30.0,
+                        fanout: int = 3, view_size: int = 8) -> dict:
     """Run the epidemic-broadcast workload and return the report dict.
 
     ``broadcasts`` messages are published from random live nodes once churn
@@ -291,25 +279,17 @@ def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
     as *correct* when every live member delivered it, its latency is the
     time to full coverage, and its hop count is the longest push chain.
     """
-    from repro.apps import harness
     from repro.sim.process import Process
 
-    join_window, settle = harness.scaled_windows(nodes, join_window, settle, duration)
-    broadcasts = harness.scaled_ops(broadcasts, duration)
-    script = churn_script if churn_script is not None else (
-        DEFAULT_CHURN_SCRIPT if churn else None)
+    broadcasts = harness.scaled_ops(broadcasts, config.duration)
     deployment = harness.deploy(
-        "gossip", gossip_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
-        testbed=testbed, options={"fanout": fanout, "view_size": view_size},
-        join_window=join_window, settle=settle, ctl_shards=ctl_shards,
-        sanitize=sanitize, metrics=metrics, trace_out=trace_out,
-        profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        gc_policy=gc_policy, store_caches=store_caches)
+        "gossip", gossip_factory(), config,
+        options={"fanout": fanout, "view_size": view_size},
+        default_churn_script=DEFAULT_CHURN_SCRIPT)
     sim, job = deployment.sim, deployment.job
 
     published: List[Tuple[str, float]] = []
-    rng = substream(seed, "workload")
+    rng = substream(config.seed, "workload")
 
     def _publish_stream() -> Generator:
         for index in range(broadcasts):
@@ -326,7 +306,7 @@ def run_gossip_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int 
     driver = Process(sim, _publish_stream(), name="workload.publish")
     driver.start(delay=deployment.measure_start)
     horizon = deployment.measure_start + broadcasts * spacing + eval_window
-    harness.drain(sim, driver, horizon, deployment=deployment)
+    harness.drain(deployment, driver, horizon)
     sim.run(until=horizon)
 
     # Evaluate coverage over the members that are live (and joined) now —

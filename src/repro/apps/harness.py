@@ -17,16 +17,17 @@ different — the application itself and its workload driver.
 Everything is keyed off one root seed: topology, placement, join staggering,
 churn victim selection and the workload all draw from deterministic
 substreams, so a given configuration always produces the same report (and
-the same ``report_digest``).  The digest excludes the kernel choice and the
-control-plane sections, so it is also identical across ``--kernel`` and
-``--ctl-shards`` settings — the scale-out knobs must never change workload
-results.
+the same ``report_digest``).  The digest excludes the control-plane and
+observation sections, so it is also identical across ``--ctl-shards``,
+``--sanitize``, ``--metrics`` and ``--gc-policy`` settings — execution
+mechanics must never change workload results.
 
-Public entry points: :func:`deploy` (+ :class:`Deployment`),
+Public entry points: :class:`RunConfig` (the one description of a run's
+execution options), :func:`deploy` (+ :class:`Deployment`),
 :func:`scaled_windows` / :func:`scaled_ops` (duration presets),
-:func:`lookup_stream` / :func:`drain` (drivers), and
-:func:`base_report` / :func:`summarise` / :func:`report_digest` /
-:func:`write_cdf` (reporting).
+:func:`run_lookup_scenario` / :func:`lookup_stream` / :func:`drain`
+(drivers), and :func:`base_report` / :func:`summarise` /
+:func:`report_digest` / :func:`write_cdf` (reporting).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, List, Optional
 
 from repro.core.jobs import Job, JobSpec
@@ -48,6 +49,7 @@ from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.futures import FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, ProcessKilled
+from repro.sim.rng import substream
 from repro.testbeds import get_testbed
 
 #: the flagship churn timeline shared by the Chord/Pastry/gossip scenarios:
@@ -77,9 +79,6 @@ class OpResult:
     completed: bool
     correct: bool
 
-
-#: historical name, kept for existing imports
-LookupResult = OpResult
 
 
 def host_ips(count: int) -> List[str]:
@@ -137,10 +136,10 @@ def summarise(results: List[OpResult]) -> dict:
 
 #: report keys that describe *how* the experiment was executed rather than
 #: what the workload did — excluded from the digest so results can be
-#: asserted identical across kernels and controller shard counts, and so
+#: asserted identical across controller shard counts, and so
 #: the default-testbed digest is unchanged from the pre-testbeds era (the
 #: environment's *effects* still show up in every digest-relevant section)
-DIGEST_EXCLUDED_KEYS = frozenset({"kernel", "ctl_shards", "control_plane",
+DIGEST_EXCLUDED_KEYS = frozenset({"ctl_shards", "control_plane",
                                   "testbed", "sanitizer",
                                   "metrics", "trace", "profile",
                                   "flight_recorder", "bw_alloc",
@@ -151,8 +150,8 @@ def deterministic_report_view(report: dict) -> dict:
     """The report minus its :data:`DIGEST_EXCLUDED_KEYS` sections.
 
     What is left must be byte-identical for the same seed whatever the
-    execution mechanics look like — kernel choice, shard count,
-    observability flags, GC policy, wall-clock phase attribution.
+    execution mechanics look like — shard count, observability flags, GC
+    policy, wall-clock phase attribution.
     """
     return {k: v for k, v in report.items() if k not in DIGEST_EXCLUDED_KEYS}
 
@@ -160,8 +159,8 @@ def deterministic_report_view(report: dict) -> dict:
 def report_digest(report: dict) -> str:
     """Seed-stable digest of a scenario report.
 
-    Execution-mechanics keys (:data:`DIGEST_EXCLUDED_KEYS`: the kernel
-    choice, the shard count and the per-shard/collector stats) are excluded:
+    Execution-mechanics keys (:data:`DIGEST_EXCLUDED_KEYS`: the shard
+    count, the per-shard/collector stats, the observation sections) are excluded:
     the digest asserts *workload-level* equality, which must hold whatever
     the control plane looks like.
     """
@@ -186,57 +185,117 @@ def write_cdf(path: str, latencies_ms: List[float]) -> int:
     return total
 
 
+# -------------------------------------------------------------- run description
+@dataclass(frozen=True)
+class RunConfig:
+    """How one scenario run is executed — the one place an option lives.
+
+    Built once (from argparse by the CLI, from a grid cell by the bench, by
+    hand in tests), passed whole to a workload runner
+    (``runner(config, **workload_params)``) and on to :func:`deploy`, which
+    keeps it — resolved — on :attr:`Deployment.config`.  Every default is
+    stated here and nowhere else; what a workload itself varies (lookups,
+    identifier bits, fanout, chunks) is a runner parameter, not a field.
+    Nothing here may move a report digest except the deployment itself
+    (``nodes`` / ``hosts`` / ``seed`` / ``testbed`` / churn / windows) and
+    ``bw_alloc``.
+    """
+
+    #: application instances to deploy
+    nodes: int = 50
+    #: physical hosts (``None``: the testbed's default for ``nodes``)
+    hosts: Optional[int] = None
+    #: root determinism seed
+    seed: int = 0
+    #: environment preset (:mod:`repro.testbeds`) the substrate is built from
+    testbed: str = "transit-stub"
+    #: replay the workload's default churn script (``churn_script`` wins)
+    churn: bool = False
+    #: churn script text: instance- and host-level directives
+    churn_script: Optional[str] = None
+    #: availability trace text, replayed as host-level fail/recover churn
+    churn_trace: Optional[str] = None
+    #: joins are staggered over this many seconds, and the grace period
+    #: after churn before measuring (``None``: :func:`scaled_windows`)
+    join_window: Optional[float] = None
+    settle: Optional[float] = None
+    #: quiet period between the last join and ``warmup_end``
+    warmup_grace: float = 60.0
+    #: ``"short"`` shrinks the default windows and op counts (CI smoke)
+    duration: str = "full"
+    #: controller front-ends sharing the job store
+    ctl_shards: int = 1
+    #: runtime sanitizer (:mod:`repro.sim.sanitizer`), observation-only
+    sanitize: bool = False
+    #: observability plane (:mod:`repro.obs`): sim-time metrics, causal
+    #: spans written as Chrome trace-event JSON, wall-clock kernel profiler
+    metrics: bool = False
+    trace_out: Optional[str] = None
+    profile: bool = False
+    #: the job's minimum log severity (the controller-set verbosity)
+    log_level: str = "INFO"
+    #: flow-level bandwidth allocation strategy (:mod:`repro.net.bwalloc`)
+    bw_alloc: str = "max-min"
+    #: host-interpreter GC discipline (:mod:`repro.sim.gcpolicy`)
+    gc_policy: str = "tuned"
+
+    def resolved(self, default_churn_script: str) -> "RunConfig":
+        """This run with its deployment-dependent defaults filled in.
+
+        The windows become numbers (:func:`scaled_windows`) and ``churn``
+        without an explicit script becomes ``default_churn_script``.
+        """
+        join_window, settle = scaled_windows(self.nodes, self.join_window,
+                                             self.settle, self.duration)
+        script = self.churn_script
+        if script is None and self.churn:
+            script = default_churn_script
+        return replace(self, join_window=join_window, settle=settle,
+                       churn_script=script)
+
+
 # ----------------------------------------------------------------- deployment
 @dataclass
 class Deployment:
     """Everything a workload driver needs after the job is running."""
 
+    #: the run's options, resolved (windows are numbers, ``churn_script`` is
+    #: the script that replays)
+    config: RunConfig
     sim: Simulator
     network: Network
-    #: the emulated topology object, when the testbed has one (``None`` for
-    #: model-only testbeds such as ``cluster`` and ``planetlab``)
-    topology: Optional[object]
     controller: Controller
     job: Job
-    nodes: int
     host_count: int
-    seed: int
-    kernel: str
-    ctl_shards: int
-    #: name of the testbed preset the substrate was built from
-    testbed: str
     #: the report's ``topology`` entry (``topology.describe()`` on
     #: transit-stub, the preset's own description dict otherwise)
     testbed_description: dict
-    join_window: float
-    settle: float
     #: end of the deployment warm-up phase (joins done + grace period)
     warmup_end: float
     #: time of the last churn action (== warmup_end when churn is off)
     churn_end: float
     #: when the measured workload may start (churn_end + settle)
     measure_start: float
-    #: runtime sanitizer (``--sanitize``), or ``None`` when disabled
-    sanitizer: Optional[object] = None
-    #: observability handle (``--metrics``/``--trace-out``/``--profile``,
-    #: also installed under ``--sanitize`` for the flight recorder), or None
-    observability: Optional[object] = None
-    #: destination file for the Chrome trace-event JSON, or ``None``
-    trace_out: Optional[str] = None
-    #: GC discipline (:mod:`repro.sim.gcpolicy`), or ``None`` for ``off``
-    gc_policy: Optional[object] = None
     #: wall seconds per phase — ``deploy`` (substrate build + job start),
     #: ``run`` (drain slices before ``measure_start``: joins, churn,
     #: settling) and ``drain`` (slices from ``measure_start`` on: the
     #: measured workload).  Filled by :func:`deploy` and :func:`drain`;
     #: digest-excluded ``phase_wall`` report section.
-    phase_wall: Optional[dict] = None
+    phase_wall: dict
+    #: runtime sanitizer (``--sanitize``), or ``None`` when disabled
+    sanitizer: Optional[object] = None
+    #: observability handle (``--metrics``/``--trace-out``/``--profile``,
+    #: also installed under ``--sanitize`` for the flight recorder), or None
+    observability: Optional[object] = None
+    #: GC discipline (:mod:`repro.sim.gcpolicy`), or ``None`` for ``off``
+    gc_policy: Optional[object] = None
 
 
 def scaled_windows(nodes: int, join_window: Optional[float],
                    settle: Optional[float], duration: str = "full") -> tuple:
     """Default join/settle windows, scaled with ring size and duration preset.
 
+    Big rings need proportionally longer to join and re-converge;
     ``duration="short"`` is the CI smoke preset: proportionally shorter
     windows so a 20-node deployment completes in a couple of wall seconds.
     """
@@ -258,81 +317,61 @@ def scaled_ops(ops: int, duration: str) -> int:
     return ops
 
 
-def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = None,
-           seed: int = 0, kernel: str = "wheel", churn_script: Optional[str] = None,
-           churn_trace: Optional[str] = None, testbed: str = "transit-stub",
-           options: Optional[dict] = None, base_port: int = 20000,
-           join_window: float = 60.0, settle: float = 90.0,
-           warmup_grace: float = 60.0, ctl_shards: int = 1,
-           sanitize: bool = False, metrics: bool = False,
-           trace_out: Optional[str] = None, profile: bool = False,
-           log_level: str = "INFO", bw_alloc: str = "max-min",
-           gc_policy: str = "off", store_caches: bool = True) -> Deployment:
+def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
+           *, options: Optional[dict] = None,
+           default_churn_script: str = FLAGSHIP_CHURN_SCRIPT,
+           **fields) -> Deployment:
     """Build the substrate, register daemons, submit and start the job.
 
-    ``testbed`` names the environment preset (:mod:`repro.testbeds`) the
-    substrate is built from — the default ``transit-stub`` is the paper's
-    ModelNet configuration: a transit-stub topology with 10 Mbps access
-    links and hosts round-robined onto stub nodes.  Whatever the testbed,
-    one splayd per host is registered with enough instance slots for the
-    deployment plus churn headroom.  ``churn_script`` replays instance- and
-    host-level churn directives; ``churn_trace`` replays an Overnet-style
-    availability trace as host-level fail/recover churn (both may be given).
-    ``ctl_shards`` selects how many controller front-ends share the job
-    store (the paper's several-splayctl deployment); workload results are
-    identical for any value.  ``sanitize`` installs the runtime sanitizer
-    (:mod:`repro.sim.sanitizer`): observation-only invariant checks whose
-    findings land in the report's digest-excluded ``sanitizer`` section.
-    ``metrics`` / ``trace_out`` / ``profile`` enable the observability plane
-    (:mod:`repro.obs`): sim-time metrics aggregated per job, causal spans
-    exported as Chrome trace-event JSON, and the wall-clock kernel profiler.
-    All of it is observation-only and digest-excluded, so every flag
-    combination yields byte-identical report digests.  ``log_level`` sets
-    the job's minimum log severity (the paper's controller-set verbosity).
-    ``bw_alloc`` selects the flow-level bandwidth allocation strategy
-    (:mod:`repro.net.bwalloc`) — the one bandwidth setting that can move
-    digests.
-    ``gc_policy`` selects the deployment's garbage-collection discipline
-    (:mod:`repro.sim.gcpolicy`: ``off`` / ``tuned`` / ``manual``) and
-    ``store_caches`` is the kill switch for the controller store's memoized
-    host/placement views — both are pure execution mechanics, asserted
-    digest-neutral by tests.
+    ``config`` (default: ``RunConfig()``) with ``fields`` applied on top —
+    ``deploy(name, factory, nodes=40, seed=3)`` and
+    ``deploy(name, factory, RunConfig(nodes=40, seed=3))`` are the same call
+    — says how; see :class:`RunConfig` for every option.  ``options`` are the
+    job options handed to each application instance, and
+    ``default_churn_script`` is the script ``config.churn`` stands for.
+
+    Whatever the testbed, one splayd per host is registered with enough
+    instance slots for the deployment plus churn headroom; a churn script and
+    an availability trace may both be given and replay merged.  Sanitizer,
+    observability plane and GC policy are observation-only and
+    digest-excluded, and workload results are identical for any shard count,
+    so every combination of them yields byte-identical report digests;
+    ``bw_alloc`` is the one execution option that can move one.
     """
     wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
+    config = replace(config or RunConfig(), **fields).resolved(default_churn_script)
+    nodes, seed = config.nodes, config.seed
     policy = None
-    if gc_policy != "off":
+    if config.gc_policy != "off":
         from repro.sim.gcpolicy import GCPolicy
-        policy = GCPolicy(gc_policy).engage()
-    sim = Simulator(seed, kernel=kernel)
-    sim._gcpolicy = policy
+        policy = GCPolicy(config.gc_policy).engage()
+    sim = Simulator(seed)
     sanitizer = None
-    if sanitize:
+    if config.sanitize:
         from repro.sim.sanitizer import Sanitizer
         sanitizer = Sanitizer(sim).install()
     observability = None
-    if metrics or trace_out is not None or profile or sanitize:
+    if (config.metrics or config.trace_out is not None or config.profile
+            or config.sanitize):
         from repro.obs import Observability
-        observability = Observability(sim, metrics=metrics,
-                                      tracing=trace_out is not None,
-                                      profile=profile).install()
+        observability = Observability(sim, metrics=config.metrics,
+                                      tracing=config.trace_out is not None,
+                                      profile=config.profile).install()
         if sanitizer is not None:
             # Violation reports pick up the last-K ring entries.
             sanitizer.recorder = observability.recorder
-    testbed_spec = get_testbed(testbed)
-    host_count = hosts if hosts is not None else testbed_spec.default_hosts(nodes)
+    testbed_spec = get_testbed(config.testbed)
+    host_count = (config.hosts if config.hosts is not None
+                  else testbed_spec.default_hosts(nodes))
     ips = host_ips(host_count)
 
     built = testbed_spec.build(sim, ips, seed)
     network = built.network
-    network.bandwidth.configure(allocator=bw_alloc)
+    network.bandwidth.configure(allocator=config.bw_alloc)
     if sanitizer is not None:
         sanitizer.watch_network(network)
 
-    if policy is not None and observability is not None:
-        # Explicit-collect pauses show up as a profiler site (--profile).
-        policy.profiler = observability.profiler
-    controller = Controller(sim, network, seed=seed, shards=ctl_shards,
-                            store_caches=store_caches)
+    controller = Controller(sim, network, seed=seed, shards=config.ctl_shards)
     slots = max(2, math.ceil(nodes / host_count) + 2)
     for ip in ips:
         controller.register_daemon(
@@ -342,17 +381,16 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
         name=name,
         app_factory=app_factory,
         instances=nodes,
-        base_port=base_port,
-        log_level=log_level,
+        log_level=config.log_level,
         log_max_bytes=256_000,
-        churn_script=churn_script,
-        churn_trace=churn_trace,
-        options={**(options or {}), "join_window": join_window},
+        churn_script=config.churn_script,
+        churn_trace=config.churn_trace,
+        options={**(options or {}), "join_window": config.join_window},
     )
     job = controller.submit(spec)
     controller.start(job)
 
-    warmup_end = join_window + warmup_grace
+    warmup_end = config.join_window + config.warmup_grace
     churn_end = warmup_end
     # The churn manager the shard just built holds the combined (script +
     # trace) action list — the single source of truth for when churn ends.
@@ -361,20 +399,17 @@ def deploy(name: str, app_factory: Callable, nodes: int, hosts: Optional[int] = 
         churn_end = max(warmup_end, max(a.time for a in manager.actions))
     if policy is not None:
         # Everything alive now survives the whole run — freeze it out of
-        # every future collection (and go fully manual if asked).
+        # every future collection.
         policy.after_deploy()
     phase_wall = {"deploy": time.perf_counter() - wall_started,  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
                   "run": 0.0, "drain": 0.0}
-    return Deployment(sim=sim, network=network, topology=built.topology,
-                      controller=controller, job=job, nodes=nodes,
-                      host_count=host_count, seed=seed, kernel=kernel,
-                      ctl_shards=ctl_shards, testbed=testbed,
+    return Deployment(config=config, sim=sim, network=network,
+                      controller=controller, job=job, host_count=host_count,
                       testbed_description=built.description,
-                      join_window=join_window, settle=settle,
                       warmup_end=warmup_end, churn_end=churn_end,
-                      measure_start=churn_end + settle, sanitizer=sanitizer,
-                      observability=observability, trace_out=trace_out,
-                      gc_policy=policy, phase_wall=phase_wall)
+                      measure_start=churn_end + config.settle,
+                      phase_wall=phase_wall, sanitizer=sanitizer,
+                      observability=observability, gc_policy=policy)
 
 
 # -------------------------------------------------------------------- drivers
@@ -418,41 +453,89 @@ def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: in
         yield spacing
 
 
-def drain(sim: Simulator, driver: Process, hard_cap: float, step: float = 60.0,
-          deployment: Optional[Deployment] = None) -> None:
+def drain(deployment: Deployment, driver: Process, hard_cap: float,
+          step: float = 60.0) -> None:
     """Run the simulation until ``driver`` finishes (bounded by ``hard_cap``).
 
-    The loop's ``step``-sized slices are deterministic sim-time points: the
-    manual GC policy runs its explicit collects between them (never inside
-    event execution), and when ``deployment`` is given each slice's wall
-    time is attributed to the ``run`` phase (slices starting before
-    ``measure_start``: joins, churn, settling) or the ``drain`` phase (the
-    measured workload) — attribution only observes the slices the loop
+    The loop's ``step``-sized slices are deterministic sim-time points; each
+    slice's wall time is attributed to the ``run`` phase (slices starting
+    before ``measure_start``: joins, churn, settling) or the ``drain`` phase
+    (the measured workload) — attribution only observes the slices the loop
     already made, so execution and digests are untouched.
 
     On a deadline overrun (the driver still pending at ``hard_cap``) the
     flight recorder — when installed — dumps the last ring entries to
     stderr, so a hung workload leaves its final dispatches behind.
     """
-    mark = deployment.measure_start if deployment is not None else 0.0
-    walls = deployment.phase_wall if deployment is not None else None
-    policy = sim._gcpolicy
+    sim, walls = deployment.sim, deployment.phase_wall
     while not driver.done.done() and sim.now < hard_cap:
-        slice_start = sim.now
+        phase = "run" if sim.now < deployment.measure_start else "drain"
         wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
         sim.run(until=min(hard_cap, sim.now + step))
-        if walls is not None:
-            phase = "run" if slice_start < mark else "drain"
-            walls[phase] += time.perf_counter() - wall_started  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
-        if policy is not None:
-            policy.checkpoint()
+        walls[phase] += time.perf_counter() - wall_started  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
     if not driver.done.done():
-        obs = getattr(sim, "_obs", None)
+        obs = deployment.observability
         if obs is not None:
             header = (f"flight recorder: driver still pending at the "
                       f"t={hard_cap:.0f}s deadline")
             for line in obs.ring_lines(header=header):
                 print(line, file=sys.stderr)
+
+
+def run_lookup_scenario(name: str, config: RunConfig, app_factory: Callable,
+                        failure: type,
+                        expected_owner: Callable[[Job, int, int], object], *,
+                        lookups: int, bits: int, spacing: float,
+                        probe_interval: float, options: Optional[dict] = None,
+                        default_churn_script: str = FLAGSHIP_CHURN_SCRIPT,
+                        workload: Optional[dict] = None) -> dict:
+    """Deploy a key-based-routing overlay, measure lookups, return the report.
+
+    The scenario Chord and Pastry share: a probe stream of lookups every
+    ``probe_interval`` seconds while churn is active (reported as
+    ``under_churn``, not gating), then ``lookups`` measured ones ``spacing``
+    apart once the overlay has re-converged (:func:`lookup_stream` says what
+    the application must expose).  Instances get ``bits`` plus ``options``
+    as job options; ``workload`` is the report's workload-specific section,
+    if the overlay has one.
+    """
+    lookups = scaled_ops(lookups, config.duration)
+    deployment = deploy(name, app_factory, config,
+                        options={"bits": bits, **(options or {})},
+                        default_churn_script=default_churn_script)
+    sim, job, seed = deployment.sim, deployment.job, deployment.config.seed
+
+    def _owner(job, key):
+        return expected_owner(job, key, bits)
+
+    probe_results: List[OpResult] = []
+    if deployment.churn_end > deployment.warmup_end:
+        probe_count = int((deployment.churn_end - deployment.warmup_end) / probe_interval)
+        probe = Process(sim, lookup_stream(
+            sim, job, probe_count, probe_interval, bits,
+            substream(seed, "workload-churn"), probe_results, _owner,
+            failure=failure), name="workload.under-churn")
+        probe.start(delay=deployment.warmup_end)
+
+    results: List[OpResult] = []
+    driver = Process(sim, lookup_stream(
+        sim, job, lookups, spacing, bits, substream(seed, "workload"),
+        results, _owner, failure=failure), name="workload.measured")
+    driver.start(delay=deployment.measure_start)
+
+    # Run until the measured workload drains (lookups take several RTTs each,
+    # so a fixed horizon would truncate the stream); a hard cap bounds runaway.
+    hard_cap = deployment.measure_start + lookups * (spacing + 30.0) + 300.0
+    drain(deployment, driver, hard_cap)
+
+    report = base_report(name, deployment, bits=bits)
+    if workload is not None:
+        report["workload"] = workload
+    report["under_churn"] = summarise(probe_results) if probe_results else None
+    report["measured"] = summarise(results)
+    report["cdf_samples_ms"] = sorted(
+        round(1000.0 * r.latency, 3) for r in results if r.completed)
+    return report
 
 
 # --------------------------------------------------------------------- report
@@ -470,14 +553,13 @@ def rpc_totals(job: Job) -> dict:
 def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = None) -> dict:
     """The report skeleton shared by every workload scenario."""
     sim, network, job = deployment.sim, deployment.network, deployment.job
-    controller = deployment.controller
+    controller, config = deployment.controller, deployment.config
     report = {
         "scenario": scenario,
-        "seed": deployment.seed,
-        "kernel": deployment.kernel,
-        "ctl_shards": deployment.ctl_shards,
-        "testbed": deployment.testbed,
-        "nodes": deployment.nodes,
+        "seed": config.seed,
+        "ctl_shards": config.ctl_shards,
+        "testbed": config.testbed,
+        "nodes": config.nodes,
         "hosts": deployment.host_count,
         "bits": bits,
         "topology": deployment.testbed_description,
@@ -509,20 +591,19 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
         "log_records_dropped": job.stats.log_records_dropped,
         "control_plane": controller.control_plane_status(),
     }
-    if deployment.phase_wall is not None:
-        # Digest-excluded: wall-clock attribution (deploy vs run vs drain),
-        # the scale bench's per-phase columns.
-        report["phase_wall"] = {phase: round(seconds, 3)
-                                for phase, seconds in deployment.phase_wall.items()}
+    # Digest-excluded: wall-clock attribution (deploy vs run vs drain), the
+    # scale bench's per-phase columns.
+    report["phase_wall"] = {phase: round(seconds, 3)
+                            for phase, seconds in deployment.phase_wall.items()}
     policy = deployment.gc_policy
     if policy is not None:
         # Restore the interpreter's ambient GC configuration before
         # reporting; the section (digest-excluded) records what the policy
-        # did — freeze size, explicit collects, pause wall.
+        # did — freeze size, the post-deploy collect and its pause.
         policy.disengage()
         report["gc"] = policy.section()
     if deployment.sanitizer is not None:
-        # Digest-excluded (like kernel/control_plane): the sanitizer reports
+        # Digest-excluded (like control_plane): the sanitizer reports
         # on execution mechanics, and turning it on must not change results.
         report["sanitizer"] = deployment.sanitizer.summary()
     obs = deployment.observability
@@ -533,10 +614,10 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
             report["metrics"] = obs.metrics_section(deployment)
         if obs.tracer is not None:
             report["trace"] = obs.trace_section()
-            if deployment.trace_out is not None:
-                report["trace"]["written_to"] = deployment.trace_out
+            if config.trace_out is not None:
+                report["trace"]["written_to"] = config.trace_out
                 report["trace"]["spans_written"] = obs.tracer.write(
-                    deployment.trace_out)
+                    config.trace_out)
         if obs.profiler is not None:
             report["profile"] = obs.profile_section()
         # The ring is always on while the handle is installed: failure

@@ -25,6 +25,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
+from repro.apps import harness
 from repro.lib.misc import Membership
 from repro.lib.ring import (
     between,
@@ -507,7 +508,7 @@ def pastry_factory(**options):
 
 # ----------------------------------------------------------------- scenario
 #: the Chord flagship script: same relative timeline for a fair comparison
-from repro.apps.harness import FLAGSHIP_CHURN_SCRIPT as DEFAULT_CHURN_SCRIPT  # noqa: E402
+DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
 
 
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
@@ -519,68 +520,18 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
                                        m.id, m.ip, m.port))
 
 
-def run_pastry_scenario(nodes: int = 50, hosts: Optional[int] = None, seed: int = 0,
-                        churn: bool = False, churn_script: Optional[str] = None,
-                        lookups: int = 200, bits: int = 32, base_bits: int = 4,
-                        join_window: Optional[float] = None,
-                        settle: Optional[float] = None, spacing: float = 0.25,
-                        probe_interval: float = 2.0, kernel: str = "wheel",
-                        duration: str = "full", ctl_shards: int = 1,
-                        testbed: str = "transit-stub",
-                        churn_trace: Optional[str] = None,
-                        sanitize: bool = False, metrics: bool = False,
-                        trace_out: Optional[str] = None, profile: bool = False,
-                        log_level: str = "INFO",
-                        bw_alloc: str = "max-min",
-                        gc_policy: str = "tuned",
-                        store_caches: bool = True) -> dict:
+def run_pastry_scenario(config: harness.RunConfig, *, lookups: int = 200,
+                        bits: int = 32, base_bits: int = 4,
+                        spacing: float = 0.25,
+                        probe_interval: float = 2.0) -> dict:
     """Run Pastry under (optional) churn and return the report dict."""
-    from repro.apps import harness
-    from repro.sim.process import Process
-
-    join_window, settle = harness.scaled_windows(nodes, join_window, settle, duration)
-    lookups = harness.scaled_ops(lookups, duration)
-    script = churn_script if churn_script is not None else (
-        DEFAULT_CHURN_SCRIPT if churn else None)
-    deployment = harness.deploy(
-        "pastry", pastry_factory(), nodes=nodes, hosts=hosts, seed=seed,
-        kernel=kernel, churn_script=script, churn_trace=churn_trace,
-        testbed=testbed, options={"bits": bits, "base_bits": base_bits},
-        join_window=join_window, settle=settle, ctl_shards=ctl_shards,
-        sanitize=sanitize, metrics=metrics, trace_out=trace_out,
-        profile=profile, log_level=log_level, bw_alloc=bw_alloc,
-        gc_policy=gc_policy, store_caches=store_caches)
-    sim, job = deployment.sim, deployment.job
-
-    def _owner(job, key):
-        return expected_owner(job, key, bits)
-
-    probe_results: List["harness.OpResult"] = []
-    if (script or churn_trace) and deployment.churn_end > deployment.warmup_end:
-        probe_count = int((deployment.churn_end - deployment.warmup_end) / probe_interval)
-        probe = Process(sim, harness.lookup_stream(
-            sim, job, probe_count, probe_interval, bits,
-            substream(seed, "workload-churn"), probe_results, _owner,
-            failure=RouteFailed), name="workload.under-churn")
-        probe.start(delay=deployment.warmup_end)
-
-    results: List["harness.OpResult"] = []
-    driver = Process(sim, harness.lookup_stream(
-        sim, job, lookups, spacing, bits, substream(seed, "workload"),
-        results, _owner, failure=RouteFailed), name="workload.measured")
-    driver.start(delay=deployment.measure_start)
-
-    hard_cap = deployment.measure_start + lookups * (spacing + 30.0) + 300.0
-    harness.drain(sim, driver, hard_cap, deployment=deployment)
-
-    report = harness.base_report("pastry", deployment, bits=bits)
-    report["workload"] = {"base_bits": base_bits, "digits": bits // base_bits,
-                          "leaf_set_size": DEFAULT_LEAF_SET_SIZE}
-    report["under_churn"] = harness.summarise(probe_results) if probe_results else None
-    report["measured"] = harness.summarise(results)
-    report["cdf_samples_ms"] = sorted(
-        round(1000.0 * r.latency, 3) for r in results if r.completed)
-    return report
+    return harness.run_lookup_scenario(
+        "pastry", config, pastry_factory(), RouteFailed, expected_owner,
+        lookups=lookups, bits=bits, spacing=spacing,
+        probe_interval=probe_interval, options={"base_bits": base_bits},
+        default_churn_script=DEFAULT_CHURN_SCRIPT,
+        workload={"base_bits": base_bits, "digits": bits // base_bits,
+                  "leaf_set_size": DEFAULT_LEAF_SET_SIZE})
 
 
 def _register() -> None:

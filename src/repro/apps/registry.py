@@ -33,14 +33,15 @@ def default_bench_metrics(report: dict) -> dict:
 class ScenarioSpec:
     """Everything the CLI/bench needs to run one registered workload.
 
-    ``runner`` accepts the common keyword arguments (``nodes``, ``hosts``,
-    ``seed``, ``churn``, ``churn_script``, ``churn_trace``, ``testbed``,
-    ``kernel``, ``duration``, ``join_window``, ``settle``, ``ctl_shards``)
-    plus whatever ``add_arguments`` declares (mapped through
-    ``make_kwargs``), and returns the report dict.  The testbed and churn
-    plumbing comes from the harness, so a registered workload runs on every
-    environment preset and under trace-driven host churn with no
-    per-workload code.
+    ``runner(config, **workload_params)`` takes the run's execution options
+    whole, as one :class:`repro.apps.harness.RunConfig` (size, seed, testbed,
+    churn, windows, duration preset, shards, observation flags, allocator,
+    GC policy), plus — by keyword — whatever ``add_arguments`` declares
+    (mapped through ``make_kwargs``), and returns the report dict.  It hands
+    the config on to :func:`repro.apps.harness.deploy` unopened except for
+    the fields it reads itself, so a registered workload runs on every
+    environment preset, under trace-driven host churn and with every
+    execution option with no per-workload code.
     """
 
     name: str

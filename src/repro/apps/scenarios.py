@@ -18,8 +18,9 @@ substreams, so a given command line always produces the same report (and
 prints the same ``report digest``).
 
 ``scenarios bench`` sweeps nodes x churn-rate (and optionally host-count)
-grids for any registered workload over both kernels and emits CSV + JSON
-perf numbers with a regression gate.  ``--jobs N`` spreads the grid cells
+grids for any registered workload and emits CSV + JSON rows; ``--check``
+holds their deterministic columns to a committed baseline, exactly (the
+wall-clock columns are information).  ``--jobs N`` spreads the grid cells
 over an N-worker process pool (deterministic columns stay byte-identical
 with the serial run); ``--scale`` switches to the large-deployment profile
 (Chord at 1k/5k/10k nodes with fixed windows, per-cell peak RSS).
@@ -29,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 try:  # resource is POSIX-only; peak-RSS columns degrade to 0 elsewhere
@@ -41,24 +44,16 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
 from repro.apps import harness, registry
-# Re-exported for compatibility: the flagship runner and its churn script
-# historically lived in this module.
-from repro.apps.chord import DEFAULT_CHURN_SCRIPT, run_chord_scenario  # noqa: F401
+from repro.apps.harness import RunConfig
 from repro.core.churn import (
     parse_availability_trace,
     parse_churn_script,
     synthetic_churn_script,
 )
 from repro.net.bwalloc import allocator_names
+from repro.sim.gcpolicy import GC_MODES
 from repro.sim.kernel import Simulator
 from repro.testbeds import testbed_names
-
-#: historical aliases (the implementations moved to ``repro.apps.harness``)
-LookupResult = harness.OpResult
-_host_ips = harness.host_ips
-_percentile = harness.percentile
-_summarise = harness.summarise
-_report_digest = harness.report_digest
 
 
 # ------------------------------------------------------------------ reporting
@@ -123,7 +118,7 @@ def _print_report(report: dict, spec: registry.ScenarioSpec) -> None:
 
 
 # --------------------------------------------------------------------- bench
-#: CSV columns emitted by ``scenarios bench`` (one row per grid cell+kernel)
+#: CSV columns emitted by ``scenarios bench`` (one row per grid cell)
 BENCH_CSV_COLUMNS = [
     "row_type", "workload", "testbed", "kernel", "nodes", "hosts", "churn_rate",
     "ctl_shards", "bw_alloc", "seed", "seeds", "jobs",
@@ -138,6 +133,11 @@ BENCH_CSV_COLUMNS = [
     "report_digest",
     "profile_wall_s", "profile_sites", "profile_top_site", "profile_top_share",
 ]
+#: the ``kernel`` column of scenario / kernel / scale rows: the event queue,
+#: a constant since the wheel is the only one, kept so rows stay comparable
+#: with the committed baselines (``bwalloc`` rows carry their recomputation
+#: mode, ``incremental`` / ``global``, in the column)
+_KERNEL_COLUMN = "wheel"
 
 #: columns that legitimately differ between runs, machines and ``--jobs``
 #: settings — everything else must be byte-identical for the same grid cell
@@ -153,9 +153,9 @@ BENCH_TIMING_COLUMNS = frozenset({
 def deterministic_row_view(row: dict) -> dict:
     """A bench row minus its timing/measurement columns.
 
-    This is the parallelism contract: for the same grid cell this view is
-    byte-identical whether the cell ran serially, on a process pool, or on
-    another machine.
+    This is the parallelism contract and what ``--check`` gates: for the
+    same grid cell this view is byte-identical whether the cell ran
+    serially, on a process pool, or on another machine.
     """
     return {key: value for key, value in row.items()
             if key not in BENCH_TIMING_COLUMNS}
@@ -201,8 +201,8 @@ _SEED_MEAN_COLUMNS = {
 def _aggregate_seed_rows(per_seed: List[dict]) -> dict:
     """Fold one cell's per-seed rows into one row of means.
 
-    The emitted ``events_per_sec`` is the across-seed mean (what ``--check``
-    gates on) with its 95 % CI half-width in ``events_per_sec_ci95``; other
+    The emitted ``events_per_sec`` is the across-seed mean with its 95 % CI
+    half-width in ``events_per_sec_ci95``; other
     latency/quality columns are seed means too.  Count-like columns (and the
     ``report_digest``) are kept from the first seed — digests are per-seed
     values and have no meaningful aggregate.
@@ -223,7 +223,7 @@ def _aggregate_seed_rows(per_seed: List[dict]) -> dict:
     return row
 
 
-def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
+def _kernel_timer_churn(nodes: int, duration: float = 60.0,
                         seed: int = 7, repeats: int = 3) -> dict:
     """Kernel-isolated benchmark: the scenario's timer workload, no app code.
 
@@ -233,7 +233,7 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
     delays — so the measured events/sec is the queue machinery itself.
     The identical (seeded) event stream runs ``repeats`` times and the best
     wall time is reported: the microbench is short enough that scheduler /
-    frequency-scaling noise otherwise dominates the regression gate.
+    frequency-scaling noise otherwise dominates the number.
     """
     def noop() -> None:
         return None
@@ -241,7 +241,7 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
     wall = float("inf")
     sim = None
     for _ in range(max(1, repeats)):
-        sim = Simulator(seed, kernel=kernel)
+        sim = Simulator(seed)
         rng = sim.rng
 
         def rpc_fire(index: int) -> None:
@@ -263,7 +263,7 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
         "row_type": "kernel",
         "workload": "",
         "testbed": "",
-        "kernel": kernel,
+        "kernel": _KERNEL_COLUMN,
         "nodes": nodes,
         "hosts": "",
         "churn_rate": "",
@@ -279,9 +279,8 @@ def _kernel_timer_churn(kernel: str, nodes: int, duration: float = 60.0,
     }
 
 
-def _bench_scenario_row(spec: registry.ScenarioSpec, kernel: str, nodes: int,
-                        churn_rate: float, seed: int, report: dict,
-                        wall: float) -> dict:
+def _bench_scenario_row(spec: registry.ScenarioSpec, churn_rate: float,
+                        report: dict, wall: float) -> dict:
     network = report["network"]
     job = report["job"]
     virtual = report["virtual_time"]
@@ -289,13 +288,13 @@ def _bench_scenario_row(spec: registry.ScenarioSpec, kernel: str, nodes: int,
         "row_type": "scenario",
         "workload": spec.name,
         "testbed": report.get("testbed", "transit-stub"),
-        "kernel": kernel,
-        "nodes": nodes,
+        "kernel": _KERNEL_COLUMN,
+        "nodes": report["nodes"],
         "hosts": report["hosts"],
         "churn_rate": churn_rate,
         "ctl_shards": report.get("ctl_shards", 1),
         "bw_alloc": (report.get("bw_alloc") or {}).get("allocator", "max-min"),
-        "seed": seed,
+        "seed": report["seed"],
         "wall_sec": round(wall, 4),
         "virtual_time": round(virtual, 3),
         "events_executed": report["events_executed"],
@@ -332,16 +331,16 @@ def _bench_task_row(task: dict) -> dict:
     """Execute one bench task descriptor and return its row.
 
     Top-level (picklable) so ``--jobs N`` can ship tasks to pool workers;
-    descriptors are pure data (the workload name, kernel, grid coordinates
-    and runner kwargs), so a task produces the same deterministic columns in
-    any process.  ``kind`` selects the task type: a ``scenario`` grid cell,
-    a ``scale`` profile cell, or the kernel ``micro`` benchmark.
+    descriptors are pure data (the workload name, grid coordinates, the
+    cell's :class:`RunConfig` and the runner's workload parameters), so a
+    task produces the same deterministic columns in any process.  ``kind``
+    selects the task type: a ``scenario`` grid cell, a ``scale`` profile
+    cell, the kernel ``micro`` benchmark or a ``bwalloc`` step cell.
     """
     registry.load_builtin()
     kind = task["kind"]
     if kind == "micro":
-        row = _kernel_timer_churn(task["kernel"], task["nodes"],
-                                  duration=task["duration"])
+        row = _kernel_timer_churn(task["nodes"], duration=task["duration"])
     elif kind == "bwalloc":
         row = _bwalloc_step_bench(task["allocator"], task["flows"],
                                   task["mode"], seed=task["seed"],
@@ -349,10 +348,9 @@ def _bench_task_row(task: dict) -> dict:
     else:
         spec = registry.get_spec(task["workload"])
         start = time.perf_counter()  # det: ignore[DET102] -- bench wall timing
-        report = spec.runner(**task["runner_kwargs"])
+        report = spec.runner(task["config"], **task["workload_params"])
         wall = time.perf_counter() - start  # det: ignore[DET102] -- bench wall timing
-        row = _bench_scenario_row(spec, task["kernel"], task["nodes"],
-                                  task["churn_rate"], task["seed"], report, wall)
+        row = _bench_scenario_row(spec, task["churn_rate"], report, wall)
         if kind == "scale":
             row["row_type"] = "scale"
     # Meaningful per cell only with fresh workers (scale mode); in a serial
@@ -363,6 +361,11 @@ def _bench_task_row(task: dict) -> dict:
                    "profile_top_site", "profile_top_share"):
         row.setdefault(column, "")
     return row
+
+
+def _progress(quiet: bool):
+    """``print`` for a bench driver's progress lines, a sink under ``quiet``."""
+    return (lambda text: None) if quiet else functools.partial(print, flush=True)
 
 
 def _run_bench_tasks(tasks: List[dict], jobs: int,
@@ -377,7 +380,9 @@ def _run_bench_tasks(tasks: List[dict], jobs: int,
     peak RSS is its own; on Python < 3.11 (no such parameter) workers are
     shared and RSS becomes cumulative per worker.
     """
-    if jobs <= 1 and not fresh_workers:
+    if jobs < 1:
+        raise ValueError("bench needs at least one worker")
+    if jobs == 1 and not fresh_workers:
         return [_bench_task_row(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -395,44 +400,34 @@ def _run_bench_tasks(tasks: List[dict], jobs: int,
 
 
 def run_bench(nodes_list: List[int], churn_rates: List[float],
-              kernels: List[str], seed: int = 0, lookups: int = 100,
+              config: Optional[RunConfig] = None, lookups: int = 100,
               micro_duration: float = 60.0, quiet: bool = False,
               workload: str = "chord",
               hosts_list: Optional[List[Optional[int]]] = None,
-              ctl_shards: int = 1, testbed: str = "transit-stub",
-              seeds: int = 1, jobs: int = 1, sanitize: bool = False,
-              profile: bool = False, gc_policy: str = "tuned",
-              store_caches: bool = True) -> dict:
+              seeds: int = 1, jobs: int = 1) -> dict:
     """Sweep the scenario grid and the kernel microbenchmark; return the summary.
 
-    For every ``(nodes, hosts, churn_rate)`` cell the scenario runs once per
-    kernel and the reports must be byte-identical (``mismatches`` collects
-    any divergence — a correctness failure, not a perf number).
+    ``config`` is what every scenario cell shares (root seed, testbed, shard
+    count, sanitizer / profiler, GC policy); each ``(nodes, hosts,
+    churn_rate)`` cell runs it with its own size and synthetic churn script.
     ``hosts_list`` adds a host-count sweep dimension (``None`` = the
-    workload's default of nodes/2); ``ctl_shards`` runs every scenario cell
-    with that many controller front-ends (the digest cross-check still
-    applies — shard count must never change workload results); ``testbed``
-    selects the environment preset every cell deploys on.  With
-    ``seeds > 1`` each cell runs once per root seed (``seed .. seed+N-1``)
-    and its row carries the across-seed mean ``events_per_sec`` plus a 95 %
-    CI half-width — the kernel digest cross-check then applies per seed.
+    workload's default of nodes/2).  With ``seeds > 1`` each cell runs once
+    per root seed (``seed .. seed+N-1``) and its row carries the across-seed
+    mean ``events_per_sec`` plus a 95 % CI half-width.
 
-    ``jobs > 1`` runs the flattened task list (grid cells x kernels x seeds,
-    then the microbench cells) on a process pool.  Each task seeds its own
-    simulator from pure descriptor data, so every deterministic column (see
+    ``jobs > 1`` runs the flattened task list (grid cells x seeds, then the
+    microbench cells) on a process pool.  Each task seeds its own simulator
+    from pure descriptor data, so every deterministic column (see
     :data:`BENCH_TIMING_COLUMNS` for the exclusions) and every report digest
     is byte-identical with the serial run; only wall-clock-derived numbers
     move.  Progress lines print after the sweep in grid order.
     """
-    def say(text: str) -> None:
-        if not quiet:
-            print(text, flush=True)
-
+    say = _progress(quiet)
     if seeds < 1:
         raise ValueError("bench needs at least one seed")
-    if jobs < 1:
-        raise ValueError("bench needs at least one worker")
+    config = config or RunConfig()
     spec = registry.get_spec(workload)
+    params = {spec.ops_param: lookups} if spec.ops_param is not None else {}
     hosts_sweep: List[Optional[int]] = hosts_list if hosts_list else [None]
     # Flatten the grid into pure task descriptors first: execution (serial or
     # pooled) is separated from row assembly, which walks the same nested
@@ -443,91 +438,59 @@ def run_bench(nodes_list: List[int], churn_rates: List[float],
             for rate in churn_rates:
                 script = synthetic_churn_script(duration=120.0, period=30.0,
                                                 fraction=rate) if rate > 0 else None
-                for kernel in kernels:
-                    for offset in range(seeds):
-                        kwargs = dict(nodes=nodes, hosts=hosts, seed=seed + offset,
-                                      churn_script=script, kernel=kernel,
-                                      ctl_shards=ctl_shards, testbed=testbed,
-                                      sanitize=sanitize, profile=profile,
-                                      gc_policy=gc_policy,
-                                      store_caches=store_caches)
-                        if spec.ops_param is not None:
-                            kwargs[spec.ops_param] = lookups
-                        tasks.append({"kind": "scenario", "workload": workload,
-                                      "kernel": kernel, "nodes": nodes,
-                                      "churn_rate": rate, "seed": seed + offset,
-                                      "runner_kwargs": kwargs})
+                for offset in range(seeds):
+                    cell = replace(config, nodes=nodes, hosts=hosts,
+                                   seed=config.seed + offset, churn_script=script)
+                    tasks.append({"kind": "scenario", "workload": workload,
+                                  "churn_rate": rate, "config": cell,
+                                  "workload_params": params})
     # micro_duration <= 0 skips the kernel microbenchmark entirely
     micro_nodes = nodes_list if micro_duration > 0 else []
     for nodes in micro_nodes:
-        for kernel in kernels:
-            tasks.append({"kind": "micro", "kernel": kernel, "nodes": nodes,
-                          "duration": micro_duration})
+        tasks.append({"kind": "micro", "nodes": nodes, "duration": micro_duration})
 
     results = iter(_run_bench_tasks(tasks, jobs))
     rows: List[dict] = []
-    mismatches: List[str] = []
     for nodes in nodes_list:
         for hosts in hosts_sweep:
             for rate in churn_rates:
-                digests = {}
-                for kernel in kernels:
-                    per_seed = [next(results) for _ in range(seeds)]
-                    row = _aggregate_seed_rows(per_seed)
-                    row["jobs"] = jobs
-                    rows.append(row)
-                    digests[kernel] = tuple(r["report_digest"] for r in per_seed)
-                    ci = (f" ±{row['events_per_sec_ci95']:.0f}"
-                          if seeds > 1 else "")
-                    say(f"scenario workload={spec.name} testbed={testbed} "
-                        f"nodes={nodes} hosts={row['hosts']} churn={rate:g} "
-                        f"kernel={kernel} shards={ctl_shards} seeds={seeds}: "
-                        f"{row['events_per_sec']:.0f}{ci} ev/s, "
-                        f"success={row['success_rate']:.3f}, "
-                        f"wall={row['wall_sec']:.2f}s")
-                if len(set(digests.values())) > 1:
-                    mismatches.append(
-                        f"workload={spec.name} testbed={testbed} nodes={nodes} "
-                        f"hosts={hosts} churn={rate:g}: kernel reports "
-                        f"diverge {digests}")
+                row = _aggregate_seed_rows([next(results) for _ in range(seeds)])
+                row["jobs"] = jobs
+                rows.append(row)
+                ci = (f" ±{row['events_per_sec_ci95']:.0f}"
+                      if seeds > 1 else "")
+                say(f"scenario workload={spec.name} testbed={config.testbed} "
+                    f"nodes={nodes} hosts={row['hosts']} churn={rate:g} "
+                    f"shards={config.ctl_shards} seeds={seeds}: "
+                    f"{row['events_per_sec']:.0f}{ci} ev/s, "
+                    f"success={row['success_rate']:.3f}, "
+                    f"wall={row['wall_sec']:.2f}s")
     for nodes in micro_nodes:
-        per_kernel = {}
-        for kernel in kernels:
-            row = next(results)
-            row["jobs"] = jobs
-            rows.append(row)
-            per_kernel[kernel] = row["events_per_sec"]
-            say(f"kernel-timer-churn nodes={nodes} kernel={kernel}: "
-                f"{row['events_per_sec']:.0f} ev/s")
-        if "wheel" in per_kernel and "heap" in per_kernel and per_kernel["heap"]:
-            say(f"kernel-timer-churn nodes={nodes}: wheel/heap speedup "
-                f"{per_kernel['wheel'] / per_kernel['heap']:.2f}x")
+        row = next(results)
+        row["jobs"] = jobs
+        rows.append(row)
+        say(f"kernel-timer-churn nodes={nodes}: {row['events_per_sec']:.0f} ev/s")
 
-    summary = {
+    return {
         "bench": "kernel",
         "config": {
             "workload": workload,
-            "testbed": testbed,
+            "testbed": config.testbed,
             "nodes": nodes_list,
             "hosts": hosts_list,
             "churn_rates": churn_rates,
-            "kernels": kernels,
-            "ctl_shards": ctl_shards,
-            "seed": seed,
+            "ctl_shards": config.ctl_shards,
+            "seed": config.seed,
             "seeds": seeds,
             "jobs": jobs,
             "lookups": lookups,
             "micro_duration": micro_duration,
-            "sanitize": sanitize,
-            "profile": profile,
-            "gc_policy": gc_policy,
-            "store_caches": store_caches,
+            "sanitize": config.sanitize,
+            "profile": config.profile,
+            "gc_policy": config.gc_policy,
         },
         "rows": rows,
-        "speedups": _bench_speedups(rows),
-        "mismatches": mismatches,
     }
-    return summary
 
 
 # --------------------------------------------------------------------- scale
@@ -581,49 +544,36 @@ def scale_efficiency(rows: List[dict]) -> Optional[float]:
 
 
 def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
-                    seed: int = 0, lookups: int = 100, kernel: str = "wheel",
-                    testbed: str = "transit-stub", quiet: bool = False,
-                    gc_policy: str = "tuned",
-                    store_caches: bool = True) -> dict:
+                    config: Optional[RunConfig] = None, lookups: int = 100,
+                    quiet: bool = False) -> dict:
     """The large-deployment profile: Chord at 1k/5k/10k nodes, peak RSS per cell.
 
     Every cell runs in a *fresh* pool worker (``max_tasks_per_child=1``,
     even with ``jobs=1``) so its ``peak_rss_kb`` is that deployment's own
     high-water mark rather than the run's cumulative maximum.  Rows carry
     ``row_type="scale"`` and flow through the same CSV schema and
-    :func:`check_bench_regression` gate as the grid bench — the committed
-    ``BENCH_scale.json`` baseline gates both events/sec (floor) and peak
-    RSS (ceiling) — plus the scale-only ``scale_efficiency`` summary number
-    (largest-over-smallest events/sec ratio) that ``--min-scale-efficiency``
-    gates without needing a baseline file.  Join/settle windows grow with
-    log10(N) per :func:`scale_windows`; ``gc_policy``/``store_caches``
-    forward the perf knobs to every cell (results are byte-identical for
-    any setting — that is what the digest column proves).
+    :func:`check_bench_regression` gate as the grid bench, plus the
+    scale-only ``scale_efficiency`` summary number (largest-over-smallest
+    events/sec ratio).  Join/settle windows grow with log10(N) per
+    :func:`scale_windows`; ``config`` carries what the cells share (seed,
+    testbed, GC policy).
     """
-    def say(text: str) -> None:
-        if not quiet:
-            print(text, flush=True)
-
-    if jobs < 1:
-        raise ValueError("bench needs at least one worker")
+    say = _progress(quiet)
+    config = config or RunConfig()
     scale_list = list(scales) if scales else list(DEFAULT_SCALE_NODES)
     tasks = []
     for nodes in scale_list:
         join_window, settle = scale_windows(nodes)
-        kwargs = dict(nodes=nodes, hosts=None, seed=seed, churn_script=None,
-                      kernel=kernel, ctl_shards=1, testbed=testbed,
-                      lookups=lookups, join_window=join_window,
-                      settle=settle, gc_policy=gc_policy,
-                      store_caches=store_caches)
-        tasks.append({"kind": "scale", "workload": "chord", "kernel": kernel,
-                      "nodes": nodes, "churn_rate": 0.0, "seed": seed,
-                      "runner_kwargs": kwargs})
+        cell = replace(config, nodes=nodes, join_window=join_window,
+                       settle=settle)
+        tasks.append({"kind": "scale", "workload": "chord", "churn_rate": 0.0,
+                      "config": cell, "workload_params": {"lookups": lookups}})
     rows = []
     for row in _run_bench_tasks(tasks, jobs, fresh_workers=True):
         row["seeds"] = 1
         row["jobs"] = jobs
         rows.append(row)
-        say(f"scale nodes={row['nodes']} hosts={row['hosts']} kernel={kernel}: "
+        say(f"scale nodes={row['nodes']} hosts={row['hosts']}: "
             f"{row['events_per_sec']:.0f} ev/s, wall={row['wall_sec']:.1f}s "
             f"(deploy={row['wall_deploy_s'] or 0:.1f}s "
             f"run={row['wall_run_s'] or 0:.1f}s "
@@ -639,23 +589,19 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
         "bench": "scale",
         "config": {
             "workload": "chord",
-            "testbed": testbed,
+            "testbed": config.testbed,
             "scales": scale_list,
-            "kernel": kernel,
-            "seed": seed,
+            "seed": config.seed,
             "lookups": lookups,
             "join_window": SCALE_JOIN_WINDOW,
             "settle": SCALE_SETTLE,
             "windows": {str(nodes): list(scale_windows(nodes))
                         for nodes in scale_list},
-            "gc_policy": gc_policy,
-            "store_caches": store_caches,
+            "gc_policy": config.gc_policy,
             "jobs": jobs,
         },
         "rows": rows,
         "scale_efficiency": efficiency,
-        "speedups": _bench_speedups(rows),
-        "mismatches": [],
     }
 
 
@@ -758,12 +704,7 @@ def run_bwalloc_bench(allocators: Optional[List[str]] = None,
     whose final rates diverge from the global oracle land in ``mismatches``
     — a correctness failure, not a perf number.
     """
-    def say(text: str) -> None:
-        if not quiet:
-            print(text, flush=True)
-
-    if jobs < 1:
-        raise ValueError("bench needs at least one worker")
+    say = _progress(quiet)
     allocator_list = list(allocators) if allocators else ["max-min"]
     flows_sweep = list(flows_list) if flows_list else list(DEFAULT_BWALLOC_FLOWS)
     tasks = []
@@ -778,12 +719,10 @@ def run_bwalloc_bench(allocators: Optional[List[str]] = None,
     mismatches: List[str] = []
     for allocator in allocator_list:
         for flows in flows_sweep:
-            per_mode = {}
             for mode in ("incremental", "global"):
                 row = next(results)
                 row["jobs"] = jobs
                 rows.append(row)
-                per_mode[mode] = row["events_per_sec"]
                 say(f"bwalloc allocator={allocator} flows={flows} mode={mode}: "
                     f"{row['events_per_sec']:.0f} reallocations/s, "
                     f"wall={row['wall_sec']:.3f}s")
@@ -791,10 +730,6 @@ def run_bwalloc_bench(allocators: Optional[List[str]] = None,
                     mismatches.append(
                         f"allocator={allocator} flows={flows}: incremental "
                         f"rates diverge from the global recompute oracle")
-            if per_mode.get("global"):
-                say(f"bwalloc allocator={allocator} flows={flows}: "
-                    f"incremental/global speedup "
-                    f"{per_mode['incremental'] / per_mode['global']:.2f}x")
     return {
         "bench": "bwalloc",
         "config": {
@@ -805,7 +740,7 @@ def run_bwalloc_bench(allocators: Optional[List[str]] = None,
             "jobs": jobs,
         },
         "rows": rows,
-        "speedups": _bench_speedups(rows),
+        "speedups": {"bwalloc": _bwalloc_speedups(rows)},
         "mismatches": mismatches,
     }
 
@@ -820,40 +755,19 @@ def _bwalloc_speedup_failures(summary: dict, min_speedup: float) -> List[str]:
     return failures
 
 
-def _bench_speedups(rows: List[dict]) -> dict:
-    """Events/sec ratios keyed by row type and grid cell.
+def _bwalloc_speedups(rows: List[dict]) -> dict:
+    """Incremental-over-global reallocations/sec ratio per ``bwalloc`` cell.
 
-    For scenario/kernel/scale rows the ratio is wheel over heap; for
-    ``bwalloc`` rows (whose ``kernel`` column carries the recomputation
-    mode) it is incremental over global — the number the allocation-step
-    CI leg gates.
+    The number the allocation-step CI leg gates (``bwalloc`` rows carry the
+    recomputation mode in the ``kernel`` column).
     """
-    speedups: dict = {"scenario": {}, "kernel": {}}
     by_cell: dict = {}
     for row in rows:
-        cell = (row["row_type"], row.get("workload", ""), row["nodes"],
-                row.get("hosts", ""), row.get("churn_rate", ""),
-                row.get("bw_alloc", ""))
+        cell = f"allocator={row['bw_alloc']},flows={row['nodes']}"
         by_cell.setdefault(cell, {})[row["kernel"]] = row["events_per_sec"]
-    for (row_type, workload, nodes, hosts, rate, bw_alloc), per_kernel in sorted(
-            by_cell.items(), key=str):
-        if row_type == "bwalloc":
-            if per_kernel.get("global"):
-                key = f"allocator={bw_alloc},flows={nodes}"
-                speedups.setdefault(row_type, {})[key] = round(
-                    per_kernel["incremental"] / per_kernel["global"], 3)
-            continue
-        if "wheel" in per_kernel and per_kernel.get("heap"):
-            key = f"nodes={nodes}"
-            if workload:
-                key = f"workload={workload}," + key
-            if hosts != "":
-                key += f",hosts={hosts}"
-            if rate != "":
-                key += f",churn={rate}"
-            speedups.setdefault(row_type, {})[key] = round(
-                per_kernel["wheel"] / per_kernel["heap"], 3)
-    return speedups
+    return {cell: round(per_mode["incremental"] / per_mode["global"], 3)
+            for cell, per_mode in sorted(by_cell.items())
+            if per_mode.get("global")}
 
 
 def write_bench_csv(path: str, rows: List[dict]) -> None:
@@ -864,86 +778,76 @@ def write_bench_csv(path: str, rows: List[dict]) -> None:
             writer.writerow(row)
 
 
-def check_bench_regression(summary: dict, baseline: dict,
-                           tolerance: float = 0.30,
-                           rss_tolerance: float = 0.50) -> List[str]:
-    """Compare events/sec against a committed baseline (same grid cells only).
+#: the columns that say *which* experiment a bench row is (its grid cell)
+_CELL_COLUMNS = ("row_type", "workload", "testbed", "kernel", "nodes", "hosts",
+                 "churn_rate", "ctl_shards", "bw_alloc", "seed", "seeds")
 
-    Returns a list of human-readable failures for rows whose throughput
-    dropped more than ``tolerance`` below the baseline.  Multi-seed rows
-    carry the across-seed *mean* in ``events_per_sec``, so that is what the
-    gate compares (seed count is part of the cell signature: a 3-seed mean
-    is only compared against a 3-seed baseline).  ``scale`` rows (whose
-    ``peak_rss_kb`` is a per-cell measurement from a fresh worker) are
-    additionally gated on memory: growing more than ``rss_tolerance`` above
-    the baseline's peak RSS is a failure too.
+
+def check_bench_regression(summary: dict, baseline: dict) -> tuple:
+    """Hold a bench run to a committed baseline: ``(failures, notes)``.
+
+    Every cell the run shares with the baseline (equal
+    :data:`_CELL_COLUMNS`) must reproduce the baseline's
+    :func:`deterministic_row_view` exactly — events, messages, bytes, RPC
+    counters, latencies, digest; a failure names the columns that differ.
+    The wall-clock columns depend on the machine, so their ratios to the
+    baseline come back as ``notes`` (information, never a verdict).
+    Baseline cells the run does not cover are ignored, but a run that shares
+    *no* cell with its baseline checked nothing, and that is a failure too.
     """
     def index(rows: List[dict]) -> dict:
-        # The workload signature (testbed, seeds, lookups, virtual duration)
-        # is part of the key: rows are only comparable when they ran the
-        # same experiment.
-        return {(r["row_type"], r.get("workload", ""), r.get("testbed", ""),
-                 r["kernel"], r["nodes"],
-                 r.get("hosts", ""), r.get("churn_rate", ""),
-                 r.get("ctl_shards", ""), r.get("seeds", ""),
-                 r.get("lookups_issued", ""), r.get("virtual_time", "")): r
-                for r in rows}
+        return {tuple(row.get(column, "") for column in _CELL_COLUMNS): row
+                for row in rows}
+
+    def ratio(row: dict, base_row: dict, column: str) -> str:
+        seen, base = row.get(column), base_row.get(column)
+        if not seen or not base:
+            return "n/a"
+        return f"{seen / base:.2f}x"
 
     current = index(summary.get("rows", []))
+    base_rows = index(baseline.get("rows", []))
     failures: List[str] = []
-    for key, base_row in index(baseline.get("rows", [])).items():
+    notes: List[str] = []
+    for key, base_row in base_rows.items():
         row = current.get(key)
         if row is None:
             continue  # baseline covers a larger grid than this run
-        base = base_row.get("events_per_sec") or 0.0
-        seen = row.get("events_per_sec") or 0.0
-        if base > 0 and seen < base * (1.0 - tolerance):
+        cell = " ".join(f"{column}={value}" for column, value
+                        in zip(_CELL_COLUMNS, key) if value != "")
+        seen, base = deterministic_row_view(row), deterministic_row_view(base_row)
+        differing = sorted(column for column in seen.keys() | base.keys()
+                           if seen.get(column) != base.get(column))
+        if differing:
             failures.append(
-                f"{key}: {seen:.0f} ev/s is {100 * (1 - seen / base):.0f}% below "
-                f"baseline {base:.0f} ev/s (tolerance {100 * tolerance:.0f}%)")
-        if row.get("row_type") == "scale":
-            base_rss = base_row.get("peak_rss_kb") or 0
-            seen_rss = row.get("peak_rss_kb") or 0
-            if base_rss > 0 and seen_rss > base_rss * (1.0 + rss_tolerance):
-                failures.append(
-                    f"{key}: peak RSS {seen_rss} KB is "
-                    f"{100 * (seen_rss / base_rss - 1):.0f}% above baseline "
-                    f"{base_rss} KB (tolerance {100 * rss_tolerance:.0f}%)")
-    return failures
+                f"{cell}: deterministic columns differ from the baseline: "
+                + ", ".join(f"{column} {base.get(column)!r} -> {seen.get(column)!r}"
+                            for column in differing))
+        notes.append(f"{cell}: wall {ratio(row, base_row, 'wall_sec')}, "
+                     f"events/sec {ratio(row, base_row, 'events_per_sec')}, "
+                     f"peak RSS {ratio(row, base_row, 'peak_rss_kb')} "
+                     f"of the baseline")
+    if not notes:
+        failures.append(
+            f"none of this run's {len(current)} cell(s) is among the "
+            f"baseline's {len(base_rows)}: nothing was checked")
+    return failures, notes
 
 
 # ----------------------------------------------------------------------- CLI
-def _add_common_arguments(parser: argparse.ArgumentParser,
-                          spec: registry.ScenarioSpec) -> None:
-    parser.add_argument("--nodes", type=int, default=50,
-                        help="application instances to deploy")
-    parser.add_argument("--hosts", type=int, default=None,
-                        help="physical hosts (default: nodes/2, min 8)")
-    parser.add_argument("--seed", type=int, default=0, help="root determinism seed")
-    parser.add_argument("--churn", action="store_true",
-                        help="replay the workload's default churn script")
-    parser.add_argument("--churn-script", type=str, default=None, metavar="FILE",
-                        help="replay a churn script from FILE instead of the default")
-    parser.add_argument("--churn-trace", type=str, default=None, metavar="FILE",
-                        help="replay an Overnet-style availability trace "
-                             "('host_id start end' lines) as host-level churn")
+#: where every execution option's default is stated (argparse only mirrors it)
+_DEFAULTS = RunConfig()
+
+
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The execution options a scenario run and every ``bench`` cell share."""
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                        help="root determinism seed")
     parser.add_argument("--testbed", choices=testbed_names(),
-                        default="transit-stub",
+                        default=_DEFAULTS.testbed,
                         help="deployment environment preset to build")
-    parser.add_argument("--join-window", type=float, default=None,
-                        help="joins are staggered over this many seconds "
-                             "(default: scales with --nodes)")
-    parser.add_argument("--settle", type=float, default=None,
-                        help="grace period after churn before measuring "
-                             "(default: scales with --nodes)")
-    parser.add_argument("--duration", choices=("full", "short"), default="full",
-                        help="'short' shrinks windows and op counts for CI smoke")
-    parser.add_argument("--min-success", type=float,
-                        default=spec.default_min_success,
-                        help="exit non-zero below this measured success rate")
-    parser.add_argument("--kernel", choices=("wheel", "heap"), default="wheel",
-                        help="event-queue implementation (results are identical)")
-    parser.add_argument("--ctl-shards", type=int, default=1, metavar="N",
+    parser.add_argument("--ctl-shards", type=int, default=_DEFAULTS.ctl_shards,
+                        metavar="N",
                         help="controller front-ends sharing the job store "
                              "(results are identical for any N >= 1)")
     parser.add_argument("--sanitize", action="store_true",
@@ -951,8 +855,46 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                              "monotonicity, free-list integrity, future "
                              "legality, listener/bandwidth consistency); "
                              "observation-only, results are identical")
+    parser.add_argument("--profile", action="store_true",
+                        help="attribute wall time and event counts to kernel "
+                             "callback sites (a top-N table; profile_* "
+                             "columns in bench rows)")
+    parser.add_argument("--gc-policy", choices=GC_MODES,
+                        default=_DEFAULTS.gc_policy,
+                        help="host-interpreter GC discipline (repro.sim."
+                             "gcpolicy): 'tuned' raises the collector "
+                             "thresholds and freezes the post-deploy heap; "
+                             "results are byte-identical for either setting")
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser,
+                          spec: registry.ScenarioSpec) -> None:
+    _add_execution_arguments(parser)
+    parser.add_argument("--nodes", type=int, default=_DEFAULTS.nodes,
+                        help="application instances to deploy")
+    parser.add_argument("--hosts", type=int, default=_DEFAULTS.hosts,
+                        help="physical hosts (default: nodes/2, min 8)")
+    parser.add_argument("--churn", action="store_true",
+                        help="replay the workload's default churn script")
+    parser.add_argument("--churn-script", type=str, default=None, metavar="FILE",
+                        help="replay a churn script from FILE instead of the default")
+    parser.add_argument("--churn-trace", type=str, default=None, metavar="FILE",
+                        help="replay an Overnet-style availability trace "
+                             "('host_id start end' lines) as host-level churn")
+    parser.add_argument("--join-window", type=float, default=_DEFAULTS.join_window,
+                        help="joins are staggered over this many seconds "
+                             "(default: scales with --nodes)")
+    parser.add_argument("--settle", type=float, default=_DEFAULTS.settle,
+                        help="grace period after churn before measuring "
+                             "(default: scales with --nodes)")
+    parser.add_argument("--duration", choices=("full", "short"),
+                        default=_DEFAULTS.duration,
+                        help="'short' shrinks windows and op counts for CI smoke")
+    parser.add_argument("--min-success", type=float,
+                        default=spec.default_min_success,
+                        help="exit non-zero below this measured success rate")
     parser.add_argument("--bw-alloc", choices=allocator_names(),
-                        default="max-min", metavar="NAME",
+                        default=_DEFAULTS.bw_alloc, metavar="NAME",
                         help="flow-level bandwidth allocation strategy "
                              f"({', '.join(allocator_names())}; the default "
                              "max-min keeps the historical digests)")
@@ -966,73 +908,56 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--metrics-out", type=str, default=None, metavar="FILE",
                         help="write the metrics report section as JSON to "
                              "FILE (implies --metrics)")
-    parser.add_argument("--trace-out", type=str, default=None, metavar="FILE",
+    parser.add_argument("--trace-out", type=str, default=_DEFAULTS.trace_out,
+                        metavar="FILE",
                         help="record causal RPC/lookup spans and write "
                              "Chrome trace-event JSON (Perfetto-loadable, "
                              "one track per host) to FILE")
-    parser.add_argument("--profile", action="store_true",
-                        help="attribute wall time and event counts to kernel "
-                             "callback sites; prints a top-N table")
-    parser.add_argument("--gc-policy", choices=("off", "tuned", "manual"),
-                        default="tuned",
-                        help="host-interpreter GC discipline (repro.sim."
-                             "gcpolicy): 'tuned' freezes the post-deploy "
-                             "heap and raises collector thresholds, "
-                             "'manual' additionally disables ambient "
-                             "collection and collects at drain checkpoints; "
-                             "results are byte-identical for any setting")
-    parser.add_argument("--no-store-caches", action="store_true",
-                        help="disable the job store's incrementally "
-                             "maintained alive/live sets and bucketed "
-                             "placement (the O(N)-scan kill switch; "
-                             "bit-identical results, slower)")
     parser.add_argument("--log-level", choices=("DEBUG", "INFO", "WARN", "ERROR"),
-                        default="INFO",
+                        default=_DEFAULTS.log_level,
                         help="minimum severity the job's instances record")
 
 
+def _read_checked(path: Optional[str], what: str, parse) -> Optional[str]:
+    """Text of the ``what`` file at ``path`` once ``parse`` accepts it.
+
+    ``None`` without a path; an unreadable or malformed file raises a
+    :class:`ValueError` that says which file and why.
+    """
+    if not path:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from None
+    try:
+        parse(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid {what} {path}: {exc}") from None
+    return text
+
+
 def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> int:
-    script = None
-    if args.churn_script:
-        try:
-            with open(args.churn_script, "r", encoding="utf-8") as handle:
-                script = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read churn script: {exc}", file=sys.stderr)
-            return 2
-        try:
-            parse_churn_script(script)
-        except ValueError as exc:
-            print(f"error: invalid churn script {args.churn_script}: {exc}",
-                  file=sys.stderr)
-            return 2
-    trace = None
-    if args.churn_trace:
-        try:
-            with open(args.churn_trace, "r", encoding="utf-8") as handle:
-                trace = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read churn trace: {exc}", file=sys.stderr)
-            return 2
-        try:
-            parse_availability_trace(trace)
-        except ValueError as exc:
-            print(f"error: invalid churn trace {args.churn_trace}: {exc}",
-                  file=sys.stderr)
-            return 2
-    kwargs = dict(nodes=args.nodes, hosts=args.hosts, seed=args.seed,
-                  churn=args.churn, churn_script=script, churn_trace=trace,
-                  testbed=args.testbed,
-                  join_window=args.join_window, settle=args.settle,
-                  kernel=args.kernel, duration=args.duration,
-                  ctl_shards=args.ctl_shards, sanitize=args.sanitize,
-                  metrics=args.metrics or bool(args.metrics_out),
-                  trace_out=args.trace_out, profile=args.profile,
-                  log_level=args.log_level, bw_alloc=args.bw_alloc,
-                  gc_policy=args.gc_policy,
-                  store_caches=not args.no_store_caches)
-    kwargs.update(spec.make_kwargs(args))
-    report = spec.runner(**kwargs)
+    try:
+        script = _read_checked(args.churn_script, "churn script",
+                               parse_churn_script)
+        trace = _read_checked(args.churn_trace, "churn trace",
+                              parse_availability_trace)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    config = RunConfig(
+        nodes=args.nodes, hosts=args.hosts, seed=args.seed,
+        testbed=args.testbed, churn=args.churn, churn_script=script,
+        churn_trace=trace, join_window=args.join_window, settle=args.settle,
+        duration=args.duration, ctl_shards=args.ctl_shards,
+        sanitize=args.sanitize,
+        metrics=args.metrics or bool(args.metrics_out),
+        trace_out=args.trace_out, profile=args.profile,
+        log_level=args.log_level, bw_alloc=args.bw_alloc,
+        gc_policy=args.gc_policy)
+    report = spec.runner(config, **spec.make_kwargs(args))
     _print_report(report, spec)
     _print_observability(report, args)
     if args.sanitize:
@@ -1112,8 +1037,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec.add_arguments(scenario_parser)
 
     bench = sub.add_parser(
-        "bench", help="sweep nodes x churn-rate (x hosts) grids over both "
-                      "kernels and emit CSV + JSON perf numbers")
+        "bench", help="sweep nodes x churn-rate (x hosts) grids and emit "
+                      "CSV + JSON rows, optionally held to a baseline")
+    _add_execution_arguments(bench)
     bench.add_argument("--workload", choices=registry.scenario_names(),
                        default="chord", help="registered workload to sweep")
     bench.add_argument("--nodes", type=int, nargs="+", default=[50, 100, 200],
@@ -1125,18 +1051,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--churn-rates", type=float, nargs="+", default=[0.0, 0.05],
                        help="fraction of live nodes replaced every 30s "
                             "(0 disables churn)")
-    bench.add_argument("--kernels", choices=("wheel", "heap"), nargs="+",
-                       default=["wheel", "heap"], help="kernels to compare")
-    bench.add_argument("--ctl-shards", type=int, default=1, metavar="N",
-                       help="controller front-ends per scenario run")
-    bench.add_argument("--testbed", choices=testbed_names(),
-                       default="transit-stub",
-                       help="deployment environment preset for scenario cells")
-    bench.add_argument("--seed", type=int, default=0, help="root determinism seed")
     bench.add_argument("--seeds", type=int, default=1, metavar="N",
                        help="seeds per scenario cell; N > 1 emits the "
-                            "across-seed mean events/sec ± 95%% CI "
-                            "(--check gates on the mean)")
+                            "across-seed mean events/sec ± 95%% CI")
     bench.add_argument("--lookups", type=int, default=100,
                        help="measured operations per scenario run")
     bench.add_argument("--micro-duration", type=float, default=60.0,
@@ -1152,20 +1069,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--scales", type=int, nargs="+",
                        default=DEFAULT_SCALE_NODES, metavar="NODES",
                        help="node counts swept by --scale")
-    bench.add_argument("--min-scale-efficiency", type=float, default=0.0,
-                       metavar="RATIO",
-                       help="fail (exit 4) when the --scale sweep's "
-                            "largest-over-smallest events/sec ratio is "
-                            "below RATIO (baseline-free flatness gate)")
-    bench.add_argument("--gc-policy", choices=("off", "tuned", "manual"),
-                       default="tuned",
-                       help="GC discipline for every scenario/scale cell "
-                            "(digests are unchanged)")
-    bench.add_argument("--no-store-caches", action="store_true",
-                       help="run every scenario/scale cell with the job "
-                            "store's cached alive/live sets disabled "
-                            "(measures the O(N)-scan kill switch; digests "
-                            "are unchanged)")
     bench.add_argument("--bwalloc", action="store_true",
                        help="allocation-step profile instead of the grid: "
                             "flow churn against standalone bandwidth models, "
@@ -1190,110 +1093,76 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "BENCH_kernel.json, or BENCH_scale.json "
                             "with --scale)")
     bench.add_argument("--check", type=str, default=None, metavar="BASELINE",
-                       help="compare events/sec against a committed baseline "
-                            "JSON and exit non-zero on regression")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional events/sec drop for --check")
-    bench.add_argument("--rss-tolerance", type=float, default=0.50,
-                       help="allowed fractional peak-RSS growth for --check "
-                            "of scale rows")
-    bench.add_argument("--sanitize", action="store_true",
-                       help="run every scenario cell with the runtime "
-                            "sanitizer enabled (measures its overhead; "
-                            "digests are unchanged)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run every scenario cell with the kernel "
-                            "profiler; adds profile_* columns to the CSV "
-                            "(digests are unchanged)")
+                       help="hold every cell shared with a committed baseline "
+                            "JSON to its deterministic columns, exactly "
+                            "(exit 4 on a difference or when no cell is "
+                            "shared); wall-clock ratios print as information")
     bench.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     args = parser.parse_args(argv)
-    if args.scenario == "bench":
-        csv_path = args.csv or ("bench_scale.csv" if args.scale
-                                else "bench_bwalloc.csv" if args.bwalloc
-                                else "bench_kernel.csv")
-        json_path = args.json or ("BENCH_scale.json" if args.scale
-                                  else "BENCH_bwalloc.json" if args.bwalloc
-                                  else "BENCH_kernel.json")
-        if args.bwalloc:
-            summary = run_bwalloc_bench(allocators=args.bwalloc_allocators,
-                                        flows_list=args.bwalloc_flows,
-                                        steps=args.bwalloc_steps,
-                                        seed=args.seed, jobs=args.jobs,
-                                        quiet=args.quiet)
-        elif args.scale:
-            summary = run_scale_bench(scales=args.scales, jobs=args.jobs,
-                                      seed=args.seed, lookups=args.lookups,
-                                      kernel=args.kernels[0],
-                                      testbed=args.testbed, quiet=args.quiet,
-                                      gc_policy=args.gc_policy,
-                                      store_caches=not args.no_store_caches)
-        else:
-            summary = run_bench(nodes_list=args.nodes, churn_rates=args.churn_rates,
-                                kernels=list(dict.fromkeys(args.kernels)),
-                                seed=args.seed,
-                                lookups=args.lookups,
-                                micro_duration=args.micro_duration,
-                                quiet=args.quiet, workload=args.workload,
-                                hosts_list=args.hosts_list,
-                                ctl_shards=args.ctl_shards,
-                                testbed=args.testbed, seeds=args.seeds,
-                                jobs=args.jobs, sanitize=args.sanitize,
-                                profile=args.profile,
-                                gc_policy=args.gc_policy,
-                                store_caches=not args.no_store_caches)
-        write_bench_csv(csv_path, summary["rows"])
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"bench: wrote {len(summary['rows'])} rows to {csv_path} "
-              f"and summary to {json_path}")
-        for row_type, ratios in summary["speedups"].items():
-            for cell, ratio in ratios.items():
-                print(f"speedup[{row_type}] {cell}: {ratio:.2f}x")
-        status = 0
+    if args.scenario != "bench":
+        return _run_scenario_cli(registry.get_spec(args.scenario), args)
+
+    kind = "scale" if args.scale else "bwalloc" if args.bwalloc else "kernel"
+    csv_path = args.csv or f"bench_{kind}.csv"
+    json_path = args.json or f"BENCH_{kind}.json"
+    config = RunConfig(seed=args.seed, testbed=args.testbed,
+                       ctl_shards=args.ctl_shards, sanitize=args.sanitize,
+                       profile=args.profile, gc_policy=args.gc_policy)
+    if args.bwalloc:
+        summary = run_bwalloc_bench(allocators=args.bwalloc_allocators,
+                                    flows_list=args.bwalloc_flows,
+                                    steps=args.bwalloc_steps,
+                                    seed=args.seed, jobs=args.jobs,
+                                    quiet=args.quiet)
+    elif args.scale:
+        summary = run_scale_bench(scales=args.scales, jobs=args.jobs,
+                                  config=config, lookups=args.lookups,
+                                  quiet=args.quiet)
+    else:
+        summary = run_bench(nodes_list=args.nodes, churn_rates=args.churn_rates,
+                            config=config, lookups=args.lookups,
+                            micro_duration=args.micro_duration,
+                            quiet=args.quiet, workload=args.workload,
+                            hosts_list=args.hosts_list, seeds=args.seeds,
+                            jobs=args.jobs)
+    write_bench_csv(csv_path, summary["rows"])
+    with open(json_path, "w", encoding="utf-8") as handle:
+        json.dump(summary, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"bench: wrote {len(summary['rows'])} rows to {csv_path} "
+          f"and summary to {json_path}")
+    status = 0
+    if args.bwalloc:
+        for cell, ratio in summary["speedups"]["bwalloc"].items():
+            print(f"speedup[bwalloc] {cell}: {ratio:.2f}x")
+        for line in summary["mismatches"]:
+            print(f"DETERMINISM FAIL: {line}", file=sys.stderr)
         if summary["mismatches"]:
-            for line in summary["mismatches"]:
-                print(f"DETERMINISM FAIL: {line}", file=sys.stderr)
             status = 3
-        if args.scale and args.min_scale_efficiency > 0:
-            efficiency = summary.get("scale_efficiency")
-            if efficiency is None:
-                print("PERF REGRESSION: --min-scale-efficiency needs at "
-                      "least two distinct --scales node counts",
-                      file=sys.stderr)
-                status = status or 4
-            elif efficiency < args.min_scale_efficiency:
-                print(f"PERF REGRESSION: scale_efficiency {efficiency:.3f} "
-                      f"is below the required "
-                      f"{args.min_scale_efficiency:.2f} (events/sec at the "
-                      f"largest scale fell too far below the smallest)",
-                      file=sys.stderr)
-                status = status or 4
-        if args.bwalloc and args.bwalloc_min_speedup > 0:
+        if args.bwalloc_min_speedup > 0:
             failures = _bwalloc_speedup_failures(summary,
                                                  args.bwalloc_min_speedup)
             for line in failures:
                 print(f"PERF REGRESSION: {line}", file=sys.stderr)
             if failures:
                 status = status or 4
-        if args.check:
-            try:
-                with open(args.check, "r", encoding="utf-8") as handle:
-                    baseline = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read baseline {args.check}: {exc}",
-                      file=sys.stderr)
-                return 2
-            failures = check_bench_regression(summary, baseline,
-                                              tolerance=args.tolerance,
-                                              rss_tolerance=args.rss_tolerance)
-            for line in failures:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            if failures:
-                status = status or 4
-        return status
-    return _run_scenario_cli(registry.get_spec(args.scenario), args)
+    if args.check:
+        try:
+            with open(args.check, "r", encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read baseline {args.check}: {exc}",
+                  file=sys.stderr)
+            return 2
+        failures, notes = check_bench_regression(summary, baseline)
+        for line in notes:
+            print(f"baseline (information only) {line}")
+        for line in failures:
+            print(f"BASELINE MISMATCH: {line}", file=sys.stderr)
+        if failures:
+            status = status or 4
+    return status
 
 
 if __name__ == "__main__":

@@ -138,7 +138,7 @@ class Job:
         # self-exits, host failures), which calls record_death; the sanitizer
         # cross-checks the table against a from-scratch recompute and against
         # the daemons' own tables after every control action
-        # (check_store_caches).
+        # (check_store_views).
         self._live: Dict[int, Any] = {}
         # Memoized id-sorted list of ``_live``, dropped on every change.
         self._live_cache: Optional[List[Any]] = None

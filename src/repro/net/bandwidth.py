@@ -381,8 +381,17 @@ class BandwidthModel:
                 if finish < next_finish:
                     next_finish = finish
         if next_finish < inf:
-            self._completion_event = self.sim.schedule(
-                next_finish if next_finish > 0.0 else 0.0, self._on_completion_tick)
+            if now + next_finish == now:
+                # The finish time is below the clock's resolution here: the
+                # tick would fire at ``now`` again with nothing elapsed,
+                # settle nothing and re-arm itself forever.  As far as the
+                # clock can tell those flows are done — retire them now.
+                for transfer in active:
+                    rate = transfer.rate_bps
+                    if rate > 0 and now + transfer.remaining_bytes * 8.0 / rate == now:
+                        transfer.remaining_bytes = 0.0
+                return self._reallocate()
+            self._completion_event = self.sim.schedule(next_finish, self._on_completion_tick)
 
     def _on_completion_tick(self) -> None:
         self._completion_event = None

@@ -3,7 +3,7 @@
 The measurement plane the paper promises the experimenter (deployment, log
 collection *and* measurement by the platform).  One :class:`Observability`
 handle per deployment sits on ``sim._obs`` — exactly like the sanitizer's
-``sim._san`` — and the kernels consult it with a single pointer test per
+``sim._san`` — and the kernel consults it with a single pointer test per
 dispatched event, so everything here is a no-op unless a flag turned it on:
 
 * ``--metrics``: sim-clock-stamped counters/gauges/histograms
@@ -69,7 +69,7 @@ class Observability:
         self.tracer = (Tracer(clock=lambda: sim.now, recorder=self.recorder)
                        if tracing else None)
         self.profiler = KernelProfiler() if profile else None
-        # Origin-stamping hook the kernel's _insert consults; None keeps the
+        # Origin-stamping hook ``Simulator.schedule`` consults; None keeps the
         # scheduling hot path at a single pointer test when tracing is off.
         self._stamp = self.note_scheduled if tracing else None
 
@@ -99,9 +99,9 @@ class Observability:
     def run_event(self, event) -> None:
         """Dispatch one event with observation around the callback.
 
-        Called by the kernels *instead of* ``event.callback(*event.args)``
+        Called by the kernel *instead of* ``event.callback(*event.args)``
         when installed.  Everything referencing the event is dropped before
-        this frame returns, so the kernels' refcount-gated free-list
+        this frame returns, so the kernel's refcount-gated free-list
         recycling sees exactly the references it expects.
         """
         self.recorder.push_event(event.time, event.seq, event.callback,
@@ -145,7 +145,6 @@ class Observability:
         return {
             "enabled": True,
             "kernel": {
-                "type": deployment.kernel,
                 "events_dispatched": sim.executed_events,
                 "events_recycled": sim.recycled_events,
                 "events_cancelled": sim.cancelled_events,
@@ -181,7 +180,7 @@ class Observability:
             # GC-policy counters (repro.sim.gcpolicy) when a policy is
             # active: ambient vs explicit collections, freeze size, pauses.
             **({"gc": deployment.gc_policy.section()}
-               if getattr(deployment, "gc_policy", None) is not None else {}),
+               if deployment.gc_policy is not None else {}),
             "control_plane": {
                 "shards": [
                     {"name": shard.name,

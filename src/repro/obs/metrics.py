@@ -3,7 +3,7 @@
 The measurement half of the paper's pitch ("the platform does deployment,
 log collection *and measurement*"): a small registry of named metrics whose
 every timestamp comes from the *simulated* clock, so a snapshot is a pure
-function of the seed — byte-identical across kernels, shard counts and
+function of the seed — byte-identical across shard counts and
 machines.  Histograms use **fixed log-scaled bucket bounds** computed once
 at construction (:func:`log_bucket_bounds`), never adapted to the data, so
 two runs of the same seed fill exactly the same buckets.

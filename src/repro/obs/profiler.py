@@ -20,7 +20,7 @@ from typing import Dict, List
 class KernelProfiler:
     """Accumulates per-site event counts and wall seconds."""
 
-    __slots__ = ("clock", "_sites", "_labeled", "total_events", "total_wall")
+    __slots__ = ("clock", "_sites", "total_events", "total_wall")
 
     def __init__(self):
         # The single sanctioned wall-clock read path for profiling; every
@@ -29,9 +29,6 @@ class KernelProfiler:
         self.clock = time.perf_counter  # det: ignore[DET102] -- profiler wall timing, --profile only, digest-excluded
         # callback function object -> [event_count, wall_seconds]
         self._sites: Dict[object, List] = {}
-        # pre-labeled sites (off-event-loop costs such as GC pauses):
-        # label string -> [count, wall_seconds]
-        self._labeled: Dict[str, List] = {}
         self.total_events = 0
         self.total_wall = 0.0
 
@@ -46,21 +43,6 @@ class KernelProfiler:
         self.total_events += 1
         self.total_wall += wall_seconds
 
-    def add_site(self, label: str, wall_seconds: float) -> None:
-        """Charge wall time to a synthetic ``module:qualname`` label.
-
-        For costs paid outside event dispatch — the GC policy's explicit
-        collect pauses report through here — so they show up in the same
-        top-N table as callback sites instead of vanishing from the
-        attribution.
-        """
-        entry = self._labeled.get(label)
-        if entry is None:
-            entry = self._labeled[label] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += wall_seconds
-        self.total_wall += wall_seconds
-
     def _by_label(self) -> Dict[str, List]:
         """Site totals folded by ``module:qualname`` label.
 
@@ -73,10 +55,6 @@ class KernelProfiler:
             module = getattr(func, "__module__", "?")
             qualname = getattr(func, "__qualname__", repr(func))
             entry = folded.setdefault(f"{module}:{qualname}", [0, 0.0])
-            entry[0] += count
-            entry[1] += wall
-        for label, (count, wall) in self._labeled.items():
-            entry = folded.setdefault(label, [0, 0.0])
             entry[0] += count
             entry[1] += wall
         return folded

@@ -137,8 +137,7 @@ class JobStore:
     """
 
     def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None,
-                 log_queue_depth: int = 4096, log_drain_interval: float = 0.25,
-                 caches: bool = True):
+                 log_queue_depth: int = 4096, log_drain_interval: float = 0.25):
         self.sim = sim
         self.network = network
         self.seed = seed if seed is not None else sim.seed
@@ -168,11 +167,9 @@ class JobStore:
         # control-plane events per run — while the views are consulted on
         # every placement, churn action and status call; recomputing them
         # per call is an O(hosts) (or O(hosts log hosts)) cost per event at
-        # 10k nodes.  ``caches=False`` is the kill switch that restores the
-        # from-scratch recompute everywhere (digest-parity oracle; see
-        # tests/test_store_caches.py), and the sanitizer cross-checks the
-        # cached views after every control action.
-        self.caches_enabled = caches
+        # 10k nodes.  The sanitizer cross-checks the cached views against a
+        # from-scratch recompute after every control action
+        # (``Sanitizer.check_store_views``; tests/test_gcpolicy_caches.py).
         self._alive_daemons_cache: Optional[List[Splayd]] = None
         self._alive_ips_cache: Optional[List[str]] = None
         self._failed_ips_cache: Optional[List[str]] = None
@@ -242,8 +239,6 @@ class JobStore:
 
     def alive_daemons(self) -> List[Splayd]:
         """Alive daemons in registration order (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return [d for d in self.daemons.values() if d.alive]
         cache = self._alive_daemons_cache
         if cache is None:
             cache = [d for d in self.daemons.values() if d.alive]
@@ -252,8 +247,6 @@ class JobStore:
 
     def alive_host_ips(self) -> List[str]:
         """Sorted alive-host ips (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return sorted(ip for ip, daemon in self.daemons.items() if daemon.alive)
         cache = self._alive_ips_cache
         if cache is None:
             cache = sorted(ip for ip, daemon in self.daemons.items() if daemon.alive)
@@ -262,9 +255,6 @@ class JobStore:
 
     def failed_host_ips(self) -> List[str]:
         """Sorted failed-host ips (memoized; do not mutate)."""
-        if not self.caches_enabled:
-            return sorted(ip for ip, daemon in self.daemons.items()
-                          if not daemon.alive)
         cache = self._failed_ips_cache
         if cache is None:
             cache = sorted(ip for ip, daemon in self.daemons.items()
@@ -329,7 +319,8 @@ class JobStore:
     def plan_placements(self, job: Job, count: int) -> List[Tuple[Splayd, int]]:
         """Select hosts for ``count`` new instances (no side effects yet).
 
-        Selection is uniform over alive daemons with spare capacity,
+        Selection is uniform over the least-loaded alive daemons with spare
+        capacity (ties by a random draw over the ip-sorted pool),
         re-evaluated per instance with the instances planned so far counted
         against each daemon's free slots — the exact sequence the monolithic
         controller produced by spawning one instance at a time, but without
@@ -338,33 +329,17 @@ class JobStore:
         Instance ids come from the job's never-reused allocator, so a spawn
         that later fails leaves a gap instead of letting a future plan hand
         a live instance's id to a second node.
-        """
-        if self.caches_enabled:
-            return self._plan_placements_bucketed(job, count)
-        plan: List[Tuple[Splayd, int]] = []
-        pending: Dict[str, int] = {}
-        for _ in range(count):
-            daemon = self._select_daemon(pending)
-            if daemon is None:
-                break
-            plan.append((daemon, job.allocate_instance_id()))
-            pending[daemon.ip] = pending.get(daemon.ip, 0) + 1
-        return plan
 
-    def _plan_placements_bucketed(self, job: Job, count: int) -> List[Tuple[Splayd, int]]:
-        """Load-bucketed planner: same plan as :meth:`_select_daemon`, not O(N) per pick.
-
-        The naive planner rebuilds and re-sorts the full candidate list per
-        instance — O(N·H log H) for a whole-deployment plan, the dominant
-        deploy-phase cost at 10k nodes.  Bucketing daemons by load turns each
-        pick into O(1) amortized: draw from the minimum-load bucket, promote
-        the chosen daemon to the next one.  No simulator event runs between
-        picks, so daemon liveness and true loads cannot shift mid-plan.
-
-        Byte-identical to the naive path by construction: the min-load bucket
-        ip-sorted *is* the naive pool, and ``randrange(len(pool))`` consumes
-        the RNG exactly like ``choice(pool)`` (both make one ``_randbelow``
-        call) — asserted against the naive plan in tests/test_store_caches.py.
+        Sorting every candidate per pick is O(N·H log H) for a
+        whole-deployment plan — the dominant deploy-phase cost at 10k nodes —
+        so daemons are bucketed by load: draw from the minimum-load bucket,
+        promote the chosen daemon to the next one, O(1) amortized per pick.
+        No simulator event runs between picks, so daemon liveness and true
+        loads cannot shift mid-plan.  The min-load bucket ip-sorted *is* the
+        sort-per-pick pool, and ``randrange(len(pool))`` consumes the RNG
+        exactly like ``choice(pool)`` (one ``_randbelow`` call each) — held
+        to that planner (``naive_plan`` in tests/test_gcpolicy_caches.py)
+        draw for draw.
         """
         plan: List[Tuple[Splayd, int]] = []
         buckets: Dict[int, List[Splayd]] = {}
@@ -407,23 +382,6 @@ class JobStore:
                 dirty.add(new_load)
                 available += 1
         return plan
-
-    def _select_daemon(self, pending: Dict[str, int]) -> Optional[Splayd]:
-        candidates = []
-        for daemon in self.alive_daemons():
-            load = len(daemon.instances) + pending.get(daemon.ip, 0)
-            if daemon.limits.max_instances is not None and \
-                    load >= daemon.limits.max_instances:
-                continue
-            candidates.append((load, daemon))
-        if not candidates:
-            return None
-        # Prefer emptier daemons (balanced placement) with a random tiebreak,
-        # keyed on ip so the choice is stable across runs with one seed.
-        candidates.sort(key=lambda entry: (entry[0], entry[1].ip))
-        emptiest = candidates[0][0]
-        pool = [daemon for load, daemon in candidates if load == emptiest]
-        return self._rng.choice(pool)
 
 
 #: sort key for placement pools
@@ -566,7 +524,7 @@ class CtlShard:
         """Sanitizer cross-check of the store's memoized views (if installed)."""
         san = getattr(self.store.sim, "_san", None)
         if san is not None:
-            san.check_store_caches(self.store)
+            san.check_store_views(self.store)
 
     def _dispatch(self, daemon: Splayd, commands: List[tuple]) -> List[object]:
         """One batched command round to one daemon (+ stats)."""

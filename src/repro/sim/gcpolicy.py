@@ -1,4 +1,4 @@
-"""GC discipline for large deployments: freeze, tune, or take over collection.
+"""GC discipline for large deployments: raise the thresholds, then freeze.
 
 CPython's cyclic collector is generational, but every full (gen2) collection
 walks the *entire* tracked heap.  A 10k-node deployment keeps millions of
@@ -16,43 +16,37 @@ policy instead of the interpreter default:
   ``gc.collect()`` + ``gc.freeze()`` once the job is running: the
   deployment's long-lived graph moves to the permanent generation, which
   ambient collections never scan again.
-* ``manual`` — everything ``tuned`` does, plus ``gc.disable()``: ambient
-  collection is replaced entirely by explicit young-generation collects at
-  deterministic sim-time checkpoints (the harness's drain slices and phase
-  boundaries) and one full collect when the policy disengages.
+
+(A third mode that also disabled ambient collection and collected at the
+drain loop's slice boundaries was measured slower than both — 40.1k against
+44.8k ``tuned`` / 43.7k ``off`` events/s on the 1k-node cell — and is gone.)
 
 Determinism contract: the policy never schedules simulator events, draws no
 randomness and mutates no simulation state — collection only reclaims
 unreachable cycles, which no live object can observe.  Report digests are
-therefore byte-identical for every mode (asserted by
-``tests/test_gcpolicy.py`` across all four workloads and both kernels);
-the policy's own counters land in the digest-excluded ``gc`` report
-section and, when observability is on, in the metrics plane.
+therefore byte-identical for both modes (asserted by
+``tests/test_gcpolicy_caches.py`` across all four workloads and both
+kernels); the policy's own counters land in the digest-excluded ``gc``
+report section and, when observability is on, in the metrics plane.
 
-Public entry points: :class:`GCPolicy` and :data:`GC_MODES`.  The harness
-installs the policy on ``sim._gcpolicy`` (one attribute, like ``_san`` and
-``_obs``) so :func:`repro.apps.harness.drain` can run checkpoints without
-new plumbing through every driver.
+Public entry points: :class:`GCPolicy` and :data:`GC_MODES`.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Any, List, Optional
+from typing import List, Optional
 
-#: accepted ``--gc-policy`` values, in increasing interventionism
-GC_MODES = ("off", "tuned", "manual")
+#: accepted ``--gc-policy`` values
+GC_MODES = ("off", "tuned")
 
-#: generation thresholds used while a tuned/manual policy is engaged.  The
+#: generation thresholds used while the tuned policy is engaged.  The
 #: interpreter default (700, 10, 10) makes the collector run thousands of
 #: young collections during a mass deployment; a 50k allocation budget per
 #: gen0 pass keeps collection off the hot path without letting true garbage
 #: pile up unboundedly.
 TUNED_THRESHOLDS = (50_000, 25, 25)
-
-#: profiler site label explicit collects are charged to (``--profile``)
-PROFILE_SITE = "repro.sim.gcpolicy:GCPolicy.checkpoint"
 
 
 class GCPolicy:
@@ -61,11 +55,10 @@ class GCPolicy:
     Lifecycle: construct with a mode, :meth:`engage` before the substrate
     is built (thresholds go up so deployment does not thrash the young
     generations), :meth:`after_deploy` once the job is running (collect +
-    freeze, and ``gc.disable()`` under ``manual``), :meth:`checkpoint` at
-    deterministic sim-time points during the run, and :meth:`disengage`
-    before reporting (restores the interpreter's prior configuration).
-    Every step is idempotent and ``off`` turns them all into no-ops, so
-    call sites never need mode conditionals.
+    freeze) and :meth:`disengage` before reporting (restores the
+    interpreter's prior configuration).  Every step is idempotent and
+    ``off`` turns them all into no-ops, so call sites never need mode
+    conditionals.
     """
 
     def __init__(self, mode: str = "off"):
@@ -75,97 +68,56 @@ class GCPolicy:
         self.mode = mode
         self.engaged = False
         self.frozen = False
-        #: explicit collects run by :meth:`checkpoint`/:meth:`disengage`
+        #: explicit collects (the one before the post-deploy freeze), the
+        #: objects it reclaimed and the wall seconds it paused the run for
         self.explicit_collects = 0
-        #: objects reclaimed by explicit collects
         self.collected_objects = 0
-        #: wall seconds spent inside explicit collects (pause attribution)
         self.pause_wall_s = 0.0
-        self.pause_max_s = 0.0
         #: objects moved to the permanent generation by the post-deploy freeze
         self.frozen_objects = 0
         self._saved_thresholds: Optional[tuple] = None
-        self._saved_enabled: Optional[bool] = None
         self._stats_at_engage: Optional[List[dict]] = None
-        #: profiler hook (set by the harness when ``--profile`` is on) —
-        #: pauses are charged to :data:`PROFILE_SITE` like any callback site
-        self.profiler: Optional[Any] = None
 
     # -------------------------------------------------------------- lifecycle
     def engage(self) -> "GCPolicy":
-        """Raise thresholds for the deployment phase (tuned/manual only)."""
+        """Raise thresholds for the deployment phase (``tuned`` only)."""
         if self.mode == "off" or self.engaged:
             return self
         self.engaged = True
         self._saved_thresholds = gc.get_threshold()
-        self._saved_enabled = gc.isenabled()
         self._stats_at_engage = gc.get_stats()
         gc.set_threshold(*TUNED_THRESHOLDS)
         return self
 
     def after_deploy(self) -> None:
-        """Collect once, freeze the deployed object graph, go manual if asked.
+        """Collect once, then freeze the deployed object graph.
 
         Everything alive at this point — the topology, daemons, instances
         and application state — stays alive for the whole run; freezing it
-        moves it to the permanent generation so no ambient (or checkpoint)
-        collection ever scans it again.
+        moves it to the permanent generation so no ambient collection ever
+        scans it again.
         """
         if self.mode == "off" or not self.engaged or self.frozen:
             return
-        before = len(gc.get_objects())
-        self._timed_collect(2)
+        started = time.perf_counter()  # det: ignore[DET102] -- GC pause attribution, digest-excluded
+        self.collected_objects = gc.collect()
+        self.pause_wall_s = time.perf_counter() - started  # det: ignore[DET102] -- GC pause attribution, digest-excluded
+        self.explicit_collects = 1
         gc.freeze()
         self.frozen = True
         self.frozen_objects = gc.get_freeze_count()
-        del before
-        if self.mode == "manual":
-            gc.disable()
-
-    def checkpoint(self) -> None:
-        """One deterministic-sim-time explicit collect (manual mode only).
-
-        Young generations only: the post-deploy graph is frozen, so this
-        scans just the objects allocated since the last checkpoint — cost
-        proportional to recent allocation, never to deployment size.
-        """
-        if self.mode != "manual" or not self.frozen:
-            return
-        self._timed_collect(1)
 
     def disengage(self) -> None:
         """Restore the interpreter's prior GC configuration (idempotent)."""
         if not self.engaged:
             return
-        if self.mode == "manual":
-            # One full sweep picks up every cycle created while ambient
-            # collection was off, so nothing leaks past the deployment.
-            self._timed_collect(2)
         if self.frozen:
             gc.unfreeze()
             self.frozen = False
-        if self._saved_thresholds is not None:
-            gc.set_threshold(*self._saved_thresholds)
-        if self._saved_enabled:
-            gc.enable()
-        elif self._saved_enabled is not None:
-            gc.disable()
+        gc.set_threshold(*self._saved_thresholds)
         self.engaged = False
 
     # ------------------------------------------------------------- accounting
-    def _timed_collect(self, generation: int) -> None:
-        started = time.perf_counter()  # det: ignore[DET102] -- GC pause attribution, digest-excluded
-        reclaimed = gc.collect(generation)
-        pause = time.perf_counter() - started  # det: ignore[DET102] -- GC pause attribution, digest-excluded
-        self.explicit_collects += 1
-        self.collected_objects += reclaimed
-        self.pause_wall_s += pause
-        if pause > self.pause_max_s:
-            self.pause_max_s = pause
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.add_site(PROFILE_SITE, pause)
-
     def ambient_collections(self) -> List[int]:
         """Per-generation ambient collection counts since :meth:`engage`."""
         if self._stats_at_engage is None:
@@ -181,7 +133,6 @@ class GCPolicy:
             "explicit_collects": self.explicit_collects,
             "collected_objects": self.collected_objects,
             "pause_wall_s": round(self.pause_wall_s, 6),
-            "pause_max_s": round(self.pause_max_s, 6),
             "ambient_collections": self.ambient_collections(),
             "thresholds": list(gc.get_threshold()),
         }

@@ -6,33 +6,27 @@ it.  Determinism is guaranteed by a monotonically increasing sequence number
 used to break ties between events scheduled for the same instant, and by the
 simulator-owned random number generator.
 
-Two interchangeable kernels implement the event queue:
+The event queue is a timer wheel tuned for the dominant short-delay periodic
+events (RPC timeouts, stabilization rounds, churn ticks).  Four structures
+cooperate, all ordered by the exact ``(time, seq)`` key:
 
-``kernel="wheel"`` (default)
-    A timer wheel tuned for the dominant short-delay periodic events (RPC
-    timeouts, stabilization rounds, churn ticks).  Four structures cooperate,
-    all ordered by the exact ``(time, seq)`` key so the execution order is
-    byte-identical to the heap kernel:
+* a *ready* deque — events scheduled for the current instant
+  (``delay == 0``, the process-step hot path).  Appends are naturally
+  sorted because both the clock and the sequence counter are monotonic,
+  so no heap operation is ever needed for them;
+* a *cursor* heap — events belonging to wheel buckets the clock has
+  already reached;
+* the *wheel* — one unsorted bucket per tick for events within the
+  horizon (``WHEEL_TICK * WHEEL_SLOTS`` seconds).  Insertion is an O(1)
+  list append; cancelled events are purged in bulk when their bucket is
+  loaded into the cursor;
+* an *overflow* heap for far-future events (beyond the horizon), with
+  lazy compaction once cancelled entries dominate.
 
-    * a *ready* deque — events scheduled for the current instant
-      (``delay == 0``, the process-step hot path).  Appends are naturally
-      sorted because both the clock and the sequence counter are monotonic,
-      so no heap operation is ever needed for them;
-    * a *cursor* heap — events belonging to wheel buckets the clock has
-      already reached;
-    * the *wheel* — one unsorted bucket per tick for events within the
-      horizon (``wheel_tick * wheel_slots`` seconds).  Insertion is an O(1)
-      list append; cancelled events are purged in bulk when their bucket is
-      loaded into the cursor;
-    * an *overflow* heap for far-future events (beyond the horizon), with
-      lazy compaction once cancelled entries dominate.
-
-``kernel="heap"``
-    The original binary-heap kernel, kept as a faithful baseline for
-    ``scenarios bench`` comparisons.
-
-Both kernels maintain an O(1) pending-event counter (the heap kernel used to
-scan the whole queue on every :attr:`Simulator.pending_events` read).
+The binary-heap queue this replaced lives on as the reference oracle
+``tests/heap_kernel_reference.py``: a differential schedule fuzzer
+(``tests/test_kernel_fuzz.py``) and the scenario-level digest tests hold the
+wheel to its ``(time, seq)`` execution order event for event.
 """
 
 from __future__ import annotations
@@ -48,6 +42,15 @@ _getrefcount = getattr(sys, "getrefcount", None)
 
 #: upper bound on recycled ScheduledEvent objects kept per simulator
 _FREE_LIST_MAX = 4096
+
+#: bucket granularity (seconds) and bucket count of the timer wheel.  The
+#: horizon (``WHEEL_TICK * WHEEL_SLOTS`` = 204.8 s) covers the common delays
+#: (RPC timeouts, stabilization periods); longer delays go to the overflow
+#: heap.  The slot count is a power of two so slot indexing is a mask.
+WHEEL_TICK = 0.05
+WHEEL_SLOTS = 4096
+_INV_TICK = 1.0 / WHEEL_TICK
+_SLOT_MASK = WHEEL_SLOTS - 1
 
 
 class ScheduledEvent:
@@ -91,9 +94,6 @@ class ScheduledEvent:
         """True while the event has neither fired nor been cancelled."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<ScheduledEvent t={self.time:.6f} seq={self.seq} {state}>"
@@ -109,30 +109,12 @@ class Simulator:
         models (latency jitter, loss, host load, workloads) must draw either
         from :attr:`rng` or from a substream derived via
         :func:`repro.sim.rng.substream` so that runs are reproducible.
-    kernel:
-        ``"wheel"`` (timer wheel + overflow heap, default) or ``"heap"``
-        (the original binary-heap kernel).  Both execute events in exactly
-        the same ``(time, seq)`` order, so results are byte-identical; the
-        wheel is simply faster on timer-churn-heavy workloads.
-    wheel_tick / wheel_slots:
-        Bucket granularity and count of the timer wheel.  The horizon
-        (``wheel_tick * wheel_slots``) should cover the common delays (RPC
-        timeouts, stabilization periods); longer delays fall back to the
-        overflow heap.
     """
 
-    def __init__(self, seed: int = 0, kernel: str = "wheel",
-                 wheel_tick: float = 0.05, wheel_slots: int = 4096):
-        if kernel not in ("wheel", "heap"):
-            raise ValueError(f"unknown kernel: {kernel!r} (expected 'wheel' or 'heap')")
-        if wheel_tick <= 0 or wheel_slots < 2:
-            raise ValueError("wheel_tick must be positive and wheel_slots >= 2")
-        self.kernel = kernel
-        self._use_wheel = kernel == "wheel"
+    def __init__(self, seed: int = 0):
         self._now: float = 0.0
         self._seq: int = 0
         self._stop_requested = False
-        self._running = False
         self.seed = seed
         self.rng = random.Random(seed)
         #: number of callbacks executed so far (useful for tests and stats)
@@ -149,17 +131,9 @@ class Simulator:
         self._pending = 0
         self._epoch = 0
         self._next_pid = 0
-        # --- heap kernel state
-        self._heap: list[ScheduledEvent] = []
-        # --- wheel kernel state
-        self._tick = float(wheel_tick)
-        self._inv_tick = 1.0 / float(wheel_tick)
-        # rounded up to a power of two so slot indexing is a mask, not a modulo
-        self._slots = 1 << (int(wheel_slots) - 1).bit_length()
-        self._slot_mask = self._slots - 1
         self._ready: deque = deque()
         self._cursor: list = []
-        self._wheel: list[list] = [[] for _ in range(self._slots)] if kernel == "wheel" else []
+        self._wheel: list[list] = [[] for _ in range(WHEEL_SLOTS)]
         self._wheel_count = 0
         self._cur_tick = 0
         self._overflow: list = []
@@ -180,10 +154,6 @@ class Simulator:
         #: origin-stamping hook (obs tracing only; the sanitizer stamps
         #: through its own note_scheduled when both are installed)
         self._obs_stamp = None
-        #: GC discipline (repro.sim.gcpolicy.GCPolicy) or None — the
-        #: harness's drain loop runs explicit-collect checkpoints through
-        #: this pointer; never consulted on the event hot path
-        self._gcpolicy = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -222,7 +192,7 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Every event of both kernels is inserted in this one frame.
+        Every event is inserted in this one frame.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
@@ -251,26 +221,22 @@ class Simulator:
         elif self._obs_stamp is not None:
             self._obs_stamp(event)
         self._pending += 1
-        if not self._use_wheel:
-            heappush(self._heap, event)
-            return event
         if when == now:
             # Hot path: process steps / future resumptions scheduled "now".
             # The deque stays sorted because time and seq are both monotonic.
             self._ready.append((when, seq, event))
             return event
         # Inline _bucket_of: one multiply plus boundary corrections.
-        tick = self._tick
-        bucket = int(when * self._inv_tick)
-        while bucket * tick > when:
+        bucket = int(when * _INV_TICK)
+        while bucket * WHEEL_TICK > when:
             bucket -= 1
-        while (bucket + 1) * tick <= when:
+        while (bucket + 1) * WHEEL_TICK <= when:
             bucket += 1
         cur = self._cur_tick
         if bucket <= cur:
             heappush(self._cursor, (when, seq, event))
-        elif bucket - cur < self._slots:
-            self._wheel[bucket & self._slot_mask].append((when, seq, event))
+        elif bucket - cur < WHEEL_SLOTS:
+            self._wheel[bucket & _SLOT_MASK].append((when, seq, event))
             self._wheel_count += 1
         else:
             event._overflow = True
@@ -282,9 +248,13 @@ class Simulator:
         now = self._now
         if when < now:
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
+        if when == now:
+            # The ready deque is the one structure ordered against later
+            # ``schedule(0.0)`` events wherever the wheel cursor stands (a
+            # drained ``run(until)`` parks the clock ahead of it).
+            return self.schedule(0.0, callback, *args)
         # ``now + (when - now)`` can round one ulp off ``when``; from a clock at
-        # zero the delay *is* the absolute time.  (An event for this instant
-        # then sits in the cursor heap, which the run loop merges by key.)
+        # zero the delay *is* the absolute time.
         self._now = 0.0
         try:
             return self.schedule(when, callback, *args)
@@ -300,11 +270,10 @@ class Simulator:
         """Tick index ``b`` with ``b*tick <= when < (b+1)*tick`` under exact
         float comparison (the correction loops absorb multiplication
         rounding, keeping bucket boundaries consistent everywhere)."""
-        tick = self._tick
-        idx = int(when * self._inv_tick)
-        while idx * tick > when:
+        idx = int(when * _INV_TICK)
+        while idx * WHEEL_TICK > when:
             idx -= 1
-        while (idx + 1) * tick <= when:
+        while (idx + 1) * WHEEL_TICK <= when:
             idx += 1
         return idx
 
@@ -342,10 +311,9 @@ class Simulator:
         target = -1
         if self._wheel_count:
             wheel = self._wheel
-            mask = self._slot_mask
             t = self._cur_tick + 1
-            end = t + self._slots
-            while t < end and not wheel[t & mask]:
+            end = t + WHEEL_SLOTS
+            while t < end and not wheel[t & _SLOT_MASK]:
                 t += 1
             target = t
         if overflow:
@@ -355,7 +323,7 @@ class Simulator:
         if target < 0:
             return False
         self._cur_tick = target
-        slot = target & self._slot_mask
+        slot = target & _SLOT_MASK
         bucket = self._wheel[slot]
         cursor = self._cursor
         if bucket:
@@ -379,7 +347,7 @@ class Simulator:
                 cursor.extend(live)
                 heapify(cursor)
         if overflow:
-            boundary = (target + 1) * self._tick
+            boundary = (target + 1) * WHEEL_TICK
             while overflow and overflow[0][0] < boundary:
                 entry = heappop(overflow)
                 event = entry[2]
@@ -395,7 +363,7 @@ class Simulator:
                     heappush(cursor, entry)
         return True
 
-    def _pop_next_wheel(self) -> Optional[ScheduledEvent]:
+    def _pop_next(self) -> Optional[ScheduledEvent]:
         """Remove and return the next pending event in (time, seq) order."""
         ready = self._ready
         cursor = self._cursor
@@ -431,23 +399,7 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the event
         queue was empty (cancelled events are skipped transparently).
         """
-        if not self._use_wheel:
-            heap = self._heap
-            free = self._free
-            while heap:
-                event = heappop(heap)
-                if event.cancelled:
-                    # refs: the event local + getrefcount's argument.
-                    if _getrefcount is not None and _getrefcount(event) == 2 \
-                            and len(free) < _FREE_LIST_MAX:
-                        event.callback = None
-                        event.args = ()
-                        free.append(event)
-                    continue
-                self._execute(event)
-                return True
-            return False
-        event = self._pop_next_wheel()
+        event = self._pop_next()
         if event is None:
             return False
         self._execute(event)
@@ -485,39 +437,6 @@ class Simulator:
         ``until`` (they must remain schedulable at their original times).
         """
         self._stop_requested = False
-        self._running = True
-        try:
-            if not self._use_wheel:
-                return self._run_heap(until)
-            return self._run_wheel(until)
-        finally:
-            self._running = False
-
-    def _run_heap(self, until: Optional[float]) -> float:
-        heap = self._heap
-        free = self._free
-        while heap and not self._stop_requested:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                # refs: the head local + getrefcount's argument.
-                if _getrefcount is not None and _getrefcount(head) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    head.callback = None
-                    head.args = ()
-                    free.append(head)
-                continue
-            if until is not None and head.time > until:
-                self._now = until
-                return self._now
-            heappop(heap)
-            self._execute(head)
-        if not heap and not self._stop_requested:
-            if until is not None and self._now < until:
-                self._now = until
-        return self._now
-
-    def _run_wheel(self, until: Optional[float]) -> float:
         ready = self._ready
         cursor = self._cursor
         free = self._free
@@ -578,10 +497,6 @@ class Simulator:
                 self._free.append(event)
         return self._now
 
-    def run_for(self, duration: float) -> float:
-        """Run for ``duration`` seconds of virtual time from the current instant."""
-        return self.run(until=self._now + duration)
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stop_requested = True
@@ -592,27 +507,19 @@ class Simulator:
         """Number of scheduled, not-yet-cancelled events (O(1))."""
         return self._pending
 
-    @property
-    def running(self) -> bool:
-        """True while :meth:`run` is executing."""
-        return self._running
-
     def clear(self) -> None:
         """Drop all pending events (the clock is left unchanged)."""
         self._epoch += 1
         self._cleared_events += self._pending
         self._pending = 0
-        self._heap.clear()
         self._ready.clear()
         self._cursor.clear()
-        if self._use_wheel:
-            if self._wheel_count:
-                self._wheel = [[] for _ in range(self._slots)]
-            self._wheel_count = 0
-            self._cur_tick = self._bucket_of(self._now)
+        if self._wheel_count:
+            self._wheel = [[] for _ in range(WHEEL_SLOTS)]
+        self._wheel_count = 0
+        self._cur_tick = self._bucket_of(self._now)
         self._overflow.clear()
         self._overflow_ghosts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator kernel={self.kernel} now={self._now:.6f} "
-                f"pending={self.pending_events}>")
+        return f"<Simulator now={self._now:.6f} pending={self.pending_events}>"

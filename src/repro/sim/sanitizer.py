@@ -273,7 +273,7 @@ class Sanitizer:
                         provenance=self.current_label())
 
     # --------------------------------------------------- control-plane seam
-    def check_store_caches(self, store: Any) -> None:
+    def check_store_views(self, store: Any) -> None:
         """Every memoized store/job view must equal a from-scratch recompute.
 
         The placement planner, churn victim selection and harness iteration

@@ -2,6 +2,7 @@
 
 import pytest
 
+from heap_kernel_reference import KERNELS, make_simulator
 from repro.net.bandwidth import BandwidthModel
 from repro.net.bwalloc import BULK, CONTROL, allocator_names
 from repro.net.network import Network
@@ -160,7 +161,7 @@ def test_transfer_progress_accounting():
     assert transfer.started_at == 0.0
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     """Regression: the settled byte count only moves when rates change.
 
@@ -169,7 +170,7 @@ def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     completion interval.  Passing ``now`` extrapolates along the current
     rate from the last settlement and clamps at the transfer size.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)  # 1 MB/s
     transfer = bw.transfer("A", "B", 2_000_000)
@@ -187,7 +188,7 @@ def test_bytes_transferred_accrues_between_rate_recomputes(kernel):
     assert transfer.bytes_transferred(sim.now + 60.0) == transfer.total_bytes
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_cancellation_from_completion_callback_mid_recompute(kernel):
     """A completion callback cancelling another flow re-enters _reallocate.
 
@@ -195,7 +196,7 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     future's callbacks fire; the nested cancel must not corrupt the flow
     table, double-count, or strand the bystander flow.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     short = bw.transfer("A", "B", 500_000)
@@ -212,9 +213,37 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     assert bw.bytes_completed == short.total_bytes + bystander.total_bytes
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("allocator", allocator_names())
+def test_transfer_finishing_below_the_clock_resolution_completes(allocator):
+    """Regression: 10 bytes over an unlimited path at t=5000 s need 8e-14 s,
+    and ``5000.0 + 8e-14 == 5000.0`` — the completion tick used to re-fire at
+    the same instant with nothing elapsed, settle nothing and re-arm itself
+    forever, so the transfer's future never resolved."""
+    sim = Simulator(0)
+    model = BandwidthModel(sim)
+    model.configure(allocator=allocator)
+    sim.run(until=5000.0)
+    tiny = model.transfer("A", "B", 10)
+    # Done as far as the clock can tell, within the call: no event needed.
+    assert tiny.done.done() and tiny.done.result() == 5000.0
+    assert model.completed == 1 and model.bytes_completed == 10
+    assert model.active_transfers == 0 and sim.pending_events == 0
+    # A flow the clock *can* time is untouched by a sub-resolution neighbour:
+    # same rate, same completion instant, one completion tick.
+    model.set_capacity("C", 8_000_000, None)
+    timed = model.transfer("C", "D", 1_000_000)
+    model.transfer("A", "B", 10)
+    assert timed.rate_bps == 8_000_000 and not timed.done.done()
+    for _ in range(10):  # bounded: a livelock must fail, not hang
+        if not sim.step():
+            break
+    assert timed.done.result() == 5001.0
+    assert model.completed == 3 and sim.pending_events == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_zero_byte_transfer_completes_immediately(kernel):
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     empty = bw.transfer("A", "B", 0)
@@ -231,7 +260,7 @@ def test_zero_byte_transfer_completes_immediately(kernel):
     assert bw.completed == 3
 
 
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
     """Two identical flows finish at the same instant on both kernels.
 
@@ -239,7 +268,7 @@ def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
     zero-length follow-up interval), and the tie-break — partition order =
     start order — is the same under the wheel and the heap.
     """
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     bw = BandwidthModel(sim)
     bw.set_capacity("A", 8_000_000, None)
     first = bw.transfer("A", "B", 1_000_000)

@@ -1,10 +1,11 @@
-"""The ``scenarios bench`` harness: sweep, CSV/JSON schema, regression gate."""
+"""The ``scenarios bench`` harness: sweep, CSV/JSON schema, exact baseline gate."""
 
 import csv
 import json
 
 import pytest
 
+from repro.apps.harness import RunConfig
 from repro.apps.scenarios import (
     BENCH_CSV_COLUMNS,
     _aggregate_seed_rows,
@@ -17,23 +18,22 @@ from repro.apps.scenarios import (
 
 
 def test_run_bench_produces_rows_for_every_grid_cell(tmp_path):
-    summary = run_bench(nodes_list=[8], churn_rates=[0.0], kernels=["wheel", "heap"],
-                        seed=3, lookups=5, micro_duration=2.0, quiet=True)
+    summary = run_bench(nodes_list=[8], churn_rates=[0.0, 0.05],
+                        config=RunConfig(seed=3), lookups=5,
+                        micro_duration=2.0, quiet=True)
     rows = summary["rows"]
     scenario_rows = [r for r in rows if r["row_type"] == "scenario"]
     kernel_rows = [r for r in rows if r["row_type"] == "kernel"]
-    assert len(scenario_rows) == 2  # one per kernel
-    assert len(kernel_rows) == 2
-    assert summary["mismatches"] == []  # kernels must agree byte-for-byte
-    digests = {r["report_digest"] for r in scenario_rows}
-    assert len(digests) == 1
+    assert [r["churn_rate"] for r in scenario_rows] == [0.0, 0.05]
+    assert len(kernel_rows) == 1  # one microbench cell per ring size
+    assert all(r["kernel"] == "wheel" for r in rows)
     for row in scenario_rows:
         assert row["workload"] == "chord"  # the active workload is recorded
         assert row["hosts"] == 8
         assert row["events_executed"] > 0
         assert row["events_per_sec"] > 0
         assert 0.0 <= row["success_rate"] <= 1.0
-    assert "kernel" in summary["speedups"]
+        assert row["report_digest"]
 
     csv_path = tmp_path / "bench.csv"
     write_bench_csv(str(csv_path), rows)
@@ -47,8 +47,9 @@ def test_run_bench_produces_rows_for_every_grid_cell(tmp_path):
 
 
 def test_run_bench_sweeps_host_counts_and_other_workloads():
-    summary = run_bench(nodes_list=[10], churn_rates=[0.0], kernels=["wheel"],
-                        seed=3, lookups=5, micro_duration=1.0, quiet=True,
+    summary = run_bench(nodes_list=[10], churn_rates=[0.0],
+                        config=RunConfig(seed=3), lookups=5,
+                        micro_duration=1.0, quiet=True,
                         workload="pastry", hosts_list=[4, 8])
     scenario_rows = [r for r in summary["rows"] if r["row_type"] == "scenario"]
     assert len(scenario_rows) == 2  # one per host count
@@ -92,51 +93,90 @@ def test_aggregate_seed_rows_means_perf_and_keeps_the_first_digest():
 
 
 def test_run_bench_multi_seed_emits_means_with_ci():
-    summary = run_bench(nodes_list=[8], churn_rates=[0.0], kernels=["wheel"],
-                        seed=3, seeds=2, lookups=5, micro_duration=1.0,
-                        quiet=True)
+    summary = run_bench(nodes_list=[8], churn_rates=[0.0],
+                        config=RunConfig(seed=3), seeds=2, lookups=5,
+                        micro_duration=1.0, quiet=True)
     (row,) = [r for r in summary["rows"] if r["row_type"] == "scenario"]
     assert row["seeds"] == 2
     assert row["events_per_sec"] > 0
     assert row["events_per_sec_ci95"] >= 0
     assert summary["config"]["seeds"] == 2
-    assert summary["mismatches"] == []
 
 
 def test_run_bench_records_the_testbed_in_every_scenario_row():
-    summary = run_bench(nodes_list=[8], churn_rates=[0.0], kernels=["wheel"],
-                        seed=3, lookups=5, micro_duration=1.0, quiet=True,
-                        testbed="cluster")
+    summary = run_bench(nodes_list=[8], churn_rates=[0.0],
+                        config=RunConfig(seed=3, testbed="cluster"),
+                        lookups=5, micro_duration=1.0, quiet=True)
     scenario_rows = [r for r in summary["rows"] if r["row_type"] == "scenario"]
     assert all(r["testbed"] == "cluster" for r in scenario_rows)
     assert summary["config"]["testbed"] == "cluster"
 
 
-def test_kernel_timer_churn_is_deterministic_per_kernel():
-    wheel = _kernel_timer_churn("wheel", nodes=10, duration=5.0)
-    heap = _kernel_timer_churn("heap", nodes=10, duration=5.0)
-    # identical workloads: both kernels execute exactly the same events
+def test_kernel_timer_churn_is_deterministic_per_kernel(monkeypatch):
+    from heap_kernel_reference import HeapSimulator
+
+    wheel = _kernel_timer_churn(nodes=10, duration=5.0)
+    # identical workloads: the heap oracle executes exactly the same events
+    monkeypatch.setattr("repro.apps.scenarios.Simulator", HeapSimulator)
+    heap = _kernel_timer_churn(nodes=10, duration=5.0)
     assert wheel["events_executed"] == heap["events_executed"] > 0
 
 
-def test_check_bench_regression_flags_only_large_drops():
+_BASE_ROW = {"row_type": "scenario", "workload": "chord", "kernel": "wheel",
+             "nodes": 20, "churn_rate": 0.0, "seed": 0, "seeds": 1,
+             "events_executed": 70_030, "messages_sent": 36_398,
+             "report_digest": "f80bb554bef0b435", "wall_sec": 1.0,
+             "events_per_sec": 70_030.0, "peak_rss_kb": 40_000, "jobs": 1}
+
+
+def test_check_bench_regression_is_exact_on_deterministic_columns():
     baseline = {"rows": [
-        {"row_type": "kernel", "kernel": "wheel", "nodes": 20, "churn_rate": "",
-         "events_per_sec": 1000.0},
-        {"row_type": "scenario", "kernel": "wheel", "nodes": 20, "churn_rate": 0.0,
-         "events_per_sec": 500.0},
-        {"row_type": "scenario", "kernel": "wheel", "nodes": 999, "churn_rate": 0.0,
-         "events_per_sec": 500.0},  # cell absent from the current run: ignored
+        _BASE_ROW,
+        dict(_BASE_ROW, row_type="kernel", workload="", churn_rate=""),
+        dict(_BASE_ROW, nodes=999),  # cell absent from the current run: ignored
     ]}
-    current = {"rows": [
-        {"row_type": "kernel", "kernel": "wheel", "nodes": 20, "churn_rate": "",
-         "events_per_sec": 800.0},   # -20%: within the 30% tolerance
-        {"row_type": "scenario", "kernel": "wheel", "nodes": 20, "churn_rate": 0.0,
-         "events_per_sec": 300.0},   # -40%: regression
-    ]}
-    failures = check_bench_regression(current, baseline, tolerance=0.30)
+    same = {"rows": [dict(_BASE_ROW),
+                     dict(_BASE_ROW, row_type="kernel", workload="",
+                          churn_rate="")]}
+    failures, notes = check_bench_regression(same, baseline)
+    assert failures == [] and len(notes) == 2
+    # One more event, one message fewer: a failure that names both columns
+    # (and only those) with the baseline's and the run's values.
+    moved = {"rows": [dict(_BASE_ROW, events_executed=70_031,
+                           messages_sent=36_397)]}
+    (failure,), _notes = check_bench_regression(moved, baseline)
+    assert "events_executed 70030 -> 70031" in failure
+    assert "messages_sent 36398 -> 36397" in failure
+    assert "report_digest" not in failure and "wall_sec" not in failure
+    # A column one side lacks is a difference too (a schema change must
+    # regenerate the baseline, not slip through).
+    extra = {"rows": [dict(_BASE_ROW, bytes_sent=1)]}
+    (failure,), _notes = check_bench_regression(extra, baseline)
+    assert "bytes_sent None -> 1" in failure
+
+
+def test_check_bench_regression_reports_wall_columns_as_information():
+    # The machine's speed is not a verdict: 4x slower, 3x the RSS, another
+    # worker count — no failure, but the ratios are reported.
+    baseline = {"rows": [dict(_BASE_ROW, row_type="scale")]}
+    slow = {"rows": [dict(_BASE_ROW, row_type="scale", wall_sec=4.0,
+                          events_per_sec=17_507.5, peak_rss_kb=120_000,
+                          jobs=2)]}
+    failures, (note,) = check_bench_regression(slow, baseline)
+    assert failures == []
+    assert "wall 4.00x" in note and "events/sec 0.25x" in note
+    assert "peak RSS 3.00x" in note
+
+
+def test_check_bench_regression_fails_when_no_cell_is_shared():
+    # Regression: a baseline for another grid (or another seed) used to pass
+    # vacuously — every cell was skipped and nothing was compared.
+    baseline = {"rows": [dict(_BASE_ROW, nodes=50), dict(_BASE_ROW, seed=9)]}
+    failures, notes = check_bench_regression({"rows": [_BASE_ROW]}, baseline)
+    assert notes == []
+    assert len(failures) == 1 and "nothing was checked" in failures[0]
+    failures, _notes = check_bench_regression({"rows": []}, baseline)
     assert len(failures) == 1
-    assert "scenario" in failures[0] and "40%" in failures[0]
 
 
 def test_bench_cli_writes_csv_and_json(tmp_path, capsys):
@@ -151,22 +191,40 @@ def test_bench_cli_writes_csv_and_json(tmp_path, capsys):
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
     assert summary["config"]["nodes"] == [8]
-    assert summary["mismatches"] == []
     out = capsys.readouterr().out
     assert "wrote" in out
+
+    # --check against the file just written: every cell shared, every
+    # deterministic column equal, wall ratios printed as information.
+    recheck = ["bench", "--nodes", "8", "--churn-rates", "0", "--lookups", "5",
+               "--micro-duration", "2", "--csv", str(csv_path),
+               "--json", str(tmp_path / "again.json"), "--quiet"]
+    assert main(recheck + ["--check", str(json_path)]) == 0
+    assert "information only" in capsys.readouterr().out
+    # A perturbed baseline cell and a disjoint baseline both exit non-zero.
+    summary["rows"][0]["messages_sent"] += 1
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(json.dumps(summary))
+    assert main(recheck + ["--check", str(perturbed)]) == 4
+    assert "messages_sent" in capsys.readouterr().err
+    for row in summary["rows"]:
+        row["nodes"] = 9
+    perturbed.write_text(json.dumps(summary))
+    assert main(recheck + ["--check", str(perturbed)]) == 4
+    assert "nothing was checked" in capsys.readouterr().err
 
 
 def test_run_bench_jobs_pool_matches_serial_byte_for_byte():
     """The --jobs contract: pooled runs differ from serial only in timing."""
     from repro.apps.scenarios import BENCH_TIMING_COLUMNS, deterministic_row_view
 
-    kwargs = dict(nodes_list=[8], churn_rates=[0.0], kernels=["wheel", "heap"],
-                  seed=3, lookups=5, micro_duration=1.0, quiet=True)
+    kwargs = dict(nodes_list=[8, 10], churn_rates=[0.0],
+                  config=RunConfig(seed=3), lookups=5, micro_duration=1.0,
+                  quiet=True)
     serial = run_bench(jobs=1, **kwargs)
     pooled = run_bench(jobs=4, **kwargs)
     assert [deterministic_row_view(r) for r in serial["rows"]] == \
            [deterministic_row_view(r) for r in pooled["rows"]]
-    assert pooled["mismatches"] == []
     assert all(r["jobs"] == 4 for r in pooled["rows"])
     assert all(r["jobs"] == 1 for r in serial["rows"])
     # Digests are part of the deterministic view, but assert explicitly:
@@ -176,7 +234,8 @@ def test_run_bench_jobs_pool_matches_serial_byte_for_byte():
     pooled_digests = [r["report_digest"] for r in pooled["rows"]
                       if r["row_type"] == "scenario"]
     assert serial_digests == pooled_digests
-    # Timing columns exist on every row (masked above, gated by --check).
+    # Timing columns exist on every row (masked above; --check reports them
+    # as information only).
     for row in pooled["rows"]:
         assert BENCH_TIMING_COLUMNS <= set(row)
 
@@ -184,8 +243,8 @@ def test_run_bench_jobs_pool_matches_serial_byte_for_byte():
 def test_run_scale_bench_records_peak_rss_per_cell():
     from repro.apps.scenarios import run_scale_bench
 
-    summary = run_scale_bench(scales=[30], jobs=1, seed=3, lookups=5,
-                              quiet=True)
+    summary = run_scale_bench(scales=[30], jobs=1, config=RunConfig(seed=3),
+                              lookups=5, quiet=True)
     (row,) = summary["rows"]
     assert row["row_type"] == "scale"
     assert row["workload"] == "chord"
@@ -196,23 +255,6 @@ def test_run_scale_bench_records_peak_rss_per_cell():
     assert row["report_digest"]
     assert summary["bench"] == "scale"
     assert summary["config"]["scales"] == [30]
-
-
-def test_check_bench_regression_gates_scale_rows_on_peak_rss():
-    base_row = {"row_type": "scale", "kernel": "wheel", "nodes": 1000,
-                "churn_rate": 0.0, "events_per_sec": 1000.0,
-                "peak_rss_kb": 100_000}
-    baseline = {"rows": [base_row]}
-    ok = {"rows": [dict(base_row, events_per_sec=950.0, peak_rss_kb=120_000)]}
-    assert check_bench_regression(ok, baseline, rss_tolerance=0.50) == []
-    bloated = {"rows": [dict(base_row, peak_rss_kb=160_000)]}
-    failures = check_bench_regression(bloated, baseline, rss_tolerance=0.50)
-    assert len(failures) == 1 and "peak RSS" in failures[0]
-    # Non-scale rows never gate on RSS (serial runs report cumulative RSS).
-    scenario_base = dict(base_row, row_type="scenario")
-    scenario_bloat = {"rows": [dict(scenario_base, peak_rss_kb=500_000)]}
-    assert check_bench_regression(scenario_bloat,
-                                  {"rows": [scenario_base]}) == []
 
 
 def test_scale_windows_grow_with_log10_of_the_node_count():
@@ -247,8 +289,8 @@ def test_scale_efficiency_is_largest_over_smallest_events_per_sec():
 def test_bench_rows_carry_phase_wall_columns():
     from repro.apps.scenarios import run_scale_bench
 
-    summary = run_scale_bench(scales=[30], jobs=1, seed=3, lookups=5,
-                              quiet=True)
+    summary = run_scale_bench(scales=[30], jobs=1, config=RunConfig(seed=3),
+                              lookups=5, quiet=True)
     (row,) = summary["rows"]
     for column in ("wall_deploy_s", "wall_run_s", "wall_drain_s"):
         assert column in BENCH_CSV_COLUMNS

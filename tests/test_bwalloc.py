@@ -19,8 +19,10 @@ import random
 
 import pytest
 
+from heap_kernel_reference import KERNELS, make_simulator, use_kernel
 from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
+from repro.apps.harness import RunConfig
 from repro.net.bandwidth import BandwidthModel
 from repro.net.bwalloc import (
     BULK,
@@ -30,7 +32,6 @@ from repro.net.bwalloc import (
     allocator_names,
     make_allocator,
 )
-from repro.sim.kernel import Simulator
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 
 CAP_BPS = 10_000_000
@@ -44,7 +45,7 @@ PRE_REFACTOR_CHURN_DIGEST = "a4225db7940032d4"
 
 def _model(seed=0, allocator="max-min", incremental=True, hosts=12,
            kernel="wheel", sanitize=False):
-    sim = Simulator(seed, kernel=kernel)
+    sim = make_simulator(kernel, seed)
     model = BandwidthModel(sim)
     model.configure(allocator=allocator, incremental=incremental)
     ips = harness.host_ips(hosts)
@@ -301,7 +302,7 @@ def test_configure_switches_allocator_mid_run_and_recomputes():
 
 # ------------------------------------------------------------- digest parity
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch):
     """``--bw-alloc max-min`` reproduces the pre-refactor flagship report.
 
@@ -316,8 +317,9 @@ def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch)
             BandwidthModel, "configure",
             lambda self, allocator=None, incremental=None:
                 configure(self, allocator, incremental=False))
-    report = run_chord_scenario(nodes=12, hosts=8, seed=11, churn=True,
-                                lookups=15, join_window=30.0, settle=40.0,
-                                kernel=kernel, bw_alloc="max-min")
+    use_kernel(monkeypatch, kernel)
+    report = run_chord_scenario(
+        RunConfig(nodes=12, hosts=8, seed=11, churn=True, join_window=30.0,
+                  settle=40.0, bw_alloc="max-min"), lookups=15)
     assert report["bw_alloc"]["incremental"] is (kernel != "wheel")
     assert harness.report_digest(report) == PRE_REFACTOR_CHURN_DIGEST

@@ -1,32 +1,34 @@
 """Property-style determinism: same seed, same results — across repeated
 runs in one Python process (pids, call ids and transfer ids must not leak
-between simulations) and across the two kernel implementations."""
+between simulations) and across the timer wheel and its heap oracle."""
 
 import json
+from dataclasses import replace
 
-from repro.apps.harness import DIGEST_EXCLUDED_KEYS
-from repro.apps.scenarios import run_chord_scenario
+from heap_kernel_reference import use_kernel
+from repro.apps.chord import run_chord_scenario
+from repro.apps.harness import DIGEST_EXCLUDED_KEYS, RunConfig
 from repro.core.jobs import JobSpec
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.kernel import Simulator
 
-SCENARIO = dict(nodes=12, hosts=8, seed=11, churn=True, lookups=15,
-                join_window=30.0, settle=40.0)
+SCENARIO = RunConfig(nodes=12, hosts=8, seed=11, churn=True,
+                     join_window=30.0, settle=40.0)
 
 
 def _normalised(report: dict) -> str:
     # Strip the same sections the report digest excludes: they carry
-    # machine-/wall-clock-dependent numbers (gc pauses, phase walls,
-    # kernel name) by design — everything else must be byte-identical.
+    # machine-/wall-clock-dependent numbers (gc pauses, phase walls) by
+    # design — everything else must be byte-identical.
     data = {k: v for k, v in report.items() if k not in DIGEST_EXCLUDED_KEYS}
     return json.dumps(data, sort_keys=True, default=str)
 
 
 def test_chord_scenario_is_identical_when_run_twice_in_one_process():
-    first = run_chord_scenario(**SCENARIO)
-    second = run_chord_scenario(**SCENARIO)
+    first = run_chord_scenario(SCENARIO, lookups=15)
+    second = run_chord_scenario(SCENARIO, lookups=15)
     assert first["events_executed"] == second["events_executed"]
     assert first["measured"] == second["measured"]
     assert first["under_churn"] == second["under_churn"]
@@ -34,9 +36,10 @@ def test_chord_scenario_is_identical_when_run_twice_in_one_process():
     assert _normalised(first) == _normalised(second)
 
 
-def test_chord_scenario_is_identical_across_kernels():
-    wheel = run_chord_scenario(kernel="wheel", **SCENARIO)
-    heap = run_chord_scenario(kernel="heap", **SCENARIO)
+def test_chord_scenario_is_identical_across_kernels(monkeypatch):
+    wheel = run_chord_scenario(SCENARIO, lookups=15)
+    use_kernel(monkeypatch, "heap")
+    heap = run_chord_scenario(SCENARIO, lookups=15)
     assert _normalised(wheel) == _normalised(heap)
 
 
@@ -67,10 +70,9 @@ def test_gossip_report_digest_is_identical_across_controller_shard_counts():
     from repro.apps.gossip import run_gossip_scenario
     from repro.apps.harness import report_digest
 
-    config = dict(nodes=12, hosts=8, seed=11, churn=True, broadcasts=12,
-                  duration="short")
-    single = run_gossip_scenario(ctl_shards=1, **config)
-    sharded = run_gossip_scenario(ctl_shards=4, **config)
+    config = RunConfig(nodes=12, hosts=8, seed=11, churn=True, duration="short")
+    single = run_gossip_scenario(config, broadcasts=12)
+    sharded = run_gossip_scenario(replace(config, ctl_shards=4), broadcasts=12)
     assert report_digest(single) == report_digest(sharded)
     # The workload-level sections agree in full, not just in hash.
     for key in ("measured", "job", "churn", "network", "rpc",

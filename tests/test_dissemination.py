@@ -1,7 +1,7 @@
 """Dissemination: chunk swarming drives the flow-level bandwidth model."""
 
 from repro.apps.dissemination import run_dissemination_scenario, swarm_factory
-from repro.apps.harness import deterministic_report_view
+from repro.apps.harness import RunConfig, deterministic_report_view
 from repro.core.jobs import JobSpec
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -87,12 +87,9 @@ def test_swarm_survives_crash_churn():
 
 
 def test_scenario_runner_reports_completion_and_is_deterministic():
-    first = run_dissemination_scenario(nodes=10, hosts=5, seed=2, chunks=6,
-                                       chunk_size=16384, join_window=10.0,
-                                       settle=20.0)
-    second = run_dissemination_scenario(nodes=10, hosts=5, seed=2, chunks=6,
-                                        chunk_size=16384, join_window=10.0,
-                                        settle=20.0)
+    config = RunConfig(nodes=10, hosts=5, seed=2, join_window=10.0, settle=20.0)
+    first = run_dissemination_scenario(config, chunks=6, chunk_size=16384)
+    second = run_dissemination_scenario(config, chunks=6, chunk_size=16384)
     assert (deterministic_report_view(first)
             == deterministic_report_view(second))
     measured = first["measured"]

@@ -6,17 +6,20 @@ digest-neutral across every workload and kernel, and the cached
 alive/live sets (``runtime/jobstore.py`` / ``core/jobs.py``) must stay
 coherent with a from-scratch recompute through instance churn, scripted
 host churn and trace-driven host churn — with the runtime sanitizer able
-to catch any cache that goes stale.
+to catch any cache that goes stale.  The sort-the-world-per-pick placement
+planner the bucketed one replaced lives here as its oracle (``naive_plan``).
 """
 
 import gc
+from dataclasses import replace
 
 import pytest
 
+from heap_kernel_reference import KERNELS, use_kernel
 from repro.apps.chord import run_chord_scenario
 from repro.apps.dissemination import run_dissemination_scenario
 from repro.apps.gossip import run_gossip_scenario
-from repro.apps.harness import report_digest
+from repro.apps.harness import RunConfig, report_digest
 from repro.apps.pastry import run_pastry_scenario
 from repro.core.churn import synthetic_availability_trace
 from repro.core.jobs import JobSpec
@@ -35,56 +38,52 @@ RUNNERS = {
 }
 
 #: small-but-real cell every parity test runs (short mode keeps CI fast)
-CELL = dict(nodes=12, seed=11, duration="short")
+CELL = RunConfig(nodes=12, seed=11, duration="short")
 
 
 # ------------------------------------------------------------- digest parity
 @pytest.mark.parametrize("workload", sorted(RUNNERS))
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
-def test_digest_identical_with_gc_policy_and_caches_toggled(workload, kernel):
-    # The whole point of the perf knobs: flipping them must never move a
-    # digest-relevant byte, on any workload, on either kernel.
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_digest_identical_with_gc_policy_and_caches_toggled(workload, kernel,
+                                                            monkeypatch):
+    # Execution mechanics must never move a digest-relevant byte, on any
+    # workload: the GC policy on or off, the timer wheel or the heap oracle,
+    # and — under the sanitizer — every cached control-plane view
+    # cross-checked against its from-scratch recompute or trusted as is.
     runner = RUNNERS[workload]
-    plain = runner(kernel=kernel, gc_policy="off", store_caches=False, **CELL)
-    tuned = runner(kernel=kernel, gc_policy="tuned", store_caches=True, **CELL)
+    plain = runner(replace(CELL, gc_policy="off"))
+    use_kernel(monkeypatch, kernel)
+    tuned = runner(replace(CELL, gc_policy="tuned", sanitize=True))
+    assert tuned["sanitizer"]["violations"] == 0
     assert report_digest(plain) == report_digest(tuned)
-
-
-def test_digest_identical_in_manual_mode_under_churn():
-    # Manual mode disables ambient collection and collects at drain
-    # checkpoints — still invisible to the simulation, even while churn
-    # exercises the invalidation paths.
-    base = dict(nodes=12, seed=7, duration="short", churn=True)
-    plain = run_chord_scenario(gc_policy="off", store_caches=False, **base)
-    manual = run_chord_scenario(gc_policy="manual", store_caches=True, **base)
-    assert report_digest(plain) == report_digest(manual)
-    assert gc.isenabled()  # disengage() restored the collector
 
 
 # --------------------------------------------------------- gc policy lifecycle
 def test_gc_policy_rejects_unknown_modes():
     with pytest.raises(ValueError):
         GCPolicy("aggressive")
-    assert set(GC_MODES) == {"off", "tuned", "manual"}
+    with pytest.raises(ValueError):
+        GCPolicy("manual")  # measured slowest of the three; gone
+    assert set(GC_MODES) == {"off", "tuned"}
 
 
 def test_gc_policy_engage_disengage_restores_interpreter_state():
     before_thresholds = gc.get_threshold()
     before_enabled = gc.isenabled()
-    policy = GCPolicy("manual").engage()
+    policy = GCPolicy("tuned").engage()
     assert gc.get_threshold() == TUNED_THRESHOLDS
     policy.after_deploy()
-    assert not gc.isenabled()  # manual mode owns collection points
+    assert gc.isenabled() == before_enabled  # ambient collection stays on
     assert policy.frozen_objects > 0
-    policy.checkpoint()
-    assert policy.explicit_collects >= 2  # after_deploy's gen2 + checkpoint
+    assert policy.explicit_collects == 1  # the collect before the freeze
     policy.disengage()
     assert gc.get_threshold() == before_thresholds
     assert gc.isenabled() == before_enabled
+    assert gc.get_freeze_count() == 0
     # Idempotent: a second disengage must not double-restore or collect.
-    collects = policy.explicit_collects
     policy.disengage()
-    assert policy.explicit_collects == collects
+    assert policy.explicit_collects == 1
+    assert gc.get_threshold() == before_thresholds
 
 
 def test_gc_policy_section_reports_counters():
@@ -100,7 +99,7 @@ def test_gc_policy_section_reports_counters():
 
 
 def test_tuned_gc_section_lands_in_the_report_and_not_the_digest():
-    report = run_chord_scenario(gc_policy="tuned", **CELL)
+    report = run_chord_scenario(replace(CELL, gc_policy="tuned"))
     assert report["gc"]["mode"] == "tuned"
     assert report["gc"]["frozen_objects"] > 0
     assert report["phase_wall"]["deploy"] >= 0.0
@@ -109,10 +108,10 @@ def test_tuned_gc_section_lands_in_the_report_and_not_the_digest():
 
 
 # ------------------------------------------------------------- cached views
-def _world(seed=0, daemons=6, max_instances=4, caches=True):
+def _world(seed=0, daemons=6, max_instances=4):
     sim = Simulator(seed)
     network = Network(sim, seed=seed)
-    controller = Controller(sim, network, seed=seed, store_caches=caches)
+    controller = Controller(sim, network, seed=seed)
     for i in range(daemons):
         controller.register_daemon(Splayd(
             sim, network, f"10.0.0.{i + 1}",
@@ -153,9 +152,52 @@ def test_cached_views_track_instance_and_host_churn():
     assert job.live_instances() == job._recompute_live_instances()
 
 
+def _uncached(controller):
+    """Make ``controller``'s store recompute every view and plan per call.
+
+    The from-scratch world the memoized views and the bucketed planner are
+    compared against: what the store computed before it cached anything.
+    """
+    store = controller.store
+    daemons = store.daemons
+    store.alive_daemons = lambda: [d for d in daemons.values() if d.alive]
+    store.alive_host_ips = lambda: sorted(
+        ip for ip, d in daemons.items() if d.alive)
+    store.failed_host_ips = lambda: sorted(
+        ip for ip, d in daemons.items() if not d.alive)
+    store.plan_placements = lambda job, count: naive_plan(store, job, count)
+
+
+def naive_plan(store, job, count):
+    """The original planner: rebuild and sort every candidate per instance."""
+    plan = []
+    pending = {}
+    for _ in range(count):
+        candidates = []
+        for daemon in store.alive_daemons():
+            load = len(daemon.instances) + pending.get(daemon.ip, 0)
+            if daemon.limits.max_instances is not None and \
+                    load >= daemon.limits.max_instances:
+                continue
+            candidates.append((load, daemon))
+        if not candidates:
+            break
+        # Prefer emptier daemons (balanced placement) with a random tiebreak,
+        # keyed on ip so the choice is stable across runs with one seed.
+        candidates.sort(key=lambda entry: (entry[0], entry[1].ip))
+        emptiest = candidates[0][0]
+        pool = [daemon for load, daemon in candidates if load == emptiest]
+        daemon = store._rng.choice(pool)
+        plan.append((daemon, job.allocate_instance_id()))
+        pending[daemon.ip] = pending.get(daemon.ip, 0) + 1
+    return plan
+
+
 def test_cached_and_uncached_worlds_agree_through_host_churn():
     def timeline(caches):
-        sim, _network, controller = _world(seed=5, caches=caches)
+        sim, _network, controller = _world(seed=5)
+        if not caches:
+            _uncached(controller)
         job = controller.submit(JobSpec(
             name="app", app_factory=lambda i: None, instances=10,
             churn_script=("at 5s crash 30%\nat 8s fail 1\n"
@@ -176,14 +218,25 @@ def test_cached_and_uncached_worlds_agree_through_host_churn():
     {"churn_trace": synthetic_availability_trace(hosts=6, duration=120.0,
                                                  seed=3)},
 ], ids=["script-churn", "trace-churn"])
-def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs):
+def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs,
+                                                            monkeypatch):
     # End-to-end: scripted instance churn and trace-driven host churn both
     # hammer the invalidation paths; the sanitizer cross-checks every cache
-    # against a recompute after each control action and must stay silent.
-    base = dict(nodes=12, seed=4, duration="short", sanitize=True)
-    cached = run_chord_scenario(store_caches=True, **base, **churn_kwargs)
-    oracle = run_chord_scenario(store_caches=False, **base, **churn_kwargs)
+    # against a recompute after each control action and must stay silent,
+    # and a deployment whose store recomputes everything per call (views and
+    # placement plan) must report the same digest.
+    config = RunConfig(nodes=12, seed=4, duration="short", sanitize=True,
+                       **churn_kwargs)
+    cached = run_chord_scenario(config)
     assert cached["sanitizer"]["violations"] == 0
+
+    class UncachedController(Controller):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            _uncached(self)
+
+    monkeypatch.setattr("repro.apps.harness.Controller", UncachedController)
+    oracle = run_chord_scenario(config)
     assert report_digest(cached) == report_digest(oracle)
 
 
@@ -249,8 +302,9 @@ def test_bucketed_placement_matches_the_naive_kill_switch_path():
     # like the original sort-the-world-per-instance loop, including across
     # capacity exhaustion and post-churn refills.
     def placements(caches):
-        sim, _network, controller = _world(seed=13, daemons=5,
-                                           max_instances=3, caches=caches)
+        sim, _network, controller = _world(seed=13, daemons=5, max_instances=3)
+        if not caches:
+            _uncached(controller)
         job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                         instances=9))
         controller.start(job)

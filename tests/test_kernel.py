@@ -1,17 +1,21 @@
-"""Kernel: virtual clock, event ordering, determinism, timer wheel."""
+"""Kernel: virtual clock, event ordering, determinism, timer wheel.
+
+``KERNELS`` runs each behavioural test on the timer wheel and on the heap
+oracle of ``tests/heap_kernel_reference.py`` ("heap"), so the contract the
+wheel is held to is stated by a second, independent implementation.
+"""
 
 import random
 
 import pytest
 
+from heap_kernel_reference import KERNELS, make_simulator
 from repro.sim.kernel import Simulator
-
-KERNELS = ("wheel", "heap")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_same_instant_events_fire_in_schedule_order(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     order = []
     sim.schedule(1.0, order.append, "a")
     sim.schedule(1.0, order.append, "b")
@@ -23,7 +27,7 @@ def test_same_instant_events_fire_in_schedule_order(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_run_until_advances_clock_without_firing_later_events(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     fired = []
     sim.schedule(5.0, fired.append, "late")
     assert sim.run(until=2.0) == 2.0
@@ -36,7 +40,7 @@ def test_run_until_advances_clock_without_firing_later_events(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_cancelled_events_do_not_fire(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     fired = []
     event = sim.schedule(1.0, fired.append, "x")
     sim.schedule(1.0, fired.append, "y")
@@ -48,7 +52,7 @@ def test_cancelled_events_do_not_fire(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_cannot_schedule_in_the_past(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     sim.schedule(1.0, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
@@ -59,7 +63,7 @@ def test_cannot_schedule_in_the_past(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_event_callbacks_scheduling_more_events(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     ticks = []
 
     def tick():
@@ -75,7 +79,7 @@ def test_event_callbacks_scheduling_more_events(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_two_seeded_runs_produce_identical_traces(kernel):
     def trace(seed):
-        sim = Simulator(seed, kernel=kernel)
+        sim = make_simulator(kernel, seed)
         out = []
 
         def step(label):
@@ -97,7 +101,7 @@ def test_stop_during_run_until_does_not_jump_the_clock(kernel):
     """Regression: stop() mid-run used to take the while/else branch and jump
     ``now`` to ``until`` even though unexecuted events remained before it —
     making subsequent schedule_at calls raise "cannot schedule in the past"."""
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     fired = []
 
     def first():
@@ -119,7 +123,7 @@ def test_stop_during_run_until_does_not_jump_the_clock(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_drained_run_until_still_advances_the_clock(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     sim.schedule(1.0, lambda: None)
     assert sim.run(until=30.0) == 30.0
     assert sim.now == 30.0
@@ -128,7 +132,7 @@ def test_drained_run_until_still_advances_the_clock(kernel):
 # ---------------------------------------------------------- pending counter
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_pending_events_counter_tracks_schedules_cancels_and_fires(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     events = [sim.schedule(float(i % 7), lambda: None) for i in range(50)]
     assert sim.pending_events == 50
     for event in events[::2]:
@@ -144,7 +148,7 @@ def test_pending_events_counter_tracks_schedules_cancels_and_fires(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_clear_resets_pending_and_later_cancels_are_neutral(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = make_simulator(kernel)
     stale = sim.schedule(5.0, lambda: None)
     sim.schedule(6.0, lambda: None)
     sim.clear()
@@ -162,7 +166,7 @@ def test_wheel_and_heap_execute_identical_orders_across_structures():
     overflow heap (delays far beyond the wheel horizon) must execute in
     exactly the same (time, seq) order on both kernels."""
     def trace(kernel):
-        sim = Simulator(3, kernel=kernel)
+        sim = make_simulator(kernel, 3)
         out = []
 
         def emit(tag):
@@ -186,7 +190,7 @@ def test_wheel_and_heap_execute_identical_orders_across_structures():
 
 
 def test_wheel_events_cancelled_inside_buckets_and_overflow():
-    sim = Simulator(kernel="wheel")
+    sim = Simulator()
     fired = []
     near = sim.schedule(0.2, fired.append, "near")       # wheel bucket
     far = sim.schedule(100_000.0, fired.append, "far")   # overflow heap
@@ -200,7 +204,7 @@ def test_wheel_events_cancelled_inside_buckets_and_overflow():
 
 
 def test_wheel_overflow_ghost_purge_keeps_counts_consistent():
-    sim = Simulator(kernel="wheel")
+    sim = Simulator()
     far = [sim.schedule(100_000.0 + i, lambda: None) for i in range(300)]
     for event in far[:299]:
         event.cancel()  # triggers the lazy overflow compaction
@@ -211,7 +215,7 @@ def test_wheel_overflow_ghost_purge_keeps_counts_consistent():
 
 
 def test_scheduling_into_the_jumped_until_window_works_on_the_wheel():
-    sim = Simulator(kernel="wheel")
+    sim = Simulator()
     sim.schedule(100.0, lambda: None)
     sim.run(until=7.03)  # clock parks mid-bucket, ahead of the wheel cursor
     fired = []
@@ -223,13 +227,29 @@ def test_scheduling_into_the_jumped_until_window_works_on_the_wheel():
     assert sim.now == 9.0
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_schedule_at_now_keeps_seq_order_after_a_drained_jump(kernel):
+    # Found by the differential fuzzer (tests/test_kernel_fuzz.py): a drained
+    # run(until) parks the clock ahead of the wheel cursor, where an event
+    # scheduled *at* the current instant used to land in a wheel bucket and
+    # fire after later same-instant schedule(0.0) events from the ready deque.
+    sim = make_simulator(kernel)
+    sim.run(until=610.47)
+    order = []
+    sim.schedule_at(sim.now, order.append, "first")
+    sim.schedule(0.0, order.append, "second")
+    sim.call_soon(order.append, "third")
+    sim.run()
+    assert order == ["first", "second", "third"]
+
+
 def test_schedule_at_lands_on_the_requested_instant_exactly():
     # schedule_at goes through schedule(delay), and now + (when - now) rounds
     # one ulp off ``when`` for about one float pair in a hundred of these.
     rng = random.Random(42)
     off_by_an_ulp = 0
     for kernel in KERNELS:
-        sim = Simulator(kernel=kernel)
+        sim = make_simulator(kernel)
         fired = []
         for _ in range(1000):
             sim.run(until=sim.now + rng.random())
@@ -249,7 +269,7 @@ def test_schedule_at_lands_on_the_requested_instant_exactly():
 
 def test_call_soon_runs_after_already_scheduled_same_time_events():
     for kernel in KERNELS:
-        sim = Simulator(kernel=kernel)
+        sim = make_simulator(kernel)
         order = []
         sim.schedule(0.0, order.append, "first")
         sim.call_soon(order.append, "second")
@@ -258,8 +278,11 @@ def test_call_soon_runs_after_already_scheduled_same_time_events():
 
 
 def test_unknown_kernel_is_rejected():
-    with pytest.raises(ValueError):
+    # One kernel, no selector: the seed is the whole constructor.
+    with pytest.raises(TypeError):
         Simulator(kernel="splay-tree")
+    with pytest.raises(TypeError):
+        Simulator(0, "heap")
 
 
 # ------------------------------------------------------------------ pids
@@ -288,7 +311,7 @@ def _churny_free_list_run(kernel):
     event free list hard; returns the simulator and its fire-order digest."""
     import hashlib
 
-    sim = Simulator(11, kernel=kernel)
+    sim = make_simulator(kernel, 11)
     rng = sim.rng
     order = []
 
@@ -321,7 +344,7 @@ def test_free_list_recycling_preserves_event_order(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_free_list_never_recycles_externally_held_events(kernel):
-    sim = Simulator(3, kernel=kernel)
+    sim = make_simulator(kernel, 3)
     fired = []
     handle = sim.schedule(1.0, fired.append, "kept")
     sim.schedule(2.0, fired.append, "later")
@@ -340,7 +363,7 @@ def test_free_list_recycles_unreferenced_cancelled_events(kernel):
     # Cancelled timers whose handles are dropped (the RPC pattern: the reply
     # cancels the timeout timer and forgets it) must be reclaimed when the
     # kernel skips over their queue entries — not only executed events.
-    sim = Simulator(7, kernel=kernel)
+    sim = make_simulator(kernel, 7)
     for _ in range(50):
         sim.schedule(1.0, lambda: None).cancel()
     sim.schedule(2.0, lambda: None)  # something to run past the carcasses
@@ -351,7 +374,7 @@ def test_free_list_recycles_unreferenced_cancelled_events(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_free_list_never_recycles_held_cancelled_events(kernel):
-    sim = Simulator(7, kernel=kernel)
+    sim = make_simulator(kernel, 7)
     held = sim.schedule(1.0, lambda: None)
     held.cancel()
     sim.schedule(2.0, lambda: None)

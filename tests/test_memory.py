@@ -25,7 +25,8 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
     try:
         base, _ = tracemalloc.get_traced_memory()
         deployment = harness.deploy("chord-mem", chord_factory(), nodes=nodes,
-                                    seed=5, join_window=30.0, settle=20.0)
+                                    seed=5, join_window=30.0, settle=20.0,
+                                    gc_policy="off")
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -48,7 +49,7 @@ IDLE_INSTANCE_CEILING_BYTES = 2_900
 def test_idle_instance_stays_under_its_memory_ceiling():
     deployment = harness.deploy("idle-mem", lambda instance: None, nodes=500,
                                 hosts=500, seed=5, join_window=0.0,
-                                warmup_grace=0.0, settle=0.0)
+                                warmup_grace=0.0, settle=0.0, gc_policy="off")
     extra = 1000
     tracemalloc.start()
     try:

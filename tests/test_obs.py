@@ -6,10 +6,13 @@ changes a report digest, on either kernel, for every workload."""
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from heap_kernel_reference import KERNELS, use_kernel
+from repro.apps.harness import RunConfig
 from repro.obs import (
     COUNT_BOUNDS,
     FlightRecorder,
@@ -114,7 +117,7 @@ def test_ring_renders_spans_and_partial_fill():
 
 def test_observed_kernel_still_recycles_events():
     """The observer must not pin events: free-list recycling stays on."""
-    sim = Simulator(0, kernel="wheel")
+    sim = Simulator(0)
     Observability(sim, metrics=True, tracing=True, profile=True).install()
     fired = [0]
 
@@ -206,7 +209,7 @@ def test_logger_records_carry_host_and_structured_fields():
 def test_sanitizer_violation_report_includes_ring_context():
     from repro.sim.sanitizer import Sanitizer
 
-    sim = Simulator(0, kernel="wheel")
+    sim = Simulator(0)
     sanitizer = Sanitizer(sim).install()
     obs = Observability(sim).install()
     sanitizer.recorder = obs.recorder
@@ -224,15 +227,14 @@ def test_sanitizer_violation_report_includes_ring_context():
 
 
 # --------------------------------------------------------- digest neutrality
+_CHURNING = RunConfig(nodes=10, hosts=6, seed=3, churn=True, duration="short")
+#: workload -> (run config, the runner's workload parameters)
 _WORKLOADS = {
-    "chord": dict(nodes=10, hosts=6, seed=3, churn=True, lookups=12,
-                  duration="short"),
-    "pastry": dict(nodes=10, hosts=6, seed=3, churn=True, lookups=12,
-                   duration="short"),
-    "gossip": dict(nodes=10, hosts=6, seed=3, churn=True, broadcasts=8,
-                   duration="short"),
-    "dissemination": dict(nodes=8, hosts=6, seed=3, chunks=6,
-                          duration="short"),
+    "chord": (_CHURNING, dict(lookups=12)),
+    "pastry": (_CHURNING, dict(lookups=12)),
+    "gossip": (_CHURNING, dict(broadcasts=8)),
+    "dissemination": (RunConfig(nodes=8, hosts=6, seed=3, duration="short"),
+                      dict(chunks=6)),
 }
 
 
@@ -246,19 +248,20 @@ def _runner(workload):
 
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-@pytest.mark.parametrize("kernel", ["wheel", "heap"])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_observability_flags_never_change_the_digest(workload, kernel,
-                                                     tmp_path):
+                                                     tmp_path, monkeypatch):
     """Metrics + tracing + profiling on vs everything off: byte-identical
     digests for every workload on both kernels (the core guarantee)."""
     from repro.apps.harness import report_digest
 
-    config = dict(_WORKLOADS[workload], kernel=kernel)
+    use_kernel(monkeypatch, kernel)
+    config, params = _WORKLOADS[workload]
     runner = _runner(workload)
-    plain = runner(**config)
+    plain = runner(config, **params)
     trace_path = tmp_path / f"{workload}.json"
-    observed = runner(metrics=True, trace_out=str(trace_path), profile=True,
-                      **config)
+    observed = runner(replace(config, metrics=True, trace_out=str(trace_path),
+                              profile=True), **params)
     assert report_digest(plain) == report_digest(observed)
     for key in ("metrics", "trace", "profile", "flight_recorder"):
         assert key not in plain
@@ -276,12 +279,12 @@ def test_fifty_node_churning_chord_acceptance(tmp_path):
     from repro.apps.chord import run_chord_scenario
     from repro.apps.harness import report_digest
 
-    config = dict(nodes=50, hosts=25, seed=7, churn=True, lookups=25,
-                  duration="short")
-    plain = run_chord_scenario(**config)
+    config = RunConfig(nodes=50, hosts=25, seed=7, churn=True, duration="short")
+    plain = run_chord_scenario(config, lookups=25)
     trace_path = tmp_path / "chord50.json"
-    observed = run_chord_scenario(metrics=True, trace_out=str(trace_path),
-                                  profile=True, **config)
+    observed = run_chord_scenario(
+        replace(config, metrics=True, trace_out=str(trace_path), profile=True),
+        lookups=25)
     assert report_digest(plain) == report_digest(observed)
 
     by_host = load_trace(str(trace_path))
@@ -302,20 +305,20 @@ def test_fifty_node_churning_chord_acceptance(tmp_path):
     assert top and all(":" in row["site"] for row in top)
 
 
-def test_metrics_identical_across_kernels():
+def test_metrics_identical_across_kernels(monkeypatch):
     """The metrics themselves (not just the digest) are kernel-independent,
-    except the kernel-specific recycle/cancel counters."""
+    except the kernel-specific recycle counter."""
     from repro.apps.chord import run_chord_scenario
 
-    config = dict(nodes=10, hosts=6, seed=5, lookups=10, duration="short",
-                  metrics=True)
-    wheel = run_chord_scenario(kernel="wheel", **config)["metrics"]
-    heap = run_chord_scenario(kernel="heap", **config)["metrics"]
+    config = RunConfig(nodes=10, hosts=6, seed=5, duration="short", metrics=True)
+    wheel = run_chord_scenario(config, lookups=10)["metrics"]
+    use_kernel(monkeypatch, "heap")
+    heap = run_chord_scenario(config, lookups=10)["metrics"]
     assert wheel["network"] == heap["network"]
     assert wheel["rpc"] == heap["rpc"]
     assert wheel["job"]["registry"] == heap["job"]["registry"]
-    assert wheel["kernel"]["events_dispatched"] \
-        == heap["kernel"]["events_dispatched"]
+    for counter in ("events_dispatched", "events_cancelled"):
+        assert wheel["kernel"][counter] == heap["kernel"][counter]
 
 
 # ----------------------------------------------------------- CLI + tool smoke

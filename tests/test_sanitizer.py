@@ -2,11 +2,14 @@
 provenance), clean runs record nothing, and enabling the sanitizer never
 changes a report digest (it is observation-only by construction)."""
 
+from dataclasses import replace
 from heapq import heappush
 from types import SimpleNamespace
 
 import pytest
 
+from heap_kernel_reference import make_simulator
+from repro.apps.harness import RunConfig
 from repro.net.address import Address
 from repro.net.bandwidth import BandwidthModel
 from repro.net.network import Network
@@ -24,7 +27,7 @@ def _reset_future_hook():
 
 
 def _installed(kernel="wheel"):
-    sim = Simulator(0, kernel=kernel)
+    sim = make_simulator(kernel)
     return sim, Sanitizer(sim).install()
 
 
@@ -286,10 +289,10 @@ def test_chord_report_digest_is_byte_identical_with_sanitizer_on():
     from repro.apps.chord import run_chord_scenario
     from repro.apps.harness import report_digest
 
-    config = dict(nodes=12, hosts=8, seed=11, churn=True, lookups=15,
-                  join_window=30.0, settle=40.0)
-    plain = run_chord_scenario(**config)
-    sanitized = run_chord_scenario(sanitize=True, **config)
+    config = RunConfig(nodes=12, hosts=8, seed=11, churn=True,
+                       join_window=30.0, settle=40.0)
+    plain = run_chord_scenario(config, lookups=15)
+    sanitized = run_chord_scenario(replace(config, sanitize=True), lookups=15)
     assert "sanitizer" not in plain
     assert sanitized["sanitizer"]["enabled"] is True
     assert sanitized["sanitizer"]["violations"] == 0

@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro.apps.chord import run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
-from repro.apps.harness import deterministic_report_view
+from repro.apps.harness import RunConfig, deterministic_report_view
 from repro.apps.pastry import run_pastry_scenario
-from repro.apps.scenarios import main, run_chord_scenario
+from repro.apps.scenarios import main
+
+FLAGSHIP = RunConfig(nodes=20, hosts=10, seed=0, churn=True)
+STABLE = RunConfig(nodes=10, hosts=5, seed=1, join_window=20.0, settle=40.0)
 
 
 @pytest.mark.slow
 def test_chord_scenario_under_churn_meets_the_bar():
-    report = run_chord_scenario(nodes=20, hosts=10, seed=0, churn=True, lookups=60)
+    report = run_chord_scenario(FLAGSHIP, lookups=60)
     measured = report["measured"]
     assert measured["issued"] == 60
     assert measured["success_rate"] >= 0.99
@@ -25,10 +29,8 @@ def test_chord_scenario_under_churn_meets_the_bar():
 
 
 def test_chord_scenario_without_churn_is_perfect_and_deterministic():
-    first = run_chord_scenario(nodes=10, hosts=5, seed=1, lookups=30,
-                               join_window=20.0, settle=40.0)
-    second = run_chord_scenario(nodes=10, hosts=5, seed=1, lookups=30,
-                                join_window=20.0, settle=40.0)
+    first = run_chord_scenario(STABLE, lookups=30)
+    second = run_chord_scenario(STABLE, lookups=30)
     assert first["measured"]["success_rate"] == 1.0
     assert (deterministic_report_view(first)
             == deterministic_report_view(second))
@@ -36,7 +38,7 @@ def test_chord_scenario_without_churn_is_perfect_and_deterministic():
 
 @pytest.mark.slow
 def test_pastry_scenario_under_churn_meets_the_bar():
-    report = run_pastry_scenario(nodes=20, hosts=10, seed=0, churn=True, lookups=60)
+    report = run_pastry_scenario(FLAGSHIP, lookups=60)
     measured = report["measured"]
     assert measured["issued"] == 60
     assert measured["success_rate"] >= 0.95
@@ -46,20 +48,17 @@ def test_pastry_scenario_under_churn_meets_the_bar():
 
 
 def test_pastry_scenario_without_churn_is_perfect_and_deterministic():
-    first = run_pastry_scenario(nodes=10, hosts=5, seed=1, lookups=30,
-                                join_window=20.0, settle=40.0)
-    second = run_pastry_scenario(nodes=10, hosts=5, seed=1, lookups=30,
-                                 join_window=20.0, settle=40.0)
+    first = run_pastry_scenario(STABLE, lookups=30)
+    second = run_pastry_scenario(STABLE, lookups=30)
     assert first["measured"]["success_rate"] == 1.0
     assert (deterministic_report_view(first)
             == deterministic_report_view(second))
 
 
 def test_gossip_scenario_reaches_full_coverage_and_is_deterministic():
-    first = run_gossip_scenario(nodes=12, hosts=6, seed=1, broadcasts=20,
-                                join_window=15.0, settle=30.0)
-    second = run_gossip_scenario(nodes=12, hosts=6, seed=1, broadcasts=20,
-                                 join_window=15.0, settle=30.0)
+    config = RunConfig(nodes=12, hosts=6, seed=1, join_window=15.0, settle=30.0)
+    first = run_gossip_scenario(config, broadcasts=20)
+    second = run_gossip_scenario(config, broadcasts=20)
     assert first["measured"]["success_rate"] == 1.0
     assert first["workload"]["delivery_ratio_min"] == 1.0
     assert (deterministic_report_view(first)
@@ -82,3 +81,15 @@ def test_scenario_cli_exits_nonzero_below_min_success(tmp_path, capsys):
                    "short", "--min-success", "1.01"])
     assert status == 2
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, capsys):
+    base = ["chord", "--nodes", "10", "--duration", "short"]
+    assert main(base + ["--churn-script", str(tmp_path / "missing")]) == 2
+    assert "error: cannot read churn script" in capsys.readouterr().err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("at noon crash everything\n")
+    assert main(base + ["--churn-script", str(bad)]) == 2
+    assert f"error: invalid churn script {bad}" in capsys.readouterr().err
+    assert main(base + ["--churn-trace", str(bad)]) == 2
+    assert f"error: invalid churn trace {bad}" in capsys.readouterr().err

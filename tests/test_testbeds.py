@@ -1,10 +1,13 @@
 """Testbeds: preset registry, substrate properties, digest compatibility."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
+from repro.apps.harness import RunConfig
 from repro.net.hostload import HostLoadModel
 from repro.sim.kernel import Simulator
 from repro import testbeds
@@ -152,20 +155,23 @@ def test_host_load_model_has_a_heavy_tail():
 
 # ------------------------------------------------------- digest compatibility
 def test_default_testbed_report_digest_is_unchanged_from_pre_testbeds():
-    report = run_chord_scenario(nodes=10, hosts=5, seed=1, lookups=30,
-                                join_window=20.0, settle=40.0)
+    report = run_chord_scenario(
+        RunConfig(nodes=10, hosts=5, seed=1, join_window=20.0, settle=40.0),
+        lookups=30)
     assert report["testbed"] == "transit-stub"
     assert harness.report_digest(report) == PRE_TESTBEDS_DIGESTS["chord-stable"]
 
-    report = run_gossip_scenario(nodes=12, hosts=6, seed=1, broadcasts=20,
-                                 join_window=15.0, settle=30.0)
+    report = run_gossip_scenario(
+        RunConfig(nodes=12, hosts=6, seed=1, join_window=15.0, settle=30.0),
+        broadcasts=20)
     assert harness.report_digest(report) == PRE_TESTBEDS_DIGESTS["gossip-stable"]
 
 
 @pytest.mark.slow
 def test_default_testbed_digest_is_unchanged_under_flagship_churn():
-    report = run_chord_scenario(nodes=12, hosts=8, seed=11, churn=True,
-                                lookups=15, join_window=30.0, settle=40.0)
+    report = run_chord_scenario(
+        RunConfig(nodes=12, hosts=8, seed=11, churn=True, join_window=30.0,
+                  settle=40.0), lookups=15)
     assert harness.report_digest(report) == PRE_TESTBEDS_DIGESTS["chord-churn"]
 
 
@@ -177,9 +183,9 @@ def test_testbed_name_is_recorded_but_excluded_from_the_digest():
 
 
 def test_changing_the_testbed_changes_workload_results():
-    config = dict(nodes=10, hosts=5, seed=1, lookups=12, duration="short")
-    default = run_chord_scenario(**config)
-    cluster = run_chord_scenario(testbed="cluster", **config)
+    config = RunConfig(nodes=10, hosts=5, seed=1, duration="short")
+    default = run_chord_scenario(config, lookups=12)
+    cluster = run_chord_scenario(replace(config, testbed="cluster"), lookups=12)
     assert default["measured"] != cluster["measured"]
     assert harness.report_digest(default) != harness.report_digest(cluster)
     # the cluster's uniform sub-millisecond RTTs show up in the latencies
@@ -188,9 +194,9 @@ def test_changing_the_testbed_changes_workload_results():
 
 
 def test_planetlab_scenario_runs_end_to_end_with_flagship_churn():
-    report = run_gossip_scenario(nodes=12, hosts=6, seed=1, broadcasts=12,
-                                 churn=True, duration="short",
-                                 testbed="planetlab")
+    report = run_gossip_scenario(
+        RunConfig(nodes=12, hosts=6, seed=1, churn=True, duration="short",
+                  testbed="planetlab"), broadcasts=12)
     assert report["testbed"] == "planetlab"
     assert report["topology"]["testbed"] == "planetlab"
     assert report["measured"]["success_rate"] >= 0.9
@@ -199,8 +205,9 @@ def test_planetlab_scenario_runs_end_to_end_with_flagship_churn():
 
 
 def test_mixed_scenario_runs_end_to_end_with_flagship_churn():
-    report = run_chord_scenario(nodes=12, hosts=6, seed=1, lookups=12,
-                                churn=True, duration="short", testbed="mixed")
+    report = run_chord_scenario(
+        RunConfig(nodes=12, hosts=6, seed=1, churn=True, duration="short",
+                  testbed="mixed"), lookups=12)
     assert report["testbed"] == "mixed"
     assert report["topology"]["cluster_hosts"] == 3
     assert report["topology"]["planetlab_hosts"] == 3

@@ -1,6 +1,7 @@
 """Repo tools: the CDF plotter (stdlib fallback) and the trace generator."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -142,3 +143,77 @@ def test_work_counter_ceilings_name_declared_benchmark_counters():
     swarm = [set(gate["counters"]) for gate in spec["workloads"]["dissemination_swarm"]]
     assert {"net.network.calls"} in swarm
     assert {"net.bandwidth.calls", "net.bwalloc.calls"} in swarm
+
+
+# --------------------------------------------------------------------- ab.py
+def _canned_run(op_host_ms, setup_s, rss, events_per_ok_op=232.5, failed=0):
+    """stdout of one ``benchmarks/run.py --trace 0`` invocation."""
+    metrics = {"setup_s": (setup_s, "s"), "op_host_ms": (op_host_ms, "ms"),
+               "peak_rss_mb": (rss, "MB"), "ok_rate": (1.0, "ratio"),
+               "events_per_ok_op": (events_per_ok_op, "count"),
+               "sim_op_p50_ms": (1570.8, "sim_ms"),
+               "sim_op_tail_ms": (2440.6, "sim_ms")}
+    result = {"correct": True, "attempted": 1200, "failed": failed,
+              "metrics": {name: {"value": value, "unit": unit}
+                          for name, (value, unit) in metrics.items()}}
+    return ("# workload=chord_steady seed=0 trace=0 nproc=4\n"
+            "# repetitions=3 host_s=[4.1, 4.2, 4.1]\n"
+            f"op_host_ms    {op_host_ms!r} ms\n" + json.dumps(result) + "\n")
+
+
+def test_ab_reports_medians_wins_and_verdicts_from_canned_result_lines():
+    ab = _load("ab")
+    contract = json.loads((_REPO / "BENCHMARK.json").read_text())
+    # op_host_ms: the change is 20 % slower on every seed (bound 15 %): worse.
+    # setup_s: the parent's own IQR (> 25 %) hides a +10 % median: unresolved.
+    # peak_rss_mb: +1 % against a 5 % bound, two wins of four: not worse.
+    parent = [ab.parse_result(_canned_run(*run)) for run in
+              [(1.00, 1.0, 40.0), (1.02, 1.6, 40.2), (0.98, 0.9, 40.1),
+               (1.01, 1.5, 40.3)]]
+    change = [ab.parse_result(_canned_run(*run)) for run in
+              [(1.20, 1.1, 40.5), (1.22, 1.7, 40.1), (1.18, 1.0, 40.6),
+               (1.21, 1.6, 40.2)]]
+    assert parent[0]["attempted"] == 1200 and parent[0]["op_host_ms"] == 1.00
+    lines, failed = ab.report("chord_steady", contract["end_to_end"],
+                              parent, change, seeds=[0, 1, 2, 3])
+    text = "\n".join(lines)
+    assert failed  # one metric is worse
+    assert "chord_steady (4 pairs, seeds 0, 1, 2, 3):" in lines[0]
+    (op_line,) = [line for line in lines if line.startswith("  op_host_ms")]
+    assert "0/4 better" in op_line and "bound 15 %" in op_line
+    assert "(+19.9 %" in op_line and op_line.endswith(": worse")
+    assert "0:1/1.2 1:1.02/1.22 2:0.98/1.18 3:1.01/1.21" in text  # every run
+    (setup_line,) = [line for line in lines if line.startswith("  setup_s")]
+    assert setup_line.endswith(": unresolved")
+    (rss_line,) = [line for line in lines if line.startswith("  peak_rss_mb")]
+    assert "2/4 better" in rss_line and rss_line.endswith(": not worse")
+    for name in ("ok_rate", "events_per_ok_op", "sim_op_p50_ms",
+                 "sim_op_tail_ms", "attempted", "failed"):
+        assert f"  {name}: exactly equal per seed on 4/4 pairs" in lines
+
+    # A simulated metric that moves for one seed is a failure by itself,
+    # however small; so is one more failed operation.
+    moved = [dict(run) for run in parent]
+    moved[2]["events_per_ok_op"] += 0.5
+    moved[1]["failed"] = 1
+    lines, failed = ab.report("chord_steady", contract["end_to_end"],
+                              parent, moved, seeds=[0, 1, 2, 3])
+    assert failed
+    assert sum(line.endswith(": DIFFERS") for line in lines) == 2
+    # Identical sides: nothing fails, host metrics are simply not worse.
+    lines, failed = ab.report("chord_steady", contract["end_to_end"],
+                              parent, parent, seeds=[0, 1, 2, 3])
+    assert not failed
+
+
+def test_ab_spread_rule_yields_to_a_clean_sweep():
+    # The parent's IQR exceeds the bound, but every run of the change beats
+    # every run of the parent: that is resolved, and not worse.
+    ab = _load("ab")
+    metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
+    row = ab.compare(metric, [1.0, 1.6, 0.9, 1.5], [0.5, 0.6, 0.4, 0.7])
+    assert row["spread"] > 0.25 and row["verdict"] == "not worse"
+    assert row["wins"] == 4
+    higher = {"name": "x", "better": "higher", "bound": 0.1}
+    assert ab.compare(higher, [1.0, 1.0], [0.8, 0.8])["verdict"] == "worse"
+    assert ab.compare(higher, [1.0, 1.0], [1.2, 1.0])["wins"] == 1

@@ -214,10 +214,12 @@ def test_script_and_trace_compose_on_one_job():
 
 def test_chord_replays_the_bundled_trace_end_to_end():
     from repro.apps.chord import run_chord_scenario
+    from repro.apps.harness import RunConfig
 
     trace = (TRACES_DIR / "synthetic_overnet.trace").read_text()
-    report = run_chord_scenario(nodes=16, hosts=8, seed=0, lookups=12,
-                                duration="short", churn_trace=trace)
+    report = run_chord_scenario(
+        RunConfig(nodes=16, hosts=8, seed=0, duration="short",
+                  churn_trace=trace), lookups=12)
     # host-level fail/recover events are visible in Job.stats / the report
     assert report["job"]["churn_host_failures"] > 0
     assert report["job"]["churn_host_recoveries"] > 0
