@@ -17,8 +17,7 @@ through ``instance.rpc`` / ``instance.events`` / ``instance.fs`` /
   scenario registry and the shared deploy/churn/measure/report pipeline;
 * :mod:`repro.apps.scenarios` — end-to-end experiment entry points
   (``python -m repro.apps.scenarios chord|pastry|gossip|dissemination``).
+
+Nothing is imported here: a run pays (and, with no bytecode cache,
+compiles) only the workload modules it names.
 """
-
-from repro.apps.chord import ChordNode, LookupFailed, chord_factory
-
-__all__ = ["ChordNode", "LookupFailed", "chord_factory"]

@@ -372,10 +372,10 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
         sanitizer.watch_network(network)
 
     controller = Controller(sim, network, seed=seed, shards=config.ctl_shards)
-    slots = max(2, math.ceil(nodes / host_count) + 2)
+    # Every host gets the same limits, so they share the one object.
+    limits = SplaydLimits(max_instances=max(2, math.ceil(nodes / host_count) + 2))
     for ip in ips:
-        controller.register_daemon(
-            Splayd(sim, network, ip, SplaydLimits(max_instances=slots)))
+        controller.register_daemon(Splayd(sim, network, ip, limits))
 
     spec = JobSpec(
         name=name,

@@ -343,7 +343,9 @@ class RpcService:
                        pending.sent_at, elapsed, cat="rpc", args=args)
 
     def _cancel_pending(self) -> None:
-        """Instance teardown: cancel timers and outstanding calls."""
+        """Instance teardown: cancel timers and outstanding calls, and let
+        the handlers (bound methods of the application) go."""
+        self._handlers.clear()
         pending, self._pending = self._pending, {}
         for call in pending.values():
             timer, call.timer = call.timer, None

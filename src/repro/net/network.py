@@ -151,15 +151,15 @@ class Network:
     # ------------------------------------------------------------- listeners
     def listen(self, address: Address, handler: Callable[[Message], Any],
                context: Optional[AppContext] = None) -> Listener:
-        """Register ``handler`` for messages addressed to ``address``."""
+        """Register ``handler`` for ``address``.  A listener whose ``context``
+        died receives nothing and may be replaced; its owner's teardown takes
+        it out of the table (:meth:`unlisten`, which a closing socket calls)."""
         key = (address.ip, address.port)
         existing = self._listeners.get(key)
         if existing is not None and existing.alive:
             raise ValueError(f"address already in use: {address}")
         listener = Listener(address=address, handler=handler, context=context)
         self._listeners[key] = listener
-        if context is not None:
-            context.add_cleanup(lambda: self.unlisten(address))
         return listener
 
     def unlisten(self, address: Address) -> None:

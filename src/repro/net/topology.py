@@ -4,15 +4,14 @@ The paper's ModelNet configuration "emulates 1,100 hosts connected to a
 500-node transit-stub topology.  The bandwidth is set to 10 Mbps for all
 links.  RTT between nodes of the same domain is 10 ms, stub-stub and
 stub-transit RTT is 30 ms, and transit-transit (i.e., long range links) RTT
-is 100 ms."  This module generates such topologies with `networkx` and
-computes shortest-path delays between attachment points.
+is 100 ms."  This module generates such topologies and computes
+shortest-path delays between attachment points.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List
 
 from repro.sim.rng import substream
 
@@ -51,16 +50,18 @@ class TransitStubTopology:
         self.intra_domain_rtt = intra_domain_rtt
         self.link_bandwidth_bps = link_bandwidth_bps
 
-        self.graph = nx.Graph()
+        #: node -> {neighbour: one-way delay}, both in insertion order; a
+        #: re-added edge keeps its first position
+        self._adj: Dict[int, Dict[int, float]] = {}
         self.transit_nodes: List[int] = []
         self.stub_nodes: List[int] = []
         #: stub node -> transit node it hangs off
         self.stub_parent: Dict[int, int] = {}
         # Per-source delay rows: a flat list indexed by (contiguous) node id,
         # with the host-access component already folded in.  Node ids are
-        # assigned densely in _build, so a list replaces the dict-of-dicts
-        # networkx returns (which retained ~15 MB at 500 topology nodes) and
-        # the hot lookup is one C-level index.  Float values repeat massively
+        # assigned densely in _build, so a list replaces a dict per source
+        # (which retained ~15 MB at 500 topology nodes) and the hot lookup
+        # is one C-level index.  Float values repeat massively
         # across rows (delays are sums of a handful of RTTs), so rows share
         # float objects through ``_delay_pool``.
         self._delay_cache: Dict[int, List[float]] = {}
@@ -78,7 +79,7 @@ class TransitStubTopology:
         for _domain in range(transit_domains):
             nodes = []
             for _ in range(transit_nodes_per_domain):
-                self.graph.add_node(next_id, kind="transit")
+                self._adj[next_id] = {}
                 nodes.append(next_id)
                 next_id += 1
             # Full mesh inside a transit domain.
@@ -103,7 +104,7 @@ class TransitStubTopology:
             for _stub_domain in range(stub_domains_per_transit):
                 stub_ids = []
                 for _ in range(stub_nodes_per_domain):
-                    self.graph.add_node(next_id, kind="stub")
+                    self._adj[next_id] = {}
                     stub_ids.append(next_id)
                     self.stub_parent[next_id] = transit
                     next_id += 1
@@ -113,19 +114,19 @@ class TransitStubTopology:
                     self._add_edge(a, b, self.stub_stub_rtt / 2.0)
                 if len(stub_ids) > 3:
                     a, b = rng.sample(stub_ids, 2)
-                    if not self.graph.has_edge(a, b):
+                    if b not in self._adj[a]:
                         self._add_edge(a, b, self.stub_stub_rtt / 2.0)
                 # Gateway link: first stub node connects to the transit node.
                 self._add_edge(stub_ids[0], transit, self.stub_transit_rtt / 2.0)
                 self.stub_nodes.extend(stub_ids)
 
     def _add_edge(self, a: int, b: int, one_way_delay: float) -> None:
-        self.graph.add_edge(a, b, delay=one_way_delay, bandwidth=self.link_bandwidth_bps)
+        self._adj[a][b] = self._adj[b][a] = one_way_delay
 
     # --------------------------------------------------------------- queries
     @property
     def node_count(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def intra_domain_delay(self) -> float:
@@ -149,23 +150,31 @@ class TransitStubTopology:
         return delay
 
     def _build_delay_row(self, src_node: int) -> List[float]:
-        distances = nx.single_source_dijkstra_path_length(
-            self.graph, src_node, weight="delay")
+        # Dijkstra, relaxing exactly as the graph library that is now the
+        # test oracle (tests/test_topology_reference.py): heap entries
+        # (dist, push order, node), the first pop of a node settles it, and
+        # ``dist + cost`` is the only float operation, so rows match bitwise.
+        adj = self._adj
         pool = self._delay_pool
         intra = self.intra_domain_delay
-        row = [float("nan")] * self.node_count
-        for node, base in distances.items():
-            value = base + intra
+        row = [float("nan")] * len(adj)
+        seen = {src_node: 0}
+        fringe = [(0, 0, src_node)]
+        pushes = 1
+        while fringe:
+            dist, _, node = heappop(fringe)
+            if dist > seen[node]:
+                continue  # settled by a shorter entry pushed later
+            value = dist + intra
             row[node] = pool.setdefault(value, value)
+            for neighbour, cost in adj[node].items():
+                reach = dist + cost
+                if neighbour not in seen or reach < seen[neighbour]:
+                    seen[neighbour] = reach
+                    heappush(fringe, (reach, pushes, neighbour))
+                    pushes += 1
         self._delay_cache[src_node] = row
         return row
-
-    def path_hops(self, src_node: int, dst_node: int) -> int:
-        """Number of topology hops on the delay-shortest path."""
-        if src_node == dst_node:
-            return 0
-        path = nx.dijkstra_path(self.graph, src_node, dst_node, weight="delay")
-        return len(path) - 1
 
     def attach_hosts(self, ips: Iterable[str], seed: int = 1) -> Dict[str, int]:
         """Assign each host IP to a stub node, round-robin over a shuffled list.
@@ -187,5 +196,7 @@ class TransitStubTopology:
             "nodes": self.node_count,
             "transit_nodes": len(self.transit_nodes),
             "stub_nodes": len(self.stub_nodes),
-            "edges": self.graph.number_of_edges(),
+            # a self-loop (possible with one transit domain) is one edge
+            "edges": sum(len(nbrs) + (node in nbrs)
+                         for node, nbrs in self._adj.items()) // 2,
         }

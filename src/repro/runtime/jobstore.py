@@ -566,6 +566,8 @@ class CtlShard:
         if job.state in (JobState.STOPPED, JobState.FAILED):
             return
         self.kill_instances(list(job.instances), reason=f"job #{job.job_id} stopped")
+        for daemon in self.store.daemons.values():
+            daemon.release_job(job)
         job.state = JobState.STOPPED
 
     # ------------------------------------------------------------ host churn

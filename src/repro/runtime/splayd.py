@@ -133,6 +133,9 @@ class Instance:
         if self._fs is not None:
             self._fs.wipe()
         self.job.record_death(self)
+        # instance <-> app is a cycle: dropping this side lets reference
+        # counting free a dead application (the handle's counters stay).
+        self.app = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"
@@ -229,12 +232,14 @@ class Splayd:
         self.spawned_total += 1
         context.add_cleanup(instance._reap)
         try:
-            instance.app = spec.app_factory(instance)
+            app = spec.app_factory(instance)
         except Exception:
             # A broken application factory must not leave a half-built
             # instance holding a slot, port and listener on this daemon.
             context.kill("app factory failed")
             raise
+        if context.alive:  # a factory may exit on its own: a dead handle keeps no app
+            instance.app = app
         return instance
 
     def _log_sink(self, job: Job) -> Optional[Callable[[LogRecord], None]]:
@@ -245,6 +250,11 @@ class Splayd:
         if sink is None:
             sink = self._log_sinks[job] = self.controller.make_log_sink(job, self.ip)
         return sink
+
+    def release_job(self, job: Job) -> None:
+        """Forget a stopped job's sink (a dying instance's late record still
+        reaches the collector through its logger's own reference)."""
+        self._log_sinks.pop(job, None)
 
     def _allocate_address(self, base_port: int) -> Address:
         """The lowest free endpoint at or above ``base_port`` (now reserved)."""

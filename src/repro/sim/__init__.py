@@ -10,7 +10,8 @@ discrete-event simulator:
 * :mod:`repro.sim.process` — generator-based cooperative coroutines,
 * :mod:`repro.sim.events_api` — the ``splay.events`` compatible API
   (``thread``, ``periodic``, ``sleep``, ``fire``/``wait``),
-* :mod:`repro.sim.locks` — coroutine locks, semaphores and queues,
+* :mod:`repro.sim.locks` — coroutine locks, semaphores and queues (not
+  re-exported here: no bundled code uses them, so no run imports them),
 * :mod:`repro.sim.rng` — deterministic random substreams.
 
 All timing in the simulator is expressed in seconds (floats).
@@ -20,7 +21,6 @@ from repro.sim.futures import Future, FutureState, SimTimeoutError, all_of, any_
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.events_api import AppContext, Events
-from repro.sim.locks import Lock, Queue, Semaphore
 from repro.sim.rng import substream
 
 __all__ = [
@@ -28,12 +28,9 @@ __all__ = [
     "Events",
     "Future",
     "FutureState",
-    "Lock",
     "Process",
     "ProcessKilled",
-    "Queue",
     "ScheduledEvent",
-    "Semaphore",
     "SimTimeoutError",
     "Simulator",
     "all_of",

@@ -113,13 +113,34 @@ class AppContext:
 
 
 class PeriodicTask:
-    """Handle returned by :meth:`Events.periodic`; supports cancellation."""
+    """Handle returned by :meth:`Events.periodic`; supports cancellation.
 
-    __slots__ = ("cancelled", "_current")
+    The task is its own timer callback (the bound ``_fire``): two closures
+    re-arming each other would be a reference cycle pinning ``fn`` — usually
+    a bound method of the application — long after its context was killed.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("cancelled", "_current", "_events", "_fn", "_interval",
+                 "_jitter", "_name")
+
+    def __init__(self, events: "Events", fn: Callable[[], Any], interval: float,
+                 jitter: float) -> None:
         self.cancelled = False
         self._current: Optional[ScheduledEvent] = None
+        self._events = events
+        self._fn = fn
+        self._interval = interval
+        self._jitter = jitter
+        self._name = f"{events.context.name}.periodic"
+
+    def _fire(self) -> None:
+        events = self._events
+        if self.cancelled or not events.context.alive:
+            return
+        events.thread(self._fn, name=self._name)
+        sim, jitter = events.sim, self._jitter
+        delay = self._interval + (sim.rng.uniform(0.0, jitter) if jitter else 0.0)
+        self._current = sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -157,7 +178,8 @@ class Events:
             target = lambda: fn(*args)  # noqa: E731 - deferred invocation
         else:
             target = fn
-        process = Process(self.sim, target, name=name or f"{self.context.name}.thread")
+        # An unnamed thread goes by its context's name: the string exists.
+        process = Process(self.sim, target, name=name or self.context.name)
         process.start(delay)
         return self.context.track_process(process)
 
@@ -172,21 +194,7 @@ class Events:
         """
         if interval <= 0:
             raise ValueError("periodic interval must be positive")
-        task = PeriodicTask()
-        name = f"{self.context.name}.periodic"
-
-        def _fire() -> None:
-            if task.cancelled or not self.context.alive:
-                return
-            self.thread(fn, name=name)
-            _arm()
-
-        def _arm() -> None:
-            if task.cancelled or not self.context.alive:
-                return
-            delay = interval + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
-            task._current = self.sim.schedule(delay, _fire)
-
+        task = PeriodicTask(self, fn, interval, jitter)
         # The task is tracked once, as a cleanup; re-armed timers are NOT
         # appended to the context's timer list.  A periodic task re-arms on
         # every firing, so per-arm tracking grew (and re-compacted) the list
@@ -195,7 +203,7 @@ class Events:
         # task — cancelling it cancels whichever timer is current.
         first = initial_delay if initial_delay is not None else interval
         first = first + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
-        task._current = self.sim.schedule(first, _fire)
+        task._current = self.sim.schedule(first, task._fire)
         self.context.add_cleanup(task.cancel)
         return task
 

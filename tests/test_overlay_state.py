@@ -105,7 +105,7 @@ def test_picks_and_cleanup_compare_a_constant_number_of_members(
 
     comparisons[0] = 0
     controller.kill_instances([instances[1]], reason="test")
-    assert instances[1].app.me not in members
+    assert instances[1].me not in members
     assert len(members) == crowd + len(instances) - 1
     assert comparisons[0] <= 8
     # the renumbering after a removal is not a scan of comparisons either

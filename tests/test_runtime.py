@@ -146,8 +146,9 @@ def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():
     def boom():
         raise RuntimeError("cleanup exploded")
 
-    # First in line, so every sandbox cleanup (listener, pending RPCs, the
-    # daemon's reap hook) and the application's own come after the failure.
+    # First in line, so every sandbox cleanup (pending RPCs, the daemon's
+    # reap hook, which also closes the socket and takes its listener down)
+    # and the application's own come after the failure.
     broken.context._cleanups.insert(0, boom)
     broken.context.add_cleanup(lambda: ran.append("app cleanup"))
 
@@ -212,3 +213,44 @@ def test_instance_logs_are_shipped_to_the_controller():
     assert all(r.job_id == job.job_id for r in records)
     assert len(controller.job_logs(job, level="WARN")) == 1
     assert job.stats.log_records == 2
+
+
+def test_stopping_a_job_drops_its_log_sinks_from_every_daemon():
+    _sim, _network, controller = _world(daemons=3, max_instances=2)
+    daemons = [controller.store.daemons[ip] for ip in controller.daemon_ips()]
+
+    def run_one(name):
+        job = controller.submit(JobSpec(name=name, app_factory=lambda i: None,
+                                        instances=4, log_level="INFO"))
+        instances = controller.start(job)
+        assert any(job in daemon._log_sinks for daemon in daemons)
+        return job, instances
+
+    first, first_instances = run_one("first")
+    controller.stop(first)
+    # A daemon must not pin every job it ever hosted (one sink closure each).
+    assert not any(first in daemon._log_sinks for daemon in daemons)
+    # A record a dying instance still emits reaches the collector through the
+    # logger's own reference to the sink.
+    first_instances[0].logger.info("last words")
+    assert [r.message for r in controller.job_logs(first)] == ["last words"]
+
+    second, _ = run_one("second")
+    assert all(set(daemon._log_sinks) <= {second} for daemon in daemons)
+    controller.stop(second)
+    assert not any(daemon._log_sinks for daemon in daemons)
+
+
+def test_a_factory_that_exits_on_its_own_leaves_no_app_on_the_dead_handle():
+    _sim, _network, controller = _world(daemons=1, max_instances=1)
+
+    class Quitter:
+        def __init__(self, instance):
+            self.instance = instance
+            instance.events.exit()
+
+    job = controller.submit(JobSpec(name="app", app_factory=Quitter, instances=1))
+    (instance,) = controller.start(job)
+    assert not instance.alive
+    assert instance.app is None  # no instance <-> app cycle on a dead handle
+    assert job.live_count == 0
