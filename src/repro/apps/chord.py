@@ -10,107 +10,54 @@ Every remote interaction goes through ``instance.rpc`` (and therefore the
 restricted socket): the application never touches the network object.
 Lookups are *iterative*: the querying node walks the ring one hop at a time
 via the ``step`` RPC, which keeps per-hop timeouts small and lets the walker
-route around nodes that died mid-lookup.
+route around nodes that died mid-lookup.  The walk and the join retry loop
+are :class:`repro.apps.harness.RoutingNode`'s, shared with Pastry; what is
+here is the protocol: handlers, maintenance, routing state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.apps import harness
-from repro.lib.misc import Membership
-from repro.lib.ring import between, hash_key, ring_add, ring_distance
+from repro.lib.ring import between, ring_add, ring_distance
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
-from repro.sim.rng import substream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.splayd import Instance
 
 
 class LookupFailed(Exception):
     """A lookup exhausted its hop budget or every route attempt failed."""
 
 
-@dataclass
-class ChordStats:
-    """Per-node counters (aggregated by the scenario report)."""
-
-    lookups_started: int = 0
-    lookups_completed: int = 0
-    lookups_failed: int = 0
-    hops_total: int = 0
-    join_attempts: int = 0
-    stabilize_rounds: int = 0
-    dead_nodes_noticed: int = 0
-
-
-class ChordNode:
+class ChordNode(harness.RoutingNode):
     """One Chord node, bound to one runtime instance.
 
-    Options (from ``JobSpec.options`` or keyword overrides): ``bits`` —
-    identifier width; ``stabilize_interval`` / ``fix_fingers_interval`` /
-    ``check_predecessor_interval`` — maintenance periods; ``successor_list_size``
-    — fault-tolerance depth; ``hop_timeout`` / ``hop_retries`` — per-hop RPC
-    settings; ``join_window`` — joins are staggered uniformly over this many
-    seconds to avoid a thundering herd at deployment.
+    Options (from ``JobSpec.options`` or keyword overrides), beyond those of
+    :class:`~repro.apps.harness.RoutingNode`: ``stabilize_interval`` /
+    ``fix_fingers_interval`` / ``check_predecessor_interval`` — maintenance
+    periods; ``successor_list_size`` — fault-tolerance depth.
     """
 
-    def __init__(self, instance: "Instance", **overrides):
-        options = {**instance.options, **overrides}
-        self.instance = instance
-        self.events = instance.events
-        self.rpc = instance.rpc
-        self.log = instance.logger
-        self.bits: int = int(options.get("bits", 32))
-        self.stabilize_interval: float = float(options.get("stabilize_interval", 5.0))
-        self.fix_fingers_interval: float = float(options.get("fix_fingers_interval", 4.0))
-        self.check_predecessor_interval: float = float(
-            options.get("check_predecessor_interval", 11.0))
-        self.successor_list_size: int = int(options.get("successor_list_size", 6))
-        self.hop_timeout: float = float(options.get("hop_timeout", 1.5))
-        self.hop_retries: int = int(options.get("hop_retries", 1))
-        self.join_window: float = float(options.get("join_window", 30.0))
-        self.max_hops: int = int(options.get("max_hops", 3 * self.bits))
+    label = "chord"
+    failure = LookupFailed
 
-        self.me = instance.me.with_id(
-            hash_key(f"{instance.me.ip}:{instance.me.port}", self.bits))
+    def _configure(self, options: dict) -> None:
+        super()._configure(options)
+        self.stabilize_interval = float(options.get("stabilize_interval", 5.0))
+        self.fix_fingers_interval = float(options.get("fix_fingers_interval", 4.0))
+        self.check_predecessor_interval = float(
+            options.get("check_predecessor_interval", 11.0))
+        self.successor_list_size = int(options.get("successor_list_size", 6))
+        self.max_hops = int(options.get("max_hops", 3 * self.bits))
         self.predecessor: Optional[NodeRef] = None
         self.successors: List[NodeRef] = [self.me]
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
         self._next_finger = 0
-        self.joined = False
-        self.stats = ChordStats()
-        self._rng = substream(self.events.sim.seed, "chord",
-                              instance.job.job_id, instance.instance_id)
-
-        rpc = self.rpc
-        rpc.register("step", self._rpc_step)
-        rpc.register("claim", self._rpc_claim)
-        rpc.register("find_successor", self._rpc_find_successor)
-        rpc.register("get_predecessor", self._rpc_get_predecessor)
-        rpc.register("successor_list", self._rpc_successor_list)
-        rpc.register("notify", self._rpc_notify)
 
     # -------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Create the ring (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("chord_members", Membership())
-        if not self.instance.job.shared.get("chord_created"):
-            # First instance of the job bootstraps the ring immediately.
-            self.instance.job.shared["chord_created"] = True
-            self._become_member()
-        else:
-            delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
-            self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
-                               delay=delay)
-        # Keep the shared member registry honest on teardown.
-        self.instance.context.add_cleanup(lambda: members.discard(self.me))
-
-    def _become_member(self) -> None:
+    def _go_live(self) -> None:
         self.joined = True
-        self.instance.job.shared["chord_members"].add(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._stabilize, self.stabilize_interval,
                              jitter=self.stabilize_interval * 0.25)
         self.events.periodic(self._fix_fingers, self.fix_fingers_interval,
@@ -119,37 +66,14 @@ class ChordNode:
                              jitter=self.check_predecessor_interval * 0.25)
         self.log.info(f"node {self.me} up (id={self.me.id})")
 
-    def _join_main(self) -> Generator:
-        """Join coroutine: contact a member, learn the successor, go live."""
-        for attempt in range(1, 16):
-            self.stats.join_attempts += 1
-            bootstrap = self._pick_bootstrap()
-            if bootstrap is None:
-                yield 2.0
-                continue
-            try:
-                successor = yield self.rpc.call(
-                    bootstrap, "find_successor", self.me.id,
-                    timeout=self.hop_timeout * 8, retries=1)
-            except RpcError as exc:
-                self.log.debug(f"join attempt {attempt} via {bootstrap} failed: {exc}")
-                yield 1.0 + self._rng.uniform(0.0, 1.0)
-                continue
-            successor = NodeRef.coerce(successor)
-            self.successors = [successor]
-            self.fingers[0] = successor
-            self._become_member()
-            # Announce ourselves right away instead of waiting a full period.
-            self.rpc.a_call(successor, "notify", self.me,
-                            timeout=self.hop_timeout, retries=0)
-            return
-        self.log.error(f"node {self.me} could not join, giving up")
-        self.events.exit()
-
-    def _pick_bootstrap(self) -> Optional[NodeRef]:
-        """A live ring member to join through (the controller's node list)."""
-        others = self.instance.job.shared["chord_members"].without(self.me)
-        return self._rng.choice(others) if others else None
+    def _join_via(self, bootstrap: NodeRef) -> Generator:
+        """Learn our successor from any member; it is the one to notify."""
+        successor = NodeRef.coerce((yield self.rpc.call(
+            bootstrap, "find_successor", self.me.id,
+            timeout=self.hop_timeout * 8, retries=1)))
+        self.successors = [successor]
+        self.fingers[0] = successor
+        return (successor,)
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:
@@ -198,11 +122,8 @@ class ChordNode:
     # ------------------------------------------------------------ maintenance
     def _stabilize(self) -> Generator:
         """Verify the successor, adopt a closer one, refresh the successor list."""
-        self.stats.stabilize_rounds += 1
-        successor = self._first_live_successor()
-        if successor is None:
-            yield from self._rejoin_ring()
-            return
+        self.stats.maintenance_rounds += 1
+        successor = self._current_successor()
         try:
             # Walk the predecessor chain back towards us (bounded): a single
             # round can then repair a successor pointer that overshot by many
@@ -238,21 +159,6 @@ class ChordNode:
         except RpcError:
             self._note_dead(successor)
 
-    def _rejoin_ring(self) -> Generator:
-        """Every successor died: fall back to the member list and rejoin."""
-        bootstrap = self._pick_bootstrap()
-        if bootstrap is None:
-            self.successors = [self.me]
-            return
-        try:
-            successor = yield self.rpc.call(bootstrap, "find_successor", self.me.id,
-                                            timeout=self.hop_timeout * 8, retries=1)
-            successor = NodeRef.coerce(successor)
-            self.successors = [successor] if successor != self.me else [self.me]
-            self.fingers[0] = self.successors[0]
-        except RpcError:
-            self.successors = [self.me]
-
     def _fix_fingers(self) -> Generator:
         """Refresh one finger per round (round-robin over the table)."""
         self._next_finger = (self._next_finger + 1) % self.bits
@@ -273,105 +179,9 @@ class ChordNode:
             self.predecessor = None
             self.stats.dead_nodes_noticed += 1
 
-    # ---------------------------------------------------------------- lookups
-    def lookup(self, key: int) -> Generator:
-        """Iteratively find the node owning ``key``.
-
-        Returns ``(owner, hops)``.  Dead hops are added to an ``avoid`` set
-        and the walk restarts from the local node, so a lookup survives nodes
-        failing underneath it as long as the ring itself stays connected.
-        """
-        key = key % (1 << self.bits)
-        self.stats.lookups_started += 1
-        tracer = self.rpc._tracer
-        started = self.events.sim.now
-        avoid: set[int] = set()
-        current = self.me
-        hops = 0
-        while hops < self.max_hops:
-            if current == self.me:
-                response = self._rpc_step(key, list(avoid))
-            else:
-                try:
-                    response = yield self.rpc.call(current, "step", key, list(avoid),
-                                                   timeout=self.hop_timeout,
-                                                   retries=self.hop_retries)
-                except RpcError:
-                    avoid.add(current.id)
-                    self._note_dead(current)
-                    current = self.me
-                    hops += 1
-                    continue
-            hops += 1
-            node = NodeRef.coerce(response["node"])
-            if response["done"]:
-                # Confirm ownership with the claimed owner; bounce along its
-                # predecessor chain if a recent joiner sits closer to the key.
-                owner = node
-                confirmed = None
-                for _bounce in range(4):
-                    if owner == self.me:
-                        claim = self._rpc_claim(key)
-                    else:
-                        try:
-                            claim = yield self.rpc.call(owner, "claim", key,
-                                                        timeout=self.hop_timeout,
-                                                        retries=self.hop_retries)
-                        except RpcError:
-                            avoid.add(owner.id)
-                            self._note_dead(owner)
-                            break  # restart the walk from the local node
-                    hops += 1
-                    if claim["mine"]:
-                        confirmed = owner
-                        break
-                    candidate = NodeRef.coerce(claim["node"])
-                    if candidate == owner or candidate.id in avoid:
-                        confirmed = owner  # stale bounce; accept the claimer
-                        break
-                    owner = candidate
-                else:
-                    confirmed = owner  # bounce budget spent; best known owner
-                if confirmed is not None:
-                    self.stats.lookups_completed += 1
-                    self.stats.hops_total += hops
-                    if tracer is not None:
-                        # The lookup-level span: per-hop step/claim RPC spans
-                        # nest under it on the same host track.
-                        tracer.add(self.me.ip, "lookup",
-                                   started, self.events.sim.now - started,
-                                   cat="lookup",
-                                   args={"key": key, "hops": hops})
-                    registry = self.rpc._metrics
-                    if registry is not None:
-                        registry.inc("lookup.completed")
-                        registry.observe("lookup.hops", hops)
-                    return confirmed, hops
-                current = self.me
-                continue
-            if node == current or (node == self.me and current != self.me):
-                # No progress: the remote's best route is itself or bounces
-                # back; blacklist the stuck hop and restart locally.
-                avoid.add(node.id)
-                current = self.me
-                continue
-            current = node
-        self.stats.lookups_failed += 1
-        if tracer is not None:
-            tracer.add(self.me.ip, "lookup.failed",
-                       started, self.events.sim.now - started, cat="lookup",
-                       args={"key": key, "hops": hops})
-        raise LookupFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
-
     # ----------------------------------------------------------------- helpers
     def _current_successor(self) -> NodeRef:
         return self.successors[0] if self.successors else self.me
-
-    def _first_live_successor(self) -> Optional[NodeRef]:
-        """The head of the successor list (pruned of known-dead entries)."""
-        if not self.successors:
-            return None
-        return self.successors[0]
 
     def _closest_preceding(self, key: int, avoided: set) -> NodeRef:
         """Best known node strictly between us and ``key`` (fingers + successors).
@@ -413,33 +223,8 @@ class ChordNode:
         if self.predecessor == node:
             self.predecessor = None
 
-    def ring_snapshot(self) -> dict:
-        """Debug/report view of this node's routing state."""
-        return {
-            "me": self.me,
-            "predecessor": self.predecessor,
-            "successors": list(self.successors),
-            "fingers_known": sum(1 for f in self.fingers if f is not None),
-            "joined": self.joined,
-        }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ChordNode {self.me} joined={self.joined}>"
-
-
-def chord_factory(**options):
-    """Build a :class:`JobSpec`-compatible application factory.
-
-    ``options`` override the job options for every instance (useful in
-    tests: ``chord_factory(bits=10, join_window=0)``).
-    """
-
-    def _factory(instance: "Instance") -> ChordNode:
-        node = ChordNode(instance, **options)
-        node.start()
-        return node
-
-    return _factory
+chord_factory = ChordNode.factory
 
 
 def _dedupe(nodes: List[NodeRef]) -> List[NodeRef]:

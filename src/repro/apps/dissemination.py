@@ -21,17 +21,12 @@ requester moves on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.apps import harness
-from repro.lib.misc import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.net.bwalloc import BULK
-from repro.sim.rng import substream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.splayd import Instance
 
 
 @dataclass
@@ -45,35 +40,28 @@ class SwarmStats:
     have_polls: int = 0
 
 
-class SwarmNode:
+class SwarmNode(harness.OverlayNode):
     """One swarm participant, bound to one runtime instance.
 
     Options: ``chunks`` — chunks in the file; ``chunk_size`` — bytes per
     chunk; ``fetch_concurrency`` — parallel download loops per node;
     ``max_uploads`` — concurrent upload slots (unchoke limit);
     ``poll_interval`` — idle wait between peer polls; ``fetch_timeout`` —
-    RPC budget for one chunk (must cover the bulk transfer); ``join_window``
-    — joins are staggered uniformly over this many seconds.
+    RPC budget for one chunk (must cover the bulk transfer).
 
     The first instance of the job becomes the *seed* and starts complete.
     """
 
-    def __init__(self, instance: "Instance", **overrides):
-        options = {**instance.options, **overrides}
-        self.instance = instance
-        self.events = instance.events
-        self.rpc = instance.rpc
-        self.socket = instance.socket
-        self.log = instance.logger
-        self.chunks: int = int(options.get("chunks", 24))
-        self.chunk_size: int = int(options.get("chunk_size", 65536))
-        self.fetch_concurrency: int = int(options.get("fetch_concurrency", 3))
-        self.max_uploads: int = int(options.get("max_uploads", 4))
-        self.poll_interval: float = float(options.get("poll_interval", 1.0))
-        self.fetch_timeout: float = float(options.get("fetch_timeout", 60.0))
-        self.join_window: float = float(options.get("join_window", 30.0))
+    label = "swarm"
 
-        self.me = instance.me
+    def _configure(self, options: dict) -> None:
+        self.socket = self.instance.socket
+        self.chunks = int(options.get("chunks", 24))
+        self.chunk_size = int(options.get("chunk_size", 65536))
+        self.fetch_concurrency = int(options.get("fetch_concurrency", 3))
+        self.max_uploads = int(options.get("max_uploads", 4))
+        self.poll_interval = float(options.get("poll_interval", 1.0))
+        self.fetch_timeout = float(options.get("fetch_timeout", 60.0))
         self.have: Set[int] = set()
         #: chunk index -> how many peers were seen advertising it
         self.availability: Dict[int, int] = {}
@@ -83,45 +71,24 @@ class SwarmNode:
         self.completed_at: Optional[float] = None
         self.is_seed = False
         self.providers: Set[tuple] = set()
-        self.joined = False
         self.stats = SwarmStats()
-        self._rng = substream(self.events.sim.seed, "swarm",
-                              instance.job.job_id, instance.instance_id)
-
-        rpc = self.rpc
-        rpc.register("have", self._rpc_have)
-        rpc.register("fetch", self._rpc_fetch)
 
     # -------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        members = self.instance.job.shared.setdefault("swarm_members", Membership())
-        if not self.instance.job.shared.get("swarm_seeded"):
-            self.instance.job.shared["swarm_seeded"] = True
-            self.is_seed = True
-            self.have = set(range(self.chunks))
-            self.completed_at = self.events.sim.now
-            self._go_live(delay=0.0)
-        else:
-            delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
-            self._go_live(delay=delay)
-        self.instance.context.add_cleanup(lambda: members.discard(self.me))
+    def _found(self) -> None:
+        self.is_seed = True
+        self.have = set(range(self.chunks))
+        self.completed_at = self.events.sim.now
+        self._go_live()
 
-    def _go_live(self, delay: float) -> None:
-        def _up() -> None:
-            self.instance.job.shared["swarm_members"].add(self.me)
-            self.joined = True
-            # The measured download time starts when the fetch workers do,
-            # not at instance creation — the join stagger is not download
-            # latency.
-            self.started_at = self.events.sim.now
-            for worker in range(self.fetch_concurrency):
-                self.events.thread(self._fetch_loop,
-                                   name=f"{self.instance.context.name}.fetch{worker}")
-
-        if delay > 0:
-            self.events.timer(delay, _up)
-        else:
-            _up()
+    def _go_live(self) -> None:
+        self.members.add(self.me)
+        self.joined = True
+        # The measured download time starts when the fetch workers do, not at
+        # instance creation — the join stagger is not download latency.
+        self.started_at = self.events.sim.now
+        for worker in range(self.fetch_concurrency):
+            self.events.thread(self._fetch_loop,
+                               name=f"{self.instance.context.name}.fetch{worker}")
 
     @property
     def complete(self) -> bool:
@@ -153,7 +120,7 @@ class SwarmNode:
     def _fetch_loop(self) -> Generator:
         """Swarm until complete: poll a random peer, fetch a missing chunk."""
         while not self.complete:
-            peer = self._pick_peer()
+            peer = self._pick_member()
             if peer is None:
                 yield self.poll_interval
                 continue
@@ -194,30 +161,14 @@ class SwarmNode:
                     self.log.info(f"swarm node {self.me} complete "
                                   f"({self.chunks} chunks)")
 
-    def _pick_peer(self) -> Optional[NodeRef]:
-        others = self.instance.job.shared["swarm_members"].without(self.me)
-        return self._rng.choice(others) if others else None
-
     def _pick_chunk(self, wanted: List[int]) -> int:
         """Rarest-first among what the peer offers (ties broken randomly)."""
         rarest = min(self.availability.get(c, 0) for c in wanted)
         pool = [c for c in wanted if self.availability.get(c, 0) == rarest]
         return self._rng.choice(pool)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SwarmNode {self.me} {len(self.have)}/{self.chunks}"
-                f"{' seed' if self.is_seed else ''}>")
 
-
-def swarm_factory(**options):
-    """Build a :class:`JobSpec`-compatible application factory."""
-
-    def _factory(instance: "Instance") -> SwarmNode:
-        node = SwarmNode(instance, **options)
-        node.start()
-        return node
-
-    return _factory
+swarm_factory = SwarmNode.factory
 
 
 # ----------------------------------------------------------------- scenario

@@ -20,16 +20,12 @@ and the time/hop count ("rounds") to full coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.apps import harness
-from repro.lib.misc import Membership
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.sim.rng import substream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.splayd import Instance
 
 
 @dataclass
@@ -54,65 +50,40 @@ class DeliveryRecord:
     via: str  # "publish" | "push" | "anti-entropy"
 
 
-class GossipNode:
+class GossipNode(harness.OverlayNode):
     """One gossip node, bound to one runtime instance.
 
     Options: ``view_size`` — Cyclon partial-view capacity; ``shuffle_size``
     — descriptors exchanged per shuffle; ``shuffle_interval`` /
     ``ae_interval`` — membership and anti-entropy periods; ``fanout`` —
-    eager-push degree; ``hop_timeout`` — RPC timeout; ``join_window`` —
-    joins are staggered uniformly over this many seconds.
+    eager-push degree; ``hop_timeout`` — RPC timeout.
     """
 
-    def __init__(self, instance: "Instance", **overrides):
-        options = {**instance.options, **overrides}
-        self.instance = instance
-        self.events = instance.events
-        self.rpc = instance.rpc
-        self.log = instance.logger
-        self.view_size: int = int(options.get("view_size", 8))
-        self.shuffle_size: int = int(options.get("shuffle_size", 4))
-        self.shuffle_interval: float = float(options.get("shuffle_interval", 4.0))
-        self.ae_interval: float = float(options.get("ae_interval", 6.0))
-        self.fanout: int = int(options.get("fanout", 3))
-        self.hop_timeout: float = float(options.get("hop_timeout", 1.5))
-        self.join_window: float = float(options.get("join_window", 30.0))
+    label = "gossip"
+    # Cyclon has no founder state: whoever finds the directory empty (the first
+    # instance, or the first one back after everyone died) starts alone, at once.
+    founds_when_empty = True
 
-        self.me = instance.me
+    def _configure(self, options: dict) -> None:
+        self.view_size = int(options.get("view_size", 8))
+        self.shuffle_size = int(options.get("shuffle_size", 4))
+        self.shuffle_interval = float(options.get("shuffle_interval", 4.0))
+        self.ae_interval = float(options.get("ae_interval", 6.0))
+        self.fanout = int(options.get("fanout", 3))
+        self.hop_timeout = float(options.get("hop_timeout", 1.5))
         #: Cyclon partial view: peer -> age (incremented every shuffle round)
         self.view: Dict[Tuple[str, int], List] = {}  # key -> [NodeRef, age]
         #: message id -> delivery record
         self.store: Dict[str, DeliveryRecord] = {}
-        self.joined = False
         self.stats = GossipStats()
-        self._rng = substream(self.events.sim.seed, "gossip",
-                              instance.job.job_id, instance.instance_id)
-
-        rpc = self.rpc
-        rpc.register("shuffle", self._rpc_shuffle)
-        rpc.register("push", self._rpc_push)
-        rpc.register("ae_digest", self._rpc_ae_digest)
-        rpc.register("ae_fetch", self._rpc_ae_fetch)
 
     # -------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        members = self.instance.job.shared.setdefault("gossip_members", Membership())
-        delay = 0.0
-        if members and self.join_window > 0:
-            delay = self._rng.uniform(0.0, self.join_window)
-        if delay > 0:
-            self.events.timer(delay, self._go_live)
-        else:
-            self._go_live()
-        self.instance.context.add_cleanup(lambda: members.discard(self.me))
-
     def _go_live(self) -> None:
-        members = self.instance.job.shared["gossip_members"]
-        seeds = members.without(self.me)
+        seeds = self.members.without(self.me)
         for seed in self._sample(seeds, min(self.view_size // 2 + 1, len(seeds))):
             self._view_add(seed, age=0)
         self.joined = True
-        members.add(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._shuffle, self.shuffle_interval,
                              jitter=self.shuffle_interval * 0.25)
         self.events.periodic(self._anti_entropy, self.ae_interval,
@@ -185,7 +156,7 @@ class GossipNode:
 
     def _reseed(self) -> None:
         """Empty view (every peer churned away): restart from the member list."""
-        members = self.instance.job.shared["gossip_members"].without(self.me)
+        members = self.members.without(self.me)
         for seed in self._sample(members, min(3, len(members))):
             self._view_add(seed, age=0)
 
@@ -248,19 +219,8 @@ class GossipNode:
     def _note_dead(self, node: NodeRef) -> None:
         self.view.pop((node.ip, node.port), None)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<GossipNode {self.me} view={len(self.view)} store={len(self.store)}>"
 
-
-def gossip_factory(**options):
-    """Build a :class:`JobSpec`-compatible application factory."""
-
-    def _factory(instance: "Instance") -> GossipNode:
-        node = GossipNode(instance, **options)
-        node.start()
-        return node
-
-    return _factory
+gossip_factory = GossipNode.factory
 
 
 # ----------------------------------------------------------------- scenario

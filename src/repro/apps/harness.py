@@ -23,7 +23,8 @@ observation sections, so it is also identical across ``--ctl-shards``,
 mechanics must never change workload results.
 
 Public entry points: :class:`RunConfig` (the one description of a run's
-execution options), :func:`deploy` (+ :class:`Deployment`),
+execution options), :class:`OverlayNode` / :class:`RoutingNode` (what the
+applications are built on), :func:`deploy` (+ :class:`Deployment`),
 :func:`scaled_windows` / :func:`scaled_ops` (duration presets),
 :func:`run_lookup_scenario` / :func:`lookup_stream` / :func:`drain`
 (drivers), and :func:`base_report` / :func:`summarise` /
@@ -42,7 +43,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Generator, List, Optional
 
 from repro.core.jobs import Job, JobSpec
+from repro.lib.misc import Membership
+from repro.lib.ring import hash_key
 from repro.lib.rpc import RpcError
+from repro.net.address import NodeRef
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
@@ -78,7 +82,6 @@ class OpResult:
     hops: int
     completed: bool
     correct: bool
-
 
 
 def host_ips(count: int) -> List[str]:
@@ -157,13 +160,7 @@ def deterministic_report_view(report: dict) -> dict:
 
 
 def report_digest(report: dict) -> str:
-    """Seed-stable digest of a scenario report.
-
-    Execution-mechanics keys (:data:`DIGEST_EXCLUDED_KEYS`: the shard
-    count, the per-shard/collector stats, the observation sections) are excluded:
-    the digest asserts *workload-level* equality, which must hold whatever
-    the control plane looks like.
-    """
+    """Seed-stable digest of a report's :func:`deterministic_report_view`."""
     data = deterministic_report_view(report)
     encoded = json.dumps(data, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()[:16]
@@ -238,6 +235,16 @@ class RunConfig:
     bw_alloc: str = "max-min"
     #: host-interpreter GC discipline (:mod:`repro.sim.gcpolicy`)
     gc_policy: str = "tuned"
+
+    def __post_init__(self) -> None:
+        for name in ("nodes", "hosts", "ctl_shards"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
+        for name in ("join_window", "settle", "warmup_grace"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, not {value:g}")
 
     def resolved(self, default_churn_script: str) -> "RunConfig":
         """This run with its deployment-dependent defaults filled in.
@@ -412,6 +419,256 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
                       observability=observability, gc_policy=policy)
 
 
+# --------------------------------------------------------------- applications
+class OverlayNode:
+    """One overlay node bound to one runtime instance: what applications share.
+
+    A subclass names its ``label`` (the substream its draws come from and the
+    job's ``<label>_members`` directory), reads its options and builds its
+    state in :meth:`_configure`, serves every ``_rpc_<name>`` method it
+    defines as ``<name>`` (SPLAY's ``rpc.server`` convention) and says what
+    going live means: :meth:`_go_live` (enter the directory, start the
+    periodic tasks), reached through :meth:`_found` by the overlay's founder
+    and through :meth:`_join` by everyone else.  Job option ``join_window``:
+    joins are staggered uniformly over this many seconds to avoid a
+    thundering herd at deployment.
+    """
+
+    label = ""
+    #: an empty directory is founded anew, not joined (gossip: no founder state)
+    founds_when_empty = False
+    _handlers: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = tuple((name[5:], name) for name in dir(cls)
+                              if name.startswith("_rpc_"))
+
+    def __init__(self, instance, **overrides) -> None:
+        self.instance = instance
+        self.events = instance.events
+        self.rpc = instance.rpc
+        self.log = instance.logger
+        self.me = instance.me
+        self.joined = False
+        self._rng = substream(instance.events.sim.seed, self.label,
+                              instance.job.job_id, instance.instance_id)
+        options = {**instance.options, **overrides}
+        self.join_window = float(options.get("join_window", 30.0))
+        self._configure(options)
+        for served_as, name in self._handlers:
+            self.rpc.register(served_as, getattr(self, name))
+
+    @classmethod
+    def factory(cls, **options) -> Callable:
+        """A :class:`JobSpec` application factory; ``options`` override the
+        job options for every instance (``chord_factory(bits=10)``)."""
+        def _factory(instance):
+            node = cls(instance, **options)
+            node.start()
+            return node
+
+        return _factory
+
+    def start(self) -> None:
+        """Found the overlay (the job's first instance), or join it after one
+        draw over ``join_window``."""
+        shared = self.instance.job.shared
+        key = self.label + "_members"
+        first = key not in shared
+        if first:
+            shared[key] = Membership()
+        #: the job's rendezvous directory (the controller's node list)
+        members = self.members = shared[key]
+        if first or (self.founds_when_empty and not members):
+            self._found()
+        else:
+            self._join(self._rng.uniform(0.0, self.join_window)
+                       if self.join_window > 0 else 0.0)
+        # Keep the shared member registry honest on teardown.
+        self.instance.context.add_cleanup(lambda: members.discard(self.me))
+
+    def _found(self) -> None:
+        self._go_live()
+
+    def _join(self, delay: float) -> None:
+        if delay > 0:
+            self.events.timer(delay, self._go_live)
+        else:
+            self._go_live()
+
+    def _pick_member(self) -> Optional[NodeRef]:
+        """A random other member of the directory (``None`` when alone)."""
+        others = self.members.without(self.me)
+        return self._rng.choice(others) if others else None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self.me} joined={self.joined}>"
+
+
+@dataclass
+class RoutingStats:
+    """Per-node counters of a key-based-routing overlay."""
+
+    lookups_started: int = 0
+    lookups_completed: int = 0
+    lookups_failed: int = 0
+    hops_total: int = 0
+    join_attempts: int = 0
+    maintenance_rounds: int = 0
+    dead_nodes_noticed: int = 0
+
+
+class RoutingNode(OverlayNode):
+    """A node of a key-based-routing overlay (Chord, Pastry).
+
+    Holds what such overlays share: the identifier width ``bits``, the
+    per-hop RPC settings ``hop_timeout`` / ``hop_retries``, ``me`` with its
+    hashed identifier, the join retry loop and the one iterative
+    :meth:`lookup` walk.  The overlay supplies the ``step`` and ``claim``
+    handlers, :meth:`_join_via`, ``_note_dead``, its hop budget ``max_hops``,
+    ``failure`` (the exception class its lookups raise) and optionally
+    ``_learned`` (told every node reference a walk sees).
+    """
+
+    failure: type = Exception
+    _learned = None
+
+    def _configure(self, options: dict) -> None:
+        self.bits = int(options.get("bits", 32))
+        self.hop_timeout = float(options.get("hop_timeout", 1.5))
+        self.hop_retries = int(options.get("hop_retries", 1))
+        self.me = self.me.with_id(hash_key(f"{self.me.ip}:{self.me.port}", self.bits))
+        self.stats = RoutingStats()
+
+    def _join(self, delay: float) -> None:
+        self.events.thread(self._join_main, delay=delay,
+                           name=f"{self.instance.context.name}.join")
+
+    def _join_main(self) -> Generator:
+        """Join coroutine: adopt state through a random member, go live, notify.
+
+        The overlay's part is the coroutine ``_join_via(bootstrap)``: it adopts
+        state or raises :class:`RpcError`, and returns the nodes to notify.
+        """
+        for attempt in range(1, 16):
+            self.stats.join_attempts += 1
+            bootstrap = self._pick_member()
+            if bootstrap is None:
+                yield 2.0
+                continue
+            try:
+                neighbours = yield from self._join_via(bootstrap)
+            except RpcError as exc:
+                self.log.debug(f"join attempt {attempt} via {bootstrap} failed: {exc}")
+                yield 1.0 + self._rng.uniform(0.0, 1.0)
+                continue
+            self._go_live()
+            # Announce ourselves right away instead of waiting a full period.
+            for node in neighbours:
+                self.rpc.a_call(node, "notify", self.me,
+                                timeout=self.hop_timeout, retries=0)
+            return
+        self.log.error(f"node {self.me} could not join, giving up")
+        self.events.exit()
+
+    def lookup(self, key: int) -> Generator:
+        """Iteratively find the node owning ``key``; returns ``(owner, hops)``.
+
+        One ``step`` per node asked, then ``claim`` to confirm the owner.  Dead
+        hops go to an ``avoid`` set and the walk restarts from the local node,
+        so a lookup survives nodes failing underneath it while the overlay
+        itself stays connected.
+        """
+        key = key % (1 << self.bits)
+        self.stats.lookups_started += 1
+        tracer = self.rpc._tracer
+        # the clock is read for the span only
+        started = self.events.sim.now if tracer is not None else 0.0
+        learned = self._learned
+        avoid: set = set()
+        current = self.me
+        hops = 0
+        while hops < self.max_hops:
+            if current == self.me:
+                response = self._rpc_step(key, list(avoid))
+            else:
+                try:
+                    response = yield self.rpc.call(current, "step", key, list(avoid),
+                                                   timeout=self.hop_timeout,
+                                                   retries=self.hop_retries)
+                except RpcError:
+                    avoid.add(current.id)
+                    self._note_dead(current)
+                    current = self.me
+                    hops += 1
+                    continue
+            hops += 1
+            node = NodeRef.coerce(response["node"])
+            if learned is not None:
+                learned(node)
+            if response["done"]:
+                # Confirm ownership with the claimed owner; bounce along its
+                # neighbours if a recent joiner sits closer to the key.
+                owner = node
+                confirmed = None
+                for _bounce in range(4):
+                    if owner == self.me:
+                        claim = self._rpc_claim(key)
+                    else:
+                        try:
+                            claim = yield self.rpc.call(owner, "claim", key,
+                                                        timeout=self.hop_timeout,
+                                                        retries=self.hop_retries)
+                        except RpcError:
+                            avoid.add(owner.id)
+                            self._note_dead(owner)
+                            break  # restart the walk from the local node
+                    hops += 1
+                    if claim["mine"]:
+                        confirmed = owner
+                        break
+                    candidate = NodeRef.coerce(claim["node"])
+                    if learned is not None:
+                        learned(candidate)
+                    if candidate == owner or candidate.id in avoid:
+                        confirmed = owner  # stale bounce; accept the claimer
+                        break
+                    owner = candidate
+                else:
+                    confirmed = owner  # bounce budget spent; best known owner
+                if confirmed is not None:
+                    self.stats.lookups_completed += 1
+                    self.stats.hops_total += hops
+                    if tracer is not None:
+                        # per-hop step/claim RPC spans nest under this one
+                        tracer.add(self.me.ip, "lookup", started,
+                                   self.events.sim.now - started, cat="lookup",
+                                   args={"key": key, "hops": hops})
+                    registry = self.rpc._metrics
+                    if registry is not None:
+                        registry.inc("lookup.completed")
+                        registry.observe("lookup.hops", hops)
+                    return confirmed, hops
+                current = self.me
+                continue
+            if node == current or (node == self.me and current != self.me):
+                # No progress: the remote's best route is itself or bounces
+                # back; blacklist the stuck hop and restart locally.
+                avoid.add(node.id)
+                current = self.me
+                continue
+            current = node
+        self.stats.lookups_failed += 1
+        if tracer is not None:
+            tracer.add(self.me.ip, "lookup.failed", started,
+                       self.events.sim.now - started, cat="lookup",
+                       args={"key": key, "hops": hops})
+        if self.rpc._metrics is not None:
+            self.rpc._metrics.inc("lookup.failed")
+        raise self.failure(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
+
+
 # -------------------------------------------------------------------- drivers
 def joined_apps(job: Job) -> list:
     """Live application objects that consider themselves joined, in id order."""
@@ -581,7 +838,6 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
         # sections above (and for max-min are pinned byte-identical).
         "bw_alloc": {
             "allocator": network.bandwidth.allocator_name,
-            "incremental": network.bandwidth.incremental,
             "reallocations": network.bandwidth.reallocations,
             "flows_allocated": network.bandwidth.flows_allocated,
             "by_class": network.bandwidth.class_stats(),

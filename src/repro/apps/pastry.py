@@ -9,10 +9,11 @@ a *leaf set* of its numerically closest neighbours on each side of the ring.
 Routing forwards to a node whose identifier shares a strictly longer prefix
 with the key, falling back to a numerically closer node with an equal
 prefix (the "rare case"), and terminates at the numerically closest member
-once the key lands inside a leaf set.  Like the Chord implementation,
-lookups are *iterative*: the querying node walks the overlay one ``step``
-RPC at a time and routes around nodes that die mid-lookup, and ownership is
-confirmed with a ``claim`` check so recent joins don't yield stale owners.
+once the key lands inside a leaf set.  Lookups are the same *iterative*
+walk Chord uses (:meth:`repro.apps.harness.RoutingNode.lookup`): the querying
+node asks one node at a time for its ``step``, routes around nodes that die
+mid-lookup, and confirms ownership with a ``claim`` check so recent joins
+don't yield stale owners; every reference the walk sees is ``_learned``.
 
 Fault tolerance under churn comes from periodic leaf-set repair (exchange
 leaf sets with the nearest live neighbour on each side) and routing-table
@@ -22,25 +23,17 @@ probing, mirroring Pastry's self-stabilisation.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps import harness
-from repro.lib.misc import Membership
 from repro.lib.ring import (
     between,
     digit_at,
-    hash_key,
     numeric_distance,
     shared_prefix_length,
 )
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
-from repro.sim.rng import substream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.splayd import Instance
-
 
 #: default leaf-set capacity (total, half per side) — also reported by the
 #: scenario, so keep the node constructor and this constant in sync
@@ -51,53 +44,31 @@ class RouteFailed(Exception):
     """A lookup exhausted its hop budget or every route attempt failed."""
 
 
-@dataclass
-class PastryStats:
-    """Per-node counters (aggregated by the scenario report)."""
-
-    lookups_started: int = 0
-    lookups_completed: int = 0
-    lookups_failed: int = 0
-    hops_total: int = 0
-    join_attempts: int = 0
-    repair_rounds: int = 0
-    dead_nodes_noticed: int = 0
-
-
-class PastryNode:
+class PastryNode(harness.RoutingNode):
     """One Pastry node, bound to one runtime instance.
 
-    Options (from ``JobSpec.options`` or keyword overrides): ``bits`` —
-    identifier width; ``base_bits`` — bits per routing digit (``b``; base is
-    ``2**b``); ``leaf_set_size`` — total leaf-set capacity (half per side);
-    ``repair_interval`` / ``table_probe_interval`` — maintenance periods;
-    ``hop_timeout`` / ``hop_retries`` — per-hop RPC settings; ``join_window``
-    — joins are staggered uniformly over this many seconds.
+    Options (from ``JobSpec.options`` or keyword overrides), beyond those of
+    :class:`~repro.apps.harness.RoutingNode`: ``base_bits`` — bits per
+    routing digit (``b``; base is ``2**b``); ``leaf_set_size`` — total
+    leaf-set capacity (half per side); ``repair_interval`` /
+    ``table_probe_interval`` — maintenance periods.
     """
 
-    def __init__(self, instance: "Instance", **overrides):
-        options = {**instance.options, **overrides}
-        self.instance = instance
-        self.events = instance.events
-        self.rpc = instance.rpc
-        self.log = instance.logger
-        self.bits: int = int(options.get("bits", 32))
-        self.base_bits: int = int(options.get("base_bits", 4))
+    label = "pastry"
+    failure = RouteFailed
+
+    def _configure(self, options: dict) -> None:
+        super()._configure(options)
+        self.base_bits = int(options.get("base_bits", 4))
         if self.bits % self.base_bits:
             raise ValueError(
                 f"bits ({self.bits}) must be a multiple of base_bits ({self.base_bits})")
-        self.digits: int = self.bits // self.base_bits
-        self.leaf_set_size: int = int(options.get("leaf_set_size", DEFAULT_LEAF_SET_SIZE))
-        self.leaf_half: int = max(1, self.leaf_set_size // 2)
-        self.repair_interval: float = float(options.get("repair_interval", 5.0))
-        self.table_probe_interval: float = float(options.get("table_probe_interval", 8.0))
-        self.hop_timeout: float = float(options.get("hop_timeout", 1.5))
-        self.hop_retries: int = int(options.get("hop_retries", 1))
-        self.join_window: float = float(options.get("join_window", 30.0))
-        self.max_hops: int = int(options.get("max_hops", 3 * self.digits + 8))
-
-        self.me = instance.me.with_id(
-            hash_key(f"{instance.me.ip}:{instance.me.port}", self.bits))
+        self.digits = self.bits // self.base_bits
+        self.leaf_set_size = int(options.get("leaf_set_size", DEFAULT_LEAF_SET_SIZE))
+        self.leaf_half = max(1, self.leaf_set_size // 2)
+        self.repair_interval = float(options.get("repair_interval", 5.0))
+        self.table_probe_interval = float(options.get("table_probe_interval", 8.0))
+        self.max_hops = int(options.get("max_hops", 3 * self.digits + 8))
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
         #: of the two sides (a node sits on both while the ring is small)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
@@ -108,85 +79,43 @@ class PastryNode:
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
             [None] * (1 << self.base_bits) for _ in range(self.digits)]
-        self.joined = False
-        self.stats = PastryStats()
-        self._rng = substream(self.events.sim.seed, "pastry",
-                              instance.job.job_id, instance.instance_id)
-
-        rpc = self.rpc
-        rpc.register("step", self._rpc_step)
-        rpc.register("claim", self._rpc_claim)
-        rpc.register("find_owner", self._rpc_find_owner)
-        rpc.register("leafset", self._rpc_leafset)
-        rpc.register("table_dump", self._rpc_table_dump)
-        rpc.register("notify", self._rpc_notify)
 
     # -------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Create the overlay (first node of the job) or schedule a join."""
-        members = self.instance.job.shared.setdefault("pastry_members", Membership())
-        if not self.instance.job.shared.get("pastry_created"):
-            self.instance.job.shared["pastry_created"] = True
-            self._become_member()
-        else:
-            delay = self._rng.uniform(0.0, self.join_window) if self.join_window > 0 else 0.0
-            self.events.thread(self._join_main, name=f"{self.instance.context.name}.join",
-                               delay=delay)
-        self.instance.context.add_cleanup(lambda: members.discard(self.me))
-
-    def _become_member(self) -> None:
+    def _go_live(self) -> None:
         self.joined = True
-        self.instance.job.shared["pastry_members"].add(self.me)
+        self.members.add(self.me)
         self.events.periodic(self._leafset_repair, self.repair_interval,
                              jitter=self.repair_interval * 0.25)
         self.events.periodic(self._table_maintenance, self.table_probe_interval,
                              jitter=self.table_probe_interval * 0.25)
         self.log.info(f"node {self.me} up (id={self.me.id:0{self.digits}x})")
 
-    def _join_main(self) -> Generator:
-        """Join: route to our own id, adopt the owner's leaf set and tables."""
-        for attempt in range(1, 16):
-            self.stats.join_attempts += 1
-            bootstrap = self._pick_bootstrap()
-            if bootstrap is None:
-                yield 2.0
-                continue
-            try:
-                owner = yield self.rpc.call(bootstrap, "find_owner", self.me.id,
-                                            timeout=self.hop_timeout * 8, retries=1)
-                owner = NodeRef.coerce(owner)
-                leafset = yield self.rpc.call(owner, "leafset",
-                                              timeout=self.hop_timeout, retries=1)
-            except RpcError as exc:
-                self.log.debug(f"join attempt {attempt} via {bootstrap} failed: {exc}")
-                yield 1.0 + self._rng.uniform(0.0, 1.0)
-                continue
-            self._learned(bootstrap)
-            self._learned(owner)
-            for entry in leafset:
-                self._learned(NodeRef.coerce(entry))
-            # Seed the routing table: rows from the bootstrap (long prefixes
-            # are unlikely there, but early rows are) and from the owner
-            # (whose table is close to what ours should be).
-            for source in ([bootstrap, owner] if bootstrap != owner else [bootstrap]):
-                try:
-                    dump = yield self.rpc.call(source, "table_dump",
-                                               timeout=self.hop_timeout, retries=0)
-                except RpcError:
-                    continue
-                for entry in dump:
-                    self._learned(NodeRef.coerce(entry))
-            self._become_member()
-            for leaf in self._leaf_nodes():
-                self.rpc.a_call(leaf, "notify", self.me,
-                                timeout=self.hop_timeout, retries=0)
-            return
-        self.log.error(f"node {self.me} could not join, giving up")
-        self.events.exit()
+    def _join_via(self, bootstrap: NodeRef) -> Generator:
+        """Route to our own id, adopt the owner's leaf set and tables.
 
-    def _pick_bootstrap(self) -> Optional[NodeRef]:
-        others = self.instance.job.shared["pastry_members"].without(self.me)
-        return self._rng.choice(others) if others else None
+        Our new leaves are the ones to notify.
+        """
+        owner = NodeRef.coerce((yield self.rpc.call(
+            bootstrap, "find_owner", self.me.id,
+            timeout=self.hop_timeout * 8, retries=1)))
+        leafset = yield self.rpc.call(owner, "leafset",
+                                      timeout=self.hop_timeout, retries=1)
+        self._learned(bootstrap)
+        self._learned(owner)
+        for entry in leafset:
+            self._learned(NodeRef.coerce(entry))
+        # Seed the routing table: rows from the bootstrap (long prefixes
+        # are unlikely there, but early rows are) and from the owner
+        # (whose table is close to what ours should be).
+        for source in ([bootstrap, owner] if bootstrap != owner else [bootstrap]):
+            try:
+                dump = yield self.rpc.call(source, "table_dump",
+                                           timeout=self.hop_timeout, retries=0)
+            except RpcError:
+                continue
+            for entry in dump:
+                self._learned(NodeRef.coerce(entry))
+        return self._leaf_nodes()
 
     # ------------------------------------------------------------ RPC handlers
     def _rpc_step(self, key: int, avoid: Optional[list] = None) -> dict:
@@ -241,7 +170,7 @@ class PastryNode:
     # ------------------------------------------------------------ maintenance
     def _leafset_repair(self) -> Generator:
         """Exchange leaf sets with the nearest live neighbour on each side."""
-        self.stats.repair_rounds += 1
+        self.stats.maintenance_rounds += 1
         cw, ccw = self._cw(), self._ccw()
         neighbours = []
         if cw:
@@ -286,7 +215,7 @@ class PastryNode:
 
     def _reseed(self) -> Generator:
         """Every leaf died: fall back to the member list and re-anchor."""
-        bootstrap = self._pick_bootstrap()
+        bootstrap = self._pick_member()
         if bootstrap is None:
             return
         try:
@@ -301,77 +230,6 @@ class PastryNode:
                 self._learned(NodeRef.coerce(entry))
         except RpcError:
             pass
-
-    # ---------------------------------------------------------------- lookups
-    def lookup(self, key: int) -> Generator:
-        """Iteratively find the node owning ``key`` (numerically closest).
-
-        Returns ``(owner, hops)``.  Dead hops are added to an ``avoid`` set
-        and the walk restarts from the local node, so a lookup survives nodes
-        failing underneath it as long as the overlay stays connected.
-        """
-        key = key % (1 << self.bits)
-        self.stats.lookups_started += 1
-        avoid: set = set()
-        current = self.me
-        hops = 0
-        while hops < self.max_hops:
-            if current == self.me:
-                response = self._rpc_step(key, list(avoid))
-            else:
-                try:
-                    response = yield self.rpc.call(current, "step", key, list(avoid),
-                                                   timeout=self.hop_timeout,
-                                                   retries=self.hop_retries)
-                except RpcError:
-                    avoid.add(current.id)
-                    self._note_dead(current)
-                    current = self.me
-                    hops += 1
-                    continue
-            hops += 1
-            node = NodeRef.coerce(response["node"])
-            self._learned(node)
-            if response["done"]:
-                owner = node
-                confirmed = None
-                for _bounce in range(4):
-                    if owner == self.me:
-                        claim = self._rpc_claim(key)
-                    else:
-                        try:
-                            claim = yield self.rpc.call(owner, "claim", key,
-                                                        timeout=self.hop_timeout,
-                                                        retries=self.hop_retries)
-                        except RpcError:
-                            avoid.add(owner.id)
-                            self._note_dead(owner)
-                            break  # restart the walk from the local node
-                    hops += 1
-                    if claim["mine"]:
-                        confirmed = owner
-                        break
-                    candidate = NodeRef.coerce(claim["node"])
-                    self._learned(candidate)
-                    if candidate == owner or candidate.id in avoid:
-                        confirmed = owner  # stale bounce; accept the claimer
-                        break
-                    owner = candidate
-                else:
-                    confirmed = owner  # bounce budget spent; best known owner
-                if confirmed is not None:
-                    self.stats.lookups_completed += 1
-                    self.stats.hops_total += hops
-                    return confirmed, hops
-                current = self.me
-                continue
-            if node == current or (node == self.me and current != self.me):
-                avoid.add(node.id)
-                current = self.me
-                continue
-            current = node
-        self.stats.lookups_failed += 1
-        raise RouteFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
 
     # ----------------------------------------------------------------- helpers
     def _closeness_key(self, key: int):
@@ -491,19 +349,8 @@ class PastryNode:
             "joined": self.joined,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PastryNode {self.me} joined={self.joined}>"
 
-
-def pastry_factory(**options):
-    """Build a :class:`JobSpec`-compatible application factory."""
-
-    def _factory(instance: "Instance") -> PastryNode:
-        node = PastryNode(instance, **options)
-        node.start()
-        return node
-
-    return _factory
+pastry_factory = PastryNode.factory
 
 
 # ----------------------------------------------------------------- scenario
@@ -544,14 +391,20 @@ def _register() -> None:
         parser.add_argument("--base-bits", type=int, default=4,
                             help="bits per routing digit (b; routing base is 2^b)")
 
+    def _make_kwargs(args) -> dict:
+        if args.base_bits < 1 or args.bits % args.base_bits:
+            raise ValueError(f"--bits ({args.bits}) must be a multiple of "
+                             f"--base-bits ({args.base_bits})")
+        return {"lookups": args.lookups, "bits": args.bits,
+                "base_bits": args.base_bits}
+
     registry.register(registry.ScenarioSpec(
         name="pastry",
         help="Pastry prefix routing with leaf sets under churn",
         runner=run_pastry_scenario,
         default_churn_script=DEFAULT_CHURN_SCRIPT,
         add_arguments=_add_arguments,
-        make_kwargs=lambda args: {"lookups": args.lookups, "bits": args.bits,
-                                  "base_bits": args.base_bits},
+        make_kwargs=_make_kwargs,
         ops_param="lookups",
         ops_label="lookup",
         default_min_success=0.95,

@@ -135,8 +135,7 @@ BENCH_CSV_COLUMNS = [
 ]
 #: the ``kernel`` column of scenario / kernel / scale rows: the event queue,
 #: a constant since the wheel is the only one, kept so rows stay comparable
-#: with the committed baselines (``bwalloc`` rows carry their recomputation
-#: mode, ``incremental`` / ``global``, in the column)
+#: with the committed baselines
 _KERNEL_COLUMN = "wheel"
 
 #: columns that legitimately differ between runs, machines and ``--jobs``
@@ -335,16 +334,12 @@ def _bench_task_row(task: dict) -> dict:
     cell's :class:`RunConfig` and the runner's workload parameters), so a
     task produces the same deterministic columns in any process.  ``kind``
     selects the task type: a ``scenario`` grid cell, a ``scale`` profile
-    cell, the kernel ``micro`` benchmark or a ``bwalloc`` step cell.
+    cell or the kernel ``micro`` benchmark.
     """
     registry.load_builtin()
     kind = task["kind"]
     if kind == "micro":
         row = _kernel_timer_churn(task["nodes"], duration=task["duration"])
-    elif kind == "bwalloc":
-        row = _bwalloc_step_bench(task["allocator"], task["flows"],
-                                  task["mode"], seed=task["seed"],
-                                  steps=task["steps"])
     else:
         spec = registry.get_spec(task["workload"])
         start = time.perf_counter()  # det: ignore[DET102] -- bench wall timing
@@ -605,171 +600,6 @@ def run_scale_bench(scales: Optional[List[int]] = None, jobs: int = 1,
     }
 
 
-# -------------------------------------------------------------------- bwalloc
-#: concurrent-flow counts of the allocation-step profile (``bench --bwalloc``)
-DEFAULT_BWALLOC_FLOWS = [100, 500]
-
-
-def _bwalloc_step_bench(allocator: str, flows: int, mode: str, seed: int = 7,
-                        steps: int = 300, repeats: int = 3) -> dict:
-    """Allocation-step microbenchmark: flow churn against one allocator.
-
-    Builds a standalone :class:`~repro.net.bandwidth.BandwidthModel` with one
-    10 Mbps host per flow, ramps up to ``flows`` concurrent never-finishing
-    transfers with random endpoints, then measures the wall time of ``steps``
-    churn steps (cancel one random flow, start a replacement — two rate
-    recomputations each).  ``mode`` selects incremental component-walk
-    recomputation or the brute-force global one; the reported
-    events/sec is *reallocations per second*, the number the incremental
-    engine exists to raise.  Incremental cells also verify the final rate
-    vector bit-identically matches a global recompute (``rates_match``) —
-    the runtime half of the oracle test in ``tests/test_bwalloc.py``.
-    """
-    from repro.net.bandwidth import BandwidthModel
-    from repro.sim.rng import substream
-
-    incremental = mode == "incremental"
-    host_count = flows
-    ips = harness.host_ips(host_count)
-    wall = float("inf")
-    rates_match = True
-    realloc_steps = 0
-    for _ in range(max(1, repeats)):
-        sim = Simulator(seed)
-        model = BandwidthModel(sim)
-        model.configure(allocator=allocator, incremental=incremental)
-        for ip in ips:
-            model.set_capacity(ip, 10_000_000, 10_000_000)
-        rng = substream(seed, "bwalloc-bench", allocator, mode, str(flows))
-
-        def start_flow():
-            src = rng.randrange(host_count)
-            dst = rng.randrange(host_count - 1)
-            if dst >= src:
-                dst += 1
-            # Large enough that no flow finishes during the measured loop:
-            # every recomputation is driven by the churn steps themselves.
-            return model.transfer(ips[src], ips[dst], 1e15)
-
-        active = [start_flow() for _ in range(flows)]
-        before = model.reallocations
-        start = time.perf_counter()  # det: ignore[DET102] -- bench wall timing
-        for _ in range(steps):
-            victim = active.pop(rng.randrange(len(active)))
-            model.cancel_transfer(victim)
-            active.append(start_flow())
-        elapsed = time.perf_counter() - start  # det: ignore[DET102] -- bench wall timing
-        realloc_steps = model.reallocations - before
-        wall = min(wall, elapsed)
-        if incremental:
-            # Oracle cross-check: replaying the final state through a global
-            # recompute must reproduce the incremental rates bit for bit.
-            expected = [(t.transfer_id, t.rate_bps) for t in model._active]
-            model.configure(incremental=False)
-            got = [(t.transfer_id, t.rate_bps) for t in model._active]
-            if got != expected:
-                rates_match = False
-    return {
-        "row_type": "bwalloc",
-        "workload": "",
-        "testbed": "",
-        "kernel": mode,
-        "nodes": flows,
-        "hosts": host_count,
-        "churn_rate": "",
-        "ctl_shards": "",
-        "bw_alloc": allocator,
-        "seed": seed,
-        "seeds": 1,
-        "events_per_sec_ci95": "",
-        "wall_sec": round(wall, 4),
-        "virtual_time": "",
-        "events_executed": realloc_steps,
-        "events_per_sec": round(realloc_steps / wall, 1) if wall > 0 else 0.0,
-        "wall_per_virtual_sec": "",
-        "success_rate": 1.0 if rates_match else 0.0,
-    }
-
-
-def run_bwalloc_bench(allocators: Optional[List[str]] = None,
-                      flows_list: Optional[List[int]] = None,
-                      steps: int = 300, seed: int = 7, jobs: int = 1,
-                      quiet: bool = False) -> dict:
-    """The allocation-step profile: incremental vs global recompute throughput.
-
-    Every ``(allocator, flows)`` cell runs in both recomputation modes; the
-    summary's ``speedups["bwalloc"]`` carries the incremental/global
-    reallocations-per-second ratio per cell (the machine-independent number
-    the CI leg gates with ``--bwalloc-min-speedup``).  Incremental cells
-    whose final rates diverge from the global oracle land in ``mismatches``
-    — a correctness failure, not a perf number.
-    """
-    say = _progress(quiet)
-    allocator_list = list(allocators) if allocators else ["max-min"]
-    flows_sweep = list(flows_list) if flows_list else list(DEFAULT_BWALLOC_FLOWS)
-    tasks = []
-    for allocator in allocator_list:
-        for flows in flows_sweep:
-            for mode in ("incremental", "global"):
-                tasks.append({"kind": "bwalloc", "allocator": allocator,
-                              "flows": flows, "mode": mode, "seed": seed,
-                              "steps": steps})
-    results = iter(_run_bench_tasks(tasks, jobs))
-    rows: List[dict] = []
-    mismatches: List[str] = []
-    for allocator in allocator_list:
-        for flows in flows_sweep:
-            for mode in ("incremental", "global"):
-                row = next(results)
-                row["jobs"] = jobs
-                rows.append(row)
-                say(f"bwalloc allocator={allocator} flows={flows} mode={mode}: "
-                    f"{row['events_per_sec']:.0f} reallocations/s, "
-                    f"wall={row['wall_sec']:.3f}s")
-                if mode == "incremental" and row["success_rate"] < 1.0:
-                    mismatches.append(
-                        f"allocator={allocator} flows={flows}: incremental "
-                        f"rates diverge from the global recompute oracle")
-    return {
-        "bench": "bwalloc",
-        "config": {
-            "allocators": allocator_list,
-            "flows": flows_sweep,
-            "steps": steps,
-            "seed": seed,
-            "jobs": jobs,
-        },
-        "rows": rows,
-        "speedups": {"bwalloc": _bwalloc_speedups(rows)},
-        "mismatches": mismatches,
-    }
-
-
-def _bwalloc_speedup_failures(summary: dict, min_speedup: float) -> List[str]:
-    """Cells whose incremental/global ratio falls below ``min_speedup``."""
-    failures = []
-    for cell, ratio in (summary.get("speedups", {}).get("bwalloc") or {}).items():
-        if ratio < min_speedup:
-            failures.append(f"{cell}: incremental/global speedup {ratio:.2f}x "
-                            f"is below the required {min_speedup:.1f}x")
-    return failures
-
-
-def _bwalloc_speedups(rows: List[dict]) -> dict:
-    """Incremental-over-global reallocations/sec ratio per ``bwalloc`` cell.
-
-    The number the allocation-step CI leg gates (``bwalloc`` rows carry the
-    recomputation mode in the ``kernel`` column).
-    """
-    by_cell: dict = {}
-    for row in rows:
-        cell = f"allocator={row['bw_alloc']},flows={row['nodes']}"
-        by_cell.setdefault(cell, {})[row["kernel"]] = row["events_per_sec"]
-    return {cell: round(per_mode["incremental"] / per_mode["global"], 3)
-            for cell, per_mode in sorted(by_cell.items())
-            if per_mode.get("global")}
-
-
 def write_bench_csv(path: str, rows: List[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=BENCH_CSV_COLUMNS, restval="")
@@ -944,20 +774,23 @@ def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> 
                                parse_churn_script)
         trace = _read_checked(args.churn_trace, "churn trace",
                               parse_availability_trace)
+        config = RunConfig(
+            nodes=args.nodes, hosts=args.hosts, seed=args.seed,
+            testbed=args.testbed, churn=args.churn, churn_script=script,
+            churn_trace=trace, join_window=args.join_window, settle=args.settle,
+            duration=args.duration, ctl_shards=args.ctl_shards,
+            sanitize=args.sanitize,
+            metrics=args.metrics or bool(args.metrics_out),
+            trace_out=args.trace_out, profile=args.profile,
+            log_level=args.log_level, bw_alloc=args.bw_alloc,
+            gc_policy=args.gc_policy)
+        params = spec.make_kwargs(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = RunConfig(
-        nodes=args.nodes, hosts=args.hosts, seed=args.seed,
-        testbed=args.testbed, churn=args.churn, churn_script=script,
-        churn_trace=trace, join_window=args.join_window, settle=args.settle,
-        duration=args.duration, ctl_shards=args.ctl_shards,
-        sanitize=args.sanitize,
-        metrics=args.metrics or bool(args.metrics_out),
-        trace_out=args.trace_out, profile=args.profile,
-        log_level=args.log_level, bw_alloc=args.bw_alloc,
-        gc_policy=args.gc_policy)
-    report = spec.runner(config, **spec.make_kwargs(args))
+    # Not inside the ``try``: a ValueError out of a run is a bug, not a
+    # malformed command line, and keeps its traceback.
+    report = spec.runner(config, **params)
     _print_report(report, spec)
     _print_observability(report, args)
     if args.sanitize:
@@ -1069,22 +902,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--scales", type=int, nargs="+",
                        default=DEFAULT_SCALE_NODES, metavar="NODES",
                        help="node counts swept by --scale")
-    bench.add_argument("--bwalloc", action="store_true",
-                       help="allocation-step profile instead of the grid: "
-                            "flow churn against standalone bandwidth models, "
-                            "incremental vs global recompute per cell")
-    bench.add_argument("--bwalloc-flows", type=int, nargs="+",
-                       default=DEFAULT_BWALLOC_FLOWS, metavar="FLOWS",
-                       help="concurrent-flow counts swept by --bwalloc")
-    bench.add_argument("--bwalloc-allocators", choices=allocator_names(),
-                       nargs="+", default=["max-min"], metavar="NAME",
-                       help="allocators swept by --bwalloc")
-    bench.add_argument("--bwalloc-steps", type=int, default=300, metavar="N",
-                       help="churn steps measured per --bwalloc cell")
-    bench.add_argument("--bwalloc-min-speedup", type=float, default=0.0,
-                       metavar="RATIO",
-                       help="fail (exit 4) when any --bwalloc cell's "
-                            "incremental/global speedup is below RATIO")
     bench.add_argument("--csv", type=str, default=None,
                        help="CSV output path (default bench_kernel.csv, or "
                             "bench_scale.csv with --scale)")
@@ -1103,19 +920,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.scenario != "bench":
         return _run_scenario_cli(registry.get_spec(args.scenario), args)
 
-    kind = "scale" if args.scale else "bwalloc" if args.bwalloc else "kernel"
+    kind = "scale" if args.scale else "kernel"
     csv_path = args.csv or f"bench_{kind}.csv"
     json_path = args.json or f"BENCH_{kind}.json"
-    config = RunConfig(seed=args.seed, testbed=args.testbed,
-                       ctl_shards=args.ctl_shards, sanitize=args.sanitize,
-                       profile=args.profile, gc_policy=args.gc_policy)
-    if args.bwalloc:
-        summary = run_bwalloc_bench(allocators=args.bwalloc_allocators,
-                                    flows_list=args.bwalloc_flows,
-                                    steps=args.bwalloc_steps,
-                                    seed=args.seed, jobs=args.jobs,
-                                    quiet=args.quiet)
-    elif args.scale:
+    try:
+        config = RunConfig(seed=args.seed, testbed=args.testbed,
+                           ctl_shards=args.ctl_shards, sanitize=args.sanitize,
+                           profile=args.profile, gc_policy=args.gc_policy)
+        # every cell's size, before the first cell runs
+        for nodes in args.scales if args.scale else args.nodes:
+            for hosts in args.hosts_list or [None]:
+                replace(config, nodes=nodes, hosts=hosts)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.scale:
         summary = run_scale_bench(scales=args.scales, jobs=args.jobs,
                                   config=config, lookups=args.lookups,
                                   quiet=args.quiet)
@@ -1132,21 +951,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         handle.write("\n")
     print(f"bench: wrote {len(summary['rows'])} rows to {csv_path} "
           f"and summary to {json_path}")
-    status = 0
-    if args.bwalloc:
-        for cell, ratio in summary["speedups"]["bwalloc"].items():
-            print(f"speedup[bwalloc] {cell}: {ratio:.2f}x")
-        for line in summary["mismatches"]:
-            print(f"DETERMINISM FAIL: {line}", file=sys.stderr)
-        if summary["mismatches"]:
-            status = 3
-        if args.bwalloc_min_speedup > 0:
-            failures = _bwalloc_speedup_failures(summary,
-                                                 args.bwalloc_min_speedup)
-            for line in failures:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            if failures:
-                status = status or 4
     if args.check:
         try:
             with open(args.check, "r", encoding="utf-8") as handle:
@@ -1161,8 +965,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in failures:
             print(f"BASELINE MISMATCH: {line}", file=sys.stderr)
         if failures:
-            status = status or 4
-    return status
+            return 4
+    return 0
 
 
 if __name__ == "__main__":

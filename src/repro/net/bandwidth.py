@@ -15,13 +15,13 @@ nothing up: one pass over the live flows (settle progress, split off what
 finished or was cancelled), one epoch-marked walk over the links around what
 changed, one in-place fill, one minimum over the finish times.
 
-Recomputation is **incremental**: a flow arriving or leaving can only change
-the rates of flows it (transitively) shares an access link with, so only
-that connected component is re-allocated.  Every registered allocator is
-per-component decomposable (no global normalisation terms), which makes the
-incremental rates *bit-identical* to a full recompute — the oracle test in
-``tests/test_bwalloc.py`` asserts exactly that, step by step, against
-``configure(incremental=False)``, the brute-force hook kept for it.
+A flow arriving or leaving can only change the rates of flows it
+(transitively) shares an access link with, so only that connected component
+is re-allocated.  Every registered allocator is per-component decomposable
+(no global normalisation terms), which makes those rates *bit-identical* to
+a recompute over every live flow — the oracle test in
+``tests/test_bwalloc.py`` asserts exactly that, step by step, against the
+brute-force subclass in ``tests/bwalloc_reference.py``.
 (Coalescing the recomputes of one simulated instant was measured and not
 built — ``docs/BANDWIDTH.md`` has the numbers.)
 """
@@ -100,8 +100,8 @@ class BandwidthModel:
     """Fair sharing of per-host uplink/downlink capacities.
 
     The allocation strategy is pluggable (:meth:`configure`); the default is
-    the historical progressive-filling max-min fairness with incremental
-    connected-component recomputation.
+    the historical progressive-filling max-min fairness; a change
+    recomputes the connected component it touches.
     """
 
     def __init__(self, sim: Simulator, default_uplink_bps: Optional[float] = None,
@@ -127,8 +127,6 @@ class BandwidthModel:
         # per-model ids: a process-wide counter would interleave co-hosted runs
         self._transfer_ids = 0
         self._allocator: BandwidthAllocator = make_allocator("max-min")
-        #: ``False`` = brute-force global recompute (see :meth:`configure`)
-        self.incremental = True
         #: completed transfer count (for stats/tests)
         self.completed = 0
         #: bytes fully delivered by completed transfers (metrics section)
@@ -139,26 +137,20 @@ class BandwidthModel:
         self.bytes_completed_by_class: Dict[int, float] = {}
         self.preemptions_by_class: Dict[int, int] = {}
         #: recomputations run, and flows handed to the allocator in total
-        #: (incremental counts only the touched component)
+        #: (only the touched component counts)
         self.reallocations = 0
         self.flows_allocated = 0
         #: runtime sanitizer (repro.sim.sanitizer) or None
         self._san: Optional[object] = None
 
     # ---------------------------------------------------------- configuration
-    def configure(self, allocator: Optional[str] = None,
-                  incremental: Optional[bool] = None) -> None:
-        """Select the allocation strategy and/or the recomputation mode.
+    def configure(self, allocator: str) -> None:
+        """Select the allocation strategy.
 
-        ``incremental=False`` re-allocates every live flow on every change:
-        the brute-force oracle the tests and ``bench --bwalloc`` hold the
-        component walk to.  Safe mid-run: switching with live flows triggers
-        one full recompute so every rate reflects the new policy.
+        Safe mid-run: switching with live flows triggers one full recompute
+        so every rate reflects the new policy.
         """
-        if allocator is not None:
-            self._allocator = make_allocator(allocator)
-        if incremental is not None:
-            self.incremental = incremental
+        self._allocator = make_allocator(allocator)
         if self._active:
             self._reallocate()
 
@@ -290,7 +282,7 @@ class BandwidthModel:
         cancelled) are found by the pass below.  Together they seed the
         component walk: only flows sharing a link (transitively) with a
         changed flow can see their rate move.  With no seeds at all — an
-        external call, or ``incremental=False`` — every live flow is redone.
+        external call that changed nothing — every live flow is redone.
 
         The order *leave the tables, resolve futures, allocate, schedule* is
         load-bearing: resolving a future runs its callbacks inline, and they
@@ -346,7 +338,7 @@ class BandwidthModel:
 
         if added is not None and not added.done.done():
             removed.append(added)  # the walk's seeds: what left plus what arrived
-        targets = self._component(removed) if self.incremental and removed else active
+        targets = self._component(removed) if removed else active
         if targets:
             # Their links in first-appearance order, uplink before downlink:
             # the tie-break order every allocator inherits.

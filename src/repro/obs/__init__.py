@@ -164,7 +164,6 @@ class Observability:
             },
             "bandwidth": {
                 "allocator": bandwidth.allocator_name,
-                "incremental": bandwidth.incremental,
                 "reallocations": bandwidth.reallocations,
                 "flows_allocated": bandwidth.flows_allocated,
                 # Per-priority-class completed bytes and preemptions, plus

@@ -7,12 +7,24 @@ persistent link objects: ``link_tables`` (three dicts keyed by
 the transfer list and return one rate per transfer.  Nothing in ``src/``
 imports this; ``tests/test_bwalloc_reference.py`` holds every registered
 allocator to these rates with ``==``.
+
+:class:`GlobalRecomputeModel` is the other oracle: the bandwidth model with
+the component walk switched off (every change re-allocates every live flow),
+which ``tests/test_bwalloc.py`` holds the walk to, step by step.
 """
 
 import math
 from typing import Dict, List, Tuple
 
+from repro.net.bandwidth import BandwidthModel
 from repro.net.bwalloc import CLASS_WEIGHTS
+
+
+class GlobalRecomputeModel(BandwidthModel):
+    """Brute force: the component of any change is every live flow."""
+
+    def _component(self, seeds: List) -> List:
+        return self._active
 
 #: link key: ("up", src_ip) or ("down", dst_ip)
 Link = Tuple[str, str]

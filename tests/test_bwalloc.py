@@ -6,9 +6,10 @@ Three layers of assurance over :mod:`repro.net.bwalloc`:
   (arrivals, sizes, priorities, cancellations, host failures, time advances)
   replayed against every registered allocator under the strict runtime
   sanitizer, asserting the invariants every strategy must share;
-* an **oracle**: the incremental connected-component recomputation must
-  produce *bit-identical* rate vectors to a brute-force global recompute
-  after every step of a long random script, for every allocator;
+* an **oracle**: the connected-component recomputation must produce
+  *bit-identical* rate vectors to a brute-force global recompute
+  (``bwalloc_reference.GlobalRecomputeModel``) after every step of a long
+  random script, for every allocator;
 * **priority semantics**: fixed-priority starvation/resumption,
   priority-queue weighted shares, and the churning-chord digest pin proving
   ``--bw-alloc max-min`` still reproduces pre-refactor reports byte for
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+from bwalloc_reference import GlobalRecomputeModel
 from heap_kernel_reference import KERNELS, make_simulator, use_kernel
 from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
@@ -43,11 +45,11 @@ PRIORITIES = [CONTROL, LOOKUP, BULK]
 PRE_REFACTOR_CHURN_DIGEST = "a4225db7940032d4"
 
 
-def _model(seed=0, allocator="max-min", incremental=True, hosts=12,
+def _model(seed=0, allocator="max-min", model_class=BandwidthModel, hosts=12,
            kernel="wheel", sanitize=False):
     sim = make_simulator(kernel, seed)
-    model = BandwidthModel(sim)
-    model.configure(allocator=allocator, incremental=incremental)
+    model = model_class(sim)
+    model.configure(allocator)
     ips = harness.host_ips(hosts)
     for ip in ips:
         model.set_capacity(ip, CAP_BPS, CAP_BPS)
@@ -158,15 +160,14 @@ def test_strict_sanitizer_catches_a_corrupted_flow_table():
 def test_incremental_rates_bit_identical_to_global_oracle(allocator, seed):
     """Component-walk recomputation == brute-force global, at every step.
 
-    Two models replay the identical 220-step script, one incremental and one
-    with the ``configure(incremental=False)`` brute force; after every step the full
+    Two models replay the identical 220-step script, the shipped one and the
+    :class:`GlobalRecomputeModel` brute force; after every step the full
     ``(transfer_id, rate_bps, remaining_bytes)`` state must match with
     ``==`` — bit-identical floats, not approximately equal ones.
     """
-    sim_inc, model_inc, ips, _ = _model(seed=seed, allocator=allocator,
-                                        incremental=True)
+    sim_inc, model_inc, ips, _ = _model(seed=seed, allocator=allocator)
     sim_ref, model_ref, _, _ = _model(seed=seed, allocator=allocator,
-                                      incremental=False)
+                                      model_class=GlobalRecomputeModel)
     rng = random.Random(1000 + seed)
     script = _workload_script(rng, steps=220, hosts=len(ips))
     inc_transfers, ref_transfers = [], []
@@ -194,7 +195,7 @@ def test_incremental_touches_fewer_flows_than_global():
     # Four pairwise-disjoint flows: the last arrival's component is itself.
     assert model.reallocations == 4
     assert model.flows_allocated == 4  # 1 + 1 + 1 + 1
-    model.configure(incremental=False)  # triggers one full recompute
+    model._reallocate()  # no seeds: the full recompute
     assert model.flows_allocated == 8  # ... which touches all four flows
 
 
@@ -308,18 +309,14 @@ def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch)
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
     with the allocator requested explicitly and, on wheel, the brute-force
-    recompute forced through the model's oracle hook — neither the refactor,
-    the priority threading nor the incremental engine may move a single byte.
+    recompute in the model's place — neither the refactor, the priority
+    threading nor the component walk may move a single byte.
     """
     if kernel == "wheel":
-        configure = BandwidthModel.configure
-        monkeypatch.setattr(
-            BandwidthModel, "configure",
-            lambda self, allocator=None, incremental=None:
-                configure(self, allocator, incremental=False))
+        monkeypatch.setattr(BandwidthModel, "_component",
+                            GlobalRecomputeModel._component)
     use_kernel(monkeypatch, kernel)
     report = run_chord_scenario(
         RunConfig(nodes=12, hosts=8, seed=11, churn=True, join_window=30.0,
                   settle=40.0, bw_alloc="max-min"), lookups=15)
-    assert report["bw_alloc"]["incremental"] is (kernel != "wheel")
     assert harness.report_digest(report) == PRE_REFACTOR_CHURN_DIGEST

@@ -171,7 +171,7 @@ def test_model_rates_follow_the_reference_through_a_random_script(allocator, see
     """End to end: walk, link order and fill against the old global recompute.
 
     After every arrival, cancellation, host failure and time advance, the
-    rate of every live flow of an (incremental) model must equal what the
+    rate of every live flow of the model must equal what the
     table-based reference computes over the whole live list.
     """
     rng = random.Random(9000 + seed)
@@ -201,7 +201,7 @@ def test_model_rates_follow_the_reference_through_a_random_script(allocator, see
         elif roll < 0.8:
             model.set_capacity(rng.choice(ips), rng.choice(CAPACITIES),
                                rng.choice(CAPACITIES))
-            model.configure()  # a capacity change takes hold at a recompute
+            model._reallocate()  # a capacity change takes hold at a recompute
         else:
             sim.run(until=sim.now + rng.uniform(0.01, 0.5))
         live = model._active

@@ -272,17 +272,22 @@ def test_observability_flags_never_change_the_digest(workload, kernel,
     assert trace_path.exists()
 
 
-def test_fifty_node_churning_chord_acceptance(tmp_path):
-    """The issue's acceptance gate: a 50-node churning chord run with every
-    flag on matches the flags-off digest, and the trace is Perfetto-shaped
-    (one named pid track per host, complete events with us timestamps)."""
-    from repro.apps.chord import run_chord_scenario
+@pytest.mark.parametrize("workload", ["chord", "pastry"])
+def test_fifty_node_churning_chord_acceptance(workload, tmp_path):
+    """The issue's acceptance gate: a 50-node churning run of either DHT
+    with every flag on matches the flags-off digest, the trace is
+    Perfetto-shaped (one named pid track per host, complete events with us
+    timestamps), and the one lookup walk explains itself the same way for
+    both: a span per completed lookup, its counters in the job registry."""
+    from repro.apps import registry
     from repro.apps.harness import report_digest
 
+    registry.load_builtin()
+    runner = registry.get_spec(workload).runner
     config = RunConfig(nodes=50, hosts=25, seed=7, churn=True, duration="short")
-    plain = run_chord_scenario(config, lookups=25)
-    trace_path = tmp_path / "chord50.json"
-    observed = run_chord_scenario(
+    plain = runner(config, lookups=25)
+    trace_path = tmp_path / f"{workload}50.json"
+    observed = runner(
         replace(config, metrics=True, trace_out=str(trace_path), profile=True),
         lookups=25)
     assert report_digest(plain) == report_digest(observed)
@@ -295,14 +300,70 @@ def test_fifty_node_churning_chord_acceptance(tmp_path):
     names = {span["name"] for span in spans}
     assert any(name.startswith("rpc.") for name in names)
     assert any(name.startswith("serve.") for name in names)
-    assert "lookup" in names            # chord's lookup-level span
     # Per-job metrics flowed through the JobStore path.
-    registry = observed["metrics"]["job"]["registry"]
-    assert any(name.startswith("rpc.latency_s.") for name in registry)
-    assert "lookup.hops" in registry
+    registry_section = observed["metrics"]["job"]["registry"]
+    assert any(name.startswith("rpc.latency_s.") for name in registry_section)
+    # The lookup-level span, one per completed lookup (the measured ones, the
+    # probes under churn, the joins' and the maintenance's), with its key
+    # and hop count; the same lookups counted and their hops observed.
+    lookups = [span for span in spans if span["name"] == "lookup"]
+    assert len(lookups) >= observed["measured"]["completed"] > 0
+    assert all(span["args"]["hops"] >= 1 and "key" in span["args"]
+               for span in lookups)
+    assert observed["trace"]["dropped"] == 0
+    assert registry_section["lookup.completed"]["value"] == len(lookups)
+    assert registry_section["lookup.hops"]["count"] == len(lookups)
     # Profile attributes wall time to module:qualname sites.
     top = observed["profile"]["top"]
     assert top and all(":" in row["site"] for row in top)
+
+
+@pytest.mark.parametrize("workload", ["chord", "pastry"])
+def test_a_walk_that_spends_its_hop_budget_says_so(workload):
+    """``max_hops=2`` is a local step plus one remote answer: a key owned
+    far away fails with the overlay's own exception class, a
+    ``lookup.failed`` span and the ``lookup.failed`` counter."""
+    from repro.apps import harness
+    from repro.apps.chord import ChordNode, LookupFailed
+    from repro.apps.pastry import PastryNode, RouteFailed
+    from repro.sim.process import Process
+
+    # binary digits and a two-node leaf set: Pastry needs several hops too
+    factory, failure = {
+        "chord": (ChordNode.factory(), LookupFailed),
+        "pastry": (PastryNode.factory(base_bits=1, leaf_set_size=2), RouteFailed),
+    }[workload]
+    deployment = harness.deploy(workload, factory, nodes=30, hosts=15, seed=4,
+                                duration="short", metrics=True,
+                                trace_out="unwritten")
+    sim, job = deployment.sim, deployment.job
+    sim.run(until=deployment.warmup_end)
+    origin = job.live_instances()[3].app
+    assert origin.failure is failure
+    origin.max_hops = 2  # its maintenance lookups run on this budget as well
+    outcomes = {}
+
+    def _walks():
+        for key in range(0, 1 << origin.bits, 1 << (origin.bits - 4)):
+            try:
+                outcomes[key] = yield from origin.lookup(key)
+            except failure as exc:
+                outcomes[key] = exc
+
+    driver = Process(sim, _walks(), name="test.walks")
+    driver.start()
+    sim.run(until=sim.now + 120.0)
+    driver.done.result()
+    failed = {key: outcome for key, outcome in outcomes.items()
+              if isinstance(outcome, failure)}
+    assert failed and len(failed) < len(outcomes) == 16
+    assert all("exceeded 2 hops" in str(error) for error in failed.values())
+    spans = [span for span in deployment.observability.tracer.spans
+             if span[3] == "lookup.failed"]
+    assert all(span[2] == origin.me.ip and span[5]["hops"] == 2 for span in spans)
+    assert set(failed) <= {span[5]["key"] for span in spans}
+    counted = deployment.controller.metrics_for(job).snapshot()["lookup.failed"]
+    assert counted["value"] == len(spans) == origin.stats.lookups_failed
 
 
 def test_metrics_identical_across_kernels(monkeypatch):
@@ -364,3 +425,19 @@ def test_trace_summary_rejects_garbage(tmp_path, capsys):
     empty.write_text("{\"traceEvents\": []}")
     assert summary.main([str(empty)]) == 1
     capsys.readouterr()
+
+
+def test_trace_summary_exits_quietly_when_its_reader_goes_away(tmp_path):
+    """``trace_summary.py T | head``: a closed stdout is not a summarising error."""
+    import subprocess
+
+    tracer = Tracer(clock=lambda: 0.0)
+    tracer.add("10.0.0.1", "lookup", 0.5, 1.5, cat="lookup")
+    trace_path = tmp_path / "trace.json"
+    tracer.write(str(trace_path))
+    tool = subprocess.Popen(
+        [sys.executable, str(_REPO / "tools" / "trace_summary.py"), str(trace_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    tool.stdout.close()  # before the interpreter is even up
+    assert tool.stderr.read() == ""
+    assert tool.wait() == 0

@@ -1,4 +1,4 @@
-"""Application-layer state: the incremental leaf set and the member directory.
+"""Application-layer state: the node base, the leaf set and the member directory.
 
 Pastry's leaf set is two bounded sorted arrays updated by insertion and every
 application's rendezvous list is a keyed :class:`Membership`.  Three
@@ -8,17 +8,20 @@ overlay size; every order, draw and table the applications derive from the
 two structures is exactly what the re-sort / re-scan code they replaced
 produced (the reference models below *are* that code, kept only in this
 file); and a reply handed to a remote caller never changes afterwards.
+Before them, the contract of ``harness.OverlayNode`` — handlers by name,
+founder or one draw, directory cleanup — once for the four applications.
 """
 
 import random
+import weakref
 
 import pytest
 
 from repro.apps import pastry as pastry_module
-from repro.apps.chord import chord_factory
-from repro.apps.dissemination import swarm_factory
-from repro.apps.gossip import gossip_factory
-from repro.apps.pastry import pastry_factory
+from repro.apps.chord import ChordNode, chord_factory
+from repro.apps.dissemination import SwarmNode, swarm_factory
+from repro.apps.gossip import GossipNode, gossip_factory
+from repro.apps.pastry import PastryNode, pastry_factory
 from repro.core.jobs import JobSpec
 from repro.lib.misc import Membership
 from repro.lib.ring import (
@@ -35,6 +38,8 @@ from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+from repro.sim.rng import substream
+from test_memory import no_collector  # noqa: F401 - fixture: gc.disable() around the test
 
 BITS = 16
 BASE_BITS = 4
@@ -61,6 +66,45 @@ def _ref(index, bits=BITS):
     return NodeRef(ip, port, hash_key(f"{ip}:{port}", bits))
 
 
+# ------------------------------------------------------------- the node base
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode, GossipNode, SwarmNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_the_node_base_keeps_its_contract_for_every_application(no_collector, node_class):
+    join_window = 5.0  # what _deploy hands every instance
+    sim, controller, job = _deploy(node_class.factory(), nodes=4)
+    instances = job.live_instances()
+
+    # every _rpc_<name> method is served as <name>, and nothing else is
+    app = instances[0].app
+    served = {name[5:]: getattr(app, name) for name in dir(node_class)
+              if name.startswith("_rpc_")}
+    assert served and instances[0].rpc._handlers == served
+
+    # the job's first instance founds without drawing; every later one has
+    # drawn its join delay, once, from its own substream
+    for index, instance in enumerate(instances):
+        fresh = substream(sim.seed, node_class.label, job.job_id, instance.instance_id)
+        if index:
+            fresh.uniform(0.0, join_window)
+        assert instance.app._rng.getstate() == fresh.getstate()
+        assert instance.app.joined is (index == 0)
+
+    # a kill takes the node out of the directory and frees it by refcount
+    sim.run(until=20.0)
+    members = job.shared[node_class.label + "_members"]
+    assert {i.app.me for i in instances} == set(members)  # everyone joined
+    victim = instances[2]
+    me, app = victim.app.me, weakref.ref(victim.app)
+    controller.kill_instances([victim], reason="test")
+    sim.run(until=sim.now + 60.0)  # past its cancelled timers
+    assert me not in members and len(members) == 3
+    assert app() is None
+
+
+def test_chord_and_pastry_share_one_lookup_walk():
+    assert ChordNode.lookup is PastryNode.lookup
+
+
 # ------------------------------------------------------------------ scan-free
 @pytest.fixture
 def comparisons(monkeypatch):
@@ -77,10 +121,14 @@ def comparisons(monkeypatch):
 
 
 @pytest.mark.parametrize("factory, directory, pick", [
-    (chord_factory, "chord_members", "_pick_bootstrap"),
-    (pastry_factory, "pastry_members", "_pick_bootstrap"),
-    (swarm_factory, "swarm_members", "_pick_peer"),
-    (gossip_factory, "gossip_members", "_reseed"),
+    pytest.param(chord_factory, "chord_members", "_pick_member",
+                 id="chord_factory-chord_members-_pick_member"),
+    pytest.param(pastry_factory, "pastry_members", "_pick_member",
+                 id="pastry_factory-pastry_members-_pick_member"),
+    pytest.param(swarm_factory, "swarm_members", "_pick_member",
+                 id="swarm_factory-swarm_members-_pick_member"),
+    pytest.param(gossip_factory, "gossip_members", "_reseed",
+                 id="gossip_factory-gossip_members-_reseed"),
 ])
 def test_picks_and_cleanup_compare_a_constant_number_of_members(
         comparisons, factory, directory, pick):

@@ -93,3 +93,23 @@ def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, cap
     assert f"error: invalid churn script {bad}" in capsys.readouterr().err
     assert main(base + ["--churn-trace", str(bad)]) == 2
     assert f"error: invalid churn trace {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gossip", "--hosts", "0"],
+    ["chord", "--nodes", "0"],
+    ["chord", "--ctl-shards", "0"],
+    ["pastry", "--bits", "30"],
+    ["chord", "--join-window", "-5"],
+    ["chord", "--settle", "-50"],
+    ["bench", "--ctl-shards", "0"],
+    ["bench", "--nodes", "20", "0"],
+], ids=" ".join)
+def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
+    # each of these used to end in a traceback (ZeroDivisionError, ValueError,
+    # ControllerError) or, the negative windows, to run silently
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Dict, List
 
@@ -108,7 +109,14 @@ def main(argv=None) -> int:
                         help="only the N busiest host tracks (default: all)")
     args = parser.parse_args(argv)
     try:
-        return summarise(args.trace, by_name=args.by_name, top=args.top)
+        status = summarise(args.trace, by_name=args.by_name, top=args.top)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``): not a summarising error.  Exit
+        # quietly, and keep the interpreter's own flush at exit quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot summarise {args.trace}: {exc}", file=sys.stderr)
         return 1
