@@ -31,6 +31,9 @@ instances (``10%``) — for the host-level ``fail``/``recover`` directives the
 percentage is of the currently-alive (respectively failed) hosts.  All
 randomness (victim selection, join placement) is drawn from deterministic
 substreams so that two runs with the same seed observe the exact same churn.
+Anything else on a line — an unknown directive, a negative count, a window
+that runs backwards, a trailing token — is a :class:`ChurnScriptError` that
+names the line.
 
 Real traces enter through the same machinery: the paper's churn language
 can "reproduce the behavior of real systems by replaying availability
@@ -43,8 +46,9 @@ deterministic trace in the same format for tests and CI.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.lib.misc import parse_duration
 from repro.sim.rng import substream
@@ -53,8 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - runtime objects are duck-typed here
     from repro.core.jobs import Job
     from repro.sim.kernel import Simulator
 
-#: directives understood by the parser/replayer
-_KINDS = ("join", "leave", "crash", "replace", "stop", "fail", "recover")
+#: directives that take an amount (``stop`` is the one that does not)
+_AMOUNT_KINDS = ("join", "leave", "crash", "replace", "fail", "recover")
 #: directives acting on whole hosts (daemons) instead of instances
 _HOST_KINDS = ("fail", "recover")
 
@@ -92,7 +96,39 @@ def _parse_amount(token: str) -> tuple[int, Optional[float]]:
         if not 0.0 <= fraction <= 1.0:
             raise ChurnScriptError(f"churn percentage out of range: {token}")
         return 0, fraction
-    return int(token), None
+    count = int(token)
+    if count < 0:
+        raise ChurnScriptError(f"churn count must not be negative: {token}")
+    return count, None
+
+
+def _parse_directive(tokens: List[str]) -> List[ChurnAction]:
+    """The actions of one directive (a window expands into one per step)."""
+    if tokens[0] == "at":
+        if len(tokens) == 3 and tokens[2] == "stop":
+            return [ChurnAction(time=parse_duration(tokens[1]), kind="stop")]
+        if len(tokens) != 4:
+            raise ChurnScriptError("expected 'at <t> <kind> <amount>' or 'at <t> stop'")
+        times = [parse_duration(tokens[1])]
+    elif tokens[0] == "from":
+        if len(tokens) != 8 or tokens[2] != "to" or tokens[4] != "every":
+            raise ChurnScriptError("expected 'from <t> to <t> every <dt> <kind> <amount>'")
+        when, end, step = (parse_duration(tokens[i]) for i in (1, 3, 5))
+        if step <= 0 or end < when:
+            raise ChurnScriptError("churn window must move forward in time")
+        times = []
+        while when <= end + 1e-9:
+            times.append(when)
+            when += step
+    else:
+        raise ChurnScriptError(f"directives start with 'at' or 'from', got {tokens[0]!r}")
+    kind, amount = tokens[-2:]
+    if kind not in _AMOUNT_KINDS:
+        raise ChurnScriptError("'stop' takes no amount and no window" if kind == "stop"
+                               else f"unknown directive: {kind}")
+    count, fraction = _parse_amount(amount)
+    return [ChurnAction(time=when, kind=kind, count=count, fraction=fraction)
+            for when in times]
 
 
 def parse_churn_script(text: str) -> List[ChurnAction]:
@@ -100,46 +136,17 @@ def parse_churn_script(text: str) -> List[ChurnAction]:
 
     ``from .. to .. every .. <kind> <amount>`` windows are expanded into
     discrete actions at parse time, so the replayer only ever deals with
-    point events — which is also how trace-derived scripts look.
+    point events — which is also how trace-derived scripts look.  Every
+    error names the line it came from.
     """
     actions: List[ChurnAction] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
         try:
-            if tokens[0] == "at":
-                when = parse_duration(tokens[1])
-                kind = tokens[2]
-                if kind == "stop":
-                    actions.append(ChurnAction(time=when, kind="stop"))
-                    continue
-                if kind not in _KINDS:
-                    raise ChurnScriptError(f"unknown directive: {kind}")
-                count, fraction = _parse_amount(tokens[3])
-                actions.append(ChurnAction(time=when, kind=kind, count=count, fraction=fraction))
-            elif tokens[0] == "from":
-                if tokens[2] != "to" or tokens[4] != "every":
-                    raise ChurnScriptError("expected 'from <t> to <t> every <dt> <kind> <amount>'")
-                start = parse_duration(tokens[1])
-                end = parse_duration(tokens[3])
-                step = parse_duration(tokens[5])
-                kind = tokens[6]
-                if kind not in ("join", "leave", "crash", "replace", "fail", "recover"):
-                    raise ChurnScriptError(f"unknown directive in window: {kind}")
-                count, fraction = _parse_amount(tokens[7])
-                if step <= 0 or end < start:
-                    raise ChurnScriptError("churn window must move forward in time")
-                when = start
-                while when <= end + 1e-9:
-                    actions.append(ChurnAction(time=when, kind=kind, count=count, fraction=fraction))
-                    when += step
-            else:
-                raise ChurnScriptError(f"directives start with 'at' or 'from', got {tokens[0]!r}")
-        except ChurnScriptError:
-            raise
-        except (IndexError, ValueError) as exc:
+            actions.extend(_parse_directive(line.split()))
+        except ValueError as exc:  # a ChurnScriptError is one too
             raise ChurnScriptError(f"line {line_no}: cannot parse {raw!r}: {exc}") from exc
     actions.sort(key=lambda a: a.time)
     return actions
@@ -284,9 +291,10 @@ class ChurnManager:
     go through the controller's ``kill_instances`` (one batched command
     round per affected daemon, ultimately :meth:`AppContext.kill` — exactly
     like a daemon tearing down a sandboxed process) and joins go through
-    ``start_instances``.  The ``controller`` handle is duck-typed: the
-    facade, a single shard, or the store's failover-aware churn driver all
-    work.
+    ``start_instances``.  The ``controller`` handle is the
+    :class:`~repro.runtime.controller.Controller` facade, which routes every
+    command through the job's (or the host's) *current* shard — so churn
+    keeps working when the shard that started the job dies mid-run.
     """
 
     def __init__(self, sim: "Simulator", controller, job: "Job", seed: int = 0):
@@ -302,13 +310,11 @@ class ChurnManager:
         self._trace_hosts: Dict[str, str] = {}
         self.actions: List[ChurnAction] = []
         self.stats = ChurnStats()
+        #: the timers of the actions still to fire, in firing order
+        self._timers: Deque = deque()
         self._started = False
 
     # ----------------------------------------------------------------- setup
-    def load_script(self, text: str) -> List[ChurnAction]:
-        self.actions = parse_churn_script(text)
-        return self.actions
-
     def load_actions(self, actions: List[ChurnAction]) -> None:
         """Replay a pre-built (e.g. trace-derived) action list."""
         self.actions = sorted(actions, key=lambda a: a.time)
@@ -319,12 +325,21 @@ class ChurnManager:
             raise RuntimeError("churn manager already started")
         self._started = True
         for action in self.actions:
-            self.sim.schedule(action.time, self._apply, action)
+            self._timers.append(self.sim.schedule(action.time, self._apply, action))
+
+    def cancel(self) -> None:
+        """Drop every action that has not fired yet (the job was stopped);
+        ``stats`` stays readable."""
+        while self._timers:
+            self._timers.popleft().cancel()
 
     # ----------------------------------------------------------------- replay
     def _apply(self, action: ChurnAction) -> None:
         from repro.core.jobs import JobState  # local import to avoid cycles
 
+        # Actions are time-sorted and the kernel fires equal times in
+        # schedule order, so the timer that just fired is the oldest one.
+        self._timers.popleft()
         if self.job.state is not JobState.RUNNING:
             return
         self.stats.actions_applied += 1
@@ -370,8 +385,7 @@ class ChurnManager:
         if action.host is not None:
             ips = [self._trace_host_ip(action.host)]
         else:
-            # Both views are already ip-sorted (and memoized on the store);
-            # re-sorting them here was an O(H log H) cost per churn action.
+            # Both views arrive ip-sorted.
             if action.kind == "fail":
                 pool = self.controller.alive_host_ips()
             else:
@@ -403,7 +417,7 @@ class ChurnManager:
         """
         ip = self._trace_hosts.get(trace_host)
         if ip is None:
-            all_ips = sorted(self.controller.daemon_ips())
+            all_ips = self.controller.daemon_ips()
             bound = set(self._trace_hosts.values())
             free = [candidate for candidate in all_ips
                     if candidate not in bound]

@@ -132,6 +132,9 @@ class Job:
         self.placements: List[Placement] = []
         #: shared mutable state visible to all instances (e.g. bootstrap ref)
         self.shared: Dict[str, Any] = {}
+        #: where this job's instance loggers ship records: its collector's
+        #: ``ship``, set by the job store (None for a job outside a store)
+        self.log_sink: Optional[Callable[[Any], None]] = None
         self._next_instance_id = 0
         # The alive subset of ``instances``, by instance id.  Every death
         # path funnels through the daemon's reap hook (controller kills,

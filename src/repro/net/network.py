@@ -172,9 +172,6 @@ class Network:
         listener = self._listeners.get((address.ip, address.port))
         return listener is not None and listener.alive
 
-    def used_ports(self, ip: str) -> List[int]:
-        return sorted(k[1] for k in self._listeners if k[0] == ip)
-
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: Any, size: int,
              kind: str = "data", priority: int = LOOKUP) -> None:

@@ -12,10 +12,15 @@ one shared :class:`~repro.runtime.jobstore.JobStore` (the database) plus
 ``shards`` stateless :class:`~repro.runtime.jobstore.CtlShard` front-ends;
 daemons are registered round-robin across shards, jobs are claimed by a
 shard on submission, and every command a shard issues to a daemon travels
-in a per-daemon ``batch_exec`` round.  With ``shards=1`` (the default) the
-facade behaves exactly like the historical monolithic controller, and —
-because placement randomness and log collection live on the store — the
-workload-visible behaviour is byte-identical for any shard count.
+in a per-daemon ``batch_exec`` round.  The facade is the one *router*: a job
+command goes to the shard that claims the job now, a host command to the
+shard the daemon is registered with now — both looked up on the store per
+call, so users, the harness and the churn managers (which are handed this
+object) all follow shard failover the same way.  With ``shards=1`` (the
+default) the facade behaves exactly like the historical monolithic
+controller, and — because placement randomness and log collection live on
+the store — the workload-visible behaviour is byte-identical for any shard
+count.
 
 The control plane itself (daemon registration, job commands) is modelled as
 instantaneous — the paper's controller uses a separate reliable channel
@@ -31,10 +36,11 @@ Public entry points: :class:`Controller` (``register_daemon`` /``submit`` /
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.core.churn import ChurnManager, parse_churn_script, trace_churn_actions
 from repro.core.jobs import Job, JobSpec
-from repro.lib.logging import LogRecord
+from repro.lib.logging import LogLevel, LogRecord
 from repro.net.network import Network
 from repro.runtime.jobstore import (
     ControllerError,
@@ -108,7 +114,7 @@ class Controller:
     # ---------------------------------------------------------------- daemons
     def register_daemon(self, daemon: Splayd) -> None:
         """Register a daemon (normally done by the splayd at boot)."""
-        self._next_shard("_register_rr").register_daemon(daemon, controller=self)
+        self.store.add_daemon(daemon, self._next_shard("_register_rr"))
 
     def alive_daemons(self) -> List[Splayd]:
         return self.store.alive_daemons()
@@ -119,7 +125,23 @@ class Controller:
         return self._next_shard("_claim_rr").submit(spec)
 
     def start(self, job: Job) -> List[Instance]:
-        return self.shard_for(job).start(job)
+        """Deploy the job; a churn script and/or trace on its spec starts
+        replaying through this facade (action times relative to this call)."""
+        instances = self.shard_for(job).start(job)
+        spec = job.spec
+        if spec.churn_script or spec.churn_trace:
+            actions = []
+            if spec.churn_script:
+                actions.extend(parse_churn_script(spec.churn_script))
+            if spec.churn_trace:
+                # Availability traces replay as host-level fail/recover
+                # actions, merged with (and replayed alongside) any script.
+                actions.extend(trace_churn_actions(spec.churn_trace))
+            churn = ChurnManager(self.sim, self, job, seed=self.sim.seed)
+            churn.load_actions(actions)
+            churn.start()
+            self.store.churn_managers[job.job_id] = churn
+        return instances
 
     def start_instances(self, job: Job, count: int) -> List[Instance]:
         return self.shard_for(job).start_instances(job, count)
@@ -127,8 +149,7 @@ class Controller:
     # ---------------------------------------------------------------- control
     def kill_instance(self, instance: Instance, reason: str = "controller stop",
                       failed: bool = False) -> None:
-        self.shard_for(instance.job).kill_instance(instance, reason=reason,
-                                                   failed=failed)
+        self.kill_instances([instance], reason=reason, failed=failed)
 
     def kill_instances(self, instances: List[Instance],
                        reason: str = "controller stop", failed: bool = False) -> None:
@@ -138,13 +159,17 @@ class Controller:
                                                         failed=failed)
 
     def stop(self, job: Job) -> None:
+        """Stop the job; the churn actions it has not replayed yet never fire."""
         self.shard_for(job).stop(job)
+        churn = self.store.churn_managers.get(job.job_id)
+        if churn is not None:
+            churn.cancel()
 
     def fail_host(self, ip: str) -> int:
         """Simulate a host failure (all its instances across all jobs die).
 
-        Routed through the daemon's registered shard so the store's
-        host-state bookkeeping and the per-shard counters stay accurate.
+        Routed through the daemon's registered shard, which keeps the
+        per-shard and store-wide failure counters.
         """
         return self.store.shard_for_daemon(ip).fail_host(ip)
 
@@ -165,34 +190,10 @@ class Controller:
         return self.store.host_alive(ip)
 
     # ------------------------------------------------------------------- logs
-    def make_log_sink(self, job: Job,
-                      daemon_ip: Optional[str] = None) -> Callable[[LogRecord], None]:
-        """Build the remote sink daemons wire into instance loggers.
-
-        Records route through the shard the shipping daemon is registered
-        with *at ship time* (looked up per record, so attribution follows
-        shard failover), into the job's bounded collector queue.
-        """
-        store = self.store
-        collector = store.collector(job)
-        shards_by_name = {shard.name: shard for shard in self.shards}
-
-        def _collect(record: LogRecord) -> None:
-            shard_name = store.daemon_shard.get(daemon_ip) if daemon_ip else None
-            shard = shards_by_name.get(shard_name) if shard_name else None
-            if shard is not None:
-                shard.route_log(job, record)
-            else:
-                collector.offer(record, shard=shard_name)
-
-        return _collect
-
     def job_logs(self, job: Job, level: Optional[str] = None) -> List[LogRecord]:
-        records = self.store.collector(job).flush()
+        records = self.store.collectors[job.job_id].flush()
         if level is None:
             return list(records)
-        from repro.lib.logging import LogLevel
-
         minimum = LogLevel.coerce(level)
         return [r for r in records if r.level >= minimum]
 
@@ -208,7 +209,7 @@ class Controller:
         live on the shared store, so the numbers are identical whatever the
         shard count and survive shard failover.
         """
-        collector = self.store.collector(job)
+        collector = self.store.collectors[job.job_id]
         collector.flush()
         return {
             "job_id": job.job_id,
@@ -223,7 +224,7 @@ class Controller:
         Deliberately excludes per-shard attribution: every value here is
         identical whatever the shard count, so it can feed report digests.
         """
-        self.store.collector(job).flush()
+        self.store.collectors[job.job_id].flush()
         sockets = [i.socket.stats for i in job.instances]
         return {
             "job_id": job.job_id,
@@ -271,12 +272,8 @@ class Controller:
                 }
                 for shard in self.shards
             ],
-            "collectors": {
-                # Collectors are created lazily on the first shipped record;
-                # the status view materialises one per job so every job shows.
-                job_id: self.store.collector(job).status()
-                for job_id, job in sorted(self.store.jobs.items())
-            },
+            "collectors": {job_id: collector.status()
+                           for job_id, collector in self.store.collectors.items()},
             "hosts": {
                 "registered": len(self.store.daemons),
                 "down_now": len(self.store.failed_host_ips()),

@@ -9,14 +9,21 @@ module reproduces that shape:
   (daemon) registry, churn bookkeeping, shard claims and the placement RNG.
   Every piece of state that must look the same no matter which front-end
   serves a request lives here.
-* :class:`CtlShard` — one stateless controller front-end.  Daemons register
-  through a shard, shards claim jobs from the store, and every daemon
-  command a shard issues is *batched*: one :meth:`Splayd.batch_exec` round
-  per daemon per control action instead of per-instance calls.
-* :class:`LogCollector` — one bounded-queue collector per job.  Instance
-  loggers ship records into the queue (drop-oldest when full, with a
-  counted drop stat — the paper's log throttling) and a drain event moves
-  them into the permanent record list.
+* :class:`CtlShard` — one stateless controller front-end.  Daemons are
+  registered with a shard, shards claim jobs from the store, and every
+  daemon command a shard issues is *batched*: one :meth:`Splayd.batch_exec`
+  round per daemon per control action instead of per-instance calls.  A
+  shard *executes*; which shard serves a job or a host is decided by the
+  :class:`~repro.runtime.controller.Controller`, the one router.
+* :class:`LogCollector` — one bounded-queue collector per job, whose
+  ``ship`` is the job's log sink.  Instance loggers ship records into the
+  queue (drop-oldest when full, with a counted drop stat — the paper's log
+  throttling) and a drain event moves them into the permanent record list.
+
+Every fact has one owner: a host is up iff its ``Host.alive`` says so (the
+store's host views are computed from it per call), a record belongs to the
+shard ``daemon_shard[record.host]`` names when it ships, and a port is in
+use iff a live instance or a listener holds it.
 
 Determinism contract: nothing in this module draws randomness or schedules
 simulator events in a way that depends on the number of shards.  Placement
@@ -34,10 +41,10 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.churn import ChurnManager, parse_churn_script, trace_churn_actions
+from repro.core.churn import ChurnManager
 from repro.core.jobs import Job, JobSpec, JobState, Placement
 from repro.lib.logging import LogRecord
 from repro.net.network import Network
@@ -61,14 +68,21 @@ class LogCollector:
     ``records``, the permanent per-job list the controller serves
     ``job_logs`` from; :meth:`flush` drains synchronously (used at report
     time so counts never depend on where the simulation happened to stop).
+
+    :meth:`ship` is the job's log sink — one per job, handed to every
+    instance logger through ``job.log_sink``.  The collector keeps the job's
+    id and stats, not the job: the job refers to its collector, and a
+    reference back would be a cycle only the garbage collector could free.
     """
 
-    def __init__(self, sim: Simulator, job: Job, max_queue: int = 4096,
+    def __init__(self, store: "JobStore", job: Job, max_queue: int = 4096,
                  drain_interval: float = 0.25):
         if max_queue < 1:
             raise ValueError("log collector queue must hold at least one record")
-        self.sim = sim
-        self.job = job
+        self.sim = store.sim
+        self.store = store
+        self.job_id = job.job_id
+        self.job_stats = job.stats
         self.max_queue = max_queue
         self.drain_interval = drain_interval
         #: drained (permanently collected) records
@@ -80,14 +94,24 @@ class LogCollector:
         self.queue_peak = 0
         self._drain_scheduled = False
 
+    def ship(self, record: LogRecord) -> None:
+        """The job's log sink: attribute ``record`` to the shard its host is
+        registered with *now* (so attribution follows failover) and enqueue."""
+        store = self.store
+        name = store.daemon_shard.get(record.host)
+        shard = store.shards.get(name)
+        if shard is not None:
+            shard.stats.logs_routed += 1
+        self.offer(record, name)
+
     def offer(self, record: LogRecord, shard: Optional[str] = None) -> bool:
         """Enqueue one record; returns ``False`` if an old record was dropped."""
-        record.job_id = self.job.job_id
+        record.job_id = self.job_id
         evicted = False
         if len(self.queue) >= self.max_queue:
             self.queue.popleft()
             self.dropped += 1
-            self.job.stats.log_records_dropped += 1
+            self.job_stats.log_records_dropped += 1
             evicted = True
         self.queue.append((record, shard))
         if len(self.queue) > self.queue_peak:
@@ -106,9 +130,9 @@ class LogCollector:
             record, shard = self.queue.popleft()
             self.records.append(record)
             self.collected += 1
-            self.job.stats.log_records += 1
+            self.job_stats.log_records += 1
             if shard is not None:
-                by_shard = self.job.stats.logs_by_shard
+                by_shard = self.job_stats.logs_by_shard
                 by_shard[shard] = by_shard.get(shard, 0) + 1
 
     def flush(self) -> List[LogRecord]:
@@ -144,42 +168,27 @@ class JobStore:
         self.daemons: Dict[str, Splayd] = {}
         #: daemon ip -> name of the shard it is currently registered with
         self.daemon_shard: Dict[str, str] = {}
-        #: daemon ip -> "up"/"down" as last driven by the control plane
-        #: (hosts the control plane never touched are implicitly "up")
-        self.host_state: Dict[str, str] = {}
         self.host_failures_total = 0
         self.host_recoveries_total = 0
         self.jobs: Dict[int, Job] = {}
+        #: one collector per job, created with the job
         self.collectors: Dict[int, LogCollector] = {}
-        #: per-job metrics registries (repro.obs) — created lazily like the
-        #: log collectors, and only when observability is enabled, so jobs
-        #: that never record a metric pay nothing
+        #: per-job metrics registries (repro.obs) — created lazily, and only
+        #: when observability is enabled, so jobs that never record a metric
+        #: pay nothing
         self.metrics: Dict[int, object] = {}
         self.churn_managers: Dict[int, ChurnManager] = {}
-        self.shards: List["CtlShard"] = []
+        #: shard name -> shard, in index order
+        self.shards: Dict[str, "CtlShard"] = {}
         #: job_id -> shard currently responsible for the job
         self.claims: Dict[int, "CtlShard"] = {}
         self.log_queue_depth = log_queue_depth
         self.log_drain_interval = log_drain_interval
         self._rng = substream(self.seed, "controller")
-        # Memoized host views.  The daemon registry and per-daemon liveness
-        # change only on registration and host fail/recover — a handful of
-        # control-plane events per run — while the views are consulted on
-        # every placement, churn action and status call; recomputing them
-        # per call is an O(hosts) (or O(hosts log hosts)) cost per event at
-        # 10k nodes.  The sanitizer cross-checks the cached views against a
-        # from-scratch recompute after every control action
-        # (``Sanitizer.check_store_views``; tests/test_gcpolicy_caches.py).
-        self._alive_daemons_cache: Optional[List[Splayd]] = None
-        self._alive_ips_cache: Optional[List[str]] = None
-        self._failed_ips_cache: Optional[List[str]] = None
 
     # ---------------------------------------------------------------- shards
-    def add_shard(self, shard: "CtlShard") -> None:
-        self.shards.append(shard)
-
     def alive_shards(self) -> List["CtlShard"]:
-        return [s for s in self.shards if s.alive]
+        return [s for s in self.shards.values() if s.alive]
 
     def claim(self, job: Job, shard: "CtlShard") -> None:
         self.claims[job.job_id] = shard
@@ -217,9 +226,7 @@ class JobStore:
             return
         orphans = [ip for ip, name in self.daemon_shard.items() if name == shard.name]
         for index, ip in enumerate(orphans):
-            heir = alive[index % len(alive)]
-            self.daemon_shard[ip] = heir.name
-            heir.stats.daemons_registered += 1
+            self.daemon_shard[ip] = alive[index % len(alive)].name
 
     # ---------------------------------------------------------------- daemons
     def add_daemon(self, daemon: Splayd, shard: "CtlShard") -> None:
@@ -228,43 +235,24 @@ class JobStore:
         self.daemons[daemon.ip] = daemon
         self.daemon_shard[daemon.ip] = shard.name
         daemon.store = self
-        self._note_host_state_changed()
-        shard.stats.daemons_registered += 1
 
-    def _note_host_state_changed(self) -> None:
-        """Drop the memoized host views (registration, host fail/recover)."""
-        self._alive_daemons_cache = None
-        self._alive_ips_cache = None
-        self._failed_ips_cache = None
-
+    # Host views, computed per call from ``Host.alive`` (read directly: the
+    # ``Splayd.alive`` property is a frame per host).  A whole run consults
+    # them a few dozen times — per plan, per host-churn action, per status
+    # call — never per event, so there is nothing worth memoizing.
     def alive_daemons(self) -> List[Splayd]:
-        """Alive daemons in registration order (memoized; do not mutate)."""
-        cache = self._alive_daemons_cache
-        if cache is None:
-            cache = [d for d in self.daemons.values() if d.alive]
-            self._alive_daemons_cache = cache
-        return cache
+        """Alive daemons in registration order."""
+        return [d for d in self.daemons.values() if d.host.alive]
 
     def alive_host_ips(self) -> List[str]:
-        """Sorted alive-host ips (memoized; do not mutate)."""
-        cache = self._alive_ips_cache
-        if cache is None:
-            cache = sorted(ip for ip, daemon in self.daemons.items() if daemon.alive)
-            self._alive_ips_cache = cache
-        return cache
+        return sorted([ip for ip, d in self.daemons.items() if d.host.alive])
 
     def failed_host_ips(self) -> List[str]:
-        """Sorted failed-host ips (memoized; do not mutate)."""
-        cache = self._failed_ips_cache
-        if cache is None:
-            cache = sorted(ip for ip, daemon in self.daemons.items()
-                           if not daemon.alive)
-            self._failed_ips_cache = cache
-        return cache
+        return sorted([ip for ip, d in self.daemons.items() if not d.host.alive])
 
     def host_alive(self, ip: str) -> bool:
         daemon = self.daemons.get(ip)
-        return daemon is not None and daemon.alive
+        return daemon is not None and daemon.host.alive
 
     def shard_for_daemon(self, ip: str) -> "CtlShard":
         """The alive shard a daemon's commands travel through.
@@ -273,10 +261,9 @@ class JobStore:
         (and rehoming has not caught this daemon yet) the lowest-index
         survivor serves, exactly like job reclaiming.
         """
-        name = self.daemon_shard.get(ip)
-        for shard in self.shards:
-            if shard.name == name and shard.alive:
-                return shard
+        shard = self.shards.get(self.daemon_shard.get(ip))
+        if shard is not None and shard.alive:
+            return shard
         alive = self.alive_shards()
         if not alive:
             raise ControllerError("no alive controller shard")
@@ -284,20 +271,15 @@ class JobStore:
 
     # ------------------------------------------------------------------- jobs
     def create_job(self, spec: JobSpec) -> Job:
-        # The job's log collector (queue + record list) is created by
-        # :meth:`collector` on the first shipped record, not here — jobs that
-        # never log pay nothing.
         job = Job(spec, created_at=self.sim.now, job_id=len(self.jobs) + 1)
         self.jobs[job.job_id] = job
+        collector = LogCollector(self, job, max_queue=self.log_queue_depth,
+                                 drain_interval=self.log_drain_interval)
+        self.collectors[job.job_id] = collector
+        # One sink per job, resolved here once: every spawn reads it off the
+        # job record instead of asking the store.
+        job.log_sink = collector.ship
         return job
-
-    def collector(self, job: Job) -> LogCollector:
-        existing = self.collectors.get(job.job_id)
-        if existing is None:
-            existing = LogCollector(self.sim, job, max_queue=self.log_queue_depth,
-                                    drain_interval=self.log_drain_interval)
-            self.collectors[job.job_id] = existing
-        return existing
 
     def metrics_for(self, job: Job):
         """The job's metrics registry — same store-resident path as logs.
@@ -404,7 +386,6 @@ def _grouped(pairs: Iterable[Tuple[Any, Any]]) -> Dict[Any, list]:
 class ShardStats:
     """Per-shard control-plane counters (reported, never digest-relevant)."""
 
-    daemons_registered: int = 0
     jobs_claimed: int = 0
     jobs_reclaimed: int = 0
     hosts_failed: int = 0
@@ -434,17 +415,7 @@ class CtlShard:
         self.name = f"ctl{index}"
         self.alive = True
         self.stats = ShardStats()
-        store.add_shard(self)
-
-    # ---------------------------------------------------------------- daemons
-    def register_daemon(self, daemon: Splayd, controller=None) -> None:
-        """Register a daemon with this shard (normally done by the splayd).
-
-        ``controller`` is the object stored on the daemon for log-sink
-        wiring — the facade when deployed through one, else this shard.
-        """
-        self.store.add_daemon(daemon, self)
-        daemon.controller = controller if controller is not None else self
+        store.shards[self.name] = self
 
     # ------------------------------------------------------------------- jobs
     def submit(self, spec: JobSpec) -> Job:
@@ -454,11 +425,7 @@ class CtlShard:
         return job
 
     def start(self, job: Job) -> List[Instance]:
-        """Deploy the job: select hosts and spawn every requested instance.
-
-        If the job's spec carries a churn script, a churn manager is created
-        and started alongside (its action times are relative to this call).
-        """
+        """Deploy the job: select hosts and spawn every requested instance."""
         if job.state is not JobState.PENDING:
             raise ControllerError(f"job #{job.job_id} is {job.state.value}, not pending")
         job.state = JobState.RUNNING
@@ -472,19 +439,6 @@ class CtlShard:
             raise ControllerError(
                 f"job #{job.job_id}: only {placed}/{job.spec.instances} "
                 f"instances could be placed")
-        if job.spec.churn_script or job.spec.churn_trace:
-            sim = self.store.sim
-            churn = ChurnManager(sim, _churn_driver(self.store), job, seed=sim.seed)
-            actions = []
-            if job.spec.churn_script:
-                actions.extend(parse_churn_script(job.spec.churn_script))
-            if job.spec.churn_trace:
-                # Availability traces replay as host-level fail/recover
-                # actions, merged with (and replayed alongside) any script.
-                actions.extend(trace_churn_actions(job.spec.churn_trace))
-            churn.load_actions(actions)
-            churn.start()
-            self.store.churn_managers[job.job_id] = churn
         return instances
 
     def start_instances(self, job: Job, count: int) -> List[Instance]:
@@ -521,7 +475,7 @@ class CtlShard:
         return started
 
     def _check_caches(self) -> None:
-        """Sanitizer cross-check of the store's memoized views (if installed)."""
+        """Sanitizer cross-check of the job and daemon tables (if installed)."""
         san = getattr(self.store.sim, "_san", None)
         if san is not None:
             san.check_store_views(self.store)
@@ -556,28 +510,27 @@ class CtlShard:
         if error is not None:
             raise error
 
-    def kill_instance(self, instance: Instance, reason: str = "controller stop",
-                      failed: bool = False) -> None:
-        """Stop one instance through its daemon (used directly by churn)."""
-        self.kill_instances([instance], reason=reason, failed=failed)
-
     def stop(self, job: Job) -> None:
         """Stop every instance of a job and mark it stopped."""
         if job.state in (JobState.STOPPED, JobState.FAILED):
             return
         self.kill_instances(list(job.instances), reason=f"job #{job.job_id} stopped")
-        for daemon in self.store.daemons.values():
-            daemon.release_job(job)
         job.state = JobState.STOPPED
 
     # ------------------------------------------------------------ host churn
-    def fail_host(self, ip: str) -> int:
-        """Take a whole daemon down: every co-located instance (of every job)
-        dies, in-flight transfers are cancelled, and the store records the
-        host as control-plane-down.  Returns the number of instances killed."""
+    def _daemon(self, ip: str) -> Splayd:
         daemon = self.store.daemons.get(ip)
         if daemon is None:
             raise ControllerError(f"no daemon on {ip}")
+        return daemon
+
+    def fail_host(self, ip: str) -> int:
+        """Take a whole daemon down: every co-located instance (of every job)
+        dies and in-flight transfers are cancelled.  Returns the number of
+        instances killed — 0, with nothing counted, for a host already down."""
+        daemon = self._daemon(ip)
+        if not daemon.alive:
+            return 0
         victims = list(daemon.instances)
         try:
             # A failing instance cleanup surfaces from here only after the
@@ -586,7 +539,6 @@ class CtlShard:
         finally:
             for instance in victims:
                 instance.job.record_stop(instance, failed=True)
-            self.store.host_state[ip] = "down"
             self.store.host_failures_total += 1
             self.stats.hosts_failed += 1
             self._check_caches()
@@ -597,13 +549,10 @@ class CtlShard:
         The daemon keeps its registration (and shard assignment): placement
         sees it again immediately, so later joins can land on it.
         """
-        daemon = self.store.daemons.get(ip)
-        if daemon is None:
-            raise ControllerError(f"no daemon on {ip}")
+        daemon = self._daemon(ip)
         if daemon.alive:
             return
         daemon.recover()
-        self.store.host_state[ip] = "up"
         self.store.host_recoveries_total += 1
         self.stats.hosts_recovered += 1
         self._check_caches()
@@ -616,73 +565,6 @@ class CtlShard:
         self.alive = False
         self.store.on_shard_failed(self)
 
-    def recover(self) -> None:
-        """Bring the shard back as an empty front-end (no claims, no daemons)."""
-        self.alive = True
-
-    # ---------------------------------------------------------------- metrics
-    def metrics_for(self, job: Job):
-        """Per-job metrics registry (store-resident, like the log collector)."""
-        return self.store.metrics_for(job)
-
-    # ------------------------------------------------------------------- logs
-    def route_log(self, job: Job, record: LogRecord) -> None:
-        """Ship one record into the job's bounded collector, attributed here."""
-        self.stats.logs_routed += 1
-        self.store.collector(job).offer(record, shard=self.name)
-
-    def make_log_sink(self, job: Job,
-                      daemon_ip: Optional[str] = None) -> Callable[[LogRecord], None]:
-        """Log sink for daemons registered directly with this shard
-        (deployments built through the facade use its failover-aware sink)."""
-        return lambda record: self.route_log(job, record)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
         return f"<CtlShard {self.name} {state} claimed={self.stats.jobs_claimed}>"
-
-
-class _churn_driver:
-    """The controller handle given to churn managers: routes every command
-    through the job's *current* claiming shard, so churn keeps working when
-    the shard that started the job dies mid-run."""
-
-    def __init__(self, store: JobStore):
-        self.store = store
-
-    def kill_instances(self, instances: List[Instance], reason: str = "churn",
-                       failed: bool = False) -> None:
-        if not instances:
-            return
-        self.store.claimant(instances[0].job).kill_instances(
-            instances, reason=reason, failed=failed)
-
-    def kill_instance(self, instance: Instance, reason: str = "churn",
-                      failed: bool = False) -> None:
-        self.kill_instances([instance], reason=reason, failed=failed)
-
-    def start_instances(self, job: Job, count: int) -> List[Instance]:
-        return self.store.claimant(job).start_instances(job, count)
-
-    def stop(self, job: Job) -> None:
-        self.store.claimant(job).stop(job)
-
-    # Host-level churn routes through the daemon's *current* shard (which
-    # follows shard failover), and the host views come from the store.
-    def fail_host(self, ip: str) -> int:
-        return self.store.shard_for_daemon(ip).fail_host(ip)
-
-    def recover_host(self, ip: str) -> None:
-        self.store.shard_for_daemon(ip).recover_host(ip)
-
-    def daemon_ips(self) -> List[str]:
-        return sorted(self.store.daemons)
-
-    def alive_host_ips(self) -> List[str]:
-        return self.store.alive_host_ips()
-
-    def failed_host_ips(self) -> List[str]:
-        return self.store.failed_host_ips()
-
-    def host_alive(self, ip: str) -> bool:
-        return self.store.host_alive(ip)

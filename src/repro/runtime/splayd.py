@@ -9,7 +9,7 @@ In this reproduction a :class:`Splayd` owns one simulated :class:`Host` on
 the network.  Spawning an instance creates a fresh
 :class:`~repro.sim.events_api.AppContext` plus the full sandbox stack around
 it — restricted socket (merged policy), sandboxed filesystem (merged
-quotas), logger (wired to the controller's collector) and RPC service — and
+quotas), logger (wired to the job's log collector) and RPC service — and
 then hands the bundle to the job's application factory.  Killing the context
 tears everything down instantly, which is exactly what churn exploits.
 
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.jobs import Job
-from repro.lib.logging import LogRecord, SplayLogger
+from repro.lib.logging import SplayLogger
 from repro.lib.rpc import RpcService
 from repro.lib.sbfs import SandboxedFS
 from repro.lib.sbsocket import RestrictedSocket, SocketPolicy
@@ -37,7 +37,7 @@ from repro.sim.events_api import AppContext, Events
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.controller import Controller
+    from repro.runtime.jobstore import JobStore
 
 
 class SplaydError(Exception):
@@ -126,9 +126,7 @@ class Instance:
         """Context cleanup: the one death path every kill funnels through
         (controller stop, host failure, the app's own ``events.exit()``), so
         this is where the daemon's and the job's tables let the handle go."""
-        daemon = self.daemon
-        daemon.instances.pop(self, None)
-        daemon._allocated_ports.discard(self.socket.local.port)
+        self.daemon.instances.pop(self, None)  # frees the slot and the port
         self.socket.close()
         if self._fs is not None:
             self._fs.wipe()
@@ -164,18 +162,13 @@ class Splayd:
         self.host = Host(ip)
         self.ip = self.host.ip
         self.limits = limits or SplaydLimits()
-        self.controller: Optional["Controller"] = None
-        #: set by JobStore.add_daemon — lets fail/recover invalidate the
-        #: store's memoized alive/failed host views without a lookup
-        self.store: Optional[Any] = None
+        #: the one pointer into the control plane, set by JobStore.add_daemon
+        #: (per-job metrics registries live there)
+        self.store: Optional["JobStore"] = None
         #: live instances keyed by handle, in spawn order (``fail`` kills in
-        #: this order); the reap hook pops a handle on any death
+        #: this order); the reap hook pops a handle on any death.  Also the
+        #: port table: a port is reserved iff a handle in here holds it.
         self.instances: Dict[Instance, None] = {}
-        self._allocated_ports: set[int] = set()
-        #: one log sink per job on this host, shared by its instances
-        self._log_sinks: Dict[Job, Callable[[LogRecord], None]] = {}
-        self.spawned_total = 0
-        self.killed_total = 0
         self.batches_received = 0
         self.commands_executed = 0
         # One clock closure shared by every instance logger on this host
@@ -187,13 +180,6 @@ class Splayd:
     @property
     def alive(self) -> bool:
         return self.host.alive
-
-    @property
-    def free_slots(self) -> Optional[int]:
-        """Remaining instance capacity (``None`` = unlimited)."""
-        if self.limits.max_instances is None:
-            return None
-        return max(0, self.limits.max_instances - len(self.instances))
 
     def has_capacity(self) -> bool:
         cap = self.limits.max_instances
@@ -218,18 +204,17 @@ class Splayd:
         socket = RestrictedSocket(self.network, context, address,
                                   policy=policy, seed=self.sim.seed)
         logger = SplayLogger(
-            source=name, level=spec.log_level, remote_sink=self._log_sink(job),
+            source=name, level=spec.log_level, remote_sink=job.log_sink,
             max_bytes=_stricter(limits.log_max_bytes, spec.log_max_bytes),
             clock=self._clock, host=address.ip)
         rpc = RpcService(socket, events)
         obs = getattr(self.sim, "_obs", None)
-        if obs is not None and obs.metrics_enabled and self.controller is not None:
-            # Same store-resident path the log sink takes: the registry is
-            # per-job and survives shard failover with the store.
-            rpc.bind_metrics(self.controller.metrics_for(job))
+        if obs is not None and obs.metrics_enabled and self.store is not None:
+            # Store-resident like the log collector: the registry is per-job
+            # and survives shard failover with the store.
+            rpc.bind_metrics(self.store.metrics_for(job))
         instance = Instance(job, instance_id, self, context, events, socket, rpc, logger)
         self.instances[instance] = None
-        self.spawned_total += 1
         context.add_cleanup(instance._reap)
         try:
             app = spec.app_factory(instance)
@@ -242,33 +227,19 @@ class Splayd:
             instance.app = app
         return instance
 
-    def _log_sink(self, job: Job) -> Optional[Callable[[LogRecord], None]]:
-        """The sink this host's instances of ``job`` ship records into."""
-        if self.controller is None:
-            return None
-        sink = self._log_sinks.get(job)
-        if sink is None:
-            sink = self._log_sinks[job] = self.controller.make_log_sink(job, self.ip)
-        return sink
-
-    def release_job(self, job: Job) -> None:
-        """Forget a stopped job's sink (a dying instance's late record still
-        reaches the collector through its logger's own reference)."""
-        self._log_sinks.pop(job, None)
-
     def _allocate_address(self, base_port: int) -> Address:
-        """The lowest free endpoint at or above ``base_port`` (now reserved)."""
-        ip, port = self.ip, base_port
-        while True:
-            if port not in self._allocated_ports:
-                address = Address(ip, port)
+        """The lowest free endpoint at or above ``base_port``: held by no
+        live instance of this daemon (reserved from spawn to reap, listening
+        or not) and by no listener on the network."""
+        taken = set()
+        for instance in self.instances:  # a comprehension is a frame per spawn
+            taken.add(instance.socket.local.port)
+        for port in range(base_port, 65536):
+            if port not in taken:
+                address = Address(self.ip, port)
                 if not self.network.is_listening(address):
-                    break
-            port += 1
-            if port > 65535:
-                raise SplaydError(f"no free port on {ip} at or above {base_port}")
-        self._allocated_ports.add(port)
-        return address
+                    return address
+        raise SplaydError(f"no free port on {self.ip} at or above {base_port}")
 
     # ------------------------------------------------------------------ batch
     def batch_exec(self, commands: List[tuple]) -> List[object]:
@@ -309,8 +280,6 @@ class Splayd:
         """Tear one instance down (kills its context; cleanups do the rest)."""
         if instance.daemon is not self:
             raise SplaydError("instance belongs to another daemon")
-        if instance.alive:
-            self.killed_total += 1
         instance.context.kill(reason)
 
     def fail(self) -> int:
@@ -318,8 +287,6 @@ class Splayd:
         if not self.host.alive:
             return 0
         self.host.alive = False
-        if self.store is not None:
-            self.store._note_host_state_changed()
         victims = list(self.instances)
         reason = f"host failure: {self.ip}"
         error: Optional[Exception] = None
@@ -336,8 +303,6 @@ class Splayd:
     def recover(self) -> None:
         """Bring a failed host back (with no instances, like a fresh boot)."""
         self.host.alive = True
-        if self.store is not None:
-            self.store._note_host_state_changed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Splayd {self.ip} {'up' if self.alive else 'down'} "

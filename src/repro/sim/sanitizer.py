@@ -20,11 +20,10 @@ directly), cheap observation-only checks run on the hot path:
   entry may keep routing messages to its endpoints;
 * **bandwidth-flow conservation** -- the max-min allocation never hands a
   link more rate than its capacity;
-* **store-cache coherence** -- the control plane's memoized alive/failed
-  host views and each job's live-instance table and cache must equal a
-  from-scratch recompute after every control action, and the job's live
-  table must equal the union of its daemons' instance tables (guards the
-  incremental bookkeeping the O(N)-scan elimination relies on).
+* **store-cache coherence** -- each job's live-instance table and cache
+  must equal a from-scratch recompute after every control action, and the
+  job's live table must equal the union of its daemons' instance tables
+  (guards the incremental bookkeeping the O(N)-scan elimination relies on).
 
 Violations are *recorded*, never repaired, and carry event provenance
 (which callback -- and thereby which process or timer -- scheduled the
@@ -274,51 +273,22 @@ class Sanitizer:
 
     # --------------------------------------------------- control-plane seam
     def check_store_views(self, store: Any) -> None:
-        """Every memoized store/job view must equal a from-scratch recompute.
+        """Every job's live view must equal a from-scratch recompute.
 
-        The placement planner, churn victim selection and harness iteration
-        all trust the incrementally invalidated caches on
-        :class:`~repro.runtime.jobstore.JobStore` and
-        :class:`~repro.core.jobs.Job`; a missed invalidation would steer
-        placement (and thereby the RNG stream) long before any report field
+        Churn victim selection and harness iteration trust the incrementally
+        maintained live table and its memoized list on
+        :class:`~repro.core.jobs.Job`; a missed update would steer victim
+        draws (and thereby the RNG stream) long before any report field
         looks wrong.  Called by the controller shards after every control
-        action.  Only *populated* caches are compared — an unpopulated cache
+        action.  Only a *populated* cache is compared — an unpopulated cache
         cannot be stale, and rebuilding it here would hide the very laziness
         being checked.
         """
-        daemons = store.daemons
-        cached = store._alive_daemons_cache
-        if cached is not None:
-            expected = [d for d in daemons.values() if d.alive]
-            if cached != expected:
-                self.record(
-                    "store_cache",
-                    f"alive-daemon cache lists {len(cached)} daemons, "
-                    f"recompute finds {len(expected)}",
-                    provenance=self.current_label())
-        cached = store._alive_ips_cache
-        if cached is not None:
-            expected = sorted(ip for ip, d in daemons.items() if d.alive)
-            if cached != expected:
-                self.record(
-                    "store_cache",
-                    f"alive-ip cache lists {len(cached)} hosts, "
-                    f"recompute finds {len(expected)}",
-                    provenance=self.current_label())
-        cached = store._failed_ips_cache
-        if cached is not None:
-            expected = sorted(ip for ip, d in daemons.items() if not d.alive)
-            if cached != expected:
-                self.record(
-                    "store_cache",
-                    f"failed-ip cache lists {len(cached)} hosts, "
-                    f"recompute finds {len(expected)}",
-                    provenance=self.current_label())
         # The two instance tables — each job's live view and each daemon's
         # own table — are maintained by different hooks (record_start /
         # record_death vs spawn / reap) and must agree on who is alive.
         hosted: Dict[Any, set] = {}
-        for daemon in daemons.values():
+        for daemon in store.daemons.values():
             for instance in daemon.instances:
                 hosted.setdefault(instance.job, set()).add(instance)
         for job_id in sorted(store.jobs):

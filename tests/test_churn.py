@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.scenarios import main
 from repro.core.churn import (
     ChurnManager,
     ChurnScriptError,
@@ -47,6 +48,34 @@ def test_malformed_scripts_are_rejected():
                 "leave 5", "at tens join 1", "at 10s crash 150%"):
         with pytest.raises((ChurnScriptError, ValueError)):
             parse_churn_script(bad)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("at 5s dance 1", "unknown directive: dance"),
+    ("at 5s crash 140%", "out of range"),
+    ("from 30s to 10s every 5s leave 1", "forward in time"),
+    ("when 5s crash 1", "'at' or 'from'"),
+    ("at 5s crash -3", "negative"),
+    ("at 5s stop now please", "expected"),
+    ("at 5s crash 1 2 3", "expected"),
+], ids=["unknown-kind", "percentage", "window", "head", "negative-count",
+        "trailing-after-stop", "trailing-after-amount"])
+def test_every_malformed_line_is_an_error_that_names_its_line(line, why,
+                                                              tmp_path, capsys):
+    # Nothing malformed is accepted in silence (a negative count used to
+    # replay as a no-op, trailing tokens were ignored), and every error says
+    # where it is — in a script with a comment and a good line before it.
+    script = f"# churn\nat 1s join 1\n  {line}  # here\n"
+    with pytest.raises(ChurnScriptError, match=why) as caught:
+        parse_churn_script(script)
+    assert str(caught.value).startswith(f"line 3: cannot parse '  {line}  # here'")
+    # The command line reports the same thing as one line, not a traceback.
+    path = tmp_path / "bad.churn"
+    path.write_text(script)
+    assert main(["chord", "--nodes", "10", "--churn-script", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid churn script {path}: {caught.value}\n"
 
 
 def test_synthetic_script_round_trips_through_the_parser():
@@ -134,3 +163,28 @@ def test_stop_directive_stops_the_job():
     sim.run(until=10.0)
     assert job.state is JobState.STOPPED
     assert job.live_count == 0
+
+
+def test_a_stopped_job_leaves_no_churn_timers_behind():
+    sim, controller, job = _deploy(
+        instances=4,
+        churn_script="at 50s crash 1\nat 100s join 1\nat 500s fail 1\n")
+    job.live_instances()[0].logger.info("so there is a log drain to wait for")
+    sim.run(until=10.0)
+    controller.stop(job)
+    drained = sim.run(until=sim.now + controller.store.log_drain_interval)
+    # Nothing is left to fire: the three actions were cancelled with the job,
+    # so an unbounded run returns at once instead of walking the clock to
+    # t=500 through three no-ops.
+    assert sim.pending_events == 0
+    assert sim.run() == drained
+    churn = controller.churn_managers[job.job_id]
+    assert churn.stats.actions_applied == 0  # still readable after the stop
+
+
+def test_the_stop_directive_cancels_the_actions_scripted_after_it():
+    sim, controller, job = _deploy(
+        instances=4, churn_script="at 5s stop\nat 50s join 2\nat 90s crash 1\n")
+    assert sim.run() < 50.0
+    assert sim.pending_events == 0
+    assert controller.churn_managers[job.job_id].stats.by_kind == {"stop": 1}

@@ -2,12 +2,14 @@
 
 The two perf cuts behind the flattened per-event cost curve are guarded
 here: the host-interpreter GC policy (``repro.sim.gcpolicy``) must be
-digest-neutral across every workload and kernel, and the cached
-alive/live sets (``runtime/jobstore.py`` / ``core/jobs.py``) must stay
-coherent with a from-scratch recompute through instance churn, scripted
-host churn and trace-driven host churn — with the runtime sanitizer able
-to catch any cache that goes stale.  The sort-the-world-per-pick placement
-planner the bucketed one replaced lives here as its oracle (``naive_plan``).
+digest-neutral across every workload and kernel, and each job's cached
+live set (``core/jobs.py``) must stay coherent with a from-scratch
+recompute — and the store's host views (computed per call from
+``Host.alive``) with the daemons — through instance churn, scripted host
+churn and trace-driven host churn, with the runtime sanitizer able to catch
+a live cache that goes stale or instance tables that disagree.  The
+sort-the-world-per-pick placement planner the bucketed one replaced lives
+here as its oracle (``naive_plan``).
 """
 
 import gc
@@ -140,7 +142,7 @@ def test_cached_views_track_instance_and_host_churn():
     assert victim not in job.live_instances()
     assert job.live_instances() == job._recompute_live_instances()
 
-    # Host failure invalidates every store-level view.
+    # Host failure shows in every store-level view.
     controller.fail_host("10.0.0.2")
     assert "10.0.0.2" in controller.failed_host_ips()
     assert "10.0.0.2" not in controller.alive_host_ips()
@@ -153,18 +155,9 @@ def test_cached_views_track_instance_and_host_churn():
 
 
 def _uncached(controller):
-    """Make ``controller``'s store recompute every view and plan per call.
-
-    The from-scratch world the memoized views and the bucketed planner are
-    compared against: what the store computed before it cached anything.
-    """
+    """Make ``controller``'s store plan every placement from scratch: the
+    world the bucketed planner is compared against."""
     store = controller.store
-    daemons = store.daemons
-    store.alive_daemons = lambda: [d for d in daemons.values() if d.alive]
-    store.alive_host_ips = lambda: sorted(
-        ip for ip, d in daemons.items() if d.alive)
-    store.failed_host_ips = lambda: sorted(
-        ip for ip, d in daemons.items() if not d.alive)
     store.plan_placements = lambda job, count: naive_plan(store, job, count)
 
 
@@ -223,8 +216,8 @@ def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs,
     # End-to-end: scripted instance churn and trace-driven host churn both
     # hammer the invalidation paths; the sanitizer cross-checks every cache
     # against a recompute after each control action and must stay silent,
-    # and a deployment whose store recomputes everything per call (views and
-    # placement plan) must report the same digest.
+    # and a deployment whose store plans every placement from scratch must
+    # report the same digest.
     config = RunConfig(nodes=12, seed=4, duration="short", sanitize=True,
                        **churn_kwargs)
     cached = run_chord_scenario(config)
@@ -238,24 +231,6 @@ def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs,
     monkeypatch.setattr("repro.apps.harness.Controller", UncachedController)
     oracle = run_chord_scenario(config)
     assert report_digest(cached) == report_digest(oracle)
-
-
-def test_sanitizer_catches_a_stale_alive_cache():
-    sim, _network, controller = _world(seed=9)
-    san = Sanitizer(sim).install()
-    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
-                                    instances=4))
-    controller.start(job)
-    store = controller.store
-    assert san.counts == {}
-
-    # Corrupt the memoized alive-IP view the way a missed invalidation
-    # would: the cache keeps advertising a host that is no longer alive.
-    store.alive_host_ips()  # populate
-    store._alive_ips_cache.append("10.0.0.99")
-    controller.start_instances(job, 1)  # any control action cross-checks
-    assert san.counts.get("store_cache", 0) >= 1
-    assert any("alive-ip cache" in v.detail for v in san.violations)
 
 
 def test_sanitizer_catches_a_stale_live_instance_cache():

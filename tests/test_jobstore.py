@@ -1,6 +1,8 @@
 """Control-plane scale-out: job store, controller shards, batched daemon
 commands, bounded log collectors, and shard failover."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.jobs import JobSpec, JobState
@@ -10,6 +12,7 @@ from repro.runtime.controller import Controller, ControllerError
 from repro.runtime.jobstore import LogCollector
 from repro.runtime.splayd import Splayd, SplaydError, SplaydLimits
 from repro.sim.kernel import Simulator
+from repro.sim.sanitizer import Sanitizer
 
 
 def _world(seed=0, daemons=4, max_instances=4, shards=1, **controller_kwargs):
@@ -35,7 +38,7 @@ class TestLogCollector:
         network = Network(sim, seed=0)
         controller = Controller(sim, network, seed=0)
         job = controller.submit(JobSpec(name="j", app_factory=lambda i: None))
-        return sim, job, LogCollector(sim, job, max_queue=max_queue)
+        return sim, job, LogCollector(controller.store, job, max_queue=max_queue)
 
     def test_drop_oldest_when_queue_is_full(self):
         _sim, job, collector = self._collector(max_queue=3)
@@ -85,7 +88,7 @@ class TestLogCollector:
         controller = Controller(sim, network, seed=0)
         job = controller.submit(JobSpec(name="j", app_factory=lambda i: None))
         with pytest.raises(ValueError, match="at least one"):
-            LogCollector(sim, job, max_queue=0)
+            LogCollector(controller.store, job, max_queue=0)
 
 
 # ------------------------------------------------------------------- batching
@@ -234,6 +237,97 @@ def test_log_counters_and_attribution_survive_shard_failover():
     assert len(controller.job_logs(job)) == job.stats.log_records
     status = controller.job_status(job)
     assert status["log_records_dropped"] == dropped_before + 1
+
+
+# ------------------------------------------- the one router under failover
+#: directive -> (script, what the serving shard's counters gain, the
+#:               job.stats counter and its ChurnStats twin if any, their value)
+ROUTED = {
+    "join": ("at 10s join 2", {"instances_started": 2},
+             "churn_joins", "instances_joined", 2),
+    "leave": ("at 10s leave 2", {"instances_killed": 2},
+              "churn_leaves", "instances_left", 2),
+    "crash": ("at 10s crash 2", {"instances_killed": 2},
+              "churn_crashes", "instances_crashed", 2),
+    "replace": ("at 10s replace 2", {"instances_killed": 2, "instances_started": 2},
+                "churn_joins", "instances_joined", 2),
+    "fail": ("at 10s fail 1", {"hosts_failed": 1},
+             "churn_host_failures", "hosts_failed", 1),
+    "recover": ("at 2s fail 1\nat 10s recover 1", {"hosts_recovered": 1},
+                "churn_host_recoveries", "hosts_recovered", 1),
+    "stop": ("at 10s stop", {"instances_killed": 6},
+             "instances_stopped", None, 6),
+}
+
+
+@pytest.mark.parametrize("kind", ROUTED)
+def test_every_churn_directive_lands_through_the_surviving_shard(kind):
+    script, gains, job_counter, churn_counter, value = ROUTED[kind]
+    sim, _network, controller = _world(daemons=4, shards=2, max_instances=4)
+    san = Sanitizer(sim, strict=True).install()
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=6, churn_script=script + "\n"))
+    controller.start(job)
+    dead, survivor = controller.shards
+    assert controller.shard_for(job) is dead
+    sim.run(until=5.0)
+    dead.fail()  # the claiming shard dies before the action fires
+    dead_before, survivor_before = asdict(dead.stats), asdict(survivor.stats)
+    sim.run(until=15.0)
+    # The manager holds the facade, and the facade routes per call: the job's
+    # commands follow the claim, the host's follow the daemon's registration.
+    assert asdict(dead.stats) == dead_before
+    moved = {name: count - survivor_before[name]
+             for name, count in asdict(survivor.stats).items()
+             if count != survivor_before[name]}
+    assert {name: moved.get(name) for name in gains} == gains
+    assert controller.churn_managers[job.job_id].controller is controller
+    churn = controller.churn_managers[job.job_id].stats
+    assert churn.by_kind[kind] == 1
+    assert getattr(job.stats, job_counter) == value
+    if churn_counter is not None:
+        assert getattr(churn, churn_counter) == value
+    assert (job.state is JobState.STOPPED) == (kind == "stop")
+    assert san.counts == {}
+
+
+# --------------------------------------------- the one sink under sharing
+def test_two_jobs_sharing_every_host_keep_their_records_and_attribution_apart():
+    sim, _network, controller = _world(daemons=3, shards=3, max_instances=4)
+    jobs = [controller.submit(JobSpec(name=name, app_factory=lambda i: None,
+                                      instances=6, log_level="INFO"))
+            for name in ("left", "right")]
+    fleets = [controller.start(job) for job in jobs]
+    for job, fleet in zip(jobs, fleets):
+        assert {i.daemon.ip for i in fleet} == set(controller.daemon_ips())
+        # one sink per job, shared by every logger of the job on every host
+        assert {id(i.logger.remote_sink) for i in fleet} == {id(job.log_sink)}
+        for instance in fleet:
+            instance.logger.info(f"{job.spec.name} {instance.instance_id}")
+    sim.run(until=1.0)
+    for job in jobs:
+        records = controller.job_logs(job)
+        assert sorted(r.message for r in records) == sorted(
+            f"{job.spec.name} {n}" for n in range(6))
+        assert {r.job_id for r in records} == {job.job_id}
+        # one daemon per shard, two instances of each job per daemon
+        assert job.stats.logs_by_shard == {"ctl0": 2, "ctl1": 2, "ctl2": 2}
+    assert [s.stats.logs_routed for s in controller.shards] == [4, 4, 4]
+
+    # A record is attributed when it ships: after ctl1 dies, what its former
+    # host emits counts for the heir.
+    controller.shards[1].fail()
+    assert "ctl1" not in controller.store.daemon_shard.values()
+    for job, fleet in zip(jobs, fleets):
+        for instance in fleet:
+            instance.logger.info("after the failover")
+    sim.run(until=2.0)
+    for job in jobs:
+        assert job.stats.logs_by_shard["ctl1"] == 2  # what it routed while alive
+        assert sum(job.stats.logs_by_shard.values()) == job.stats.log_records == 12
+        assert len(controller.job_logs(job)) == 12
+    assert controller.shards[1].stats.logs_routed == 4
+    assert sum(s.stats.logs_routed for s in controller.shards) == 24
 
 
 def test_control_plane_status_reports_shards_and_collectors():

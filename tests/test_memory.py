@@ -112,11 +112,12 @@ def test_thread_stays_under_its_memory_ceiling():
 
 
 #: committed ceiling for Python-allocated bytes per registered *host*: the
-#: daemon with its tables, the host record, its log sink, latency attachment,
-#: link capacities and job-store entries.  Measured ~1.47 KB (1.59 KB on
-#: CPython 3.10); it was ~1.87 KB with one ``SplaydLimits`` + ``SocketPolicy``
-#: pair per host.
-HOST_CEILING_BYTES = 1_750
+#: daemon with its instance table, the host record, latency attachment, link
+#: capacities and job-store entries.  Measured 1,219 B on CPython 3.11; it
+#: was 1,548 B while every daemon also kept a reserved-port set, a sink table
+#: and a second back-pointer, and ~1.87 KB with one ``SplaydLimits`` +
+#: ``SocketPolicy`` pair per host.
+HOST_CEILING_BYTES = 1_400
 
 
 def test_host_stays_under_its_memory_ceiling():

@@ -1,5 +1,8 @@
 """Runtime: splayd spawning/quotas, controller placement and log collection."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.blacklist import Blacklist
@@ -7,6 +10,7 @@ from repro.core.jobs import JobSpec, JobState
 from repro.lib.rpc import RpcError
 from repro.lib.sbfs import SandboxFSError
 from repro.lib.sbsocket import SocketPolicy, SocketRestrictionError
+from repro.net.address import Address
 from repro.net.network import Network
 from repro.runtime.controller import Controller, ControllerError
 from repro.runtime.splayd import Splayd, SplaydError, SplaydLimits
@@ -158,13 +162,34 @@ def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():
     assert not broken.alive
     assert not network.is_listening(address)
     assert broken not in daemon.instances
-    assert address.port not in daemon._allocated_ports
     # The failure did not stop the round: the other victim died and was
-    # recorded, and both freed slots can be reused.
+    # recorded, and both freed slots — and both freed ports — are reused.
     assert not bystander.alive
     assert job.live_count == 0
     assert job.stats.instances_stopped == 1
-    assert len(controller.start_instances(job, 2)) == 2
+    replacements = controller.start_instances(job, 2)
+    assert sorted(i.address.port for i in replacements) == sorted(
+        [address.port, bystander.address.port])
+
+
+def test_a_port_is_reserved_exactly_as_long_as_its_instance_lives():
+    _sim, network, controller = _world(daemons=1, max_instances=3)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=3, base_port=30000))
+    first, second, third = controller.start(job)
+    assert [i.address.port for i in (first, second, third)] == [30000, 30001, 30002]
+    # A live instance holds its port whether or not it listens on it: the
+    # daemon's instance table is the port table, the listener table only
+    # adds endpoints somebody else bound.
+    network.unlisten(second.address)
+    controller.kill_instance(first, reason="test")
+    (fourth,) = controller.start_instances(job, 1)
+    assert fourth.address.port == 30000  # the dead instance's, not 30001
+    controller.kill_instance(third, reason="test")
+    network.listen(Address("10.0.0.1", 30002), lambda message: None)
+    (fifth,) = controller.start_instances(job, 1)
+    assert fifth.address.port == 30003  # 30001 is held, 30002 is bound
+    assert len({i.address.port for i in job.live_instances()}) == 3
 
 
 def test_host_failure_survives_a_failing_cleanup():
@@ -215,30 +240,33 @@ def test_instance_logs_are_shipped_to_the_controller():
     assert job.stats.log_records == 2
 
 
-def test_stopping_a_job_drops_its_log_sinks_from_every_daemon():
+def test_after_stop_no_daemon_refers_to_the_job_and_late_records_are_collected():
     _sim, _network, controller = _world(daemons=3, max_instances=2)
-    daemons = [controller.store.daemons[ip] for ip in controller.daemon_ips()]
+    store = controller.store
+    job = controller.submit(JobSpec(name="first", app_factory=lambda i: None,
+                                    instances=4, log_level="INFO"))
+    instances = controller.start(job)
+    instances[1].logger.info("alive and well")
+    controller.stop(job)
+    # A record a dying instance still emits reaches the collector: the sink
+    # travels with the job record, not with the daemon.
+    instances[0].logger.info("last words")
+    assert [r.message for r in controller.job_logs(job)] == [
+        "alive and well", "last words"]
 
-    def run_one(name):
-        job = controller.submit(JobSpec(name=name, app_factory=lambda i: None,
-                                        instances=4, log_level="INFO"))
-        instances = controller.start(job)
-        assert any(job in daemon._log_sinks for daemon in daemons)
-        return job, instances
-
-    first, first_instances = run_one("first")
-    controller.stop(first)
-    # A daemon must not pin every job it ever hosted (one sink closure each).
-    assert not any(first in daemon._log_sinks for daemon in daemons)
-    # A record a dying instance still emits reaches the collector through the
-    # logger's own reference to the sink.
-    first_instances[0].logger.info("last words")
-    assert [r.message for r in controller.job_logs(first)] == ["last words"]
-
-    second, _ = run_one("second")
-    assert all(set(daemon._log_sinks) <= {second} for daemon in daemons)
-    controller.stop(second)
-    assert not any(daemon._log_sinks for daemon in daemons)
+    # A daemon must not pin every job it ever hosted.  Reference counting
+    # alone (the frozen GC policy's world): once the handles are dropped, the
+    # controller's own tables are all that keeps the job.
+    gc.disable()
+    try:
+        job_id = job.job_id
+        job_ref, spec_ref = weakref.ref(job), weakref.ref(job.spec)
+        del job, instances
+        assert job_ref() is not None
+        del store.jobs[job_id], store.collectors[job_id], store.claims[job_id]
+        assert job_ref() is None and spec_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_factory_that_exits_on_its_own_leaves_no_app_on_the_dead_handle():

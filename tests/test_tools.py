@@ -143,6 +143,13 @@ def test_work_counter_ceilings_name_declared_benchmark_counters():
     swarm = [set(gate["counters"]) for gate in spec["workloads"]["dissemination_swarm"]]
     assert {"net.network.calls"} in swarm
     assert {"net.bandwidth.calls", "net.bwalloc.calls"} in swarm
+    # the control plane: every layer deploy_churn_idle spends its time in
+    (control,) = spec["workloads"]["deploy_churn_idle"]
+    assert set(control["counters"]) == {
+        "runtime.controller.calls", "runtime.jobstore.calls",
+        "runtime.splayd.calls", "core.jobs.calls", "core.churn.calls",
+        "lib.logging.calls"}
+    assert control["ceiling"] <= 978_195  # the sum before the facts were kept once
 
 
 # --------------------------------------------------------------------- ab.py

@@ -128,9 +128,24 @@ def test_fail_host_kills_instances_and_recover_makes_it_placeable_again():
     assert controller.failed_host_ips() == []
     refill = controller.start_instances(job, 2)
     assert all(i.daemon.ip == victim for i in refill)
-    assert controller.store.host_state[victim] == "up"
+    assert controller.host_alive(victim)
     assert controller.store.host_failures_total == 1
     assert controller.store.host_recoveries_total == 1
+
+
+def test_failing_a_down_host_and_recovering_an_up_host_count_nothing():
+    sim, controller, job = _deploy(instances=10, hosts=5)
+    victim = controller.daemon_ips()[0]
+    shard = controller.store.shard_for_daemon(victim)
+    assert controller.fail_host(victim) > 0
+    failed = job.stats.instances_failed
+    assert controller.fail_host(victim) == 0  # already down: not a failure
+    controller.recover_host(victim)
+    controller.recover_host(victim)  # already up: not a recovery
+    hosts = controller.control_plane_status()["hosts"]
+    assert (hosts["down_now"], hosts["failures_total"], hosts["recoveries_total"]) == (0, 1, 1)
+    assert (shard.stats.hosts_failed, shard.stats.hosts_recovered) == (1, 1)
+    assert job.stats.instances_failed == failed
 
 
 def test_fail_host_on_unknown_ip_is_a_controller_error():
