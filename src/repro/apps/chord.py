@@ -50,6 +50,7 @@ class ChordNode(harness.RoutingNode):
         self.successor_list_size = int(options.get("successor_list_size", 6))
         self.max_hops = int(options.get("max_hops", 3 * self.bits))
         self.predecessor: Optional[NodeRef] = None
+        self._predecessor_heard = 0.0  # when the predecessor last called us
         self.successors: List[NodeRef] = [self.me]
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
         self._next_finger = 0
@@ -104,75 +105,82 @@ class ChordNode(harness.RoutingNode):
         owner, _hops = yield from self.lookup(int(key))
         return owner
 
-    def _rpc_get_predecessor(self) -> Optional[NodeRef]:
-        return self.predecessor
-
-    def _rpc_successor_list(self) -> List[NodeRef]:
-        return list(self.successors)
-
-    def _rpc_notify(self, node) -> bool:
+    def _rpc_notify(self, node) -> None:
+        """Adopt ``node`` as predecessor if it is closer; a call from the
+        predecessor is also the proof that it is alive."""
         node = NodeRef.coerce(node)
-        if node == self.me:
-            return False
-        if self.predecessor is None or between(node.id, self.predecessor.id, self.me.id):
+        predecessor = self.predecessor
+        if node != self.me and (predecessor is None
+                                or between(node.id, predecessor.id, self.me.id)):
             self.predecessor = node
-            return True
-        return False
+        if node == self.predecessor:
+            self._predecessor_heard = self.events.now()
+
+    def _rpc_stabilize(self, node) -> dict:
+        """One stabilize hop: ``notify``, then what the caller needs to adopt
+        a closer successor and refresh its successor list."""
+        self._rpc_notify(node)
+        return {"predecessor": self.predecessor, "successors": list(self.successors)}
 
     # ------------------------------------------------------------ maintenance
     def _stabilize(self) -> Generator:
-        """Verify the successor, adopt a closer one, refresh the successor list."""
+        """Verify the successor, adopt a closer one, refresh the successor list.
+
+        One ``stabilize`` RPC per hop notifies the node and returns its
+        predecessor and successor list.  While that predecessor lies between
+        us and the node, the walk moves on to it (bounded): one round can then
+        repair a successor pointer that overshot by many nodes.  A reply
+        proves its sender alive; the last node that answered is our successor.
+        """
         self.stats.maintenance_rounds += 1
-        successor = self._current_successor()
-        try:
-            # Walk the predecessor chain back towards us (bounded): a single
-            # round can then repair a successor pointer that overshot by many
-            # nodes, instead of converging one node per stabilization period.
-            for _step in range(8):
-                if successor == self.me:
-                    candidate = self.predecessor
-                else:
-                    candidate = yield self.rpc.call(successor, "get_predecessor",
-                                                    timeout=self.hop_timeout,
-                                                    retries=self.hop_retries)
-                if candidate is None:
-                    break
-                candidate = NodeRef.coerce(candidate)
-                if candidate == self.me or candidate == successor:
-                    break
-                if not between(candidate.id, self.me.id, successor.id):
-                    break
-                alive = yield self.rpc.ping(candidate, timeout=self.hop_timeout)
-                if not alive:
-                    break
-                successor = candidate
-            if successor != self.me:
-                remote_list = yield self.rpc.call(successor, "successor_list",
-                                                  timeout=self.hop_timeout,
-                                                  retries=self.hop_retries)
-                chain = [successor] + [NodeRef.coerce(n) for n in remote_list
-                                       if NodeRef.coerce(n) != self.me]
-                self.successors = _dedupe(chain)[: self.successor_list_size]
-                self.fingers[0] = self.successors[0]
-                self.rpc.a_call(successor, "notify", self.me,
-                                timeout=self.hop_timeout, retries=0)
-        except RpcError:
-            self._note_dead(successor)
+        node = self._current_successor()
+        if node == self.me:
+            node = self.predecessor  # alone so far: the predecessor closes the ring
+            if node is None:
+                return
+        successor = reply = None
+        for _hop in range(8):
+            try:
+                reply = yield self.rpc.call(node, "stabilize", self.me,
+                                            timeout=self.hop_timeout,
+                                            retries=self.hop_retries)
+            except RpcError:
+                self._note_dead(node)
+                break
+            successor = node
+            candidate = NodeRef.coerce(reply["predecessor"] or node)  # none: stop
+            if not between(candidate.id, self.me.id, node.id):
+                break
+            node = candidate
+        if successor is not None:
+            chain = [successor] + [n for n in map(NodeRef.coerce, reply["successors"])
+                                   if n != self.me]
+            self.successors = list(dict.fromkeys(chain))[: self.successor_list_size]
+            self.fingers[0] = self.successors[0]
 
     def _fix_fingers(self) -> Generator:
-        """Refresh one finger per round (round-robin over the table)."""
-        self._next_finger = (self._next_finger + 1) % self.bits
-        start = ring_add(self.me.id, 1 << self._next_finger, self.bits)
+        """Refresh one finger per round (round-robin over the table); one our
+        successor list already covers is read off it, the others cost a lookup."""
+        index = self._next_finger = (self._next_finger + 1) % self.bits
+        start = ring_add(self.me.id, 1 << index, self.bits)
+        for node in self.successors:
+            if node == self.me:
+                break
+            if between(start, self.me.id, node.id, include_high=True):
+                self.fingers[index] = node
+                return
         try:
             owner, _hops = yield from self.lookup(start)
-            self.fingers[self._next_finger] = owner
+            self.fingers[index] = owner
         except LookupFailed:
-            self.fingers[self._next_finger] = None
+            self.fingers[index] = None
 
     def _check_predecessor(self) -> Generator:
-        """Drop the predecessor pointer if it stopped answering pings."""
+        """Drop the predecessor pointer once it went silent for a whole period
+        and does not answer a ping either."""
         predecessor = self.predecessor
-        if predecessor is None or predecessor == self.me:
+        if (predecessor is None or self.events.now() - self._predecessor_heard
+                < self.check_predecessor_interval):
             return
         alive = yield self.rpc.ping(predecessor, timeout=self.hop_timeout)
         if not alive and self.predecessor == predecessor:
@@ -193,13 +201,15 @@ class ChordNode(harness.RoutingNode):
         best: Optional[NodeRef] = None
         best_distance = -1
         me_id = self.me.id
+        previous_id = None
         for node in candidates:
             node_id = node.id
+            if node_id == previous_id:
+                continue  # the low fingers repeat the successor
+            previous_id = node_id
             # Ids hash the endpoint: another id is another node, and an equal
             # one (us, or a collision) is never strictly between us and the key.
-            if node_id == me_id or node_id in avoided:
-                continue
-            if not between(node_id, me_id, key):
+            if node_id == me_id or node_id in avoided or not between(node_id, me_id, key):
                 continue
             distance = ring_distance(me_id, node_id, self.bits)
             if distance > best_distance:
@@ -207,9 +217,7 @@ class ChordNode(harness.RoutingNode):
         if best is not None:
             return best
         successor = self._current_successor()
-        if successor.id not in avoided:
-            return successor
-        return self.me
+        return successor if successor.id not in avoided else self.me
 
     def _note_dead(self, node: NodeRef) -> None:
         """Purge a dead node from local routing state."""
@@ -227,17 +235,6 @@ class ChordNode(harness.RoutingNode):
 chord_factory = ChordNode.factory
 
 
-def _dedupe(nodes: List[NodeRef]) -> List[NodeRef]:
-    seen = set()
-    unique = []
-    for node in nodes:
-        key = (node.ip, node.port)
-        if key not in seen:
-            seen.add(key)
-            unique.append(node)
-    return unique
-
-
 # ----------------------------------------------------------------- scenario
 DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
 
@@ -248,6 +245,24 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     if not members:
         return None
     return min(members, key=lambda m: (ring_distance(key, m.id, bits), m.ip, m.port))
+
+
+def ring_consistency(job) -> float:
+    """Ring oracle: the share of joined live nodes whose ``successors[0]`` and
+    ``predecessor`` are the next and previous ids of the sorted membership.
+
+    A pure read of node state (no event, no message): 1.0 is a whole ring.
+    """
+    apps = harness.joined_apps(job)
+    ring = sorted(app.me.id for app in apps)
+    position = {node_id: index for index, node_id in enumerate(ring)}
+    whole = 0
+    for app in apps:
+        index = position[app.me.id]
+        predecessor = app.predecessor or app.me  # a lone node is its own
+        whole += (app.successors[0].id == ring[(index + 1) % len(ring)]
+                  and predecessor.id == ring[index - 1])
+    return whole / len(apps) if apps else 0.0
 
 
 def run_chord_scenario(config: harness.RunConfig, *, lookups: int = 200,

@@ -146,7 +146,7 @@ DIGEST_EXCLUDED_KEYS = frozenset({"ctl_shards", "control_plane",
                                   "testbed", "sanitizer",
                                   "metrics", "trace", "profile",
                                   "flight_recorder", "bw_alloc",
-                                  "gc", "phase_wall"})
+                                  "gc", "phase_wall", "handler_errors"})
 
 
 def deterministic_report_view(report: dict) -> dict:
@@ -833,6 +833,10 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
             "bytes_sent": network.stats.bytes_sent,
         },
         "rpc": rpc_totals(job),
+        # Digest-excluded: a handler that raised is a bug the CLI fails the
+        # run on, not a workload result (a run with none keeps its digest).
+        "handler_errors": {"count": network.stats.handler_errors,
+                           "last": network.stats.last_errors[-3:]},
         # Digest-excluded (DIGEST_EXCLUDED_KEYS): the allocator *choice* is
         # execution configuration; its effects land in the digest-relevant
         # sections above (and for max-min are pinned byte-identical).

@@ -804,6 +804,14 @@ def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> 
             print("FAIL: sanitizer recorded invariant violations", file=sys.stderr)
             _dump_flight_recorder(report)
             return 2
+    errors = report["handler_errors"]
+    if errors["count"]:
+        print(f"handler errors: {errors['count']}")
+        for line in errors["last"]:
+            print(f"  {line}", file=sys.stderr)
+        print("FAIL: message or RPC handlers raised", file=sys.stderr)
+        _dump_flight_recorder(report)
+        return 2
     if args.cdf:
         samples = report.get("cdf_samples_ms", [])
         if samples:

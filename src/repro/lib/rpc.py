@@ -175,6 +175,7 @@ class RpcService:
         try:
             result = handler(*args)
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
+            self._handler_raised(method, exc)
             self._send_reply(message.src, call_id, ok=False, error=repr(exc))
             return
         tracer = self._tracer
@@ -227,15 +228,32 @@ class RpcService:
                     continue
                 try:
                     value = handler(*args)
-                    if type(value) is GeneratorType:
-                        value = yield from value
                 except Exception as exc:  # noqa: BLE001 - shipped to the caller
+                    self._handler_raised(method, exc)
                     outcomes.append({"ok": False, "error": repr(exc)})
                     continue
+                if type(value) is GeneratorType:
+                    try:
+                        value = yield from value
+                    except Exception as exc:  # noqa: BLE001 - the sub-call's outcome
+                        outcomes.append({"ok": False, "error": repr(exc)})
+                        continue
                 outcomes.append({"ok": True, "value": value})
             return outcomes
 
         return _run()
+
+    def _handler_raised(self, method: str, exc: Exception) -> None:
+        """A handler raised when called: a bug, not a remote outcome.
+
+        The caller still gets an :class:`RpcError`, but the error is also
+        counted where a failing message handler is (``handler_errors`` of the
+        network's stats), so a run cannot pass a broken handler off as a dead
+        node.  A coroutine handler that fails *after* it started (a nested
+        call timed out, a transfer was aborted, a lookup found no route)
+        reports that outcome to its caller and is not counted.
+        """
+        self.socket.network.stats.record_error(f"{self.socket.local} rpc {method}: {exc!r}")
 
     def _send_reply(self, dst: Address, call_id: Any, ok: bool,
                     value: Any = None, error: Optional[str] = None) -> None:

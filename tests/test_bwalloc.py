@@ -41,8 +41,9 @@ PRIORITIES = [CONTROL, LOOKUP, BULK]
 
 #: the flagship churn digest pinned in tests/test_testbeds.py — captured on
 #: the commit *before* the allocator refactor; ``--bw-alloc max-min`` must
-#: keep producing exactly this
-PRE_REFACTOR_CHURN_DIGEST = "a4225db7940032d4"
+#: keep producing exactly this (re-captured, with that pin, when Chord's
+#: maintenance protocol changed; the allocator code did not move)
+PRE_REFACTOR_CHURN_DIGEST = "b52093d2217beaba"
 
 
 def _model(seed=0, allocator="max-min", model_class=BandwidthModel, hosts=12,

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.apps import harness
-from repro.apps.chord import LookupFailed, chord_factory, expected_owner
+from repro.apps.chord import (
+    LookupFailed,
+    chord_factory,
+    expected_owner,
+    ring_consistency,
+)
 from repro.core.jobs import JobSpec
-from repro.lib.ring import ring_distance
-from repro.lib.rpc import RpcError
+from repro.lib.ring import ring_add, ring_distance
+from repro.lib.rpc import RpcError, RpcService
+from repro.net.address import NodeRef
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
@@ -19,7 +25,7 @@ from repro.sim.rng import substream
 BITS = 16
 
 
-def _deploy(nodes=10, seed=0, churn_script=None):
+def _deploy(nodes=10, seed=0, churn_script=None, **options):
     sim = Simulator(seed)
     network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
     controller = Controller(sim, network, seed=seed)
@@ -32,7 +38,7 @@ def _deploy(nodes=10, seed=0, churn_script=None):
         instances=nodes,
         churn_script=churn_script,
         options={"bits": BITS, "join_window": 10.0,
-                 "stabilize_interval": 2.0, "fix_fingers_interval": 2.0},
+                 "stabilize_interval": 2.0, "fix_fingers_interval": 2.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)
@@ -78,6 +84,7 @@ def test_ring_converges_to_the_sorted_id_order():
         assert apps[member.id].successors[0].id == expected_successor.id
         expected_predecessor = members[index - 1]
         assert apps[member.id].predecessor.id == expected_predecessor.id
+    assert ring_consistency(job) == 1.0
 
 
 def test_lookups_find_the_correct_owner_from_every_node():
@@ -141,6 +148,135 @@ def test_same_seed_builds_the_same_ring():
         return tuple((m.ip, m.port, m.id) for m in _members(job))
 
     assert fingerprint(5) == fingerprint(5)
+
+
+# ------------------------------------------------------ maintenance traffic
+def _converged(nodes=10, until=60.0, **options):
+    sim, controller, job = _deploy(nodes=nodes, **options)
+    sim.run(until=until)
+    assert ring_consistency(job) == 1.0
+    return sim, controller, job
+
+
+def _run_until(sim, condition, deadline, step=0.05):
+    """Advance in small slices until ``condition()``; the time it held, or None."""
+    while sim.now < deadline:
+        if condition():
+            return sim.now
+        sim.run(until=sim.now + step)
+    return sim.now if condition() else None
+
+
+def test_ring_consistency_sees_a_wrong_pointer():
+    sim, _controller, job = _converged(nodes=8)
+    apps = _live_apps(job)
+    apps[0].successors = [apps[0].me]
+    assert ring_consistency(job) == 7 / 8
+
+
+def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeypatch):
+    sim, _controller, job = _converged(nodes=16, until=80.0)
+    apps = _live_apps(job)
+    rounds = sum(app.stats.maintenance_rounds for app in apps)
+    sent = {}
+    calling = RpcService.a_call
+
+    def counting(service, dst, method, *args, **kwargs):
+        sent[method] = sent.get(method, 0) + 1
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "a_call", counting)
+    monkeypatch.setattr(RpcService, "call", counting)
+    sim.run(until=sim.now + 100.0)
+    rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
+    assert rounds >= 16 * 100.0 / 2.5  # every node stabilized all along
+    assert sent["stabilize"] == rounds
+    assert not {"get_predecessor", "successor_list", "notify", "__ping__"} & set(sent)
+    assert set(sent) <= {"stabilize", "step", "claim"}
+    assert ring_consistency(job) == 1.0
+
+
+def test_fingers_read_off_the_successor_list_are_the_true_owners():
+    sim, _controller, job = _converged(nodes=12)
+    read_off = 0
+    for app in _live_apps(job):
+        for index in range(BITS):
+            app._next_finger = index - 1
+            refresh = app._fix_fingers()
+            try:
+                next(refresh)
+            except StopIteration:  # no RPC: the successor list answered
+                read_off += 1
+                start = ring_add(app.me.id, 1 << index, BITS)
+                assert app.fingers[index] == expected_owner(job, start, BITS)
+            else:
+                refresh.close()  # a lookup would run: not this test's case
+    assert read_off >= 12 * 8  # most of a 12-node ring's fingers
+
+
+def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
+    sim, controller, job = _converged(nodes=10, stabilize_interval=5.0,
+                                      fix_fingers_interval=4.0)
+    app = _live_apps(job)[0]
+    predecessor = app.predecessor
+    (victim,) = [i for i in job.live_instances() if i.app.me == predecessor]
+    heard = app._predecessor_heard
+    assert sim.now - heard < app.stabilize_interval * 1.25  # it calls us
+    controller.kill_instance(victim, failed=True)
+    bound = (heard + app.check_predecessor_interval
+             + 1.25 * app.check_predecessor_interval + app.hop_timeout)
+    dropped = _run_until(sim, lambda: app.predecessor != predecessor, bound + 30.0)
+    assert dropped is not None and dropped <= bound
+
+
+def test_a_crashed_successor_is_replaced_by_the_next_list_entry():
+    sim, controller, job = _converged(nodes=10, stabilize_interval=5.0,
+                                      fix_fingers_interval=4.0)
+    app = _live_apps(job)[0]
+    successor, next_entry = app.successors[:2]
+    (victim,) = [i for i in job.live_instances() if i.app.me == successor]
+    crashed = sim.now
+    controller.kill_instance(victim, failed=True)
+    replaced = _run_until(sim, lambda: app.successors[0] != successor,
+                          crashed + 30.0)
+    assert replaced is not None and replaced <= crashed + 2 * app.stabilize_interval
+    assert app.successors[0] == next_entry
+
+
+def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node():
+    sim, _controller, job = _converged(nodes=10, stabilize_interval=5.0,
+                                       fix_fingers_interval=4.0)
+    apps = {a.me: a for a in _live_apps(job)}
+    app = _live_apps(job)[0]
+    successor = app.successors[0]
+    # A node between us and our successor that announced itself to the
+    # successor and died before our walk reached it: no listener answers.
+    ghost = NodeRef(app.me.ip, app.me.port + 1000,
+                    id=ring_add(app.me.id, 1, BITS))
+    apps[successor].predecessor = ghost
+    noticed = app.stats.dead_nodes_noticed
+    rounds = app.stats.maintenance_rounds
+    _run_until(sim, lambda: app.stats.maintenance_rounds > rounds, sim.now + 10.0)
+    sim.run(until=sim.now + 2 * app.hop_timeout * (1 + app.hop_retries) + 0.5)
+    assert app.stats.dead_nodes_noticed == noticed + 1  # the ghost, by its timeout
+    assert app.successors[0] == successor
+    assert ghost not in app.successors
+
+
+def test_a_joiner_is_spliced_into_the_ring_within_three_stabilize_periods():
+    sim, _controller, job = _deploy(nodes=8, churn_script="at 70s join 1\n")
+    sim.run(until=60.0)
+    assert ring_consistency(job) == 1.0
+    old = {app.me for app in _live_apps(job)}
+    joined = _run_until(sim, lambda: len(_live_apps(job)) == 9, 120.0)
+    assert joined is not None
+    (newcomer,) = [app for app in _live_apps(job) if app.me not in old]
+    healed = _run_until(sim, lambda: ring_consistency(job) == 1.0,
+                        joined + 30.0)
+    assert healed is not None
+    assert healed <= joined + 3 * newcomer.stabilize_interval
+    members = _members(job)
+    assert newcomer.me in members
 
 
 # ------------------------------------------------------ the workload driver

@@ -75,11 +75,25 @@ def test_remote_exception_becomes_rpc_error(world):
     def broken():
         raise ValueError("nope")
 
+    def gives_up():
+        yield 0.1
+        raise RpcError("a nested call timed out")  # an outcome, not a bug
+
     server.register("broken", broken)
+    server.register("gives_up", gives_up)
     future = client.call("10.0.0.2:1000", "broken")
     sim.run()
     with pytest.raises(RpcError, match="nope"):
         future.result()
+    # ... and the raise is counted where a failing message handler is, so a
+    # run cannot pass a broken handler off as a dead peer
+    assert network.stats.handler_errors == 1
+    assert network.stats.last_errors == ["10.0.0.2:1000 rpc broken: ValueError('nope')"]
+    future = client.call("10.0.0.2:1000", "gives_up")
+    sim.run()
+    with pytest.raises(RpcError, match="timed out"):
+        future.result()
+    assert network.stats.handler_errors == 1
 
 
 def test_unknown_method_is_an_error(world):
@@ -184,6 +198,7 @@ def test_batch_call_isolates_failing_sub_calls(world):
     assert outcomes[2]["ok"] is False and "unknown method" in outcomes[2]["error"]
     # A failing sub-call never aborts the rest of the batch.
     assert outcomes[3] == {"ok": True, "value": "b"}
+    assert network.stats.handler_errors == 1  # the raise; not the unknown name
 
 
 def test_batch_call_supports_generator_sub_handlers(world):

@@ -1,8 +1,15 @@
 """End-to-end smoke: every registered scenario meets its acceptance bar."""
 
+import importlib.util
+import re
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.apps.chord import run_chord_scenario
+from repro.apps import harness
+from repro.apps.chord import ChordNode, run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
 from repro.apps.harness import RunConfig, deterministic_report_view
 from repro.apps.pastry import run_pastry_scenario
@@ -32,6 +39,7 @@ def test_chord_scenario_without_churn_is_perfect_and_deterministic():
     first = run_chord_scenario(STABLE, lookups=30)
     second = run_chord_scenario(STABLE, lookups=30)
     assert first["measured"]["success_rate"] == 1.0
+    assert first["handler_errors"] == {"count": 0, "last": []}
     assert (deterministic_report_view(first)
             == deterministic_report_view(second))
 
@@ -113,3 +121,47 @@ def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+# ------------------------------------------------------------ handler errors
+def _broken_stabilize(self, node):
+    raise KeyError("stabilize is broken")
+
+
+def test_scenario_cli_fails_a_run_whose_rpc_handler_raises(monkeypatch, capsys):
+    # The caller of a raising handler gets an RpcError, and Chord purges the
+    # callee as dead: without the count, a broken handler passed for churn.
+    monkeypatch.setattr(ChordNode, "_rpc_stabilize", _broken_stabilize)
+    status = main(["chord", "--nodes", "10", "--hosts", "5", "--duration",
+                   "short", "--min-success", "0"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert re.search(r"^handler errors: [1-9][0-9]*$", captured.out, re.M)
+    assert "rpc stabilize: KeyError('stabilize is broken')" in captured.err
+    assert "FAIL: message or RPC handlers raised" in captured.err
+
+
+def test_the_benchmark_refuses_a_run_whose_rpc_handler_raises(monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    monkeypatch.setattr(sys, "path", [str(bench)] + sys.path)  # restored after
+    spec = importlib.util.spec_from_file_location("bench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    from inputs import make_inputs
+
+    deployments = []
+    deploy = harness.deploy
+
+    def recording(*args, **kwargs):
+        deployments.append(deploy(*args, **kwargs))
+        return deployments[-1]
+
+    monkeypatch.setattr(harness, "deploy", recording)
+    monkeypatch.setattr(ChordNode, "_rpc_stabilize", _broken_stabilize)
+    try:
+        with pytest.raises(child.Invalid, match="message handler errors"):
+            child.run(make_inputs("chord_steady", 0, small=True),
+                      child.SliceClock(time.perf_counter(), 0.0), None)
+    finally:
+        for deployment in deployments:  # the child's tuned GC policy
+            deployment.gc_policy.disengage()

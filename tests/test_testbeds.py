@@ -25,11 +25,14 @@ from repro.testbeds.presets import (
 )
 
 #: report digests captured on the commit *before* the testbeds refactor —
-#: the default transit-stub testbed must keep producing exactly these
+#: the default transit-stub testbed must keep producing exactly these.  The
+#: two Chord rows were re-captured when Chord's maintenance protocol changed
+#: (one ``stabilize`` RPC per hop, fingers read off the successor list,
+#: predecessor liveness from its own calls); the testbed code did not move.
 PRE_TESTBEDS_DIGESTS = {
-    "chord-stable": "5b0311d6debf1be8",
+    "chord-stable": "b45a614bcbccc452",
     "gossip-stable": "f968ef216e917b76",
-    "chord-churn": "a4225db7940032d4",
+    "chord-churn": "b52093d2217beaba",
 }
 
 

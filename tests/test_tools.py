@@ -224,3 +224,47 @@ def test_ab_spread_rule_yields_to_a_clean_sweep():
     higher = {"name": "x", "better": "higher", "bound": 0.1}
     assert ab.compare(higher, [1.0, 1.0], [0.8, 0.8])["verdict"] == "worse"
     assert ab.compare(higher, [1.0, 1.0], [1.2, 1.0])["wins"] == 1
+
+
+# ------------------------------------------------------------ digest_matrix.py
+_CANNED_REPORT = """\
+=== SPLAY scenario: chord (seed=3, nodes=40, hosts=20, bits=32) ===
+virtual time: 540s   events: 40101
+measured lookups: 200/200 correct -> success rate 100.00%
+network: 18000 sent, 17990 delivered, 10 dropped, 2977958 bytes
+report digest: ace2c0254677d1c6
+"""
+
+
+def test_digest_matrix_covers_the_committed_contract():
+    matrix = _load("digest_matrix")
+    configs = matrix.configurations()
+    assert len(configs) == len(set(configs)) == 24
+    assert sum(config.startswith("dissemination --nodes 40 --duration short --bw-alloc ")
+               for config in configs) == 4
+    committed = json.loads((_REPO / "DIGESTS.json").read_text())
+    assert list(committed) == configs
+    assert matrix.parse_row(_CANNED_REPORT) == {
+        "digest": "ace2c0254677d1c6", "events_executed": 40101, "bytes_sent": 2977958}
+
+
+def test_digest_matrix_names_every_row_that_moved_is_missing_or_extra():
+    matrix = _load("digest_matrix")
+    row = {"digest": "a", "events_executed": 1, "bytes_sent": 2}
+    expected = {"chord": row, "pastry": row, "gone": row}
+    actual = {"chord": row, "pastry": dict(row, digest="b", bytes_sent=3), "new": row}
+    assert matrix.differences(expected, actual) == [
+        "gone: in DIGESTS.json, not in the matrix",
+        "new: not in DIGESTS.json",
+        "pastry: digest a -> b, bytes_sent 2 -> 3",
+    ]
+    assert matrix.differences(expected, expected) == []
+
+
+def test_digest_matrix_row_of_this_tree_matches_the_committed_file():
+    # one row run for real, so a change that moves Chord's results without
+    # updating DIGESTS.json fails here and not only in the CI matrix leg
+    matrix = _load("digest_matrix")
+    config = "chord --nodes 40 --seed 3 --min-success 0"
+    committed = json.loads((_REPO / "DIGESTS.json").read_text())
+    assert matrix.run(config) == committed[config]
