@@ -437,12 +437,17 @@ class OverlayNode:
     label = ""
     #: an empty directory is founded anew, not joined (gossip: no founder state)
     founds_when_empty = False
+    #: handlers left for the subclass's :meth:`_go_live` to register (until
+    #: then a caller gets "unknown method", an :class:`RpcError`, as from a
+    #: node that is not there)
+    served_once_live: tuple = ()
     _handlers: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._handlers = tuple((name[5:], name) for name in dir(cls)
-                              if name.startswith("_rpc_"))
+                              if name.startswith("_rpc_")
+                              and name[5:] not in cls.served_once_live)
 
     def __init__(self, instance, **overrides) -> None:
         self.instance = instance

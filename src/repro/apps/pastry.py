@@ -17,7 +17,9 @@ don't yield stale owners; every reference the walk sees is ``_learned``.
 
 Fault tolerance under churn comes from periodic leaf-set repair (exchange
 leaf sets with the nearest live neighbour on each side) and routing-table
-probing, mirroring Pastry's self-stabilisation.
+maintenance (ask one table entry for its row), one RPC per neighbour or
+entry, mirroring Pastry's self-stabilisation.  A node serves ``step`` and
+``claim`` only once it has joined.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ from bisect import insort
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps import harness
-from repro.lib.ring import (
-    between,
-    digit_at,
-    numeric_distance,
-    shared_prefix_length,
-)
+from repro.lib.ring import between, digit_at, numeric_distance, shared_prefix_length
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 
@@ -56,6 +53,9 @@ class PastryNode(harness.RoutingNode):
 
     label = "pastry"
     failure = RouteFailed
+    #: a node still joining answers no routing: a replacement at a reused
+    #: endpoint would otherwise claim keys with its empty leaf set
+    served_once_live = ("step", "claim")
 
     def _configure(self, options: dict) -> None:
         super()._configure(options)
@@ -75,6 +75,9 @@ class PastryNode(harness.RoutingNode):
         #: the ``leaf_half`` nearest nodes clockwise and counter-clockwise,
         #: nearest first; each tuple is replaced when that side changes
         self._sides: List[Tuple[NodeRef, ...]] = [(), ()]
+        #: the last ``leaf_set_size`` leaves found dead: another node's stale
+        #: reference does not bring one back, only a call from it does
+        self._dead: Dict[Tuple[str, int], None] = {}
         #: routing table: ``table[row][column]`` — row = shared prefix
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
@@ -84,6 +87,8 @@ class PastryNode(harness.RoutingNode):
     def _go_live(self) -> None:
         self.joined = True
         self.members.add(self.me)
+        for name in self.served_once_live:
+            self.rpc.register(name, getattr(self, "_rpc_" + name))
         self.events.periodic(self._leafset_repair, self.repair_interval,
                              jitter=self.repair_interval * 0.25)
         self.events.periodic(self._table_maintenance, self.table_probe_interval,
@@ -91,30 +96,25 @@ class PastryNode(harness.RoutingNode):
         self.log.info(f"node {self.me} up (id={self.me.id:0{self.digits}x})")
 
     def _join_via(self, bootstrap: NodeRef) -> Generator:
-        """Route to our own id, adopt the owner's leaf set and tables.
-
-        Our new leaves are the ones to notify.
-        """
+        """Route to our own id, adopt the owner's leaf set and tables; returns
+        our new leaves, the ones to notify."""
         owner = NodeRef.coerce((yield self.rpc.call(
             bootstrap, "find_owner", self.me.id,
             timeout=self.hop_timeout * 8, retries=1)))
-        leafset = yield self.rpc.call(owner, "leafset",
+        leafset = yield self.rpc.call(owner, "leafset", self.me,
                                       timeout=self.hop_timeout, retries=1)
         self._learned(bootstrap)
         self._learned(owner)
-        for entry in leafset:
-            self._learned(NodeRef.coerce(entry))
-        # Seed the routing table: rows from the bootstrap (long prefixes
-        # are unlikely there, but early rows are) and from the owner
-        # (whose table is close to what ours should be).
+        self._adopt(leafset)
+        # Seed the routing table: early rows from the bootstrap, and the
+        # owner's table, which is close to what ours should be.
         for source in ([bootstrap, owner] if bootstrap != owner else [bootstrap]):
             try:
                 dump = yield self.rpc.call(source, "table_dump",
                                            timeout=self.hop_timeout, retries=0)
             except RpcError:
                 continue
-            for entry in dump:
-                self._learned(NodeRef.coerce(entry))
+            self._adopt(dump)
         return self._leaf_nodes()
 
     # ------------------------------------------------------------ RPC handlers
@@ -139,12 +139,8 @@ class PastryNode(harness.RoutingNode):
 
     def _rpc_claim(self, key: int) -> dict:
         """Ownership check: are we the numerically closest among our leaves?
-
-        A node that recently joined next to the key may be invisible to a
-        stale router; its neighbours know it through leaf-set exchange, so
-        asking the claimed owner to confirm (and bounce to the closer leaf
-        otherwise) repairs stale-route errors.
-        """
+        A recent joiner a stale router missed is known to its neighbours, so
+        bouncing to the closer leaf repairs stale-route errors."""
         key = int(key) % (1 << self.bits)
         best = min((*self._leaf_nodes(), self.me), key=self._closeness_key(key))
         if best == self.me:
@@ -157,61 +153,56 @@ class PastryNode(harness.RoutingNode):
         return owner
 
     # Replies travel by reference: hand out only what is never mutated again.
-    def _rpc_leafset(self) -> Tuple[NodeRef, ...]:
+    def _rpc_leafset(self, node) -> Tuple[NodeRef, ...]:
+        """Leaf-set exchange: the caller is a neighbour too (this is its notify)."""
+        self._heard(node)
         return self._leaf_nodes()
+
+    def _rpc_row(self, row: int) -> Tuple[NodeRef, ...]:
+        """The occupied entries of one routing-table row."""
+        return tuple(entry for entry in self.table[int(row)] if entry is not None)
 
     def _rpc_table_dump(self) -> Tuple[NodeRef, ...]:
         return tuple(entry for row in self.table for entry in row if entry is not None)
 
-    def _rpc_notify(self, node) -> bool:
-        self._learned(NodeRef.coerce(node))
-        return True
+    def _rpc_notify(self, node) -> None:
+        self._heard(node)
 
     # ------------------------------------------------------------ maintenance
     def _leafset_repair(self) -> Generator:
-        """Exchange leaf sets with the nearest live neighbour on each side."""
+        """Exchange leaf sets with the nearest live neighbour on each side:
+        one round trip each, the call itself telling the neighbour about us."""
         self.stats.maintenance_rounds += 1
-        cw, ccw = self._cw(), self._ccw()
-        neighbours = []
-        if cw:
-            neighbours.append(cw[0])
-        if ccw and (not cw or ccw[0] != cw[0]):
-            neighbours.append(ccw[0])
+        neighbours = dict.fromkeys(side[0] for side in self._sides if side)
         if not neighbours:
             yield from self._reseed()
             return
         for neighbour in neighbours:
             try:
-                remote = yield self.rpc.call(neighbour, "leafset",
+                remote = yield self.rpc.call(neighbour, "leafset", self.me,
                                              timeout=self.hop_timeout,
                                              retries=self.hop_retries)
             except RpcError:
                 self._note_dead(neighbour)
                 continue
-            for entry in remote:
-                self._learned(NodeRef.coerce(entry))
-            self.rpc.a_call(neighbour, "notify", self.me,
-                            timeout=self.hop_timeout, retries=0)
+            self._adopt(remote)
 
     def _table_maintenance(self) -> Generator:
-        """Probe one random routing-table entry; refresh one random row."""
+        """Ask one random table entry for its row at that level (MSPastry): the
+        reply proves it alive and fills our empty slots; no reply purges it."""
         occupied = [(r, c) for r, row in enumerate(self.table)
                     for c, entry in enumerate(row) if entry is not None]
-        if occupied:
-            row, column = self._rng.choice(occupied)
-            entry = self.table[row][column]
-            if entry is not None:
-                alive = yield self.rpc.ping(entry, timeout=self.hop_timeout)
-                if not alive:
-                    self._note_dead(entry)
-        # Route towards a random key to (re)populate a table slot, the same
-        # way Chord refreshes fingers.
-        probe_key = self._rng.randrange(1 << self.bits)
+        if not occupied:
+            return
+        row, column = self._rng.choice(occupied)
+        entry = self.table[row][column]
         try:
-            owner, _hops = yield from self.lookup(probe_key)
-            self._learned(owner)
-        except RouteFailed:
-            pass
+            remote = yield self.rpc.call(entry, "row", row,
+                                         timeout=self.hop_timeout, retries=0)
+        except RpcError:
+            self._note_dead(entry)
+            return
+        self._adopt(remote)
 
     def _reseed(self) -> Generator:
         """Every leaf died: fall back to the member list and re-anchor."""
@@ -224,10 +215,8 @@ class PastryNode(harness.RoutingNode):
             owner = NodeRef.coerce(owner)
             self._learned(bootstrap)
             self._learned(owner)
-            remote = yield self.rpc.call(owner, "leafset",
-                                         timeout=self.hop_timeout, retries=0)
-            for entry in remote:
-                self._learned(NodeRef.coerce(entry))
+            self._adopt((yield self.rpc.call(owner, "leafset", self.me,
+                                             timeout=self.hop_timeout, retries=0)))
         except RpcError:
             pass
 
@@ -289,6 +278,19 @@ class PastryNode(harness.RoutingNode):
             return None
         return row, digit_at(node_id, row, self.digits, self.base_bits)
 
+    def _heard(self, node) -> None:
+        """The node called us: it is alive, whatever we noted before."""
+        node = NodeRef.coerce(node)
+        self._dead.pop((node.ip, node.port), None)
+        self._learned(node)
+
+    def _adopt(self, entries) -> None:
+        """Learn the nodes another node's reply lists, but not a leaf we found
+        dead since: a reference it has not purged yet must not revive it."""
+        for node in map(NodeRef.coerce, entries):
+            if (node.ip, node.port) not in self._dead:
+                self._learned(node)
+
     def _learned(self, node: NodeRef) -> None:
         """Fold a freshly observed node into the leaf set and routing table."""
         if node is None or node.id is None or node == self.me:
@@ -304,10 +306,8 @@ class PastryNode(harness.RoutingNode):
         return direction * (node.id - self.me.id) % (1 << self.bits), node.ip, node.port
 
     def _offer_leaf(self, node: NodeRef) -> bool:
-        """Insert a node we do not hold on each side where it is among the nearest.
-
-        One farther than both tails of a full leaf set costs two comparisons.
-        """
+        """Insert a node we do not hold on each side where it is among the
+        nearest; one farther than both tails of a full set costs two compares."""
         admitted = False
         for index, direction in enumerate((1, -1)):  # clockwise, counter-clockwise
             side = self._sides[index]
@@ -330,6 +330,9 @@ class PastryNode(harness.RoutingNode):
             return
         self.stats.dead_nodes_noticed += 1
         if self.leaves.pop((node.ip, node.port), None) is not None:
+            self._dead[node.ip, node.port] = None
+            if len(self._dead) > self.leaf_set_size:
+                del self._dead[next(iter(self._dead))]
             # The vacancy on a side goes to the nearest survivor from the
             # other side: offer every survivor to both sides afresh.
             self._sides = [(), ()]
@@ -342,12 +345,8 @@ class PastryNode(harness.RoutingNode):
 
     def routing_snapshot(self) -> dict:
         """Debug/report view of this node's routing state."""
-        return {
-            "me": self.me,
-            "leaves": self._leaf_nodes(),
-            "table_entries": sum(1 for row in self.table for e in row if e is not None),
-            "joined": self.joined,
-        }
+        return {"me": self.me, "leaves": self._leaf_nodes(), "joined": self.joined,
+                "table_entries": sum(e is not None for row in self.table for e in row)}
 
 
 pastry_factory = PastryNode.factory
@@ -365,6 +364,22 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
         return None
     return min(members, key=lambda m: (numeric_distance(key, m.id, bits),
                                        m.id, m.ip, m.port))
+
+
+def leaf_consistency(job) -> float:
+    """Leaf-set oracle: the share of joined live nodes whose nearest clockwise
+    and counter-clockwise leaves are the next and previous ids of the sorted
+    membership.  A pure read of node state (no event, no message)."""
+    apps = harness.joined_apps(job)
+    ring = sorted(app.me.id for app in apps)
+    position = {node_id: index for index, node_id in enumerate(ring)}
+    whole = 0
+    for app in apps:
+        index = position[app.me.id]
+        cw, ccw = app._cw(), app._ccw()  # a lone node is its own neighbour
+        whole += ((cw[0] if cw else app.me).id == ring[(index + 1) % len(ring)]
+                  and (ccw[0] if ccw else app.me).id == ring[index - 1])
+    return whole / len(apps) if apps else 0.0
 
 
 def run_pastry_scenario(config: harness.RunConfig, *, lookups: int = 200,

@@ -327,11 +327,11 @@ def test_directory_matches_the_list_it_replaced(seed):
 
 
 # ------------------------------------------------------- by-reference payloads
-def _call(sim, app, callee, method):
+def _call(sim, app, callee, method, *args):
     box = {}
 
     def _gen():
-        box["reply"] = yield app.rpc.call(callee.me, method, timeout=5.0)
+        box["reply"] = yield app.rpc.call(callee.me, method, *args, timeout=5.0)
 
     process = Process(sim, _gen(), name="test-call")
     process.start()
@@ -344,20 +344,24 @@ def test_a_held_pastry_reply_does_not_change_when_the_callee_does():
     sim, _controller, job = _deploy(pastry_factory(), nodes=10, repair_interval=2.0)
     sim.run(until=60.0)
     caller, callee = [i.app for i in job.live_instances()[:2]]
-    leafset = _call(sim, caller, callee, "leafset")
+    leafset = _call(sim, caller, callee, "leafset", caller.me)
     dump = _call(sim, caller, callee, "table_dump")
-    held_leafset, held_dump = list(leafset), list(dump)
-    assert held_leafset and held_dump
+    row_index = next(r for r, entries in enumerate(callee.table) if any(entries))
+    row = _call(sim, caller, callee, "row", row_index)
+    held_leafset, held_dump, held_row = list(leafset), list(dump), list(row)
+    assert held_leafset and held_dump and held_row
 
-    for node in held_leafset[:2] + held_dump[:2]:
+    for node in held_leafset[:2] + held_dump[:2] + held_row[:1]:
         callee._note_dead(node)
     for index in range(100, 140):
         callee._learned(_ref(index))
 
-    assert list(callee._rpc_leafset()) != held_leafset
+    assert list(callee._rpc_leafset(caller.me)) != held_leafset
     assert list(callee._rpc_table_dump()) != held_dump
+    assert list(callee._rpc_row(row_index)) != held_row
     assert list(leafset) == held_leafset
     assert list(dump) == held_dump
+    assert list(row) == held_row
 
 
 def test_a_held_have_reply_does_not_change_when_the_callee_fetches_more():

@@ -1,8 +1,12 @@
 """Pastry: prefix routing, leaf-set ownership, and recovery under churn."""
 
-from repro.apps.pastry import pastry_factory
+import pytest
+
+from repro.apps.pastry import PastryNode, leaf_consistency, pastry_factory
 from repro.core.jobs import JobSpec
 from repro.lib.ring import numeric_distance
+from repro.lib.rpc import RpcError, RpcService
+from repro.net.address import NodeRef
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
@@ -14,20 +18,21 @@ BITS = 16
 BASE_BITS = 4
 
 
-def _deploy(nodes=10, seed=0, churn_script=None):
+def _deploy(nodes=10, seed=0, churn_script=None, factory=pastry_factory,
+            slots=3, **options):
     sim = Simulator(seed)
     network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
     controller = Controller(sim, network, seed=seed)
     for i in range(nodes):
         controller.register_daemon(
-            Splayd(sim, network, f"10.0.0.{i + 1}", SplaydLimits(max_instances=3)))
+            Splayd(sim, network, f"10.0.0.{i + 1}", SplaydLimits(max_instances=slots)))
     spec = JobSpec(
         name="pastry",
-        app_factory=pastry_factory(),
+        app_factory=factory(),
         instances=nodes,
         churn_script=churn_script,
         options={"bits": BITS, "base_bits": BASE_BITS, "join_window": 10.0,
-                 "repair_interval": 2.0, "table_probe_interval": 3.0},
+                 "repair_interval": 2.0, "table_probe_interval": 3.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)
@@ -141,3 +146,194 @@ def test_same_seed_builds_the_same_overlay():
         return tuple((m.ip, m.port, m.id) for m in _members(job))
 
     assert fingerprint(5) == fingerprint(5)
+
+
+# ------------------------------------------------------ maintenance traffic
+def _run_until(sim, condition, deadline, step=0.05):
+    """Advance in small slices until ``condition()``; the time it held, or None."""
+    while sim.now < deadline:
+        if condition():
+            return sim.now
+        sim.run(until=sim.now + step)
+    return sim.now if condition() else None
+
+
+def _run(sim, generator, patience):
+    process = Process(sim, generator, name="test-maintenance")
+    process.start()
+    sim.run(until=sim.now + patience)
+    assert process.done.done()
+    process.done.result()
+
+
+class _CountingPastry(PastryNode):
+    """Counts its table-maintenance periods."""
+
+    table_periods = 0
+
+    def _table_maintenance(self):
+        self.table_periods += 1
+        yield from super()._table_maintenance()
+
+
+def test_a_quiet_ring_sends_one_rpc_per_repair_neighbour_and_per_table_period(
+        monkeypatch):
+    sim, _controller, job = _deploy(nodes=16, factory=_CountingPastry.factory)
+    sim.run(until=80.0)
+    assert leaf_consistency(job) == 1.0
+    apps = _live_apps(job)
+    rounds = sum(app.stats.maintenance_rounds for app in apps)
+    periods = sum(app.table_periods for app in apps)
+    sent = {}
+    calling = RpcService.a_call
+
+    def counting(service, dst, method, *args, **kwargs):
+        sent[method] = sent.get(method, 0) + 1
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "a_call", counting)
+    monkeypatch.setattr(RpcService, "call", counting)
+    sim.run(until=sim.now + 100.0)
+    rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
+    periods = sum(app.table_periods for app in apps) - periods
+    assert rounds >= 16 * 100.0 / 2.5 and periods >= 16 * 100.0 / 3.75
+    # 16 nodes fill both sides of every leaf set: two distinct neighbours
+    assert sent["leafset"] == 2 * rounds
+    assert sent["row"] == periods
+    assert set(sent) == {"leafset", "row"}  # no notify, ping or lookup
+    assert leaf_consistency(job) == 1.0
+
+
+def test_a_row_reply_fills_only_empty_slots_of_that_row():
+    # no maintenance at all: only the probe under test changes the table
+    sim, _controller, job = _deploy(nodes=16, repair_interval=1000.0,
+                                    table_probe_interval=1000.0)
+    sim.run(until=80.0)
+    apps = {app.me: app for app in _live_apps(job)}
+    app = next(iter(apps.values()))
+    column, probed = next((c, e) for c, e in enumerate(app.table[0]) if e)
+    remote = [e for e in apps[probed].table[0] if e is not None]
+    theirs = {app._slot(e.id): e for e in remote
+              if e != app.me and app._slot(e.id)[0] == 0}
+    held_column = next(c for c, _e in theirs if c != column)
+    held = NodeRef("10.9.9.9", 9, id=held_column << (BITS - BASE_BITS))
+    app.table[0] = [None] * len(app.table[0])
+    app.table[0][column], app.table[0][held_column] = probed, held
+    app._rng.choice = lambda options: (0, column)
+
+    _run(sim, app._table_maintenance(), patience=0.05)  # one round trip
+    assert app.table[0][held_column] is held  # an occupied slot is kept
+    for (row, slot_column), entry in theirs.items():
+        if slot_column != held_column:
+            assert app.table[row][slot_column] == entry
+    assert sum(e is not None for e in app.table[0]) == len(theirs | {
+        (0, column): probed, (0, held_column): held})
+
+
+def test_a_row_probe_that_gets_no_reply_purges_the_entry():
+    sim, _controller, job = _deploy(nodes=16, table_probe_interval=1000.0)
+    sim.run(until=80.0)
+    app = _live_apps(job)[0]
+    row, column = app._slot(app.me.id ^ (1 << (BITS - 1)))
+    ghost = NodeRef("10.9.9.9", 9, id=app.me.id ^ (1 << (BITS - 1)))
+    app.table[row][column] = ghost
+    app._rng.choice = lambda options: (row, column)
+    noticed = app.stats.dead_nodes_noticed
+
+    _run(sim, app._table_maintenance(), patience=app.hop_timeout + 0.5)
+    assert app.table[row][column] is None
+    assert app.stats.dead_nodes_noticed == noticed + 1
+
+
+# ------------------------------------------------------ joining and routing
+def _call(sim, app, dst, method, *args):
+    box = {}
+
+    def _gen():
+        try:
+            box["reply"] = yield app.rpc.call(dst, method, *args, timeout=1.0,
+                                              retries=0)
+        except RpcError as exc:
+            box["error"] = exc
+
+    _run(sim, _gen(), patience=1.5)
+    return box
+
+
+def test_a_replacement_at_the_same_endpoint_answers_no_routing_until_joined():
+    # One slot per host: the replacement lands on the endpoint it replaces.
+    sim, controller, job = _deploy(nodes=12, slots=1, join_window=20.0)
+    sim.run(until=80.0)
+    origin, *_others, victim = _live_apps(job)
+    key = victim.me.id
+    controller.kill_instance(victim.instance, reason="replace")
+    sim.run(until=sim.now + 1.0)
+    (fresh,) = controller.start_instances(job, 1)
+    _run_until(sim, lambda: fresh.app is not None, sim.now + 5.0)
+    replacement = fresh.app
+    assert replacement.me == victim.me and not replacement.joined
+
+    for method, args in (("step", (key, [])), ("claim", (key,))):
+        assert "error" in _call(sim, origin, replacement.me, method, *args)
+        assert not replacement.joined
+    deadline = sim.now + 120.0
+    while not replacement.joined and sim.now < deadline:
+        box = {}
+
+        def _gen():
+            try:
+                box["owner"], _hops = yield from origin.lookup(key)
+            except RpcError:
+                pass
+
+        process = Process(sim, _gen(), name="test-lookup")
+        process.start()
+        _run_until(sim, lambda: process.done.done(), sim.now + 30.0)
+        if not replacement.joined and "owner" in box:
+            assert box["owner"] != replacement.me
+    assert replacement.joined
+    assert controller.network.stats.handler_errors == 0
+    owner, _hops = _run_lookup(sim, origin, key)
+    assert owner == replacement.me
+
+
+# ------------------------------------------------------------ leaf oracle
+def test_leaf_consistency_sees_a_wrong_neighbour():
+    sim, _controller, job = _deploy(nodes=8)
+    sim.run(until=60.0)
+    assert leaf_consistency(job) == 1.0
+    app = _live_apps(job)[0]
+    app._sides[0] = app._sides[0][1:]
+    assert leaf_consistency(job) == 7 / 8
+
+
+# A repair period outlasts the leafset call's timeout (1.5 s, one retry)
+# at the default 5 s: the one a node spends noticing each dead neighbour.
+@pytest.mark.parametrize("seed", [0, 4])
+def test_leaf_sets_heal_within_three_repair_periods_of_a_crash(seed):
+    sim, _controller, job = _deploy(nodes=20, seed=seed, repair_interval=5.0,
+                                    churn_script="at 80s crash 10%\n")
+    sim.run(until=79.0)
+    assert leaf_consistency(job) == 1.0
+    crashed = _run_until(sim, lambda: job.live_count == 18, 90.0)
+    assert crashed is not None and leaf_consistency(job) < 1.0
+    healed = _run_until(sim, lambda: leaf_consistency(job) == 1.0, crashed + 30.0)
+    assert healed is not None and healed <= crashed + 3 * 5.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_leaf_sets_heal_within_three_repair_periods_of_a_replace_wave(seed):
+    # One slot per host: each replacement reuses the endpoint of the node it
+    # replaces, and is bounced off until it has joined.
+    sim, _controller, job = _deploy(nodes=20, seed=seed, slots=1, repair_interval=5.0,
+                                    churn_script="at 80s replace 20%\n")
+    sim.run(until=79.0)
+    assert leaf_consistency(job) == 1.0
+    before = {(i.app.me, i.instance_id) for i in job.live_instances()}
+    joined = _run_until(sim, lambda: len(_live_apps(job)) == 20 and before != {
+        (i.app.me, i.instance_id) for i in job.live_instances()}, 140.0)
+    assert joined is not None
+    after = {app.me for app in _live_apps(job)}
+    assert after == {me for me, _instance in before}  # the same endpoints
+    healed = _run_until(sim, lambda: leaf_consistency(job) == 1.0, joined + 30.0)
+    assert healed is not None and healed <= joined + 3 * 5.0
