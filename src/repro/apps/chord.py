@@ -292,10 +292,8 @@ def _register() -> None:
         name="chord",
         help="Chord DHT on a transit-stub network under churn",
         runner=run_chord_scenario,
-        default_churn_script=DEFAULT_CHURN_SCRIPT,
         add_arguments=_add_arguments,
         make_kwargs=lambda args: {"lookups": args.lookups, "bits": args.bits},
-        ops_param="lookups",
         ops_label="lookup",
         default_min_success=0.99,
     ))

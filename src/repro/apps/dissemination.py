@@ -263,11 +263,9 @@ def _register() -> None:
         name="dissemination",
         help="BitTorrent-style chunk swarming over the bandwidth model",
         runner=run_dissemination_scenario,
-        default_churn_script=DEFAULT_CHURN_SCRIPT,
         add_arguments=_add_arguments,
         make_kwargs=lambda args: {"chunks": args.chunks,
                                   "chunk_size": args.chunk_size},
-        ops_param=None,
         ops_label="download",
         default_min_success=0.95,
         extra_report_lines=["seeds", "downloaders", "chunks_fetched",

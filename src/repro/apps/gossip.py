@@ -321,12 +321,10 @@ def _register() -> None:
         name="gossip",
         help="Cyclon membership + anti-entropy epidemic broadcast",
         runner=run_gossip_scenario,
-        default_churn_script=DEFAULT_CHURN_SCRIPT,
         add_arguments=_add_arguments,
         make_kwargs=lambda args: {"broadcasts": args.broadcasts,
                                   "fanout": args.fanout,
                                   "view_size": args.view_size},
-        ops_param="broadcasts",
         ops_label="broadcast",
         default_min_success=0.95,
         extra_report_lines=["delivery_ratio_mean", "delivery_ratio_min"],

@@ -187,7 +187,7 @@ def write_cdf(path: str, latencies_ms: List[float]) -> int:
 class RunConfig:
     """How one scenario run is executed — the one place an option lives.
 
-    Built once (from argparse by the CLI, from a grid cell by the bench, by
+    Built once (from argparse by the CLI, from a scale cell by the bench, by
     hand in tests), passed whole to a workload runner
     (``runner(config, **workload_params)``) and on to :func:`deploy`, which
     keeps it — resolved — on :attr:`Deployment.config`.  Every default is

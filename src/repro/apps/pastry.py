@@ -417,10 +417,8 @@ def _register() -> None:
         name="pastry",
         help="Pastry prefix routing with leaf sets under churn",
         runner=run_pastry_scenario,
-        default_churn_script=DEFAULT_CHURN_SCRIPT,
         add_arguments=_add_arguments,
         make_kwargs=_make_kwargs,
-        ops_param="lookups",
         ops_label="lookup",
         default_min_success=0.95,
     ))

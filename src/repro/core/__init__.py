@@ -5,13 +5,13 @@ and the daemons (``splayd``) that are not tied to the simulation substrate:
 
 * :mod:`repro.core.blacklist` — IP/mask matching used by the socket policy;
 * :mod:`repro.core.jobs` — job descriptors, placement records and job state;
-* :mod:`repro.core.churn` — the churn script language, synthetic churn
-  generation and the churn manager replaying scripts against a running job.
+* :mod:`repro.core.churn` — the churn script language, availability traces
+  and the churn manager replaying them against a running job.
 """
 
 from repro.core.blacklist import Blacklist
 from repro.core.jobs import Job, JobSpec, JobState, Placement
-from repro.core.churn import ChurnAction, ChurnManager, parse_churn_script, synthetic_churn_script
+from repro.core.churn import ChurnAction, ChurnManager, parse_churn_script
 
 __all__ = [
     "Blacklist",
@@ -22,5 +22,4 @@ __all__ = [
     "JobState",
     "Placement",
     "parse_churn_script",
-    "synthetic_churn_script",
 ]

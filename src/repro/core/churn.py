@@ -7,12 +7,12 @@ churn (periodic replacement of a fraction of the nodes) and real traces.
 "Using churn scripts allows comparison of competing algorithms under the
 very same churn scenarios."
 
-Public entry points: :func:`parse_churn_script` and
-:func:`synthetic_churn_script` (script language), :func:`trace_churn_actions`
-/ :func:`parse_availability_trace` / :func:`synthetic_availability_trace`
-(Overnet-style availability traces), :class:`ChurnAction` (one parsed
-directive) and :class:`ChurnManager` (replays a script against one job
-through the controller, batching each action's kills per daemon).
+Public entry points: :func:`parse_churn_script` (script language),
+:func:`trace_churn_actions` / :func:`parse_availability_trace` /
+:func:`synthetic_availability_trace` (Overnet-style availability traces),
+:class:`ChurnAction` (one parsed directive) and :class:`ChurnManager`
+(replays a script against one job through the controller, batching each
+action's kills per daemon).
 
 The script language reproduced here (one directive per line, ``#`` comments):
 
@@ -150,16 +150,6 @@ def parse_churn_script(text: str) -> List[ChurnAction]:
             raise ChurnScriptError(f"line {line_no}: cannot parse {raw!r}: {exc}") from exc
     actions.sort(key=lambda a: a.time)
     return actions
-
-
-def synthetic_churn_script(duration: float, period: float = 30.0,
-                           fraction: float = 0.05, warmup: float = 0.0) -> str:
-    """Generate the classic synthetic-churn script: replace ``fraction`` of
-    the nodes every ``period`` seconds for ``duration`` seconds."""
-    pct = fraction * 100.0
-    return (f"# synthetic churn: replace {pct:g}% of the nodes every {period:g}s\n"
-            f"from {warmup + period:g}s to {warmup + duration:g}s every {period:g}s "
-            f"replace {pct:g}%\n")
 
 
 # ------------------------------------------------------------ availability traces

@@ -2,20 +2,20 @@
 
 These modules mirror the library stack in Figure 5 of the paper:
 
-* :mod:`repro.lib.serializer` — ``llenc`` + ``json``: message framing and
-  data-interchange encoding;
+* :mod:`repro.lib.serializer` — wire sizes: what ``llenc`` + ``json``
+  would put on the wire, charged by the network models;
 * :mod:`repro.lib.rpc` — remote procedure calls (``call``, ``a_call``,
   ``ping``, :class:`RpcService`);
 * :mod:`repro.lib.sbsocket` — the restricted (sandboxed) socket layer;
 * :mod:`repro.lib.sbfs` — the sandboxed virtual filesystem;
 * :mod:`repro.lib.logging` — local and remote (collector-based) logging;
 * :mod:`repro.lib.crypto` — hashing and digest helpers;
-* :mod:`repro.lib.misc` — containers, conversions, timers and helpers;
+* :mod:`repro.lib.misc` — duration parsing and the job's member directory;
 * :mod:`repro.lib.ring` — identifier-ring arithmetic (``between`` et al.).
 """
 
 from repro.lib.ring import between, hash_key, ring_add, ring_distance
-from repro.lib.serializer import LLEncStream, SerializationError, decode, encode, estimate_size
+from repro.lib.serializer import SerializationError, estimate_size
 from repro.lib.rpc import RpcError, RpcService, RpcStats, RpcTimeout, a_call, call
 from repro.lib.sbfs import SandboxedFS, SandboxFSError
 from repro.lib.sbsocket import (
@@ -28,7 +28,6 @@ from repro.lib.logging import LogBudget, LogLevel, LogRecord, SplayLogger
 from repro.lib import crypto, misc
 
 __all__ = [
-    "LLEncStream",
     "LogBudget",
     "LogLevel",
     "LogRecord",
@@ -48,8 +47,6 @@ __all__ = [
     "between",
     "call",
     "crypto",
-    "decode",
-    "encode",
     "estimate_size",
     "hash_key",
     "misc",

@@ -185,19 +185,10 @@ class SandboxedFS:
             raise SandboxFSError(f"no such file: {path}")
         return self._files[key].size
 
-    def read_all(self, path: str) -> bytes:
-        """Convenience: read an entire file."""
-        with self.open(path, "r") as handle:
-            return handle.read()
-
     def write_all(self, path: str, data: bytes | str) -> int:
         """Convenience: replace a file's content."""
         with self.open(path, "w") as handle:
             return handle.write(data)
-
-    @property
-    def open_files(self) -> int:
-        return len(self._open_handles)
 
     def wipe(self) -> None:
         """Delete every file (used when the instance is undeployed)."""

@@ -225,10 +225,6 @@ class RestrictedSocket:
             self._listening = False
         self._handlers.clear()
 
-    @property
-    def open_sockets(self) -> int:
-        return self._open_sockets
-
 
 def _coerce_address(value: "Address | NodeRef | dict | str") -> Address:
     if type(value) is NodeRef:

@@ -1,24 +1,22 @@
-"""Serialization: the ``json`` and ``llenc`` libraries.
+"""Wire sizes: what SPLAY's ``llenc`` + ``json`` encoding would put on the wire.
 
 SPLAY's ``llenc`` library "automatically performs message demarcation,
 computing buffer sizes and waiting for all packets of a message before
 delivery.  It uses the ``json`` library to automate encoding of any type of
 data structures using a compact and standardized data-interchange format."
 
-This module provides:
-
-* :func:`encode` / :func:`decode` — JSON encoding with a length prefix
-  (``llenc`` framing) and support for the repository's value types
-  (:class:`~repro.net.address.Address`, :class:`~repro.net.address.NodeRef`);
-* :func:`estimate_size` — the wire size used by the network models;
-* :class:`LLEncStream` — incremental demarcation of messages arriving over a
-  stream-oriented transport.
+Simulated messages are never encoded: the network hands the payload object
+itself to the receiver and charges transmission time by its size.  This
+module provides that size — :func:`estimate_size` (the compact JSON length
+plus the framing overhead) and :func:`envelope_size` (a fixed-key envelope
+sized once) — for the repository's value types too
+(:class:`~repro.net.address.Address`, :class:`~repro.net.address.NodeRef`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, List
+from typing import Any
 
 from repro.net.address import Address, NodeRef
 
@@ -27,7 +25,7 @@ FRAMING_OVERHEAD = 10
 
 
 class SerializationError(Exception):
-    """Raised when a value cannot be encoded or a frame cannot be decoded."""
+    """Raised for a value that has no JSON form (it could never be sent)."""
 
 
 def _default(obj: Any) -> Any:
@@ -42,51 +40,12 @@ def _default(obj: Any) -> Any:
     raise SerializationError(f"cannot serialise {type(obj).__name__}: {obj!r}")
 
 
-def _object_hook(data: dict) -> Any:
-    if "__noderef__" in data:
-        return NodeRef.coerce(data["__noderef__"])
-    if "__address__" in data:
-        inner = data["__address__"]
-        return Address(inner["ip"], int(inner["port"]))
-    if "__set__" in data:
-        return set(data["__set__"])
-    return data
-
-
 def dumps(value: Any) -> str:
-    """JSON-encode ``value`` (the ``json`` library)."""
+    """JSON-encode ``value``: how :func:`_approx_size` sizes a type it does not know."""
     try:
         return json.dumps(value, default=_default, separators=(",", ":"), sort_keys=False)
     except (TypeError, ValueError) as exc:
         raise SerializationError(str(exc)) from exc
-
-
-def loads(text: str) -> Any:
-    """Decode a JSON document produced by :func:`dumps`."""
-    try:
-        return json.loads(text, object_hook=_object_hook)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(str(exc)) from exc
-
-
-def encode(value: Any) -> bytes:
-    """Encode ``value`` as an ``llenc`` frame: ``b"<length>:<json>"``."""
-    body = dumps(value).encode("utf-8")
-    return str(len(body)).encode("ascii") + b":" + body
-
-
-def decode(frame: bytes) -> Any:
-    """Decode one complete ``llenc`` frame back into a Python value."""
-    header, sep, body = frame.partition(b":")
-    if not sep:
-        raise SerializationError("malformed llenc frame: missing length separator")
-    try:
-        length = int(header)
-    except ValueError as exc:
-        raise SerializationError(f"malformed llenc length: {header!r}") from exc
-    if length != len(body):
-        raise SerializationError(f"llenc length mismatch: header={length} body={len(body)}")
-    return loads(body.decode("utf-8"))
 
 
 #: Memoized sizes of NodeRef / Address values.  Node references repeat
@@ -208,38 +167,3 @@ def envelope_size(template: dict) -> int:
     """
     return estimate_size(template) - 4 * sum(v is None for v in template.values())
 
-
-class LLEncStream:
-    """Incremental message demarcation over a byte stream.
-
-    Feed arbitrary chunks of bytes (as they would arrive over TCP); complete
-    messages are returned as soon as all their bytes are available.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> List[Any]:
-        """Append ``chunk`` and return every complete message decoded so far."""
-        self._buffer.extend(chunk)
-        messages: List[Any] = []
-        while True:
-            sep_index = self._buffer.find(b":")
-            if sep_index < 0:
-                break
-            try:
-                length = int(bytes(self._buffer[:sep_index]))
-            except ValueError as exc:
-                raise SerializationError(f"corrupt stream header: {bytes(self._buffer[:sep_index])!r}") from exc
-            frame_end = sep_index + 1 + length
-            if len(self._buffer) < frame_end:
-                break
-            body = bytes(self._buffer[sep_index + 1:frame_end])
-            del self._buffer[:frame_end]
-            messages.append(loads(body.decode("utf-8")))
-        return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet forming a complete message."""
-        return len(self._buffer)

@@ -141,9 +141,6 @@ class Network:
     def host(self, ip: str) -> Any:
         return self.hosts[ip]
 
-    def has_host(self, ip: str) -> bool:
-        return ip in self.hosts
-
     def host_alive(self, ip: str) -> bool:
         host = self.hosts.get(ip)
         return bool(host is not None and getattr(host, "alive", True))

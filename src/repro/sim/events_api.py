@@ -102,12 +102,6 @@ class AppContext:
             # reap hook is one), so a failing one must reach the caller.
             raise error
 
-    # --------------------------------------------------------------- queries
-    @property
-    def live_processes(self) -> int:
-        self._processes = [p for p in self._processes if p.alive or not p.done.done()]
-        return sum(1 for p in self._processes if p.alive)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<AppContext {self.name} {'alive' if self.alive else 'dead'}>"
 

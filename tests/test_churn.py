@@ -3,12 +3,7 @@
 import pytest
 
 from repro.apps.scenarios import main
-from repro.core.churn import (
-    ChurnManager,
-    ChurnScriptError,
-    parse_churn_script,
-    synthetic_churn_script,
-)
+from repro.core.churn import ChurnManager, ChurnScriptError, parse_churn_script
 from repro.core.jobs import JobSpec
 from repro.net.network import Network
 from repro.runtime.controller import Controller
@@ -76,14 +71,6 @@ def test_every_malformed_line_is_an_error_that_names_its_line(line, why,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: invalid churn script {path}: {caught.value}\n"
-
-
-def test_synthetic_script_round_trips_through_the_parser():
-    script = synthetic_churn_script(duration=300, period=60, fraction=0.10)
-    actions = parse_churn_script(script)
-    assert len(actions) == 5
-    assert all(a.kind == "replace" and a.fraction == pytest.approx(0.10)
-               for a in actions)
 
 
 def _deploy(seed=0, instances=10, churn_script=None):

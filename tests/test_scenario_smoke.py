@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -13,7 +14,7 @@ from repro.apps.chord import ChordNode, run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
 from repro.apps.harness import RunConfig, deterministic_report_view
 from repro.apps.pastry import run_pastry_scenario
-from repro.apps.scenarios import main
+from repro.apps.scenarios import _parser, main
 
 FLAGSHIP = RunConfig(nodes=20, hosts=10, seed=0, churn=True)
 STABLE = RunConfig(nodes=10, hosts=5, seed=1, join_window=20.0, settle=40.0)
@@ -111,7 +112,8 @@ def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, cap
     ["chord", "--join-window", "-5"],
     ["chord", "--settle", "-50"],
     ["bench", "--ctl-shards", "0"],
-    ["bench", "--nodes", "20", "0"],
+    ["bench", "--scales", "20", "0"],
+    ["bench", "--jobs", "0"],
 ], ids=" ".join)
 def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
     # each of these used to end in a traceback (ZeroDivisionError, ValueError,
@@ -121,6 +123,49 @@ def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_REPO = Path(__file__).resolve().parent.parent
+_QUOTING = ["README.md", "docs/*.md", ".claude/skills/verify/SKILL.md",
+            ".github/workflows/ci.yml"]
+_COMMAND = "python -m repro.apps.scenarios"
+
+
+def _quoted_commands():
+    """``(file, argv)`` of every scenarios command the docs and CI quote.
+
+    Shell continuation lines are joined; a command in a markdown code span
+    runs to the closing backtick (even across a line break), anywhere else
+    to the end of its line. A command templated by CI (``${{ ... }}``) and
+    a bare mention of the CLI are left out.
+    """
+    for pattern in _QUOTING:
+        for path in sorted(_REPO.glob(pattern)):
+            text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
+            for found in re.finditer(re.escape(_COMMAND), text):
+                line_start = text.rfind("\n", 0, found.start()) + 1
+                in_span = text.count("`", line_start, found.start()) % 2 == 1
+                end = text.find("`" if in_span else "\n", found.end())
+                argv = shlex.split(text[found.end():end if end >= 0 else len(text)],
+                                   comments=True)
+                if argv and "${{" not in " ".join(argv):
+                    yield str(path.relative_to(_REPO)), argv
+
+
+def test_every_quoted_scenarios_command_parses(capsys):
+    # A flag that leaves the CLI must leave the docs that teach it too.
+    commands = list(_quoted_commands())
+    assert {where for where, _argv in commands} >= {
+        "README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+    parser = _parser()
+    rejected = []
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(f"{where}: {' '.join(argv)}: "
+                            f"{capsys.readouterr().err.strip().splitlines()[-1]}")
+    assert rejected == []
 
 
 # ------------------------------------------------------------ handler errors

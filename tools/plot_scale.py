@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Summarise a ``bench --scale`` CSV: per-size table, ratios, cost curve.
+"""Summarise a ``scenarios bench`` CSV: per-size table, ratios, cost curve.
 
-The scale profile (``scenarios bench --scale``) runs Chord at growing
+The size sweep (``scenarios bench``) runs Chord at growing
 deployment sizes with log-scaled windows and records throughput, phase
 wall attribution (deploy vs run vs drain) and per-cell peak RSS.  This
 script renders the committed or freshly-swept CSV as a terminal table and
@@ -34,7 +34,7 @@ def read_scale_rows(path: str) -> List[dict]:
         raise ValueError(f"{path}: expected a 'scenarios bench' CSV header")
     scale = [r for r in rows if r["row_type"] == "scale"]
     if not scale:
-        raise ValueError(f"{path}: no scale rows (generate with bench --scale)")
+        raise ValueError(f"{path}: no scale rows (generate with scenarios bench)")
     return sorted(scale, key=lambda r: int(r["nodes"]))
 
 
@@ -103,7 +103,7 @@ def cost_curve_svg(rows: List[dict]) -> str:
 
     X is node count (linear), Y is host µs per simulated event from zero —
     a flat line means per-event cost is independent of deployment size,
-    which is exactly the claim the scale bench gates.  Stdlib-only on
+    which is exactly what the size sweep measures.  Stdlib-only on
     purpose: the CI image has no plotting stack.
     """
     points = [(int(r["nodes"]), per_event_us(r)) for r in rows]
@@ -171,7 +171,7 @@ def cost_curve_svg(rows: List[dict]) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Summarise a 'scenarios bench --scale' CSV")
+        description="Summarise a 'scenarios bench' CSV")
     parser.add_argument("csv", help="bench_scale.csv (or any bench CSV "
                                     "containing scale rows)")
     parser.add_argument("--out", type=str, default=None, metavar="FILE.svg",
