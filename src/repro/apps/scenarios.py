@@ -116,8 +116,7 @@ def _print_report(report: dict, spec: registry.ScenarioSpec) -> None:
 # --------------------------------------------------------------------- bench
 #: CSV columns emitted by ``scenarios bench`` (one row per scale cell)
 BENCH_CSV_COLUMNS = [
-    "row_type", "workload", "testbed", "kernel", "nodes", "hosts", "churn_rate",
-    "ctl_shards", "bw_alloc", "seed", "seeds", "jobs",
+    "workload", "testbed", "nodes", "hosts", "ctl_shards", "bw_alloc", "seed", "jobs",
     "wall_sec", "virtual_time", "events_executed", "events_per_sec",
     "wall_per_virtual_sec", "peak_rss_kb",
     "wall_deploy_s", "wall_run_s", "wall_drain_s",
@@ -201,8 +200,7 @@ def scale_efficiency(rows: List[dict]) -> Optional[float]:
     the largest scale cost ~1.67x what they cost at the smallest.  ``None``
     when the sweep has fewer than two distinct node counts.
     """
-    by_nodes = {row["nodes"]: row["events_per_sec"]
-                for row in rows if row.get("row_type") == "scale"}
+    by_nodes = {row["nodes"]: row["events_per_sec"] for row in rows}
     if len(by_nodes) < 2:
         return None
     smallest, largest = min(by_nodes), max(by_nodes)
@@ -223,9 +221,7 @@ def _scale_cell(config: RunConfig, lookups: int) -> dict:
     profile = report.get("profile") or {}
     top = profile["top"][0] if profile.get("top") else {}
     return {
-        # constant since the grid went; kept so rows match BENCH_scale.json
-        "row_type": "scale", "workload": "chord", "kernel": "wheel",
-        "churn_rate": 0.0, "seeds": 1,
+        "workload": "chord",
         "testbed": report.get("testbed", "transit-stub"),
         "nodes": report["nodes"],
         "hosts": report["hosts"],
@@ -332,8 +328,8 @@ def write_bench_csv(path: str, rows: List[dict]) -> None:
 
 
 #: the columns that say *which* experiment a bench row is (its cell)
-_CELL_COLUMNS = ("row_type", "workload", "testbed", "kernel", "nodes", "hosts",
-                 "churn_rate", "ctl_shards", "bw_alloc", "seed", "seeds")
+_CELL_COLUMNS = ("workload", "testbed", "nodes", "hosts", "ctl_shards",
+                 "bw_alloc", "seed")
 
 
 def check_bench_regression(summary: dict, baseline: dict) -> tuple:

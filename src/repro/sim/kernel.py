@@ -1,4 +1,4 @@
-"""Event kernel: virtual clock, timer wheel and overflow heap.
+"""Event kernel: virtual clock and one binary-heap event queue.
 
 The :class:`Simulator` is the single authority on virtual time.  Every other
 component (network, daemons, controller, applications) schedules callbacks on
@@ -6,34 +6,25 @@ it.  Determinism is guaranteed by a monotonically increasing sequence number
 used to break ties between events scheduled for the same instant, and by the
 simulator-owned random number generator.
 
-The event queue is a timer wheel tuned for the dominant short-delay periodic
-events (RPC timeouts, stabilization rounds, churn ticks).  Four structures
-cooperate, all ordered by the exact ``(time, seq)`` key:
+The event queue is one :mod:`heapq` of ``(time, seq, event)`` entries.  The
+sequence number is unique, so the key is a total order: events fire by time,
+and same-instant events in the order they were scheduled.  Cancelling is
+lazy — the entry stays queued and is skipped (its event recycled) when it
+surfaces — with one bound: once cancelled entries are more than 64 and at
+least half the queue, the queue is filtered and re-heapified in place, so a
+cancelled timer (and everything its callback references) does not outlive
+the traffic that cancelled it by more than one such compaction.
 
-* a *ready* deque — events scheduled for the current instant
-  (``delay == 0``, the process-step hot path).  Appends are naturally
-  sorted because both the clock and the sequence counter are monotonic,
-  so no heap operation is ever needed for them;
-* a *cursor* heap — events belonging to wheel buckets the clock has
-  already reached;
-* the *wheel* — one unsorted bucket per tick for events within the
-  horizon (``WHEEL_TICK * WHEEL_SLOTS`` seconds).  Insertion is an O(1)
-  list append; cancelled events are purged in bulk when their bucket is
-  loaded into the cursor;
-* an *overflow* heap for far-future events (beyond the horizon), with
-  lazy compaction once cancelled entries dominate.
-
-The binary-heap queue this replaced lives on as the reference oracle
-``tests/heap_kernel_reference.py``: a differential schedule fuzzer
-(``tests/test_kernel_fuzz.py``) and the scenario-level digest tests hold the
-wheel to its ``(time, seq)`` execution order event for event.
+``tests/heap_kernel_reference.py`` is the reference oracle: the same heap
+with no compaction.  A differential schedule fuzzer
+(``tests/test_kernel_fuzz.py``) and the scenario-level digest tests hold this
+kernel to its ``(time, seq)`` execution order event for event.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -43,14 +34,10 @@ _getrefcount = getattr(sys, "getrefcount", None)
 #: upper bound on recycled ScheduledEvent objects kept per simulator
 _FREE_LIST_MAX = 4096
 
-#: bucket granularity (seconds) and bucket count of the timer wheel.  The
-#: horizon (``WHEEL_TICK * WHEEL_SLOTS`` = 204.8 s) covers the common delays
-#: (RPC timeouts, stabilization periods); longer delays go to the overflow
-#: heap.  The slot count is a power of two so slot indexing is a mask.
-WHEEL_TICK = 0.05
-WHEEL_SLOTS = 4096
-_INV_TICK = 1.0 / WHEEL_TICK
-_SLOT_MASK = WHEEL_SLOTS - 1
+#: cancelled entries tolerated in the queue before compaction is considered
+_GHOSTS_MIN = 64
+
+_INF = float("inf")
 
 
 class ScheduledEvent:
@@ -63,7 +50,7 @@ class ScheduledEvent:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
-                 "origin", "_sim", "_epoch", "_overflow")
+                 "origin", "_sim", "_epoch")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
                  sim: Optional["Simulator"] = None, epoch: int = 0):
@@ -79,7 +66,6 @@ class ScheduledEvent:
         self.origin = None
         self._sim = sim
         self._epoch = epoch
-        self._overflow = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
@@ -131,19 +117,17 @@ class Simulator:
         self._pending = 0
         self._epoch = 0
         self._next_pid = 0
-        self._ready: deque = deque()
-        self._cursor: list = []
-        self._wheel: list[list] = [[] for _ in range(WHEEL_SLOTS)]
-        self._wheel_count = 0
-        self._cur_tick = 0
-        self._overflow: list = []
-        self._overflow_ghosts = 0
+        #: the event queue: a heap of (time, seq, event).  Only ever mutated
+        #: in place — run() holds it in a local across callbacks.
+        self._queue: list = []
+        #: cancelled entries still in ``_queue``
+        self._ghosts = 0
         # Free-list of dead ScheduledEvent objects — both fired events and
-        # cancelled ones (reclaimed when their queue entry is skipped or their
-        # wheel bucket loads; RPC timeout timers are almost always cancelled
-        # by the reply, so they dominate).  Recycling only happens when the
-        # refcount proves no external handle survived, so a held event can
-        # never be mutated under its owner's feet.
+        # cancelled ones reclaimed when their queue entry surfaces (RPC
+        # timeout timers are almost always cancelled by the reply, so they
+        # dominate).  Recycling only happens when the refcount proves no
+        # external handle survived, so a held event can never be mutated
+        # under its owner's feet.
         self._free: list[ScheduledEvent] = []
         #: runtime sanitizer (repro.sim.sanitizer.Sanitizer) or None; the
         #: hot paths pay a single pointer test when disabled
@@ -194,10 +178,9 @@ class Simulator:
 
         Every event is inserted in this one frame.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        now = self._now
-        when = now + delay
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative: {delay!r}")
+        when = self._now + delay
         self._seq = seq = self._seq + 1
         free = self._free
         san = self._san
@@ -212,7 +195,6 @@ class Simulator:
             event.cancelled = False
             event.fired = False
             event._epoch = self._epoch
-            event._overflow = False
         else:
             self.allocated_events += 1
             event = ScheduledEvent(when, seq, callback, args, self, self._epoch)
@@ -221,26 +203,7 @@ class Simulator:
         elif self._obs_stamp is not None:
             self._obs_stamp(event)
         self._pending += 1
-        if when == now:
-            # Hot path: process steps / future resumptions scheduled "now".
-            # The deque stays sorted because time and seq are both monotonic.
-            self._ready.append((when, seq, event))
-            return event
-        # Inline _bucket_of: one multiply plus boundary corrections.
-        bucket = int(when * _INV_TICK)
-        while bucket * WHEEL_TICK > when:
-            bucket -= 1
-        while (bucket + 1) * WHEEL_TICK <= when:
-            bucket += 1
-        cur = self._cur_tick
-        if bucket <= cur:
-            heappush(self._cursor, (when, seq, event))
-        elif bucket - cur < WHEEL_SLOTS:
-            self._wheel[bucket & _SLOT_MASK].append((when, seq, event))
-            self._wheel_count += 1
-        else:
-            event._overflow = True
-            heappush(self._overflow, (when, seq, event))
+        heappush(self._queue, (when, seq, event))
         return event
 
     def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -248,11 +211,6 @@ class Simulator:
         now = self._now
         if when < now:
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
-        if when == now:
-            # The ready deque is the one structure ordered against later
-            # ``schedule(0.0)`` events wherever the wheel cursor stands (a
-            # drained ``run(until)`` parks the clock ahead of it).
-            return self.schedule(0.0, callback, *args)
         # ``now + (when - now)`` can round one ulp off ``when``; from a clock at
         # zero the delay *is* the absolute time.
         self._now = 0.0
@@ -265,132 +223,39 @@ class Simulator:
         """Schedule ``callback(*args)`` at the current instant (after pending same-time events)."""
         return self.schedule(0.0, callback, *args)
 
-    # -------------------------------------------------------- wheel internals
-    def _bucket_of(self, when: float) -> int:
-        """Tick index ``b`` with ``b*tick <= when < (b+1)*tick`` under exact
-        float comparison (the correction loops absorb multiplication
-        rounding, keeping bucket boundaries consistent everywhere)."""
-        idx = int(when * _INV_TICK)
-        while idx * WHEEL_TICK > when:
-            idx -= 1
-        while (idx + 1) * WHEEL_TICK <= when:
-            idx += 1
-        return idx
-
+    # ----------------------------------------------------------- the queue
     def _note_cancelled(self, event: ScheduledEvent) -> None:
         if event._epoch != self._epoch:
             return  # scheduled before a clear(); no longer accounted
         self._pending -= 1
-        if event._overflow:
-            self._overflow_ghosts += 1
-            # Lazy purge: rebuild the overflow heap once ghosts dominate.
-            if self._overflow_ghosts > 64 and self._overflow_ghosts * 2 >= len(self._overflow):
-                self._overflow = [e for e in self._overflow if not e[2].cancelled]
-                heapify(self._overflow)
-                self._overflow_ghosts = 0
+        self._ghosts = ghosts = self._ghosts + 1
+        queue = self._queue
+        if ghosts > _GHOSTS_MIN and ghosts * 2 >= len(queue):
+            # Compaction: the cancelled entries, and whatever their callbacks
+            # reference, are released now rather than at their time.
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapify(queue)
+            self._ghosts = 0
 
-    def _advance_wheel(self) -> bool:
-        """Move the wheel forward to the next tick holding events.
-
-        Loads that bucket (minus cancelled ghosts) into the cursor and
-        migrates overflow-heap entries that now fall inside it.  Returns
-        ``False`` when no events remain anywhere.
-        """
-        overflow = self._overflow
-        free = self._free
-        while overflow and overflow[0][2].cancelled:
-            event = heappop(overflow)[2]
-            self._overflow_ghosts -= 1
-            # refs: the event local + getrefcount's argument (the popped entry
-            # tuple died above).  More means someone still holds the handle.
-            if _getrefcount is not None and _getrefcount(event) == 2 \
-                    and len(free) < _FREE_LIST_MAX:
-                event.callback = None
-                event.args = ()
-                free.append(event)
-        target = -1
-        if self._wheel_count:
-            wheel = self._wheel
-            t = self._cur_tick + 1
-            end = t + WHEEL_SLOTS
-            while t < end and not wheel[t & _SLOT_MASK]:
-                t += 1
-            target = t
-        if overflow:
-            over_bucket = self._bucket_of(overflow[0][0])
-            if target < 0 or over_bucket < target:
-                target = over_bucket
-        if target < 0:
-            return False
-        self._cur_tick = target
-        slot = target & _SLOT_MASK
-        bucket = self._wheel[slot]
-        cursor = self._cursor
-        if bucket:
-            self._wheel[slot] = []
-            self._wheel_count -= len(bucket)
-            live = []
-            for entry in bucket:
-                event = entry[2]
-                if not event.cancelled:
-                    live.append(entry)
-                # Cancelled-timer recycling: RPC timeout timers are cancelled
-                # by the reply long before their bucket loads, so this purge
-                # is where most dead events surface.  refs: the entry tuple +
-                # the event local + getrefcount's argument.
-                elif _getrefcount is not None and _getrefcount(event) == 3 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-            if live:
-                cursor.extend(live)
-                heapify(cursor)
-        if overflow:
-            boundary = (target + 1) * WHEEL_TICK
-            while overflow and overflow[0][0] < boundary:
-                entry = heappop(overflow)
-                event = entry[2]
-                event._overflow = False
-                if event.cancelled:
-                    self._overflow_ghosts -= 1
-                    if _getrefcount is not None and _getrefcount(event) == 3 \
-                            and len(free) < _FREE_LIST_MAX:
-                        event.callback = None
-                        event.args = ()
-                        free.append(event)
-                else:
-                    heappush(cursor, entry)
-        return True
+    def _recycle(self, event: ScheduledEvent) -> None:
+        # refs: the caller's local + our parameter + getrefcount's argument.
+        # More means someone still holds the handle, which must stay intact.
+        if _getrefcount is not None and _getrefcount(event) == 3 \
+                and len(self._free) < _FREE_LIST_MAX:
+            event.callback = None
+            event.args = ()
+            self._free.append(event)
 
     def _pop_next(self) -> Optional[ScheduledEvent]:
         """Remove and return the next pending event in (time, seq) order."""
-        ready = self._ready
-        cursor = self._cursor
-        free = self._free
-        while True:
-            while ready and ready[0][2].cancelled:
-                event = ready.popleft()[2]
-                if _getrefcount is not None and _getrefcount(event) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-            while cursor and cursor[0][2].cancelled:
-                event = heappop(cursor)[2]
-                if _getrefcount is not None and _getrefcount(event) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-            if ready:
-                if cursor and cursor[0] < ready[0]:
-                    return heappop(cursor)[2]
-                return ready.popleft()[2]
-            if cursor:
-                return heappop(cursor)[2]
-            if not self._advance_wheel():
-                return None
+        queue = self._queue
+        while queue:
+            event = heappop(queue)[2]
+            if not event.cancelled:
+                return event
+            self._ghosts -= 1
+            self._recycle(event)
+        return None
 
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
@@ -403,6 +268,7 @@ class Simulator:
         if event is None:
             return False
         self._execute(event)
+        self._recycle(event)
         return True
 
     def _execute(self, event: ScheduledEvent) -> None:
@@ -412,21 +278,13 @@ class Simulator:
         event.fired = True
         self._pending -= 1
         self.executed_events += 1
-        obs = self._obs
-        if obs is None:
+        if self._obs is None:
             event.callback(*event.args)
         else:
             # Observed dispatch (ring/trace/profile): every reference the
             # observer takes dies before run_event returns, so the refcount
-            # gate below still sees exactly the expected handles.
-            obs.run_event(event)
-        # refs here: caller's local + our parameter + getrefcount argument.
-        # Anything above 3 means an external handle survived — don't recycle.
-        if _getrefcount is not None and _getrefcount(event) == 3 \
-                and len(self._free) < _FREE_LIST_MAX:
-            event.callback = None
-            event.args = ()
-            self._free.append(event)
+            # gate still sees exactly the expected handles.
+            self._obs.run_event(event)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue drains or virtual time reaches ``until``.
@@ -437,64 +295,43 @@ class Simulator:
         ``until`` (they must remain schedulable at their original times).
         """
         self._stop_requested = False
-        ready = self._ready
-        cursor = self._cursor
+        queue = self._queue
         free = self._free
+        horizon = _INF if until is None else until
         # Hoisted once per run(): observability installs before the run
         # starts, so the per-event test is a local load, not an attribute.
         obs = self._obs
         while not self._stop_requested:
-            while ready and ready[0][2].cancelled:
-                event = ready.popleft()[2]
-                if _getrefcount is not None and _getrefcount(event) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-            while cursor and cursor[0][2].cancelled:
-                event = heappop(cursor)[2]
-                if _getrefcount is not None and _getrefcount(event) == 2 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-            if ready:
-                from_cursor = bool(cursor) and cursor[0] < ready[0]
-                entry = cursor[0] if from_cursor else ready[0]
-            elif cursor:
-                from_cursor = True
-                entry = cursor[0]
-            else:
-                if self._advance_wheel():
-                    continue
+            if not queue:
                 if until is not None and self._now < until:
                     self._now = until
                 break
-            if until is not None and entry[0] > until:
+            entry = queue[0]
+            if entry[0] > horizon:
                 self._now = until
                 break
-            if from_cursor:
-                heappop(cursor)
-            else:
-                ready.popleft()
+            heappop(queue)
             event = entry[2]
-            if self._san is not None:
-                self._san.before_execute(event)
-            self._now = entry[0]
-            event.fired = True
-            self._pending -= 1
-            self.executed_events += 1
-            if obs is None:
-                event.callback(*event.args)
+            if event.cancelled:
+                self._ghosts -= 1
             else:
-                obs.run_event(event)
+                if self._san is not None:
+                    self._san.before_execute(event)
+                self._now = entry[0]
+                event.fired = True
+                self._pending -= 1
+                self.executed_events += 1
+                if obs is None:
+                    event.callback(*event.args)
+                else:
+                    obs.run_event(event)
             # refs here: the popped entry tuple + the event local +
             # getrefcount's argument.  More means an external handle exists.
             if _getrefcount is not None and _getrefcount(event) == 3 \
-                    and len(self._free) < _FREE_LIST_MAX:
+                    and len(free) < _FREE_LIST_MAX:
                 event.callback = None
                 event.args = ()
-                self._free.append(event)
+                free.append(event)
         return self._now
 
     def stop(self) -> None:
@@ -512,14 +349,8 @@ class Simulator:
         self._epoch += 1
         self._cleared_events += self._pending
         self._pending = 0
-        self._ready.clear()
-        self._cursor.clear()
-        if self._wheel_count:
-            self._wheel = [[] for _ in range(WHEEL_SLOTS)]
-        self._wheel_count = 0
-        self._cur_tick = self._bucket_of(self._now)
-        self._overflow.clear()
-        self._overflow_ghosts = 0
+        self._queue.clear()
+        self._ghosts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6f} pending={self.pending_events}>"

@@ -1,39 +1,41 @@
-"""Reference oracle: the binary-heap event queue the timer wheel replaced.
+"""Reference oracle: the kernel's binary heap without compaction.
 
 ``HeapSimulator`` is a :class:`repro.sim.kernel.Simulator` — same clock,
 counters, ``ScheduledEvent`` handles, free list and sanitizer / observability
-seams — in which every queue operation (insert, pop, the run loop, clear) is
-replaced by the simplest possible one: a single ``heapq`` of
-``(time, seq, event)`` entries.  None of the wheel's structures (ready deque,
-cursor heap, buckets, overflow heap) is ever touched, so an ordering bug in
-them cannot hide in both.
+seams — in which every queue operation (insert, pop, the run loop, cancel,
+clear) is replaced by the simplest possible one over its own ``heapq`` of
+``(time, seq, event)`` entries.  The kernel's queue (``_queue``) and its
+compaction of cancelled entries are never touched: a cancelled entry here
+waits for its time, so the differential fuzzer compares compaction against
+none.
 
 Tests swap it in where they build a simulator (``make_simulator``) or a whole
 deployment (``use_kernel``, which patches ``harness.Simulator``): the
 differential schedule fuzzer (``tests/test_kernel_fuzz.py``), the ``KERNELS``
 parametrisation of ``tests/test_kernel.py`` and one scenario-level digest test
-per workload hold the wheel to this queue's ``(time, seq)`` execution order.
+per workload hold the kernel to this queue's ``(time, seq)`` execution order.
 """
 
-import sys
 from heapq import heappop, heappush
 
-from repro.sim.kernel import _FREE_LIST_MAX, ScheduledEvent, Simulator
+from repro.sim.kernel import ScheduledEvent, Simulator
 
-#: parametrisation shared by the both-kernel tests ("heap" is this oracle)
+#: parametrisation shared by the both-kernel tests: "wheel" is the production
+#: ``Simulator`` (named for the timer wheel it once was; the label keeps the
+#: parametrised test ids stable), "heap" is this oracle
 KERNELS = ("wheel", "heap")
 
 
 class HeapSimulator(Simulator):
-    """``Simulator`` over one binary heap instead of the timer wheel."""
+    """``Simulator`` over one plain binary heap, without compaction."""
 
     def __init__(self, seed=0):
         super().__init__(seed)
         self._heap = []
 
     def schedule(self, delay, callback, *args):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not 0.0 <= delay < float("inf"):
+            raise ValueError(f"delay must be finite and non-negative: {delay!r}")
         when = self._now + delay
         self._seq = seq = self._seq + 1
         if self._free:
@@ -52,13 +54,9 @@ class HeapSimulator(Simulator):
         heappush(self._heap, (when, seq, event))
         return event
 
-    def _recycle(self, event):
-        # refs: the caller's local + our parameter + getrefcount's argument;
-        # more means someone still holds the handle, which must stay intact.
-        if sys.getrefcount(event) == 3 and len(self._free) < _FREE_LIST_MAX:
-            event.callback = None
-            event.args = ()
-            self._free.append(event)
+    def _note_cancelled(self, event):
+        if event._epoch == self._epoch:  # else dropped by clear() already
+            self._pending -= 1
 
     def _pop_next(self):
         """The next live event (``step`` executes it), or ``None``."""
@@ -86,6 +84,7 @@ class HeapSimulator(Simulator):
                 break
             event = heappop(heap)[2]
             self._execute(event)
+            self._recycle(event)
         return self._now
 
     def clear(self):

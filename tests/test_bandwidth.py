@@ -266,7 +266,7 @@ def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
 
     One completion tick must retire both (bit-equal finish times, no
     zero-length follow-up interval), and the tie-break — partition order =
-    start order — is the same under the wheel and the heap.
+    start order — is the same under the kernel and the heap oracle.
     """
     sim = make_simulator(kernel)
     bw = BandwidthModel(sim)

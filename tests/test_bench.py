@@ -18,8 +18,7 @@ from repro.apps.scenarios import (
 )
 
 
-_BASE_ROW = {"row_type": "scale", "workload": "chord", "kernel": "wheel",
-             "nodes": 20, "churn_rate": 0.0, "seed": 0, "seeds": 1,
+_BASE_ROW = {"workload": "chord", "nodes": 20, "seed": 0,
              "events_executed": 70_030, "messages_sent": 36_398,
              "report_digest": "f80bb554bef0b435", "wall_sec": 1.0,
              "events_per_sec": 70_030.0, "peak_rss_kb": 40_000, "jobs": 1}
@@ -145,7 +144,7 @@ def test_run_scale_bench_records_peak_rss_per_cell():
     summary = run_scale_bench(scales=[30], jobs=1, config=RunConfig(seed=3),
                               lookups=5, quiet=True)
     (row,) = summary["rows"]
-    assert row["row_type"] == "scale"
+    assert set(row) == set(BENCH_CSV_COLUMNS)  # every column, and no other
     assert row["workload"] == "chord"
     assert row["nodes"] == 30
     assert row["virtual_time"] > 0
@@ -175,10 +174,9 @@ def test_scale_efficiency_is_largest_over_smallest_events_per_sec():
     from repro.apps.scenarios import scale_efficiency
 
     rows = [
-        {"row_type": "scale", "nodes": 1000, "events_per_sec": 50_000.0},
-        {"row_type": "scale", "nodes": 5000, "events_per_sec": 40_000.0},
-        {"row_type": "scale", "nodes": 10000, "events_per_sec": 35_000.0},
-        {"row_type": "scenario", "nodes": 50, "events_per_sec": 1.0},
+        {"nodes": 5000, "events_per_sec": 40_000.0},
+        {"nodes": 1000, "events_per_sec": 50_000.0},
+        {"nodes": 10000, "events_per_sec": 35_000.0},
     ]
     assert scale_efficiency(rows) == pytest.approx(0.7)
     assert scale_efficiency(rows[:1]) is None  # one size: no ratio

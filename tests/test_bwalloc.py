@@ -309,7 +309,7 @@ def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch)
     """``--bw-alloc max-min`` reproduces the pre-refactor flagship report.
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
-    with the allocator requested explicitly and, on wheel, the brute-force
+    with the allocator requested explicitly and, on the kernel, the brute-force
     recompute in the model's place — neither the refactor, the priority
     threading nor the component walk may move a single byte.
     """

@@ -1,6 +1,6 @@
 """Property-style determinism: same seed, same results — across repeated
 runs in one Python process (pids, call ids and transfer ids must not leak
-between simulations) and across the timer wheel and its heap oracle."""
+between simulations) and across the event kernel and its heap oracle."""
 
 import json
 from dataclasses import replace
@@ -37,10 +37,10 @@ def test_chord_scenario_is_identical_when_run_twice_in_one_process():
 
 
 def test_chord_scenario_is_identical_across_kernels(monkeypatch):
-    wheel = run_chord_scenario(SCENARIO, lookups=15)
+    kernel = run_chord_scenario(SCENARIO, lookups=15)
     use_kernel(monkeypatch, "heap")
     heap = run_chord_scenario(SCENARIO, lookups=15)
-    assert _normalised(wheel) == _normalised(heap)
+    assert _normalised(kernel) == _normalised(heap)
 
 
 def test_churn_victim_sets_are_identical_across_in_process_runs():

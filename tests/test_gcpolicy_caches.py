@@ -49,7 +49,7 @@ CELL = RunConfig(nodes=12, seed=11, duration="short")
 def test_digest_identical_with_gc_policy_and_caches_toggled(workload, kernel,
                                                             monkeypatch):
     # Execution mechanics must never move a digest-relevant byte, on any
-    # workload: the GC policy on or off, the timer wheel or the heap oracle,
+    # workload: the GC policy on or off, the event kernel or the heap oracle,
     # and — under the sanitizer — every cached control-plane view
     # cross-checked against its from-scratch recompute or trusted as is.
     runner = RUNNERS[workload]

@@ -1,11 +1,14 @@
-"""Kernel: virtual clock, event ordering, determinism, timer wheel.
+"""Kernel: virtual clock, event ordering, determinism, the event queue.
 
-``KERNELS`` runs each behavioural test on the timer wheel and on the heap
-oracle of ``tests/heap_kernel_reference.py`` ("heap"), so the contract the
-wheel is held to is stated by a second, independent implementation.
+``KERNELS`` runs each behavioural test on the kernel ("wheel", the label it
+kept from the timer wheel it once was) and on the heap oracle of
+``tests/heap_kernel_reference.py`` ("heap"), so the contract the kernel is
+held to is stated by a second, independent implementation.
 """
 
+import math
 import random
+import weakref
 
 import pytest
 
@@ -59,6 +62,20 @@ def test_cannot_schedule_in_the_past(kernel):
         sim.schedule_at(0.5, lambda: None)
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+def test_non_finite_and_negative_delays_are_rejected(kernel, delay):
+    # A NaN key would break the heap invariant without any error, and an
+    # infinite one would park an event forever; both are refused up front.
+    sim = make_simulator(kernel)
+    sim.run(until=3.0)
+    with pytest.raises(ValueError, match=repr(delay)):
+        sim.schedule(delay, lambda: None)
+    with pytest.raises(ValueError):
+        sim.schedule_at(sim.now + delay, lambda: None)
+    assert sim.pending_events == 0 and sim.now == 3.0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -160,11 +177,11 @@ def test_clear_resets_pending_and_later_cancels_are_neutral(kernel):
     assert sim.run() == 1.0
 
 
-# ------------------------------------------------------------- wheel details
-def test_wheel_and_heap_execute_identical_orders_across_structures():
-    """Mixed workload spanning the ready deque, wheel buckets and the
-    overflow heap (delays far beyond the wheel horizon) must execute in
-    exactly the same (time, seq) order on both kernels."""
+# ------------------------------------------------------------- queue details
+def test_kernel_and_heap_execute_identical_orders_on_mixed_delays():
+    """Mixed workload of same-instant follow-ups and delays from a
+    millisecond to hours must execute in exactly the same (time, seq) order
+    on both kernels."""
     def trace(kernel):
         sim = make_simulator(kernel, 3)
         out = []
@@ -174,7 +191,7 @@ def test_wheel_and_heap_execute_identical_orders_across_structures():
 
         def burst(tag):
             emit(tag)
-            # same-instant follow-ups exercise the ready deque
+            # same-instant follow-ups
             sim.schedule(0.0, emit, f"{tag}/soon")
             if len(out) < 400:
                 delay = sim.rng.choice([0.0, 0.001, 0.0499, 0.05, 1.0 / 3.0,
@@ -189,11 +206,11 @@ def test_wheel_and_heap_execute_identical_orders_across_structures():
     assert trace("wheel") == trace("heap")
 
 
-def test_wheel_events_cancelled_inside_buckets_and_overflow():
+def test_near_and_far_cancelled_events_do_not_fire():
     sim = Simulator()
     fired = []
-    near = sim.schedule(0.2, fired.append, "near")       # wheel bucket
-    far = sim.schedule(100_000.0, fired.append, "far")   # overflow heap
+    near = sim.schedule(0.2, fired.append, "near")
+    far = sim.schedule(100_000.0, fired.append, "far")
     keep = sim.schedule(0.3, fired.append, "keep")
     near.cancel()
     far.cancel()
@@ -203,21 +220,46 @@ def test_wheel_events_cancelled_inside_buckets_and_overflow():
     assert sim.pending_events == 0
 
 
-def test_wheel_overflow_ghost_purge_keeps_counts_consistent():
+def test_cancelled_entry_compaction_keeps_counts_consistent():
     sim = Simulator()
     far = [sim.schedule(100_000.0 + i, lambda: None) for i in range(300)]
     for event in far[:299]:
-        event.cancel()  # triggers the lazy overflow compaction
+        event.cancel()  # triggers the compaction of cancelled entries
     assert sim.pending_events == 1
     sim.run()
     assert sim.executed_events == 1
     assert sim.pending_events == 0
 
 
+def test_cancelled_timers_are_released_before_their_time():
+    # Compaction, not the clock, bounds how long a cancelled timer keeps its
+    # callback's referents alive: with 9,000 of 10,000 timers cancelled and
+    # the clock never moved, almost all of them must already be gone.
+    class Referent:
+        pass
+
+    sim = Simulator()
+    rng = random.Random(5)
+    refs, timers = [], []
+    for _ in range(10_000):
+        referent = Referent()
+        refs.append(weakref.ref(referent))
+        timers.append(sim.schedule(rng.random() * 200.0, lambda r: None, referent))
+    del referent
+    for index in range(9_000):
+        timers[index].cancel()
+        timers[index] = None
+    ghosts = sum(entry[2].cancelled for entry in sim._queue)
+    assert ghosts <= max(64, sim.pending_events)
+    assert sum(ref() is None for ref in refs[:9_000]) >= 8_000
+    assert all(ref() is not None for ref in refs[9_000:])
+    assert sim.now == 0.0 and sim.pending_events == 1_000
+
+
 def test_scheduling_into_the_jumped_until_window_works_on_the_wheel():
     sim = Simulator()
     sim.schedule(100.0, lambda: None)
-    sim.run(until=7.03)  # clock parks mid-bucket, ahead of the wheel cursor
+    sim.run(until=7.03)  # the clock parks short of the next event
     fired = []
     sim.schedule(0.0, fired.append, "soon")
     sim.schedule_at(7.04, fired.append, "mid")
@@ -229,10 +271,9 @@ def test_scheduling_into_the_jumped_until_window_works_on_the_wheel():
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_schedule_at_now_keeps_seq_order_after_a_drained_jump(kernel):
-    # Found by the differential fuzzer (tests/test_kernel_fuzz.py): a drained
-    # run(until) parks the clock ahead of the wheel cursor, where an event
-    # scheduled *at* the current instant used to land in a wheel bucket and
-    # fire after later same-instant schedule(0.0) events from the ready deque.
+    # Regression found by the differential fuzzer (tests/test_kernel_fuzz.py):
+    # after a drained run(until), an event scheduled *at* the current instant
+    # must still fire before later same-instant schedule(0.0) events.
     sim = make_simulator(kernel)
     sim.run(until=610.47)
     order = []

@@ -1,12 +1,14 @@
-"""Differential schedule fuzzer: the timer wheel against the heap oracle.
+"""Differential schedule fuzzer: the event kernel against the heap oracle.
 
 Each seeded program is a random mix of every public scheduling operation,
 applied in lock-step to a :class:`~repro.sim.kernel.Simulator` and to
-``HeapSimulator`` (``tests/heap_kernel_reference.py``).  Delays are drawn to
-land in every queue structure of the wheel — the ready deque (delay 0), the
-cursor heap (sub-tick), wheel buckets (inside the horizon) and the overflow
-heap (beyond it) — and both kernels must agree on the ``(time, seq, label)``
-trace and on every public counter after every slice.
+``HeapSimulator`` (``tests/heap_kernel_reference.py``).  Delays span the
+current instant, sub-50 ms, exact multiples of 50 ms, seconds, minutes and
+hours; some programs schedule a burst of events and cancel most of them while
+they are pending, so the kernel compacts its queue mid-program while the
+oracle, which never compacts, keeps every cancelled entry.  Both kernels must
+agree on the ``(time, seq, label)`` trace and on every public counter after
+every slice.
 """
 
 import random
@@ -14,9 +16,8 @@ import random
 import pytest
 
 from heap_kernel_reference import HeapSimulator
-from repro.sim.kernel import WHEEL_SLOTS, WHEEL_TICK, Simulator
+from repro.sim.kernel import Simulator
 
-HORIZON = WHEEL_TICK * WHEEL_SLOTS
 PROGRAMS = 320
 
 
@@ -29,6 +30,7 @@ class _Twin:
         self.seqs = {}      # label -> seq its event was scheduled with
         self.handles = []   # two thirds of the handles ever returned, fired
         #                     or not; the rest are dropped so they can recycle
+        self.compactions = 0  # cancels that shrank the kernel's queue
 
     def fire(self, label, program):
         self.trace.append((self.sim.now, self.seqs[label], label))
@@ -40,6 +42,12 @@ class _Twin:
         if label % 3:
             self.handles.append(handle)
 
+    def _cancel(self, handle):
+        queue = self.sim._queue  # always empty on the oracle
+        before = len(queue)
+        handle.cancel()
+        self.compactions += len(queue) < before
+
     def apply(self, op, program):
         sim, kind = self.sim, op[0]
         if kind == "schedule":
@@ -50,11 +58,29 @@ class _Twin:
         elif kind == "call_soon":
             self._keep(op[1], sim.call_soon(self.fire, op[1], program))
         elif kind == "cancel" and self.handles:
-            self.handles[op[1] % len(self.handles)].cancel()
+            self._cancel(self.handles[op[1] % len(self.handles)])
+        elif kind == "burst":  # schedule many, then cancel most while pending
+            _, labels, delays, doomed = op
+            burst = [sim.schedule(delay, self.fire, label, program)
+                     for label, delay in zip(labels, delays)]
+            for label, handle in zip(labels, burst):
+                self._keep(label, handle)
+            for index in doomed:
+                self._cancel(burst[index])
         elif kind == "stop":
             sim.stop()
         elif kind == "clear":
             sim.clear()
+
+    def step(self, step, program):
+        """Apply one top-level program step; returns what the call returned."""
+        if step[0] == "step":
+            return self.sim.step()
+        if step[0] == "run_until":
+            return self.sim.run(until=self.sim.now + step[1])
+        if step[0] == "run":
+            return self.sim.run()
+        return self.apply(step, program)
 
     def state(self):
         sim = self.sim
@@ -65,13 +91,13 @@ class _Twin:
 
 def _delay(rng):
     return rng.choice([
-        0.0,                                    # ready deque
-        rng.random() * WHEEL_TICK,              # sub-tick: cursor heap
-        WHEEL_TICK, 2 * WHEEL_TICK,             # exact bucket boundaries
-        rng.random() * 5.0,                     # near buckets
-        rng.random() * HORIZON,                 # anywhere inside the horizon
-        HORIZON - WHEEL_TICK, HORIZON,          # the horizon's edge
-        HORIZON + rng.random() * 3 * HORIZON,   # overflow heap
+        0.0,                                    # the current instant
+        rng.random() * 0.05,                    # under 50 ms
+        0.05, 0.1,                              # exact multiples of 50 ms
+        rng.random() * 5.0,                     # seconds
+        rng.random() * 204.8,                   # up to a few minutes
+        204.75, 204.8,                          # round values near 205 s
+        204.8 + rng.random() * 614.4,           # up to a quarter hour
     ])
 
 
@@ -89,6 +115,14 @@ def _op(rng, labels):
     if roll < 0.97:
         return ("stop",)
     return ("clear",)
+
+
+def _burst(rng, labels):
+    """Enough cancels of pending events (over 64) to compact the queue."""
+    size = rng.randrange(100, 250)
+    doomed = rng.sample(range(size), rng.randrange(size * 2 // 3, size))
+    return ("burst", [next(labels) for _ in range(size)],
+            [_delay(rng) for _ in range(size)], doomed)
 
 
 def _program(seed):
@@ -112,6 +146,9 @@ def _program(seed):
             steps.append(("run_until", _delay(rng)))
         else:
             steps.append(("run",))
+    # Drawn after everything else, so the steps above stay what they were.
+    if rng.random() < 0.2:
+        steps.insert(rng.randrange(len(steps) + 1), _burst(rng, labels))
     # Second-level callbacks stay leaves, so every program terminates.
     return steps, callbacks
 
@@ -121,32 +158,25 @@ def test_wheel_and_heap_agree_on_random_schedule_programs(chunk):
     per_chunk = PROGRAMS // 8
     for seed in range(chunk * per_chunk, (chunk + 1) * per_chunk):
         steps, callbacks = _program(seed)
-        wheel, heap = _Twin(Simulator(seed)), _Twin(HeapSimulator(seed))
+        kernel, heap = _Twin(Simulator(seed)), _Twin(HeapSimulator(seed))
         for index, step in enumerate(steps):
-            for twin in (wheel, heap):
-                if step[0] == "step":
-                    twin.last = twin.sim.step()
-                elif step[0] == "run_until":
-                    twin.last = twin.sim.run(until=twin.sim.now + step[1])
-                elif step[0] == "run":
-                    twin.last = twin.sim.run()
-                else:
-                    twin.last = twin.apply(step, callbacks)
-            where = f"program seed={seed}, slice {index} {step}"
-            assert wheel.last == heap.last, where
-            assert wheel.state() == heap.state(), where
+            results = [twin.step(step, callbacks) for twin in (kernel, heap)]
+            where = f"program seed={seed}, slice {index} {step[0]}"
+            assert results[0] == results[1], where
+            assert kernel.state() == heap.state(), where
         # Drain what is left (a callback's stop() ends a run early): both
         # must run dry at the same instant.
-        while wheel.sim.pending_events or heap.sim.pending_events:
-            assert wheel.sim.run() == heap.sim.run(), f"program seed={seed}, drain"
-            assert wheel.state() == heap.state(), f"program seed={seed}, drain"
+        while kernel.sim.pending_events or heap.sim.pending_events:
+            assert kernel.sim.run() == heap.sim.run(), f"program seed={seed}, drain"
+            assert kernel.state() == heap.state(), f"program seed={seed}, drain"
 
 
 def test_the_fuzzer_reaches_every_queue_structure_and_operation():
     # The differential test is only as good as its programs: across the run
     # every operation kind must occur, at top level and inside callbacks,
-    # and delays must land on both sides of the wheel horizon.
-    kinds, nested, beyond, within = set(), set(), 0, 0
+    # delays must reach from the current instant to beyond 205 s, and the
+    # kernel must compact its queue in a fair number of programs.
+    kinds, nested, beyond, within, compacting = set(), set(), 0, 0, 0
     for seed in range(PROGRAMS):
         steps, callbacks = _program(seed)
         kinds.update(step[0] for step in steps)
@@ -154,10 +184,15 @@ def test_the_fuzzer_reaches_every_queue_structure_and_operation():
             nested.update(op[0] for op in ops)
         for op in steps:
             if op[0] == "schedule":
-                beyond += op[2] > HORIZON
-                within += 0.0 < op[2] < HORIZON
+                beyond += op[2] > 204.8
+                within += 0.0 < op[2] < 204.8
+        twin = _Twin(Simulator(seed))
+        for step in steps:
+            twin.step(step, callbacks)
+        compacting += twin.compactions > 0
     everything = {"schedule", "schedule_at", "call_soon", "cancel", "stop",
                   "clear"}
-    assert kinds == everything | {"step", "run_until", "run"}
+    assert kinds == everything | {"step", "run_until", "run", "burst"}
     assert nested == everything
     assert beyond > 100 and within > 100
+    assert compacting >= 10

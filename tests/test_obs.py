@@ -372,14 +372,14 @@ def test_metrics_identical_across_kernels(monkeypatch):
     from repro.apps.chord import run_chord_scenario
 
     config = RunConfig(nodes=10, hosts=6, seed=5, duration="short", metrics=True)
-    wheel = run_chord_scenario(config, lookups=10)["metrics"]
+    kernel = run_chord_scenario(config, lookups=10)["metrics"]
     use_kernel(monkeypatch, "heap")
     heap = run_chord_scenario(config, lookups=10)["metrics"]
-    assert wheel["network"] == heap["network"]
-    assert wheel["rpc"] == heap["rpc"]
-    assert wheel["job"]["registry"] == heap["job"]["registry"]
+    assert kernel["network"] == heap["network"]
+    assert kernel["rpc"] == heap["rpc"]
+    assert kernel["job"]["registry"] == heap["job"]["registry"]
     for counter in ("events_dispatched", "events_cancelled"):
-        assert wheel["kernel"][counter] == heap["kernel"][counter]
+        assert kernel["kernel"][counter] == heap["kernel"][counter]
 
 
 # ----------------------------------------------------------- CLI + tool smoke

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 _REPO = Path(__file__).resolve().parent.parent
 _TOOLS = _REPO / "tools"
 
@@ -76,19 +78,17 @@ def test_gen_availability_trace_defaults_reproduce_the_bundled_file(tmp_path, ca
 
 
 def _write_scale_csv(path):
-    from repro.apps.scenarios import BENCH_CSV_COLUMNS, write_bench_csv
+    from repro.apps.scenarios import write_bench_csv
 
-    rows = [
-        {"row_type": "kernel", "kernel": "wheel", "nodes": 50},  # skipped
-        {"row_type": "scale", "workload": "chord", "kernel": "wheel",
-         "nodes": 1000, "hosts": 500, "events_executed": 500000,
-         "events_per_sec": 50000.0, "wall_sec": 10.0, "peak_rss_kb": 200000},
-        {"row_type": "scale", "workload": "chord", "kernel": "wheel",
-         "nodes": 5000, "hosts": 2500, "events_executed": 2500000,
-         "events_per_sec": 45000.0, "wall_sec": 55.0, "peak_rss_kb": 800000},
+    rows = [  # written largest first: the reader sorts by size
+        {"workload": "chord", "nodes": 5000, "hosts": 2500,
+         "events_executed": 2500000, "events_per_sec": 45000.0,
+         "wall_sec": 55.0, "peak_rss_kb": 800000},
+        {"workload": "chord", "nodes": 1000, "hosts": 500,
+         "events_executed": 500000, "events_per_sec": 50000.0,
+         "wall_sec": 10.0, "peak_rss_kb": 200000},
     ]
     write_bench_csv(str(path), rows)
-    assert BENCH_CSV_COLUMNS[0] == "row_type"
 
 
 def test_plot_scale_reads_only_scale_rows_and_derives_ratios(tmp_path, capsys):
@@ -97,6 +97,10 @@ def test_plot_scale_reads_only_scale_rows_and_derives_ratios(tmp_path, capsys):
     _write_scale_csv(csv_path)
     rows = plot_scale.read_scale_rows(str(csv_path))
     assert [int(r["nodes"]) for r in rows] == [1000, 5000]
+    no_header = tmp_path / "other.csv"
+    no_header.write_text("latency_ms,fraction\n12.5,0.5\n")
+    with pytest.raises(ValueError, match="expected a 'scenarios bench' CSV"):
+        plot_scale.read_scale_rows(str(no_header))
     status = plot_scale.main([str(csv_path)])
     out = capsys.readouterr().out
     assert status == 0
@@ -111,7 +115,7 @@ def test_plot_scale_reads_only_scale_rows_and_derives_ratios(tmp_path, capsys):
 def test_plot_scale_rejects_csv_without_scale_rows(tmp_path, capsys):
     plot_scale = _load("plot_scale")
     csv_path = tmp_path / "empty.csv"
-    csv_path.write_text("row_type,nodes\nkernel,50\n")
+    csv_path.write_text("nodes,events_per_sec\n")
     status = plot_scale.main([str(csv_path)])
     assert status == 2
     assert "no scale rows" in capsys.readouterr().err

@@ -27,15 +27,15 @@ from typing import List, Optional
 
 
 def read_scale_rows(path: str) -> List[dict]:
-    """Read the ``scale`` rows of a bench CSV (other row types are skipped)."""
+    """Read the rows of a bench CSV, smallest deployment first."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows or "row_type" not in rows[0]:
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    if "events_per_sec" not in (reader.fieldnames or ()):
         raise ValueError(f"{path}: expected a 'scenarios bench' CSV header")
-    scale = [r for r in rows if r["row_type"] == "scale"]
-    if not scale:
+    if not rows:
         raise ValueError(f"{path}: no scale rows (generate with scenarios bench)")
-    return sorted(scale, key=lambda r: int(r["nodes"]))
+    return sorted(rows, key=lambda r: int(r["nodes"]))
 
 
 def _float(row: dict, key: str) -> float:
@@ -172,8 +172,7 @@ def cost_curve_svg(rows: List[dict]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Summarise a 'scenarios bench' CSV")
-    parser.add_argument("csv", help="bench_scale.csv (or any bench CSV "
-                                    "containing scale rows)")
+    parser.add_argument("csv", help="bench_scale.csv (a 'scenarios bench' CSV)")
     parser.add_argument("--out", type=str, default=None, metavar="FILE.svg",
                         help="also write the per-event-cost-vs-N curve "
                              "as a stdlib-rendered SVG to FILE.svg")
