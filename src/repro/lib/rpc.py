@@ -40,6 +40,7 @@ from repro.net.message import Message
 from repro.sim.events_api import Events
 from repro.sim.futures import Future, FutureState
 from repro.sim.kernel import ScheduledEvent
+from repro.sim.process import Process
 
 
 class RpcError(Exception):
@@ -181,9 +182,12 @@ class RpcService:
         tracer = self._tracer
         if type(result) is GeneratorType:
             # Coroutine handler: run it on the app context, reply when done.
+            # The reply is its done-callback from the start, so a handler
+            # failing in its first (in-place) step is an answer, not an
+            # unobserved failure.
             started = self.sim._now
-            process = self.events.thread(lambda: result,
-                                         name=f"{self.events.context.name}.rpc.{method}")
+            context = self.events.context
+            process = Process(self.sim, result, name=f"{context.name}.rpc.{method}")
 
             def _finish(fut: Future) -> None:
                 if tracer is not None:
@@ -198,6 +202,7 @@ class RpcService:
                 # exactly as with a crashed remote process.
 
             process.done.add_done_callback(_finish)
+            context.track_process(process.start())
         else:
             if tracer is not None:
                 # Synchronous handler: zero-duration span at the serve instant.

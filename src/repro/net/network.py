@@ -85,6 +85,10 @@ class Network:
     strict:
         If ``True``, exceptions raised by message handlers propagate (useful
         in unit tests); otherwise they are recorded in :attr:`stats`.
+
+    The network also counts, in ``stats.handler_errors``, every coroutine on
+    ``sim`` that ends with an exception no done-callback observes
+    (``Simulator.unobserved_failure``).
     """
 
     def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None,
@@ -98,6 +102,10 @@ class Network:
         self.strict = strict
         self.hosts: Dict[str, Any] = {}
         self.stats = NetworkStats()
+        # A coroutine that ends with an exception nobody observes is a bug
+        # like a raising message handler (its steps mostly run inside a
+        # delivery anyway): one counter fails the run for both.
+        sim.unobserved_failure = self.stats.record_error
         # Keyed by (ip, port) tuples rather than Address objects: tuple
         # hashing/equality run in C (the IPs are interned strings, so probes
         # are pointer compares), and this dict sits on the per-message path.

@@ -131,10 +131,12 @@ class PeriodicTask:
         events = self._events
         if self.cancelled or not events.context.alive:
             return
-        events.thread(self._fn, name=self._name)
+        # Re-arm first: the firing's first step runs in place, and may end
+        # the instance (events.exit), which must cancel the next firing.
         sim, jitter = events.sim, self._jitter
         delay = self._interval + (sim.rng.uniform(0.0, jitter) if jitter else 0.0)
         self._current = sim.schedule(delay, self._fire)
+        events.thread(self._fn, name=self._name)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -161,7 +163,13 @@ class Events:
 
     # --------------------------------------------------------------- threads
     def thread(self, fn: Callable[..., Any], *args: Any, name: str = "", delay: float = 0.0) -> Process:
-        """Spawn ``fn(*args)`` as a new coroutine ("thread" in SPLAY terms)."""
+        """Spawn ``fn(*args)`` as a new coroutine ("thread" in SPLAY terms).
+
+        With no delay, called from an event (not from a coroutine), the
+        first step runs before this returns.  The thread is tracked after
+        that step: one that ended its own instance (events.exit) is killed
+        at its first yield, never left registered.
+        """
         # Plain functions and bound methods carry the answer in a code flag;
         # only partials and callable objects need inspect's unwrapping.
         code = getattr(fn, "__code__", None)

@@ -19,6 +19,12 @@ the traffic that cancelled it by more than one such compaction.
 with no compaction.  A differential schedule fuzzer
 (``tests/test_kernel_fuzz.py``) and the scenario-level digest tests hold this
 kernel to its ``(time, seq)`` execution order event for event.
+
+While :meth:`Simulator.run` or :meth:`Simulator.step` dispatches an event
+and no coroutine's generator is executing, ``_resume_inline`` is true: a
+completing future then resumes the coroutine waiting on it, and a process
+started with no delay takes its first step, inside the event that caused it
+(``repro.sim.process``) instead of one zero-delay event later.
 """
 
 from __future__ import annotations
@@ -138,6 +144,13 @@ class Simulator:
         #: origin-stamping hook (obs tracing only; the sanitizer stamps
         #: through its own note_scheduled when both are installed)
         self._obs_stamp = None
+        #: true while run()/step() dispatches an event and no coroutine's
+        #: generator is executing (Process._step clears it around send/throw)
+        self._resume_inline = False
+        #: told ``"<process name>: <exception repr>"`` when a coroutine ends
+        #: with an exception that no done-callback observes; the network
+        #: installs its error counter here, None drops the report
+        self.unobserved_failure: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -267,7 +280,12 @@ class Simulator:
         event = self._pop_next()
         if event is None:
             return False
-        self._execute(event)
+        inline = self._resume_inline
+        self._resume_inline = True
+        try:
+            self._execute(event)
+        finally:
+            self._resume_inline = inline
         self._recycle(event)
         return True
 
@@ -301,37 +319,42 @@ class Simulator:
         # Hoisted once per run(): observability installs before the run
         # starts, so the per-event test is a local load, not an attribute.
         obs = self._obs
-        while not self._stop_requested:
-            if not queue:
-                if until is not None and self._now < until:
+        inline = self._resume_inline
+        self._resume_inline = True
+        try:
+            while not self._stop_requested:
+                if not queue:
+                    if until is not None and self._now < until:
+                        self._now = until
+                    break
+                entry = queue[0]
+                if entry[0] > horizon:
                     self._now = until
-                break
-            entry = queue[0]
-            if entry[0] > horizon:
-                self._now = until
-                break
-            heappop(queue)
-            event = entry[2]
-            if event.cancelled:
-                self._ghosts -= 1
-            else:
-                if self._san is not None:
-                    self._san.before_execute(event)
-                self._now = entry[0]
-                event.fired = True
-                self._pending -= 1
-                self.executed_events += 1
-                if obs is None:
-                    event.callback(*event.args)
+                    break
+                heappop(queue)
+                event = entry[2]
+                if event.cancelled:
+                    self._ghosts -= 1
                 else:
-                    obs.run_event(event)
-            # refs here: the popped entry tuple + the event local +
-            # getrefcount's argument.  More means an external handle exists.
-            if _getrefcount is not None and _getrefcount(event) == 3 \
-                    and len(free) < _FREE_LIST_MAX:
-                event.callback = None
-                event.args = ()
-                free.append(event)
+                    if self._san is not None:
+                        self._san.before_execute(event)
+                    self._now = entry[0]
+                    event.fired = True
+                    self._pending -= 1
+                    self.executed_events += 1
+                    if obs is None:
+                        event.callback(*event.args)
+                    else:
+                        obs.run_event(event)
+                # refs here: the popped entry tuple + the event local +
+                # getrefcount's argument.  More means an external handle exists.
+                if _getrefcount is not None and _getrefcount(event) == 3 \
+                        and len(free) < _FREE_LIST_MAX:
+                    event.callback = None
+                    event.args = ()
+                    free.append(event)
+        finally:
+            self._resume_inline = inline
         return self._now
 
     def stop(self) -> None:

@@ -17,6 +17,15 @@ be yielded to block:
 
 The return value of the generator (via ``return value``) becomes the result
 of the process's :attr:`Process.done` future.
+
+A coroutine continues where its future completes: while the kernel
+dispatches an event and no generator is executing
+(``Simulator._resume_inline``), a completing future steps its waiting
+process in place, and ``start()`` with no delay takes the first step in
+place.  Everywhere else — outside ``run()``/``step()``, inside a coroutine
+step or a kill, a future already complete when yielded, ``yield None`` and
+sleeps — the step is a scheduled event, so no generator is ever entered
+while another one executes.
 """
 
 from __future__ import annotations
@@ -75,11 +84,18 @@ class Process:
 
     # ------------------------------------------------------------- lifecycle
     def start(self, delay: float = 0.0) -> "Process":
-        """Schedule the first step of the coroutine ``delay`` seconds from now."""
+        """Run the first step of the coroutine ``delay`` seconds from now.
+
+        With no delay, inside an event and outside any coroutine step, the
+        first step runs before this returns.
+        """
         if self._started:
             raise RuntimeError(f"{self.name} already started")
         self._started = True
-        self._pending_event = self.sim.schedule(delay, self._first_step)
+        if delay == 0.0 and self.sim._resume_inline:
+            self._first_step()
+        else:
+            self._pending_event = self.sim.schedule(delay, self._first_step)
         return self
 
     def kill(self, reason: str = "killed") -> None:
@@ -87,7 +103,9 @@ class Process:
 
         The :class:`ProcessKilled` exception is raised at the coroutine's
         current yield point so that ``finally`` blocks run; the ``done``
-        future is cancelled.
+        future is cancelled.  Whatever the kill completes resumes its
+        waiters one event later, as from inside a coroutine step: a waiter
+        in the same dying instance is then killed before it would run.
         """
         if self.done.done() or self._killed:
             return
@@ -98,25 +116,31 @@ class Process:
         if self._waiting_on is not None:
             # Detach: the future may still complete but we will ignore it.
             self._waiting_on = None
-        if self._generator is not None:
-            try:
-                self._generator.throw(ProcessKilled(reason))
-            except (ProcessKilled, StopIteration):
-                pass
-            except Exception:
-                # Application cleanup code misbehaving must not take down the
-                # simulator; the process is being killed regardless.  This
-                # also covers a coroutine killing *itself* (e.g. via
-                # events.exit()): throw/close on the currently-executing
-                # generator raise ValueError, and the _step frame driving it
-                # observes _killed and stops at the next opportunity.
-                pass
-            finally:
+        sim = self.sim
+        inline = sim._resume_inline
+        sim._resume_inline = False
+        try:
+            if self._generator is not None:
                 try:
-                    self._generator.close()
-                except Exception:
+                    self._generator.throw(ProcessKilled(reason))
+                except (ProcessKilled, StopIteration):
                     pass
-        self.done.cancel()
+                except Exception:
+                    # Application cleanup code misbehaving must not take down
+                    # the simulator; the process is being killed regardless.
+                    # This also covers a coroutine killing *itself* (e.g. via
+                    # events.exit()): throw/close on the currently-executing
+                    # generator raise ValueError, and the _step frame driving
+                    # it observes _killed and stops at the next opportunity.
+                    pass
+                finally:
+                    try:
+                        self._generator.close()
+                    except Exception:
+                        pass
+            self.done.cancel()
+        finally:
+            sim._resume_inline = inline
 
     @property
     def alive(self) -> bool:
@@ -132,8 +156,7 @@ class Process:
             try:
                 result = self._plain_callable()
             except Exception as exc:  # noqa: BLE001 - propagate via the future
-                if self.done._state is _PENDING:
-                    self.done.set_exception(exc)
+                self._fail(exc)
                 return
             if isinstance(result, GeneratorType):
                 # A callable returning a generator is treated as a coroutine.
@@ -148,23 +171,31 @@ class Process:
         self._step(None, None)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        san = self.sim._san
+        sim = self.sim
+        san = sim._san
         if san is not None:
-            pending = self._pending_event
-            # The armed step event is marked fired before its callback runs,
-            # so a still-pending event here means a second resumption path
-            # (not the one that armed it) is driving the coroutine.
-            if pending is not None and not pending.fired and not pending.cancelled:
-                san.double_step(self, pending)
+            san.check_step(self)
         self._pending_event = None
         if self._killed or self.done._state is not _PENDING:
             return
         assert self._generator is not None
+        # No future completed by the coroutine resumes anyone in place while
+        # its generator executes; the flag is back before the yielded value
+        # is handled (or ``done`` completed), outside the generator.
+        inline = sim._resume_inline
+        sim._resume_inline = False
+        if san is not None:
+            outer, san.stepping = san.stepping, self
         try:
-            if exc is not None:
-                yielded = self._generator.throw(exc)
-            else:
-                yielded = self._generator.send(value)
+            try:
+                if exc is not None:
+                    yielded = self._generator.throw(exc)
+                else:
+                    yielded = self._generator.send(value)
+            finally:
+                sim._resume_inline = inline
+                if san is not None:
+                    san.stepping = outer
         except StopIteration as stop:
             # A coroutine that killed itself (events.exit) returns here with
             # ``done`` already cancelled; completing it again would be the
@@ -176,8 +207,7 @@ class Process:
             self.done.cancel()
             return
         except Exception as error:  # noqa: BLE001 - propagate via the future
-            if self.done._state is _PENDING:
-                self.done.set_exception(error)
+            self._fail(error)
             return
         # What the coroutine yielded says what it waits for.
         if type(yielded) is Future:
@@ -185,26 +215,31 @@ class Process:
             # yield in the workloads.
             future = yielded
         elif yielded is None:
-            self._pending_event = self.sim.schedule(0.0, self._step, None, None)
+            self._pending_event = sim.schedule(0.0, self._step, None, None)
             return
         elif isinstance(yielded, (int, float)):
-            self._pending_event = self.sim.schedule(float(yielded), self._step, None, None)
+            self._pending_event = sim.schedule(float(yielded), self._step, None, None)
             return
         elif isinstance(yielded, Future):
             future = yielded
         elif isinstance(yielded, Process):
             future = yielded.done
         elif isinstance(yielded, GeneratorType):
-            child = Process(self.sim, yielded, name=f"{self.name}.child")
+            child = Process(sim, yielded, name=f"{self.name}.child")
             child.start()
             future = child.done
         else:
             self._step(None, TypeError(f"cannot wait on yielded value {yielded!r}"))
             return
         self._waiting_on = future
-        future.add_done_callback(self._resume)
+        if future._state is _PENDING:
+            future.add_done_callback(self._resume)
+        else:
+            # Complete already: resuming in place would recurse once per
+            # finished future a loop yields.
+            self._resume(future, inline=False)
 
-    def _resume(self, fut: Future) -> None:
+    def _resume(self, fut: Future, inline: bool = True) -> None:
         """Done-callback of the future this process waits on."""
         if self._waiting_on is not fut:
             return  # the process was killed or re-targeted meanwhile
@@ -212,10 +247,22 @@ class Process:
         if self._killed or self.done._state is not _PENDING:
             return
         if fut._state is _DONE:
-            self._pending_event = self.sim.schedule(0.0, self._step, fut._result, None)
+            value, error = fut._result, None
         else:
-            error = fut._exception or RuntimeError("future cancelled")
-            self._pending_event = self.sim.schedule(0.0, self._step, None, error)
+            value, error = None, fut._exception or RuntimeError("future cancelled")
+        if inline and self.sim._resume_inline:
+            self._step(value, error)
+        else:
+            self._pending_event = self.sim.schedule(0.0, self._step, value, error)
+
+    def _fail(self, error: Exception) -> None:
+        """End with ``error``; report it when no done-callback will see it."""
+        done = self.done
+        if done._state is not _PENDING:
+            return  # killed its own context (events.exit) on the way out
+        if done._callbacks is None and self.sim.unobserved_failure is not None:
+            self.sim.unobserved_failure(f"{self.name}: {error!r}")
+        done.set_exception(error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done.done() else ("running" if self._started else "new")

@@ -15,7 +15,9 @@ directly), cheap observation-only checks run on the hot path:
   query-style no-op and not reported);
 * **process single-step** -- a coroutine must only be resumed by the step
   event it armed (a second resumption path racing it is the aliasing
-  symptom the free-list guards exist to prevent);
+  symptom the free-list guards exist to prevent), and no coroutine step may
+  begin while another coroutine's generator is executing (the re-entrancy
+  in-place resumption must never create);
 * **listener-table consistency** -- after a host is removed, no listener
   entry may keep routing messages to its endpoints;
 * **bandwidth-flow conservation** -- the max-min allocation never hands a
@@ -114,6 +116,8 @@ class Sanitizer:
         #: event itself, so the sanitizer never holds a reference that would
         #: trip the kernel's refcount-gated free-list recycling
         self.current: Optional[tuple] = None
+        #: the process whose generator is executing (set by Process._step)
+        self.stepping: Optional[Any] = None
         #: flight recorder (repro.obs.FlightRecorder) whose last entries are
         #: attached to violation reports; wired by the deployment harness
         self.recorder: Optional[Any] = None
@@ -228,12 +232,25 @@ class Sanitizer:
             provenance=self.current_label())
 
     # ------------------------------------------------------- process seam
-    def double_step(self, process: Any, event: Any) -> None:
-        self.record(
-            "process",
-            f"process {process.name} resumed while its armed step event "
-            f"seq={event.seq} is still pending -- two resumption paths race",
-            provenance=self.current_label())
+    def check_step(self, process: Any) -> None:
+        """A coroutine step begins: one resumption path, no re-entrancy."""
+        pending = process._pending_event
+        # The armed step event is marked fired before its callback runs, so
+        # a still-pending event here means a second resumption path (not the
+        # one that armed it) is driving the coroutine.
+        if pending is not None and not pending.fired and not pending.cancelled:
+            self.record(
+                "process",
+                f"process {process.name} resumed while its armed step event "
+                f"seq={pending.seq} is still pending -- two resumption paths race",
+                provenance=self.current_label())
+        running = self.stepping
+        if running is not None:
+            self.record(
+                "process",
+                f"process {process.name} stepped while the generator of "
+                f"{running.name} is executing -- a re-entrant resumption",
+                provenance=self.current_label())
 
     # ------------------------------------------------------- network seam
     def check_listener_table(self, network: Any) -> None:

@@ -1,10 +1,10 @@
 """Reference oracle: the kernel's binary heap without compaction.
 
 ``HeapSimulator`` is a :class:`repro.sim.kernel.Simulator` — same clock,
-counters, ``ScheduledEvent`` handles, free list and sanitizer / observability
-seams — in which every queue operation (insert, pop, the run loop, cancel,
-clear) is replaced by the simplest possible one over its own ``heapq`` of
-``(time, seq, event)`` entries.  The kernel's queue (``_queue``) and its
+counters, ``ScheduledEvent`` handles, free list, sanitizer / observability
+seams and in-place resumption flag — in which every queue operation
+(insert, pop, the run loop, cancel, clear) is replaced by the simplest
+possible one over its own ``heapq`` of ``(time, seq, event)`` entries.  The kernel's queue (``_queue``) and its
 compaction of cancelled entries are never touched: a cancelled entry here
 waits for its time, so the differential fuzzer compares compaction against
 none.
@@ -83,7 +83,13 @@ class HeapSimulator(Simulator):
                 self._now = until
                 break
             event = heappop(heap)[2]
-            self._execute(event)
+            # the kernel's dispatch rule: a coroutine continues inside the
+            # event that completes its future
+            self._resume_inline = True
+            try:
+                self._execute(event)
+            finally:
+                self._resume_inline = False
             self._recycle(event)
         return self._now
 

@@ -151,6 +151,29 @@ def test_double_resumption_of_a_process_is_caught():
     assert "still pending" in violation.detail
 
 
+def test_step_beginning_inside_another_coroutines_step_is_caught():
+    sim = Simulator()
+    san = Sanitizer(sim, strict=True).install()
+    gate = Future(name="gate")
+
+    def waiter():
+        yield gate
+
+    def intruder():
+        sim._resume_inline = True  # break the dispatch rule by hand
+        gate.set_result("now")     # steps the waiter inside this generator
+        yield 1.0
+
+    Process(sim, waiter(), name="waiter").start()
+    intruder_process = Process(sim, intruder(), name="intruder").start(0.5)
+    sim.run()
+    assert san.counts == {"process": 1}
+    detail = san.violations[0].detail
+    assert "waiter" in detail and "intruder" in detail and "re-entrant" in detail
+    # strict: raised at once, into the coroutine that broke the rule
+    assert isinstance(intruder_process.done.exception(), SanitizerError)
+
+
 def test_normal_process_lifecycle_records_nothing():
     sim, san = _installed()
 
