@@ -236,9 +236,6 @@ chord_factory = ChordNode.factory
 
 
 # ----------------------------------------------------------------- scenario
-DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
-
-
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     """Ground truth: the successor of ``key`` among current ring members."""
     members = job.shared.get("chord_members", [])
@@ -265,38 +262,16 @@ def ring_consistency(job) -> float:
     return whole / len(apps) if apps else 0.0
 
 
-def run_chord_scenario(config: harness.RunConfig, *, lookups: int = 200,
-                       bits: int = 32, spacing: float = 0.25,
-                       probe_interval: float = 2.0) -> dict:
-    """Run the flagship Chord-under-churn scenario and return the report dict.
+class ChordScenario(harness.LookupScenario):
+    """The flagship: Chord under churn, measured by lookups."""
 
-    ``config`` says how the run executes (:class:`repro.apps.harness.RunConfig`:
-    size, seed, testbed, churn, windows, observation flags); the parameters
-    here are the workload's own.
-    """
-    return harness.run_lookup_scenario(
-        "chord", config, chord_factory(), LookupFailed, expected_owner,
-        lookups=lookups, bits=bits, spacing=spacing,
-        probe_interval=probe_interval, default_churn_script=DEFAULT_CHURN_SCRIPT)
+    name = "chord"
+    help = "Chord DHT on a transit-stub network under churn"
+    min_success = 0.99
+    params = (("lookups", 200, "measured lookups after the ring re-converges"),
+              ("bits", 32, "identifier width"))
+    node = ChordNode
+    oracle = staticmethod(expected_owner)
 
 
-def _register() -> None:
-    from repro.apps import registry
-
-    def _add_arguments(parser) -> None:
-        parser.add_argument("--lookups", type=int, default=200,
-                            help="measured lookups after the ring re-converges")
-        parser.add_argument("--bits", type=int, default=32, help="identifier width")
-
-    registry.register(registry.ScenarioSpec(
-        name="chord",
-        help="Chord DHT on a transit-stub network under churn",
-        runner=run_chord_scenario,
-        add_arguments=_add_arguments,
-        make_kwargs=lambda args: {"lookups": args.lookups, "bits": args.bits},
-        ops_label="lookup",
-        default_min_success=0.99,
-    ))
-
-
-_register()
+run_chord_scenario = ChordScenario.runner

@@ -27,6 +27,7 @@ from repro.apps import harness
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.net.bwalloc import BULK
+from repro.sim.process import Process
 
 
 @dataclass
@@ -172,105 +173,86 @@ swarm_factory = SwarmNode.factory
 
 
 # ----------------------------------------------------------------- scenario
-#: gentler than the DHT scripts: the swarm must keep every chunk alive, so
-#: churn starts once the file has had time to spread beyond the seed
-DEFAULT_CHURN_SCRIPT = """\
-at 120s crash 5%
-from 150s to 240s every 30s replace 5%
-"""
-
-
-def run_dissemination_scenario(config: harness.RunConfig, *, chunks: int = 24,
-                               chunk_size: int = 65536) -> dict:
-    """Run the chunk-swarming workload and return the report dict.
+class DisseminationScenario(harness.Scenario):
+    """The chunk-swarming workload.
 
     Every non-seed node is one measured operation: its latency is the time
     from going live to holding all ``chunks`` chunks, and it is *correct*
     when it completed within the horizon.  The horizon scales with the
     churn window plus a settle period so churned-in nodes get their chance.
     """
-    from repro.sim.process import Process
 
-    deployment = harness.deploy(
-        "dissemination", swarm_factory(), config,
-        options={"chunks": chunks, "chunk_size": chunk_size},
-        default_churn_script=DEFAULT_CHURN_SCRIPT)
-    sim, job = deployment.sim, deployment.job
+    name = "dissemination"
+    help = "BitTorrent-style chunk swarming over the bandwidth model"
+    ops_label = "download"
+    report_lines = ("seeds", "downloaders", "chunks_fetched", "seed_uploads",
+                    "transfers_completed")
+    #: gentler than the DHT scripts: the swarm must keep every chunk alive,
+    #: so churn starts once the file has had time to spread beyond the seed
+    default_churn_script = """\
+at 120s crash 5%
+from 150s to 240s every 30s replace 5%
+"""
+    params = (("chunks", 24, "chunks in the disseminated file"),
+              ("chunk_size", 65536, "bytes per chunk (drives the bandwidth model)"))
 
-    horizon = deployment.measure_start + max(120.0, 0.02 * chunks * config.nodes)
+    def app(self) -> tuple:
+        return swarm_factory(), {"chunks": self.chunks, "chunk_size": self.chunk_size}
 
-    def _wait_for_swarm() -> Generator:
-        while sim.now < horizon:
-            # Every live instance counts, joined or not: a churned-in node
-            # still inside its join-stagger window must hold the sim open.
-            apps = [i.app for i in job.live_instances() if i.app is not None]
-            if apps and sim.now > deployment.churn_end and all(
-                    a.joined and a.complete for a in apps):
-                return
-            yield 5.0
+    def start(self, deployment: harness.Deployment) -> tuple:
+        sim, job = deployment.sim, deployment.job
+        horizon = deployment.measure_start + max(120.0, 0.02 * self.chunks * self.config.nodes)
 
-    driver = Process(sim, _wait_for_swarm(), name="workload.swarm-wait")
-    driver.start()
-    harness.drain(deployment, driver, horizon)
+        def _wait_for_swarm() -> Generator:
+            while sim.now < horizon:
+                # Every live instance counts, joined or not: a churned-in node
+                # still inside its join-stagger window must hold the sim open.
+                apps = [i.app for i in job.live_instances() if i.app is not None]
+                if apps and sim.now > deployment.churn_end and all(
+                        a.joined and a.complete for a in apps):
+                    return
+                yield 5.0
 
-    apps = [a for a in harness.joined_apps(job) if not a.is_seed]
-    seeds = [a for a in harness.joined_apps(job) if a.is_seed]
-    results: List[harness.OpResult] = []
-    for index, app in enumerate(apps):
-        done = app.complete and app.completed_at is not None
-        latency = (app.completed_at - app.started_at) if done else sim.now - app.started_at
-        results.append(harness.OpResult(
-            key=index, started_at=app.started_at, latency=latency,
-            hops=len(app.providers), completed=done, correct=done))
+        driver = Process(sim, _wait_for_swarm(), name="workload.swarm-wait")
+        driver.start()
+        return driver, horizon
 
-    report = harness.base_report("dissemination", deployment)
-    report["measured"] = harness.summarise(results)
-    if not results:
-        # Seed-only deployment (nodes=1): nothing to download is vacuous
-        # success, not a failed swarm.
-        report["measured"]["success_rate"] = 1.0
-    fetched = sum(a.stats.chunks_fetched for a in apps)
-    uploaded = sum(a.stats.chunks_uploaded for a in apps + seeds)
-    report["workload"] = {
-        "chunks": chunks,
-        "chunk_size": chunk_size,
-        "file_bytes": chunks * chunk_size,
-        "seeds": len(seeds),
-        "downloaders": len(apps),
-        "chunks_fetched": fetched,
-        "chunks_uploaded": uploaded,
-        "seed_uploads": sum(a.stats.chunks_uploaded for a in seeds),
-        "fetch_failures": sum(a.stats.fetch_failures for a in apps),
-        "busy_rejections": sum(a.stats.busy_rejections for a in apps + seeds),
-        "transfers_started": deployment.network.stats.transfers_started,
-        "transfers_completed": deployment.network.bandwidth.completed,
-    }
-    report["cdf_samples_ms"] = sorted(
-        round(1000.0 * r.latency, 3) for r in results if r.completed)
-    return report
-
-
-def _register() -> None:
-    from repro.apps import registry
-
-    def _add_arguments(parser) -> None:
-        parser.add_argument("--chunks", type=int, default=24,
-                            help="chunks in the disseminated file")
-        parser.add_argument("--chunk-size", type=int, default=65536,
-                            help="bytes per chunk (drives the bandwidth model)")
-
-    registry.register(registry.ScenarioSpec(
-        name="dissemination",
-        help="BitTorrent-style chunk swarming over the bandwidth model",
-        runner=run_dissemination_scenario,
-        add_arguments=_add_arguments,
-        make_kwargs=lambda args: {"chunks": args.chunks,
-                                  "chunk_size": args.chunk_size},
-        ops_label="download",
-        default_min_success=0.95,
-        extra_report_lines=["seeds", "downloaders", "chunks_fetched",
-                            "seed_uploads", "transfers_completed"],
-    ))
+    def sections(self, deployment: harness.Deployment) -> dict:
+        now = deployment.sim.now
+        joined = harness.joined_apps(deployment.job)
+        apps = [a for a in joined if not a.is_seed]
+        seeds = [a for a in joined if a.is_seed]
+        results: List[harness.OpResult] = []
+        for index, app in enumerate(apps):
+            done = app.complete and app.completed_at is not None
+            latency = (app.completed_at if done else now) - app.started_at
+            results.append(harness.OpResult(
+                key=index, started_at=app.started_at, latency=latency,
+                hops=len(app.providers), completed=done, correct=done))
+        measured = harness.summarise(results)
+        if not results:
+            # Seed-only deployment (nodes=1): nothing to download is vacuous
+            # success, not a failed swarm.
+            measured["success_rate"] = 1.0
+        return {
+            "measured": measured,
+            "workload": {
+                "chunks": self.chunks,
+                "chunk_size": self.chunk_size,
+                "file_bytes": self.chunks * self.chunk_size,
+                "seeds": len(seeds),
+                "downloaders": len(apps),
+                "chunks_fetched": sum(a.stats.chunks_fetched for a in apps),
+                "chunks_uploaded": sum(a.stats.chunks_uploaded for a in apps + seeds),
+                "seed_uploads": sum(a.stats.chunks_uploaded for a in seeds),
+                "fetch_failures": sum(a.stats.fetch_failures for a in apps),
+                "busy_rejections": sum(a.stats.busy_rejections for a in apps + seeds),
+                "transfers_started": deployment.network.stats.transfers_started,
+                "transfers_completed": deployment.network.bandwidth.completed,
+            },
+            "cdf_samples_ms": sorted(round(1000.0 * r.latency, 3)
+                                     for r in results if r.completed),
+        }
 
 
-_register()
+run_dissemination_scenario = DisseminationScenario.runner

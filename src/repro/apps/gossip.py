@@ -25,6 +25,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 from repro.apps import harness
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
+from repro.sim.process import Process
 from repro.sim.rng import substream
 
 
@@ -224,14 +225,8 @@ gossip_factory = GossipNode.factory
 
 
 # ----------------------------------------------------------------- scenario
-#: identical timeline to the DHT flagship scripts
-DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
-
-
-def run_gossip_scenario(config: harness.RunConfig, *, broadcasts: int = 100,
-                        spacing: float = 1.0, eval_window: float = 30.0,
-                        fanout: int = 3, view_size: int = 8) -> dict:
-    """Run the epidemic-broadcast workload and return the report dict.
+class GossipScenario(harness.Scenario):
+    """The epidemic-broadcast workload.
 
     ``broadcasts`` messages are published from random live nodes once churn
     has finished and the membership re-converged; each message is evaluated
@@ -239,96 +234,79 @@ def run_gossip_scenario(config: harness.RunConfig, *, broadcasts: int = 100,
     as *correct* when every live member delivered it, its latency is the
     time to full coverage, and its hop count is the longest push chain.
     """
-    from repro.sim.process import Process
 
-    broadcasts = harness.scaled_ops(broadcasts, config.duration)
-    deployment = harness.deploy(
-        "gossip", gossip_factory(), config,
-        options={"fanout": fanout, "view_size": view_size},
-        default_churn_script=DEFAULT_CHURN_SCRIPT)
-    sim, job = deployment.sim, deployment.job
+    name = "gossip"
+    help = "Cyclon membership + anti-entropy epidemic broadcast"
+    ops_label = "broadcast"
+    report_lines = ("delivery_ratio_mean", "delivery_ratio_min")
+    params = (("broadcasts", 100, "measured broadcasts once membership re-converges"),
+              ("fanout", 3, "eager-push degree per fresh delivery"),
+              ("view_size", 8, "Cyclon partial-view capacity"))
+    #: seconds between publications, and from the last one to the evaluation
+    spacing = 1.0
+    eval_window = 30.0
 
-    published: List[Tuple[str, float]] = []
-    rng = substream(config.seed, "workload")
+    def app(self) -> tuple:
+        return gossip_factory(), {"fanout": self.fanout, "view_size": self.view_size}
 
-    def _publish_stream() -> Generator:
-        for index in range(broadcasts):
-            apps = harness.joined_apps(job)
-            if not apps:
-                yield spacing
-                continue
-            origin = rng.choice(sorted(apps, key=lambda a: (a.me.ip, a.me.port)))
-            message_id = f"m{index:05d}"
-            origin.publish(message_id)
-            published.append((message_id, sim.now))
-            yield spacing
+    def start(self, deployment: harness.Deployment) -> tuple:
+        sim, job = deployment.sim, deployment.job
+        broadcasts = harness.scaled_ops(self.broadcasts, self.config.duration)
+        rng = substream(self.config.seed, "workload")
+        self.published: List[Tuple[str, float]] = []
 
-    driver = Process(sim, _publish_stream(), name="workload.publish")
-    driver.start(delay=deployment.measure_start)
-    horizon = deployment.measure_start + broadcasts * spacing + eval_window
-    harness.drain(deployment, driver, horizon)
-    sim.run(until=horizon)
+        def _publish_stream() -> Generator:
+            for index in range(broadcasts):
+                apps = harness.joined_apps(job)
+                if not apps:
+                    yield self.spacing
+                    continue
+                origin = rng.choice(sorted(apps, key=lambda a: (a.me.ip, a.me.port)))
+                message_id = f"m{index:05d}"
+                origin.publish(message_id)
+                self.published.append((message_id, sim.now))
+                yield self.spacing
 
-    # Evaluate coverage over the members that are live (and joined) now —
-    # churn ends before the measured phase, so this is the stable population.
-    apps = harness.joined_apps(job)
-    results: List[harness.OpResult] = []
-    delivery_latencies_ms: List[float] = []
-    ratios: List[float] = []
-    for index, (message_id, published_at) in enumerate(published):
-        records = [a.store[message_id] for a in apps if message_id in a.store]
-        ratio = len(records) / len(apps) if apps else 0.0
-        ratios.append(ratio)
-        latencies = [r.received_at - published_at for r in records]
-        delivery_latencies_ms.extend(1000.0 * value for value in latencies)
-        covered = bool(apps) and len(records) == len(apps)
-        results.append(harness.OpResult(
-            key=index, started_at=published_at,
-            latency=max(latencies) if latencies else 0.0,
-            hops=max((r.hops for r in records), default=0),
-            completed=bool(records), correct=covered))
+        Process(sim, _publish_stream(), name="workload.publish").start(
+            delay=deployment.measure_start)
+        return None, (deployment.measure_start + broadcasts * self.spacing
+                      + self.eval_window)
 
-    report = harness.base_report("gossip", deployment)
-    report["measured"] = harness.summarise(results)
-    by_via = {"publish": 0, "push": 0, "anti-entropy": 0}
-    for app in apps:
-        for record in app.store.values():
-            by_via[record.via] = by_via.get(record.via, 0) + 1
-    report["workload"] = {
-        "broadcasts": len(published),
-        "delivery_ratio_mean": (sum(ratios) / len(ratios)) if ratios else 0.0,
-        "delivery_ratio_min": min(ratios) if ratios else 0.0,
-        "deliveries_by_via": by_via,
-        "fanout": fanout,
-        "view_size": view_size,
-    }
-    report["cdf_samples_ms"] = sorted(round(v, 3) for v in delivery_latencies_ms)
-    return report
-
-
-def _register() -> None:
-    from repro.apps import registry
-
-    def _add_arguments(parser) -> None:
-        parser.add_argument("--broadcasts", type=int, default=100,
-                            help="measured broadcasts once membership re-converges")
-        parser.add_argument("--fanout", type=int, default=3,
-                            help="eager-push degree per fresh delivery")
-        parser.add_argument("--view-size", type=int, default=8,
-                            help="Cyclon partial-view capacity")
-
-    registry.register(registry.ScenarioSpec(
-        name="gossip",
-        help="Cyclon membership + anti-entropy epidemic broadcast",
-        runner=run_gossip_scenario,
-        add_arguments=_add_arguments,
-        make_kwargs=lambda args: {"broadcasts": args.broadcasts,
-                                  "fanout": args.fanout,
-                                  "view_size": args.view_size},
-        ops_label="broadcast",
-        default_min_success=0.95,
-        extra_report_lines=["delivery_ratio_mean", "delivery_ratio_min"],
-    ))
+    def sections(self, deployment: harness.Deployment) -> dict:
+        # Coverage over the members that are live (and joined) now — churn
+        # ends before the measured phase, so this is the stable population.
+        apps = harness.joined_apps(deployment.job)
+        results: List[harness.OpResult] = []
+        delivery_latencies_ms: List[float] = []
+        ratios: List[float] = []
+        for index, (message_id, published_at) in enumerate(self.published):
+            records = [a.store[message_id] for a in apps if message_id in a.store]
+            ratio = len(records) / len(apps) if apps else 0.0
+            ratios.append(ratio)
+            latencies = [r.received_at - published_at for r in records]
+            delivery_latencies_ms.extend(1000.0 * value for value in latencies)
+            covered = bool(apps) and len(records) == len(apps)
+            results.append(harness.OpResult(
+                key=index, started_at=published_at,
+                latency=max(latencies) if latencies else 0.0,
+                hops=max((r.hops for r in records), default=0),
+                completed=bool(records), correct=covered))
+        by_via = {"publish": 0, "push": 0, "anti-entropy": 0}
+        for app in apps:
+            for record in app.store.values():
+                by_via[record.via] = by_via.get(record.via, 0) + 1
+        return {
+            "measured": harness.summarise(results),
+            "workload": {
+                "broadcasts": len(self.published),
+                "delivery_ratio_mean": (sum(ratios) / len(ratios)) if ratios else 0.0,
+                "delivery_ratio_min": min(ratios) if ratios else 0.0,
+                "deliveries_by_via": by_via,
+                "fanout": self.fanout,
+                "view_size": self.view_size,
+            },
+            "cdf_samples_ms": sorted(round(v, 3) for v in delivery_latencies_ms),
+        }
 
 
-_register()
+run_gossip_scenario = GossipScenario.runner

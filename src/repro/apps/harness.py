@@ -26,14 +26,16 @@ Public entry points: :class:`RunConfig` (the one description of a run's
 execution options), :class:`OverlayNode` / :class:`RoutingNode` (what the
 applications are built on), :func:`deploy` (+ :class:`Deployment`),
 :func:`scaled_windows` / :func:`scaled_ops` (duration presets),
-:func:`run_lookup_scenario` / :func:`lookup_stream` / :func:`drain`
-(drivers), and :func:`base_report` / :func:`summarise` /
-:func:`report_digest` / :func:`write_cdf` (reporting).
+:class:`Scenario` / :class:`LookupScenario` (a workload declared once, and
+the one pipeline that runs it), :func:`lookup_stream` / :func:`drain`, and
+:func:`base_report` / :func:`summarise` / :func:`report_digest` /
+:func:`write_cdf` (reporting).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -246,19 +248,25 @@ class RunConfig:
             if value is not None and value < 0:
                 raise ValueError(f"{name} must not be negative, not {value:g}")
 
-    def resolved(self, default_churn_script: str) -> "RunConfig":
+    def resolved(self) -> "RunConfig":
         """This run with its deployment-dependent defaults filled in.
 
-        The windows become numbers (:func:`scaled_windows`) and ``churn``
-        without an explicit script becomes ``default_churn_script``.
+        ``hosts`` becomes the testbed's default for ``nodes`` (at most
+        :data:`MAX_HOSTS`) and the windows become numbers
+        (:func:`scaled_windows`).  ``churn`` names no script of its own: a
+        :class:`Scenario` supplies its ``default_churn_script``, and a bare
+        ``churn`` is a :class:`ValueError` rather than a run without churn.
         """
+        if self.churn and self.churn_script is None:
+            raise ValueError("churn is set but no churn_script says what it replays")
+        hosts = (self.hosts if self.hosts is not None
+                 else get_testbed(self.testbed).default_hosts(self.nodes))
+        if hosts > MAX_HOSTS:
+            raise ValueError(f"cannot lay out {hosts} hosts: the address plan "
+                             f"supports at most {MAX_HOSTS}")
         join_window, settle = scaled_windows(self.nodes, self.join_window,
                                              self.settle, self.duration)
-        script = self.churn_script
-        if script is None and self.churn:
-            script = default_churn_script
-        return replace(self, join_window=join_window, settle=settle,
-                       churn_script=script)
+        return replace(self, hosts=hosts, join_window=join_window, settle=settle)
 
 
 # ----------------------------------------------------------------- deployment
@@ -266,8 +274,7 @@ class RunConfig:
 class Deployment:
     """Everything a workload driver needs after the job is running."""
 
-    #: the run's options, resolved (windows are numbers, ``churn_script`` is
-    #: the script that replays)
+    #: the run's options, resolved (hosts and windows are numbers)
     config: RunConfig
     sim: Simulator
     network: Network
@@ -325,17 +332,14 @@ def scaled_ops(ops: int, duration: str) -> int:
 
 
 def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
-           *, options: Optional[dict] = None,
-           default_churn_script: str = FLAGSHIP_CHURN_SCRIPT,
-           **fields) -> Deployment:
+           *, options: Optional[dict] = None, **fields) -> Deployment:
     """Build the substrate, register daemons, submit and start the job.
 
     ``config`` (default: ``RunConfig()``) with ``fields`` applied on top —
     ``deploy(name, factory, nodes=40, seed=3)`` and
     ``deploy(name, factory, RunConfig(nodes=40, seed=3))`` are the same call
     — says how; see :class:`RunConfig` for every option.  ``options`` are the
-    job options handed to each application instance, and
-    ``default_churn_script`` is the script ``config.churn`` stands for.
+    job options handed to each application instance.
 
     Whatever the testbed, one splayd per host is registered with enough
     instance slots for the deployment plus churn headroom; a churn script and
@@ -346,56 +350,59 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
     ``bw_alloc`` is the one execution option that can move one.
     """
     wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
-    config = replace(config or RunConfig(), **fields).resolved(default_churn_script)
+    config = replace(config or RunConfig(), **fields).resolved()
     nodes, seed = config.nodes, config.seed
     policy = None
     if config.gc_policy != "off":
         from repro.sim.gcpolicy import GCPolicy
         policy = GCPolicy(config.gc_policy).engage()
-    sim = Simulator(seed)
-    sanitizer = None
-    if config.sanitize:
-        from repro.sim.sanitizer import Sanitizer
-        sanitizer = Sanitizer(sim).install()
-    observability = None
-    if (config.metrics or config.trace_out is not None or config.profile
-            or config.sanitize):
-        from repro.obs import Observability
-        observability = Observability(sim, metrics=config.metrics,
-                                      tracing=config.trace_out is not None,
-                                      profile=config.profile).install()
+    try:
+        sim = Simulator(seed)
+        sanitizer = None
+        if config.sanitize:
+            from repro.sim.sanitizer import Sanitizer
+            sanitizer = Sanitizer(sim).install()
+        observability = None
+        if (config.metrics or config.trace_out is not None or config.profile
+                or config.sanitize):
+            from repro.obs import Observability
+            observability = Observability(sim, metrics=config.metrics,
+                                          tracing=config.trace_out is not None,
+                                          profile=config.profile).install()
+            if sanitizer is not None:
+                # Violation reports pick up the last-K ring entries.
+                sanitizer.recorder = observability.recorder
+        host_count = config.hosts
+        ips = host_ips(host_count)
+        built = get_testbed(config.testbed).build(sim, ips, seed)
+        network = built.network
+        network.bandwidth.configure(allocator=config.bw_alloc)
         if sanitizer is not None:
-            # Violation reports pick up the last-K ring entries.
-            sanitizer.recorder = observability.recorder
-    testbed_spec = get_testbed(config.testbed)
-    host_count = (config.hosts if config.hosts is not None
-                  else testbed_spec.default_hosts(nodes))
-    ips = host_ips(host_count)
+            sanitizer.watch_network(network)
 
-    built = testbed_spec.build(sim, ips, seed)
-    network = built.network
-    network.bandwidth.configure(allocator=config.bw_alloc)
-    if sanitizer is not None:
-        sanitizer.watch_network(network)
+        controller = Controller(sim, network, seed=seed, shards=config.ctl_shards)
+        # Every host gets the same limits, so they share the one object.
+        limits = SplaydLimits(max_instances=max(2, math.ceil(nodes / host_count) + 2))
+        for ip in ips:
+            controller.register_daemon(Splayd(sim, network, ip, limits))
 
-    controller = Controller(sim, network, seed=seed, shards=config.ctl_shards)
-    # Every host gets the same limits, so they share the one object.
-    limits = SplaydLimits(max_instances=max(2, math.ceil(nodes / host_count) + 2))
-    for ip in ips:
-        controller.register_daemon(Splayd(sim, network, ip, limits))
-
-    spec = JobSpec(
-        name=name,
-        app_factory=app_factory,
-        instances=nodes,
-        log_level=config.log_level,
-        log_max_bytes=256_000,
-        churn_script=config.churn_script,
-        churn_trace=config.churn_trace,
-        options={**(options or {}), "join_window": config.join_window},
-    )
-    job = controller.submit(spec)
-    controller.start(job)
+        spec = JobSpec(
+            name=name,
+            app_factory=app_factory,
+            instances=nodes,
+            log_level=config.log_level,
+            log_max_bytes=256_000,
+            churn_script=config.churn_script,
+            churn_trace=config.churn_trace,
+            options={**(options or {}), "join_window": config.join_window},
+        )
+        job = controller.submit(spec)
+        controller.start(job)
+    except BaseException:
+        # no run follows: the interpreter gets its own GC settings back
+        if policy is not None:
+            policy.disengage()
+        raise
 
     warmup_end = config.join_window + config.warmup_grace
     churn_end = warmup_end
@@ -715,9 +722,10 @@ def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: in
         yield spacing
 
 
-def drain(deployment: Deployment, driver: Process, hard_cap: float,
+def drain(deployment: Deployment, driver: Optional[Process], hard_cap: float,
           step: float = 60.0) -> None:
-    """Run the simulation until ``driver`` finishes (bounded by ``hard_cap``).
+    """Run the simulation until ``driver`` finishes (bounded by ``hard_cap``;
+    without a driver, until ``hard_cap``).
 
     The loop's ``step``-sized slices are deterministic sim-time points; each
     slice's wall time is attributed to the ``run`` phase (slices starting
@@ -730,12 +738,12 @@ def drain(deployment: Deployment, driver: Process, hard_cap: float,
     stderr, so a hung workload leaves its final dispatches behind.
     """
     sim, walls = deployment.sim, deployment.phase_wall
-    while not driver.done.done() and sim.now < hard_cap:
+    while (driver is None or not driver.done.done()) and sim.now < hard_cap:
         phase = "run" if sim.now < deployment.measure_start else "drain"
         wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
         sim.run(until=min(hard_cap, sim.now + step))
         walls[phase] += time.perf_counter() - wall_started  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
-    if not driver.done.done():
+    if driver is not None and not driver.done.done():
         obs = deployment.observability
         if obs is not None:
             header = (f"flight recorder: driver still pending at the "
@@ -744,60 +752,126 @@ def drain(deployment: Deployment, driver: Process, hard_cap: float,
                 print(line, file=sys.stderr)
 
 
-def run_lookup_scenario(name: str, config: RunConfig, app_factory: Callable,
-                        failure: type,
-                        expected_owner: Callable[[Job, int, int], object], *,
-                        lookups: int, bits: int, spacing: float,
-                        probe_interval: float, options: Optional[dict] = None,
-                        default_churn_script: str = FLAGSHIP_CHURN_SCRIPT,
-                        workload: Optional[dict] = None) -> dict:
-    """Deploy a key-based-routing overlay, measure lookups, return the report.
+class Scenario:
+    """One workload, declared once, and the one pipeline every workload runs through.
 
-    The scenario Chord and Pastry share: a probe stream of lookups every
-    ``probe_interval`` seconds while churn is active (reported as
-    ``under_churn``, not gating), then ``lookups`` measured ones ``spacing``
-    apart once the overlay has re-converged (:func:`lookup_stream` says what
-    the application must expose).  Instances get ``bits`` plus ``options``
-    as job options; ``workload`` is the report's workload-specific section,
-    if the overlay has one.
+    A subclass states ``name``, ``help``, ``ops_label`` (what one measured
+    operation is called), ``min_success`` (the CLI's pass bar),
+    ``report_lines`` (``workload`` report keys the CLI prints),
+    ``default_churn_script`` (what ``--churn`` replays) and ``params``, one
+    ``(name, default, help)`` entry per workload parameter — at once a runner
+    keyword, an attribute of the run and a CLI flag — and three hooks.
+    :meth:`run` resolves churn, deploys, starts, drains and reports the same
+    way for every workload.
     """
-    lookups = scaled_ops(lookups, config.duration)
-    deployment = deploy(name, app_factory, config,
-                        options={"bits": bits, **(options or {})},
-                        default_churn_script=default_churn_script)
-    sim, job, seed = deployment.sim, deployment.job, deployment.config.seed
 
-    def _owner(job, key):
-        return expected_owner(job, key, bits)
+    name = ""
+    help = ""
+    ops_label = "lookup"
+    min_success = 0.95
+    report_lines: tuple = ()
+    default_churn_script = FLAGSHIP_CHURN_SCRIPT
+    params: tuple = ()
 
-    probe_results: List[OpResult] = []
-    if deployment.churn_end > deployment.warmup_end:
-        probe_count = int((deployment.churn_end - deployment.warmup_end) / probe_interval)
-        probe = Process(sim, lookup_stream(
-            sim, job, probe_count, probe_interval, bits,
-            substream(seed, "workload-churn"), probe_results, _owner,
-            failure=failure), name="workload.under-churn")
-        probe.start(delay=deployment.warmup_end)
+    def __init__(self, config: RunConfig, **params) -> None:
+        unknown = sorted(set(params) - {entry[0] for entry in self.params})
+        if unknown:
+            raise TypeError(f"the {self.name} scenario takes no parameter "
+                            f"{', '.join(unknown)}")
+        for name, default, _help in self.params:
+            setattr(self, name, params.get(name, default))
+        if config.churn and config.churn_script is None:
+            config = replace(config, churn_script=self.default_churn_script)
+        # resolved here, so a deployment that cannot be laid out is refused
+        # before the run starts
+        self.config = config.resolved()
 
-    results: List[OpResult] = []
-    driver = Process(sim, lookup_stream(
-        sim, job, lookups, spacing, bits, substream(seed, "workload"),
-        results, _owner, failure=failure), name="workload.measured")
-    driver.start(delay=deployment.measure_start)
+    @classmethod
+    def runner(cls, config: RunConfig, **params) -> dict:
+        """``run_<name>_scenario(config, **params)``: run once, return the report."""
+        return cls(config, **params).run()
 
-    # Run until the measured workload drains (lookups take several RTTs each,
-    # so a fixed horizon would truncate the stream); a hard cap bounds runaway.
-    hard_cap = deployment.measure_start + lookups * (spacing + 30.0) + 300.0
-    drain(deployment, driver, hard_cap)
+    def app(self) -> tuple:
+        """``(application factory, job options)``."""
+        raise NotImplementedError
 
-    report = base_report(name, deployment, bits=bits)
-    if workload is not None:
-        report["workload"] = workload
-    report["under_churn"] = summarise(probe_results) if probe_results else None
-    report["measured"] = summarise(results)
-    report["cdf_samples_ms"] = sorted(
-        round(1000.0 * r.latency, 3) for r in results if r.completed)
-    return report
+    def start(self, deployment: Deployment) -> tuple:
+        """Start the measured coroutines; ``(process to wait on or None, hard cap)``."""
+        raise NotImplementedError
+
+    def sections(self, deployment: Deployment) -> dict:
+        """The report sections the workload fills in (``measured`` at least)."""
+        raise NotImplementedError
+
+    def run(self) -> dict:
+        factory, options = self.app()
+        deployment = deploy(self.name, factory, self.config, options=options)
+        try:
+            driver, hard_cap = self.start(deployment)
+            drain(deployment, driver, hard_cap)
+            sections = self.sections(deployment)
+            report = base_report(self.name, deployment)
+        finally:
+            # base_report hands the interpreter its GC settings back; a run
+            # that raised before it must too
+            if deployment.gc_policy is not None:
+                deployment.gc_policy.disengage()
+        report.update(sections)
+        return report
+
+
+class LookupScenario(Scenario):
+    """A key-based-routing overlay measured by lookups (Chord, Pastry).
+
+    A probe stream of lookups every ``probe_interval`` seconds while churn is
+    active (reported as ``under_churn``, not gating), then ``lookups``
+    measured ones ``spacing`` apart once the overlay has re-converged
+    (:func:`lookup_stream` says what the application must expose).  A
+    subclass declares the ``lookups`` and ``bits`` parameters, its ``node``
+    class and its ground truth ``oracle(job, key, bits)``.
+    """
+
+    #: seconds between measured lookups, and between probes under churn
+    spacing = 0.25
+    probe_interval = 2.0
+    node: type
+    oracle: Callable
+
+    def app(self) -> tuple:
+        return self.node.factory(), {"bits": self.bits}
+
+    def start(self, deployment: Deployment) -> tuple:
+        sim, job, seed = deployment.sim, deployment.job, deployment.config.seed
+        lookups = scaled_ops(self.lookups, self.config.duration)
+        bits, failure = self.bits, self.node.failure
+        owner = functools.partial(self.oracle, bits=bits)
+        self.probe_results: List[OpResult] = []
+        if deployment.churn_end > deployment.warmup_end:
+            probe_count = int((deployment.churn_end - deployment.warmup_end)
+                              / self.probe_interval)
+            probe = Process(sim, lookup_stream(
+                sim, job, probe_count, self.probe_interval, bits,
+                substream(seed, "workload-churn"), self.probe_results, owner,
+                failure=failure), name="workload.under-churn")
+            probe.start(delay=deployment.warmup_end)
+
+        self.results: List[OpResult] = []
+        driver = Process(sim, lookup_stream(
+            sim, job, lookups, self.spacing, bits, substream(seed, "workload"),
+            self.results, owner, failure=failure), name="workload.measured")
+        driver.start(delay=deployment.measure_start)
+        # Lookups take several RTTs each, so a fixed horizon would truncate
+        # the stream: wait for the driver, with a hard cap against runaway.
+        return driver, deployment.measure_start + lookups * (self.spacing + 30.0) + 300.0
+
+    def sections(self, deployment: Deployment) -> dict:
+        return {
+            "bits": self.bits,
+            "under_churn": summarise(self.probe_results) if self.probe_results else None,
+            "measured": summarise(self.results),
+            "cdf_samples_ms": sorted(round(1000.0 * r.latency, 3)
+                                     for r in self.results if r.completed),
+        }
 
 
 # --------------------------------------------------------------------- report
@@ -812,7 +886,7 @@ def rpc_totals(job: Job) -> dict:
     return totals
 
 
-def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = None) -> dict:
+def base_report(scenario: str, deployment: Deployment) -> dict:
     """The report skeleton shared by every workload scenario."""
     sim, network, job = deployment.sim, deployment.network, deployment.job
     controller, config = deployment.controller, deployment.config
@@ -823,7 +897,7 @@ def base_report(scenario: str, deployment: Deployment, bits: Optional[int] = Non
         "testbed": config.testbed,
         "nodes": config.nodes,
         "hosts": deployment.host_count,
-        "bits": bits,
+        "bits": None,
         "topology": deployment.testbed_description,
         "virtual_time": sim.now,
         "events_executed": sim.executed_events,

@@ -353,10 +353,6 @@ pastry_factory = PastryNode.factory
 
 
 # ----------------------------------------------------------------- scenario
-#: the Chord flagship script: same relative timeline for a fair comparison
-DEFAULT_CHURN_SCRIPT = harness.FLAGSHIP_CHURN_SCRIPT
-
-
 def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     """Ground truth: the numerically closest current member to ``key``."""
     members = job.shared.get("pastry_members", [])
@@ -382,46 +378,31 @@ def leaf_consistency(job) -> float:
     return whole / len(apps) if apps else 0.0
 
 
-def run_pastry_scenario(config: harness.RunConfig, *, lookups: int = 200,
-                        bits: int = 32, base_bits: int = 4,
-                        spacing: float = 0.25,
-                        probe_interval: float = 2.0) -> dict:
-    """Run Pastry under (optional) churn and return the report dict."""
-    return harness.run_lookup_scenario(
-        "pastry", config, pastry_factory(), RouteFailed, expected_owner,
-        lookups=lookups, bits=bits, spacing=spacing,
-        probe_interval=probe_interval, options={"base_bits": base_bits},
-        default_churn_script=DEFAULT_CHURN_SCRIPT,
-        workload={"base_bits": base_bits, "digits": bits // base_bits,
-                  "leaf_set_size": DEFAULT_LEAF_SET_SIZE})
+class PastryScenario(harness.LookupScenario):
+    """Pastry under churn, on the Chord flagship's churn timeline."""
+
+    name = "pastry"
+    help = "Pastry prefix routing with leaf sets under churn"
+    params = (("lookups", 200, "measured lookups after the overlay re-converges"),
+              ("bits", 32, "identifier width"),
+              ("base_bits", 4, "bits per routing digit (b; routing base is 2^b)"))
+    node = PastryNode
+    oracle = staticmethod(expected_owner)
+
+    def __init__(self, config: harness.RunConfig, **params) -> None:
+        super().__init__(config, **params)
+        if self.base_bits < 1 or self.bits % self.base_bits:
+            raise ValueError(f"bits ({self.bits}) must be a multiple of "
+                             f"base_bits ({self.base_bits})")
+
+    def app(self) -> tuple:
+        return pastry_factory(), {"bits": self.bits, "base_bits": self.base_bits}
+
+    def sections(self, deployment: harness.Deployment) -> dict:
+        return {**super().sections(deployment),
+                "workload": {"base_bits": self.base_bits,
+                             "digits": self.bits // self.base_bits,
+                             "leaf_set_size": DEFAULT_LEAF_SET_SIZE}}
 
 
-def _register() -> None:
-    from repro.apps import registry
-
-    def _add_arguments(parser) -> None:
-        parser.add_argument("--lookups", type=int, default=200,
-                            help="measured lookups after the overlay re-converges")
-        parser.add_argument("--bits", type=int, default=32, help="identifier width")
-        parser.add_argument("--base-bits", type=int, default=4,
-                            help="bits per routing digit (b; routing base is 2^b)")
-
-    def _make_kwargs(args) -> dict:
-        if args.base_bits < 1 or args.bits % args.base_bits:
-            raise ValueError(f"--bits ({args.bits}) must be a multiple of "
-                             f"--base-bits ({args.base_bits})")
-        return {"lookups": args.lookups, "bits": args.bits,
-                "base_bits": args.base_bits}
-
-    registry.register(registry.ScenarioSpec(
-        name="pastry",
-        help="Pastry prefix routing with leaf sets under churn",
-        runner=run_pastry_scenario,
-        add_arguments=_add_arguments,
-        make_kwargs=_make_kwargs,
-        ops_label="lookup",
-        default_min_success=0.95,
-    ))
-
-
-_register()
+run_pastry_scenario = PastryScenario.runner

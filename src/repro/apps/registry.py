@@ -1,65 +1,35 @@
 """Pluggable scenario registry.
 
-Each workload module registers a :class:`ScenarioSpec` describing how to run
-it end to end: the scenario runner, its CLI arguments and how its report
-reads.  The scenarios CLI is built entirely from this registry, so adding a
-workload is: write the app module, register a spec, done — the subcommand
-and the churn/`--cdf`/`--duration` plumbing come for free.
+Each workload module declares its scenario once — a
+:class:`repro.apps.harness.Scenario` subclass naming its parameters, report
+lines, default churn script and three hooks — and :func:`load_builtin`
+registers it here.  The scenarios CLI is built entirely from this registry,
+so adding a workload is: write the app module, declare its scenario, add it
+to :func:`load_builtin`, done — the subcommand, its flags and the
+churn/`--cdf`/`--duration` plumbing come for free.
 """
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything the CLI needs to run one registered workload.
-
-    ``runner(config, **workload_params)`` takes the run's execution options
-    whole, as one :class:`repro.apps.harness.RunConfig` (size, seed, testbed,
-    churn, windows, duration preset, shards, observation flags, allocator,
-    GC policy), plus — by keyword — whatever ``add_arguments`` declares
-    (mapped through ``make_kwargs``), and returns the report dict.  It hands
-    the config on to :func:`repro.apps.harness.deploy` unopened except for
-    the fields it reads itself, so a registered workload runs on every
-    environment preset, under trace-driven host churn and with every
-    execution option with no per-workload code.
-    """
-
-    name: str
-    help: str
-    runner: Callable[..., dict]
-    #: register workload-specific CLI flags on the subparser
-    add_arguments: Callable[[argparse.ArgumentParser], None] = lambda parser: None
-    #: map parsed workload-specific flags to runner kwargs
-    make_kwargs: Callable[[argparse.Namespace], dict] = lambda args: {}
-    #: what one measured operation is called in reports ("lookup", ...)
-    ops_label: str = "lookup"
-    default_min_success: float = 0.99
-    #: extra ``workload`` report keys printed by the CLI, in order
-    extra_report_lines: List[str] = field(default_factory=list)
-
-
-_REGISTRY: Dict[str, ScenarioSpec] = {}
+_REGISTRY: Dict[str, type] = {}
 
 
 class UnknownScenarioError(KeyError):
     """Raised when looking up a scenario name nobody registered."""
 
 
-def register(spec: ScenarioSpec) -> ScenarioSpec:
-    """Add ``spec`` to the registry (idempotent for the same object)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing is not spec:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+def register(scenario: type) -> type:
+    """Add a scenario class to the registry (idempotent for the same class)."""
+    existing = _REGISTRY.get(scenario.name)
+    if existing is not None and existing is not scenario:
+        raise ValueError(f"scenario {scenario.name!r} is already registered")
+    _REGISTRY[scenario.name] = scenario
+    return scenario
 
 
-def get_spec(name: str) -> ScenarioSpec:
+def get_spec(name: str) -> type:
     load_builtin()
     try:
         return _REGISTRY[name]
@@ -68,8 +38,8 @@ def get_spec(name: str) -> ScenarioSpec:
         raise UnknownScenarioError(f"unknown scenario {name!r} (known: {known})") from None
 
 
-def all_specs() -> List[ScenarioSpec]:
-    """Registered specs, in registration order (chord first)."""
+def all_specs() -> List[type]:
+    """Registered scenarios, in registration order (chord first)."""
     load_builtin()
     return list(_REGISTRY.values())
 
@@ -79,7 +49,9 @@ def scenario_names() -> List[str]:
 
 
 def load_builtin() -> None:
-    """Import the built-in workload modules (each registers its spec)."""
-    # Imports are local to avoid a cycle: workload modules import this module
-    # to register themselves.
-    from repro.apps import chord, dissemination, gossip, pastry  # noqa: F401
+    """Register the built-in workloads, in this order whatever imported them first."""
+    # Local: importing the registry imports no workload before one is asked for.
+    from repro.apps import chord, dissemination, gossip, pastry
+    for scenario in (chord.ChordScenario, pastry.PastryScenario,
+                     gossip.GossipScenario, dissemination.DisseminationScenario):
+        register(scenario)

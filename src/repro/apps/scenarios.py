@@ -53,7 +53,7 @@ from repro.testbeds import testbed_names
 
 
 # ------------------------------------------------------------------ reporting
-def _print_report(report: dict, spec: registry.ScenarioSpec) -> None:
+def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
     job = report["job"]
     measured = report["measured"]
     label = spec.ops_label
@@ -99,7 +99,7 @@ def _print_report(report: dict, spec: registry.ScenarioSpec) -> None:
           f"max={measured['latency_max_ms']:.0f}ms")
     print(f"{label} hops: mean={measured['hops_mean']:.2f} max={measured['hops_max']}")
     workload = report.get("workload") or {}
-    for key in spec.extra_report_lines:
+    for key in spec.report_lines:
         if key in workload:
             value = workload[key]
             if isinstance(value, float):
@@ -417,7 +417,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser,
-                          spec: registry.ScenarioSpec) -> None:
+                          spec: type[harness.Scenario]) -> None:
     _add_execution_arguments(parser)
     parser.add_argument("--nodes", type=int, default=_DEFAULTS.nodes,
                         help="application instances to deploy")
@@ -440,7 +440,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         default=_DEFAULTS.duration,
                         help="'short' shrinks windows and op counts for CI smoke")
     parser.add_argument("--min-success", type=float,
-                        default=spec.default_min_success,
+                        default=spec.min_success,
                         help="exit non-zero below this measured success rate")
     parser.add_argument("--bw-alloc", choices=allocator_names(),
                         default=_DEFAULTS.bw_alloc, metavar="NAME",
@@ -465,6 +465,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--log-level", choices=("DEBUG", "INFO", "WARN", "ERROR"),
                         default=_DEFAULTS.log_level,
                         help="minimum severity the job's instances record")
+    for name, default, text in spec.params:
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default, help=text)
 
 
 def _read_checked(path: Optional[str], what: str, parse) -> Optional[str]:
@@ -487,7 +490,7 @@ def _read_checked(path: Optional[str], what: str, parse) -> Optional[str]:
     return text
 
 
-def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> int:
+def _run_scenario_cli(spec: type[harness.Scenario], args: argparse.Namespace) -> int:
     try:
         script = _read_checked(args.churn_script, "churn script",
                                parse_churn_script)
@@ -503,13 +506,13 @@ def _run_scenario_cli(spec: registry.ScenarioSpec, args: argparse.Namespace) -> 
             trace_out=args.trace_out, profile=args.profile,
             log_level=args.log_level, bw_alloc=args.bw_alloc,
             gc_policy=args.gc_policy)
-        params = spec.make_kwargs(args)
+        run = spec(config, **{name: getattr(args, name) for name, _d, _h in spec.params})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Not inside the ``try``: a ValueError out of a run is a bug, not a
     # malformed command line, and keeps its traceback.
-    report = spec.runner(config, **params)
+    report = run.run()
     _print_report(report, spec)
     _print_observability(report, args)
     if args.sanitize:
@@ -586,7 +589,6 @@ def _dump_flight_recorder(report: dict) -> None:
 
 def _parser() -> argparse.ArgumentParser:
     """The command line: one subcommand per registered workload, and ``bench``."""
-    registry.load_builtin()
     parser = argparse.ArgumentParser(
         prog="python -m repro.apps.scenarios",
         description="SPLAY reproduction scenarios")
@@ -595,7 +597,6 @@ def _parser() -> argparse.ArgumentParser:
     for spec in registry.all_specs():
         scenario_parser = sub.add_parser(spec.name, help=spec.help)
         _add_common_arguments(scenario_parser, spec)
-        spec.add_arguments(scenario_parser)
 
     bench = sub.add_parser(
         "bench", help="the size sweep: chord at growing node counts, each "

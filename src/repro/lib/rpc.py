@@ -13,10 +13,7 @@ client side offers two calling conventions mirroring the paper's API:
   the calling coroutine, which resumes with the remote return value (or has
   :class:`RpcTimeout`/:class:`RpcError` raised at the yield point);
 * ``a_call`` — *asynchronous*: the future is observed via callbacks (or
-  simply ignored, fire-and-forget);
-* ``batch_call`` — several ``(method, *args)`` invocations in one
-  request/reply round trip (the wire counterpart of the controller's
-  batched daemon commands).
+  simply ignored, fire-and-forget).
 
 Both take per-call ``timeout`` and ``retries``.  Retries reuse the same call
 identifier, so a late reply to an earlier attempt still completes the call
@@ -140,18 +137,6 @@ class RpcService:
         """Expose ``handler`` under ``name``; generators run as coroutines."""
         self._handlers[name] = handler
 
-    def handler(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Decorator form of :meth:`register` (uses the function name)."""
-        self.register(fn.__name__, fn)
-        return fn
-
-    def expose(self, obj: Any, names: Optional[list] = None) -> None:
-        """Register public bound methods of ``obj`` (or the listed ones)."""
-        for name in names or [n for n in dir(obj) if not n.startswith("_")]:
-            method = getattr(obj, name)
-            if callable(method):
-                self.register(name, method)
-
     def _on_message(self, message: Message) -> None:
         payload = message.payload
         if type(payload) is not dict:
@@ -211,42 +196,8 @@ class RpcService:
             self._send_reply(message.src, call_id, ok=True, value=result)
 
     def _builtin(self, method: str) -> Optional[Callable[..., Any]]:
-        """Handlers every service has unless the application registered the name."""
-        return {"__ping__": _pong, "__batch__": self._serve_batch}.get(method)
-
-    def _serve_batch(self, calls: list) -> Any:
-        """Handler behind :meth:`batch_call`: run the sub-calls in order.
-
-        Runs as a coroutine so generator sub-handlers block only the batch,
-        not the simulator.  Each sub-call yields one outcome dict
-        (``{"ok": True, "value": ...}`` or ``{"ok": False, "error": ...}``);
-        a failing sub-call never aborts the rest of the batch.
-        """
-        def _run():
-            outcomes = []
-            for entry in calls:
-                method = entry.get("method", "") if isinstance(entry, dict) else ""
-                args = entry.get("args", []) if isinstance(entry, dict) else []
-                handler = self._handlers.get(method) or self._builtin(method)
-                if handler is None:
-                    outcomes.append({"ok": False, "error": f"unknown method: {method}"})
-                    continue
-                try:
-                    value = handler(*args)
-                except Exception as exc:  # noqa: BLE001 - shipped to the caller
-                    self._handler_raised(method, exc)
-                    outcomes.append({"ok": False, "error": repr(exc)})
-                    continue
-                if type(value) is GeneratorType:
-                    try:
-                        value = yield from value
-                    except Exception as exc:  # noqa: BLE001 - the sub-call's outcome
-                        outcomes.append({"ok": False, "error": repr(exc)})
-                        continue
-                outcomes.append({"ok": True, "value": value})
-            return outcomes
-
-        return _run()
+        """The handler every service has unless the application registered the name."""
+        return _pong if method == "__ping__" else None
 
     def _handler_raised(self, method: str, exc: Exception) -> None:
         """A handler raised when called: a bug, not a remote outcome.
@@ -301,26 +252,6 @@ class RpcService:
     #: is the very same implementation as :meth:`a_call` — a forwarding
     #: wrapper here cost a measurable slice of every RPC at 10k nodes.
     call = a_call
-
-    def batch_call(self, dst: "Address | NodeRef | dict | str",
-                   calls: "list[tuple]", timeout: Optional[float] = None,
-                   retries: Optional[int] = None) -> Future:
-        """Issue several calls to ``dst`` as one request/reply round trip.
-
-        ``calls`` is a list of ``(method, *args)`` tuples; the future
-        resolves to a list of outcome dicts (``{"ok": True, "value": ...}``
-        or ``{"ok": False, "error": ...}``), one per sub-call, in order.
-        This is the wire-level counterpart of the controller shards'
-        per-daemon command batching: one message and one reply amortise the
-        round trip over the whole batch, so ``stats.calls_sent`` counts the
-        batch as a single call.
-        """
-        if self._metrics is not None:
-            from repro.obs.metrics import COUNT_BOUNDS
-            self._metrics.observe("rpc.batch_size", len(calls),
-                                  bounds=COUNT_BOUNDS)
-        payload = [{"method": call[0], "args": list(call[1:])} for call in calls]
-        return self.a_call(dst, "__batch__", payload, timeout=timeout, retries=retries)
 
     def ping(self, dst: "Address | NodeRef | dict | str",
              timeout: Optional[float] = None) -> Future:

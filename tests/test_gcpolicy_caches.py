@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from heap_kernel_reference import KERNELS, use_kernel
+from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
 from repro.apps.dissemination import run_dissemination_scenario
 from repro.apps.gossip import run_gossip_scenario
@@ -107,6 +108,30 @@ def test_tuned_gc_section_lands_in_the_report_and_not_the_digest():
     assert report["phase_wall"]["deploy"] >= 0.0
     stripped = {k: v for k, v in report.items() if k not in ("gc", "phase_wall")}
     assert report_digest(stripped) == report_digest(report)
+
+
+class _Stalled(harness.Scenario):
+    name = "stalled"
+
+    def app(self):
+        return (lambda instance: None), {}
+
+    def start(self, deployment):
+        raise RuntimeError("start failed")
+
+
+def test_a_failed_deploy_or_run_leaves_the_gc_thresholds_as_they_were():
+    # each of these used to leave the tuned thresholds in the interpreter
+    before = gc.get_threshold()
+    for fields in ({"testbed": "moon"}, {"bw_alloc": "nope"},
+                   {"hosts": harness.MAX_HOSTS + 1}):
+        with pytest.raises((KeyError, ValueError)):
+            harness.deploy("broken", lambda instance: None, nodes=4,
+                           gc_policy="tuned", **fields)
+        assert gc.get_threshold() == before, fields
+    with pytest.raises(RuntimeError, match="start failed"):
+        _Stalled.runner(RunConfig(nodes=4, gc_policy="tuned"))
+    assert gc.get_threshold() == before
 
 
 # ------------------------------------------------------------- cached views

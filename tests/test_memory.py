@@ -158,7 +158,7 @@ class BusyApp:
         self.instance = instance
         events, rpc = instance.events, instance.rpc
         rpc.register("echo", self.echo)
-        rpc.expose(self, ["slow_echo"])
+        rpc.register("slow_echo", self.slow_echo)
         instance.socket.listen(self._on_datagram)
         instance.context.add_cleanup(self._tick)
         events.periodic(self._tick, 2.0, jitter=0.5)

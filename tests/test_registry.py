@@ -1,11 +1,10 @@
-"""The scenario registry and the shared harness plumbing."""
-
-import argparse
-import sys
+"""The scenario registry, the workload declarations and the shared harness plumbing."""
 
 import pytest
 
 from repro.apps import harness, registry
+from repro.apps.harness import RunConfig
+from repro.apps.scenarios import _parser
 from repro.core.churn import parse_churn_script
 
 
@@ -15,24 +14,35 @@ def test_builtin_workloads_are_registered():
         assert expected in names
 
 
-def test_specs_carry_runner_churn_script_and_cli_hooks():
-    for spec in registry.all_specs():
-        assert callable(spec.runner)
-        # --churn replays the script the runner's own module hands to deploy
-        module = sys.modules[spec.runner.__module__]
-        assert parse_churn_script(module.DEFAULT_CHURN_SCRIPT)
-        parser = argparse.ArgumentParser()
-        spec.add_arguments(parser)  # must not blow up
-        assert 0.0 < spec.default_min_success <= 1.0
+@pytest.mark.parametrize("name", registry.scenario_names())
+def test_a_declaration_gives_the_cli_and_the_runner_the_same_defaults(name):
+    spec = registry.get_spec(name)
+    args = _parser().parse_args([name])
+    run = spec(RunConfig())
+    assert args.min_success == spec.min_success and 0.0 < spec.min_success <= 1.0
+    for param, default, _help in spec.params:
+        assert getattr(args, param) == getattr(run, param) == default
+    # --churn replays the declaration's own script, which must parse
+    churned = spec(RunConfig(churn=True)).config
+    assert churned.churn_script == spec.default_churn_script
+    assert parse_churn_script(spec.default_churn_script)
+    # the declaration is the one place that says what --churn means
+    with pytest.raises(ValueError, match="churn_script"):
+        RunConfig(churn=True).resolved()
+    with pytest.raises(TypeError, match="spacing"):
+        spec.runner(RunConfig(), spacing=0.5)
 
 
-def test_duplicate_registration_is_rejected_but_reregistering_is_idempotent():
+def test_a_second_scenario_under_a_taken_name_is_rejected():
     spec = registry.get_spec("chord")
-    assert registry.register(spec) is spec  # same object: fine
-    clone = registry.ScenarioSpec(name="chord", help="impostor",
-                                  runner=lambda **_: {})
-    with pytest.raises(ValueError):
-        registry.register(clone)
+    assert registry.register(spec) is spec  # the same class again: fine
+
+    class Impostor(harness.Scenario):
+        name = "chord"
+
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register(Impostor)
+    assert registry.get_spec("chord") is spec
 
 
 def test_unknown_scenario_raises_a_helpful_error():

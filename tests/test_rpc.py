@@ -160,69 +160,6 @@ def test_killed_context_cancels_outstanding_calls(world):
     assert client.pending_calls == 0
 
 
-def test_batch_call_runs_sub_calls_in_one_round_trip(world):
-    sim, network = world
-    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
-    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
-    server.register("add", lambda a, b: a + b)
-    server.register("upper", lambda s: s.upper())
-    future = client.batch_call("10.0.0.2:1000",
-                               [("add", 2, 3), ("upper", "ok"), ("add", 1, 1)])
-    sim.run()
-    assert future.result() == [{"ok": True, "value": 5},
-                               {"ok": True, "value": "OK"},
-                               {"ok": True, "value": 2}]
-    # One message out, one reply back — the point of batching.
-    assert client.stats.calls_sent == 1
-    assert server.stats.calls_received == 1
-    assert server.stats.replies_sent == 1
-
-
-def test_batch_call_isolates_failing_sub_calls(world):
-    sim, network = world
-    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
-    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
-
-    def broken():
-        raise ValueError("nope")
-
-    server.register("echo", lambda x: x)
-    server.register("broken", broken)
-    future = client.batch_call("10.0.0.2:1000",
-                               [("echo", "a"), ("broken",), ("missing",),
-                                ("echo", "b")])
-    sim.run()
-    outcomes = future.result()
-    assert outcomes[0] == {"ok": True, "value": "a"}
-    assert outcomes[1]["ok"] is False and "nope" in outcomes[1]["error"]
-    assert outcomes[2]["ok"] is False and "unknown method" in outcomes[2]["error"]
-    # A failing sub-call never aborts the rest of the batch.
-    assert outcomes[3] == {"ok": True, "value": "b"}
-    assert network.stats.handler_errors == 1  # the raise; not the unknown name
-
-
-def test_batch_call_supports_generator_sub_handlers(world):
-    sim, network = world
-    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
-    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
-
-    def slow_double(value):
-        yield 0.5  # blocks only the batch coroutine, not the simulator
-        return value * 2
-
-    server.register("slow_double", slow_double)
-    server.register("fast", lambda: "now")
-    future = client.batch_call("10.0.0.2:1000",
-                               [("slow_double", 4), ("fast",), ("slow_double", 5)],
-                               timeout=5.0)
-    sim.run()
-    assert future.result() == [{"ok": True, "value": 8},
-                               {"ok": True, "value": "now"},
-                               {"ok": True, "value": 10}]
-    # Two 0.5s coroutine waits ran sequentially inside the batch.
-    assert sim.now > 1.0
-
-
 # ------------------------------------------------- envelope sizes by arithmetic
 class _SizeCheckingNetwork(Network):
     """Checks every message's declared size against the serializer's walk."""
@@ -288,17 +225,11 @@ def test_envelope_sizes_equal_the_serializers_walk_for_every_envelope_shape():
         used_ids.add(call_id)
         client._call_ids = call_id - 1
         args = [_random_value(rng) for _ in range(rng.randrange(0, 4))]
-        if rng.random() < 0.25:
-            calls = [(rng.choice(methods), *args) for _ in range(rng.randrange(0, 4))]
-            futures.append(client.batch_call("10.0.0.2:1000", calls))
-        else:
-            futures.append(client.call("10.0.0.2:1000", rng.choice(methods), *args))
+        futures.append(client.call("10.0.0.2:1000", rng.choice(methods), *args))
     sim.run()
     assert all(future.done() for future in futures)
-    shapes = {(p["rpc"], p.get("ok"), p.get("method") == "__batch__")
-              for p in network.checked}
-    assert shapes == {("call", None, False), ("call", None, True),
-                      ("reply", True, False), ("reply", False, False)}
+    shapes = {(p["rpc"], p.get("ok")) for p in network.checked}
+    assert shapes == {("call", None), ("reply", True), ("reply", False)}
     assert len(network.checked) == 300 == network.stats.messages_delivered
 
 
@@ -334,12 +265,11 @@ def test_bytes_on_the_wire_of_a_scripted_exchange_are_pinned(world):
                 [me, Address("10.0.0.2", 1000), None, 1.25], "key", (1, "two"))
     client.call("10.0.0.2:1000", "broken")
     client.call("10.0.0.2:1000", "missing", True)
-    client.batch_call("10.0.0.2:1000", [("add", 1, 1), ("broken",), ("echo", me)])
     client.ping("10.0.0.2:1000")
     sim.run()
-    assert network.stats.messages_delivered == 12
-    # measured at the parent of the arithmetic sizes (estimate_size per send)
-    assert network.stats.bytes_sent == 1477
+    assert network.stats.messages_delivered == 10
+    # the serializer's sizes of these ten messages: an envelope change moves it
+    assert network.stats.bytes_sent == 1065
 
 
 # ------------------------------------------------------------- failure paths

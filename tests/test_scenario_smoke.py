@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import harness
+from repro.apps import harness, registry
 from repro.apps.chord import ChordNode, run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
 from repro.apps.harness import RunConfig, deterministic_report_view
@@ -111,6 +111,8 @@ def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, cap
     ["pastry", "--bits", "30"],
     ["chord", "--join-window", "-5"],
     ["chord", "--settle", "-50"],
+    ["chord", "--hosts", "7667713"],
+    ["chord", "--nodes", "16000000"],
     ["bench", "--ctl-shards", "0"],
     ["bench", "--scales", "20", "0"],
     ["bench", "--jobs", "0"],
@@ -150,6 +152,14 @@ def _quoted_commands():
                                    comments=True)
                 if argv and "${{" not in " ".join(argv):
                     yield str(path.relative_to(_REPO)), argv
+
+
+def test_every_registered_scenario_has_a_leg_in_the_ci_smoke_matrix():
+    # the matrix is a hand-written list: a new workload must be added to it
+    workflow = (_REPO / ".github/workflows/ci.yml").read_text(encoding="utf-8")
+    matrix = workflow[workflow.index("\n  scenarios:\n"):workflow.index("\n  digest-matrix:\n")]
+    legs = set(re.findall(r'^\s+args: "(\S+)', matrix, re.M))
+    assert set(registry.scenario_names()) <= legs
 
 
 def test_every_quoted_scenarios_command_parses(capsys):

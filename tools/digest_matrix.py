@@ -5,12 +5,12 @@
 
 Every configuration of the matrix is one ``python -m repro.apps.scenarios``
 command line; its row in ``DIGESTS.json`` is what the run prints as its
-``report digest``, ``events`` and network ``bytes``.  The matrix is the four
-workloads at ``--nodes 40 --seed 3 --min-success 0`` under five execution
-settings (plain, the flagship churn script, three controller shards with
-the sanitizer and churn, the bundled availability trace, the planetlab
-testbed with metrics and churn), plus a short dissemination run per
-registered bandwidth allocator.
+``report digest``, ``events`` and network ``bytes``.  The matrix is every
+registered workload at ``--nodes 40 --seed 3 --min-success 0`` under five
+execution settings (plain, the flagship churn script, three controller
+shards with the sanitizer and churn, the bundled availability trace, the
+planetlab testbed with metrics and churn), plus a short dissemination run
+per registered bandwidth allocator.
 
 * no flag: run the matrix and print it as JSON (nothing is written);
 * ``--check``: run it and compare with ``DIGESTS.json``; every row that
@@ -36,7 +36,6 @@ from pathlib import Path
 _REPO = Path(__file__).resolve().parent.parent
 DIGESTS = _REPO / "DIGESTS.json"
 
-WORKLOADS = ("chord", "pastry", "gossip", "dissemination")
 SETTINGS = ("", "--churn", "--ctl-shards 3 --sanitize --churn",
             "--churn-trace traces/synthetic_overnet.trace",
             "--testbed planetlab --metrics --churn")
@@ -47,22 +46,24 @@ _BYTES = re.compile(r"^network: .*, (\d+) bytes$", re.M)
 _DIGEST = re.compile(r"^report digest: ([0-9a-f]+)$", re.M)
 
 
-def allocators() -> list:
-    """The registered bandwidth allocators of this tree, in registration order."""
+def registered() -> tuple:
+    """``(workloads, allocators)`` this tree registers, in registration order."""
     sys.path.insert(0, str(_REPO / "src"))
     try:
+        from repro.apps.registry import scenario_names
         from repro.net.bwalloc import allocator_names
+        return scenario_names(), allocator_names()  # imports the workloads
     finally:
         sys.path.pop(0)
-    return allocator_names()
 
 
 def configurations() -> list:
     """Every command line of the matrix (the arguments after ``scenarios``)."""
+    workloads, allocators = registered()
     configs = [" ".join(filter(None, (workload, BASE, setting)))
-               for workload in WORKLOADS for setting in SETTINGS]
+               for workload in workloads for setting in SETTINGS]
     configs += [f"dissemination --nodes 40 --duration short --bw-alloc {name}"
-                for name in allocators()]
+                for name in allocators]
     return configs
 
 
