@@ -2,9 +2,12 @@
 
 "We have implemented Chord for SPLAY ... the implementation is remarkably
 compact and close to the pseudo-code."  This module keeps that structure —
-``join``, ``stabilize``, ``notify``, ``fix_fingers`` as periodic coroutines
-over the RPC library — and adds the successor-list fault tolerance the
-paper's churn experiments rely on.
+``join``, ``stabilize``, ``notify``, ``fix_fingers`` as coroutines over the
+RPC library — and adds the successor-list fault tolerance the paper's churn
+experiments rely on.  ``stabilize`` is the one fixed-period task: it also
+reads the fingers its successor list covers and checks a silent
+predecessor.  ``fix_fingers`` looks up only the fingers beyond the list's
+reach, and waits longer while they keep coming back unchanged.
 
 Every remote interaction goes through ``instance.rpc`` (and therefore the
 restricted socket): the application never touches the network object.
@@ -33,9 +36,12 @@ class ChordNode(harness.RoutingNode):
     """One Chord node, bound to one runtime instance.
 
     Options (from ``JobSpec.options`` or keyword overrides), beyond those of
-    :class:`~repro.apps.harness.RoutingNode`: ``stabilize_interval`` /
-    ``fix_fingers_interval`` / ``check_predecessor_interval`` — maintenance
-    periods; ``successor_list_size`` — fault-tolerance depth.
+    :class:`~repro.apps.harness.RoutingNode`: ``stabilize_interval`` — the
+    period of the one periodic task; ``fix_fingers_interval`` — the
+    round-robin period of the far-finger refresh (one finger index per
+    period, backed off while nothing changes);
+    ``check_predecessor_interval`` — the silence after which the
+    predecessor is pinged; ``successor_list_size`` — fault-tolerance depth.
     """
 
     label = "chord"
@@ -53,7 +59,12 @@ class ChordNode(harness.RoutingNode):
         self._predecessor_heard = 0.0  # when the predecessor last called us
         self.successors: List[NodeRef] = [self.me]
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
+        #: finger indices ``0 .. _covered - 1`` are read off the successor list
+        self._covered = 0
+        #: the index the far-finger refresh visits next
         self._next_finger = 0
+        self.refresh = harness.BackoffTask(self.events, self._fix_fingers,
+                                           self.fix_fingers_interval)
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
@@ -61,10 +72,9 @@ class ChordNode(harness.RoutingNode):
         self.members.add(self.me)
         self.events.periodic(self._stabilize, self.stabilize_interval,
                              jitter=self.stabilize_interval * 0.25)
-        self.events.periodic(self._fix_fingers, self.fix_fingers_interval,
-                             jitter=self.fix_fingers_interval * 0.25)
-        self.events.periodic(self._check_predecessor, self.check_predecessor_interval,
-                             jitter=self.check_predecessor_interval * 0.25)
+        # round-robin from index 0: the first far finger comes up after the
+        # covered ones would have
+        self.refresh.start(max(1, self._covered))
         self.log.info(f"node {self.me} up (id={self.me.id})")
 
     def _join_via(self, bootstrap: NodeRef) -> Generator:
@@ -73,7 +83,7 @@ class ChordNode(harness.RoutingNode):
             bootstrap, "find_successor", self.me.id,
             timeout=self.hop_timeout * 8, retries=1)))
         self.successors = [successor]
-        self.fingers[0] = successor
+        self._read_fingers()
         return (successor,)
 
     # ------------------------------------------------------------ RPC handlers
@@ -124,22 +134,26 @@ class ChordNode(harness.RoutingNode):
 
     # ------------------------------------------------------------ maintenance
     def _stabilize(self) -> Generator:
-        """Verify the successor, adopt a closer one, refresh the successor list.
+        """Verify the successor, adopt a closer one, refresh the successor list;
+        then read the fingers off it and check a silent predecessor.
 
         One ``stabilize`` RPC per hop notifies the node and returns its
         predecessor and successor list.  While that predecessor lies between
         us and the node, the walk moves on to it (bounded): one round can then
         repair a successor pointer that overshot by many nodes.  A reply
         proves its sender alive; the last node that answered is our successor.
+        The predecessor proves itself alive by its own stabilize calls, so
+        only one silent for ``check_predecessor_interval`` is pinged, and
+        dropped when it does not answer.
         """
         self.stats.maintenance_rounds += 1
         node = self._current_successor()
         if node == self.me:
             node = self.predecessor  # alone so far: the predecessor closes the ring
-            if node is None:
-                return
         successor = reply = None
-        for _hop in range(8):
+        hops = 8 if node is not None else 0  # alone: nobody to call
+        for _hop in range(hops):
+            self.stats.maintenance_rpcs += 1
             try:
                 reply = yield self.rpc.call(node, "stabilize", self.me,
                                             timeout=self.hop_timeout,
@@ -155,37 +169,55 @@ class ChordNode(harness.RoutingNode):
         if successor is not None:
             chain = [successor] + [n for n in map(NodeRef.coerce, reply["successors"])
                                    if n != self.me]
-            self.successors = list(dict.fromkeys(chain))[: self.successor_list_size]
-            self.fingers[0] = self.successors[0]
+            successors = list(dict.fromkeys(chain))[: self.successor_list_size]
+            if successors != self.successors:
+                self.refresh.stir()
+            self.successors = successors
+        self._read_fingers()
+        predecessor = self.predecessor
+        if (predecessor is not None and self.events.now() - self._predecessor_heard
+                >= self.check_predecessor_interval):
+            self.stats.maintenance_rpcs += 1
+            alive = yield self.rpc.ping(predecessor, timeout=self.hop_timeout)
+            if not alive and self.predecessor == predecessor:
+                self.predecessor = None
+                self.stats.dead_nodes_noticed += 1
+
+    def _read_fingers(self) -> None:
+        """Set every finger the successor list covers, with no message: finger
+        ``i`` is the first entry at least ``2**i`` past us."""
+        me, bits, successors = self.me.id, self.bits, self.successors
+        reach = [ring_distance(me, node.id, bits) for node in successors]
+        self._covered = max(reach).bit_length()
+        fingers, entry = self.fingers, 0
+        for index in range(self._covered):
+            while reach[entry] < 1 << index:  # 2**i grows: the entry only moves on
+                entry += 1
+            fingers[index] = successors[entry]
 
     def _fix_fingers(self) -> Generator:
-        """Refresh one finger per round (round-robin over the table); one our
-        successor list already covers is read off it, the others cost a lookup."""
-        index = self._next_finger = (self._next_finger + 1) % self.bits
-        start = ring_add(self.me.id, 1 << index, self.bits)
-        for node in self.successors:
-            if node == self.me:
-                break
-            if between(start, self.me.id, node.id, include_high=True):
-                self.fingers[index] = node
-                return
-        try:
-            owner, _hops = yield from self.lookup(start)
-            self.fingers[index] = owner
-        except LookupFailed:
-            self.fingers[index] = None
+        """Refresh the next finger beyond the successor list's reach with a
+        lookup, round-robin over those indices.
 
-    def _check_predecessor(self) -> Generator:
-        """Drop the predecessor pointer once it went silent for a whole period
-        and does not answer a ping either."""
-        predecessor = self.predecessor
-        if (predecessor is None or self.events.now() - self._predecessor_heard
-                < self.check_predecessor_interval):
-            return
-        alive = yield self.rpc.ping(predecessor, timeout=self.hop_timeout)
-        if not alive and self.predecessor == predecessor:
-            self.predecessor = None
-            self.stats.dead_nodes_noticed += 1
+        Returns how many ``fix_fingers_interval`` periods to wait for the next
+        one: one per index it passes, the covered indices included, so a far
+        finger comes up as often as in a round-robin over the whole table.
+        The same finger coming back is a round that learned nothing.
+        """
+        bits = self.bits
+        index = max(self._next_finger, self._covered)
+        if index == bits:  # the list covers the whole table
+            return bits
+        start = ring_add(self.me.id, 1 << index, bits)
+        try:
+            owner, _hops = yield from self.lookup(start, maintenance=True)
+        except LookupFailed:
+            owner = None
+        if owner is None or owner != self.fingers[index]:
+            self.refresh.stir()
+        self.fingers[index] = owner
+        self._next_finger = (index + 1) % bits
+        return (max(self._next_finger, self._covered) - index) % bits or bits
 
     # ----------------------------------------------------------------- helpers
     def _current_successor(self) -> NodeRef:
@@ -224,6 +256,7 @@ class ChordNode(harness.RoutingNode):
         if node == self.me:
             return
         self.stats.dead_nodes_noticed += 1
+        self.refresh.stir()
         self.successors = [s for s in self.successors if s != node]
         if not self.successors:
             self.successors = [self.me]

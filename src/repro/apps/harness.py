@@ -24,7 +24,8 @@ mechanics must never change workload results.
 
 Public entry points: :class:`RunConfig` (the one description of a run's
 execution options), :class:`OverlayNode` / :class:`RoutingNode` (what the
-applications are built on), :func:`deploy` (+ :class:`Deployment`),
+applications are built on) and :class:`BackoffTask` (the routing overlays'
+backed-off maintenance round), :func:`deploy` (+ :class:`Deployment`),
 :func:`scaled_windows` / :func:`scaled_ops` (duration presets),
 :class:`Scenario` / :class:`LookupScenario` (a workload declared once, and
 the one pipeline that runs it), :func:`lookup_stream` / :func:`drain`, and
@@ -148,7 +149,8 @@ DIGEST_EXCLUDED_KEYS = frozenset({"ctl_shards", "control_plane",
                                   "testbed", "sanitizer",
                                   "metrics", "trace", "profile",
                                   "flight_recorder", "bw_alloc",
-                                  "gc", "phase_wall", "handler_errors"})
+                                  "gc", "phase_wall", "handler_errors",
+                                  "maintenance"})
 
 
 def deterministic_report_view(report: dict) -> dict:
@@ -518,6 +520,86 @@ class OverlayNode:
         return f"<{type(self).__name__} {self.me} joined={self.joined}>"
 
 
+#: a maintenance round that keeps learning nothing waits at most this many
+#: times its base wait (:class:`BackoffTask`)
+BACKOFF_CAP = 8
+
+
+class BackoffTask:
+    """A maintenance round run again and again, its wait doubling while
+    rounds learn nothing.
+
+    Each run is the coroutine ``fn()``, which may return how many
+    ``interval`` periods the next wait spans (one by default).  The wait is
+    that base plus up to 25 % jitter, drawn from ``sim.rng`` as
+    :meth:`Events.periodic` draws it, times ``factor``.  A round during
+    which nothing called :meth:`stir` doubles ``factor``, up to
+    :data:`BACKOFF_CAP`.  :meth:`stir` — the node's view changed — sets it
+    back to 1 and brings a pending run due later than its factor-1 wait
+    forward to that time.
+
+    Like a periodic task it is its own timer callback, and a kill of its
+    context drops ``fn``: the node holding the task is not pinned by it.
+    """
+
+    __slots__ = ("factor", "_stirred", "_events", "_fn", "_interval",
+                 "_current", "_armed_at", "_unit", "_name")
+
+    def __init__(self, events, fn: Callable[[], Generator], interval: float) -> None:
+        self.factor = 1
+        #: a stir happened since the current round began
+        self._stirred = False
+        self._events = events
+        self._fn: Optional[Callable[[], Generator]] = fn
+        self._interval = interval
+        self._current = None
+        #: when the pending run was armed, and its wait at factor 1
+        self._armed_at = 0.0
+        self._unit = 0.0
+        self._name = f"{events.context.name}.backoff"
+        events.context.add_cleanup(self.cancel)
+
+    def start(self, periods: int = 1) -> None:
+        """Arm the next run: ``periods`` intervals plus jitter, times ``factor``."""
+        sim = self._events.sim
+        base = self._interval * periods
+        self._unit = base + sim.rng.uniform(0.0, base * 0.25)
+        self._armed_at = sim.now
+        self._current = sim.schedule(self._unit * self.factor, self._fire)
+
+    def _fire(self) -> None:
+        self._current = None
+        if self._fn is not None and self._events.context.alive:
+            self._events.thread(self._round, name=self._name)
+
+    def _round(self) -> Generator:
+        self._stirred = False
+        periods = yield from self._fn()
+        if not self._stirred:
+            self.factor = min(BACKOFF_CAP, 2 * self.factor)
+        self.start(periods or 1)
+
+    def stir(self) -> None:
+        """The view changed: the wait is the base one again."""
+        self._stirred = True
+        if self.factor == 1:
+            return
+        self.factor = 1
+        current = self._current
+        if current is not None:
+            sim = self._events.sim
+            due = self._armed_at + self._unit
+            if due < current.time:
+                current.cancel()
+                self._current = sim.schedule_at(max(due, sim.now), self._fire)
+
+    def cancel(self) -> None:
+        self._fn = None
+        if self._current is not None:
+            self._current.cancel()
+            self._current = None
+
+
 @dataclass
 class RoutingStats:
     """Per-node counters of a key-based-routing overlay."""
@@ -528,6 +610,8 @@ class RoutingStats:
     hops_total: int = 0
     join_attempts: int = 0
     maintenance_rounds: int = 0
+    #: RPCs the maintenance tasks sent, a maintenance lookup's walk included
+    maintenance_rpcs: int = 0
     dead_nodes_noticed: int = 0
 
 
@@ -539,11 +623,14 @@ class RoutingNode(OverlayNode):
     hashed identifier, the join retry loop and the one iterative
     :meth:`lookup` walk.  The overlay supplies the ``step`` and ``claim``
     handlers, :meth:`_join_via`, ``_note_dead``, its hop budget ``max_hops``,
-    ``failure`` (the exception class its lookups raise) and optionally
-    ``_learned`` (told every node reference a walk sees).
+    ``failure`` (the exception class its lookups raise), ``refresh`` (the
+    :class:`BackoffTask` of its backed-off maintenance, stirred by a failed
+    lookup) and optionally ``_learned`` (told every node reference a walk
+    sees).
     """
 
     failure: type = Exception
+    refresh: BackoffTask
     _learned = None
 
     def _configure(self, options: dict) -> None:
@@ -584,16 +671,18 @@ class RoutingNode(OverlayNode):
         self.log.error(f"node {self.me} could not join, giving up")
         self.events.exit()
 
-    def lookup(self, key: int) -> Generator:
+    def lookup(self, key: int, maintenance: bool = False) -> Generator:
         """Iteratively find the node owning ``key``; returns ``(owner, hops)``.
 
         One ``step`` per node asked, then ``claim`` to confirm the owner.  Dead
         hops go to an ``avoid`` set and the walk restarts from the local node,
         so a lookup survives nodes failing underneath it while the overlay
-        itself stays connected.
+        itself stays connected.  A ``maintenance`` walk (the overlay's own)
+        counts its RPCs in ``stats.maintenance_rpcs``.
         """
         key = key % (1 << self.bits)
-        self.stats.lookups_started += 1
+        stats = self.stats
+        stats.lookups_started += 1
         tracer = self.rpc._tracer
         # the clock is read for the span only
         started = self.events.sim.now if tracer is not None else 0.0
@@ -605,6 +694,7 @@ class RoutingNode(OverlayNode):
             if current == self.me:
                 response = self._rpc_step(key, list(avoid))
             else:
+                stats.maintenance_rpcs += maintenance
                 try:
                     response = yield self.rpc.call(current, "step", key, list(avoid),
                                                    timeout=self.hop_timeout,
@@ -628,6 +718,7 @@ class RoutingNode(OverlayNode):
                     if owner == self.me:
                         claim = self._rpc_claim(key)
                     else:
+                        stats.maintenance_rpcs += maintenance
                         try:
                             claim = yield self.rpc.call(owner, "claim", key,
                                                         timeout=self.hop_timeout,
@@ -650,8 +741,8 @@ class RoutingNode(OverlayNode):
                 else:
                     confirmed = owner  # bounce budget spent; best known owner
                 if confirmed is not None:
-                    self.stats.lookups_completed += 1
-                    self.stats.hops_total += hops
+                    stats.lookups_completed += 1
+                    stats.hops_total += hops
                     if tracer is not None:
                         # per-hop step/claim RPC spans nest under this one
                         tracer.add(self.me.ip, "lookup", started,
@@ -671,7 +762,8 @@ class RoutingNode(OverlayNode):
                 current = self.me
                 continue
             current = node
-        self.stats.lookups_failed += 1
+        stats.lookups_failed += 1
+        self.refresh.stir()
         if tracer is not None:
             tracer.add(self.me.ip, "lookup.failed", started,
                        self.events.sim.now - started, cat="lookup",
@@ -856,22 +948,44 @@ class LookupScenario(Scenario):
             probe.start(delay=deployment.warmup_end)
 
         self.results: List[OpResult] = []
-        driver = Process(sim, lookup_stream(
+        self._maintenance: List[tuple] = []
+        driver = Process(sim, self._measured(sim, job, lookup_stream(
             sim, job, lookups, self.spacing, bits, substream(seed, "workload"),
-            self.results, owner, failure=failure), name="workload.measured")
+            self.results, owner, failure=failure)), name="workload.measured")
         driver.start(delay=deployment.measure_start)
         # Lookups take several RTTs each, so a fixed horizon would truncate
         # the stream: wait for the driver, with a hard cap against runaway.
         return driver, deployment.measure_start + lookups * (self.spacing + 30.0) + 300.0
 
+    def _measured(self, sim: Simulator, job: Job, stream: Generator) -> Generator:
+        """``stream``, with the joined nodes' maintenance RPCs read as it
+        starts and ends (inside its own steps: no event of its own)."""
+        def reading() -> tuple:
+            apps = joined_apps(job)
+            return sim.now, len(apps), sum(app.stats.maintenance_rpcs for app in apps)
+
+        self._maintenance.append(reading())
+        yield from stream
+        self._maintenance.append(reading())
+
     def sections(self, deployment: Deployment) -> dict:
-        return {
+        sections = {
             "bits": self.bits,
             "under_churn": summarise(self.probe_results) if self.probe_results else None,
             "measured": summarise(self.results),
             "cdf_samples_ms": sorted(round(1000.0 * r.latency, 3)
                                      for r in self.results if r.completed),
         }
+        if len(self._maintenance) == 2:
+            # the measured phase is churn-free: the same nodes at both ends
+            (started, nodes, before), (ended, _nodes, after) = self._maintenance
+            node_seconds = nodes * (ended - started)
+            sections["maintenance"] = {
+                "rpcs": after - before, "nodes": nodes,
+                "seconds": round(ended - started, 3),
+                "rpcs_per_node_s": (round((after - before) / node_seconds, 4)
+                                    if node_seconds else 0.0)}
+        return sections
 
 
 # --------------------------------------------------------------------- report

@@ -18,7 +18,10 @@ don't yield stale owners; every reference the walk sees is ``_learned``.
 Fault tolerance under churn comes from periodic leaf-set repair (exchange
 leaf sets with the nearest live neighbour on each side) and routing-table
 maintenance (ask one table entry for its row), one RPC per neighbour or
-entry, mirroring Pastry's self-stabilisation.  A node serves ``step`` and
+entry, mirroring Pastry's self-stabilisation.  The repair keeps its fixed
+period; the table probe waits twice as long after each reply that taught
+nothing, up to ``harness.BACKOFF_CAP`` times, and is back to its period
+on any change of the leaf set or table.  A node serves ``step`` and
 ``claim`` only once it has joined.
 """
 
@@ -82,6 +85,8 @@ class PastryNode(harness.RoutingNode):
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
             [None] * (1 << self.base_bits) for _ in range(self.digits)]
+        self.refresh = harness.BackoffTask(self.events, self._table_maintenance,
+                                           self.table_probe_interval)
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
@@ -91,8 +96,7 @@ class PastryNode(harness.RoutingNode):
             self.rpc.register(name, getattr(self, "_rpc_" + name))
         self.events.periodic(self._leafset_repair, self.repair_interval,
                              jitter=self.repair_interval * 0.25)
-        self.events.periodic(self._table_maintenance, self.table_probe_interval,
-                             jitter=self.table_probe_interval * 0.25)
+        self.refresh.start()
         self.log.info(f"node {self.me} up (id={self.me.id:0{self.digits}x})")
 
     def _join_via(self, bootstrap: NodeRef) -> Generator:
@@ -178,6 +182,7 @@ class PastryNode(harness.RoutingNode):
             yield from self._reseed()
             return
         for neighbour in neighbours:
+            self.stats.maintenance_rpcs += 1
             try:
                 remote = yield self.rpc.call(neighbour, "leafset", self.me,
                                              timeout=self.hop_timeout,
@@ -189,13 +194,16 @@ class PastryNode(harness.RoutingNode):
 
     def _table_maintenance(self) -> Generator:
         """Ask one random table entry for its row at that level (MSPastry): the
-        reply proves it alive and fills our empty slots; no reply purges it."""
+        reply proves it alive and fills our empty slots; no reply purges it.
+        A reply that fills no slot and changes no leaf is a round that learned
+        nothing (the wait to the next one doubles, see ``refresh``)."""
         occupied = [(r, c) for r, row in enumerate(self.table)
                     for c, entry in enumerate(row) if entry is not None]
         if not occupied:
             return
         row, column = self._rng.choice(occupied)
         entry = self.table[row][column]
+        self.stats.maintenance_rpcs += 1
         try:
             remote = yield self.rpc.call(entry, "row", row,
                                          timeout=self.hop_timeout, retries=0)
@@ -210,11 +218,13 @@ class PastryNode(harness.RoutingNode):
         if bootstrap is None:
             return
         try:
+            self.stats.maintenance_rpcs += 1
             owner = yield self.rpc.call(bootstrap, "find_owner", self.me.id,
                                         timeout=self.hop_timeout * 8, retries=1)
             owner = NodeRef.coerce(owner)
             self._learned(bootstrap)
             self._learned(owner)
+            self.stats.maintenance_rpcs += 1
             self._adopt((yield self.rpc.call(owner, "leafset", self.me,
                                              timeout=self.hop_timeout, retries=0)))
         except RpcError:
@@ -297,9 +307,11 @@ class PastryNode(harness.RoutingNode):
             return
         if (node.ip, node.port) not in self.leaves and self._offer_leaf(node):
             self._sides_changed()
+            self.refresh.stir()
         slot = self._slot(node.id)
         if slot is not None and self.table[slot[0]][slot[1]] is None:
             self.table[slot[0]][slot[1]] = node
+            self.refresh.stir()
 
     def _leaf_key(self, node: NodeRef, direction: int) -> tuple:
         """Sort key of a side: ring distance from us going ``direction``, then endpoint."""
@@ -329,6 +341,7 @@ class PastryNode(harness.RoutingNode):
         if node == self.me:
             return
         self.stats.dead_nodes_noticed += 1
+        self.refresh.stir()
         if self.leaves.pop((node.ip, node.port), None) is not None:
             self._dead[node.ip, node.port] = None
             if len(self._dead) > self.leaf_set_size:

@@ -98,6 +98,11 @@ def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
           f"p95={measured['latency_p95_ms']:.0f}ms "
           f"max={measured['latency_max_ms']:.0f}ms")
     print(f"{label} hops: mean={measured['hops_mean']:.2f} max={measured['hops_max']}")
+    maintenance = report.get("maintenance")
+    if maintenance:
+        print(f"maintenance: {maintenance['rpcs_per_node_s']:.3f} RPCs per node per "
+              f"second while measuring ({maintenance['rpcs']} RPCs, "
+              f"{maintenance['nodes']} nodes, {maintenance['seconds']:.0f} s)")
     workload = report.get("workload") or {}
     for key in spec.report_lines:
         if key in workload:

@@ -42,9 +42,10 @@ PRIORITIES = [CONTROL, LOOKUP, BULK]
 #: the flagship churn digest pinned in tests/test_testbeds.py — captured on
 #: the commit *before* the allocator refactor; ``--bw-alloc max-min`` must
 #: keep producing exactly this (re-captured, with that pin, when Chord's
-#: maintenance protocol changed and when coroutines began to resume inside
-#: the event completing their future; the allocator code did not move)
-PRE_REFACTOR_CHURN_DIGEST = "c64a1b837f2f04ce"
+#: maintenance protocol changed, when coroutines began to resume inside
+#: the event completing their future, and when Chord's maintenance backed
+#: off; the allocator code did not move)
+PRE_REFACTOR_CHURN_DIGEST = "10997b35e6b9258d"
 
 
 def _model(seed=0, allocator="max-min", model_class=BandwidthModel, hosts=12,

@@ -200,18 +200,63 @@ def test_fingers_read_off_the_successor_list_are_the_true_owners():
     sim, _controller, job = _converged(nodes=12)
     read_off = 0
     for app in _live_apps(job):
+        app.fingers = [None] * BITS
+        app._read_fingers()  # what every stabilize round ends with: no RPC
+        read_off += app._covered
         for index in range(BITS):
-            app._next_finger = index - 1
-            refresh = app._fix_fingers()
-            try:
-                next(refresh)
-            except StopIteration:  # no RPC: the successor list answered
-                read_off += 1
-                start = ring_add(app.me.id, 1 << index, BITS)
+            start = ring_add(app.me.id, 1 << index, BITS)
+            if index < app._covered:
                 assert app.fingers[index] == expected_owner(job, start, BITS)
-            else:
-                refresh.close()  # a lookup would run: not this test's case
+            else:  # beyond the list's reach: the far-finger refresh's lookup
+                assert app.fingers[index] is None
+                assert ring_distance(app.me.id, app.successors[-1].id, BITS) < 1 << index
     assert read_off >= 12 * 8  # most of a 12-node ring's fingers
+
+
+def test_a_quiet_ring_backs_its_far_finger_lookups_off_and_never_pings(monkeypatch):
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    assert any(app._covered < BITS for app in apps)  # some fingers are far
+    sent = {}
+    calling = RpcService.a_call
+
+    def counting(service, dst, method, *args, **kwargs):
+        sent[method] = sent.get(method, 0) + 1
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "a_call", counting)
+    far_lookups = []
+    for _half in range(2):
+        started = sum(app.stats.lookups_started for app in apps)
+        sim.run(until=sim.now + 150.0)
+        far_lookups.append(sum(app.stats.lookups_started for app in apps) - started)
+        assert ring_consistency(job) == 1.0
+    assert "__ping__" not in sent
+    assert far_lookups[0] > far_lookups[1]
+
+
+def test_a_dead_finger_resets_the_back_off_of_the_far_finger_refresh():
+    sim, controller, job = _converged(nodes=16, until=80.0)
+    sim.run(until=500.0)
+    longest = BITS * 2.0 * 1.25  # a far finger's round-robin wait at factor 1
+    app, index = next(
+        (app, index) for app in _live_apps(job) for index in range(app._covered, BITS)
+        if app.fingers[index] not in (*app.successors, app.predecessor)
+        and app.refresh._current.time > sim.now + 2 * longest)
+    assert app.refresh.factor == harness.BACKOFF_CAP
+    (victim,) = [i for i in job.live_instances() if i.app.me == app.fingers[index]]
+    controller.kill_instance(victim, failed=True)
+    start = ring_add(app.me.id, 1 << index, BITS)
+    noticed = app.stats.dead_nodes_noticed
+    # a lookup of the finger's key ends in a claim to the dead owner
+    Process(sim, app.lookup(start), name="test-lookup").start()
+    reset = _run_until(sim, lambda: app.refresh.factor == 1, sim.now + 30.0)
+    assert reset is not None and app.stats.dead_nodes_noticed == noticed + 1
+    # and the refresh is brought forward to its factor-1 wait: it repairs the
+    # finger long before the factor-8 run would have come up
+    repaired = _run_until(sim, lambda: app.fingers[index] == expected_owner(
+        job, start, BITS), reset + longest + 5.0)
+    assert repaired is not None
 
 
 def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
@@ -241,6 +286,25 @@ def test_a_crashed_successor_is_replaced_by_the_next_list_entry():
                           crashed + 30.0)
     assert replaced is not None and replaced <= crashed + 2 * app.stabilize_interval
     assert app.successors[0] == next_entry
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_crash_burst_heals_within_the_predecessor_check_bound(seed):
+    sim, _controller, job = _deploy(nodes=40, seed=seed, stabilize_interval=5.0,
+                                    fix_fingers_interval=4.0,
+                                    churn_script="at 100s crash 10%\n")
+    sim.run(until=99.0)
+    assert ring_consistency(job) == 1.0
+    crashed = _run_until(sim, lambda: job.live_count == 36, 110.0)
+    assert crashed is not None and ring_consistency(job) < 1.0
+    app = _live_apps(job)[0]
+    # the bound of the three fixed-period tasks this replaces: a dead
+    # predecessor dropped within a silent period plus a 1.25-period check and
+    # the ping, then the new predecessor's stabilize call
+    bound = (2.25 * app.check_predecessor_interval + app.hop_timeout
+             + 1.25 * app.stabilize_interval)
+    healed = _run_until(sim, lambda: ring_consistency(job) == 1.0, crashed + 60.0)
+    assert healed is not None and healed <= crashed + bound
 
 
 def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import harness
 from repro.apps.pastry import PastryNode, leaf_consistency, pastry_factory
 from repro.core.jobs import JobSpec
 from repro.lib.ring import numeric_distance
@@ -167,12 +168,14 @@ def _run(sim, generator, patience):
 
 
 class _CountingPastry(PastryNode):
-    """Counts its table-maintenance periods."""
+    """Counts its table-maintenance periods and the back-off factor each began at."""
 
     table_periods = 0
+    factors: tuple = ()
 
     def _table_maintenance(self):
         self.table_periods += 1
+        self.factors += (self.refresh.factor,)
         yield from super()._table_maintenance()
 
 
@@ -196,12 +199,38 @@ def test_a_quiet_ring_sends_one_rpc_per_repair_neighbour_and_per_table_period(
     sim.run(until=sim.now + 100.0)
     rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
     periods = sum(app.table_periods for app in apps) - periods
-    assert rounds >= 16 * 100.0 / 2.5 and periods >= 16 * 100.0 / 3.75
+    assert rounds >= 16 * 100.0 / 2.5
+    # the table probe backs off on a quiet ring: at least 2x on average
+    assert 16 <= periods <= 16 * 100.0 / (2 * 3.0)
     # 16 nodes fill both sides of every leaf set: two distinct neighbours
     assert sent["leafset"] == 2 * rounds
     assert sent["row"] == periods
     assert set(sent) == {"leafset", "row"}  # no notify, ping or lookup
     assert leaf_consistency(job) == 1.0
+
+
+def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_dead_entry():
+    sim, _controller, job = _deploy(nodes=16, factory=_CountingPastry.factory)
+    sim.run(until=200.0)
+    assert leaf_consistency(job) == 1.0
+    app = _live_apps(job)[0]
+    # from its last change on, each round began at twice the previous factor
+    quiet = app.factors[len(app.factors) - 1 - app.factors[::-1].index(1):]
+    assert len(quiet) >= 5
+    assert quiet == tuple(min(harness.BACKOFF_CAP, 2 ** i) for i in range(len(quiet)))
+
+    # the next probe goes to an entry that died: the wait is one period again
+    row, column = app._slot(app.me.id ^ (1 << (BITS - 1)))
+    ghost = NodeRef("10.9.9.9", 9, id=app.me.id ^ (1 << (BITS - 1)))
+    app.table[row][column] = ghost
+    app._rng.choice = lambda options: (row, column)
+    periods = app.table_periods
+    probed = _run_until(sim, lambda: app.table_periods > periods, sim.now + 300.0)
+    del app._rng.choice  # later rounds pick at random again
+    sim.run(until=probed + app.hop_timeout + 0.5)
+    assert app.table[row][column] is None and app.refresh.factor == 1
+    again = _run_until(sim, lambda: app.table_periods > periods + 1, sim.now + 30.0)
+    assert again is not None and again <= probed + app.hop_timeout + 1.25 * 3.0
 
 
 def test_a_row_reply_fills_only_empty_slots_of_that_row():

@@ -28,13 +28,15 @@ from repro.testbeds.presets import (
 #: the default transit-stub testbed must keep producing exactly these.  The
 #: two Chord rows were re-captured when Chord's maintenance protocol changed
 #: (one ``stabilize`` RPC per hop, fingers read off the successor list,
-#: predecessor liveness from its own calls), and all three when coroutines
+#: predecessor liveness from its own calls), all three when coroutines
 #: began to resume inside the event completing their future (only
-#: ``events_executed`` moved); the testbed code did not move.
+#: ``events_executed`` moved), and the two Chord rows again when Chord's
+#: maintenance became one periodic task and a backed-off far-finger
+#: refresh; the testbed code did not move.
 PRE_TESTBEDS_DIGESTS = {
-    "chord-stable": "7f8668eda39644f3",
+    "chord-stable": "dc62d14a09891afe",
     "gossip-stable": "c23b4300afdcce27",
-    "chord-churn": "c64a1b837f2f04ce",
+    "chord-churn": "10997b35e6b9258d",
 }
 
 

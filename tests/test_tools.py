@@ -202,19 +202,51 @@ def test_ab_reports_medians_wins_and_verdicts_from_canned_result_lines():
                  "sim_op_tail_ms", "attempted", "failed"):
         assert f"  {name}: exactly equal per seed on 4/4 pairs" in lines
 
-    # A simulated metric that moves for one seed is a failure by itself,
-    # however small; so is one more failed operation.
-    moved = [dict(run) for run in parent]
-    moved[2]["events_per_ok_op"] += 0.5
-    moved[1]["failed"] = 1
-    lines, failed = ab.report("chord_steady", contract["end_to_end"],
-                              parent, moved, seeds=[0, 1, 2, 3])
-    assert failed
-    assert sum(line.endswith(": DIFFERS") for line in lines) == 2
     # Identical sides: nothing fails, host metrics are simply not worse.
     lines, failed = ab.report("chord_steady", contract["end_to_end"],
                               parent, parent, seeds=[0, 1, 2, 3])
     assert not failed
+
+
+def _simulated_verdicts(ab, parent, change):
+    contract = json.loads((_REPO / "BENCHMARK.json").read_text())
+    lines, failed = ab.report("chord_steady", contract["end_to_end"],
+                              parent, change, seeds=list(range(len(parent))))
+    verdicts = {line.split(":")[0].strip(): line.split("): ")[-1]
+                for line in lines[1:] if line.startswith("  ") and "): " in line}
+    return verdicts, failed
+
+
+def test_ab_judges_a_simulated_metric_that_moves_on_purpose_against_its_bound():
+    ab = _load("ab")
+    parent = [ab.parse_result(_canned_run(1.0, 1.0, 40.0)) for _ in range(4)]
+
+    def moved(**values):
+        return [dict(run, **values) for run in parent]
+
+    # events_per_ok_op 232.5: -20 % is better, +5 % is within its 8 % bound,
+    # +10 % is over it; only the last fails the tool
+    verdicts, failed = _simulated_verdicts(ab, parent, moved(events_per_ok_op=186.0))
+    assert verdicts["events_per_ok_op"] == "DIFFERS, better" and not failed
+    verdicts, failed = _simulated_verdicts(ab, parent, moved(events_per_ok_op=244.1))
+    assert verdicts["events_per_ok_op"] == "DIFFERS, not worse" and not failed
+    verdicts, failed = _simulated_verdicts(ab, parent, moved(events_per_ok_op=255.8))
+    assert verdicts["events_per_ok_op"] == "worse" and failed
+    # one seed moving leaves the median where it was: not worse, but named
+    one_seed = moved()
+    one_seed[2]["events_per_ok_op"] += 0.5
+    verdicts, failed = _simulated_verdicts(ab, parent, one_seed)
+    assert verdicts["events_per_ok_op"] == "DIFFERS, not worse" and not failed
+    assert "ok_rate" not in verdicts  # still exactly equal per seed
+
+    # the operation counts go by their totals: one failure more is worse
+    # wherever it falls, one fewer is better
+    more = moved()
+    more[1]["failed"] = 1
+    verdicts, failed = _simulated_verdicts(ab, parent, more)
+    assert verdicts["failed"] == "worse" and failed
+    verdicts, failed = _simulated_verdicts(ab, more, parent)
+    assert verdicts["failed"] == "DIFFERS, better" and not failed
 
 
 def test_ab_spread_rule_yields_to_a_clean_sweep():
@@ -228,6 +260,19 @@ def test_ab_spread_rule_yields_to_a_clean_sweep():
     higher = {"name": "x", "better": "higher", "bound": 0.1}
     assert ab.compare(higher, [1.0, 1.0], [0.8, 0.8])["verdict"] == "worse"
     assert ab.compare(higher, [1.0, 1.0], [1.2, 1.0])["wins"] == 1
+
+
+# -------------------------------------------------------------- seed_sweep.py
+def test_seed_sweep_prints_each_seeds_measured_line_then_the_total(capsys):
+    sweep = _load("seed_sweep")
+    status = sweep.main(["chord --nodes 6 --duration short --lookups 12", "--seeds", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[0].startswith("chord --nodes 6 --duration short --lookups 12, seeds 0..1")
+    assert [line.split(": ")[0] for line in lines[1:]] == ["seed 0", "seed 1", "total"]
+    per_seed = [tuple(map(int, line.split(": ")[1].split("/"))) for line in lines[1:3]]
+    assert all(issued == 12 for _correct, issued in per_seed)
+    assert lines[3] == "total: {}/24".format(sum(correct for correct, _ in per_seed))
 
 
 # ------------------------------------------------------------ digest_matrix.py

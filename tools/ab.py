@@ -18,13 +18,19 @@ The protocol every performance statement in CHANGES.md uses, as one command:
   verdict against the ``bound`` of ``BENCHMARK.json`` — ``worse``,
   ``not worse``, or ``unresolved`` when the parent's own interquartile range
   exceeds the bound (unless every run of the change beats every run of the
-  parent); the simulated metrics, ``attempted`` and ``failed`` must be
-  exactly equal per seed and are reported as ``equal`` or ``DIFFERS``;
+  parent);
+* the simulated metrics, ``attempted`` and ``failed`` are pure functions of
+  the seed: ``equal`` when they are exactly equal per seed, as a change that
+  only moves host time must leave them.  A change that moves them on
+  purpose gets ``DIFFERS, better``, ``DIFFERS, not worse`` or ``worse``:
+  the simulated metrics by their median against their bound (the runs are
+  exact, so there is no spread to be unresolved by), ``attempted`` and
+  ``failed`` by their totals, where one failure more is worse;
 * every run made is listed, ``seed:parent/change``.
 
 The output is the block to paste into CHANGES.md.  Exit code 1 when a metric
-is ``worse`` or a simulated one ``DIFFERS``, 0 otherwise (``unresolved`` is
-reported, not failed).  Stdlib only.
+is ``worse``, 0 otherwise (``unresolved`` and ``DIFFERS, ...`` are reported,
+not failed).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ _REPO = Path(__file__).resolve().parent.parent
 #: must leave them exactly equal, pair by pair
 SIMULATED = ("ok_rate", "events_per_ok_op", "sim_op_p50_ms", "sim_op_tail_ms",
              "attempted", "failed")
+#: the operation counts among them, judged by their totals
+COUNTS = ("attempted", "failed")
 
 
 # ------------------------------------------------------------------ the trees
@@ -111,7 +119,15 @@ def compare(metric: dict, parent: list, change: list) -> dict:
                for p, c in zip(parent, change))
     spread = (p3 - p1) / p_median if p_median else 0.0
     if metric["name"] in SIMULATED:
-        verdict = "equal" if parent == change else "DIFFERS"
+        if metric["name"] in COUNTS:
+            moved_total = sum(change) - sum(parent)
+            worse_by = moved_total if lower_is_better else -moved_total
+        if parent == change:
+            verdict = "equal"
+        elif worse_by > metric["bound"]:
+            verdict = "worse"
+        else:
+            verdict = "DIFFERS, better" if worse_by < 0 else "DIFFERS, not worse"
     elif spread > metric["bound"]:
         every_run_better = (max(change) < min(parent) if lower_is_better
                             else min(change) > max(parent))
@@ -133,14 +149,14 @@ def report(workload: str, metrics: list, parent_runs: list, change_runs: list,
     lines = [f"{workload} ({len(seeds)} pairs, seeds "
              f"{', '.join(map(str, seeds))}):"]
     failed = False
-    counts = ({"name": name, "better": "lower", "bound": 0.0}
-              for name in ("attempted", "failed"))
+    counts = ({"name": name, "better": better, "bound": 0.0}
+              for name, better in zip(COUNTS, ("higher", "lower")))
     for metric in list(metrics) + list(counts):
         name = metric["name"]
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
         row = compare(metric, parent, change)
-        failed = failed or row["verdict"] in ("worse", "DIFFERS")
+        failed = failed or row["verdict"] == "worse"
         if row["verdict"] == "equal":
             lines.append(f"  {name}: exactly equal per seed on "
                          f"{row['pairs']}/{row['pairs']} pairs")
