@@ -612,7 +612,10 @@ class RoutingStats:
     maintenance_rounds: int = 0
     #: RPCs the maintenance tasks sent, a maintenance lookup's walk included
     maintenance_rpcs: int = 0
+    #: nodes purged because a call of ours got no answer
     dead_nodes_noticed: int = 0
+    #: leaves purged because a caller's death list named them (Pastry)
+    deaths_reported: int = 0
 
 
 class RoutingNode(OverlayNode):
@@ -958,11 +961,14 @@ class LookupScenario(Scenario):
         return driver, deployment.measure_start + lookups * (self.spacing + 30.0) + 300.0
 
     def _measured(self, sim: Simulator, job: Job, stream: Generator) -> Generator:
-        """``stream``, with the joined nodes' maintenance RPCs read as it
-        starts and ends (inside its own steps: no event of its own)."""
+        """``stream``, with the joined nodes' maintenance RPCs and failure
+        detections read as it starts and ends (inside its own steps: no event
+        of its own)."""
         def reading() -> tuple:
-            apps = joined_apps(job)
-            return sim.now, len(apps), sum(app.stats.maintenance_rpcs for app in apps)
+            stats = [app.stats for app in joined_apps(job)]
+            return (sim.now, len(stats), sum(s.maintenance_rpcs for s in stats),
+                    sum(s.dead_nodes_noticed for s in stats),
+                    sum(s.deaths_reported for s in stats))
 
         self._maintenance.append(reading())
         yield from stream
@@ -978,13 +984,17 @@ class LookupScenario(Scenario):
         }
         if len(self._maintenance) == 2:
             # the measured phase is churn-free: the same nodes at both ends
-            (started, nodes, before), (ended, _nodes, after) = self._maintenance
+            ((started, nodes, before, _, _),
+             (ended, _nodes, after, noticed, reported)) = self._maintenance
             node_seconds = nodes * (ended - started)
             sections["maintenance"] = {
                 "rpcs": after - before, "nodes": nodes,
                 "seconds": round(ended - started, 3),
                 "rpcs_per_node_s": (round((after - before) / node_seconds, 4)
-                                    if node_seconds else 0.0)}
+                                    if node_seconds else 0.0),
+                # over the whole run, by the nodes alive at its end: deaths
+                # found by a call that got no answer, and from a death list
+                "dead_nodes_noticed": noticed, "deaths_reported": reported}
         return sections
 
 

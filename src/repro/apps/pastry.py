@@ -15,14 +15,17 @@ node asks one node at a time for its ``step``, routes around nodes that die
 mid-lookup, and confirms ownership with a ``claim`` check so recent joins
 don't yield stale owners; every reference the walk sees is ``_learned``.
 
-Fault tolerance under churn comes from periodic leaf-set repair (exchange
-leaf sets with the nearest live neighbour on each side) and routing-table
-maintenance (ask one table entry for its row), one RPC per neighbour or
-entry, mirroring Pastry's self-stabilisation.  The repair keeps its fixed
-period; the table probe waits twice as long after each reply that taught
-nothing, up to ``harness.BACKOFF_CAP`` times, and is back to its period
-on any change of the leaf set or table.  A node serves ``step`` and
-``claim`` only once it has joined.
+Fault tolerance under churn comes from periodic leaf-set repair and
+routing-table maintenance (ask one table entry for its row), mirroring
+Pastry's self-stabilisation.  The repair is one exchange per neighbour
+pair: each node calls its nearest live clockwise leaf with its own leaf set
+and the deaths it saw, so one call informs both sides; the callee probes a
+leaf the caller skipped, and calls a counter-clockwise neighbour that has
+fallen silent.  The repair keeps its fixed period; the table probe waits
+twice as long after each reply that taught nothing, up to
+``harness.BACKOFF_CAP`` times, and is back to its period on any change of
+the leaf set or table.  A node serves ``step`` and ``claim`` only once it
+has joined.
 """
 
 from __future__ import annotations
@@ -72,12 +75,21 @@ class PastryNode(harness.RoutingNode):
         self.repair_interval = float(options.get("repair_interval", 5.0))
         self.table_probe_interval = float(options.get("table_probe_interval", 8.0))
         self.max_hops = int(options.get("max_hops", 3 * self.digits + 8))
+        #: a live counter-clockwise neighbour calls us at least this often:
+        #: its repair period with the jitter ``_go_live`` draws (a quarter
+        #: period at most), plus one timeout for a first try that was lost
+        self._silence = 1.25 * self.repair_interval + self.hop_timeout
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
         #: of the two sides (a node sits on both while the ring is small)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
         #: the ``leaf_half`` nearest nodes clockwise and counter-clockwise,
         #: nearest first; each tuple is replaced when that side changes
         self._sides: List[Tuple[NodeRef, ...]] = [(), ()]
+        #: our nearest counter-clockwise leaf, and when it last called us (or
+        #: became that leaf): the start of its silence window
+        self._ccw_heard: Tuple[Optional[NodeRef], float] = (None, 0.0)
+        #: the skipped leaf being probed: at most one probe is in flight
+        self._probing: Optional[NodeRef] = None
         #: the last ``leaf_set_size`` leaves found dead: another node's stale
         #: reference does not bring one back, only a call from it does
         self._dead: Dict[Tuple[str, int], None] = {}
@@ -157,9 +169,18 @@ class PastryNode(harness.RoutingNode):
         return owner
 
     # Replies travel by reference: hand out only what is never mutated again.
-    def _rpc_leafset(self, node) -> Tuple[NodeRef, ...]:
-        """Leaf-set exchange: the caller is a neighbour too (this is its notify)."""
+    def _rpc_leafset(self, node, leaves=(), dead=()) -> Tuple[NodeRef, ...]:
+        """Leaf-set exchange, both ways: the caller is a neighbour too (this
+        is its notify), and so are the ``leaves`` it sends.  A repair call
+        from another node than our nearest counter-clockwise leaf may have
+        skipped leaves of ours (:meth:`_skipped`).  ``dead`` is the endpoints
+        the caller found dead.
+        """
+        node = NodeRef.coerce(node)
         self._heard(node)
+        self._adopt(leaves)
+        if leaves and self._ccw_heard[0] != node:
+            self._skipped(node, leaves, dead)
         return self._leaf_nodes()
 
     def _rpc_row(self, row: int) -> Tuple[NodeRef, ...]:
@@ -174,23 +195,97 @@ class PastryNode(harness.RoutingNode):
 
     # ------------------------------------------------------------ maintenance
     def _leafset_repair(self) -> Generator:
-        """Exchange leaf sets with the nearest live neighbour on each side:
-        one round trip each, the call itself telling the neighbour about us."""
+        """Exchange leaf sets with the nearest clockwise leaf: one call per
+        neighbour pair, since the callee learns our side from the call.
+
+        A leaf that does not answer is purged and the next one called, at
+        most ``leaf_half`` calls a round, so the death travels on in the call
+        that succeeds.  Then a nearest counter-clockwise leaf that has not
+        called us for ``_silence`` seconds gets one exchange of its own.
+        """
         self.stats.maintenance_rounds += 1
-        neighbours = dict.fromkeys(side[0] for side in self._sides if side)
-        if not neighbours:
-            yield from self._reseed()
-            return
-        for neighbour in neighbours:
-            self.stats.maintenance_rpcs += 1
-            try:
-                remote = yield self.rpc.call(neighbour, "leafset", self.me,
-                                             timeout=self.hop_timeout,
-                                             retries=self.hop_retries)
-            except RpcError:
-                self._note_dead(neighbour)
-                continue
-            self._adopt(remote)
+        for _call in range(self.leaf_half):
+            clockwise = self._sides[0]
+            if not clockwise:
+                yield from self._reseed()
+                return
+            reported = set(self._dead)
+            remote = yield from self._exchange(clockwise[0])
+            if remote is not None:
+                self._kept(clockwise[0], remote, reported)
+                break
+        counter_clockwise = self._sides[1]
+        if counter_clockwise and self.events.now() - self._ccw_heard[1] >= self._silence:
+            neighbour = counter_clockwise[0]
+            if ((yield from self._exchange(neighbour)) is not None
+                    and self._ccw_heard[0] == neighbour):
+                self._ccw_heard = (neighbour, self.events.now())
+
+    def _exchange(self, node: NodeRef) -> Generator:
+        """One leaf-set exchange: send ``node`` our leaf set and the deaths we
+        saw, adopt its leaf set.  No answer purges it; returns the reply, or None."""
+        self.stats.maintenance_rpcs += 1
+        try:
+            remote = yield self.rpc.call(node, "leafset", self.me, self._leaf_nodes(),
+                                         tuple(self._dead), timeout=self.hop_timeout,
+                                         retries=self.hop_retries)
+        except RpcError:
+            self._note_dead(node)
+            return None
+        self._adopt(remote)
+        return remote
+
+    def _kept(self, clockwise: NodeRef, remote, reported: set) -> None:
+        """Take back the leaves we reported dead that our clockwise neighbour
+        still holds between us: it kept only those that called it since our
+        exchange with them failed (:meth:`_skipped`)."""
+        size = 1 << self.bits
+        reach = (clockwise.id - self.me.id) % size
+        for node in map(NodeRef.coerce, remote):
+            if ((node.ip, node.port) in reported
+                    and 0 < (node.id - self.me.id) % size < reach):
+                self._dead.pop((node.ip, node.port), None)
+                self._learned(node)
+
+    def _skipped(self, caller: NodeRef, leaves, dead) -> None:
+        """Act on the counter-clockwise leaves a repair caller skipped.
+
+        A caller that holds us as its nearest clockwise leaf calls us every
+        round, and our leaves between it and us are then nodes it does not
+        hold.  One its death list names is purged at once.  The nearest other
+        one is probed with an exchange of ours and purged only if that gets
+        no answer, never on hearsay: the caller may just not know it yet.
+        """
+        size = 1 << self.bits
+        reach = (self.me.id - caller.id) % size
+        if any(0 < (NodeRef.coerce(leaf).id - caller.id) % size < reach
+               for leaf in leaves):
+            return  # it knows a node nearer than us: we are not its neighbour
+        reported = set(map(tuple, dead))
+        # A leaf that called us since the caller's exchange with it began
+        # (the time a failing one takes) outlived what the caller saw.
+        nearest, heard = self._ccw_heard
+        if self.events.now() - heard >= (1 + self.hop_retries) * self.hop_timeout:
+            nearest = None
+        probe = None
+        for leaf in self._sides[1]:  # nearest first; _forget replaces the tuple
+            if (self.me.id - leaf.id) % size >= reach:
+                break
+            if (leaf.ip, leaf.port) in reported and leaf != nearest:
+                self.stats.deaths_reported += 1
+                self._forget(leaf)
+            elif probe is None:
+                probe = leaf
+        if probe is not None and self._probing is None:
+            self._probing = probe
+            self.events.thread(self._probe, probe)
+
+    def _probe(self, leaf: NodeRef) -> Generator:
+        """The one exchange with a skipped leaf (see :meth:`_skipped`)."""
+        try:
+            yield from self._exchange(leaf)
+        finally:
+            self._probing = None
 
     def _table_maintenance(self) -> Generator:
         """Ask one random table entry for its row at that level (MSPastry): the
@@ -289,14 +384,17 @@ class PastryNode(harness.RoutingNode):
         return row, digit_at(node_id, row, self.digits, self.base_bits)
 
     def _heard(self, node) -> None:
-        """The node called us: it is alive, whatever we noted before."""
+        """The node called us: it is alive, whatever we noted before.  A call
+        from our nearest counter-clockwise leaf restarts its silence window."""
         node = NodeRef.coerce(node)
         self._dead.pop((node.ip, node.port), None)
         self._learned(node)
+        if self._ccw_heard[0] == node:
+            self._ccw_heard = (node, self.events.now())
 
     def _adopt(self, entries) -> None:
-        """Learn the nodes another node's reply lists, but not a leaf we found
-        dead since: a reference it has not purged yet must not revive it."""
+        """Learn the nodes another node's message lists, but not a leaf we
+        found dead since: a reference it has not purged yet must not revive it."""
         for node in map(NodeRef.coerce, entries):
             if (node.ip, node.port) not in self._dead:
                 self._learned(node)
@@ -332,15 +430,24 @@ class PastryNode(harness.RoutingNode):
         return admitted
 
     def _sides_changed(self) -> None:
-        """Re-derive the leaf set from the sides."""
+        """Re-derive the leaf set from the sides.  A new nearest
+        counter-clockwise leaf starts a fresh silence window."""
         union = {(n.ip, n.port): n for side in self._sides for n in side}
         self.leaves = {endpoint: union[endpoint] for endpoint in sorted(union)}
+        ccw = self._sides[1]
+        if ccw and ccw[0] != self._ccw_heard[0]:
+            self._ccw_heard = (ccw[0], self.events.now())
 
     def _note_dead(self, node: NodeRef) -> None:
-        """Purge a dead node from local routing state."""
+        """Purge a node that did not answer us from local routing state."""
         if node == self.me:
             return
         self.stats.dead_nodes_noticed += 1
+        self._forget(node)
+
+    def _forget(self, node: NodeRef) -> None:
+        """Purge a dead node: from the leaf set, remembering its endpoint as
+        dead, and from the routing-table slot it holds."""
         self.refresh.stir()
         if self.leaves.pop((node.ip, node.port), None) is not None:
             self._dead[node.ip, node.port] = None

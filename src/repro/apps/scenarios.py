@@ -103,6 +103,9 @@ def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
         print(f"maintenance: {maintenance['rpcs_per_node_s']:.3f} RPCs per node per "
               f"second while measuring ({maintenance['rpcs']} RPCs, "
               f"{maintenance['nodes']} nodes, {maintenance['seconds']:.0f} s)")
+        print(f"failures detected: {maintenance['dead_nodes_noticed']} by a call "
+              f"that got no answer, {maintenance['deaths_reported']} from a "
+              f"caller's death list")
     workload = report.get("workload") or {}
     for key in spec.report_lines:
         if key in workload:

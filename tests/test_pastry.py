@@ -1,5 +1,7 @@
 """Pastry: prefix routing, leaf-set ownership, and recovery under churn."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import harness
@@ -179,7 +181,44 @@ class _CountingPastry(PastryNode):
         yield from super()._table_maintenance()
 
 
-def test_a_quiet_ring_sends_one_rpc_per_repair_neighbour_and_per_table_period(
+class _MutedPastry(PastryNode):
+    """Runs no leaf-set repair round while its endpoint is in ``muted``."""
+
+    muted: frozenset = frozenset()
+
+    def _leafset_repair(self):
+        if self.me not in self.muted:
+            yield from super()._leafset_repair()
+
+
+def _recording(monkeypatch):
+    """Every RPC sent from now on, as ``(calling service, callee, method)``."""
+    sent = []
+    calling = RpcService.a_call
+
+    def recording(service, dst, method, *args, **kwargs):
+        sent.append((service, NodeRef.coerce(dst), method))
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "a_call", recording)
+    monkeypatch.setattr(RpcService, "call", recording)
+    return sent
+
+
+def _calls(sent, app, callee):
+    """The methods ``app`` called on ``callee``, in order."""
+    return [method for service, dst, method in sent
+            if service is app.rpc and dst == callee]
+
+
+def _neighbours(job):
+    """A converged ring's apps by endpoint, and one app to watch."""
+    assert leaf_consistency(job) == 1.0
+    apps = {app.me: app for app in _live_apps(job)}
+    return apps, next(iter(apps.values()))
+
+
+def test_a_quiet_ring_sends_one_leafset_per_repair_round_and_one_row_per_table_period(
         monkeypatch):
     sim, _controller, job = _deploy(nodes=16, factory=_CountingPastry.factory)
     sim.run(until=80.0)
@@ -187,26 +226,113 @@ def test_a_quiet_ring_sends_one_rpc_per_repair_neighbour_and_per_table_period(
     apps = _live_apps(job)
     rounds = sum(app.stats.maintenance_rounds for app in apps)
     periods = sum(app.table_periods for app in apps)
-    sent = {}
-    calling = RpcService.a_call
-
-    def counting(service, dst, method, *args, **kwargs):
-        sent[method] = sent.get(method, 0) + 1
-        return calling(service, dst, method, *args, **kwargs)
-
-    monkeypatch.setattr(RpcService, "a_call", counting)
-    monkeypatch.setattr(RpcService, "call", counting)
+    sent = _recording(monkeypatch)
     sim.run(until=sim.now + 100.0)
     rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
     periods = sum(app.table_periods for app in apps) - periods
+    methods = Counter(method for _service, _dst, method in sent)
     assert rounds >= 16 * 100.0 / 2.5
     # the table probe backs off on a quiet ring: at least 2x on average
     assert 16 <= periods <= 16 * 100.0 / (2 * 3.0)
-    # 16 nodes fill both sides of every leaf set: two distinct neighbours
-    assert sent["leafset"] == 2 * rounds
-    assert sent["row"] == periods
-    assert set(sent) == {"leafset", "row"}  # no notify, ping or lookup
+    # one exchange per neighbour pair: each node calls its clockwise leaf only
+    assert methods["leafset"] == rounds
+    assert methods["row"] == periods
+    assert set(methods) == {"leafset", "row"}  # no notify, ping, probe or lookup
     assert leaf_consistency(job) == 1.0
+
+
+def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a_call(
+        monkeypatch):
+    sim, controller, job = _deploy(nodes=16)
+    sim.run(until=80.0)
+    apps, app = _neighbours(job)
+    victim = apps[app._ccw()[0]]
+    caller = apps[victim._ccw()[0]]
+    # crash the victim just after its call: the app's silence window has its
+    # whole length to run while the caller's round finds the death
+    before = app._ccw_heard[1]
+    assert _run_until(sim, lambda: app._ccw_heard[1] > before, sim.now + 5.0)
+    heard = app._ccw_heard[1]
+    # a report that comes within a failing exchange's time of the victim's
+    # last call is checked by a probe; this one comes later
+    sim.run(until=heard + 0.5)
+    sent = _recording(monkeypatch)
+    controller.kill_instance(victim.instance, failed=True)
+    noticed, reported = app.stats.dead_nodes_noticed, app.stats.deaths_reported
+    # two timed-out tries on the victim, then one round trip to the app
+    _run(sim, caller._leafset_repair(), patience=2 * caller.hop_timeout + 0.1)
+    assert (victim.me.ip, victim.me.port) not in app.leaves
+    assert app._ccw()[0] == caller.me and caller._cw()[0] == app.me
+    assert app.stats.deaths_reported == reported + 1
+    assert app.stats.dead_nodes_noticed == noticed
+    assert _calls(sent, app, victim.me) == []
+    assert sim.now < heard + app._silence
+
+
+def test_a_live_leaf_the_caller_skipped_is_probed_kept_and_taught_to_it(monkeypatch):
+    sim, _controller, job = _deploy(nodes=16)
+    sim.run(until=80.0)
+    apps, app = _neighbours(job)
+    skipped = app._ccw()[0]
+    caller = apps[app._ccw()[1]]
+    # the caller never learned the node between it and the app
+    caller._forget(skipped)
+    del caller._dead[skipped.ip, skipped.port]
+    assert caller._cw()[0] == app.me
+    sent = _recording(monkeypatch)
+    noticed, reported = app.stats.dead_nodes_noticed, app.stats.deaths_reported
+    _run(sim, caller._leafset_repair(), patience=0.1)  # a few round trips
+    assert _calls(sent, app, skipped) == ["leafset"]  # probed once
+    assert app._probing is None
+    assert app._ccw()[0] == skipped  # not purged on hearsay
+    assert (app.stats.dead_nodes_noticed, app.stats.deaths_reported) == (noticed, reported)
+    assert caller._cw()[0] == skipped  # learned from the app's reply
+    assert leaf_consistency(job) == 1.0
+
+
+def test_a_reported_leaf_that_called_since_is_probed_kept_and_taken_back(monkeypatch):
+    sim, _controller, job = _deploy(nodes=16)
+    sim.run(until=80.0)
+    apps, app = _neighbours(job)
+    survivor = app._ccw()[0]
+    caller = apps[app._ccw()[1]]
+    before = app._ccw_heard[1]
+    assert _run_until(sim, lambda: app._ccw_heard[1] > before, sim.now + 5.0)
+    # the caller's exchange with the survivor failed (its replies were lost),
+    # and the survivor called the app right after
+    caller._note_dead(survivor)
+    assert caller._cw()[0] == app.me
+    reported = app.stats.deaths_reported
+    sent = _recording(monkeypatch)
+    _run(sim, caller._leafset_repair(), patience=0.1)
+    assert app._ccw()[0] == survivor and app.stats.deaths_reported == reported
+    assert _calls(sent, app, survivor) == ["leafset"]  # checked by a probe
+    assert caller._cw()[0] == survivor  # taken back from the app's reply
+    assert (survivor.ip, survivor.port) not in caller._dead
+    assert leaf_consistency(job) == 1.0
+
+
+def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
+    sim, controller, job = _deploy(nodes=16, factory=_MutedPastry.factory,
+                                   repair_interval=5.0)
+    sim.run(until=80.0)
+    apps, app = _neighbours(job)
+    assert app._silence == 1.25 * 5.0 + 1.5  # 7.75 s: the options, no knob
+    victim = apps[app._ccw()[0]]
+    # nobody reports the death: the victim's own counter-clockwise
+    # neighbour, which would find it, runs no repair round
+    monkeypatch.setattr(_MutedPastry, "muted", frozenset({victim._ccw()[0]}))
+    sent = _recording(monkeypatch)
+    reported = app.stats.deaths_reported
+    controller.kill_instance(victim.instance, failed=True)
+    crashed = sim.now
+    purged = _run_until(sim, lambda: (victim.me.ip, victim.me.port) not in app.leaves,
+                        crashed + 60.0)
+    assert purged is not None
+    assert purged <= crashed + (app._silence + 1.25 * app.repair_interval
+                                + 2 * app.hop_timeout)
+    assert _calls(sent, app, victim.me) == ["leafset"]
+    assert app.stats.deaths_reported == reported
 
 
 def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_dead_entry():

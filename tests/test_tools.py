@@ -275,6 +275,20 @@ def test_seed_sweep_prints_each_seeds_measured_line_then_the_total(capsys):
     assert lines[3] == "total: {}/24".format(sum(correct for correct, _ in per_seed))
 
 
+# --------------------------------------------------------------- heal_time.py
+def test_heal_time_prints_each_seeds_heal_times_then_the_medians(capsys):
+    heal = _load("heal_time")
+    status = heal.main(["pastry", "--nodes", "40", "--at", "200", "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[0].startswith("pastry: 40 nodes, crash 10% at 200 s; seconds "
+                               "until leaf_consistency >= 0.99 / = 1.0")
+    assert [line.split(": ")[0] for line in lines[1:]] == ["seed 0", "median"]
+    to_most, to_all = (float(t) for t in lines[1].split(": ")[1].split(" / "))
+    assert 0 < to_most <= to_all < heal.HORIZON_S
+    assert lines[2].split(": ")[1] == lines[1].split(": ")[1]  # one seed: its own median
+
+
 # ------------------------------------------------------------ digest_matrix.py
 _CANNED_REPORT = """\
 === SPLAY scenario: chord (seed=3, nodes=40, hosts=20, bits=32) ===
