@@ -26,7 +26,6 @@ from typing import Dict, Generator, List, Optional, Set
 from repro.apps import harness
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
-from repro.net.bwalloc import BULK
 from repro.sim.process import Process
 
 
@@ -110,8 +109,7 @@ class SwarmNode(harness.OverlayNode):
         self._uploads += 1
         try:
             destination = NodeRef.coerce(requester)
-            yield self.socket.transfer(destination, self.chunk_size,
-                                       priority=BULK)
+            yield self.socket.transfer(destination, self.chunk_size)
             self.stats.chunks_uploaded += 1
             return {"ok": True}
         finally:

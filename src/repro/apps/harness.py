@@ -1043,13 +1043,7 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         # Digest-excluded (DIGEST_EXCLUDED_KEYS): the allocator *choice* is
         # execution configuration; its effects land in the digest-relevant
         # sections above (and for max-min are pinned byte-identical).
-        "bw_alloc": {
-            "allocator": network.bandwidth.allocator_name,
-            "reallocations": network.bandwidth.reallocations,
-            "flows_allocated": network.bandwidth.flows_allocated,
-            "by_class": network.bandwidth.class_stats(),
-            "busiest_links": network.bandwidth.busiest_links(),
-        },
+        "bw_alloc": network.bandwidth.section(),
         "log_records_collected": len(controller.job_logs(job)),
         "log_records_dropped": job.stats.log_records_dropped,
         "control_plane": controller.control_plane_status(),

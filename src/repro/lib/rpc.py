@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.lib.sbsocket import RestrictedSocket, SocketRestrictionError
 from repro.lib.serializer import _approx_size, envelope_size
 from repro.net.address import Address, NodeRef
-from repro.net.bwalloc import CONTROL
 from repro.net.message import Message
 from repro.sim.events_api import Events
 from repro.sim.futures import Future, FutureState
@@ -223,7 +222,7 @@ class RpcService:
             size += _ERROR_SIZE + len(error)
         stats = self._stats  # allocated by _serve_call, the only way here
         try:
-            self.socket.send(dst, payload, size, "rpc", CONTROL)
+            self.socket.send(dst, payload, size, "rpc")
             stats.replies_sent += 1
         except SocketRestrictionError:
             # The instance died or hit its budget mid-reply; the caller will
@@ -358,7 +357,7 @@ class _PendingCall:
             stats.retries += 1
         stats.calls_sent += 1
         try:
-            service.socket.send(self.dst, self.payload, self.size, "rpc", CONTROL)
+            service.socket.send(self.dst, self.payload, self.size, "rpc")
         except SocketRestrictionError as exc:
             stats.send_failures += 1
             service._pending.pop(self.call_id, None)

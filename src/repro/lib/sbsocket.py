@@ -17,7 +17,6 @@ from typing import Any, Callable, List, Optional
 from repro.core.blacklist import Blacklist
 from repro.lib.serializer import estimate_size
 from repro.net.address import Address, NodeRef
-from repro.net.bwalloc import BULK, LOOKUP
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.events_api import AppContext
@@ -134,8 +133,7 @@ class RestrictedSocket:
 
     # ---------------------------------------------------------------- sending
     def send(self, dst: "Address | NodeRef | dict | str", payload: Any,
-             size: Optional[int] = None, kind: str = "data",
-             priority: int = LOOKUP) -> None:
+             size: Optional[int] = None, kind: str = "data") -> None:
         """Send one datagram to ``dst``: fire and forget, nothing is returned.
 
         Raises :class:`SocketRestrictionError` when the socket is closed or
@@ -166,19 +164,24 @@ class RestrictedSocket:
             # Locally injected loss (lossy-link emulation requested at deploy time).
             stats.messages_dropped_locally += 1
             return
-        self.network.send(self.local, dst, payload, size, kind, priority)
+        self.network.send(self.local, dst, payload, size, kind)
 
-    def transfer(self, dst: "Address | NodeRef | dict | str", nbytes: float,
-                 priority: int = BULK) -> Future:
-        """Bulk transfer (charged against the traffic budget)."""
+    def transfer(self, dst: "Address | NodeRef | dict | str",
+                 nbytes: float) -> Future:
+        """Bulk transfer (charged against the traffic budget).
+
+        A negative ``nbytes`` raises ``ValueError`` before anything is
+        charged: no socket slot, no budget, no network counter.
+        """
         self._check_closed()
+        if nbytes < 0:
+            raise ValueError("transfer size must be non-negative")
         dst_address = _coerce_address(dst)
         self._enforce_destination(dst_address)
         self._enforce_budget(int(nbytes))
         self._charge_socket()
         self.stats.bytes_sent += int(nbytes)
-        future = self.network.transfer(self.local, dst_address, nbytes,
-                                       priority=priority)
+        future = self.network.transfer(self.local, dst_address, nbytes)
         future.add_done_callback(lambda _f: self._release_socket())
         return future
 

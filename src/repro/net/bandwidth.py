@@ -32,8 +32,7 @@ from math import inf
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.net import bwalloc
-from repro.net.bwalloc import BULK, BandwidthAllocator, Link, make_allocator
+from repro.net.bwalloc import BandwidthAllocator, Link, make_allocator
 from repro.sim.futures import Future
 from repro.sim.kernel import ScheduledEvent, Simulator
 
@@ -43,15 +42,24 @@ UNLIMITED_BPS = 1e15
 _BY_ID = attrgetter("transfer_id")
 
 
+def _capacity(ip: str, direction: str, bps: Optional[float]) -> float:
+    if not bps:
+        return UNLIMITED_BPS
+    if not bps > 0:  # negative or NaN
+        raise ValueError(f"{direction} capacity of host {ip} must be positive "
+                         f"(None or 0 for unlimited), got {bps!r}")
+    return bps
+
+
 class Transfer:
     """One in-flight bulk transfer."""
 
     __slots__ = ("transfer_id", "src_ip", "dst_ip", "up", "down", "total_bytes",
                  "remaining_bytes", "rate_bps", "weight", "started_at",
-                 "accrued_at", "priority", "done", "cancelled")
+                 "accrued_at", "done", "cancelled")
 
     def __init__(self, up: Link, down: Link, nbytes: float, started_at: float,
-                 transfer_id: int = 0, priority: int = BULK):
+                 transfer_id: int = 0):
         self.transfer_id = transfer_id
         self.src_ip = up.ip
         self.dst_ip = down.ip
@@ -68,8 +76,6 @@ class Transfer:
         #: virtual time up to which ``remaining_bytes`` is accurate; progress
         #: between rate recomputations is extrapolated from here
         self.accrued_at = started_at
-        #: bwalloc priority class (CONTROL/LOOKUP/BULK)
-        self.priority = priority
         #: completes with the finish time (seconds) once all bytes are delivered.
         #: Unnamed on purpose: formatting a label per transfer was measurable
         #: on dissemination workloads, and repr() can rebuild it on demand.
@@ -133,9 +139,6 @@ class BandwidthModel:
         self.bytes_completed = 0.0
         #: transfers aborted mid-flight — explicit cancel or host failure
         self.preemptions = 0
-        #: per-priority-class splits of the two counters above
-        self.bytes_completed_by_class: Dict[int, float] = {}
-        self.preemptions_by_class: Dict[int, int] = {}
         #: recomputations run, and flows handed to the allocator in total
         #: (only the touched component counts)
         self.reallocations = 0
@@ -160,13 +163,15 @@ class BandwidthModel:
 
     # ------------------------------------------------------------- capacities
     def set_capacity(self, ip: str, uplink_bps: Optional[float], downlink_bps: Optional[float]) -> None:
-        """Set the access-link capacities of host ``ip`` (``None`` = unlimited).
+        """Set the access-link capacities of host ``ip``, in bits/second.
 
-        Safe mid-run: messages read the new value at once, flows at the next
-        recompute that touches the link.
+        ``None`` and ``0`` mean unlimited (:data:`UNLIMITED_BPS`); a negative
+        or NaN capacity raises ``ValueError``.  Safe mid-run: messages read
+        the new value at once, flows at the next recompute that touches the
+        link.
         """
-        up = uplink_bps if uplink_bps and uplink_bps > 0 else UNLIMITED_BPS
-        down = downlink_bps if downlink_bps and downlink_bps > 0 else UNLIMITED_BPS
+        up = _capacity(ip, "uplink", uplink_bps)
+        down = _capacity(ip, "downlink", downlink_bps)
         self.capacities[ip] = (up, down)
         link = self._uplinks.get(ip)
         if link is not None:
@@ -187,9 +192,15 @@ class BandwidthModel:
                  "bytes_carried": round(link.bytes_carried),
                  "peak_flows": link.peak_flows} for link in links[:count]]
 
+    def section(self) -> Dict[str, object]:
+        """The allocator and its work, for the report and the metrics."""
+        return {"allocator": self.allocator_name,
+                "reallocations": self.reallocations,
+                "flows_allocated": self.flows_allocated,
+                "busiest_links": self.busiest_links()}
+
     # --------------------------------------------------------------- transfers
-    def transfer(self, src_ip: str, dst_ip: str, nbytes: float,
-                 priority: int = BULK) -> Transfer:
+    def transfer(self, src_ip: str, dst_ip: str, nbytes: float) -> Transfer:
         """Start a bulk transfer of ``nbytes`` bytes; returns its :class:`Transfer`."""
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
@@ -201,7 +212,7 @@ class BandwidthModel:
             down = self._downlinks[dst_ip] = Link("down", dst_ip, self.capacity(dst_ip)[1])
         self._transfer_ids += 1
         transfer = Transfer(up, down, nbytes, self.sim.now,
-                            transfer_id=self._transfer_ids, priority=priority)
+                            transfer_id=self._transfer_ids)
         if nbytes == 0:
             transfer.done.set_result(self.sim.now)
             self.completed += 1
@@ -240,8 +251,6 @@ class BandwidthModel:
         transfer.cancelled = True
         transfer.done.cancel()
         self.preemptions += 1
-        self.preemptions_by_class[transfer.priority] = (
-            self.preemptions_by_class.get(transfer.priority, 0) + 1)
 
     @property
     def active_transfers(self) -> int:
@@ -330,8 +339,6 @@ class BandwidthModel:
             transfer.done.set_result(now)
             self.completed += 1
             self.bytes_completed += nbytes
-            self.bytes_completed_by_class[transfer.priority] = (
-                self.bytes_completed_by_class.get(transfer.priority, 0.0) + nbytes)
 
         if not active:
             return
@@ -361,10 +368,10 @@ class BandwidthModel:
             self._san.check_flow_table(self)
 
         # A fill can legitimately leave a flow at rate 0 (a shared uplink
-        # exhausted by a downlink-bottlenecked flow, float dust, a starved
-        # priority class).  Such flows make no progress and must not drive
-        # the completion tick; if every flow is stalled nothing is scheduled,
-        # and the next _reallocate (capacity freed) re-ticks them.
+        # exhausted by a downlink-bottlenecked flow, float dust).  Such flows
+        # make no progress and must not drive the completion tick; if every
+        # flow is stalled nothing is scheduled, and the next _reallocate
+        # (capacity freed) re-ticks them.
         next_finish = inf
         for transfer in active:
             rate = transfer.rate_bps
@@ -388,14 +395,3 @@ class BandwidthModel:
     def _on_completion_tick(self) -> None:
         self._completion_event = None
         self._reallocate()
-
-    def class_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-priority-class completed bytes and preemptions (for metrics)."""
-        stats: Dict[str, Dict[str, float]] = {}
-        for value, name in bwalloc.PRIORITY_NAMES.items():
-            bytes_done = self.bytes_completed_by_class.get(value, 0.0)
-            preempted = self.preemptions_by_class.get(value, 0)
-            if bytes_done or preempted:
-                stats[name] = {"bytes_completed": bytes_done,
-                               "preemptions": preempted}
-        return stats

@@ -1,4 +1,4 @@
-"""Pluggable bandwidth allocators with traffic priority classes.
+"""Pluggable bandwidth allocators.
 
 The flow-level :class:`~repro.net.bandwidth.BandwidthModel` owns the flow
 bookkeeping; this module owns the *allocation strategy* behind a small
@@ -6,7 +6,7 @@ interface (the shape of psim's ``BandwidthAllocator`` hierarchy) and the
 persistent :class:`Link` objects both sides work on.  An allocator is handed
 the flows of whole connected components (id-sorted) and their links
 (first-appearance order) and writes ``rate_bps`` on each flow in place — no
-table is built and no key hashed.  Four strategies are registered:
+table is built and no key hashed.  Two strategies are registered:
 
 ``max-min``
     Progressive-filling max-min fairness over access links — the historical
@@ -15,23 +15,8 @@ table is built and no key hashed.  Four strategies are registered:
     Equal split per bottleneck link: every flow gets ``capacity / flows``
     on each of its links and runs at the narrower of the two.  Simpler and
     cheaper than max-min, but leftover capacity is *not* redistributed.
-``fixed-priority``
-    Strict priority classes: CONTROL flows are allocated max-min first,
-    LOOKUP flows share what remains, BULK flows get the leftovers.  A
-    saturated higher class starves lower classes entirely (and releases
-    them the moment it drains) — the "latency-critical requests must win"
-    discipline.
-``priority-queue``
-    Weighted max-min: classes share every contended link in proportion to
-    :data:`CLASS_WEIGHTS` instead of starving each other.
 
-Every transfer carries a **priority class** (:data:`CONTROL` >
-:data:`LOOKUP` > :data:`BULK`, lower value = more important): control-plane
-RPC traffic rides CONTROL, application protocol messages ride LOOKUP, and
-bulk dissemination transfers ride BULK.  Priority-blind allocators simply
-ignore the class.
-
-All four strategies are *per-component decomposable*: a flow's rate depends
+Both strategies are *per-component decomposable*: a flow's rate depends
 only on the flows it (transitively) shares an access link with.  The model
 exploits that for incremental recomputation — see
 :meth:`~repro.net.bandwidth.BandwidthModel._reallocate`.  Allocators must
@@ -48,22 +33,7 @@ bench column and the differential test harnesses enumerate the registry.
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, List, Optional
-
-#: priority classes, lower value = more important.  CONTROL is the
-#: control-plane RPC class, LOOKUP the application protocol-message class,
-#: BULK the flow-level data class (dissemination chunks, cache objects).
-CONTROL = 0
-LOOKUP = 1
-BULK = 2
-
-#: class value -> report/metrics label, in priority order
-PRIORITY_NAMES: Dict[int, str] = {CONTROL: "control", LOOKUP: "lookup",
-                                  BULK: "bulk"}
-
-#: per-class weights of the ``priority-queue`` allocator: a contended link
-#: is shared 4:2:1 between CONTROL, LOOKUP and BULK flows
-CLASS_WEIGHTS: Dict[int, float] = {CONTROL: 4.0, LOOKUP: 2.0, BULK: 1.0}
+from typing import Dict, List
 
 
 class Link:
@@ -72,8 +42,8 @@ class Link:
     ``flows`` holds the live transfers crossing the link in ``transfer_id``
     order and nothing else, so an idle link pins no dead flow.  ``residual``
     and ``pending`` are the fill's scratch (capacity not yet handed out,
-    summed weight of the flows not yet pinned) and mean nothing between
-    allocations; ``epoch`` is the model's visit mark.
+    number of flows not yet pinned) and mean nothing between allocations;
+    ``epoch`` is the model's visit mark.
     """
 
     __slots__ = ("direction", "ip", "capacity", "flows", "residual",
@@ -147,33 +117,23 @@ def make_allocator(name: str) -> BandwidthAllocator:
     return cls()
 
 
-def _open(links: List[Link]) -> None:
-    """Start an allocation: every link has its whole capacity to hand out."""
-    for link in links:
-        link.residual = link.capacity
+def _fill(flows: List, links: List[Link]) -> None:
+    """Progressive filling of ``flows`` over ``links``, in place.
 
-
-def _fill(flows: List, links: List[Link],
-          weights: Optional[Dict[int, float]] = None) -> None:
-    """Weighted progressive filling of ``flows`` over ``links``, in place.
-
-    Link residuals are consumed, so a caller can fill one priority class,
-    then the next against what is left; flows on the links that are not in
-    ``flows`` are left alone.  ``weights`` maps priority class to weight
-    (``None``: every flow weighs 1.0, classic max-min fairness).  A flow's
-    ``weight`` field is its fill state: positive while it waits for a rate,
-    0.0 once pinned and between allocations.  Each round saturates the link
-    offering the smallest per-weight share to its waiting flows (the first
-    such link in ``links`` order on a tie); those flows are pinned at
-    ``weight * share`` and their demand leaves both links they cross.
+    Every link starts with its whole capacity to hand out.  A flow's
+    ``weight`` field is its fill state: 1.0 while it waits for a rate, 0.0
+    once pinned and between allocations.  Each round saturates the link
+    offering the smallest share to its waiting flows (the first such link
+    in ``links`` order on a tie); those flows are pinned at that share and
+    leave both links they cross.
     """
     for link in links:
+        link.residual = link.capacity
         link.pending = 0.0
     for flow in flows:
-        weight = 1.0 if weights is None else weights.get(flow.priority, 1.0)
-        flow.weight = weight
-        flow.up.pending += weight
-        flow.down.pending += weight
+        flow.weight = 1.0
+        flow.up.pending += 1.0
+        flow.down.pending += 1.0
     waiting = len(flows)
     while waiting:
         best = None
@@ -186,41 +146,39 @@ def _fill(flows: List, links: List[Link],
                     best_share = share
                     best = link
         if best is None:
-            # Weights that do not sum exactly left no link with anything
-            # pending: the stragglers run at rate 0.
+            # Only links with no finite share are left (an infinite
+            # capacity): the stragglers run at rate 0.
             for flow in flows:
                 if flow.weight > 0.0:
                     flow.weight = flow.rate_bps = 0.0
             return
         for flow in best.flows:
-            weight = flow.weight
-            if weight > 0.0:
+            if flow.weight > 0.0:
                 flow.weight = 0.0
-                flow.rate_bps = rate = best_share * weight
+                flow.rate_bps = best_share
                 waiting -= 1
                 link = flow.up
-                left = link.residual - rate
+                left = link.residual - best_share
                 link.residual = left if left > 0.0 else 0.0
-                link.pending -= weight
+                link.pending -= 1.0
                 link = flow.down
-                left = link.residual - rate
+                left = link.residual - best_share
                 link.residual = left if left > 0.0 else 0.0
-                link.pending -= weight
+                link.pending -= 1.0
 
 
 @register_allocator
 class MaxMinAllocator(BandwidthAllocator):
     """Classic progressive-filling max-min fairness (the historical model).
 
-    Priority-blind: every flow weighs the same.  Byte-identical to the
-    pre-refactor ``BandwidthModel._max_min_fair_rates`` — the churning-chord
+    Byte-identical to the pre-refactor
+    ``BandwidthModel._max_min_fair_rates`` — the churning-chord
     digest-parity test pins that equivalence on both kernels.
     """
 
     name = "max-min"
 
     def allocate(self, flows: List, links: List[Link]) -> None:
-        _open(links)
         _fill(flows, links)
 
 
@@ -243,43 +201,3 @@ class FairShareAllocator(BandwidthAllocator):
             up = flow.up.residual
             down = flow.down.residual
             flow.rate_bps = down if down < up else up
-
-
-@register_allocator
-class FixedPriorityAllocator(BandwidthAllocator):
-    """Strict priority classes: higher classes starve lower ones.
-
-    Classes fill in priority order (CONTROL, then LOOKUP, then BULK), each
-    running max-min against whatever capacity the classes above left on
-    every link.  A link saturated by CONTROL traffic hands LOOKUP and BULK
-    flows a rate of exactly 0 until it drains — starvation is the contract,
-    and the property tests assert both the starving and the resumption.
-    """
-
-    name = "fixed-priority"
-
-    def allocate(self, flows: List, links: List[Link]) -> None:
-        by_class: Dict[int, List] = {}
-        for flow in flows:
-            by_class.setdefault(flow.priority, []).append(flow)
-        _open(links)
-        for priority in sorted(by_class):
-            _fill(by_class[priority], links)
-
-
-@register_allocator
-class PriorityQueueAllocator(BandwidthAllocator):
-    """Weighted max-min: classes share contended links by fixed weights.
-
-    One progressive fill where a flow's share of a saturating link is
-    proportional to its class weight (:data:`CLASS_WEIGHTS`, 4:2:1).  Unlike
-    ``fixed-priority`` nothing starves — BULK keeps 1/7 of a link three
-    classes fight over — and like max-min, capacity a weighted flow cannot
-    use flows back to the others.
-    """
-
-    name = "priority-queue"
-
-    def allocate(self, flows: List, links: List[Link]) -> None:
-        _open(links)
-        _fill(flows, links, CLASS_WEIGHTS)

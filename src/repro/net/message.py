@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.net.address import Address
-from repro.net.bwalloc import LOOKUP
 
 
 @dataclass(slots=True)
@@ -27,9 +26,6 @@ class Message:
     size: int
     kind: str = "data"
     sent_at: float = 0.0
-    #: bwalloc priority class (CONTROL for RPC, LOOKUP for protocol messages);
-    #: per-class traffic accounting keys off it
-    priority: int = LOOKUP
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Message {self.kind} {self.src}->{self.dst} {self.size}B>"

@@ -8,13 +8,11 @@ payloads go through the flow-level :class:`~repro.net.bandwidth.BandwidthModel`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.address import Address
 from repro.net.bandwidth import BandwidthModel, UNLIMITED_BPS
-from repro.net.bwalloc import BULK, LOOKUP
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.loss import LossModel
 from repro.net.message import Message
@@ -40,9 +38,6 @@ class NetworkStats:
     drops_dead_host: int = 0
     drops_loss: int = 0
     drops_no_listener: int = 0
-    #: bytes offered per bwalloc priority class (messages and transfers);
-    #: digest-excluded ``metrics`` report section only
-    bytes_by_class: Dict[int, int] = field(default_factory=lambda: defaultdict(int))
     last_errors: List[str] = field(default_factory=list)
 
     def record_error(self, error: str, cap: int = 20) -> None:
@@ -179,7 +174,7 @@ class Network:
 
     # ------------------------------------------------------------------ send
     def send(self, src: Address, dst: Address, payload: Any, size: int,
-             kind: str = "data", priority: int = LOOKUP) -> None:
+             kind: str = "data") -> None:
         """Send one datagram: fire and forget, nothing is returned.
 
         Delivery requires the source and destination hosts to be alive and a
@@ -192,7 +187,6 @@ class Network:
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
-        stats.bytes_by_class[priority] += size
 
         # Aliveness probes are inlined (self.host_alive is a method call per
         # probe, and this path runs once per simulated message).  Loopback is
@@ -240,7 +234,7 @@ class Network:
                 delay += max(0.0, src_hook(size))
         sim = self.sim
         sim.schedule(delay, self._deliver,
-                     Message(src, dst, payload, size, kind, sim._now, priority))
+                     Message(src, dst, payload, size, kind, sim._now))
 
     def _deliver(self, message: Message) -> None:
         dst = message.dst
@@ -267,24 +261,20 @@ class Network:
         stats.messages_delivered += 1
 
     # -------------------------------------------------------------- transfers
-    def transfer(self, src: Address, dst: Address, nbytes: float,
-                 priority: int = BULK) -> Future:
+    def transfer(self, src: Address, dst: Address, nbytes: float) -> Future:
         """Bulk transfer through the flow-level bandwidth model.
 
         The returned future completes with the finish time when the last byte
-        arrives, or is cancelled if either host fails mid-transfer.  The
-        ``priority`` class is what priority-aware allocators schedule by.
+        arrives, or is cancelled if either host fails mid-transfer.  A
+        negative size raises ``ValueError`` before anything is counted.
         """
         result = Future()  # unnamed: transfers are hot in dissemination runs
         if not self.host_alive(src.ip) or not self.host_alive(dst.ip):
             result.cancel()
             return result
-        stats = self.stats
-        stats.transfers_started += 1
-        stats.bytes_by_class[priority] += int(nbytes)
         propagation = self.latency.one_way(src.ip, dst.ip)
-        transfer = self.bandwidth.transfer(src.ip, dst.ip, nbytes,
-                                           priority=priority)
+        transfer = self.bandwidth.transfer(src.ip, dst.ip, nbytes)
+        self.stats.transfers_started += 1
 
         def _complete(fut: Future) -> None:
             if fut.cancelled():

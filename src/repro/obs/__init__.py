@@ -39,7 +39,6 @@ from repro.obs.metrics import (  # noqa: F401 - re-exported API
     MetricsRegistry,
     log_bucket_bounds,
 )
-from repro.net import bwalloc as _bwalloc
 from repro.obs.profiler import KernelProfiler
 from repro.obs.recorder import FlightRecorder, callback_label
 from repro.obs.tracing import Tracer, load_trace  # noqa: F401 - re-exported
@@ -162,19 +161,7 @@ class Observability:
                 "transfer_bytes_completed": round(bandwidth.bytes_completed),
                 "flow_preemptions": bandwidth.preemptions,
             },
-            "bandwidth": {
-                "allocator": bandwidth.allocator_name,
-                "reallocations": bandwidth.reallocations,
-                "flows_allocated": bandwidth.flows_allocated,
-                # Per-priority-class completed bytes and preemptions, plus
-                # offered bytes per class (messages and transfers together).
-                "by_class": bandwidth.class_stats(),
-                "busiest_links": bandwidth.busiest_links(),
-                "bytes_offered_by_class": {
-                    _bwalloc.PRIORITY_NAMES.get(cls, str(cls)): count
-                    for cls, count in sorted(stats.bytes_by_class.items())
-                },
-            },
+            "bandwidth": bandwidth.section(),
             "rpc": rpc,
             # GC-policy counters (repro.sim.gcpolicy) when a policy is
             # active: ambient vs explicit collections, freeze size, pauses.

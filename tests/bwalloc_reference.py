@@ -3,7 +3,7 @@
 Moved here verbatim when the allocators were rewritten to fill over
 persistent link objects: ``link_tables`` (three dicts keyed by
 ``("up", ip)`` / ``("down", ip)`` tuples, rebuilt per call), the weighted
-``_progressive_fill`` over them, and the four ``allocate`` bodies, which take
+``_progressive_fill`` over them, and the ``allocate`` bodies, which take
 the transfer list and return one rate per transfer.  Nothing in ``src/``
 imports this; ``tests/test_bwalloc_reference.py`` holds every registered
 allocator to these rates with ``==``.
@@ -17,7 +17,6 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.net.bandwidth import BandwidthModel
-from repro.net.bwalloc import CLASS_WEIGHTS
 
 
 class GlobalRecomputeModel(BandwidthModel):
@@ -73,8 +72,7 @@ def _progressive_fill(links: Dict[Link, float],
                       weights: List[float]) -> None:
     """Weighted progressive filling over ``eligible`` flow indices, in place.
 
-    ``links`` holds each link's *remaining* capacity and is consumed (so a
-    caller can fill one priority class, then the next against the residue).
+    ``links`` holds each link's *remaining* capacity and is consumed.
     Each round saturates the link offering the smallest per-weight share to
     its unallocated flows; those flows are pinned at ``weight * share`` and
     their demand leaves every link they cross.  With unit weights this is
@@ -134,45 +132,5 @@ class ReferenceFairShareAllocator(ReferenceAllocator):
         return [min(share[up], share[down]) for up, down in flow_links]
 
 
-class ReferenceFixedPriorityAllocator(ReferenceAllocator):
-    name = "fixed-priority"
-
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        rates = [0.0] * len(transfers)
-        weights = [1.0] * len(transfers)
-        by_class: Dict[int, List[int]] = {}
-        for index, transfer in enumerate(transfers):
-            by_class.setdefault(transfer.priority, []).append(index)
-        for priority in sorted(by_class):
-            eligible = by_class[priority]
-            eligible_set = set(eligible)  # membership only, never iterated
-            class_flows: Dict[Link, List[int]] = {}
-            for link, flows in flows_on_link.items():
-                mine = [f for f in flows if f in eligible_set]
-                if mine:
-                    class_flows[link] = mine
-            class_links = {link: links[link] for link in class_flows}
-            _progressive_fill(class_links, class_flows, flow_links, rates,
-                              eligible, weights)
-            # What this class consumed leaves the shared residue.
-            for link in class_links:
-                links[link] = class_links[link]
-        return rates
-
-
-class ReferencePriorityQueueAllocator(ReferenceAllocator):
-    name = "priority-queue"
-
-    def allocate(self, transfers: List) -> List[float]:
-        links, flows_on_link, flow_links = self.link_tables(transfers)
-        rates = [0.0] * len(transfers)
-        weights = [CLASS_WEIGHTS.get(t.priority, 1.0) for t in transfers]
-        _progressive_fill(links, flows_on_link, flow_links, rates,
-                          list(range(len(transfers))), weights)
-        return rates
-
-
 REFERENCE_ALLOCATORS = {cls.name: cls for cls in (
-    ReferenceMaxMinAllocator, ReferenceFairShareAllocator,
-    ReferenceFixedPriorityAllocator, ReferencePriorityQueueAllocator)}
+    ReferenceMaxMinAllocator, ReferenceFairShareAllocator)}

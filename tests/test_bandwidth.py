@@ -3,8 +3,8 @@
 import pytest
 
 from heap_kernel_reference import KERNELS, make_simulator
-from repro.net.bandwidth import BandwidthModel
-from repro.net.bwalloc import BULK, CONTROL, allocator_names
+from repro.net.bandwidth import UNLIMITED_BPS, BandwidthModel
+from repro.net.bwalloc import allocator_names
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
@@ -318,6 +318,17 @@ def test_capacity_change_mid_run_reaches_flows_and_messages():
     assert "C" not in bw._uplinks and bw._downlinks["C"].capacity == 1_000_000
 
 
+def test_set_capacity_rejects_negative_and_nan_and_reads_none_or_zero_as_unlimited():
+    bw = BandwidthModel(Simulator())
+    bw.set_capacity("A", None, 0)
+    assert bw.capacity("A") == (UNLIMITED_BPS, UNLIMITED_BPS)
+    with pytest.raises(ValueError, match="uplink capacity of host B"):
+        bw.set_capacity("B", -1.0, 8_000_000)
+    with pytest.raises(ValueError, match="downlink capacity of host B"):
+        bw.set_capacity("B", 8_000_000, float("nan"))
+    assert "B" not in bw.capacities  # a refused call changes nothing
+
+
 def test_host_failure_cancels_both_directions_in_id_order_with_one_recompute():
     sim = Simulator()
     bw = BandwidthModel(sim)
@@ -357,10 +368,10 @@ def test_transfer_started_from_a_completion_callback(allocator):
     for ip in "ABCD":
         bw.set_capacity(ip, 8_000_000, 8_000_000)
     chained = []
-    short = bw.transfer("A", "B", 500_000, priority=CONTROL)
-    bystander = bw.transfer("A", "C", 4_000_000, priority=BULK)
+    short = bw.transfer("A", "B", 500_000)
+    bystander = bw.transfer("A", "C", 4_000_000)
     short.done.add_done_callback(
-        lambda fut: chained.append(bw.transfer("D", "C", 1_000_000, priority=CONTROL)))
+        lambda fut: chained.append(bw.transfer("D", "C", 1_000_000)))
     sim.run()
     (follow_up,) = chained
     assert follow_up.started_at == short.done.result()

@@ -96,6 +96,25 @@ def test_restricted_socket_enforces_traffic_budget():
         socket.send("10.0.0.1:9", "x", size=40)
 
 
+def test_a_negative_transfer_size_charges_nothing():
+    sim = Simulator()
+    network = Network(sim)
+    for ip in ("10.0.0.1", "10.0.0.2"):
+        network.add_host(type("Host", (), {"ip": ip, "alive": True})())
+    socket = RestrictedSocket(network, AppContext(sim), Address("10.0.0.1", 1),
+                              policy=SocketPolicy(max_sockets=1))
+    with pytest.raises(ValueError, match="non-negative"):
+        socket.transfer("10.0.0.2:9", -1)
+    assert socket._open_sockets == 0 and socket.stats.bytes_sent == 0
+    assert network.stats.transfers_started == 0
+    # The one socket slot is still free, and a finished transfer returns it.
+    done = socket.transfer("10.0.0.2:9", 1000)
+    assert socket._open_sockets == 1
+    sim.run()
+    assert done.done() and socket._open_sockets == 0
+    assert socket.stats.bytes_sent == 1000 and network.stats.transfers_started == 1
+
+
 # --------------------------------- the checks, as send() applies them inline
 @pytest.fixture()
 def strict_socket():

@@ -1,19 +1,18 @@
-"""Pluggable bandwidth allocators: differential harness, oracle, priorities.
+"""Pluggable bandwidth allocators: differential harness, oracle, digest pin.
 
 Three layers of assurance over :mod:`repro.net.bwalloc`:
 
 * a **differential workload harness**: one seeded random flow workload
-  (arrivals, sizes, priorities, cancellations, host failures, time advances)
+  (arrivals, sizes, cancellations, host failures, time advances)
   replayed against every registered allocator under the strict runtime
   sanitizer, asserting the invariants every strategy must share;
 * an **oracle**: the connected-component recomputation must produce
   *bit-identical* rate vectors to a brute-force global recompute
   (``bwalloc_reference.GlobalRecomputeModel``) after every step of a long
   random script, for every allocator;
-* **priority semantics**: fixed-priority starvation/resumption,
-  priority-queue weighted shares, and the churning-chord digest pin proving
-  ``--bw-alloc max-min`` still reproduces pre-refactor reports byte for
-  byte on both kernels.
+* **semantics**: fair-share's stranded capacity, the registry, a mid-run
+  switch, and the churning-chord digest pin proving ``--bw-alloc max-min``
+  still reproduces pre-refactor reports byte for byte on both kernels.
 """
 
 import random
@@ -26,18 +25,10 @@ from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
 from repro.apps.harness import RunConfig
 from repro.net.bandwidth import BandwidthModel
-from repro.net.bwalloc import (
-    BULK,
-    CONTROL,
-    LOOKUP,
-    UnknownAllocatorError,
-    allocator_names,
-    make_allocator,
-)
+from repro.net.bwalloc import UnknownAllocatorError, allocator_names, make_allocator
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 
 CAP_BPS = 10_000_000
-PRIORITIES = [CONTROL, LOOKUP, BULK]
 
 #: the flagship churn digest pinned in tests/test_testbeds.py — captured on
 #: the commit *before* the allocator refactor; ``--bw-alloc max-min`` must
@@ -89,7 +80,7 @@ def _workload_script(rng, steps, hosts):
         if roll < 0.5 or live_guess == 0:
             src, dst = rng.sample(range(hosts), 2)
             size = rng.choice([0, 10_000, 100_000, 1_000_000])
-            script.append(("add", src, dst, size, rng.choice(PRIORITIES)))
+            script.append(("add", src, dst, size))
             live_guess += 1
         elif roll < 0.72:
             script.append(("cancel", rng.randrange(live_guess)))
@@ -104,9 +95,8 @@ def _workload_script(rng, steps, hosts):
 def _apply(action, sim, model, ips, transfers):
     kind = action[0]
     if kind == "add":
-        _, src, dst, size, priority = action
-        transfers.append(
-            model.transfer(ips[src], ips[dst], size, priority=priority))
+        _, src, dst, size = action
+        transfers.append(model.transfer(ips[src], ips[dst], size))
     elif kind == "cancel":
         model.cancel_transfer(transfers[action[1] % len(transfers)])
     elif kind == "fail":
@@ -142,10 +132,8 @@ def test_random_workload_invariants_hold_for_every_allocator(allocator, seed):
     assert model.completed == len(completed)
     assert model.preemptions == len(preempted)
     # Total bytes accounted: the model's completed-byte counter is exactly
-    # the sum over completed flows, and the per-class split re-adds to it.
+    # the sum over completed flows.
     assert model.bytes_completed == sum(t.total_bytes for t in completed)
-    assert sum(model.bytes_completed_by_class.values()) == model.bytes_completed
-    assert sum(model.preemptions_by_class.values()) == model.preemptions
 
 
 def test_strict_sanitizer_catches_a_corrupted_flow_table():
@@ -202,62 +190,7 @@ def test_incremental_touches_fewer_flows_than_global():
     assert model.flows_allocated == 8  # ... which touches all four flows
 
 
-# -------------------------------------------------------- priority semantics
-def test_fixed_priority_starves_bulk_until_control_drains():
-    sim, model, ips, _ = _model(allocator="fixed-priority", hosts=3)
-    control = model.transfer(ips[0], ips[1], 10_000_000, priority=CONTROL)
-    bulk = model.transfer(ips[0], ips[2], 1_000_000, priority=BULK)
-    # CONTROL saturates the shared 10 Mbps uplink; BULK is starved outright.
-    assert control.rate_bps == CAP_BPS
-    assert bulk.rate_bps == 0.0
-    sim.run(until=4.0)
-    assert not control.done.done() and bulk.rate_bps == 0.0
-    sim.run(until=8.5)  # control (10 MB at 10 Mbps) completes at t = 8 s
-    assert control.done.done()
-    # ... and its completion resumes the starved flow at full rate.
-    assert bulk.rate_bps == CAP_BPS
-    sim.run()
-    assert bulk.done.done() and not bulk.done.cancelled()
-
-
-def test_fixed_priority_lookup_outranks_bulk_but_not_control():
-    sim, model, ips, _ = _model(allocator="fixed-priority", hosts=4)
-    control = model.transfer(ips[0], ips[1], 4_000_000, priority=CONTROL)
-    lookup = model.transfer(ips[0], ips[2], 4_000_000, priority=LOOKUP)
-    bulk = model.transfer(ips[0], ips[3], 4_000_000, priority=BULK)
-    assert control.rate_bps == CAP_BPS
-    assert lookup.rate_bps == 0.0 and bulk.rate_bps == 0.0
-    sim.run(until=3.3)  # control drains at t = 3.2 s; lookup takes over
-    assert control.done.done()
-    assert lookup.rate_bps == CAP_BPS and bulk.rate_bps == 0.0
-
-
-def test_priority_queue_shares_follow_class_weights():
-    """One flow per class on a shared uplink splits it 4 : 2 : 1."""
-    sim, model, ips, _ = _model(allocator="priority-queue", hosts=4)
-    control = model.transfer(ips[0], ips[1], 50_000_000, priority=CONTROL)
-    lookup = model.transfer(ips[0], ips[2], 50_000_000, priority=LOOKUP)
-    bulk = model.transfer(ips[0], ips[3], 50_000_000, priority=BULK)
-    assert control.rate_bps == pytest.approx(CAP_BPS * 4 / 7)
-    assert lookup.rate_bps == pytest.approx(CAP_BPS * 2 / 7)
-    assert bulk.rate_bps == pytest.approx(CAP_BPS * 1 / 7)
-    # Weighted max-min still fills the bottleneck completely and no class
-    # starves: everyone makes progress.
-    total = control.rate_bps + lookup.rate_bps + bulk.rate_bps
-    assert total == pytest.approx(CAP_BPS)
-
-
-def test_priority_queue_redistributes_when_a_class_leaves():
-    sim, model, ips, _ = _model(allocator="priority-queue", hosts=4)
-    control = model.transfer(ips[0], ips[1], 1_000_000, priority=CONTROL)
-    bulk = model.transfer(ips[0], ips[2], 50_000_000, priority=BULK)
-    assert control.rate_bps == pytest.approx(CAP_BPS * 4 / 5)
-    assert bulk.rate_bps == pytest.approx(CAP_BPS * 1 / 5)
-    sim.run(until=1.1)  # control (1 MB at 8 Mbps) finishes at t = 1 s
-    assert control.done.done()
-    assert bulk.rate_bps == pytest.approx(CAP_BPS)
-
-
+# ---------------------------------------------------------------- semantics
 def test_fair_share_splits_equally_without_redistribution():
     sim, model, ips, _ = _model(allocator="fair-share", hosts=4)
     model.set_capacity(ips[1], CAP_BPS, 2_000_000)  # narrow downlink
@@ -270,38 +203,24 @@ def test_fair_share_splits_equally_without_redistribution():
     assert wide.rate_bps == pytest.approx(CAP_BPS / 2)
 
 
-def test_priority_classes_are_recorded_per_class():
-    sim, model, ips, _ = _model(hosts=6)
-    done = model.transfer(ips[0], ips[1], 1_000_000, priority=CONTROL)
-    model.transfer(ips[2], ips[3], 1_000_000, priority=BULK)
-    victim = model.transfer(ips[4], ips[5], 1_000_000, priority=BULK)
-    model.cancel_transfer(victim)
-    sim.run()
-    assert done.done.done()
-    stats = model.class_stats()
-    assert stats["control"] == {"bytes_completed": 1_000_000.0, "preemptions": 0}
-    assert stats["bulk"] == {"bytes_completed": 1_000_000.0, "preemptions": 1}
-    assert "lookup" not in stats  # empty classes stay out of the section
-
-
 # ----------------------------------------------------------------- registry
 def test_registry_lists_max_min_first_and_rejects_unknown_names():
-    names = allocator_names()
-    assert names[0] == "max-min"
-    assert set(names) == {"max-min", "fair-share", "fixed-priority",
-                          "priority-queue"}
+    assert allocator_names() == ["max-min", "fair-share"]
     with pytest.raises(UnknownAllocatorError, match="max-min"):
         make_allocator("wfq")
 
 
 def test_configure_switches_allocator_mid_run_and_recomputes():
     sim, model, ips, _ = _model(allocator="max-min", hosts=3)
-    control = model.transfer(ips[0], ips[1], 50_000_000, priority=CONTROL)
-    bulk = model.transfer(ips[0], ips[2], 50_000_000, priority=BULK)
-    assert control.rate_bps == pytest.approx(CAP_BPS / 2)
-    model.configure(allocator="fixed-priority")
-    assert model.allocator_name == "fixed-priority"
-    assert control.rate_bps == CAP_BPS and bulk.rate_bps == 0.0
+    model.set_capacity(ips[1], CAP_BPS, 2_000_000)  # narrow downlink
+    narrow = model.transfer(ips[0], ips[1], 50_000_000)
+    wide = model.transfer(ips[0], ips[2], 50_000_000)
+    # max-min hands the capacity the narrow flow cannot use to the wide one.
+    assert narrow.rate_bps == 2_000_000 and wide.rate_bps == CAP_BPS - 2_000_000
+    model.configure(allocator="fair-share")
+    assert model.allocator_name == "fair-share"
+    # The switch re-rates the live flows at once: fair-share strands it.
+    assert narrow.rate_bps == 2_000_000 and wide.rate_bps == CAP_BPS / 2
 
 
 # ------------------------------------------------------------- digest parity
@@ -312,8 +231,8 @@ def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch)
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
     with the allocator requested explicitly and, on the kernel, the brute-force
-    recompute in the model's place — neither the refactor, the priority
-    threading nor the component walk may move a single byte.
+    recompute in the model's place — neither the refactor nor the
+    component walk may move a single byte.
     """
     if kernel == "wheel":
         monkeypatch.setattr(BandwidthModel, "_component",

@@ -3,8 +3,7 @@
 ``tests/bwalloc_reference.py`` is the previous implementation, moved out of
 ``src/`` verbatim.  Every registered allocator must reproduce its rates with
 ``==`` — bit-identical floats — on seeded random flow sets built to hit what
-the rewrite could get wrong: mixed priority classes, heterogeneous and
-unlimited capacities, several links tied on the same share (the
+the rewrite could get wrong: heterogeneous and unlimited capacities, several links tied on the same share (the
 first-appearance tie-break), flows left at rate 0, and id-sorted components
 cut out of a larger live set.
 """
@@ -16,17 +15,9 @@ import pytest
 from bwalloc_reference import REFERENCE_ALLOCATORS
 from repro.apps import harness
 from repro.net.bandwidth import UNLIMITED_BPS, BandwidthModel, Transfer
-from repro.net.bwalloc import (
-    BULK,
-    CONTROL,
-    LOOKUP,
-    Link,
-    allocator_names,
-    make_allocator,
-)
+from repro.net.bwalloc import Link, allocator_names, make_allocator
 from repro.sim.kernel import Simulator
 
-PRIORITIES = [CONTROL, LOOKUP, BULK]
 #: few distinct values, so that equal shares on different links are common
 CAPACITIES = [1_000_000.0, 2_000_000.0, 3_000_000.0, 10_000_000.0,
               7_654_321.0, UNLIMITED_BPS]
@@ -43,7 +34,7 @@ class _Capacities:
 
 
 def _flow_set(rng, hosts, flows, uniform=False):
-    """A random live set: capacities per host and ``(src, dst, class)`` flows."""
+    """A random live set: capacities per host and ``(src, dst)`` flows."""
     ips = harness.host_ips(hosts)
     table = {}
     for ip in ips:
@@ -54,22 +45,21 @@ def _flow_set(rng, hosts, flows, uniform=False):
     specs = []
     for _ in range(flows):
         src, dst = rng.sample(ips, 2)
-        specs.append((src, dst, rng.choice(PRIORITIES)))
+        specs.append((src, dst))
     return table, specs
 
 
 def _build(table, specs):
     """Link objects and transfers for ``specs``, ids in list order."""
     ups, downs, transfers = {}, {}, []
-    for index, (src, dst, priority) in enumerate(specs):
+    for index, (src, dst) in enumerate(specs):
         up = ups.get(src)
         if up is None:
             up = ups[src] = Link("up", src, table[src][0])
         down = downs.get(dst)
         if down is None:
             down = downs[dst] = Link("down", dst, table[dst][1])
-        transfer = Transfer(up, down, 1_000_000, 0.0, transfer_id=index + 1,
-                            priority=priority)
+        transfer = Transfer(up, down, 1_000_000, 0.0, transfer_id=index + 1)
         up.flows.append(transfer)
         down.flows.append(transfer)
         transfers.append(transfer)
@@ -113,7 +103,7 @@ def _allocate(name, flows):
 @pytest.mark.parametrize("seed", range(6))
 def test_rates_equal_the_table_based_reference(allocator, seed):
     rng = random.Random(7000 + seed)
-    saw_zero = saw_tie = False
+    saw_tie = False
     for round_ in range(40):
         hosts = rng.choice([3, 5, 8, 16])
         table, specs = _flow_set(rng, hosts, rng.randrange(1, 4 * hosts),
@@ -127,7 +117,6 @@ def test_rates_equal_the_table_based_reference(allocator, seed):
         expected = reference.allocate(transfers)
         assert _allocate(allocator, transfers) == expected
         assert all(flow.weight == 0.0 for flow in transfers)
-        saw_zero = saw_zero or 0.0 in expected
         saw_tie = saw_tie or len(set(expected)) < len(expected)
 
         # ... and component by component (what the incremental walk hands
@@ -142,8 +131,6 @@ def test_rates_equal_the_table_based_reference(allocator, seed):
             assert _allocate(allocator, component) \
                 == [by_id[flow.transfer_id] for flow in component]
     assert saw_tie
-    if allocator == "fixed-priority":
-        assert saw_zero  # starved classes: flows left at rate 0
 
 
 @pytest.mark.parametrize("allocator", allocator_names())
@@ -158,8 +145,7 @@ def test_first_appearance_tie_break_between_equal_links(allocator):
     """
     table = {"A": (10_000_000.0, 10_000_000.0), "B": (5_000_000.0, 5_000_000.0),
              "C": (5_000_000.0, 5_000_000.0), "D": (10_000_000.0, 5_000_000.0)}
-    specs = [("A", "B", BULK), ("A", "C", LOOKUP), ("B", "D", BULK),
-             ("C", "D", CONTROL), ("D", "A", BULK)]
+    specs = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "A")]
     transfers = _build(table, specs)
     expected = REFERENCE_ALLOCATORS[allocator](_Capacities(table)).allocate(transfers)
     assert _allocate(allocator, transfers) == expected
@@ -192,8 +178,7 @@ def test_model_rates_follow_the_reference_through_a_random_script(allocator, see
         if roll < 0.55 or not model.active_transfers:
             src, dst = rng.sample(ips, 2)
             transfers.append(model.transfer(
-                src, dst, rng.choice([20_000, 300_000, 2_000_000]),
-                priority=rng.choice(PRIORITIES)))
+                src, dst, rng.choice([20_000, 300_000, 2_000_000])))
         elif roll < 0.7:
             model.cancel_transfer(rng.choice(transfers))
         elif roll < 0.76:

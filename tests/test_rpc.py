@@ -168,10 +168,10 @@ class _SizeCheckingNetwork(Network):
         super().__init__(*args, **kwargs)
         self.checked = []
 
-    def send(self, src, dst, payload, size, kind="data", priority=0):
+    def send(self, src, dst, payload, size, kind="data"):
         assert size == estimate_size(payload), payload
         self.checked.append(payload)
-        super().send(src, dst, payload, size, kind, priority)
+        super().send(src, dst, payload, size, kind)
 
 
 def _random_value(rng, depth=0):
