@@ -198,8 +198,8 @@ class RunConfig:
     stated here and nowhere else; what a workload itself varies (lookups,
     identifier bits, fanout, chunks) is a runner parameter, not a field.
     Nothing here may move a report digest except the deployment itself
-    (``nodes`` / ``hosts`` / ``seed`` / ``testbed`` / churn / windows) and
-    ``bw_alloc``.
+    (``nodes`` / ``hosts`` / ``seed`` / ``testbed`` / churn / windows):
+    every execution option is digest-neutral.
     """
 
     #: application instances to deploy
@@ -235,8 +235,6 @@ class RunConfig:
     profile: bool = False
     #: the job's minimum log severity (the controller-set verbosity)
     log_level: str = "INFO"
-    #: flow-level bandwidth allocation strategy (:mod:`repro.net.bwalloc`)
-    bw_alloc: str = "max-min"
     #: host-interpreter GC discipline (:mod:`repro.sim.gcpolicy`)
     gc_policy: str = "tuned"
 
@@ -348,8 +346,8 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
     an availability trace may both be given and replay merged.  Sanitizer,
     observability plane and GC policy are observation-only and
     digest-excluded, and workload results are identical for any shard count,
-    so every combination of them yields byte-identical report digests;
-    ``bw_alloc`` is the one execution option that can move one.
+    so every combination of them yields byte-identical report digests: no
+    execution option moves one.
     """
     wall_started = time.perf_counter()  # det: ignore[DET102] -- phase-wall attribution, digest-excluded
     config = replace(config or RunConfig(), **fields).resolved()
@@ -378,7 +376,6 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
         ips = host_ips(host_count)
         built = get_testbed(config.testbed).build(sim, ips, seed)
         network = built.network
-        network.bandwidth.configure(allocator=config.bw_alloc)
         if sanitizer is not None:
             sanitizer.watch_network(network)
 
@@ -1040,9 +1037,8 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         # run on, not a workload result (a run with none keeps its digest).
         "handler_errors": {"count": network.stats.handler_errors,
                            "last": network.stats.last_errors[-3:]},
-        # Digest-excluded (DIGEST_EXCLUDED_KEYS): the allocator *choice* is
-        # execution configuration; its effects land in the digest-relevant
-        # sections above (and for max-min are pinned byte-identical).
+        # Digest-excluded (DIGEST_EXCLUDED_KEYS): the fill's work counters;
+        # the rates' effects land in the digest-relevant sections above.
         "bw_alloc": network.bandwidth.section(),
         "log_records_collected": len(controller.job_logs(job)),
         "log_records_dropped": job.stats.log_records_dropped,

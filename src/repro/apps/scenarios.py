@@ -47,7 +47,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.apps import harness, registry
 from repro.apps.harness import RunConfig
 from repro.core.churn import parse_availability_trace, parse_churn_script
-from repro.net.bwalloc import allocator_names
 from repro.sim.gcpolicy import GC_MODES
 from repro.testbeds import testbed_names
 
@@ -124,7 +123,7 @@ def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
 # --------------------------------------------------------------------- bench
 #: CSV columns emitted by ``scenarios bench`` (one row per scale cell)
 BENCH_CSV_COLUMNS = [
-    "workload", "testbed", "nodes", "hosts", "ctl_shards", "bw_alloc", "seed", "jobs",
+    "workload", "testbed", "nodes", "hosts", "ctl_shards", "seed", "jobs",
     "wall_sec", "virtual_time", "events_executed", "events_per_sec",
     "wall_per_virtual_sec", "peak_rss_kb",
     "wall_deploy_s", "wall_run_s", "wall_drain_s",
@@ -234,7 +233,6 @@ def _scale_cell(config: RunConfig, lookups: int) -> dict:
         "nodes": report["nodes"],
         "hosts": report["hosts"],
         "ctl_shards": report.get("ctl_shards", 1),
-        "bw_alloc": (report.get("bw_alloc") or {}).get("allocator", "max-min"),
         "seed": report["seed"],
         "wall_sec": round(wall, 4),
         "virtual_time": round(virtual, 3),
@@ -336,8 +334,7 @@ def write_bench_csv(path: str, rows: List[dict]) -> None:
 
 
 #: the columns that say *which* experiment a bench row is (its cell)
-_CELL_COLUMNS = ("workload", "testbed", "nodes", "hosts", "ctl_shards",
-                 "bw_alloc", "seed")
+_CELL_COLUMNS = ("workload", "testbed", "nodes", "hosts", "ctl_shards", "seed")
 
 
 def check_bench_regression(summary: dict, baseline: dict) -> tuple:
@@ -450,11 +447,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--min-success", type=float,
                         default=spec.min_success,
                         help="exit non-zero below this measured success rate")
-    parser.add_argument("--bw-alloc", choices=allocator_names(),
-                        default=_DEFAULTS.bw_alloc, metavar="NAME",
-                        help="flow-level bandwidth allocation strategy "
-                             f"({', '.join(allocator_names())}; the default "
-                             "max-min keeps the historical digests)")
     parser.add_argument("--cdf", type=str, default=None, metavar="PATH",
                         help="write the measured latency CDF as "
                              "(latency_ms, fraction) CSV to PATH")
@@ -512,8 +504,7 @@ def _run_scenario_cli(spec: type[harness.Scenario], args: argparse.Namespace) ->
             sanitize=args.sanitize,
             metrics=args.metrics or bool(args.metrics_out),
             trace_out=args.trace_out, profile=args.profile,
-            log_level=args.log_level, bw_alloc=args.bw_alloc,
-            gc_policy=args.gc_policy)
+            log_level=args.log_level, gc_policy=args.gc_policy)
         run = spec(config, **{name: getattr(args, name) for name, _d, _h in spec.params})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -222,7 +222,7 @@ class RpcService:
             size += _ERROR_SIZE + len(error)
         stats = self._stats  # allocated by _serve_call, the only way here
         try:
-            self.socket.send(dst, payload, size, "rpc")
+            self.socket.send(dst, payload, size)
             stats.replies_sent += 1
         except SocketRestrictionError:
             # The instance died or hit its budget mid-reply; the caller will
@@ -357,7 +357,7 @@ class _PendingCall:
             stats.retries += 1
         stats.calls_sent += 1
         try:
-            service.socket.send(self.dst, self.payload, self.size, "rpc")
+            service.socket.send(self.dst, self.payload, self.size)
         except SocketRestrictionError as exc:
             stats.send_failures += 1
             service._pending.pop(self.call_id, None)

@@ -133,7 +133,7 @@ class RestrictedSocket:
 
     # ---------------------------------------------------------------- sending
     def send(self, dst: "Address | NodeRef | dict | str", payload: Any,
-             size: Optional[int] = None, kind: str = "data") -> None:
+             size: Optional[int] = None) -> None:
         """Send one datagram to ``dst``: fire and forget, nothing is returned.
 
         Raises :class:`SocketRestrictionError` when the socket is closed or
@@ -141,7 +141,8 @@ class RestrictedSocket:
         let through may still be lost without the sender being told — to the
         local ``drop_rate`` (``stats.messages_dropped_locally``) or in the
         network (``Network.stats``).  ``size`` is the wire size when the
-        caller knows it (the RPC layer does), else estimated from ``payload``.
+        caller knows it (the RPC layer does), else estimated from ``payload``;
+        a negative ``size`` raises ``ValueError`` before anything is charged.
         """
         # One frame per message: a helper runs only for a restriction in force.
         if self._closed or not self.context.alive:
@@ -152,6 +153,8 @@ class RestrictedSocket:
             dst = _coerce_address(dst)
         if size is None:
             size = estimate_size(payload)
+        elif size < 0:
+            raise ValueError("message size must be non-negative")
         policy = self.policy
         if policy.blacklist is not None:
             self._enforce_destination(dst)
@@ -164,7 +167,7 @@ class RestrictedSocket:
             # Locally injected loss (lossy-link emulation requested at deploy time).
             stats.messages_dropped_locally += 1
             return
-        self.network.send(self.local, dst, payload, size, kind)
+        self.network.send(self.local, dst, payload, size)
 
     def transfer(self, dst: "Address | NodeRef | dict | str",
                  nbytes: float) -> Future:

@@ -1,11 +1,11 @@
-"""Flow-level bandwidth model (pluggable fair sharing of access links).
+"""Flow-level bandwidth model (max-min fair sharing of access links).
 
 Bulk data transfers (BitTorrent pieces, tree-dissemination blocks, web cache
 objects) are simulated at flow level: every host has an uplink and a downlink
-capacity, and the rates of all concurrent transfers are computed by a
-pluggable :mod:`~repro.net.bwalloc` allocator (max-min fairness by default)
-over those access links.  Rates are recomputed whenever a transfer starts,
-completes or is cancelled, which is exact for this link model.
+capacity, and the rates of all concurrent transfers are max-min fair over
+those access links (the progressive fill of :mod:`~repro.net.bwalloc`).
+Rates are recomputed whenever a transfer starts, completes or is cancelled,
+which is exact for this link model.
 
 The flow/link graph is held in objects, not tables: each access link that
 ever carried a flow is one persistent :class:`~repro.net.bwalloc.Link`
@@ -17,8 +17,8 @@ changed, one in-place fill, one minimum over the finish times.
 
 A flow arriving or leaving can only change the rates of flows it
 (transitively) shares an access link with, so only that connected component
-is re-allocated.  Every registered allocator is per-component decomposable
-(no global normalisation terms), which makes those rates *bit-identical* to
+is re-allocated.  The fill is per-component decomposable (no global
+normalisation terms), which makes those rates *bit-identical* to
 a recompute over every live flow — the oracle test in
 ``tests/test_bwalloc.py`` asserts exactly that, step by step, against the
 brute-force subclass in ``tests/bwalloc_reference.py``.
@@ -32,7 +32,7 @@ from math import inf
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.bwalloc import BandwidthAllocator, Link, make_allocator
+from repro.net.bwalloc import Link, fill
 from repro.sim.futures import Future
 from repro.sim.kernel import ScheduledEvent, Simulator
 
@@ -64,13 +64,13 @@ class Transfer:
         self.src_ip = up.ip
         self.dst_ip = down.ip
         #: the two access links the flow crosses (source uplink, destination
-        #: downlink) — the fixed order every allocator and the walk share
+        #: downlink) — the fixed order the fill and the walk share
         self.up = up
         self.down = down
         self.total_bytes = float(nbytes)
         self.remaining_bytes = float(nbytes)
         self.rate_bps = 0.0
-        #: the allocator's fill state (see :func:`repro.net.bwalloc._fill`)
+        #: the fill state (see :func:`repro.net.bwalloc.fill`)
         self.weight = 0.0
         self.started_at = started_at
         #: virtual time up to which ``remaining_bytes`` is accurate; progress
@@ -103,18 +103,14 @@ class Transfer:
 
 
 class BandwidthModel:
-    """Fair sharing of per-host uplink/downlink capacities.
+    """Max-min fair sharing of per-host uplink/downlink capacities.
 
-    The allocation strategy is pluggable (:meth:`configure`); the default is
-    the historical progressive-filling max-min fairness; a change
-    recomputes the connected component it touches.
+    A change recomputes the connected component it touches.  A host never
+    given a capacity is unlimited (:data:`UNLIMITED_BPS`) both ways.
     """
 
-    def __init__(self, sim: Simulator, default_uplink_bps: Optional[float] = None,
-                 default_downlink_bps: Optional[float] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.default_uplink_bps = default_uplink_bps or UNLIMITED_BPS
-        self.default_downlink_bps = default_downlink_bps or UNLIMITED_BPS
         #: configured ``(uplink, downlink)`` per host, the one source of truth:
         #: read by :meth:`capacity` and per message by ``Network.send``,
         #: written by :meth:`set_capacity` only (which updates the link objects)
@@ -132,34 +128,18 @@ class BandwidthModel:
         self._completion_event: Optional[ScheduledEvent] = None
         # per-model ids: a process-wide counter would interleave co-hosted runs
         self._transfer_ids = 0
-        self._allocator: BandwidthAllocator = make_allocator("max-min")
         #: completed transfer count (for stats/tests)
         self.completed = 0
         #: bytes fully delivered by completed transfers (metrics section)
         self.bytes_completed = 0.0
         #: transfers aborted mid-flight — explicit cancel or host failure
         self.preemptions = 0
-        #: recomputations run, and flows handed to the allocator in total
+        #: recomputations run, and flows handed to the fill in total
         #: (only the touched component counts)
         self.reallocations = 0
         self.flows_allocated = 0
         #: runtime sanitizer (repro.sim.sanitizer) or None
         self._san: Optional[object] = None
-
-    # ---------------------------------------------------------- configuration
-    def configure(self, allocator: str) -> None:
-        """Select the allocation strategy.
-
-        Safe mid-run: switching with live flows triggers one full recompute
-        so every rate reflects the new policy.
-        """
-        self._allocator = make_allocator(allocator)
-        if self._active:
-            self._reallocate()
-
-    @property
-    def allocator_name(self) -> str:
-        return self._allocator.name
 
     # ------------------------------------------------------------- capacities
     def set_capacity(self, ip: str, uplink_bps: Optional[float], downlink_bps: Optional[float]) -> None:
@@ -181,7 +161,7 @@ class BandwidthModel:
             link.capacity = down
 
     def capacity(self, ip: str) -> Tuple[float, float]:
-        return self.capacities.get(ip, (self.default_uplink_bps, self.default_downlink_bps))
+        return self.capacities.get(ip, (UNLIMITED_BPS, UNLIMITED_BPS))
 
     def busiest_links(self, count: int = 5) -> List[Dict[str, object]]:
         """The ``count`` links that carried the most completed bytes."""
@@ -193,9 +173,8 @@ class BandwidthModel:
                  "peak_flows": link.peak_flows} for link in links[:count]]
 
     def section(self) -> Dict[str, object]:
-        """The allocator and its work, for the report and the metrics."""
-        return {"allocator": self.allocator_name,
-                "reallocations": self.reallocations,
+        """The fill's work, for the report and the metrics."""
+        return {"reallocations": self.reallocations,
                 "flows_allocated": self.flows_allocated,
                 "busiest_links": self.busiest_links()}
 
@@ -264,7 +243,7 @@ class BandwidthModel:
         with a fresh epoch as it is reached.  Every flow crosses exactly one
         uplink, so the members are the flows of the uplinks reached, each met
         once; they come back sorted by ``transfer_id`` — their order in
-        ``_active`` — so the allocator sees the enumeration a full recompute
+        ``_active`` — so the fill sees the enumeration a full recompute
         would.
         """
         epoch = self._epoch = self._epoch + 1
@@ -348,7 +327,7 @@ class BandwidthModel:
         targets = self._component(removed) if removed else active
         if targets:
             # Their links in first-appearance order, uplink before downlink:
-            # the tie-break order every allocator inherits.
+            # the fill's tie-break order.
             epoch = self._epoch = self._epoch + 1
             links: List[Link] = []
             for transfer in targets:
@@ -360,7 +339,7 @@ class BandwidthModel:
                 if link.epoch != epoch:
                     link.epoch = epoch
                     links.append(link)
-            self._allocator.allocate(targets, links)
+            fill(targets, links)
         self.reallocations += 1
         self.flows_allocated += len(targets)
         if self._san is not None:

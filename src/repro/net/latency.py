@@ -2,8 +2,7 @@
 
 Each testbed provides a latency model mapping a pair of host IPs to a
 one-way propagation delay in seconds.  Models are deterministic: for a given
-simulator seed, the same pair always observes the same base delay (optional
-per-message jitter is added by the :class:`~repro.net.network.Network`).
+simulator seed, the same pair always observes the same base delay.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ class LatencyModel:
 
     def one_way(self, src_ip: str, dst_ip: str) -> float:
         raise NotImplementedError
-
-    def rtt(self, src_ip: str, dst_ip: str) -> float:
-        """Round-trip time between two hosts (twice the one-way delay)."""
-        return self.one_way(src_ip, dst_ip) + self.one_way(dst_ip, src_ip)
 
 
 class ConstantLatency(LatencyModel):

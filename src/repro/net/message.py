@@ -24,8 +24,6 @@ class Message:
     dst: Address
     payload: Any
     size: int
-    kind: str = "data"
-    sent_at: float = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Message {self.kind} {self.src}->{self.dst} {self.size}B>"
+        return f"<Message {self.src}->{self.dst} {self.size}B>"

@@ -19,7 +19,6 @@ from repro.net.message import Message
 from repro.sim.events_api import AppContext
 from repro.sim.futures import Future
 from repro.sim.kernel import Simulator
-from repro.sim.rng import substream
 
 
 @dataclass(slots=True)
@@ -70,31 +69,22 @@ class Network:
     latency:
         Latency model; defaults to a 1 ms constant one-way delay.
     loss:
-        Loss model; defaults to lossless.
-    bandwidth:
-        Flow-level bandwidth model used for :meth:`transfer`; created lazily
-        with unlimited capacities if not provided.
-    jitter:
-        Fractional per-message jitter (e.g. ``0.1`` adds up to 10 % of the
-        base delay, uniformly).
-    strict:
-        If ``True``, exceptions raised by message handlers propagate (useful
-        in unit tests); otherwise they are recorded in :attr:`stats`.
+        Loss model; defaults to lossless (seeded with ``seed``, else the
+        simulator's seed).
 
-    The network also counts, in ``stats.handler_errors``, every coroutine on
-    ``sim`` that ends with an exception no done-callback observes
-    (``Simulator.unobserved_failure``).
+    :attr:`bandwidth` is the flow-level model behind :meth:`transfer`, every
+    host unlimited until given a capacity.  An exception raised by a message
+    handler is recorded in :attr:`stats` (``handler_errors``), as is every
+    coroutine on ``sim`` that ends with an exception no done-callback
+    observes (``Simulator.unobserved_failure``).
     """
 
     def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None,
-                 loss: Optional[LossModel] = None, bandwidth: Optional[BandwidthModel] = None,
-                 jitter: float = 0.0, strict: bool = False, seed: Optional[int] = None):
+                 loss: Optional[LossModel] = None, seed: Optional[int] = None):
         self.sim = sim
         self.latency = latency or ConstantLatency(0.001)
         self.loss = loss or LossModel(seed=seed if seed is not None else sim.seed)
-        self.bandwidth = bandwidth or BandwidthModel(sim)
-        self.jitter = jitter
-        self.strict = strict
+        self.bandwidth = BandwidthModel(sim)
         self.hosts: Dict[str, Any] = {}
         self.stats = NetworkStats()
         # A coroutine that ends with an exception nobody observes is a bug
@@ -105,8 +95,7 @@ class Network:
         # hashing/equality run in C (the IPs are interned strings, so probes
         # are pointer compares), and this dict sits on the per-message path.
         self._listeners: Dict[tuple, Listener] = {}
-        self._rng = substream(seed if seed is not None else sim.seed, "network-jitter")
-        # processing-delay hooks resolved once per host at registration time —
+        # processing-delay hooks per host (:meth:`set_processing_delay`) —
         # a hasattr() probe per message was measurable on the send hot path
         self._proc_delay: Dict[str, Any] = {}
         #: runtime sanitizer (repro.sim.sanitizer) or None
@@ -114,19 +103,15 @@ class Network:
 
     # ----------------------------------------------------------------- hosts
     def add_host(self, host: Any) -> None:
-        """Register a host object (must expose ``ip`` and ``alive``).
-
-        A ``processing_delay(size) -> seconds`` hook is picked up here; to
-        attach one *after* registration, use :meth:`set_processing_delay`
-        (the hook is resolved once, not probed per message).
-        """
+        """Register a host object (must expose ``ip`` and ``alive``)."""
         self.hosts[host.ip] = host
-        hook = getattr(host, "processing_delay", None)
-        if hook is not None:
-            self._proc_delay[host.ip] = hook
 
     def set_processing_delay(self, ip: str, hook: Any) -> None:
-        """Attach (or clear, with ``None``) a host-load delay hook for ``ip``."""
+        """Attach (or clear, with ``None``) a host-load delay hook for ``ip``.
+
+        ``hook(size) -> seconds`` is called on both ends of every message
+        the host sends or receives; a negative result adds nothing.
+        """
         if hook is None:
             self._proc_delay.pop(ip, None)
         else:
@@ -140,9 +125,6 @@ class Network:
             del self._listeners[key]
         if self._san is not None:
             self._san.check_listener_table(self)
-
-    def host(self, ip: str) -> Any:
-        return self.hosts[ip]
 
     def host_alive(self, ip: str) -> bool:
         host = self.hosts.get(ip)
@@ -165,16 +147,12 @@ class Network:
     def unlisten(self, address: Address) -> None:
         self._listeners.pop((address.ip, address.port), None)
 
-    def listener(self, address: Address) -> Optional[Listener]:
-        return self._listeners.get((address.ip, address.port))
-
     def is_listening(self, address: Address) -> bool:
         listener = self._listeners.get((address.ip, address.port))
         return listener is not None and listener.alive
 
     # ------------------------------------------------------------------ send
-    def send(self, src: Address, dst: Address, payload: Any, size: int,
-             kind: str = "data") -> None:
+    def send(self, src: Address, dst: Address, payload: Any, size: int) -> None:
         """Send one datagram: fire and forget, nothing is returned.
 
         Delivery requires the source and destination hosts to be alive and a
@@ -209,17 +187,14 @@ class Network:
             return
 
         delay = self.latency.one_way(src_ip, dst_ip)
-        if self.jitter:
-            delay += delay * self._rng.uniform(0.0, self.jitter)
         # Transmission time over the narrower of the two access links.  Read
         # per message on purpose — capacities, the latency model and the
         # processing-delay hooks are all mutable mid-run, so no route cache.
-        bandwidth = self.bandwidth
-        capacities = bandwidth.capacities
+        capacities = self.bandwidth.capacities
         entry = capacities.get(src_ip)
-        up = entry[0] if entry is not None else bandwidth.default_uplink_bps
+        up = entry[0] if entry is not None else UNLIMITED_BPS
         entry = capacities.get(dst_ip)
-        down = entry[1] if entry is not None else bandwidth.default_downlink_bps
+        down = entry[1] if entry is not None else UNLIMITED_BPS
         narrow = up if up < down else down
         if narrow < UNLIMITED_BPS and size > 0:
             delay += size * 8.0 / narrow
@@ -232,9 +207,7 @@ class Network:
             src_hook = proc_delay.get(src_ip)
             if src_hook is not None:
                 delay += max(0.0, src_hook(size))
-        sim = self.sim
-        sim.schedule(delay, self._deliver,
-                     Message(src, dst, payload, size, kind, sim._now))
+        self.sim.schedule(delay, self._deliver, Message(src, dst, payload, size))
 
     def _deliver(self, message: Message) -> None:
         dst = message.dst
@@ -254,8 +227,6 @@ class Network:
         try:
             listener.handler(message)
         except Exception as exc:  # noqa: BLE001 - handler bugs must not kill the run
-            if self.strict:
-                raise
             stats.record_error(f"{dst}: {exc!r}")
             return
         stats.messages_delivered += 1
@@ -288,8 +259,5 @@ class Network:
 
     # --------------------------------------------------------------- queries
     def one_way_delay(self, src_ip: str, dst_ip: str) -> float:
-        """Base one-way delay between two hosts (no jitter, no processing)."""
+        """Base one-way delay between two hosts (no transmission, no processing)."""
         return self.latency.one_way(src_ip, dst_ip)
-
-    def rtt(self, src_ip: str, dst_ip: str) -> float:
-        return self.latency.rtt(src_ip, dst_ip)

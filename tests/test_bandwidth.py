@@ -2,25 +2,23 @@
 
 import pytest
 
+import repro.net.bandwidth
 from heap_kernel_reference import KERNELS, make_simulator
 from repro.net.bandwidth import UNLIMITED_BPS, BandwidthModel
-from repro.net.bwalloc import allocator_names
+from repro.net.bwalloc import fill
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
 
-class _RiggedAllocator:
-    """The seam the stall tests use: the real allocator runs, then ``rig``
-    edits the rates it wrote — ``_reallocate`` around it stays the real one."""
+def _rig_fill(monkeypatch, rig):
+    """The seam the stall tests use: the real fill runs, then ``rig`` edits
+    the rates it wrote — ``_reallocate`` around it stays the real one."""
 
-    def __init__(self, model, rig):
-        self.inner = model._allocator
-        self.name = self.inner.name
-        self.rig = rig
+    def rigged(flows, links):
+        fill(flows, links)
+        rig(flows)
 
-    def allocate(self, flows, links):
-        self.inner.allocate(flows, links)
-        self.rig(flows)
+    monkeypatch.setattr(repro.net.bandwidth, "fill", rigged)
 
 
 def _no_flow_on_any_link(bw):
@@ -83,7 +81,7 @@ def test_cancel_host_aborts_its_transfers():
     assert other.done.done() and not other.done.cancelled()
 
 
-def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash():
+def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash(monkeypatch):
     """Regression: _reallocate computed min() over positive-rate flows only;
     a zero-rate assignment (shared uplink exhausted by a bottlenecked flow or
     float dust) made the generator empty and min() raise ValueError — and the
@@ -97,7 +95,7 @@ def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash():
         if forced["zero"] and len(flows) > 1:
             flows[-1].rate_bps = 0.0  # the shared uplink left nothing for the last flow
 
-    bw._allocator = _RiggedAllocator(bw, starve_the_last)
+    _rig_fill(monkeypatch, starve_the_last)
     bw.set_capacity("A", 8_000_000, None)
     healthy = bw.transfer("A", "B", 1_000_000)
     stalled = bw.transfer("A", "C", 1_000_000)
@@ -115,21 +113,20 @@ def test_two_flow_shared_uplink_with_zero_rate_assignment_does_not_crash():
     assert bw.completed == 2
 
 
-def test_all_flows_zero_rate_schedules_no_tick_and_recovers():
+def test_all_flows_zero_rate_schedules_no_tick_and_recovers(monkeypatch):
     sim = Simulator()
     bw = BandwidthModel(sim)
-    real = bw._allocator
 
     def stall_all(flows):
         for flow in flows:
             flow.rate_bps = 0.0
 
-    bw._allocator = _RiggedAllocator(bw, stall_all)
+    _rig_fill(monkeypatch, stall_all)
     bw.set_capacity("A", 8_000_000, None)
     stalled = bw.transfer("A", "B", 1_000_000)  # must not raise ValueError
     assert stalled.rate_bps == 0.0
     assert sim.pending_events == 0  # no completion tick for a fully stalled set
-    bw._allocator = real  # capacity "frees": restore the real allocator
+    monkeypatch.undo()  # capacity "frees": restore the real fill
     bw._reallocate()
     sim.run()
     assert stalled.done.result() == pytest.approx(1.0)
@@ -213,15 +210,13 @@ def test_cancellation_from_completion_callback_mid_recompute(kernel):
     assert bw.bytes_completed == short.total_bytes + bystander.total_bytes
 
 
-@pytest.mark.parametrize("allocator", allocator_names())
-def test_transfer_finishing_below_the_clock_resolution_completes(allocator):
+def test_transfer_finishing_below_the_clock_resolution_completes():
     """Regression: 10 bytes over an unlimited path at t=5000 s need 8e-14 s,
     and ``5000.0 + 8e-14 == 5000.0`` — the completion tick used to re-fire at
     the same instant with nothing elapsed, settle nothing and re-arm itself
     forever, so the transfer's future never resolved."""
     sim = Simulator(0)
     model = BandwidthModel(sim)
-    model.configure(allocator=allocator)
     sim.run(until=5000.0)
     tiny = model.transfer("A", "B", 10)
     # Done as far as the clock can tell, within the call: no event needed.
@@ -356,15 +351,13 @@ def test_host_failure_cancels_both_directions_in_id_order_with_one_recompute():
     assert _no_flow_on_any_link(bw)
 
 
-@pytest.mark.parametrize("allocator", allocator_names())
-def test_transfer_started_from_a_completion_callback(allocator):
+def test_transfer_started_from_a_completion_callback():
     """``done.set_result`` runs callbacks inline: ``transfer()`` re-enters
     ``_reallocate`` while the outer recompute has left the tables but not yet
     allocated.  The chained flow must be allocated, the bystander must get
     the freed capacity, and the tables must come out consistent."""
     sim = Simulator()
     bw = BandwidthModel(sim)
-    bw.configure(allocator=allocator)
     for ip in "ABCD":
         bw.set_capacity(ip, 8_000_000, 8_000_000)
     chained = []

@@ -169,6 +169,21 @@ def test_the_byte_budget_is_inclusive_and_a_refused_message_is_not_charged(stric
     assert network.stats.bytes_sent == 100
 
 
+def test_a_negative_message_size_refunds_no_budget(strict_socket):
+    sim, network, inbox, make = strict_socket
+    socket = make(SocketPolicy(max_total_bytes=100))
+    socket.send("10.0.0.1:9", "a", size=100)
+    with pytest.raises(ValueError, match="non-negative"):
+        socket.send("10.0.0.1:9", "refund", size=-1_000_000)
+    assert (socket.stats.messages_sent, socket.stats.bytes_sent) == (1, 100)
+    assert (network.stats.messages_sent, network.stats.bytes_sent) == (1, 100)
+    # The budget is still spent: the next byte is refused.
+    with pytest.raises(SocketRestrictionError, match="budget"):
+        socket.send("10.0.0.1:9", "b", size=500_000)
+    sim.run()
+    assert [m.payload for m in inbox] == ["a"]
+
+
 def test_a_policy_tightened_mid_run_applies_to_the_next_send(strict_socket):
     sim, network, inbox, make = strict_socket
     socket = make()  # unrestricted: no enforcement helper has anything to do

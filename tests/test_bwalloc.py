@@ -1,18 +1,17 @@
-"""Pluggable bandwidth allocators: differential harness, oracle, digest pin.
+"""Max-min bandwidth fill: differential harness, oracle, digest pin.
 
 Three layers of assurance over :mod:`repro.net.bwalloc`:
 
 * a **differential workload harness**: one seeded random flow workload
   (arrivals, sizes, cancellations, host failures, time advances)
-  replayed against every registered allocator under the strict runtime
-  sanitizer, asserting the invariants every strategy must share;
+  replayed under the strict runtime sanitizer, asserting the model's
+  invariants;
 * an **oracle**: the connected-component recomputation must produce
   *bit-identical* rate vectors to a brute-force global recompute
   (``bwalloc_reference.GlobalRecomputeModel``) after every step of a long
-  random script, for every allocator;
-* **semantics**: fair-share's stranded capacity, the registry, a mid-run
-  switch, and the churning-chord digest pin proving ``--bw-alloc max-min``
-  still reproduces pre-refactor reports byte for byte on both kernels.
+  random script;
+* the churning-chord digest pin proving the model still reproduces
+  pre-refactor reports byte for byte on both kernels.
 """
 
 import random
@@ -25,13 +24,12 @@ from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
 from repro.apps.harness import RunConfig
 from repro.net.bandwidth import BandwidthModel
-from repro.net.bwalloc import UnknownAllocatorError, allocator_names, make_allocator
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 
 CAP_BPS = 10_000_000
 
 #: the flagship churn digest pinned in tests/test_testbeds.py — captured on
-#: the commit *before* the allocator refactor; ``--bw-alloc max-min`` must
+#: the commit *before* the allocator refactor; the max-min fill must
 #: keep producing exactly this (re-captured, with that pin, when Chord's
 #: maintenance protocol changed, when coroutines began to resume inside
 #: the event completing their future, and when Chord's maintenance backed
@@ -39,11 +37,10 @@ CAP_BPS = 10_000_000
 PRE_REFACTOR_CHURN_DIGEST = "10997b35e6b9258d"
 
 
-def _model(seed=0, allocator="max-min", model_class=BandwidthModel, hosts=12,
-           kernel="wheel", sanitize=False):
+def _model(seed=0, model_class=BandwidthModel, hosts=12, kernel="wheel",
+           sanitize=False):
     sim = make_simulator(kernel, seed)
     model = model_class(sim)
-    model.configure(allocator)
     ips = harness.host_ips(hosts)
     for ip in ips:
         model.set_capacity(ip, CAP_BPS, CAP_BPS)
@@ -106,16 +103,15 @@ def _apply(action, sim, model, ips, transfers):
 
 
 # ----------------------------------------------------- differential harness
-@pytest.mark.parametrize("allocator", allocator_names())
 @pytest.mark.parametrize("seed", [3, 11])
-def test_random_workload_invariants_hold_for_every_allocator(allocator, seed):
+def test_random_workload_invariants_hold_for_every_allocator(seed):
     """Arrivals/cancels/host failures against the shared contract.
 
     The strict sanitizer raises on the first capacity or flow-table breach,
     so every recomputation is checked, not just the final state; the
     explicit assertions cover completion and byte accounting.
     """
-    sim, model, ips, _ = _model(seed=seed, allocator=allocator, sanitize=True)
+    sim, model, ips, _ = _model(seed=seed, sanitize=True)
     rng = random.Random(seed)
     transfers = []
     for action in _workload_script(rng, steps=120, hosts=len(ips)):
@@ -146,9 +142,8 @@ def test_strict_sanitizer_catches_a_corrupted_flow_table():
 
 
 # ------------------------------------------------------------------- oracle
-@pytest.mark.parametrize("allocator", allocator_names())
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_incremental_rates_bit_identical_to_global_oracle(allocator, seed):
+def test_incremental_rates_bit_identical_to_global_oracle(seed):
     """Component-walk recomputation == brute-force global, at every step.
 
     Two models replay the identical 220-step script, the shipped one and the
@@ -156,9 +151,8 @@ def test_incremental_rates_bit_identical_to_global_oracle(allocator, seed):
     ``(transfer_id, rate_bps, remaining_bytes)`` state must match with
     ``==`` — bit-identical floats, not approximately equal ones.
     """
-    sim_inc, model_inc, ips, _ = _model(seed=seed, allocator=allocator)
-    sim_ref, model_ref, _, _ = _model(seed=seed, allocator=allocator,
-                                      model_class=GlobalRecomputeModel)
+    sim_inc, model_inc, ips, _ = _model(seed=seed)
+    sim_ref, model_ref, _, _ = _model(seed=seed, model_class=GlobalRecomputeModel)
     rng = random.Random(1000 + seed)
     script = _workload_script(rng, steps=220, hosts=len(ips))
     inc_transfers, ref_transfers = [], []
@@ -190,48 +184,14 @@ def test_incremental_touches_fewer_flows_than_global():
     assert model.flows_allocated == 8  # ... which touches all four flows
 
 
-# ---------------------------------------------------------------- semantics
-def test_fair_share_splits_equally_without_redistribution():
-    sim, model, ips, _ = _model(allocator="fair-share", hosts=4)
-    model.set_capacity(ips[1], CAP_BPS, 2_000_000)  # narrow downlink
-    narrow = model.transfer(ips[0], ips[1], 1_000_000)
-    wide = model.transfer(ips[0], ips[2], 1_000_000)
-    # Equal split per link: both get uplink/2; the narrow flow is further
-    # capped by its 2 Mbps downlink, and fair-share does NOT hand the
-    # stranded 3 Mbps back to the other flow (max-min would).
-    assert narrow.rate_bps == pytest.approx(2_000_000)
-    assert wide.rate_bps == pytest.approx(CAP_BPS / 2)
-
-
-# ----------------------------------------------------------------- registry
-def test_registry_lists_max_min_first_and_rejects_unknown_names():
-    assert allocator_names() == ["max-min", "fair-share"]
-    with pytest.raises(UnknownAllocatorError, match="max-min"):
-        make_allocator("wfq")
-
-
-def test_configure_switches_allocator_mid_run_and_recomputes():
-    sim, model, ips, _ = _model(allocator="max-min", hosts=3)
-    model.set_capacity(ips[1], CAP_BPS, 2_000_000)  # narrow downlink
-    narrow = model.transfer(ips[0], ips[1], 50_000_000)
-    wide = model.transfer(ips[0], ips[2], 50_000_000)
-    # max-min hands the capacity the narrow flow cannot use to the wide one.
-    assert narrow.rate_bps == 2_000_000 and wide.rate_bps == CAP_BPS - 2_000_000
-    model.configure(allocator="fair-share")
-    assert model.allocator_name == "fair-share"
-    # The switch re-rates the live flows at once: fair-share strands it.
-    assert narrow.rate_bps == 2_000_000 and wide.rate_bps == CAP_BPS / 2
-
-
 # ------------------------------------------------------------- digest parity
 @pytest.mark.slow
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch):
-    """``--bw-alloc max-min`` reproduces the pre-refactor flagship report.
+    """The max-min fill reproduces the pre-refactor flagship report.
 
     Same configuration as the pinned churn digest in tests/test_testbeds.py,
-    with the allocator requested explicitly and, on the kernel, the brute-force
-    recompute in the model's place — neither the refactor nor the
+    with, on the kernel, the brute-force recompute in the model's place — neither the refactor nor the
     component walk may move a single byte.
     """
     if kernel == "wheel":
@@ -240,5 +200,5 @@ def test_churning_chord_max_min_digest_matches_pre_refactor(kernel, monkeypatch)
     use_kernel(monkeypatch, kernel)
     report = run_chord_scenario(
         RunConfig(nodes=12, hosts=8, seed=11, churn=True, join_window=30.0,
-                  settle=40.0, bw_alloc="max-min"), lookups=15)
+                  settle=40.0), lookups=15)
     assert harness.report_digest(report) == PRE_REFACTOR_CHURN_DIGEST

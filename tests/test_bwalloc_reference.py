@@ -1,8 +1,8 @@
-"""Link-object allocators vs the table-based reference they replaced.
+"""The link-object fill vs the table-based reference it replaced.
 
 ``tests/bwalloc_reference.py`` is the previous implementation, moved out of
-``src/`` verbatim.  Every registered allocator must reproduce its rates with
-``==`` — bit-identical floats — on seeded random flow sets built to hit what
+``src/`` verbatim.  :func:`repro.net.bwalloc.fill` must reproduce its rates
+with ``==`` — bit-identical floats — on seeded random flow sets built to hit what
 the rewrite could get wrong: heterogeneous and unlimited capacities, several links tied on the same share (the
 first-appearance tie-break), flows left at rate 0, and id-sorted components
 cut out of a larger live set.
@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from bwalloc_reference import REFERENCE_ALLOCATORS
+from bwalloc_reference import ReferenceMaxMinAllocator
 from repro.apps import harness
 from repro.net.bandwidth import UNLIMITED_BPS, BandwidthModel, Transfer
-from repro.net.bwalloc import Link, allocator_names, make_allocator
+from repro.net.bwalloc import Link, fill
 from repro.sim.kernel import Simulator
 
 #: few distinct values, so that equal shares on different links are common
@@ -24,7 +24,7 @@ CAPACITIES = [1_000_000.0, 2_000_000.0, 3_000_000.0, 10_000_000.0,
 
 
 class _Capacities:
-    """What the reference allocators ask of a model."""
+    """What the reference allocator asks of a model."""
 
     def __init__(self, table):
         self.table = table
@@ -94,14 +94,13 @@ def _components(transfers):
     return list(groups.values())
 
 
-def _allocate(name, flows):
-    make_allocator(name).allocate(flows, _links_of(flows))
+def _allocate(flows):
+    fill(flows, _links_of(flows))
     return [flow.rate_bps for flow in flows]
 
 
-@pytest.mark.parametrize("allocator", allocator_names())
 @pytest.mark.parametrize("seed", range(6))
-def test_rates_equal_the_table_based_reference(allocator, seed):
+def test_rates_equal_the_table_based_reference(seed):
     rng = random.Random(7000 + seed)
     saw_tie = False
     for round_ in range(40):
@@ -109,18 +108,18 @@ def test_rates_equal_the_table_based_reference(allocator, seed):
         table, specs = _flow_set(rng, hosts, rng.randrange(1, 4 * hosts),
                                  uniform=round_ % 4 == 0)
         transfers = _build(table, specs)
-        reference = REFERENCE_ALLOCATORS[allocator](_Capacities(table))
+        reference = ReferenceMaxMinAllocator(_Capacities(table))
 
         # The whole live set at once (what a global recompute hands over) ...
         for flow in transfers:
-            flow.rate_bps = -1.0  # a rate the allocator forgot would show
+            flow.rate_bps = -1.0  # a rate the fill forgot would show
         expected = reference.allocate(transfers)
-        assert _allocate(allocator, transfers) == expected
+        assert _allocate(transfers) == expected
         assert all(flow.weight == 0.0 for flow in transfers)
         saw_tie = saw_tie or len(set(expected)) < len(expected)
 
         # ... and component by component (what the incremental walk hands
-        # over): same rates, because every strategy is decomposable.
+        # over): same rates, because the fill is decomposable.
         by_id = dict(zip((flow.transfer_id for flow in transfers), expected))
         for component in _components(transfers):
             assert component == sorted(component, key=lambda f: f.transfer_id)
@@ -128,18 +127,17 @@ def test_rates_equal_the_table_based_reference(allocator, seed):
                 == [by_id[flow.transfer_id] for flow in component]
             for flow in component:
                 flow.rate_bps = -1.0
-            assert _allocate(allocator, component) \
+            assert _allocate(component) \
                 == [by_id[flow.transfer_id] for flow in component]
     assert saw_tie
 
 
-@pytest.mark.parametrize("allocator", allocator_names())
-def test_first_appearance_tie_break_between_equal_links(allocator):
+def test_first_appearance_tie_break_between_equal_links():
     """Two links offer the same share; the earlier one must saturate first.
 
     Flow 1 crosses A-up (10M) and B-down (5M), flow 2 A-up and C-down (5M):
     B-down and C-down tie at 5M per flow, and a 4 Mbps A-up ties no one.
-    Whatever the strategy, the rates must be the reference's — in
+    The rates must be the reference's — in
     particular when the tie is between a downlink met first and an uplink
     met later.
     """
@@ -147,13 +145,12 @@ def test_first_appearance_tie_break_between_equal_links(allocator):
              "C": (5_000_000.0, 5_000_000.0), "D": (10_000_000.0, 5_000_000.0)}
     specs = [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("D", "A")]
     transfers = _build(table, specs)
-    expected = REFERENCE_ALLOCATORS[allocator](_Capacities(table)).allocate(transfers)
-    assert _allocate(allocator, transfers) == expected
+    expected = ReferenceMaxMinAllocator(_Capacities(table)).allocate(transfers)
+    assert _allocate(transfers) == expected
 
 
-@pytest.mark.parametrize("allocator", allocator_names())
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_model_rates_follow_the_reference_through_a_random_script(allocator, seed):
+def test_model_rates_follow_the_reference_through_a_random_script(seed):
     """End to end: walk, link order and fill against the old global recompute.
 
     After every arrival, cancellation, host failure and time advance, the
@@ -163,7 +160,6 @@ def test_model_rates_follow_the_reference_through_a_random_script(allocator, see
     rng = random.Random(9000 + seed)
     sim = Simulator(seed)
     model = BandwidthModel(sim)
-    model.configure(allocator=allocator)
     ips = harness.host_ips(10)
     # Unlimited paths included, and two of the three scripts start late
     # enough that a small transfer over one finishes below the clock's
@@ -171,7 +167,7 @@ def test_model_rates_follow_the_reference_through_a_random_script(allocator, see
     sim.run(until=(0.0, 5000.0, 5e6)[seed])
     for ip in ips:
         model.set_capacity(ip, rng.choice(CAPACITIES), rng.choice(CAPACITIES))
-    reference = REFERENCE_ALLOCATORS[allocator](model)
+    reference = ReferenceMaxMinAllocator(model)
     transfers = []
     for step in range(260):
         roll = rng.random()

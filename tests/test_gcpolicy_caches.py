@@ -123,8 +123,7 @@ class _Stalled(harness.Scenario):
 def test_a_failed_deploy_or_run_leaves_the_gc_thresholds_as_they_were():
     # each of these used to leave the tuned thresholds in the interpreter
     before = gc.get_threshold()
-    for fields in ({"testbed": "moon"}, {"bw_alloc": "nope"},
-                   {"hosts": harness.MAX_HOSTS + 1}):
+    for fields in ({"testbed": "moon"}, {"hosts": harness.MAX_HOSTS + 1}):
         with pytest.raises((KeyError, ValueError)):
             harness.deploy("broken", lambda instance: None, nodes=4,
                            gc_policy="tuned", **fields)

@@ -15,9 +15,9 @@ class _Host:
         self.alive = True
 
 
-def _net(seed=0, **kwargs):
+def _net(seed=0):
     sim = Simulator(seed)
-    network = Network(sim, latency=ConstantLatency(0.010), seed=seed, **kwargs)
+    network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
     a, b = _Host("10.0.0.1"), _Host("10.0.0.2")
     network.add_host(a)
     network.add_host(b)
@@ -108,6 +108,31 @@ def test_handler_errors_are_recorded_not_raised_by_default():
     assert network.stats.handler_errors == 1
     # a message whose handler raised is neither delivered nor dropped
     assert network.stats.messages_delivered == network.stats.messages_dropped == 0
+
+
+def test_processing_delay_hooks_on_both_ends_add_to_the_delay():
+    sim, network, _a, _b = _net()
+    src, dst = Address("10.0.0.1", 1), Address("10.0.0.2", 2)
+    arrivals = []
+    network.listen(dst, lambda message: arrivals.append(sim.now))
+    network.set_processing_delay("10.0.0.1", lambda size: size * 0.001)
+    network.set_processing_delay("10.0.0.2", lambda size: 0.5)
+    network.send(src, dst, "x", 10)
+    sim.run()
+    assert arrivals == [pytest.approx(0.010 + 0.010 + 0.5)]
+    # A hook that returns a negative delay adds nothing.
+    network.set_processing_delay("10.0.0.2", lambda size: -1.0)
+    sent_at = sim.now
+    network.send(src, dst, "x", 10)
+    sim.run()
+    assert arrivals[1] == pytest.approx(sent_at + 0.010 + 0.010)
+    # Clearing both hooks leaves the latency alone.
+    network.set_processing_delay("10.0.0.1", None)
+    network.set_processing_delay("10.0.0.2", None)
+    sent_at = sim.now
+    network.send(src, dst, "x", 10)
+    sim.run()
+    assert arrivals[2] == pytest.approx(sent_at + 0.010)
 
 
 # --------------------------------------------------------------- NodeRef identity

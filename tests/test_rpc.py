@@ -168,10 +168,10 @@ class _SizeCheckingNetwork(Network):
         super().__init__(*args, **kwargs)
         self.checked = []
 
-    def send(self, src, dst, payload, size, kind="data"):
+    def send(self, src, dst, payload, size):
         assert size == estimate_size(payload), payload
         self.checked.append(payload)
-        super().send(src, dst, payload, size, kind)
+        super().send(src, dst, payload, size)
 
 
 def _random_value(rng, depth=0):

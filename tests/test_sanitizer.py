@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.net.bandwidth
 from heap_kernel_reference import make_simulator
 from repro.apps.harness import RunConfig
 from repro.net.address import Address
@@ -215,21 +216,18 @@ def test_correct_host_removal_records_nothing():
 
 
 # ------------------------------------------------------- flow conservation
-def test_overcommitted_link_allocation_is_caught():
+def test_overcommitted_link_allocation_is_caught(monkeypatch):
     sim, san = _installed()
     model = BandwidthModel(sim)
     model._san = san
     model.set_capacity("10.0.0.1", 1_000_000, 1_000_000)
     model.set_capacity("10.0.0.2", 1_000_000, 1_000_000)
-    # Corrupt the allocator: it hands every flow far more than any link has.
-    class Overcommit:
-        name = "overcommit"
+    # Corrupt the fill: it hands every flow far more than any link has.
+    def overcommit(flows, links):
+        for flow in flows:
+            flow.rate_bps = 5_000_000.0
 
-        def allocate(self, flows, links):
-            for flow in flows:
-                flow.rate_bps = 5_000_000.0
-
-    model._allocator = Overcommit()
+    monkeypatch.setattr(repro.net.bandwidth, "fill", overcommit)
     model.transfer("10.0.0.1", "10.0.0.2", 1_000_000)
     assert san.counts.get("bandwidth") == 2  # uplink of src, downlink of dst
     assert "against capacity" in san.violations[0].detail

@@ -302,9 +302,8 @@ report digest: ace2c0254677d1c6
 def test_digest_matrix_covers_the_committed_contract():
     matrix = _load("digest_matrix")
     configs = matrix.configurations()
-    assert len(configs) == len(set(configs)) == 22
-    assert sum(config.startswith("dissemination --nodes 40 --duration short --bw-alloc ")
-               for config in configs) == 2
+    assert len(configs) == len(set(configs)) == 20
+    assert not any("--bw-alloc" in config for config in configs)
     committed = json.loads((_REPO / "DIGESTS.json").read_text())
     assert list(committed) == configs
     assert matrix.parse_row(_CANNED_REPORT) == {

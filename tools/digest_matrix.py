@@ -9,8 +9,7 @@ command line; its row in ``DIGESTS.json`` is what the run prints as its
 registered workload at ``--nodes 40 --seed 3 --min-success 0`` under five
 execution settings (plain, the flagship churn script, three controller
 shards with the sanitizer and churn, the bundled availability trace, the
-planetlab testbed with metrics and churn), plus a short dissemination run
-per registered bandwidth allocator.
+planetlab testbed with metrics and churn): 20 configurations.
 
 * no flag: run the matrix and print it as JSON (nothing is written);
 * ``--check``: run it and compare with ``DIGESTS.json``; every row that
@@ -46,25 +45,20 @@ _BYTES = re.compile(r"^network: .*, (\d+) bytes$", re.M)
 _DIGEST = re.compile(r"^report digest: ([0-9a-f]+)$", re.M)
 
 
-def registered() -> tuple:
-    """``(workloads, allocators)`` this tree registers, in registration order."""
+def registered() -> list:
+    """The workloads this tree registers, in registration order."""
     sys.path.insert(0, str(_REPO / "src"))
     try:
         from repro.apps.registry import scenario_names
-        from repro.net.bwalloc import allocator_names
-        return scenario_names(), allocator_names()  # imports the workloads
+        return scenario_names()  # imports the workloads
     finally:
         sys.path.pop(0)
 
 
 def configurations() -> list:
     """Every command line of the matrix (the arguments after ``scenarios``)."""
-    workloads, allocators = registered()
-    configs = [" ".join(filter(None, (workload, BASE, setting)))
-               for workload in workloads for setting in SETTINGS]
-    configs += [f"dissemination --nodes 40 --duration short --bw-alloc {name}"
-                for name in allocators]
-    return configs
+    return [" ".join(filter(None, (workload, BASE, setting)))
+            for workload in registered() for setting in SETTINGS]
 
 
 def parse_row(stdout: str) -> dict:
