@@ -48,7 +48,7 @@ from typing import Callable, Generator, List, Optional
 from repro.core.jobs import Job, JobSpec
 from repro.lib.misc import Membership
 from repro.lib.ring import hash_key
-from repro.lib.rpc import RpcError
+from repro.lib.rpc import RpcError, RpcTimeout
 from repro.net.address import NodeRef
 from repro.net.network import Network
 from repro.runtime.controller import Controller
@@ -613,6 +613,10 @@ class RoutingStats:
     dead_nodes_noticed: int = 0
     #: leaves purged because a caller's death list named them (Pastry)
     deaths_reported: int = 0
+    #: lookup hops that missed a deadline shortened to the peer's RTO
+    hops_suspected: int = 0
+    #: suspects purged because their confirming call got no answer either
+    suspects_dead: int = 0
 
 
 class RoutingNode(OverlayNode):
@@ -627,6 +631,12 @@ class RoutingNode(OverlayNode):
     :class:`BackoffTask` of its backed-off maintenance, stirred by a failed
     lookup) and optionally ``_learned`` (told every node reference a walk
     sees).
+
+    A lookup hop waits the peer's retransmission timeout as the RPC service
+    estimates it (``rpc.rto``), at most ``hop_timeout``, with ``hop_retries``
+    retransmissions.  A hop that misses such a shortened deadline may only be
+    slow: the walk routes around it and :meth:`_confirm` asks it once more
+    with the full timeout before it is purged.
     """
 
     failure: type = Exception
@@ -639,6 +649,8 @@ class RoutingNode(OverlayNode):
         self.hop_retries = int(options.get("hop_retries", 1))
         self.me = self.me.with_id(hash_key(f"{self.me.ip}:{self.me.port}", self.bits))
         self.stats = RoutingStats()
+        #: endpoints of the suspects being confirmed: one call each at a time
+        self._confirming: set = set()
 
     def _join(self, delay: float) -> None:
         self.events.thread(self._join_main, delay=delay,
@@ -687,6 +699,7 @@ class RoutingNode(OverlayNode):
         # the clock is read for the span only
         started = self.events.sim.now if tracer is not None else 0.0
         learned = self._learned
+        rpc, hop_timeout = self.rpc, self.hop_timeout
         avoid: set = set()
         current = self.me
         hops = 0
@@ -695,13 +708,13 @@ class RoutingNode(OverlayNode):
                 response = self._rpc_step(key, list(avoid))
             else:
                 stats.maintenance_rpcs += maintenance
+                timeout = min(hop_timeout, rpc.rto.get(current.ip, rpc.rto_default))
                 try:
-                    response = yield self.rpc.call(current, "step", key, list(avoid),
-                                                   timeout=self.hop_timeout,
-                                                   retries=self.hop_retries)
-                except RpcError:
+                    response = yield rpc.call(current, "step", key, list(avoid),
+                                              timeout=timeout, retries=self.hop_retries)
+                except RpcError as exc:
                     avoid.add(current.id)
-                    self._note_dead(current)
+                    self._unanswered(current, exc, timeout < hop_timeout, maintenance)
                     current = self.me
                     hops += 1
                     continue
@@ -719,13 +732,15 @@ class RoutingNode(OverlayNode):
                         claim = self._rpc_claim(key)
                     else:
                         stats.maintenance_rpcs += maintenance
+                        timeout = min(hop_timeout,
+                                      rpc.rto.get(owner.ip, rpc.rto_default))
                         try:
-                            claim = yield self.rpc.call(owner, "claim", key,
-                                                        timeout=self.hop_timeout,
-                                                        retries=self.hop_retries)
-                        except RpcError:
+                            claim = yield rpc.call(owner, "claim", key, timeout=timeout,
+                                                   retries=self.hop_retries)
+                        except RpcError as exc:
                             avoid.add(owner.id)
-                            self._note_dead(owner)
+                            self._unanswered(owner, exc, timeout < hop_timeout,
+                                             maintenance)
                             break  # restart the walk from the local node
                     hops += 1
                     if claim["mine"]:
@@ -748,7 +763,7 @@ class RoutingNode(OverlayNode):
                         tracer.add(self.me.ip, "lookup", started,
                                    self.events.sim.now - started, cat="lookup",
                                    args={"key": key, "hops": hops})
-                    registry = self.rpc._metrics
+                    registry = rpc._metrics
                     if registry is not None:
                         registry.inc("lookup.completed")
                         registry.observe("lookup.hops", hops)
@@ -768,9 +783,36 @@ class RoutingNode(OverlayNode):
             tracer.add(self.me.ip, "lookup.failed", started,
                        self.events.sim.now - started, cat="lookup",
                        args={"key": key, "hops": hops})
-        if self.rpc._metrics is not None:
-            self.rpc._metrics.inc("lookup.failed")
+        if rpc._metrics is not None:
+            rpc._metrics.inc("lookup.failed")
         raise self.failure(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
+
+    def _unanswered(self, node: NodeRef, exc: RpcError, shortened: bool,
+                    maintenance: bool) -> None:
+        """A lookup hop got no answer.  A remote error, or a timeout at the
+        full ``hop_timeout``, purges the node at once; a timeout at a deadline
+        shortened to its RTO makes it a suspect, confirmed by one more call."""
+        if not shortened or not isinstance(exc, RpcTimeout):
+            self._note_dead(node)
+            return
+        self.stats.hops_suspected += 1
+        endpoint = (node.ip, node.port)
+        if endpoint not in self._confirming:
+            self._confirming.add(endpoint)
+            self.events.thread(self._confirm, node, maintenance)
+
+    def _confirm(self, node: NodeRef, maintenance: bool) -> Generator:
+        """Ping a suspect with the full ``hop_timeout`` and ``hop_retries``:
+        a slow peer answers and is kept, a dead one is purged."""
+        self.stats.maintenance_rpcs += maintenance
+        try:
+            yield self.rpc.call(node, "__ping__", timeout=self.hop_timeout,
+                                retries=self.hop_retries)
+        except RpcError:
+            self.stats.suspects_dead += 1
+            self._note_dead(node)
+        finally:
+            self._confirming.discard((node.ip, node.port))
 
 
 # -------------------------------------------------------------------- drivers
@@ -964,8 +1006,9 @@ class LookupScenario(Scenario):
         def reading() -> tuple:
             stats = [app.stats for app in joined_apps(job)]
             return (sim.now, len(stats), sum(s.maintenance_rpcs for s in stats),
-                    sum(s.dead_nodes_noticed for s in stats),
-                    sum(s.deaths_reported for s in stats))
+                    {name: sum(getattr(s, name) for s in stats)
+                     for name in ("dead_nodes_noticed", "deaths_reported",
+                                  "hops_suspected", "suspects_dead")})
 
         self._maintenance.append(reading())
         yield from stream
@@ -981,8 +1024,8 @@ class LookupScenario(Scenario):
         }
         if len(self._maintenance) == 2:
             # the measured phase is churn-free: the same nodes at both ends
-            ((started, nodes, before, _, _),
-             (ended, _nodes, after, noticed, reported)) = self._maintenance
+            ((started, nodes, before, _),
+             (ended, _nodes, after, failures)) = self._maintenance
             node_seconds = nodes * (ended - started)
             sections["maintenance"] = {
                 "rpcs": after - before, "nodes": nodes,
@@ -990,8 +1033,9 @@ class LookupScenario(Scenario):
                 "rpcs_per_node_s": (round((after - before) / node_seconds, 4)
                                     if node_seconds else 0.0),
                 # over the whole run, by the nodes alive at its end: deaths
-                # found by a call that got no answer, and from a death list
-                "dead_nodes_noticed": noticed, "deaths_reported": reported}
+                # found by a call that got no answer and from a death list,
+                # lookup hops that missed their RTO and the suspects purged
+                **failures}
         return sections
 
 

@@ -138,10 +138,8 @@ class PastryNode(harness.RoutingNode):
         """One hop of an iterative lookup: done with the owner, or forward."""
         key = int(key) % (1 << self.bits)
         avoided = set(avoid or ())
-        leaves = [n for n in self._leaf_nodes() if n.id not in avoided]
         if self._leaf_covers(key):
-            best = min(leaves + [self.me], key=self._closeness_key(key))
-            return {"done": True, "node": best}
+            return {"done": True, "node": self._closest(key, avoided)}
         row = shared_prefix_length(key, self.me.id, self.digits, self.base_bits)
         entry = self.table[row][digit_at(key, row, self.digits, self.base_bits)]
         if entry is not None and entry.id not in avoided and entry != self.me:
@@ -158,7 +156,7 @@ class PastryNode(harness.RoutingNode):
         A recent joiner a stale router missed is known to its neighbours, so
         bouncing to the closer leaf repairs stale-route errors."""
         key = int(key) % (1 << self.bits)
-        best = min((*self._leaf_nodes(), self.me), key=self._closeness_key(key))
+        best = self._closest(key, ())
         if best == self.me:
             return {"mine": True}
         return {"mine": False, "node": best}
@@ -300,8 +298,8 @@ class PastryNode(harness.RoutingNode):
         entry = self.table[row][column]
         self.stats.maintenance_rpcs += 1
         try:
-            remote = yield self.rpc.call(entry, "row", row,
-                                         timeout=self.hop_timeout, retries=0)
+            remote = yield self.rpc.call(entry, "row", row, timeout=self.hop_timeout,
+                                         retries=self.hop_retries)
         except RpcError:
             self._note_dead(entry)
             return
@@ -326,9 +324,22 @@ class PastryNode(harness.RoutingNode):
             pass
 
     # ----------------------------------------------------------------- helpers
-    def _closeness_key(self, key: int):
-        """Deterministic total order on 'numerically closest to ``key``'."""
-        return lambda n: (numeric_distance(key, n.id, self.bits), n.id, n.ip, n.port)
+    def _closest(self, key: int, avoided) -> NodeRef:
+        """Us or the leaf not in ``avoided`` numerically closest to ``key``,
+        by (distance, id, ip, port): a deterministic total order.  The
+        distance is ``numeric_distance``'s, computed in the loop."""
+        size = 1 << self.bits
+        best = me = self.me
+        forward = (me.id - key) % size
+        best_key = (min(forward, size - forward), me.id, me.ip, me.port)
+        for node in self.leaves.values():
+            if node.id in avoided:
+                continue
+            forward = (node.id - key) % size
+            candidate = (min(forward, size - forward), node.id, node.ip, node.port)
+            if candidate < best_key:
+                best, best_key = node, candidate
+        return best
 
     def _leaf_nodes(self) -> Tuple[NodeRef, ...]:
         """The leaf set in ``(ip, port)`` order (the order replies carry)."""
@@ -353,7 +364,9 @@ class PastryNode(harness.RoutingNode):
 
     def _rare_case(self, key: int, row: int, avoided: set) -> Optional[NodeRef]:
         """Any known node with prefix >= ``row`` strictly closer to ``key``."""
-        mine = numeric_distance(key, self.me.id, self.bits)
+        size = 1 << self.bits
+        forward = (self.me.id - key) % size
+        mine = min(forward, size - forward)  # as in _closest
         best: Optional[NodeRef] = None
         best_key = None
         for node in self._known_nodes():
@@ -361,7 +374,8 @@ class PastryNode(harness.RoutingNode):
                 continue
             if shared_prefix_length(key, node.id, self.digits, self.base_bits) < row:
                 continue
-            candidate_key = self._closeness_key(key)(node)
+            forward = (node.id - key) % size
+            candidate_key = (min(forward, size - forward), node.id, node.ip, node.port)
             if candidate_key[0] >= mine:
                 continue
             if best is None or candidate_key < best_key:

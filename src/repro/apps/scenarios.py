@@ -105,6 +105,9 @@ def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
         print(f"failures detected: {maintenance['dead_nodes_noticed']} by a call "
               f"that got no answer, {maintenance['deaths_reported']} from a "
               f"caller's death list")
+        print(f"lookup hops past their RTO: {maintenance['hops_suspected']}, "
+              f"{maintenance['suspects_dead']} of them purged when the "
+              f"confirming call got no answer either")
     workload = report.get("workload") or {}
     for key in spec.report_lines:
         if key in workload:

@@ -21,6 +21,19 @@ identifier, so a late reply to an earlier attempt still completes the call
 the original system).  All traffic flows through the
 :class:`~repro.lib.sbsocket.RestrictedSocket`, never the raw network, so
 socket policies apply uniformly to RPC traffic.
+
+The service learns how long its peers take to answer, with TCP's
+estimator (RFC 6298, Jacobson/Karels): every reply to a call answered on its
+*first* attempt is one round-trip sample (Karn's rule: after a
+retransmission the reply may answer either attempt, so it is never
+sampled).  Each peer host gets a smoothed round trip of its own; a host's
+first sample also feeds one service-wide smoothed round trip and variation,
+the estimate for a host not heard from yet.  The service publishes the
+retransmission timeouts they give in ``rto`` (host ip -> seconds) and
+``rto_default`` (any other host; ``inf`` until two hosts answered), and keeps
+nothing else per host: a host's smoothed round trip is its ``rto`` less
+``RTO_GRAIN``.  Callers choose whether to wait that long: a call's
+``timeout`` is what it was given.
 """
 
 from __future__ import annotations
@@ -37,6 +50,15 @@ from repro.sim.events_api import Events
 from repro.sim.futures import Future, FutureState
 from repro.sim.kernel import ScheduledEvent
 from repro.sim.process import Process
+
+
+#: no retransmission timeout is shorter (seconds): two nodes of one host
+#: answer each other in well under a millisecond
+RTO_FLOOR = 0.2
+#: the margin over a heard-from host's smoothed round trip (seconds; the
+#: testbeds fix a host pair's delay, so it covers no variation), and the
+#: least margin for a host not heard from
+RTO_GRAIN = 0.05
 
 
 class RpcError(Exception):
@@ -64,6 +86,7 @@ class RpcStats:
 #: payload keys — kept short since they travel in every RPC message
 _CALL, _REPLY = "call", "reply"
 _PENDING = FutureState.PENDING
+_INFINITY = float("inf")
 #: Wire sizes of the three envelope shapes with their per-message slots empty:
 #: a message's size is its shape's constant plus the sizes of what fills the
 #: slots, computed once per call or reply instead of re-walked on every send.
@@ -86,11 +109,21 @@ class RpcService:
     default_timeout / default_retries:
         Applied when a call does not specify its own.  ``retries`` counts
         *re*-transmissions: ``retries=2`` means up to three attempts.
+
+    The round-trip estimate (see the module docstring) is read through
+    ``rto`` and ``rto_default``.  A heard-from host's timeout is
+    ``max(RTO_FLOOR, srtt + RTO_GRAIN)``, so a smoothed round trip below
+    ``RTO_FLOOR - RTO_GRAIN`` is taken as that: the testbeds give every host
+    pair a fixed delay, and the spread *between* hosts is no variation of
+    one host's round trip.  Any other host's is ``max(RTO_FLOOR, srtt +
+    max(RTO_GRAIN, 4 * rttvar))`` of the service-wide pair, which is that
+    spread; one host shows none, so until a second host answers, any other
+    host is given the caller's whole timeout.
     """
 
     __slots__ = ("socket", "events", "sim", "default_timeout", "default_retries",
                  "_stats", "_handlers", "_pending", "_call_ids", "_metrics",
-                 "_tracer")
+                 "_tracer", "rto", "rto_default", "_srtt", "_rttvar")
 
     def __init__(self, socket: RestrictedSocket, events: Events,
                  default_timeout: float = 3.0, default_retries: int = 1):
@@ -111,6 +144,14 @@ class RpcService:
         # in our own _pending table, and a process-wide counter would leak
         # nondeterministic payload sizes across co-hosted seeded simulations.
         self._call_ids = 0
+        #: host ip -> retransmission timeout (seconds) of the hosts sampled
+        self.rto: Dict[str, float] = {}
+        #: the timeout for a host not in ``rto``: infinite until two hosts
+        #: answered
+        self.rto_default = _INFINITY
+        #: smoothed round trip and variation over the hosts' first samples
+        self._srtt: Optional[float] = None
+        self._rttvar = 0.0
         # Observability (repro.obs): the tracer is discovered from the
         # simulator; the per-job metrics registry is bound by the daemon at
         # spawn (the service itself does not know its job).  Both stay None
@@ -144,7 +185,7 @@ class RpcService:
         if rpc == _CALL:
             self._serve_call(message, payload)
         elif rpc == _REPLY:
-            self._accept_reply(payload)
+            self._accept_reply(payload, message.src.ip)
 
     def _serve_call(self, message: Message, payload: dict) -> None:
         stats = self._stats or self.stats  # the property allocates
@@ -261,10 +302,31 @@ class RpcService:
             lambda fut: result.set_result(fut.state is FutureState.DONE))
         return result
 
-    def _accept_reply(self, payload: dict) -> None:
+    def _accept_reply(self, payload: dict, host: str) -> None:
         pending = self._pending.pop(payload.get("id"), None)
         if pending is None:
             return  # duplicate reply after a retry already completed the call
+        if pending.attempts_left == pending.attempts - 1:
+            # Answered on the first attempt: one round-trip sample (Karn's
+            # rule keeps retransmitted calls out).
+            sample = self.sim._now - pending.sent_at
+            rto = self.rto.get(host)
+            if rto is None:
+                # The first reply of a host is also a sample of the round
+                # trip to a host not heard from before: the service-wide pair.
+                # One host tells nothing of the spread between hosts, so
+                # rto_default stays infinite until a second one answers.
+                srtt = sample
+                if self._srtt is None:
+                    self._srtt, self._rttvar = sample, 0.5 * sample
+                else:
+                    self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
+                    self._srtt = 0.875 * self._srtt + 0.125 * sample
+                    self.rto_default = max(
+                        RTO_FLOOR, self._srtt + max(RTO_GRAIN, 4.0 * self._rttvar))
+            else:
+                srtt = 0.875 * (rto - RTO_GRAIN) + 0.125 * sample
+            self.rto[host] = max(RTO_FLOOR, srtt + RTO_GRAIN)
         future, timer = pending.result, pending.timer
         # Drop the event back-reference before cancelling: the timer's
         # callback is a bound method holding this _PendingCall, so keeping
@@ -389,8 +451,9 @@ class _PendingCall:
                        args=({"issued_by": self.issued_by}
                              if self.issued_by is not None else None))
         result.set_exception(RpcTimeout(
-            f"{self.method} to {self.dst} timed out "
-            f"({self.timeout:g}s x {self.attempts} attempts)"))
+            f"{self.method} to {self.dst} timed out after "
+            f"{service.sim._now - self.sent_at:.4g}s "
+            f"({self.attempts} x {self.timeout:.4g}s)"))
 
 
 def call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any) -> Future:

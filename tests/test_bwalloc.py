@@ -32,9 +32,10 @@ CAP_BPS = 10_000_000
 #: the commit *before* the allocator refactor; the max-min fill must
 #: keep producing exactly this (re-captured, with that pin, when Chord's
 #: maintenance protocol changed, when coroutines began to resume inside
-#: the event completing their future, and when Chord's maintenance backed
-#: off; the allocator code did not move)
-PRE_REFACTOR_CHURN_DIGEST = "10997b35e6b9258d"
+#: the event completing their future, when Chord's maintenance backed off,
+#: and when lookup hops began to wait the peer's learned RTO; the allocator
+#: code did not move)
+PRE_REFACTOR_CHURN_DIGEST = "9ae7845058bff10c"
 
 
 def _model(seed=0, model_class=BandwidthModel, hosts=12, kernel="wheel",

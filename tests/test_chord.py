@@ -327,6 +327,77 @@ def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node(
     assert ghost not in app.successors
 
 
+def _hop_waits(monkeypatch, app):
+    """``(method, timeout)`` of the ``step`` and ``claim`` calls ``app`` sends
+    from now on."""
+    waits = []
+    calling = RpcService.a_call
+
+    def recording(service, dst, method, *args, **kwargs):
+        if service is app.rpc and method in ("step", "claim"):
+            waits.append((method, kwargs["timeout"]))
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "call", recording)
+    return waits
+
+
+def test_a_hop_waits_its_host_rto_and_never_longer_than_hop_timeout(monkeypatch):
+    sim, _controller, job = _converged(nodes=10)
+    app = _live_apps(job)[0]
+    rpc = app.rpc
+    waits = _hop_waits(monkeypatch, app)
+
+    def walk(key, rto, default):
+        rpc.rto.clear()
+        rpc.rto.update(rto)
+        rpc.rto_default = default
+        del waits[:]
+        yield from app.lookup(key)
+
+    inf = float("inf")
+    # the successor's id is a local step and a claim to the successor; the
+    # predecessor's id starts with a step to the closest preceding finger
+    for key, method in ((app.successors[0].id, "claim"), (app.predecessor.id, "step")):
+        first = app._rpc_step(key, [])["node"]
+        for rto, default, expected in (
+                ({first.ip: 0.25}, 0.3, 0.25),  # the host's own
+                ({}, 0.3, 0.3),  # a host not heard from: the service-wide
+                ({first.ip: 10.0}, 0.3, app.hop_timeout),  # at most hop_timeout
+                ({}, inf, app.hop_timeout)):  # no sample yet: hop_timeout
+            walker = Process(sim, walk(key, rto, default), name="test-lookup")
+            walker.start()
+            sim.run(until=sim.now + 5.0)
+            walker.done.result()
+            assert waits[0] == (method, expected)
+    assert app.stats.hops_suspected == 0
+
+
+def test_a_hop_that_misses_the_full_hop_timeout_is_purged_without_a_confirming_call(
+        monkeypatch):
+    sim, controller, job = _converged(nodes=10)
+    app = _live_apps(job)[0]
+    successor = app.successors[0]
+    (victim,) = [i for i in job.live_instances() if i.app.me == successor]
+    controller.kill_instance(victim, failed=True)
+    waits = _hop_waits(monkeypatch, app)
+    noticed = app.stats.dead_nodes_noticed
+
+    def walk():
+        app.rpc.rto.clear()
+        app.rpc.rto_default = float("inf")
+        return (yield from app.lookup(successor.id))
+
+    walker = Process(sim, walk(), name="test-lookup")
+    walker.start()
+    sim.run(until=sim.now + (1 + app.hop_retries) * app.hop_timeout + 1.0)
+    assert walker.done.result()[0] != successor
+    assert waits[0] == ("claim", app.hop_timeout)
+    assert app.stats.hops_suspected == app.stats.suspects_dead == 0
+    assert app.stats.dead_nodes_noticed > noticed
+    assert successor not in app.successors
+
+
 def test_a_joiner_is_spliced_into_the_ring_within_three_stabilize_periods():
     sim, _controller, job = _deploy(nodes=8, churn_script="at 70s join 1\n")
     sim.run(until=60.0)

@@ -55,7 +55,8 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
 #: spawn itself allocates (context, events, socket, logger, RPC service,
 #: handle, table entries) before the application does anything.  Measured
-#: ~2.15 KB (2.27 KB on CPython 3.10); it was ~2.44 KB with an unlisten
+#: ~2.24 KB on CPython 3.11 (~2.14 KB before the RPC service's round-trip
+#: estimate: four slots and an empty ``rto`` dict); it was ~2.44 KB with an unlisten
 #: closure per listener and a formatted name per thread, and ~4.1 KB while the sandbox FS, log sink and budget, RPC built-in table,
 #: options copy and reap closure were built per instance.
 IDLE_INSTANCE_CEILING_BYTES = 2_400

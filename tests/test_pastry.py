@@ -1,5 +1,6 @@
 """Pastry: prefix routing, leaf-set ownership, and recovery under churn."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from repro.apps import harness
 from repro.apps.pastry import PastryNode, leaf_consistency, pastry_factory
 from repro.core.jobs import JobSpec
-from repro.lib.ring import numeric_distance
-from repro.lib.rpc import RpcError, RpcService
+from repro.lib.ring import numeric_distance, shared_prefix_length
+from repro.lib.rpc import RTO_FLOOR, RpcError, RpcService
 from repro.net.address import NodeRef
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -149,6 +150,36 @@ def test_same_seed_builds_the_same_overlay():
         return tuple((m.ip, m.port, m.id) for m in _members(job))
 
     assert fingerprint(5) == fingerprint(5)
+
+
+def test_closest_and_rare_case_order_nodes_by_numeric_distance():
+    """``_closest`` and ``_rare_case`` compute the distance in their loops:
+    they pick what ``numeric_distance`` and the (distance, id, ip, port)
+    order pick, wrap-around keys included."""
+    sim, _controller, job = _deploy(nodes=10)
+    sim.run(until=60.0)
+    rng = random.Random(7)
+    size = 1 << BITS
+    for app in _live_apps(job):
+        def order(node, key):
+            return (numeric_distance(key, node.id, BITS), node.id, node.ip, node.port)
+
+        known = app._known_nodes()
+        keys = [0, size - 1, app.me.id, *(rng.randrange(size) for _ in range(40)),
+                *((node.id + delta) % size for node in known for delta in (-1, 1))]
+        for key in keys:
+            avoided = {node.id for node in known if rng.random() < 0.3}
+            leaves = [n for n in app.leaves.values() if n.id not in avoided]
+            assert app._closest(key, avoided) == min(leaves + [app.me],
+                                                     key=lambda n: order(n, key))
+            row = rng.randrange(BITS // BASE_BITS)
+            mine = numeric_distance(key, app.me.id, BITS)
+            closer = [n for n in known if n.id not in avoided and n != app.me
+                      and shared_prefix_length(key, n.id, BITS // BASE_BITS,
+                                               BASE_BITS) >= row
+                      and numeric_distance(key, n.id, BITS) < mine]
+            expected = min(closer, key=lambda n: order(n, key)) if closer else None
+            assert app._rare_case(key, row, avoided) == expected
 
 
 # ------------------------------------------------------ maintenance traffic
@@ -353,10 +384,11 @@ def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_d
     periods = app.table_periods
     probed = _run_until(sim, lambda: app.table_periods > periods, sim.now + 300.0)
     del app._rng.choice  # later rounds pick at random again
-    sim.run(until=probed + app.hop_timeout + 0.5)
+    unanswered = (1 + app.hop_retries) * app.hop_timeout  # the probe's two attempts
+    sim.run(until=probed + unanswered + 0.5)
     assert app.table[row][column] is None and app.refresh.factor == 1
     again = _run_until(sim, lambda: app.table_periods > periods + 1, sim.now + 30.0)
-    assert again is not None and again <= probed + app.hop_timeout + 1.25 * 3.0
+    assert again is not None and again <= probed + unanswered + 1.25 * 3.0
 
 
 def test_a_row_reply_fills_only_empty_slots_of_that_row():
@@ -395,9 +427,120 @@ def test_a_row_probe_that_gets_no_reply_purges_the_entry():
     app._rng.choice = lambda options: (row, column)
     noticed = app.stats.dead_nodes_noticed
 
-    _run(sim, app._table_maintenance(), patience=app.hop_timeout + 0.5)
+    _run(sim, app._table_maintenance(),
+         patience=(1 + app.hop_retries) * app.hop_timeout + 0.5)
     assert app.table[row][column] is None
     assert app.stats.dead_nodes_noticed == noticed + 1
+
+
+def _dropping_first(monkeypatch, caller, callee, method):
+    """Lose the first ``method`` call ``caller`` sends to ``callee``, as the
+    substrate would; the list holds the time it was lost."""
+    lost = []
+    send = Network.send
+
+    def lossy(network, src, dst, payload, size):
+        if (not lost and (src.ip, src.port) == (caller.ip, caller.port)
+                and (dst.ip, dst.port) == (callee.ip, callee.port)
+                and type(payload) is dict and payload.get("method") == method):
+            lost.append(network.sim.now)
+            return
+        send(network, src, dst, payload, size)
+
+    monkeypatch.setattr(Network, "send", lossy)
+    return lost
+
+
+def test_a_row_probe_whose_first_request_is_lost_keeps_the_entry(monkeypatch):
+    sim, _controller, job = _deploy(nodes=16, table_probe_interval=1000.0)
+    sim.run(until=80.0)
+    app = _live_apps(job)[0]
+    row, column, entry = next((r, c, e) for r, cells in enumerate(app.table)
+                              for c, e in enumerate(cells) if e is not None)
+    app._rng.choice = lambda options: (row, column)
+    noticed, retries = app.stats.dead_nodes_noticed, app.rpc.stats.retries
+    lost = _dropping_first(monkeypatch, app.me, entry, "row")
+
+    _run(sim, app._table_maintenance(),
+         patience=(1 + app.hop_retries) * app.hop_timeout + 0.5)
+    assert lost and app.rpc.stats.retries == retries + 1
+    assert app.table[row][column] == entry
+    assert app.stats.dead_nodes_noticed == noticed
+
+
+# ------------------------------------------- lookups that wait a learned RTO
+def test_a_hop_whose_first_request_is_lost_costs_one_rto_on_planetlab(monkeypatch):
+    deployment = harness.deploy("pastry", pastry_factory(), nodes=30, hosts=15, seed=2,
+                                testbed="planetlab", duration="short")
+    sim, network = deployment.sim, deployment.network
+    sim.run(until=deployment.warmup_end)
+    # an origin whose nearest clockwise leaf (called every repair round, so
+    # its round trip is known) is near; the key is that leaf's own id: the
+    # walk is the local step and one claim
+    origin, owner = next(
+        (app, app._cw()[0]) for app in harness.joined_apps(deployment.job)
+        if app._cw() and network.one_way_delay(app.me.ip, app._cw()[0].ip) < 0.1)
+    assert origin.rpc.rto[owner.ip] < 0.3
+    lost = _dropping_first(monkeypatch, origin.me, owner, "claim")
+    started = sim.now
+    walk = Process(sim, origin.lookup(owner.id), name="test-lookup")
+    walk.start()
+    finished = _run_until(sim, walk.done.done, started + 5.0, step=0.01)
+    assert walk.done.result() == (owner, 2) and lost == [started]
+    # the claim went again after its RTO, not after hop_timeout (1.5 s)
+    assert finished - started < 0.5
+
+
+def test_a_live_peer_slower_than_its_rto_is_suspected_but_never_purged_by_a_lookup():
+    sim, controller, job = _deploy(nodes=12)
+    sim.run(until=80.0)
+    apps = _live_apps(job)
+    slow = apps[0].me
+    origins = [app for app in apps if app.me.ip != slow.ip]
+    assert all(app.rpc.rto.get(slow.ip, app.rpc.rto_default) == RTO_FLOOR
+               for app in origins)
+    # every message to or from the host waits 350 ms more: 20 ms round trips
+    # become 720 ms, past the 0.4 s two attempts at the RTO wait, short of
+    # the 1.5 s hop timeout a confirming call waits
+    controller.network.set_processing_delay(slow.ip, lambda _size: 0.35)
+    noticed = [app.stats.dead_nodes_noticed for app in origins]
+    holders = [app for app in origins if slow in app.leaves.values()]
+    for origin in origins:
+        _run_lookup(sim, origin, slow.id, patience=5.0)
+    sim.run(until=sim.now + (1 + origins[0].hop_retries) * origins[0].hop_timeout)
+    assert sum(app.stats.hops_suspected for app in origins) > 0
+    assert [app.stats.suspects_dead for app in origins] == [0] * len(origins)
+    assert [app.stats.dead_nodes_noticed for app in origins] == noticed
+    assert holders and all(slow in app.leaves.values() for app in holders)
+
+
+def test_a_crashed_peer_is_purged_once_its_one_confirming_call_fails(monkeypatch):
+    # no maintenance: only the walks' verdicts purge anything
+    sim, controller, job = _deploy(nodes=12, repair_interval=1000.0,
+                                   table_probe_interval=1000.0)
+    sim.run(until=80.0)
+    origin = _live_apps(job)[0]
+    victim = origin._cw()[0]
+    rpc = origin.rpc
+    assert rpc.rto.get(victim.ip, rpc.rto_default) < origin.hop_timeout
+    (instance,) = [i for i in job.live_instances() if i.app.me == victim]
+    controller.kill_instance(instance, failed=True)
+    sent = _recording(monkeypatch)
+    noticed = origin.stats.dead_nodes_noticed
+    # two walks to the dead owner's key: both suspect it, one call confirms
+    walks = [Process(sim, origin.lookup(victim.id), name="test-lookup")
+             for _walk in range(2)]
+    for walk in walks:
+        walk.start()
+    sim.run(until=sim.now + 1.0)
+    assert all(walk.done.done() and walk.done.result()[0] != victim for walk in walks)
+    assert origin.stats.hops_suspected == 2
+    assert victim in origin.leaves.values()  # no purge on a shortened deadline
+    sim.run(until=sim.now + (1 + origin.hop_retries) * origin.hop_timeout)
+    assert _calls(sent, origin, victim).count("__ping__") == 1
+    assert origin.stats.suspects_dead == 1
+    assert origin.stats.dead_nodes_noticed == noticed + 1
+    assert victim not in origin.leaves.values()
 
 
 # ------------------------------------------------------ joining and routing

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from repro.lib.rpc import RpcError, RpcService, RpcTimeout
+from repro.lib.rpc import RTO_FLOOR, RTO_GRAIN, RpcError, RpcService, RpcTimeout
 from repro.lib.sbsocket import RestrictedSocket, SocketRestrictionError
 from repro.lib.serializer import estimate_size
 from repro.net.address import Address, NodeRef
-from repro.net.latency import ConstantLatency
+from repro.net.latency import ConstantLatency, MatrixLatency
 from repro.net.network import Network
 from repro.sim.events_api import AppContext, Events
 from repro.sim.futures import FutureState
@@ -114,7 +114,7 @@ def test_timeout_after_all_retries(world):
     network.loss.set_pair_rate("10.0.0.1", "10.0.0.2", 1.0)
     future = client.call("10.0.0.2:1000", "echo", 1, timeout=0.5, retries=2)
     sim.run()
-    with pytest.raises(RpcTimeout):
+    with pytest.raises(RpcTimeout, match=r"timed out after 1.5s \(3 x 0.5s\)"):
         future.result()
     # Three attempts (initial + 2 retries), each waiting its own timeout.
     assert sim.now == pytest.approx(1.5, rel=0.01)
@@ -364,3 +364,99 @@ def test_call_from_a_closed_socket_fails_at_once_and_counts_one_send_failure(str
     assert (client.stats.calls_sent, client.stats.retries) == (1, 0)
     assert client.pending_calls == 0 and sim.pending_events == 0
     assert network.stats.messages_sent == 0
+
+
+# ------------------------------------------------------ round-trip estimate
+@pytest.fixture()
+def wide_world():
+    """One client and three servers 100, 200 and 50 ms away (one way)."""
+    sim = Simulator(7)
+    delays = {("10.0.0.1", "10.0.0.2"): 0.1, ("10.0.0.1", "10.0.0.3"): 0.2,
+              ("10.0.0.1", "10.0.0.4"): 0.05}
+    network = Network(sim, latency=MatrixLatency(delays), seed=7)
+    client = _endpoint(sim, network, "10.0.0.1")[3]
+    for ip in ("10.0.0.2", "10.0.0.3", "10.0.0.4"):
+        server = _endpoint(sim, network, ip)[3]
+        server.register("wait", _slow_echo_of_its_argument)
+    return sim, network, client
+
+
+def _slow_echo_of_its_argument(delay):
+    yield delay
+    return delay
+
+
+def _answered(sim, client, ip, delay=0.0, **kwargs):
+    future = client.call(f"{ip}:1000", "wait", delay, **kwargs)
+    sim.run()
+    return future.result()
+
+
+def test_the_first_host_gets_an_estimate_and_other_hosts_none_yet(wide_world):
+    """One host tells nothing of the spread between hosts: a host not heard
+    from still waits the caller's whole timeout."""
+    sim, _network, client = wide_world
+    assert client.rto == {} and client.rto_default == float("inf")
+    _answered(sim, client, "10.0.0.2")  # R = 0.2 s
+    # the host: srtt = R, plus the grain
+    assert client.rto == {"10.0.0.2": pytest.approx(0.2 + RTO_GRAIN)}
+    assert client.rto_default == float("inf")
+    _answered(sim, client, "10.0.0.2", 0.1)
+    assert client.rto_default == float("inf")
+
+
+def test_later_replies_move_the_estimates_by_the_rfc_6298_steps(wide_world):
+    sim, _network, client = wide_world
+    _answered(sim, client, "10.0.0.2")  # R = 0.2 s
+    _answered(sim, client, "10.0.0.3")  # a second host's first reply, R = 0.4 s
+    # the first host's reply set srtt = R, rttvar = R / 2; this one steps them
+    srtt = 7 / 8 * 0.2 + 1 / 8 * 0.4
+    rttvar = 3 / 4 * 0.1 + 1 / 4 * abs(0.2 - 0.4)
+    assert client.rto_default == pytest.approx(srtt + 4 * rttvar)
+    assert client.rto["10.0.0.3"] == pytest.approx(0.4 + RTO_GRAIN)
+    # a known host's reply moves its own estimate only: R = 0.2 + 0.8 s
+    default = client.rto_default
+    _answered(sim, client, "10.0.0.2", 0.8, timeout=5.0)
+    assert client.rto["10.0.0.2"] == pytest.approx(7 / 8 * 0.2 + 1 / 8 * 1.0 + RTO_GRAIN)
+    assert client.rto_default == default
+    # ... so the next host's first reply (R = 0.1 s) steps the pair from there
+    _answered(sim, client, "10.0.0.4")
+    rttvar = 3 / 4 * rttvar + 1 / 4 * abs(srtt - 0.1)
+    srtt = 7 / 8 * srtt + 1 / 8 * 0.1
+    assert client.rto_default == pytest.approx(srtt + 4 * rttvar)
+
+
+def test_a_reply_after_a_retransmission_is_no_sample(wide_world):
+    """Karn's rule: the reply may answer either attempt."""
+    sim, _network, client = wide_world
+    _answered(sim, client, "10.0.0.2")
+    rto, default = dict(client.rto), client.rto_default
+    # the first attempt's reply (t ~ 0.7) completes the call after the retry
+    # left at t = 0.5
+    assert _answered(sim, client, "10.0.0.2", 0.5, timeout=0.5, retries=1) == 0.5
+    assert client.stats.retries == 1
+    assert client.rto == rto and client.rto_default == default
+    # and it is not a sample of a host not heard from before either
+    _answered(sim, client, "10.0.0.3", 0.5, timeout=0.5, retries=1)
+    assert "10.0.0.3" not in client.rto and client.rto_default == default
+
+
+def test_no_timeout_is_shorter_than_the_floor(world):
+    sim, network = world  # 10 ms one way
+    client = _endpoint(sim, network, "10.0.0.1")[3]
+    server = _endpoint(sim, network, "10.0.0.2")[3]
+    server.register("echo", lambda x: x)
+    _endpoint(sim, network, "10.0.0.3")[3].register("echo", lambda x: x)
+    for ip in ("10.0.0.2", "10.0.0.3"):
+        client.call(f"{ip}:1000", "echo", 1)
+        sim.run()
+    # 20 ms + the grain (4 x 10 ms of variation is less), raised to the floor
+    assert client.rto == {"10.0.0.2": RTO_FLOOR, "10.0.0.3": RTO_FLOOR}
+    assert client.rto_default == RTO_FLOOR
+    # the host's smoothed round trip counts as the floor less the grain: a
+    # slower reply (R = 0.82 s) steps it from there
+    server.register("wait", _slow_echo_of_its_argument)
+    client.call("10.0.0.2:1000", "wait", 0.8, timeout=5.0)
+    sim.run()
+    srtt = 7 / 8 * (RTO_FLOOR - RTO_GRAIN) + 1 / 8 * 0.82
+    assert client.rto["10.0.0.2"] == pytest.approx(srtt + RTO_GRAIN)

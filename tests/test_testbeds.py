@@ -30,13 +30,14 @@ from repro.testbeds.presets import (
 #: (one ``stabilize`` RPC per hop, fingers read off the successor list,
 #: predecessor liveness from its own calls), all three when coroutines
 #: began to resume inside the event completing their future (only
-#: ``events_executed`` moved), and the two Chord rows again when Chord's
+#: ``events_executed`` moved), the two Chord rows again when Chord's
 #: maintenance became one periodic task and a backed-off far-finger
-#: refresh; the testbed code did not move.
+#: refresh, and the churn row when lookup hops began to wait the peer's
+#: learned RTO (the stable row did not move); the testbed code did not move.
 PRE_TESTBEDS_DIGESTS = {
     "chord-stable": "dc62d14a09891afe",
     "gossip-stable": "c23b4300afdcce27",
-    "chord-churn": "10997b35e6b9258d",
+    "chord-churn": "9ae7845058bff10c",
 }
 
 
