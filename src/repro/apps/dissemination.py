@@ -10,12 +10,18 @@ flow-level :class:`~repro.net.bandwidth.BandwidthModel`, so download times
 reflect contended 10 Mbps access links rather than per-message latency.
 This makes the swarm the first end-to-end consumer of the bandwidth model.
 
-Control plane per fetched chunk: a ``have`` poll (bitfield exchange), a
-``fetch`` RPC whose handler starts the bulk transfer and replies once the
-last byte (plus propagation) has arrived, and local bookkeeping for
-availability counts.  Uploaders cap concurrent uploads (``max_uploads``,
-BitTorrent's unchoke slots); saturated peers answer ``busy`` and the
-requester moves on.
+Control plane per fetched chunk: one ``fetch`` RPC whose handler starts the
+bulk transfer and replies once the last byte (plus propagation) has
+arrived, with the uploader's bitfield in the reply.  As in BitTorrent, where
+a peer sends its bitfield once per connection and then keeps requesting
+pieces, a download loop polls a random peer with ``have`` only when it has
+no peer: it keeps fetching from the peer that just served it, choosing the
+next chunk from the bitfield that peer's reply carried, until that peer has
+nothing left to offer or answers ``busy``, ``missing`` or not at all.
+Bitfields only grow, so a remembered one never offers a chunk its peer
+lacks (a replacement at a reused endpoint answers ``missing``).
+Uploaders cap concurrent uploads (``max_uploads``, BitTorrent's unchoke
+slots); saturated peers answer ``busy`` and the requester moves on.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ class SwarmNode(harness.OverlayNode):
         return sorted(self.have)
 
     def _rpc_fetch(self, chunk: int, requester: dict) -> Generator:
-        """Upload one chunk: bulk-transfer it, reply once it has arrived."""
+        """Upload one chunk: bulk-transfer it, reply with our bitfield once it has arrived."""
         chunk = int(chunk)
         if chunk not in self.have:
             return {"ok": False, "reason": "missing"}
@@ -111,30 +117,36 @@ class SwarmNode(harness.OverlayNode):
             destination = NodeRef.coerce(requester)
             yield self.socket.transfer(destination, self.chunk_size)
             self.stats.chunks_uploaded += 1
-            return {"ok": True}
+            # A fresh list: replies travel by reference.
+            return {"ok": True, "have": sorted(self.have)}
         finally:
             self._uploads -= 1
 
     # ------------------------------------------------------------ download side
     def _fetch_loop(self) -> Generator:
-        """Swarm until complete: poll a random peer, fetch a missing chunk."""
+        """Swarm until complete: poll a random peer, fetch from it while it serves."""
+        peer: Optional[NodeRef] = None
+        remote_have: Set[int] = set()
         while not self.complete:
-            peer = self._pick_member()
             if peer is None:
-                yield self.poll_interval
-                continue
-            try:
-                self.stats.have_polls += 1
-                remote_have = yield self.rpc.call(peer, "have",
-                                                  timeout=3.0, retries=0)
-            except RpcError:
-                yield self.poll_interval * 0.5
-                continue
-            remote_have = set(int(c) for c in remote_have)
-            for chunk in remote_have:
-                self.availability[chunk] = self.availability.get(chunk, 0) + 1
+                peer = self._pick_member()
+                if peer is None:
+                    yield self.poll_interval
+                    continue
+                try:
+                    self.stats.have_polls += 1
+                    advertised = yield self.rpc.call(peer, "have", timeout=3.0, retries=0)
+                except RpcError:
+                    peer = None
+                    yield self.poll_interval * 0.5
+                    continue
+                # Availability counts what peers advertised to a poll only.
+                for chunk in advertised:
+                    self.availability[chunk] = self.availability.get(chunk, 0) + 1
+                remote_have = set(advertised)
             wanted = sorted(remote_have - self.have - self._pending)
             if not wanted:
+                peer = None
                 yield self.poll_interval * 0.5
                 continue
             chunk = self._pick_chunk(wanted)
@@ -144,13 +156,16 @@ class SwarmNode(harness.OverlayNode):
                                             timeout=self.fetch_timeout, retries=0)
             except RpcError:
                 self.stats.fetch_failures += 1
+                peer = None
                 continue
             finally:
                 self._pending.discard(chunk)
             if not reply.get("ok"):
+                peer = None
                 if reply.get("reason") == "busy":
                     yield self.poll_interval * 0.25
                 continue
+            remote_have = set(reply["have"])
             if chunk not in self.have:
                 self.have.add(chunk)
                 self.stats.chunks_fetched += 1
@@ -183,8 +198,8 @@ class DisseminationScenario(harness.Scenario):
     name = "dissemination"
     help = "BitTorrent-style chunk swarming over the bandwidth model"
     ops_label = "download"
-    report_lines = ("seeds", "downloaders", "chunks_fetched", "seed_uploads",
-                    "transfers_completed")
+    report_lines = ("seeds", "downloaders", "chunks_fetched", "have_polls",
+                    "seed_uploads", "transfers_completed")
     #: gentler than the DHT scripts: the swarm must keep every chunk alive,
     #: so churn starts once the file has had time to spread beyond the seed
     default_churn_script = """\
@@ -241,6 +256,7 @@ from 150s to 240s every 30s replace 5%
                 "seeds": len(seeds),
                 "downloaders": len(apps),
                 "chunks_fetched": sum(a.stats.chunks_fetched for a in apps),
+                "have_polls": sum(a.stats.have_polls for a in apps),
                 "chunks_uploaded": sum(a.stats.chunks_uploaded for a in apps + seeds),
                 "seed_uploads": sum(a.stats.chunks_uploaded for a in seeds),
                 "fetch_failures": sum(a.stats.fetch_failures for a in apps),

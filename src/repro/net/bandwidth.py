@@ -287,6 +287,7 @@ class BandwidthModel:
         self._last_update = now
         active = self._active
         removed: List[Transfer] = []
+        finished: List[Transfer] = []
         if elapsed > 0:
             for transfer in active:
                 remaining = transfer.remaining_bytes - transfer.rate_bps * elapsed / 8.0
@@ -294,12 +295,18 @@ class BandwidthModel:
                     remaining = 0.0
                 transfer.remaining_bytes = remaining
                 transfer.accrued_at = now
-                if remaining <= 0.0 or transfer.cancelled:
+                if transfer.cancelled:
                     removed.append(transfer)
+                elif remaining <= 0.0:
+                    removed.append(transfer)
+                    finished.append(transfer)
         else:
             for transfer in active:
-                if transfer.remaining_bytes <= 0.0 or transfer.cancelled:
+                if transfer.cancelled:
                     removed.append(transfer)
+                elif transfer.remaining_bytes <= 0.0:
+                    removed.append(transfer)
+                    finished.append(transfer)
         if added is not None:
             active.append(added)
             for link in (added.up, added.down):
@@ -311,7 +318,7 @@ class BandwidthModel:
             active.remove(transfer)
             transfer.up.flows.remove(transfer)
             transfer.down.flows.remove(transfer)
-        for transfer in [t for t in removed if not t.cancelled]:
+        for transfer in finished:
             nbytes = transfer.total_bytes
             transfer.up.bytes_carried += nbytes
             transfer.down.bytes_carried += nbytes

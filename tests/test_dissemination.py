@@ -78,6 +78,28 @@ def test_constrained_links_slow_the_swarm_down():
     assert slow > fast, (slow, fast)
 
 
+def test_a_peer_that_served_a_chunk_serves_the_next_without_a_poll():
+    sim, _controller, job = _deploy(nodes=2)
+    sim.run(until=100.0)
+    [downloader] = [a for a in _apps(job) if not a.is_seed]
+    assert downloader.complete and downloader.stats.chunks_fetched == CHUNKS
+    # Each loop polls the seed once, then takes chunk after chunk from the
+    # bitfield the fetch replies carry.
+    assert 0 < downloader.stats.have_polls < CHUNKS
+
+
+def test_a_busy_reply_sends_the_next_fetch_after_a_fresh_poll():
+    sim, _controller, job = _deploy(nodes=2, max_uploads=0, fetch_concurrency=1)
+    sim.run(until=30.0)
+    [seed] = [a for a in _apps(job) if a.is_seed]
+    [downloader] = [a for a in _apps(job) if not a.is_seed]
+    busy = seed.stats.busy_rejections
+    assert busy >= 10 and downloader.stats.chunks_fetched == 0
+    # poll, busy fetch, poll, busy fetch, ...: the run may stop between the
+    # last poll and its fetch.
+    assert downloader.stats.have_polls - busy in (0, 1)
+
+
 def test_swarm_survives_crash_churn():
     sim, _controller, job = _deploy(nodes=8, churn_script="at 30s crash 25%\n")
     sim.run(until=300.0)

@@ -378,3 +378,21 @@ def test_a_held_have_reply_does_not_change_when_the_callee_fetches_more():
     sim.run(until=400.0)
     assert callee.complete and 0 < len(held) < callee.chunks
     assert list(have) == held
+
+
+def test_a_held_fetch_reply_bitfield_does_not_change_when_the_uploader_fetches_more():
+    sim, _controller, job = _deploy(swarm_factory(), nodes=4, chunks=16,
+                                    chunk_size=262144, poll_interval=0.5)
+    apps = [i.app for i in job.live_instances()]
+    uploader = None
+    while uploader is None:  # advance until some downloader is part-way through
+        sim.run(until=sim.now + 0.5)
+        uploader = next((a for a in apps if 0 < len(a.have) < a.chunks), None)
+    caller = next(a for a in apps if a is not uploader)
+    reply = _call(sim, caller, uploader, "fetch", min(uploader.have), caller.me)
+    assert reply["ok"]
+    have = reply["have"]
+    held = list(have)
+    sim.run(until=400.0)
+    assert uploader.complete and 0 < len(held) < uploader.chunks
+    assert list(have) == held
