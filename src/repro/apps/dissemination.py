@@ -11,8 +11,9 @@ reflect contended 10 Mbps access links rather than per-message latency.
 This makes the swarm the first end-to-end consumer of the bandwidth model.
 
 Control plane per fetched chunk: one ``fetch`` RPC whose handler starts the
-bulk transfer and replies once the last byte (plus propagation) has
-arrived, with the uploader's bitfield in the reply.  As in BitTorrent, where
+bulk transfer and replies, with the uploader's bitfield, as the last byte
+leaves its uplink: the reply leaves with the last byte and arrives with it,
+so a chunk costs one round trip plus its transfer.  As in BitTorrent, where
 a peer sends its bitfield once per connection and then keeps requesting
 pieces, a download loop polls a random peer with ``have`` only when it has
 no peer: it keeps fetching from the peer that just served it, choosing the
@@ -105,7 +106,7 @@ class SwarmNode(harness.OverlayNode):
         return sorted(self.have)
 
     def _rpc_fetch(self, chunk: int, requester: dict) -> Generator:
-        """Upload one chunk: bulk-transfer it, reply with our bitfield once it has arrived."""
+        """Upload one chunk: bulk-transfer it, reply with our bitfield as its last byte leaves."""
         chunk = int(chunk)
         if chunk not in self.have:
             return {"ok": False, "reason": "missing"}

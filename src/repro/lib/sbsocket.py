@@ -173,8 +173,11 @@ class RestrictedSocket:
                  nbytes: float) -> Future:
         """Bulk transfer (charged against the traffic budget).
 
-        A negative ``nbytes`` raises ``ValueError`` before anything is
-        charged: no socket slot, no budget, no network counter.
+        The future completes when the last byte leaves this host's uplink,
+        which is also when the socket slot is released; its value is the
+        time that byte arrives (see :meth:`Network.transfer`).  A negative
+        ``nbytes`` raises ``ValueError`` before anything is charged: no
+        socket slot, no budget, no network counter.
         """
         self._check_closed()
         if nbytes < 0:

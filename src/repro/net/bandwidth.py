@@ -76,7 +76,7 @@ class Transfer:
         #: virtual time up to which ``remaining_bytes`` is accurate; progress
         #: between rate recomputations is extrapolated from here
         self.accrued_at = started_at
-        #: completes with the finish time (seconds) once all bytes are delivered.
+        #: completes with the finish time (seconds), when the last byte leaves the uplink.
         #: Unnamed on purpose: formatting a label per transfer was measurable
         #: on dissemination workloads, and repr() can rebuild it on demand.
         self.done: Future = Future()
@@ -138,6 +138,9 @@ class BandwidthModel:
         #: (only the touched component counts)
         self.reallocations = 0
         self.flows_allocated = 0
+        #: live flows integrated over simulated time (divided by the run's
+        #: length: how many flows were live on average)
+        self.flow_seconds = 0.0
         #: runtime sanitizer (repro.sim.sanitizer) or None
         self._san: Optional[object] = None
 
@@ -176,6 +179,7 @@ class BandwidthModel:
         """The fill's work, for the report and the metrics."""
         return {"reallocations": self.reallocations,
                 "flows_allocated": self.flows_allocated,
+                "flow_seconds": round(self.flow_seconds, 6),
                 "busiest_links": self.busiest_links()}
 
     # --------------------------------------------------------------- transfers
@@ -289,6 +293,7 @@ class BandwidthModel:
         removed: List[Transfer] = []
         finished: List[Transfer] = []
         if elapsed > 0:
+            self.flow_seconds += len(active) * elapsed
             for transfer in active:
                 remaining = transfer.remaining_bytes - transfer.rate_bps * elapsed / 8.0
                 if remaining < 1e-6:
@@ -376,8 +381,9 @@ class BandwidthModel:
                     if rate > 0 and now + transfer.remaining_bytes * 8.0 / rate == now:
                         transfer.remaining_bytes = 0.0
                 return self._reallocate()
-            self._completion_event = self.sim.schedule(next_finish, self._on_completion_tick)
-
-    def _on_completion_tick(self) -> None:
-        self._completion_event = None
-        self._reallocate()
+            if self._completion_event is not None:
+                # A future resolved above re-entered and armed a tick of its own.
+                self._completion_event.cancel()
+            # The tick is this method itself: the kernel marks an event fired
+            # before running it, so the opening cancel() is then a no-op.
+            self._completion_event = self.sim.schedule(next_finish, self._reallocate)

@@ -235,9 +235,12 @@ class Network:
     def transfer(self, src: Address, dst: Address, nbytes: float) -> Future:
         """Bulk transfer through the flow-level bandwidth model.
 
-        The returned future completes with the finish time when the last byte
-        arrives, or is cancelled if either host fails mid-transfer.  A
-        negative size raises ``ValueError`` before anything is counted.
+        The returned future completes when the last byte leaves the
+        sender's uplink, and its value is the time that byte arrives (one
+        propagation delay later): a reply sent at completion over the same
+        host pair arrives with it.  The future is cancelled if either host
+        fails before then.  A negative size raises ``ValueError`` before
+        anything is counted.
         """
         result = Future()  # unnamed: transfers are hot in dissemination runs
         if not self.host_alive(src.ip) or not self.host_alive(dst.ip):
@@ -250,9 +253,8 @@ class Network:
         def _complete(fut: Future) -> None:
             if fut.cancelled():
                 result.cancel()
-                return
-            # The last byte still needs one propagation delay to arrive.
-            self.sim.schedule(propagation, result.set_result, self.sim.now + propagation)
+            else:
+                result.set_result(self.sim.now + propagation)
 
         transfer.done.add_done_callback(_complete)
         return result

@@ -275,6 +275,29 @@ def test_simultaneous_completions_resolve_in_one_deterministic_tick(kernel):
     assert _no_flow_on_any_link(bw)
 
 
+def test_a_transfer_started_from_a_completion_leaves_one_completion_tick():
+    """A finished flow's future runs its callbacks inside the recompute.
+
+    A callback that starts the next transfer re-enters the model and arms a
+    tick; the recompute it interrupted arms its own after it, and must not
+    leave the first one behind (it would fire as a spurious recompute).
+    """
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    for ip in "ABCD":
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    long = bw.transfer("C", "D", 4_000_000)  # keeps the model busy 4 s
+    short = bw.transfer("A", "B", 1_000_000)
+    follow = []
+    short.done.add_done_callback(
+        lambda _future: follow.append(bw.transfer("A", "B", 1_000_000)))
+    sim.run(until=1.0)
+    assert len(follow) == 1 and sim.pending_events == 1
+    sim.run()
+    assert follow[0].done.result() == 2.0 and long.done.result() == 4.0
+    assert bw.completed == 3 and _no_flow_on_any_link(bw)
+
+
 # ------------------------------------------------------------- link objects
 def test_capacity_change_mid_run_reaches_flows_and_messages():
     """One ``set_capacity`` must move both readers of a host's capacity.
@@ -419,3 +442,19 @@ def test_busiest_links_on_a_scripted_three_host_exchange():
         {"host": "B", "direction": "up", "bytes_carried": 2_000_000, "peak_flows": 1},
     ]
     assert bw.busiest_links(1) == bw.busiest_links()[:1]
+
+
+def test_flow_seconds_integrate_live_flows_over_time():
+    """Each flow counts from its start until it finishes or is aborted."""
+    sim = Simulator()
+    bw = BandwidthModel(sim)
+    for ip in "ABCDEF":
+        bw.set_capacity(ip, 8_000_000, 8_000_000)
+    bw.transfer("A", "B", 1_000_000)  # 1 s
+    bw.transfer("C", "D", 2_000_000)  # 2 s
+    aborted = bw.transfer("E", "F", 4_000_000)
+    sim.run(until=0.5)
+    bw.cancel_transfer(aborted)  # 0.5 s
+    sim.run()
+    assert bw.flow_seconds == pytest.approx(3.5)
+    assert bw.section()["flow_seconds"] == pytest.approx(3.5)

@@ -11,11 +11,12 @@ from repro.sim.kernel import Simulator
 
 CHUNKS = 8
 CHUNK_SIZE = 32768
+DELAY = 0.010  # one-way, every host pair
 
 
 def _deploy(nodes=8, seed=0, churn_script=None, link_bps=10_000_000.0, **options):
     sim = Simulator(seed)
-    network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
+    network = Network(sim, latency=ConstantLatency(DELAY), seed=seed)
     controller = Controller(sim, network, seed=seed)
     for i in range(nodes):
         ip = f"10.0.0.{i + 1}"
@@ -86,6 +87,38 @@ def test_a_peer_that_served_a_chunk_serves_the_next_without_a_poll():
     # Each loop polls the seed once, then takes chunk after chunk from the
     # bitfield the fetch replies carry.
     assert 0 < downloader.stats.have_polls < CHUNKS
+
+
+def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
+    """Request out, last byte back with the reply: not a third delay."""
+    sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
+    network = next(iter(job.instances)).daemon.network
+    while len(job.live_instances()) < 2:
+        sim.step()
+    [downloader] = [i.app for i in job.live_instances() if not i.app.is_seed]
+    requested, landed = [], []
+    send = network.send
+
+    def record_fetch_requests(src, dst, payload, size):
+        if isinstance(payload, dict) and payload.get("method") == "fetch":
+            requested.append(sim.now)
+        send(src, dst, payload, size)
+
+    class Landing(set):
+        def add(self, chunk):
+            landed.append(sim.now)
+            super().add(chunk)
+
+    network.send = record_fetch_requests
+    downloader.have = Landing()
+    sim.run(until=100.0)
+    assert downloader.complete and len(requested) == len(landed) == CHUNKS
+    transfer = 8 * CHUNK_SIZE / 10_000_000.0
+    for sent_at, landed_at in zip(requested, landed):
+        # What remains is the request's and the reply's own transmission
+        # time over the 10 Mbps links, a fraction of a millisecond.
+        extra = landed_at - sent_at - 2 * DELAY - transfer
+        assert 0 < extra < DELAY / 10, extra
 
 
 def test_a_busy_reply_sends_the_next_fetch_after_a_fresh_poll():

@@ -1,10 +1,12 @@
-"""Network: delivery, drop paths, listener lifecycle."""
+"""Network: delivery, drop paths, listener lifecycle, bulk transfers."""
 
 import pytest
 
+from repro.lib.sbsocket import RestrictedSocket, SocketPolicy
 from repro.net.address import Address, NodeRef
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.events_api import AppContext
 from repro.sim.kernel import Simulator
 
@@ -15,9 +17,9 @@ class _Host:
         self.alive = True
 
 
-def _net(seed=0):
+def _net(seed=0, delay=0.010):
     sim = Simulator(seed)
-    network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
+    network = Network(sim, latency=ConstantLatency(delay), seed=seed)
     a, b = _Host("10.0.0.1"), _Host("10.0.0.2")
     network.add_host(a)
     network.add_host(b)
@@ -133,6 +135,65 @@ def test_processing_delay_hooks_on_both_ends_add_to_the_delay():
     network.send(src, dst, "x", 10)
     sim.run()
     assert arrivals[2] == pytest.approx(sent_at + 0.010)
+
+
+# ------------------------------------------------------------------ transfers
+# 1 MB over 8 Mbps access links is exactly 1 s on the uplink; one-way delay d.
+DELAY, CAPACITY, NBYTES = 0.050, 8_000_000, 1_000_000
+
+
+def _transfer_net():
+    sim, network, _a, _b = _net(delay=DELAY)
+    for ip in ("10.0.0.1", "10.0.0.2"):
+        network.bandwidth.set_capacity(ip, CAPACITY, CAPACITY)
+    sim.run(until=1.0)  # t0 = 1 s: the times below are not measured from zero
+    return sim, network
+
+
+def test_a_transfer_completes_when_its_last_byte_leaves_and_is_worth_its_arrival():
+    sim, network = _transfer_net()
+    t0 = sim.now
+    socket = RestrictedSocket(network, AppContext(sim), Address("10.0.0.1", 1),
+                              policy=SocketPolicy(max_sockets=1))
+    done = socket.transfer(Address("10.0.0.2", 2), NBYTES)
+    completions = []
+    done.add_done_callback(lambda future: completions.append(sim.now))
+    last_byte_leaves = t0 + 8 * NBYTES / CAPACITY
+    sim.run(until=last_byte_leaves - 1e-6)
+    assert not done.done() and socket._open_sockets == 1
+    sim.run(until=last_byte_leaves)
+    assert completions == [last_byte_leaves]
+    assert done.result() == last_byte_leaves + DELAY  # the arrival time
+    assert socket._open_sockets == 0  # the slot is free as the byte leaves
+    assert sim.pending_events == 0  # no propagation event per transfer
+
+
+def test_a_host_failure_before_the_last_byte_leaves_cancels_the_transfer():
+    sim, network = _transfer_net()
+    done = network.transfer(Address("10.0.0.1", 1), Address("10.0.0.2", 2), NBYTES)
+    sim.run(until=sim.now + 0.5)
+    network.bandwidth.cancel_host("10.0.0.2")
+    assert done.cancelled()
+    assert network.bandwidth.active_transfers == 0 and sim.pending_events == 0
+
+
+@pytest.mark.parametrize("failure", ["remove_host", "splayd_fail"])
+def test_both_ways_a_host_goes_down_cancel_its_transfers(failure):
+    sim = Simulator(0)
+    network = Network(sim, latency=ConstantLatency(DELAY))
+    daemons = [Splayd(sim, network, ip, SplaydLimits())
+               for ip in ("10.0.0.1", "10.0.0.2")]
+    for daemon in daemons:
+        network.bandwidth.set_capacity(daemon.ip, CAPACITY, CAPACITY)
+    done = network.transfer(Address("10.0.0.1", 1), Address("10.0.0.2", 2), NBYTES)
+    sim.run(until=0.5)
+    if failure == "remove_host":
+        network.remove_host("10.0.0.1")
+    else:
+        daemons[0].fail()
+    assert done.cancelled()
+    assert network.bandwidth.preemptions == 1
+    assert network.bandwidth.active_transfers == 0
 
 
 # --------------------------------------------------------------- NodeRef identity

@@ -6,9 +6,10 @@
 Runs ``python -m repro.apps.scenarios <command> --seed i --min-success 0``
 for ``i`` in ``0 .. N-1`` on this working tree and, with ``--ref``, on commit
 ``REF`` unpacked with ``git archive`` (as ``tools/ab.py`` unpacks it).  Prints
-each seed's ``measured <op>s: X/Y`` line per tree, then the totals.  A
-churn-sensitive change is judged on the totals: one seed's count moves by
-chance whenever an event order does.
+each seed's ``measured <op>s: X/Y`` line per tree, then the totals, then the
+median over the seeds of each run's ``<op> latency: ... p50=Nms``.  A
+churn-sensitive change is judged on the totals and the median: one seed's
+figures move by chance whenever an event order does.
 
 Exit code 1 when a run fails (an ``error:`` line, a handler error, a
 traceback), 0 otherwise.  Stdlib only.
@@ -20,10 +21,12 @@ import argparse
 import os
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ab import export_ref  # noqa: E402
@@ -32,21 +35,31 @@ _REPO = Path(__file__).resolve().parent.parent
 
 #: what the scenarios CLI prints about its measured operations
 MEASURED = re.compile(r"^measured \w+: (\d+)/(\d+) correct", re.MULTILINE)
+LATENCY = re.compile(r"^\w+ latency: .*\bp50=(\d+)ms", re.MULTILINE)
+
+
+def parse(stdout: str) -> Optional[tuple]:
+    """``(correct, issued, p50_ms)`` of one report, or None if a line is missing."""
+    found = MEASURED.search(stdout)
+    latency = LATENCY.search(stdout)
+    if found is None or latency is None:
+        return None
+    return int(found.group(1)), int(found.group(2)), int(latency.group(1))
 
 
 def measured(tree: Path, command: str, seed: int) -> tuple:
-    """``(correct, issued)`` of one run of ``command`` in ``tree``."""
+    """``(correct, issued, p50_ms)`` of one run of ``command`` in ``tree``."""
     environment = dict(os.environ, PYTHONPATH=str(tree / "src"),
                        PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "-m", "repro.apps.scenarios", *shlex.split(command),
          "--seed", str(seed), "--min-success", "0"],
         cwd=tree, env=environment, capture_output=True, text=True)
-    found = MEASURED.search(done.stdout)
+    found = parse(done.stdout)
     if done.returncode != 0 or found is None:
         raise SystemExit(f"{tree}: {command} --seed {seed} exited "
                          f"{done.returncode}\n{done.stdout}{done.stderr}")
-    return int(found.group(1)), int(found.group(2))
+    return found
 
 
 def main(argv=None) -> int:
@@ -68,16 +81,20 @@ def main(argv=None) -> int:
         print(f"{args.command}, seeds 0..{args.seeds - 1}: measured correct/issued "
               f"per seed ({' | '.join(trees)})", flush=True)
         totals = {name: [0, 0] for name in trees}
+        p50s = {name: [] for name in trees}
         for seed in range(args.seeds):
             cells = []
             for name, tree in trees.items():
-                correct, issued = measured(tree, args.command, seed)
+                correct, issued, p50 = measured(tree, args.command, seed)
                 totals[name][0] += correct
                 totals[name][1] += issued
+                p50s[name].append(p50)
                 cells.append(f"{correct}/{issued}")
             print(f"seed {seed}: {' | '.join(cells)}", flush=True)
         print("total: " + " | ".join(f"{correct}/{issued}" for correct, issued
                                      in totals.values()))
+        print("median p50: " + " | ".join(f"{statistics.median(values):.0f}ms"
+                                          for values in p50s.values()))
     return 0
 
 
