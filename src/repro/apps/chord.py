@@ -20,16 +20,19 @@ here is the protocol: handlers, maintenance, routing state.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from repro.apps import harness
 from repro.lib.ring import between, ring_add, ring_distance
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 
+#: the successor list's length: the fault-tolerance depth
+SUCCESSOR_LIST_SIZE = 6
 
-class LookupFailed(Exception):
-    """A lookup exhausted its hop budget or every route attempt failed."""
+#: older names, still imported by ``benchmarks/child.py`` and ``tools/heal_time.py``
+LookupFailed = harness.LookupFailed
+ring_consistency = harness.consistency
 
 
 class ChordNode(harness.RoutingNode):
@@ -41,11 +44,10 @@ class ChordNode(harness.RoutingNode):
     round-robin period of the far-finger refresh (one finger index per
     period, backed off while nothing changes);
     ``check_predecessor_interval`` — the silence after which the
-    predecessor is pinged; ``successor_list_size`` — fault-tolerance depth.
+    predecessor (the node's ``_watched`` neighbour) is pinged.
     """
 
     label = "chord"
-    failure = LookupFailed
 
     def _configure(self, options: dict) -> None:
         super()._configure(options)
@@ -53,10 +55,8 @@ class ChordNode(harness.RoutingNode):
         self.fix_fingers_interval = float(options.get("fix_fingers_interval", 4.0))
         self.check_predecessor_interval = float(
             options.get("check_predecessor_interval", 11.0))
-        self.successor_list_size = int(options.get("successor_list_size", 6))
         self.max_hops = int(options.get("max_hops", 3 * self.bits))
         self.predecessor: Optional[NodeRef] = None
-        self._predecessor_heard = 0.0  # when the predecessor last called us
         self.successors: List[NodeRef] = [self.me]
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
         #: finger indices ``0 .. _covered - 1`` are read off the successor list
@@ -117,14 +117,16 @@ class ChordNode(harness.RoutingNode):
 
     def _rpc_notify(self, node) -> None:
         """Adopt ``node`` as predecessor if it is closer; a call from the
-        predecessor is also the proof that it is alive."""
+        predecessor is also the proof that it is alive.  The predecessor is
+        the ``_watched`` neighbour whenever there is one."""
         node = NodeRef.coerce(node)
         predecessor = self.predecessor
         if node != self.me and (predecessor is None
                                 or between(node.id, predecessor.id, self.me.id)):
             self.predecessor = node
-        if node == self.predecessor:
-            self._predecessor_heard = self.events.now()
+            self._watched = (node, self.events.now())
+        elif node == predecessor:
+            self._watched = (node, self.events.now())
 
     def _rpc_stabilize(self, node) -> dict:
         """One stabilize hop: ``notify``, then what the caller needs to adopt
@@ -169,13 +171,13 @@ class ChordNode(harness.RoutingNode):
         if successor is not None:
             chain = [successor] + [n for n in map(NodeRef.coerce, reply["successors"])
                                    if n != self.me]
-            successors = list(dict.fromkeys(chain))[: self.successor_list_size]
+            successors = list(dict.fromkeys(chain))[:SUCCESSOR_LIST_SIZE]
             if successors != self.successors:
                 self.refresh.stir()
             self.successors = successors
         self._read_fingers()
         predecessor = self.predecessor
-        if (predecessor is not None and self.events.now() - self._predecessor_heard
+        if (predecessor is not None and self.events.now() - self._watched[1]
                 >= self.check_predecessor_interval):
             self.stats.maintenance_rpcs += 1
             alive = yield self.rpc.ping(predecessor, timeout=self.hop_timeout)
@@ -211,7 +213,7 @@ class ChordNode(harness.RoutingNode):
         start = ring_add(self.me.id, 1 << index, bits)
         try:
             owner, _hops = yield from self.lookup(start, maintenance=True)
-        except LookupFailed:
+        except harness.LookupFailed:
             owner = None
         if owner is None or owner != self.fingers[index]:
             self.refresh.stir()
@@ -251,15 +253,14 @@ class ChordNode(harness.RoutingNode):
         successor = self._current_successor()
         return successor if successor.id not in avoided else self.me
 
-    def _note_dead(self, node: NodeRef) -> None:
-        """Purge a dead node from local routing state."""
-        if node == self.me:
-            return
-        self.stats.dead_nodes_noticed += 1
+    def neighbours(self) -> Tuple[NodeRef, NodeRef]:
+        """Our successor and predecessor (a lone node is its own)."""
+        return self.successors[0], self.predecessor or self.me
+
+    def _forget(self, node: NodeRef) -> None:
+        """Purge a dead node from the successor list, fingers and predecessor."""
         self.refresh.stir()
-        self.successors = [s for s in self.successors if s != node]
-        if not self.successors:
-            self.successors = [self.me]
+        self.successors = [s for s in self.successors if s != node] or [self.me]
         self.fingers = [None if f == node else f for f in self.fingers]
         if self.predecessor == node:
             self.predecessor = None
@@ -275,24 +276,6 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
     if not members:
         return None
     return min(members, key=lambda m: (ring_distance(key, m.id, bits), m.ip, m.port))
-
-
-def ring_consistency(job) -> float:
-    """Ring oracle: the share of joined live nodes whose ``successors[0]`` and
-    ``predecessor`` are the next and previous ids of the sorted membership.
-
-    A pure read of node state (no event, no message): 1.0 is a whole ring.
-    """
-    apps = harness.joined_apps(job)
-    ring = sorted(app.me.id for app in apps)
-    position = {node_id: index for index, node_id in enumerate(ring)}
-    whole = 0
-    for app in apps:
-        index = position[app.me.id]
-        predecessor = app.predecessor or app.me  # a lone node is its own
-        whole += (app.successors[0].id == ring[(index + 1) % len(ring)]
-                  and predecessor.id == ring[index - 1])
-    return whole / len(apps) if apps else 0.0
 
 
 class ChordScenario(harness.LookupScenario):

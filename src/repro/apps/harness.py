@@ -24,13 +24,13 @@ mechanics must never change workload results.
 
 Public entry points: :class:`RunConfig` (the one description of a run's
 execution options), :class:`OverlayNode` / :class:`RoutingNode` (what the
-applications are built on) and :class:`BackoffTask` (the routing overlays'
-backed-off maintenance round), :func:`deploy` (+ :class:`Deployment`),
-:func:`scaled_windows` / :func:`scaled_ops` (duration presets),
-:class:`Scenario` / :class:`LookupScenario` (a workload declared once, and
-the one pipeline that runs it), :func:`lookup_stream` / :func:`drain`, and
-:func:`base_report` / :func:`summarise` / :func:`report_digest` /
-:func:`write_cdf` (reporting).
+applications are built on), :class:`BackoffTask` (the routing overlays'
+backed-off maintenance round) and :func:`consistency` (their ring oracle),
+:func:`deploy` (+ :class:`Deployment`), :func:`scaled_windows` /
+:func:`scaled_ops` (duration presets), :class:`Scenario` /
+:class:`LookupScenario` (a workload declared once, and the one pipeline
+that runs it), :func:`lookup_stream` / :func:`drain`, and :func:`base_report`
+/ :func:`summarise` / :func:`report_digest` / :func:`write_cdf` (reporting).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.jobs import Job, JobSpec
 from repro.lib.misc import Membership
@@ -619,15 +619,21 @@ class RoutingStats:
     suspects_dead: int = 0
 
 
+class LookupFailed(Exception):
+    """A lookup exhausted its hop budget or every route attempt failed."""
+
+
 class RoutingNode(OverlayNode):
     """A node of a key-based-routing overlay (Chord, Pastry).
 
     Holds what such overlays share: the identifier width ``bits``, the
     per-hop RPC settings ``hop_timeout`` / ``hop_retries``, ``me`` with its
-    hashed identifier, the join retry loop and the one iterative
-    :meth:`lookup` walk.  The overlay supplies the ``step`` and ``claim``
-    handlers, :meth:`_join_via`, ``_note_dead``, its hop budget ``max_hops``,
-    ``failure`` (the exception class its lookups raise), ``refresh`` (the
+    hashed identifier, the join retry loop, the one iterative :meth:`lookup`
+    walk and the liveness state: a call proves a node alive (:meth:`_heard`),
+    one that gets no answer purges it (:meth:`_note_dead`).  The overlay
+    supplies the ``step`` and ``claim`` handlers, :meth:`_join_via`,
+    ``_forget`` (the purge), ``neighbours()`` (next and previous node, for
+    :func:`consistency`), its hop budget ``max_hops``, ``refresh`` (the
     :class:`BackoffTask` of its backed-off maintenance, stirred by a failed
     lookup) and optionally ``_learned`` (told every node reference a walk
     sees).
@@ -639,7 +645,6 @@ class RoutingNode(OverlayNode):
     with the full timeout before it is purged.
     """
 
-    failure: type = Exception
     refresh: BackoffTask
     _learned = None
 
@@ -649,8 +654,13 @@ class RoutingNode(OverlayNode):
         self.hop_retries = int(options.get("hop_retries", 1))
         self.me = self.me.with_id(hash_key(f"{self.me.ip}:{self.me.port}", self.bits))
         self.stats = RoutingStats()
-        #: endpoints of the suspects being confirmed: one call each at a time
-        self._confirming: set = set()
+        #: the neighbour that proves itself alive by calling us, and when it
+        #: last did or became that neighbour: its silence window's start
+        self._watched: Tuple[Optional[NodeRef], float] = (None, 0.0)
+        #: endpoints found dead lately: only a call from one revives it
+        self._dead: Dict[Tuple[str, int], None] = {}
+        #: endpoints with a probe in flight: one call each at a time
+        self._probing: set = set()
 
     def _join(self, delay: float) -> None:
         self.events.thread(self._join_main, delay=delay,
@@ -785,7 +795,7 @@ class RoutingNode(OverlayNode):
                        args={"key": key, "hops": hops})
         if rpc._metrics is not None:
             rpc._metrics.inc("lookup.failed")
-        raise self.failure(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
+        raise LookupFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
 
     def _unanswered(self, node: NodeRef, exc: RpcError, shortened: bool,
                     maintenance: bool) -> None:
@@ -797,8 +807,8 @@ class RoutingNode(OverlayNode):
             return
         self.stats.hops_suspected += 1
         endpoint = (node.ip, node.port)
-        if endpoint not in self._confirming:
-            self._confirming.add(endpoint)
+        if endpoint not in self._probing:
+            self._probing.add(endpoint)
             self.events.thread(self._confirm, node, maintenance)
 
     def _confirm(self, node: NodeRef, maintenance: bool) -> Generator:
@@ -812,7 +822,24 @@ class RoutingNode(OverlayNode):
             self.stats.suspects_dead += 1
             self._note_dead(node)
         finally:
-            self._confirming.discard((node.ip, node.port))
+            self._probing.discard((node.ip, node.port))
+
+    def _heard(self, node) -> None:
+        """The node called us: it is alive, whatever we noted before.  A call
+        from the watched neighbour restarts its silence window."""
+        node = NodeRef.coerce(node)
+        self._dead.pop((node.ip, node.port), None)
+        if self._learned is not None:
+            self._learned(node)
+        if self._watched[0] == node:
+            self._watched = (node, self.events.now())
+
+    def _note_dead(self, node: NodeRef) -> None:
+        """A call of ours got no answer: purge the node from routing state."""
+        if node == self.me:
+            return
+        self.stats.dead_nodes_noticed += 1
+        self._forget(node)
 
 
 # -------------------------------------------------------------------- drivers
@@ -822,15 +849,30 @@ def joined_apps(job: Job) -> list:
             if i.app is not None and getattr(i.app, "joined", False)]
 
 
+def consistency(job: Job) -> float:
+    """Ring oracle: the share of joined live nodes whose ``neighbours()`` are
+    the next and previous ids of the sorted membership.  A pure read of node
+    state (no event, no message): 1.0 is a whole ring."""
+    apps = joined_apps(job)
+    ring = sorted(app.me.id for app in apps)
+    position = {node_id: index for index, node_id in enumerate(ring)}
+    whole = 0
+    for app in apps:
+        index = position[app.me.id]
+        following, preceding = app.neighbours()
+        whole += (following.id == ring[(index + 1) % len(ring)]
+                  and preceding.id == ring[index - 1])
+    return whole / len(apps) if apps else 0.0
+
+
 def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: int,
                   rng, results: List[OpResult],
-                  expected_owner: Callable[[Job, int], object],
-                  failure: type) -> Generator:
+                  expected_owner: Callable[[Job, int], object]) -> Generator:
     """Coroutine issuing ``count`` key lookups from random live nodes.
 
     The application object must expose ``joined`` and a generator
-    ``lookup(key) -> (owner, hops)`` raising ``failure`` (the workload's own
-    exception type) on routing failure;
+    ``lookup(key) -> (owner, hops)`` raising :class:`LookupFailed` on
+    routing failure;
     ``expected_owner(job, key)`` supplies the ground truth against which the
     returned owner is checked.
     """
@@ -844,7 +886,7 @@ def lookup_stream(sim: Simulator, job: Job, count: int, spacing: float, bits: in
         started = sim.now
         try:
             owner, hops = yield from origin.lookup(key)
-        except (failure, RpcError, FutureCancelled, ProcessKilled):
+        except (LookupFailed, RpcError, FutureCancelled, ProcessKilled):
             # No route, or the origin was killed mid-lookup (its pending
             # futures are cancelled); anything else is a bug and propagates.
             results.append(OpResult(key, started, sim.now - started, 0, False, False))
@@ -977,7 +1019,7 @@ class LookupScenario(Scenario):
     def start(self, deployment: Deployment) -> tuple:
         sim, job, seed = deployment.sim, deployment.job, deployment.config.seed
         lookups = scaled_ops(self.lookups, self.config.duration)
-        bits, failure = self.bits, self.node.failure
+        bits = self.bits
         owner = functools.partial(self.oracle, bits=bits)
         self.probe_results: List[OpResult] = []
         if deployment.churn_end > deployment.warmup_end:
@@ -985,15 +1027,15 @@ class LookupScenario(Scenario):
                               / self.probe_interval)
             probe = Process(sim, lookup_stream(
                 sim, job, probe_count, self.probe_interval, bits,
-                substream(seed, "workload-churn"), self.probe_results, owner,
-                failure=failure), name="workload.under-churn")
+                substream(seed, "workload-churn"), self.probe_results, owner),
+                name="workload.under-churn")
             probe.start(delay=deployment.warmup_end)
 
         self.results: List[OpResult] = []
         self._maintenance: List[tuple] = []
         driver = Process(sim, self._measured(sim, job, lookup_stream(
             sim, job, lookups, self.spacing, bits, substream(seed, "workload"),
-            self.results, owner, failure=failure)), name="workload.measured")
+            self.results, owner)), name="workload.measured")
         driver.start(delay=deployment.measure_start)
         # Lookups take several RTTs each, so a fixed horizon would truncate
         # the stream: wait for the driver, with a hard cap against runaway.

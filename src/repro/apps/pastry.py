@@ -42,9 +42,9 @@ from repro.net.address import NodeRef
 #: scenario, so keep the node constructor and this constant in sync
 DEFAULT_LEAF_SET_SIZE = 8
 
-
-class RouteFailed(Exception):
-    """A lookup exhausted its hop budget or every route attempt failed."""
+#: older names, still imported by ``benchmarks/child.py`` and ``tools/heal_time.py``
+RouteFailed = harness.LookupFailed
+leaf_consistency = harness.consistency
 
 
 class PastryNode(harness.RoutingNode):
@@ -58,7 +58,6 @@ class PastryNode(harness.RoutingNode):
     """
 
     label = "pastry"
-    failure = RouteFailed
     #: a node still joining answers no routing: a replacement at a reused
     #: endpoint would otherwise claim keys with its empty leaf set
     served_once_live = ("step", "claim")
@@ -75,9 +74,10 @@ class PastryNode(harness.RoutingNode):
         self.repair_interval = float(options.get("repair_interval", 5.0))
         self.table_probe_interval = float(options.get("table_probe_interval", 8.0))
         self.max_hops = int(options.get("max_hops", 3 * self.digits + 8))
-        #: a live counter-clockwise neighbour calls us at least this often:
-        #: its repair period with the jitter ``_go_live`` draws (a quarter
-        #: period at most), plus one timeout for a first try that was lost
+        #: a live counter-clockwise neighbour (our ``_watched`` one) calls us
+        #: at least this often: its repair period with the jitter ``_go_live``
+        #: draws (a quarter period at most), plus one timeout for a first try
+        #: that was lost
         self._silence = 1.25 * self.repair_interval + self.hop_timeout
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
         #: of the two sides (a node sits on both while the ring is small)
@@ -85,14 +85,6 @@ class PastryNode(harness.RoutingNode):
         #: the ``leaf_half`` nearest nodes clockwise and counter-clockwise,
         #: nearest first; each tuple is replaced when that side changes
         self._sides: List[Tuple[NodeRef, ...]] = [(), ()]
-        #: our nearest counter-clockwise leaf, and when it last called us (or
-        #: became that leaf): the start of its silence window
-        self._ccw_heard: Tuple[Optional[NodeRef], float] = (None, 0.0)
-        #: the skipped leaf being probed: at most one probe is in flight
-        self._probing: Optional[NodeRef] = None
-        #: the last ``leaf_set_size`` leaves found dead: another node's stale
-        #: reference does not bring one back, only a call from it does
-        self._dead: Dict[Tuple[str, int], None] = {}
         #: routing table: ``table[row][column]`` — row = shared prefix
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
@@ -177,7 +169,7 @@ class PastryNode(harness.RoutingNode):
         node = NodeRef.coerce(node)
         self._heard(node)
         self._adopt(leaves)
-        if leaves and self._ccw_heard[0] != node:
+        if leaves and self._watched[0] != node:
             self._skipped(node, leaves, dead)
         return self._leaf_nodes()
 
@@ -213,11 +205,11 @@ class PastryNode(harness.RoutingNode):
                 self._kept(clockwise[0], remote, reported)
                 break
         counter_clockwise = self._sides[1]
-        if counter_clockwise and self.events.now() - self._ccw_heard[1] >= self._silence:
+        if counter_clockwise and self.events.now() - self._watched[1] >= self._silence:
             neighbour = counter_clockwise[0]
             if ((yield from self._exchange(neighbour)) is not None
-                    and self._ccw_heard[0] == neighbour):
-                self._ccw_heard = (neighbour, self.events.now())
+                    and self._watched[0] == neighbour):
+                self._watched = (neighbour, self.events.now())
 
     def _exchange(self, node: NodeRef) -> Generator:
         """One leaf-set exchange: send ``node`` our leaf set and the deaths we
@@ -262,7 +254,7 @@ class PastryNode(harness.RoutingNode):
         reported = set(map(tuple, dead))
         # A leaf that called us since the caller's exchange with it began
         # (the time a failing one takes) outlived what the caller saw.
-        nearest, heard = self._ccw_heard
+        nearest, heard = self._watched
         if self.events.now() - heard >= (1 + self.hop_retries) * self.hop_timeout:
             nearest = None
         probe = None
@@ -274,8 +266,8 @@ class PastryNode(harness.RoutingNode):
                 self._forget(leaf)
             elif probe is None:
                 probe = leaf
-        if probe is not None and self._probing is None:
-            self._probing = probe
+        if probe is not None and (probe.ip, probe.port) not in self._probing:
+            self._probing.add((probe.ip, probe.port))
             self.events.thread(self._probe, probe)
 
     def _probe(self, leaf: NodeRef) -> Generator:
@@ -283,7 +275,7 @@ class PastryNode(harness.RoutingNode):
         try:
             yield from self._exchange(leaf)
         finally:
-            self._probing = None
+            self._probing.discard((leaf.ip, leaf.port))
 
     def _table_maintenance(self) -> Generator:
         """Ask one random table entry for its row at that level (MSPastry): the
@@ -306,20 +298,12 @@ class PastryNode(harness.RoutingNode):
         self._adopt(remote)
 
     def _reseed(self) -> Generator:
-        """Every leaf died: fall back to the member list and re-anchor."""
+        """Every leaf died: join again through a member of the directory."""
         bootstrap = self._pick_member()
         if bootstrap is None:
             return
         try:
-            self.stats.maintenance_rpcs += 1
-            owner = yield self.rpc.call(bootstrap, "find_owner", self.me.id,
-                                        timeout=self.hop_timeout * 8, retries=1)
-            owner = NodeRef.coerce(owner)
-            self._learned(bootstrap)
-            self._learned(owner)
-            self.stats.maintenance_rpcs += 1
-            self._adopt((yield self.rpc.call(owner, "leafset", self.me,
-                                             timeout=self.hop_timeout, retries=0)))
+            yield from self._join_via(bootstrap)
         except RpcError:
             pass
 
@@ -345,13 +329,10 @@ class PastryNode(harness.RoutingNode):
         """The leaf set in ``(ip, port)`` order (the order replies carry)."""
         return tuple(self.leaves.values())
 
-    def _cw(self) -> Tuple[NodeRef, ...]:
-        """Leaves ordered by clockwise distance from us (nearest first)."""
-        return self._sides[0]
-
-    def _ccw(self) -> Tuple[NodeRef, ...]:
-        """Leaves ordered by counter-clockwise distance from us (nearest first)."""
-        return self._sides[1]
+    def neighbours(self) -> Tuple[NodeRef, NodeRef]:
+        """Our nearest leaf on each side, clockwise first (a lone node is its own)."""
+        cw, ccw = self._sides
+        return (cw[0] if cw else self.me), (ccw[0] if ccw else self.me)
 
     def _leaf_covers(self, key: int) -> bool:
         """True when ``key`` falls inside the span of our leaf set."""
@@ -397,15 +378,6 @@ class PastryNode(harness.RoutingNode):
             return None
         return row, digit_at(node_id, row, self.digits, self.base_bits)
 
-    def _heard(self, node) -> None:
-        """The node called us: it is alive, whatever we noted before.  A call
-        from our nearest counter-clockwise leaf restarts its silence window."""
-        node = NodeRef.coerce(node)
-        self._dead.pop((node.ip, node.port), None)
-        self._learned(node)
-        if self._ccw_heard[0] == node:
-            self._ccw_heard = (node, self.events.now())
-
     def _adopt(self, entries) -> None:
         """Learn the nodes another node's message lists, but not a leaf we
         found dead since: a reference it has not purged yet must not revive it."""
@@ -449,19 +421,13 @@ class PastryNode(harness.RoutingNode):
         union = {(n.ip, n.port): n for side in self._sides for n in side}
         self.leaves = {endpoint: union[endpoint] for endpoint in sorted(union)}
         ccw = self._sides[1]
-        if ccw and ccw[0] != self._ccw_heard[0]:
-            self._ccw_heard = (ccw[0], self.events.now())
-
-    def _note_dead(self, node: NodeRef) -> None:
-        """Purge a node that did not answer us from local routing state."""
-        if node == self.me:
-            return
-        self.stats.dead_nodes_noticed += 1
-        self._forget(node)
+        if ccw and ccw[0] != self._watched[0]:
+            self._watched = (ccw[0], self.events.now())
 
     def _forget(self, node: NodeRef) -> None:
         """Purge a dead node: from the leaf set, remembering its endpoint as
-        dead, and from the routing-table slot it holds."""
+        dead (the last ``leaf_set_size`` of them), and from the routing-table
+        slot it holds."""
         self.refresh.stir()
         if self.leaves.pop((node.ip, node.port), None) is not None:
             self._dead[node.ip, node.port] = None
@@ -477,11 +443,6 @@ class PastryNode(harness.RoutingNode):
         if slot is not None and self.table[slot[0]][slot[1]] == node:
             self.table[slot[0]][slot[1]] = None
 
-    def routing_snapshot(self) -> dict:
-        """Debug/report view of this node's routing state."""
-        return {"me": self.me, "leaves": self._leaf_nodes(), "joined": self.joined,
-                "table_entries": sum(e is not None for row in self.table for e in row)}
-
 
 pastry_factory = PastryNode.factory
 
@@ -494,22 +455,6 @@ def expected_owner(job, key: int, bits: int) -> Optional[NodeRef]:
         return None
     return min(members, key=lambda m: (numeric_distance(key, m.id, bits),
                                        m.id, m.ip, m.port))
-
-
-def leaf_consistency(job) -> float:
-    """Leaf-set oracle: the share of joined live nodes whose nearest clockwise
-    and counter-clockwise leaves are the next and previous ids of the sorted
-    membership.  A pure read of node state (no event, no message)."""
-    apps = harness.joined_apps(job)
-    ring = sorted(app.me.id for app in apps)
-    position = {node_id: index for index, node_id in enumerate(ring)}
-    whole = 0
-    for app in apps:
-        index = position[app.me.id]
-        cw, ccw = app._cw(), app._ccw()  # a lone node is its own neighbour
-        whole += ((cw[0] if cw else app.me).id == ring[(index + 1) % len(ring)]
-                  and (ccw[0] if ccw else app.me).id == ring[index - 1])
-    return whole / len(apps) if apps else 0.0
 
 
 class PastryScenario(harness.LookupScenario):

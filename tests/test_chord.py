@@ -265,7 +265,7 @@ def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
     app = _live_apps(job)[0]
     predecessor = app.predecessor
     (victim,) = [i for i in job.live_instances() if i.app.me == predecessor]
-    heard = app._predecessor_heard
+    heard = app._watched[1]
     assert sim.now - heard < app.stabilize_interval * 1.25  # it calls us
     controller.kill_instance(victim, failed=True)
     bound = (heard + app.check_predecessor_interval
@@ -426,7 +426,7 @@ def _stream(sim, job, raising):
     results = []
     driver = Process(sim, harness.lookup_stream(
         sim, job, 3, 0.25, BITS, substream(0, "test"), results,
-        lambda job, key: expected_owner(job, key, BITS), failure=LookupFailed))
+        lambda job, key: expected_owner(job, key, BITS)))
     driver.start()
     sim.run(until=sim.now + 5.0)
     return driver, results

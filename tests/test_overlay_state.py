@@ -31,6 +31,7 @@ from repro.lib.ring import (
     ring_distance,
     shared_prefix_length,
 )
+from repro.lib.rpc import RpcService, RpcTimeout
 from repro.net.address import NodeRef
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -105,6 +106,66 @@ def test_chord_and_pastry_share_one_lookup_walk():
     assert ChordNode.lookup is PastryNode.lookup
 
 
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_chord_and_pastry_share_one_liveness_table(monkeypatch, node_class):
+    sim, _controller, job = _deploy(node_class.factory(), nodes=8)
+    sim.run(until=60.0)
+    app = job.live_instances()[0].app
+    following, watched = app.neighbours()
+    assert watched != app.me and app._watched[0] == watched
+    sent = []
+    calling = RpcService.call
+
+    def recording(service, dst, method, *args, **kwargs):
+        if service is app.rpc and method in ("__ping__", "leafset"):
+            sent.append((NodeRef.coerce(dst), method))
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "call", recording)
+
+    # one probe per endpoint: a second suspicion of the watched neighbour,
+    # and Pastry's probe of the leaf a repair caller skipped (that same
+    # neighbour), wait for the confirming call in flight; another endpoint's
+    # confirmation runs at once
+    timeout = RpcTimeout("missed its RTO")
+    app._unanswered(watched, timeout, True, False)
+    app._unanswered(watched, timeout, True, False)
+    if node_class is PastryNode:
+        app._skipped(app._sides[1][1], (app.me,), ())
+    app._unanswered(following, timeout, True, False)
+    assert app._probing == {(watched.ip, watched.port), (following.ip, following.port)}
+    sim.run(until=sim.now + 0.5)
+    assert sent == [(watched, "__ping__"), (following, "__ping__")]
+    assert not app._probing
+    if node_class is PastryNode:  # and a skipped-leaf probe beside a confirmation
+        app._unanswered(following, timeout, True, False)
+        app._skipped(app._sides[1][1], (app.me,), ())
+        assert app._probing == {(watched.ip, watched.port), (following.ip, following.port)}
+        sim.run(until=sim.now + 0.5)
+        assert sent[2:] == [(following, "__ping__"), (watched, "leafset")]
+
+    # a call from an endpoint found dead brings it back
+    app._dead[following.ip, following.port] = None
+    app._heard(following)
+    assert (following.ip, following.port) not in app._dead
+
+    # a call from the watched neighbour restarts its silence window; one from
+    # another node does not
+    app._watched = (watched, 0.0)
+    app._rpc_notify(following)
+    assert app._watched == (watched, 0.0)
+    app._rpc_notify(watched)
+    assert app._watched == (watched, sim.now)
+
+    # a nearer node becomes the watched neighbour, with a fresh window
+    app._watched = (watched, 0.0)
+    nearer = NodeRef("10.9.9.9", 20000, (app.me.id - 1) % (1 << BITS))
+    assert between(nearer.id, watched.id, app.me.id)
+    app._rpc_notify(nearer)
+    assert app.neighbours()[1] == nearer and app._watched == (nearer, sim.now)
+
+
 # ------------------------------------------------------------------ scan-free
 @pytest.fixture
 def comparisons(monkeypatch):
@@ -168,7 +229,7 @@ def test_learning_a_held_reference_sorts_nothing_and_keeps_the_snapshots(monkeyp
     for index in range(40):
         app._learned(_ref(index))
     assert len(app.leaves) == app.leaf_set_size
-    views = (app._cw(), app._ccw(), app._leaf_nodes())
+    views = (app._sides[0], app._sides[1], app._leaf_nodes())
     far = max((_ref(i) for i in range(40, 400)),
               key=lambda n: min(ring_distance(app.me.id, n.id, BITS),
                                 ring_distance(n.id, app.me.id, BITS)))
@@ -185,8 +246,8 @@ def test_learning_a_held_reference_sorts_nothing_and_keeps_the_snapshots(monkeyp
     app._learned(far)  # farther than both tails of a saturated set
     assert (far.ip, far.port) not in app.leaves
     assert sorts[0] == 0
-    assert (app._cw(), app._ccw(), app._leaf_nodes()) == views
-    assert app._cw() is views[0] and app._ccw() is views[1]  # not rebuilt
+    assert (app._sides[0], app._sides[1], app._leaf_nodes()) == views
+    assert app._sides[0] is views[0] and app._sides[1] is views[1]  # not rebuilt
 
 
 # ----------------------------------------------------------- order equivalence
@@ -280,8 +341,8 @@ def test_incremental_leaf_set_matches_the_sorting_model(seed):
             model.note_dead(node)
         assert set(app.leaves) == set(model.leaves)
         assert all(app.leaves[k].id == model.leaves[k].id for k in model.leaves)
-        assert list(app._cw()) == model.cw()
-        assert list(app._ccw()) == model.ccw()
+        assert list(app._sides[0]) == model.cw()
+        assert list(app._sides[1]) == model.ccw()
         assert list(app._leaf_nodes()) == model.leaf_nodes()
         assert list(app._known_nodes()) == model.known_nodes()
         assert app.table == model.table

@@ -77,10 +77,9 @@ def test_every_node_joins_and_builds_leaf_sets():
     members = _members(job)
     assert len(members) == 10
     for app in _live_apps(job):
-        snapshot = app.routing_snapshot()
-        assert snapshot["joined"]
-        assert len(snapshot["leaves"]) >= 1
-        assert snapshot["table_entries"] >= 1
+        assert app.joined
+        assert len(app.leaves) >= 1
+        assert any(entry is not None for row in app.table for entry in row)
 
 
 def test_lookups_find_the_numerically_closest_owner_from_every_node():
@@ -277,13 +276,13 @@ def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a
     sim, controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     apps, app = _neighbours(job)
-    victim = apps[app._ccw()[0]]
-    caller = apps[victim._ccw()[0]]
+    victim = apps[app._sides[1][0]]
+    caller = apps[victim._sides[1][0]]
     # crash the victim just after its call: the app's silence window has its
     # whole length to run while the caller's round finds the death
-    before = app._ccw_heard[1]
-    assert _run_until(sim, lambda: app._ccw_heard[1] > before, sim.now + 5.0)
-    heard = app._ccw_heard[1]
+    before = app._watched[1]
+    assert _run_until(sim, lambda: app._watched[1] > before, sim.now + 5.0)
+    heard = app._watched[1]
     # a report that comes within a failing exchange's time of the victim's
     # last call is checked by a probe; this one comes later
     sim.run(until=heard + 0.5)
@@ -293,7 +292,7 @@ def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a
     # two timed-out tries on the victim, then one round trip to the app
     _run(sim, caller._leafset_repair(), patience=2 * caller.hop_timeout + 0.1)
     assert (victim.me.ip, victim.me.port) not in app.leaves
-    assert app._ccw()[0] == caller.me and caller._cw()[0] == app.me
+    assert app._sides[1][0] == caller.me and caller._sides[0][0] == app.me
     assert app.stats.deaths_reported == reported + 1
     assert app.stats.dead_nodes_noticed == noticed
     assert _calls(sent, app, victim.me) == []
@@ -304,20 +303,20 @@ def test_a_live_leaf_the_caller_skipped_is_probed_kept_and_taught_to_it(monkeypa
     sim, _controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     apps, app = _neighbours(job)
-    skipped = app._ccw()[0]
-    caller = apps[app._ccw()[1]]
+    skipped = app._sides[1][0]
+    caller = apps[app._sides[1][1]]
     # the caller never learned the node between it and the app
     caller._forget(skipped)
     del caller._dead[skipped.ip, skipped.port]
-    assert caller._cw()[0] == app.me
+    assert caller._sides[0][0] == app.me
     sent = _recording(monkeypatch)
     noticed, reported = app.stats.dead_nodes_noticed, app.stats.deaths_reported
     _run(sim, caller._leafset_repair(), patience=0.1)  # a few round trips
     assert _calls(sent, app, skipped) == ["leafset"]  # probed once
-    assert app._probing is None
-    assert app._ccw()[0] == skipped  # not purged on hearsay
+    assert not app._probing
+    assert app._sides[1][0] == skipped  # not purged on hearsay
     assert (app.stats.dead_nodes_noticed, app.stats.deaths_reported) == (noticed, reported)
-    assert caller._cw()[0] == skipped  # learned from the app's reply
+    assert caller._sides[0][0] == skipped  # learned from the app's reply
     assert leaf_consistency(job) == 1.0
 
 
@@ -325,20 +324,20 @@ def test_a_reported_leaf_that_called_since_is_probed_kept_and_taken_back(monkeyp
     sim, _controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     apps, app = _neighbours(job)
-    survivor = app._ccw()[0]
-    caller = apps[app._ccw()[1]]
-    before = app._ccw_heard[1]
-    assert _run_until(sim, lambda: app._ccw_heard[1] > before, sim.now + 5.0)
+    survivor = app._sides[1][0]
+    caller = apps[app._sides[1][1]]
+    before = app._watched[1]
+    assert _run_until(sim, lambda: app._watched[1] > before, sim.now + 5.0)
     # the caller's exchange with the survivor failed (its replies were lost),
     # and the survivor called the app right after
     caller._note_dead(survivor)
-    assert caller._cw()[0] == app.me
+    assert caller._sides[0][0] == app.me
     reported = app.stats.deaths_reported
     sent = _recording(monkeypatch)
     _run(sim, caller._leafset_repair(), patience=0.1)
-    assert app._ccw()[0] == survivor and app.stats.deaths_reported == reported
+    assert app._sides[1][0] == survivor and app.stats.deaths_reported == reported
     assert _calls(sent, app, survivor) == ["leafset"]  # checked by a probe
-    assert caller._cw()[0] == survivor  # taken back from the app's reply
+    assert caller._sides[0][0] == survivor  # taken back from the app's reply
     assert (survivor.ip, survivor.port) not in caller._dead
     assert leaf_consistency(job) == 1.0
 
@@ -349,10 +348,10 @@ def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
     sim.run(until=80.0)
     apps, app = _neighbours(job)
     assert app._silence == 1.25 * 5.0 + 1.5  # 7.75 s: the options, no knob
-    victim = apps[app._ccw()[0]]
+    victim = apps[app._sides[1][0]]
     # nobody reports the death: the victim's own counter-clockwise
     # neighbour, which would find it, runs no repair round
-    monkeypatch.setattr(_MutedPastry, "muted", frozenset({victim._ccw()[0]}))
+    monkeypatch.setattr(_MutedPastry, "muted", frozenset({victim._sides[1][0]}))
     sent = _recording(monkeypatch)
     reported = app.stats.deaths_reported
     controller.kill_instance(victim.instance, failed=True)
@@ -364,6 +363,25 @@ def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
                                 + 2 * app.hop_timeout)
     assert _calls(sent, app, victim.me) == ["leafset"]
     assert app.stats.deaths_reported == reported
+
+
+def test_a_node_whose_every_leaf_died_joins_again_through_the_directory(monkeypatch):
+    sim, _controller, job = _deploy(nodes=10)
+    sim.run(until=60.0)
+    _apps, app = _neighbours(job)
+    for leaf in list(app.leaves.values()):
+        app._forget(leaf)
+    app._dead.clear()
+    assert app._sides == [(), ()] and leaf_consistency(job) < 1.0
+    sent = _recording(monkeypatch)
+    _run(sim, app._leafset_repair(), patience=1.0)  # a few round trips
+    # the join's calls: the owner of our id (ourselves), its leaf set, and
+    # the routing tables of the member asked and of that owner
+    assert [(dst, method) for service, dst, method in sent if service is app.rpc] == [
+        (sent[0][1], "find_owner"), (app.me, "leafset"),
+        (sent[0][1], "table_dump"), (app.me, "table_dump")]
+    assert app.leaves
+    assert leaf_consistency(job) == 1.0
 
 
 def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_dead_entry():
@@ -478,8 +496,8 @@ def test_a_hop_whose_first_request_is_lost_costs_one_rto_on_planetlab(monkeypatc
     # its round trip is known) is near; the key is that leaf's own id: the
     # walk is the local step and one claim
     origin, owner = next(
-        (app, app._cw()[0]) for app in harness.joined_apps(deployment.job)
-        if app._cw() and network.one_way_delay(app.me.ip, app._cw()[0].ip) < 0.1)
+        (app, app._sides[0][0]) for app in harness.joined_apps(deployment.job)
+        if app._sides[0] and network.one_way_delay(app.me.ip, app._sides[0][0].ip) < 0.1)
     assert origin.rpc.rto[owner.ip] < 0.3
     lost = _dropping_first(monkeypatch, origin.me, owner, "claim")
     started = sim.now
@@ -520,7 +538,7 @@ def test_a_crashed_peer_is_purged_once_its_one_confirming_call_fails(monkeypatch
                                    table_probe_interval=1000.0)
     sim.run(until=80.0)
     origin = _live_apps(job)[0]
-    victim = origin._cw()[0]
+    victim = origin._sides[0][0]
     rpc = origin.rpc
     assert rpc.rto.get(victim.ip, rpc.rto_default) < origin.hop_timeout
     (instance,) = [i for i in job.live_instances() if i.app.me == victim]

@@ -8,6 +8,7 @@ workload is set up (150 nodes with 32-bit identifiers on 75 transit-stub
 hosts, joins spread over 120 s), crashes ``--crash`` of the nodes at
 ``--at`` seconds, and reads the overlay's neighbour oracle every 0.25 s
 between ``sim.run`` slices, so no simulation event is added:
+``harness.consistency``, imported under the names every ``--ref`` tree has,
 ``pastry.leaf_consistency`` (nearest leaf on each side right) or
 ``chord.ring_consistency`` (successor and predecessor right).  Prints each
 seed's seconds from the crash until the oracle first reads >= 0.99 and
