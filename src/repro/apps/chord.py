@@ -30,9 +30,8 @@ from repro.net.address import NodeRef
 #: the successor list's length: the fault-tolerance depth
 SUCCESSOR_LIST_SIZE = 6
 
-#: older names, still imported by ``benchmarks/child.py`` and ``tools/heal_time.py``
+#: the older name, still imported by ``benchmarks/child.py``
 LookupFailed = harness.LookupFailed
-ring_consistency = harness.consistency
 
 
 class ChordNode(harness.RoutingNode):

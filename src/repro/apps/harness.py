@@ -191,12 +191,12 @@ def write_cdf(path: str, latencies_ms: List[float]) -> int:
 class RunConfig:
     """How one scenario run is executed — the one place an option lives.
 
-    Built once (from argparse by the CLI, from a scale cell by the bench, by
-    hand in tests), passed whole to a workload runner
-    (``runner(config, **workload_params)``) and on to :func:`deploy`, which
-    keeps it — resolved — on :attr:`Deployment.config`.  Every default is
-    stated here and nowhere else; what a workload itself varies (lookups,
-    identifier bits, fanout, chunks) is a runner parameter, not a field.
+    Built once (from argparse by the CLI, by hand in tests), passed whole
+    to a workload runner (``runner(config, **workload_params)``) and on to
+    :func:`deploy`, which keeps it — resolved — on
+    :attr:`Deployment.config`.  Every default is stated here and nowhere
+    else; what a workload itself varies (lookups, identifier bits, fanout,
+    chunks) is a runner parameter, not a field.
     Nothing here may move a report digest except the deployment itself
     (``nodes`` / ``hosts`` / ``seed`` / ``testbed`` / churn / windows):
     every execution option is digest-neutral.
@@ -1131,7 +1131,7 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         "control_plane": controller.control_plane_status(),
     }
     # Digest-excluded: wall-clock attribution (deploy vs run vs drain), the
-    # scale bench's per-phase columns.
+    # phases of the CLI's ``host:`` line.
     report["phase_wall"] = {phase: round(seconds, 3)
                             for phase, seconds in deployment.phase_wall.items()}
     policy = deployment.gc_policy

@@ -42,9 +42,8 @@ from repro.net.address import NodeRef
 #: scenario, so keep the node constructor and this constant in sync
 DEFAULT_LEAF_SET_SIZE = 8
 
-#: older names, still imported by ``benchmarks/child.py`` and ``tools/heal_time.py``
+#: the older name, still imported by ``benchmarks/child.py``
 RouteFailed = harness.LookupFailed
-leaf_consistency = harness.consistency
 
 
 class PastryNode(harness.RoutingNode):

@@ -1,10 +1,11 @@
 """Kernel profiler: wall-time and event counts per callback site.
 
 Attributes the host CPU cost of a run to ``module:qualname`` callback
-sites — the only place in the tree (outside bench timing) allowed to read
-the wall clock, and only when ``--profile`` is set, so the determinism
-guarantee is untouched: wall times never enter the digest-relevant report
-and the profiler is off unless explicitly requested.
+sites — besides the digest-excluded phase and GC-pause attribution, the
+only place in the tree allowed to read the wall clock, and only when
+``--profile`` is set, so the determinism guarantee is untouched: wall
+times never enter the digest-relevant report and the profiler is off
+unless explicitly requested.
 
 Bound methods share one underlying function per class, so keying the hot
 dict by ``callback.__func__`` aggregates all instances of e.g.

@@ -5,7 +5,7 @@ walks the *entire* tracked heap.  A 10k-node deployment keeps millions of
 long-lived objects alive for the whole run — nodes, fingers, sockets,
 routing tables — so ambient gen2 sweeps grow linearly with deployment size
 while the per-event work stays constant: exactly the super-linear cost the
-scale bench exists to expose.  This module gives the harness an explicit
+large Chord rows of the digest matrix expose.  This module gives the harness an explicit
 policy instead of the interpreter default:
 
 * ``off`` — leave the interpreter's ambient collector alone (the baseline

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.apps import harness
-from repro.apps.chord import (
-    LookupFailed,
-    chord_factory,
-    expected_owner,
-    ring_consistency,
-)
+from repro.apps.chord import LookupFailed, chord_factory, expected_owner
 from repro.core.jobs import JobSpec
 from repro.lib.ring import ring_add, ring_distance
 from repro.lib.rpc import RpcError, RpcService
@@ -84,7 +79,7 @@ def test_ring_converges_to_the_sorted_id_order():
         assert apps[member.id].successors[0].id == expected_successor.id
         expected_predecessor = members[index - 1]
         assert apps[member.id].predecessor.id == expected_predecessor.id
-    assert ring_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_lookups_find_the_correct_owner_from_every_node():
@@ -154,7 +149,7 @@ def test_same_seed_builds_the_same_ring():
 def _converged(nodes=10, until=60.0, **options):
     sim, controller, job = _deploy(nodes=nodes, **options)
     sim.run(until=until)
-    assert ring_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     return sim, controller, job
 
 
@@ -171,7 +166,7 @@ def test_ring_consistency_sees_a_wrong_pointer():
     sim, _controller, job = _converged(nodes=8)
     apps = _live_apps(job)
     apps[0].successors = [apps[0].me]
-    assert ring_consistency(job) == 7 / 8
+    assert harness.consistency(job) == 7 / 8
 
 
 def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeypatch):
@@ -193,7 +188,7 @@ def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeyp
     assert sent["stabilize"] == rounds
     assert not {"get_predecessor", "successor_list", "notify", "__ping__"} & set(sent)
     assert set(sent) <= {"stabilize", "step", "claim"}
-    assert ring_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_fingers_read_off_the_successor_list_are_the_true_owners():
@@ -230,7 +225,7 @@ def test_a_quiet_ring_backs_its_far_finger_lookups_off_and_never_pings(monkeypat
         started = sum(app.stats.lookups_started for app in apps)
         sim.run(until=sim.now + 150.0)
         far_lookups.append(sum(app.stats.lookups_started for app in apps) - started)
-        assert ring_consistency(job) == 1.0
+        assert harness.consistency(job) == 1.0
     assert "__ping__" not in sent
     assert far_lookups[0] > far_lookups[1]
 
@@ -294,16 +289,16 @@ def test_a_crash_burst_heals_within_the_predecessor_check_bound(seed):
                                     fix_fingers_interval=4.0,
                                     churn_script="at 100s crash 10%\n")
     sim.run(until=99.0)
-    assert ring_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     crashed = _run_until(sim, lambda: job.live_count == 36, 110.0)
-    assert crashed is not None and ring_consistency(job) < 1.0
+    assert crashed is not None and harness.consistency(job) < 1.0
     app = _live_apps(job)[0]
     # the bound of the three fixed-period tasks this replaces: a dead
     # predecessor dropped within a silent period plus a 1.25-period check and
     # the ping, then the new predecessor's stabilize call
     bound = (2.25 * app.check_predecessor_interval + app.hop_timeout
              + 1.25 * app.stabilize_interval)
-    healed = _run_until(sim, lambda: ring_consistency(job) == 1.0, crashed + 60.0)
+    healed = _run_until(sim, lambda: harness.consistency(job) == 1.0, crashed + 60.0)
     assert healed is not None and healed <= crashed + bound
 
 
@@ -401,12 +396,12 @@ def test_a_hop_that_misses_the_full_hop_timeout_is_purged_without_a_confirming_c
 def test_a_joiner_is_spliced_into_the_ring_within_three_stabilize_periods():
     sim, _controller, job = _deploy(nodes=8, churn_script="at 70s join 1\n")
     sim.run(until=60.0)
-    assert ring_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     old = {app.me for app in _live_apps(job)}
     joined = _run_until(sim, lambda: len(_live_apps(job)) == 9, 120.0)
     assert joined is not None
     (newcomer,) = [app for app in _live_apps(job) if app.me not in old]
-    healed = _run_until(sim, lambda: ring_consistency(job) == 1.0,
+    healed = _run_until(sim, lambda: harness.consistency(job) == 1.0,
                         joined + 30.0)
     assert healed is not None
     assert healed <= joined + 3 * newcomer.stabilize_interval

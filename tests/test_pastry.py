@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.apps import harness
-from repro.apps.pastry import PastryNode, leaf_consistency, pastry_factory
+from repro.apps.pastry import PastryNode, pastry_factory
 from repro.core.jobs import JobSpec
 from repro.lib.ring import numeric_distance, shared_prefix_length
 from repro.lib.rpc import RTO_FLOOR, RpcError, RpcService
@@ -243,7 +243,7 @@ def _calls(sent, app, callee):
 
 def _neighbours(job):
     """A converged ring's apps by endpoint, and one app to watch."""
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     apps = {app.me: app for app in _live_apps(job)}
     return apps, next(iter(apps.values()))
 
@@ -252,7 +252,7 @@ def test_a_quiet_ring_sends_one_leafset_per_repair_round_and_one_row_per_table_p
         monkeypatch):
     sim, _controller, job = _deploy(nodes=16, factory=_CountingPastry.factory)
     sim.run(until=80.0)
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     apps = _live_apps(job)
     rounds = sum(app.stats.maintenance_rounds for app in apps)
     periods = sum(app.table_periods for app in apps)
@@ -268,7 +268,7 @@ def test_a_quiet_ring_sends_one_leafset_per_repair_round_and_one_row_per_table_p
     assert methods["leafset"] == rounds
     assert methods["row"] == periods
     assert set(methods) == {"leafset", "row"}  # no notify, ping, probe or lookup
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a_call(
@@ -317,7 +317,7 @@ def test_a_live_leaf_the_caller_skipped_is_probed_kept_and_taught_to_it(monkeypa
     assert app._sides[1][0] == skipped  # not purged on hearsay
     assert (app.stats.dead_nodes_noticed, app.stats.deaths_reported) == (noticed, reported)
     assert caller._sides[0][0] == skipped  # learned from the app's reply
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_a_reported_leaf_that_called_since_is_probed_kept_and_taken_back(monkeypatch):
@@ -339,7 +339,7 @@ def test_a_reported_leaf_that_called_since_is_probed_kept_and_taken_back(monkeyp
     assert _calls(sent, app, survivor) == ["leafset"]  # checked by a probe
     assert caller._sides[0][0] == survivor  # taken back from the app's reply
     assert (survivor.ip, survivor.port) not in caller._dead
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
@@ -372,7 +372,7 @@ def test_a_node_whose_every_leaf_died_joins_again_through_the_directory(monkeypa
     for leaf in list(app.leaves.values()):
         app._forget(leaf)
     app._dead.clear()
-    assert app._sides == [(), ()] and leaf_consistency(job) < 1.0
+    assert app._sides == [(), ()] and harness.consistency(job) < 1.0
     sent = _recording(monkeypatch)
     _run(sim, app._leafset_repair(), patience=1.0)  # a few round trips
     # the join's calls: the owner of our id (ourselves), its leaf set, and
@@ -381,13 +381,13 @@ def test_a_node_whose_every_leaf_died_joins_again_through_the_directory(monkeypa
         (sent[0][1], "find_owner"), (app.me, "leafset"),
         (sent[0][1], "table_dump"), (app.me, "table_dump")]
     assert app.leaves
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
 
 
 def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_dead_entry():
     sim, _controller, job = _deploy(nodes=16, factory=_CountingPastry.factory)
     sim.run(until=200.0)
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     app = _live_apps(job)[0]
     # from its last change on, each round began at twice the previous factor
     quiet = app.factors[len(app.factors) - 1 - app.factors[::-1].index(1):]
@@ -617,10 +617,10 @@ def test_a_replacement_at_the_same_endpoint_answers_no_routing_until_joined():
 def test_leaf_consistency_sees_a_wrong_neighbour():
     sim, _controller, job = _deploy(nodes=8)
     sim.run(until=60.0)
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     app = _live_apps(job)[0]
     app._sides[0] = app._sides[0][1:]
-    assert leaf_consistency(job) == 7 / 8
+    assert harness.consistency(job) == 7 / 8
 
 
 # A repair period outlasts the leafset call's timeout (1.5 s, one retry)
@@ -630,10 +630,10 @@ def test_leaf_sets_heal_within_three_repair_periods_of_a_crash(seed):
     sim, _controller, job = _deploy(nodes=20, seed=seed, repair_interval=5.0,
                                     churn_script="at 80s crash 10%\n")
     sim.run(until=79.0)
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     crashed = _run_until(sim, lambda: job.live_count == 18, 90.0)
-    assert crashed is not None and leaf_consistency(job) < 1.0
-    healed = _run_until(sim, lambda: leaf_consistency(job) == 1.0, crashed + 30.0)
+    assert crashed is not None and harness.consistency(job) < 1.0
+    healed = _run_until(sim, lambda: harness.consistency(job) == 1.0, crashed + 30.0)
     assert healed is not None and healed <= crashed + 3 * 5.0
 
 
@@ -644,12 +644,12 @@ def test_leaf_sets_heal_within_three_repair_periods_of_a_replace_wave(seed):
     sim, _controller, job = _deploy(nodes=20, seed=seed, slots=1, repair_interval=5.0,
                                     churn_script="at 80s replace 20%\n")
     sim.run(until=79.0)
-    assert leaf_consistency(job) == 1.0
+    assert harness.consistency(job) == 1.0
     before = {(i.app.me, i.instance_id) for i in job.live_instances()}
     joined = _run_until(sim, lambda: len(_live_apps(job)) == 20 and before != {
         (i.app.me, i.instance_id) for i in job.live_instances()}, 140.0)
     assert joined is not None
     after = {app.me for app in _live_apps(job)}
     assert after == {me for me, _instance in before}  # the same endpoints
-    healed = _run_until(sim, lambda: leaf_consistency(job) == 1.0, joined + 30.0)
+    healed = _run_until(sim, lambda: harness.consistency(job) == 1.0, joined + 30.0)
     assert healed is not None and healed <= joined + 3 * 5.0

@@ -92,6 +92,23 @@ def test_scenario_cli_exits_nonzero_below_min_success(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_scenario_cli_prints_host_time_and_peak_rss_after_the_network_line(capsys):
+    assert main(["chord", "--nodes", "10", "--hosts", "5", "--duration",
+                 "short", "--min-success", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    after = lines[[line.startswith("network: ") for line in lines].index(True) + 1]
+    assert re.fullmatch(r"host: deploy \d+\.\d\d s, run \d+\.\d\d s, "
+                        r"drain \d+\.\d\d s; peak RSS [1-9]\d* KB", after)
+
+
+def test_the_cli_has_no_bench_subcommand(capsys):
+    # the size sweep is two rows of tools/digest_matrix.py
+    with pytest.raises(SystemExit) as exited:
+        main(["bench"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, capsys):
     base = ["chord", "--nodes", "10", "--duration", "short"]
     assert main(base + ["--churn-script", str(tmp_path / "missing")]) == 2
@@ -113,9 +130,6 @@ def test_scenario_cli_rejects_unreadable_and_malformed_churn_files(tmp_path, cap
     ["chord", "--settle", "-50"],
     ["chord", "--hosts", "7667713"],
     ["chord", "--nodes", "16000000"],
-    ["bench", "--ctl-shards", "0"],
-    ["bench", "--scales", "20", "0"],
-    ["bench", "--jobs", "0"],
 ], ids=" ".join)
 def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
     # each of these used to end in a traceback (ZeroDivisionError, ValueError,

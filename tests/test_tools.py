@@ -5,8 +5,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 _REPO = Path(__file__).resolve().parent.parent
 _TOOLS = _REPO / "tools"
 
@@ -75,50 +73,6 @@ def test_gen_availability_trace_defaults_reproduce_the_bundled_file(tmp_path, ca
     status = gen.main(["--out", str(out)])
     assert status == 0
     assert out.read_text() == (_REPO / "traces" / "synthetic_overnet.trace").read_text()
-
-
-def _write_scale_csv(path):
-    from repro.apps.scenarios import write_bench_csv
-
-    rows = [  # written largest first: the reader sorts by size
-        {"workload": "chord", "nodes": 5000, "hosts": 2500,
-         "events_executed": 2500000, "events_per_sec": 45000.0,
-         "wall_sec": 55.0, "peak_rss_kb": 800000},
-        {"workload": "chord", "nodes": 1000, "hosts": 500,
-         "events_executed": 500000, "events_per_sec": 50000.0,
-         "wall_sec": 10.0, "peak_rss_kb": 200000},
-    ]
-    write_bench_csv(str(path), rows)
-
-
-def test_plot_scale_reads_only_scale_rows_and_derives_ratios(tmp_path, capsys):
-    plot_scale = _load("plot_scale")
-    csv_path = tmp_path / "bench_scale.csv"
-    _write_scale_csv(csv_path)
-    rows = plot_scale.read_scale_rows(str(csv_path))
-    assert [int(r["nodes"]) for r in rows] == [1000, 5000]
-    no_header = tmp_path / "other.csv"
-    no_header.write_text("latency_ms,fraction\n12.5,0.5\n")
-    with pytest.raises(ValueError, match="expected a 'scenarios bench' CSV"):
-        plot_scale.read_scale_rows(str(no_header))
-    status = plot_scale.main([str(csv_path)])
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "1000" in out and "5000" in out
-    # 200000/1000 = 200 KB/node at 1k; 800000/5000 = 160 KB/node at 5k
-    assert "KB-per-node ratio: 0.80x" in out
-    assert "events/sec ratio (scale_efficiency): 0.90x" in out
-    # 1e6/50000 = 20 us/event at 1k; 1e6/45000 = 22.22 at 5k
-    assert "per-event cost: 20.00 -> 22.22 us/event" in out
-
-
-def test_plot_scale_rejects_csv_without_scale_rows(tmp_path, capsys):
-    plot_scale = _load("plot_scale")
-    csv_path = tmp_path / "empty.csv"
-    csv_path.write_text("nodes,events_per_sec\n")
-    status = plot_scale.main([str(csv_path)])
-    assert status == 2
-    assert "no scale rows" in capsys.readouterr().err
 
 
 def test_work_counter_gate_fails_only_above_the_ceiling():
@@ -300,7 +254,7 @@ def test_heal_time_prints_each_seeds_heal_times_then_the_medians(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert status == 0
     assert lines[0].startswith("pastry: 40 nodes, crash 10% at 200 s; seconds "
-                               "until leaf_consistency >= 0.99 / = 1.0")
+                               "until consistency >= 0.99 / = 1.0")
     assert [line.split(": ")[0] for line in lines[1:]] == ["seed 0", "median"]
     to_most, to_all = (float(t) for t in lines[1].split(": ")[1].split(" / "))
     assert 0 < to_most <= to_all < heal.HORIZON_S
@@ -313,6 +267,7 @@ _CANNED_REPORT = """\
 virtual time: 540s   events: 40101
 measured lookups: 200/200 correct -> success rate 100.00%
 network: 18000 sent, 17990 delivered, 10 dropped, 2977958 bytes
+host: deploy 0.25 s, run 0.50 s, drain 1.25 s; peak RSS 52000 KB
 report digest: ace2c0254677d1c6
 """
 
@@ -320,12 +275,26 @@ report digest: ace2c0254677d1c6
 def test_digest_matrix_covers_the_committed_contract():
     matrix = _load("digest_matrix")
     configs = matrix.configurations()
-    assert len(configs) == len(set(configs)) == 20
+    assert len(configs) == len(set(configs)) == 22
+    assert configs[-2:] == list(matrix.SCALE)
     assert not any("--bw-alloc" in config for config in configs)
     committed = json.loads((_REPO / "DIGESTS.json").read_text())
     assert list(committed) == configs
+    # the host line is information: the row holds only what is deterministic
     assert matrix.parse_row(_CANNED_REPORT) == {
         "digest": "ace2c0254677d1c6", "events_executed": 40101, "bytes_sent": 2977958}
+    assert matrix.host_note(_CANNED_REPORT, 40101) == (
+        "host: deploy 0.25 s, run 0.50 s, drain 1.25 s; peak RSS 52000 KB; "
+        "20,050 events per wall second")
+
+
+def test_every_digest_matrix_row_is_a_valid_scenarios_command_line():
+    # a mistyped flag fails here, not two minutes into a matrix run
+    from repro.apps.scenarios import _parser
+
+    parser = _parser()
+    for config in _load("digest_matrix").configurations():
+        assert parser.parse_args(config.split()).min_success == 0
 
 
 def test_digest_matrix_names_every_row_that_moved_is_missing_or_extra():

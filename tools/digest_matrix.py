@@ -9,7 +9,8 @@ command line; its row in ``DIGESTS.json`` is what the run prints as its
 registered workload at ``--nodes 40 --seed 3 --min-success 0`` under five
 execution settings (plain, the flagship churn script, three controller
 shards with the sanitizer and churn, the bundled availability trace, the
-planetlab testbed with metrics and churn): 20 configurations.
+planetlab testbed with metrics and churn), then Chord at 1,000 and 5,000
+nodes (:data:`SCALE`): 22 configurations.
 
 * no flag: run the matrix and print it as JSON (nothing is written);
 * ``--check``: run it and compare with ``DIGESTS.json``; every row that
@@ -19,7 +20,11 @@ planetlab testbed with metrics and churn): 20 configurations.
 A change that must not move results leaves the file as it is; a change that
 moves some on purpose shows which ones in the diff of the file.  A run that
 exits non-zero (a sanitizer violation, a handler error) fails the tool.
-Stdlib only; about a minute of wall clock.
+Every row runs in its own interpreter; its progress line on stderr carries
+the run's ``host:`` line (phase wall times, peak RSS) and its events per
+wall second, as information that never enters ``DIGESTS.json``.  Stdlib
+only; about two minutes on a shared 2-core x86-64 box: ~15 s for the 20
+small rows, ~12 s for the 1k row and 65-90 s for the 5k row.
 """
 
 from __future__ import annotations
@@ -39,10 +44,18 @@ SETTINGS = ("", "--churn", "--ctl-shards 3 --sanitize --churn",
             "--churn-trace traces/synthetic_overnet.trace",
             "--testbed planetlab --metrics --churn")
 BASE = "--nodes 40 --seed 3 --min-success 0"
+#: Chord at SPLAY's evaluated size and at five times that; the join window
+#: and settle grow with 1 + log10(N / 1000) from 30 s / 20 s, so the 5k row
+#: measures per-node cost rather than a five times longer experiment
+SCALE = ("chord --nodes 1000 --seed 0 --join-window 30 --settle 20 "
+         "--lookups 100 --min-success 0",
+         "chord --nodes 5000 --seed 0 --join-window 50.969 --settle 33.979 "
+         "--lookups 100 --min-success 0")
 
 _EVENTS = re.compile(r"^virtual time: .*\bevents: (\d+)$", re.M)
 _BYTES = re.compile(r"^network: .*, (\d+) bytes$", re.M)
 _DIGEST = re.compile(r"^report digest: ([0-9a-f]+)$", re.M)
+_HOST = re.compile(r"^host: deploy ([\d.]+) s, run ([\d.]+) s, drain ([\d.]+) s; .*$", re.M)
 
 
 def registered() -> list:
@@ -58,7 +71,7 @@ def registered() -> list:
 def configurations() -> list:
     """Every command line of the matrix (the arguments after ``scenarios``)."""
     return [" ".join(filter(None, (workload, BASE, setting)))
-            for workload in registered() for setting in SETTINGS]
+            for workload in registered() for setting in SETTINGS] + list(SCALE)
 
 
 def parse_row(stdout: str) -> dict:
@@ -73,8 +86,16 @@ def parse_row(stdout: str) -> dict:
     return row
 
 
+def host_note(stdout: str, events: int) -> str:
+    """The report's ``host:`` line and events per wall second (information)."""
+    match = _HOST.search(stdout)
+    wall = sum(float(match.group(index)) for index in (1, 2, 3))
+    rate = f"{events / wall:,.0f}" if wall else "n/a"
+    return f"{match.group(0)}; {rate} events per wall second"
+
+
 def run(config: str) -> dict:
-    """One scenario run of this tree; its row."""
+    """One scenario run of this tree; its row (progress goes to stderr)."""
     environment = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "repro.apps.scenarios", *config.split()],
@@ -82,7 +103,10 @@ def run(config: str) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{config}: exited {done.returncode}\n"
                          f"{done.stdout}{done.stderr}")
-    return parse_row(done.stdout)
+    row = parse_row(done.stdout)
+    print(f"# {config}: {row['digest']}; "
+          f"{host_note(done.stdout, row['events_executed'])}", file=sys.stderr)
+    return row
 
 
 def differences(expected: dict, actual: dict) -> list:
@@ -111,10 +135,7 @@ def main(argv=None) -> int:
                       help=f"rewrite {DIGESTS.name}")
     args = parser.parse_args(argv)
 
-    actual = {}
-    for config in configurations():
-        actual[config] = run(config)
-        print(f"# {config}: {actual[config]['digest']}", file=sys.stderr)
+    actual = {config: run(config) for config in configurations()}
     if args.update:
         DIGESTS.write_text(json.dumps(actual, indent=2) + "\n")
         print(f"wrote {len(actual)} rows to {DIGESTS.name}")

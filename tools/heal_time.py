@@ -8,9 +8,9 @@ workload is set up (150 nodes with 32-bit identifiers on 75 transit-stub
 hosts, joins spread over 120 s), crashes ``--crash`` of the nodes at
 ``--at`` seconds, and reads the overlay's neighbour oracle every 0.25 s
 between ``sim.run`` slices, so no simulation event is added:
-``harness.consistency``, imported under the names every ``--ref`` tree has,
-``pastry.leaf_consistency`` (nearest leaf on each side right) or
-``chord.ring_consistency`` (successor and predecessor right).  Prints each
+``harness.consistency`` (Chord: successor and predecessor right; Pastry:
+the nearest leaf on each side right), or in a ``--ref`` tree that predates
+it, ``chord.ring_consistency`` / ``pastry.leaf_consistency``.  Prints each
 seed's seconds from the crash until the oracle first reads >= 0.99 and
 1.0, then the medians.  With ``--ref`` the same runs are made on commit
 ``REF`` unpacked with ``git archive`` (as ``tools/seed_sweep.py`` does) and
@@ -50,11 +50,18 @@ import json, sys
 from repro.apps import harness
 workload, nodes, crash, at, seed, sample, horizon, thresholds = json.loads(sys.argv[1])
 if workload == "pastry":
-    from repro.apps.pastry import leaf_consistency as oracle, pastry_factory as factory
+    from repro.apps.pastry import pastry_factory as factory
     options = {"bits": 32, "base_bits": 4}
 else:
-    from repro.apps.chord import chord_factory as factory, ring_consistency as oracle
+    from repro.apps.chord import chord_factory as factory
     options = {"bits": 32}
+try:
+    from repro.apps.harness import consistency as oracle
+except ImportError:  # a tree from before the one oracle
+    if workload == "pastry":
+        from repro.apps.pastry import leaf_consistency as oracle
+    else:
+        from repro.apps.chord import ring_consistency as oracle
 deployment = harness.deploy(
     workload, factory(), nodes=nodes, hosts=max(1, nodes // 2), seed=seed,
     testbed="transit-stub", options=options, join_window=120.0,
@@ -113,14 +120,13 @@ def main(argv=None) -> int:
     if args.at <= 120.0:
         parser.error("--at must fall after the 120 s join window")
 
-    oracle = "leaf_consistency" if args.workload == "pastry" else "ring_consistency"
     with tempfile.TemporaryDirectory(prefix="heal-time-") as scratch:
         trees = {"working tree": _REPO}
         if args.ref is not None:
             trees[args.ref] = Path(scratch)
             export_ref(args.ref, trees[args.ref])
         print(f"{args.workload}: {args.nodes} nodes, crash {args.crash} at {args.at:g} s; "
-              f"seconds until {oracle} >= 0.99 / = 1.0 ({' | '.join(trees)})", flush=True)
+              f"seconds until consistency >= 0.99 / = 1.0 ({' | '.join(trees)})", flush=True)
         runs = {name: [] for name in trees}
         for seed in range(args.seeds):
             for name, tree in trees.items():
