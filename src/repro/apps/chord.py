@@ -11,11 +11,13 @@ reach, and waits longer while they keep coming back unchanged.
 
 Every remote interaction goes through ``instance.rpc`` (and therefore the
 restricted socket): the application never touches the network object.
-Lookups are *iterative*: the querying node walks the ring one hop at a time
-via the ``step`` RPC, which keeps per-hop timeouts small and lets the walker
-route around nodes that died mid-lookup.  The walk and the join retry loop
-are :class:`repro.apps.harness.RoutingNode`'s, shared with Pastry; what is
-here is the protocol: handlers, maintenance, routing state.
+Lookups are *forwarded*: each node runs ``step`` on the walk and passes it
+to the next hop, which acknowledges it, so a hop costs one one-way delay and
+the node that held the walk routes around a next hop that died; the owner
+runs ``claim`` and answers the querying node directly.  The walk, its
+iterative fallback and the join retry loop are
+:class:`repro.apps.harness.RoutingNode`'s, shared with Pastry; what is here
+is the protocol: handlers, maintenance, routing state.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ class ChordNode(harness.RoutingNode):
         return {"mine": False, "node": predecessor}
 
     def _rpc_find_successor(self, key: int) -> Generator:
-        """Full lookup on behalf of a caller (used by joins)."""
-        owner, _hops = yield from self.lookup(int(key))
+        """Full lookup on behalf of a caller (used by joins): maintenance."""
+        owner, _hops = yield from self.lookup(int(key), maintenance=True)
         return owner
 
     def _rpc_notify(self, node) -> None:

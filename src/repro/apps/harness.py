@@ -53,7 +53,7 @@ from repro.net.address import NodeRef
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
-from repro.sim.futures import FutureCancelled
+from repro.sim.futures import Future, FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.rng import substream
@@ -617,10 +617,20 @@ class RoutingStats:
     hops_suspected: int = 0
     #: suspects purged because their confirming call got no answer either
     suspects_dead: int = 0
+    #: lookups whose deadline passed, so that the iterative walk ran
+    walks_recovered: int = 0
 
 
 class LookupFailed(Exception):
     """A lookup exhausted its hop budget or every route attempt failed."""
+
+
+#: what one routing decision of a walk says to do next (RoutingNode._decide)
+OWNER, CLAIM, STEP, AVOID = "owner", "claim", "step", "avoid"
+#: the walks a node remembers serving, to drop a retransmitted one: it comes
+#: within one hop's retransmission timeout (at most ``hop_timeout``) of the
+#: first copy
+WALKS_REMEMBERED = 8
 
 
 class RoutingNode(OverlayNode):
@@ -628,21 +638,23 @@ class RoutingNode(OverlayNode):
 
     Holds what such overlays share: the identifier width ``bits``, the
     per-hop RPC settings ``hop_timeout`` / ``hop_retries``, ``me`` with its
-    hashed identifier, the join retry loop, the one iterative :meth:`lookup`
-    walk and the liveness state: a call proves a node alive (:meth:`_heard`),
-    one that gets no answer purges it (:meth:`_note_dead`).  The overlay
-    supplies the ``step`` and ``claim`` handlers, :meth:`_join_via`,
-    ``_forget`` (the purge), ``neighbours()`` (next and previous node, for
-    :func:`consistency`), its hop budget ``max_hops``, ``refresh`` (the
-    :class:`BackoffTask` of its backed-off maintenance, stirred by a failed
-    lookup) and optionally ``_learned`` (told every node reference a walk
-    sees).
+    hashed identifier, the join retry loop, the one :meth:`lookup` walk —
+    forwarded from node to node (:meth:`_rpc_walk`), with the iterative
+    :meth:`_walk` as its recovery — and the liveness state: a call proves a
+    node alive (:meth:`_heard`), one that gets no answer purges it
+    (:meth:`_note_dead`).  The overlay supplies the ``step`` and ``claim``
+    handlers, :meth:`_join_via`, ``_forget`` (the purge), ``neighbours()``
+    (next and previous node, for :func:`consistency`), its hop budget
+    ``max_hops``, ``refresh`` (the :class:`BackoffTask` of its backed-off
+    maintenance, stirred by a failed lookup) and optionally ``_learned``
+    (told every node reference a walk sees).
 
-    A lookup hop waits the peer's retransmission timeout as the RPC service
-    estimates it (``rpc.rto``), at most ``hop_timeout``, with ``hop_retries``
-    retransmissions.  A hop that misses such a shortened deadline may only be
-    slow: the walk routes around it and :meth:`_confirm` asks it once more
-    with the full timeout before it is purged.
+    A hop that passes the walk on waits the next hop's acknowledgement for
+    the retransmission timeout the RPC service estimates (``rpc.rto``), at
+    most ``hop_timeout``, with ``hop_retries`` retransmissions.  A next hop
+    that misses such a shortened deadline may only be slow: the walk routes
+    around it and :meth:`_confirm` asks it once more with the full timeout
+    before it is purged.
     """
 
     refresh: BackoffTask
@@ -661,6 +673,14 @@ class RoutingNode(OverlayNode):
         self._dead: Dict[Tuple[str, int], None] = {}
         #: endpoints with a probe in flight: one call each at a time
         self._probing: set = set()
+        #: our lookups in flight: id -> [answer, stop, key], where ``stop``
+        #: cancels the deadline, or kills the iterative walk once it runs
+        self._lookups: Dict[int, list] = {}
+        self._lookup_ids = 0
+        #: the walks this node served lately, by the hash of (origin id,
+        #: lookup id, key, hops): a walk's hop count grows at every node
+        self._walks: Dict[int, None] = {}
+        self.instance.context.add_cleanup(self._drop_lookups)
 
     def _join(self, delay: float) -> None:
         self.events.thread(self._join_main, delay=delay,
@@ -685,116 +705,282 @@ class RoutingNode(OverlayNode):
                 yield 1.0 + self._rng.uniform(0.0, 1.0)
                 continue
             self._go_live()
-            # Announce ourselves right away instead of waiting a full period.
+            # Announce ourselves right away instead of waiting a full period
+            # (one-way: nothing was ever read from the reply).
             for node in neighbours:
-                self.rpc.a_call(node, "notify", self.me,
-                                timeout=self.hop_timeout, retries=0)
+                self.rpc.send(node, "notify", self.me)
             return
         self.log.error(f"node {self.me} could not join, giving up")
         self.events.exit()
 
     def lookup(self, key: int, maintenance: bool = False) -> Generator:
-        """Iteratively find the node owning ``key``; returns ``(owner, hops)``.
+        """Find the node owning ``key``; returns ``(owner, hops)``.
 
-        One ``step`` per node asked, then ``claim`` to confirm the owner.  Dead
-        hops go to an ``avoid`` set and the walk restarts from the local node,
-        so a lookup survives nodes failing underneath it while the overlay
-        itself stays connected.  A ``maintenance`` walk (the overlay's own)
-        counts its RPCs in ``stats.maintenance_rpcs``.
+        The walk is forwarded (:meth:`_rpc_walk`): this node runs ``step``
+        and passes the walk on, each hop does the same, and the node named
+        owner runs ``claim`` and answers here (:meth:`_rpc_found`).  When no
+        answer has come by the deadline — long enough for a walk that was
+        not lost —, the iterative walk (:meth:`_walk`) runs from here too,
+        and the first answer wins.  A ``maintenance`` walk (the overlay's
+        own) counts its messages in the ``stats.maintenance_rpcs`` of every
+        node that sends one.
         """
         key = key % (1 << self.bits)
         stats = self.stats
         stats.lookups_started += 1
-        tracer = self.rpc._tracer
+        rpc = self.rpc
+        tracer = rpc._tracer
+        sim = self.events.sim
         # the clock is read for the span only
-        started = self.events.sim.now if tracer is not None else 0.0
+        started = sim.now if tracer is not None else 0.0
+        self._lookup_ids = lookup_id = self._lookup_ids + 1
+        answer = Future()
+        # The deadline: a path twice this node's mean (its whole hop budget
+        # before it has one), one learned round trip a hop although a hop
+        # costs a one-way delay (the service's smoothed round trip, at most
+        # ``hop_timeout``), and one hop's retransmissions.  A walk still on
+        # its way answers, or reports its spent hop budget, within it.
+        hop_timeout, completed, srtt = self.hop_timeout, stats.lookups_completed, rpc._srtt
+        path = (min(2 * stats.hops_total / completed, self.max_hops) if completed
+                else self.max_hops)
+        deadline = sim.schedule(
+            path * (hop_timeout if srtt is None else min(hop_timeout, srtt))
+            + hop_timeout * (1 + self.hop_retries),
+            self._expired, lookup_id, key, maintenance)
+        self._lookups[lookup_id] = [answer, deadline.cancel, key]
+        # (the flag travels as an int: the message sizer counts ints inline)
+        self._rpc_walk(key, (), 0, self.max_hops, int(maintenance), self.me, lookup_id, 0)
+        try:
+            # answered here and now when this node owns the key
+            owner, hops = ((yield answer) if lookup_id in self._lookups
+                           else answer.result())
+        except LookupFailed:
+            stats.lookups_failed += 1
+            self.refresh.stir()
+            if tracer is not None:
+                tracer.add(self.me.ip, "lookup.failed", started, sim.now - started,
+                           cat="lookup", args={"key": key, "hops": self.max_hops})
+            if rpc._metrics is not None:
+                rpc._metrics.inc("lookup.failed")
+            raise
+        stats.lookups_completed += 1
+        stats.hops_total += hops
+        if tracer is not None:
+            # the spans of the walk's messages nest under this one
+            tracer.add(self.me.ip, "lookup", started, sim.now - started,
+                       cat="lookup", args={"key": key, "hops": hops})
+        registry = rpc._metrics
+        if registry is not None:
+            registry.inc("lookup.completed")
+            registry.observe("lookup.hops", hops)
+        return owner, hops
+
+    def _decide(self, reply: dict, holder: NodeRef, origin: NodeRef, avoid,
+                claims: int) -> tuple:
+        """One routing decision, the same in both walks: what ``holder``'s
+        answer ``reply`` to a ``step`` (``claims`` 0) or to the walk's
+        ``claims``-th ``claim`` says to do next.
+
+        Returns ``(OWNER, node)`` when ``node`` owns the key, ``(CLAIM,
+        node)`` or ``(STEP, node)`` for the next node to ask, and ``(AVOID,
+        node)`` when a step made no progress — the best route is the holder
+        itself or bounces back to ``origin`` —: ``node`` is the stuck hop,
+        avoided from the origin on.  An owner that is not bounces the claim
+        to the node it names, at most four claims in all; a bounce to the
+        claimer or to an avoided node is stale, and the claimer is accepted.
+        Ids hash the endpoint, so they stand for the nodes.
+        """
+        if claims:
+            if reply["mine"]:
+                return OWNER, holder
+            node = NodeRef.coerce(reply["node"])
+            if node.id == holder.id or node.id in avoid:
+                return OWNER, holder  # stale bounce; accept the claimer
+            if claims == 4:
+                return OWNER, node  # bounce budget spent; best known owner
+            return CLAIM, node
+        node = NodeRef.coerce(reply["node"])
+        if reply["done"]:
+            return CLAIM, node
+        if node.id == holder.id or (node.id == origin.id and holder.id != origin.id):
+            return AVOID, node
+        return STEP, node
+
+    def _rpc_walk(self, key: int, avoid: tuple, hops: int, max_hops: int,
+                  maintenance: int, origin: NodeRef, lookup_id: int, claims: int,
+                  *path: NodeRef) -> None:
+        """This node's part of a forwarded lookup: run the overlay's ``step``
+        (or, while ``claims`` counts the claims asked, ``claim``) here until
+        the walk leaves, by :meth:`_decide`'s rules.
+
+        The owner answers ``origin`` with a one-way ``found``; a step that
+        makes no progress sends the walk back to ``origin``.  The next hop
+        gets the walk as a call; one that does not acknowledge it within its
+        RTO (:meth:`_unanswered`), or refuses it, is avoided and the walk
+        steps here again.  A claim is one-way — when nothing is lost, a walk
+        sends two messages per remote node, as the iterative one does —
+        unless the overlay refuses the walk before a node joins
+        (``served_once_live``): a refusal must come back to the node that
+        named the owner.  A walk whose ``max_hops`` ran out answers ``origin``
+        with no owner.  The origin's deadline covers the one-way legs and a
+        walk lost with the hop that held it.  ``path`` is the nodes that
+        passed the walk on (the origin aside).  A retransmitted walk — its
+        acknowledgement was lost or late — is dropped: the first copy is on
+        its way.
+        """
+        walks = self._walks
+        seen = hash((origin.id, lookup_id, key, hops))  # an int: small to keep
+        if seen in walks:
+            return
+        walks[seen] = None
+        if len(walks) > WALKS_REMEMBERED:
+            del walks[next(iter(walks))]
+        me = self.me
+        me_id = me.id
+        while True:
+            if not claims and hops >= max_hops:
+                verdict, node = OWNER, None  # the budget is spent: no owner
+                break
+            reply = self._rpc_claim(key) if claims else self._rpc_step(key, avoid)
+            hops += 1
+            verdict, node = self._decide(reply, me, origin, avoid, claims)
+            if verdict is AVOID:
+                avoid += (node.id,)
+                claims = 0
+                if me_id == origin.id:
+                    continue
+                node = origin
+                break
+            if verdict is not OWNER:
+                claims = claims + 1 if verdict is CLAIM else 0
+                if node.id == me_id:
+                    continue  # our own step names us: claim here
+            break
+        if verdict is OWNER and me_id == origin.id:
+            self._rpc_found(lookup_id, key, node, hops, *path)
+            return
+        self.stats.maintenance_rpcs += maintenance
+        rpc = self.rpc
+        if verdict is OWNER:
+            rpc.send(origin, "found", lookup_id, key, node, hops, *path)
+            return
+        passed = path if me_id == origin.id else path + (me,)
+        if claims and "walk" not in self.served_once_live:
+            rpc.send(node, "walk", key, avoid, hops, max_hops, maintenance, origin,
+                     lookup_id, claims, *passed)
+            return
+        hop_timeout = self.hop_timeout
+        timeout = min(hop_timeout, rpc.rto.get(node.ip, rpc.rto_default))
+
+        def _unacked(ack: Future) -> None:
+            error = ack._exception
+            if isinstance(error, RpcError):  # not cancelled: we are alive
+                self._unanswered(node, error, timeout < hop_timeout, maintenance)
+                self._rpc_walk(key, avoid + (node.id,), hops + 1, max_hops,
+                               maintenance, origin, lookup_id, 0, *path)
+
+        rpc.a_call(node, "walk", key, avoid, hops, max_hops, maintenance, origin,
+                   lookup_id, claims, *passed, timeout=timeout,
+                   retries=self.hop_retries).add_done_callback(_unacked)
+
+    def _rpc_found(self, lookup_id: int, key: int, owner: Optional[NodeRef],
+                   hops: int, *path: NodeRef) -> None:
+        """The answer to one of our lookups (no ``owner``: its hop budget ran
+        out).  One that comes after the iterative walk answered, or that
+        answers another key — a walk of an earlier process at this endpoint
+        —, is dropped."""
+        entry = self._lookups.get(lookup_id)
+        if entry is None or entry[2] != key:
+            return
+        del self._lookups[lookup_id]
+        answer, stop, _key = entry
+        stop()
+        if owner is None:
+            answer.set_exception(LookupFailed(
+                f"lookup({key}) from {self.me} exceeded {self.max_hops} hops"))
+            return
+        learned = self._learned
+        if learned is not None:
+            for node in path:
+                learned(node)
+            learned(owner)
+        answer.set_result((owner, hops))
+
+    def _expired(self, lookup_id: int, key: int, maintenance: bool) -> None:
+        """A lookup's deadline passed with no answer: walk iteratively too."""
+        self.stats.walks_recovered += 1
+        # read first: a walk that ends in its first step pops the entry
+        entry = self._lookups[lookup_id]
+        entry[1] = self.events.thread(
+            self._recover, lookup_id, key, maintenance,
+            name=f"{self.instance.context.name}.recover").kill
+
+    def _recover(self, lookup_id: int, key: int, maintenance: bool) -> Generator:
+        """The iterative walk's race with the forwarded one: its outcome
+        answers the lookup unless the forwarded answer came first."""
+        try:
+            outcome = yield from self._walk(key, maintenance)
+        except LookupFailed as exc:
+            outcome = exc
+        entry = self._lookups.pop(lookup_id, None)
+        if entry is None:
+            return  # the forwarded walk answered first
+        if isinstance(outcome, LookupFailed):
+            entry[0].set_exception(outcome)
+        else:
+            entry[0].set_result(outcome)
+
+    def _drop_lookups(self) -> None:
+        """Teardown: a lookup in flight ends cancelled, as a pending call does."""
+        lookups, self._lookups = self._lookups, {}
+        for answer, stop, _key in lookups.values():
+            stop()
+            answer.cancel()
+
+    def _walk(self, key: int, maintenance: bool = False) -> Generator:
+        """The iterative walk, :meth:`lookup`'s recovery; returns ``(owner, hops)``.
+
+        This node asks one node at a time for its ``step``, then the owner
+        for its ``claim``, by :meth:`_decide`'s rules.  A node that does not
+        answer goes to ``avoid`` and the walk restarts from the local node,
+        so a lookup survives nodes failing underneath it while the overlay
+        itself stays connected.  A ``maintenance`` walk counts its RPCs in
+        ``stats.maintenance_rpcs``.
+        """
+        stats = self.stats
         learned = self._learned
         rpc, hop_timeout = self.rpc, self.hop_timeout
+        me = self.me
         avoid: set = set()
-        current = self.me
+        current, claims = me, 0
         hops = 0
-        while hops < self.max_hops:
-            if current == self.me:
-                response = self._rpc_step(key, list(avoid))
+        while claims or hops < self.max_hops:
+            if current == me:
+                reply = self._rpc_claim(key) if claims else self._rpc_step(key, list(avoid))
             else:
                 stats.maintenance_rpcs += maintenance
                 timeout = min(hop_timeout, rpc.rto.get(current.ip, rpc.rto_default))
+                args = (key,) if claims else (key, list(avoid))
                 try:
-                    response = yield rpc.call(current, "step", key, list(avoid),
-                                              timeout=timeout, retries=self.hop_retries)
+                    reply = yield rpc.call(current, "claim" if claims else "step",
+                                           *args, timeout=timeout, retries=self.hop_retries)
                 except RpcError as exc:
                     avoid.add(current.id)
                     self._unanswered(current, exc, timeout < hop_timeout, maintenance)
-                    current = self.me
+                    current, claims = me, 0
                     hops += 1
                     continue
             hops += 1
-            node = NodeRef.coerce(response["node"])
-            if learned is not None:
-                learned(node)
-            if response["done"]:
-                # Confirm ownership with the claimed owner; bounce along its
-                # neighbours if a recent joiner sits closer to the key.
-                owner = node
-                confirmed = None
-                for _bounce in range(4):
-                    if owner == self.me:
-                        claim = self._rpc_claim(key)
-                    else:
-                        stats.maintenance_rpcs += maintenance
-                        timeout = min(hop_timeout,
-                                      rpc.rto.get(owner.ip, rpc.rto_default))
-                        try:
-                            claim = yield rpc.call(owner, "claim", key, timeout=timeout,
-                                                   retries=self.hop_retries)
-                        except RpcError as exc:
-                            avoid.add(owner.id)
-                            self._unanswered(owner, exc, timeout < hop_timeout,
-                                             maintenance)
-                            break  # restart the walk from the local node
-                    hops += 1
-                    if claim["mine"]:
-                        confirmed = owner
-                        break
-                    candidate = NodeRef.coerce(claim["node"])
-                    if learned is not None:
-                        learned(candidate)
-                    if candidate == owner or candidate.id in avoid:
-                        confirmed = owner  # stale bounce; accept the claimer
-                        break
-                    owner = candidate
-                else:
-                    confirmed = owner  # bounce budget spent; best known owner
-                if confirmed is not None:
-                    stats.lookups_completed += 1
-                    stats.hops_total += hops
-                    if tracer is not None:
-                        # per-hop step/claim RPC spans nest under this one
-                        tracer.add(self.me.ip, "lookup", started,
-                                   self.events.sim.now - started, cat="lookup",
-                                   args={"key": key, "hops": hops})
-                    registry = rpc._metrics
-                    if registry is not None:
-                        registry.inc("lookup.completed")
-                        registry.observe("lookup.hops", hops)
-                    return confirmed, hops
-                current = self.me
-                continue
-            if node == current or (node == self.me and current != self.me):
-                # No progress: the remote's best route is itself or bounces
-                # back; blacklist the stuck hop and restart locally.
+            if learned is not None and "node" in reply:
+                learned(NodeRef.coerce(reply["node"]))
+            verdict, node = self._decide(reply, current, me, avoid, claims)
+            if verdict is OWNER:
+                return node, hops
+            if verdict is AVOID:
                 avoid.add(node.id)
-                current = self.me
+                current, claims = me, 0
                 continue
-            current = node
-        stats.lookups_failed += 1
-        self.refresh.stir()
-        if tracer is not None:
-            tracer.add(self.me.ip, "lookup.failed", started,
-                       self.events.sim.now - started, cat="lookup",
-                       args={"key": key, "hops": hops})
-        if rpc._metrics is not None:
-            rpc._metrics.inc("lookup.failed")
+            current, claims = node, (claims + 1 if verdict is CLAIM else 0)
         raise LookupFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
 
     def _unanswered(self, node: NodeRef, exc: RpcError, shortened: bool,
@@ -1050,7 +1236,8 @@ class LookupScenario(Scenario):
             return (sim.now, len(stats), sum(s.maintenance_rpcs for s in stats),
                     {name: sum(getattr(s, name) for s in stats)
                      for name in ("dead_nodes_noticed", "deaths_reported",
-                                  "hops_suspected", "suspects_dead")})
+                                  "hops_suspected", "suspects_dead",
+                                  "walks_recovered")})
 
         self._maintenance.append(reading())
         yield from stream
@@ -1076,7 +1263,8 @@ class LookupScenario(Scenario):
                                     if node_seconds else 0.0),
                 # over the whole run, by the nodes alive at its end: deaths
                 # found by a call that got no answer and from a death list,
-                # lookup hops that missed their RTO and the suspects purged
+                # lookup hops that missed their RTO, the suspects purged and
+                # the lookups the iterative walk recovered
                 **failures}
         return sections
 

@@ -9,11 +9,12 @@ a *leaf set* of its numerically closest neighbours on each side of the ring.
 Routing forwards to a node whose identifier shares a strictly longer prefix
 with the key, falling back to a numerically closer node with an equal
 prefix (the "rare case"), and terminates at the numerically closest member
-once the key lands inside a leaf set.  Lookups are the same *iterative*
-walk Chord uses (:meth:`repro.apps.harness.RoutingNode.lookup`): the querying
-node asks one node at a time for its ``step``, routes around nodes that die
-mid-lookup, and confirms ownership with a ``claim`` check so recent joins
-don't yield stale owners; every reference the walk sees is ``_learned``.
+once the key lands inside a leaf set.  Lookups are the same *forwarded*
+walk Chord uses (:meth:`repro.apps.harness.RoutingNode.lookup`): each node
+runs its ``step`` and passes the walk on, a hop routes around a next hop
+that does not acknowledge it, and the named owner confirms ownership with
+its ``claim`` check, so recent joins don't yield stale owners, and answers
+the querying node, which ``_learned``s every node on the path.
 
 Fault tolerance under churn comes from periodic leaf-set repair and
 routing-table maintenance (ask one table entry for its row), mirroring
@@ -24,8 +25,9 @@ leaf the caller skipped, and calls a counter-clockwise neighbour that has
 fallen silent.  The repair keeps its fixed period; the table probe waits
 twice as long after each reply that taught nothing, up to
 ``harness.BACKOFF_CAP`` times, and is back to its period on any change of
-the leaf set or table.  A node serves ``step`` and ``claim`` only once it
-has joined.
+the leaf set or table.  A node serves ``walk`` (and the fallback's ``step``
+and ``claim``) only once it has joined, so a claim is a call here: the node
+that names an owner hears a refusal and routes around it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class PastryNode(harness.RoutingNode):
     label = "pastry"
     #: a node still joining answers no routing: a replacement at a reused
     #: endpoint would otherwise claim keys with its empty leaf set
-    served_once_live = ("step", "claim")
+    served_once_live = ("step", "claim", "walk")
 
     def _configure(self, options: dict) -> None:
         super()._configure(options)
@@ -153,8 +155,8 @@ class PastryNode(harness.RoutingNode):
         return {"mine": False, "node": best}
 
     def _rpc_find_owner(self, key: int) -> Generator:
-        """Full lookup on behalf of a caller (used by joins)."""
-        owner, _hops = yield from self.lookup(int(key))
+        """Full lookup on behalf of a caller (used by joins): maintenance."""
+        owner, _hops = yield from self.lookup(int(key), maintenance=True)
         return owner
 
     # Replies travel by reference: hand out only what is never mutated again.

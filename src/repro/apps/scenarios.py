@@ -101,6 +101,8 @@ def _print_report(report: dict, spec: type[harness.Scenario]) -> None:
         print(f"lookup hops past their RTO: {maintenance['hops_suspected']}, "
               f"{maintenance['suspects_dead']} of them purged when the "
               f"confirming call got no answer either")
+        print(f"lookups recovered by the iterative walk: "
+              f"{maintenance['walks_recovered']}")
     workload = report.get("workload") or {}
     for key in spec.report_lines:
         if key in workload:

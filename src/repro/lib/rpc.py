@@ -13,9 +13,11 @@ client side offers two calling conventions mirroring the paper's API:
   the calling coroutine, which resumes with the remote return value (or has
   :class:`RpcTimeout`/:class:`RpcError` raised at the yield point);
 * ``a_call`` — *asynchronous*: the future is observed via callbacks (or
-  simply ignored, fire-and-forget).
+  simply ignored, fire-and-forget);
+* ``send`` — *one-way*: the handler runs at the callee and nothing answers,
+  not even an error, so a lost or refused message is the caller's to notice.
 
-Both take per-call ``timeout`` and ``retries``.  Retries reuse the same call
+``call`` and ``a_call`` take per-call ``timeout`` and ``retries``.  Retries reuse the same call
 identifier, so a late reply to an earlier attempt still completes the call
 (at-least-once, idempotent-handler semantics — exactly what UDP RPC gives
 the original system).  All traffic flows through the
@@ -84,7 +86,7 @@ class RpcStats:
 
 
 #: payload keys — kept short since they travel in every RPC message
-_CALL, _REPLY = "call", "reply"
+_CALL, _REPLY, _SEND = "call", "reply", "send"
 _PENDING = FutureState.PENDING
 _INFINITY = float("inf")
 #: Wire sizes of the three envelope shapes with their per-message slots empty:
@@ -93,6 +95,7 @@ _INFINITY = float("inf")
 _CALL_SIZE = envelope_size({"rpc": _CALL, "id": None, "method": "", "args": None})
 _OK_SIZE = envelope_size({"rpc": _REPLY, "id": None, "ok": True, "value": None})
 _ERROR_SIZE = envelope_size({"rpc": _REPLY, "id": None, "ok": False, "error": ""})
+_SEND_SIZE = envelope_size({"rpc": _SEND, "method": "", "args": None})
 
 
 class RpcService:
@@ -183,11 +186,15 @@ class RpcService:
             return  # not RPC traffic; other listeners may handle it
         rpc = payload.get("rpc")
         if rpc == _CALL:
-            self._serve_call(message, payload)
+            self._serve_call(message, payload, message.src)
         elif rpc == _REPLY:
             self._accept_reply(payload, message.src.ip)
+        elif rpc == _SEND:
+            self._serve_call(message, payload, None)
 
-    def _serve_call(self, message: Message, payload: dict) -> None:
+    def _serve_call(self, message: Message, payload: dict,
+                    reply_to: Optional[Address]) -> None:
+        """Run the handler; answer ``reply_to`` (``None``: a one-way call)."""
         stats = self._stats or self.stats  # the property allocates
         stats.calls_received += 1
         call_id = payload.get("id")
@@ -195,14 +202,14 @@ class RpcService:
         args = payload.get("args", [])
         handler = self._handlers.get(method) or self._builtin(method)
         if handler is None:
-            self._send_reply(message.src, call_id, ok=False,
+            self._send_reply(reply_to, call_id, ok=False,
                              error=f"unknown method: {method}")
             return
         try:
             result = handler(*args)
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             self._handler_raised(method, exc)
-            self._send_reply(message.src, call_id, ok=False, error=repr(exc))
+            self._send_reply(reply_to, call_id, ok=False, error=repr(exc))
             return
         tracer = self._tracer
         if type(result) is GeneratorType:
@@ -219,9 +226,9 @@ class RpcService:
                     tracer.add(self.socket.local.ip, f"serve.{method}",
                                started, self.sim.now - started, cat="rpc")
                 if fut.state is FutureState.DONE:
-                    self._send_reply(message.src, call_id, ok=True, value=fut.result())
+                    self._send_reply(reply_to, call_id, ok=True, value=fut.result())
                 elif fut.state is FutureState.FAILED:
-                    self._send_reply(message.src, call_id, ok=False,
+                    self._send_reply(reply_to, call_id, ok=False,
                                      error=repr(fut.exception()))
                 # Cancelled (instance killed): no reply — the caller times out,
                 # exactly as with a crashed remote process.
@@ -233,7 +240,7 @@ class RpcService:
                 # Synchronous handler: zero-duration span at the serve instant.
                 tracer.add(self.socket.local.ip, f"serve.{method}",
                            self.sim.now, 0.0, cat="rpc")
-            self._send_reply(message.src, call_id, ok=True, value=result)
+            self._send_reply(reply_to, call_id, ok=True, value=result)
 
     def _builtin(self, method: str) -> Optional[Callable[..., Any]]:
         """The handler every service has unless the application registered the name."""
@@ -253,6 +260,8 @@ class RpcService:
 
     def _send_reply(self, dst: Address, call_id: Any, ok: bool,
                     value: Any = None, error: Optional[str] = None) -> None:
+        if dst is None:
+            return  # a one-way call (``send``) is never answered
         # The caller chose the id: anything but an int is sized the long way.
         size = len(str(call_id)) if type(call_id) is int else _approx_size(call_id)
         if ok:
@@ -292,6 +301,18 @@ class RpcService:
     #: is the very same implementation as :meth:`a_call` — a forwarding
     #: wrapper here cost a measurable slice of every RPC at 10k nodes.
     call = a_call
+
+    def send(self, dst: "Address | NodeRef | dict | str", method: str, *args: Any) -> None:
+        """One-way call: ``method`` runs at ``dst``, and no reply, result or
+        error comes back.  The message carries no call id."""
+        args = list(args)
+        stats = self._stats or self.stats  # the property allocates
+        stats.calls_sent += 1
+        try:
+            self.socket.send(dst, {"rpc": _SEND, "method": method, "args": args},
+                             _SEND_SIZE + len(method) + _approx_size(args))
+        except SocketRestrictionError:
+            stats.send_failures += 1
 
     def ping(self, dst: "Address | NodeRef | dict | str",
              timeout: Optional[float] = None) -> Future:

@@ -16,6 +16,8 @@ from repro.sim.futures import FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.rng import substream
+from test_overlay_state import _deadline, _walking
+from test_pastry import _dropping_first
 
 BITS = 16
 
@@ -187,7 +189,9 @@ def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeyp
     assert rounds >= 16 * 100.0 / 2.5  # every node stabilized all along
     assert sent["stabilize"] == rounds
     assert not {"get_predecessor", "successor_list", "notify", "__ping__"} & set(sent)
-    assert set(sent) <= {"stabilize", "step", "claim"}
+    # a lookup's calls are the forwarded walk's hops; its claim and answer
+    # are one-way sends
+    assert set(sent) <= {"stabilize", "walk"}
     assert harness.consistency(job) == 1.0
 
 
@@ -324,7 +328,7 @@ def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node(
 
 def _hop_waits(monkeypatch, app):
     """``(method, timeout)`` of the ``step`` and ``claim`` calls ``app`` sends
-    from now on."""
+    from now on (the iterative walk's, which recovers a lookup)."""
     waits = []
     calling = RpcService.a_call
 
@@ -348,7 +352,7 @@ def test_a_hop_waits_its_host_rto_and_never_longer_than_hop_timeout(monkeypatch)
         rpc.rto.update(rto)
         rpc.rto_default = default
         del waits[:]
-        yield from app.lookup(key)
+        yield from app._walk(key)
 
     inf = float("inf")
     # the successor's id is a local step and a claim to the successor; the
@@ -381,7 +385,7 @@ def test_a_hop_that_misses_the_full_hop_timeout_is_purged_without_a_confirming_c
     def walk():
         app.rpc.rto.clear()
         app.rpc.rto_default = float("inf")
-        return (yield from app.lookup(successor.id))
+        return (yield from app._walk(successor.id))
 
     walker = Process(sim, walk(), name="test-lookup")
     walker.start()
@@ -391,6 +395,201 @@ def test_a_hop_that_misses_the_full_hop_timeout_is_purged_without_a_confirming_c
     assert app.stats.hops_suspected == app.stats.suspects_dead == 0
     assert app.stats.dead_nodes_noticed > noticed
     assert successor not in app.successors
+
+
+# ------------------------------------------------------- the forwarded walk
+def _route(apps, origin, key):
+    """What the forwarded walk of ``key`` from ``origin`` does on a quiet
+    ring, read off the steps with no message: the nodes that step it and the
+    owner the last one names."""
+    by_ref = {app.me: app for app in apps}
+    path = [origin]
+    while True:
+        response = path[-1]._rpc_step(key, [])
+        if response["done"]:
+            return path, response["node"]
+        path.append(by_ref[response["node"]])
+
+
+def _far_key(apps, origin, remote_hops):
+    """A key whose walk from ``origin`` steps at ``remote_hops`` other nodes
+    at least, with its path and owner."""
+    for key in range(1, 1 << BITS, 97):
+        path, owner = _route(apps, origin, key)
+        if len(path) > remote_hops:
+            return key, path, owner
+    raise AssertionError("no key that far")
+
+
+def _lookup_messages(monkeypatch):
+    """``(sender, method)`` of every lookup message any node sends from now
+    on: the forwarded walk's calls and one-way sends, the iterative walk's
+    calls."""
+    sent = []
+    calling, sending = RpcService.a_call, RpcService.send
+
+    def recording_call(service, dst, method, *args, **kwargs):
+        if method in ("walk", "step", "claim"):
+            sent.append((service.socket.local, method))
+        return calling(service, dst, method, *args, **kwargs)
+
+    def recording_send(service, dst, method, *args):
+        sent.append((service.socket.local, method))
+        return sending(service, dst, method, *args)
+
+    monkeypatch.setattr(RpcService, "a_call", recording_call)
+    monkeypatch.setattr(RpcService, "call", recording_call)
+    monkeypatch.setattr(RpcService, "send", recording_send)
+    return sent
+
+
+def test_a_lost_forward_is_sent_again_by_the_hop_after_its_rto_and_the_origin_sends_nothing(
+        monkeypatch):
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    origin = apps[0]
+    key, path, _owner = _far_key(apps, origin, 2)
+    hop, following = path[1], path[2]
+    lost = _dropping_first(monkeypatch, hop.me, following.me, "walk")
+    sent = _lookup_messages(monkeypatch)
+    retries = hop.rpc.stats.retries
+    started = sim.now
+    box = _walking(sim, origin, key)
+    _run_until(sim, lambda: "result" in box, started + 5.0, step=0.01)
+    assert box["result"][0] == _expected_owner(job, key)
+    assert lost == [started + 0.010]  # one leg after the start
+    assert hop.rpc.stats.retries == retries + 1
+    # the origin sent its first forward and nothing more: no second walk
+    assert [method for sender, method in sent if sender == origin.me.address] == ["walk"]
+    assert origin.stats.walks_recovered == 0
+    # the hop waited its RTO to the next hop (the floor here), not hop_timeout
+    assert box["at"] - started < 0.020 * len(path) + 0.3
+
+
+def test_a_retransmitted_walk_is_passed_on_once(monkeypatch):
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    origin = apps[0]
+    key, path, _owner = _far_key(apps, origin, 2)
+    hop, following = path[1], path[2]
+    # the following node's acknowledgement of the walk is lost: the hop sends
+    # the walk again, and the following node gets it twice
+    acks = []
+    send = Network.send
+
+    def losing_ack(network, src, dst, payload, size):
+        if (not acks and (src.ip, src.port) == (following.me.ip, following.me.port)
+                and (dst.ip, dst.port) == (hop.me.ip, hop.me.port)
+                and type(payload) is dict and payload.get("rpc") == "reply"
+                and payload.get("ok") and payload.get("value") is None):
+            acks.append(network.sim.now)
+            return
+        send(network, src, dst, payload, size)
+
+    monkeypatch.setattr(Network, "send", losing_ack)
+    sent = _lookup_messages(monkeypatch)
+    retries = hop.rpc.stats.retries
+    box = _walking(sim, origin, key)
+    _run_until(sim, lambda: "result" in box, sim.now + 5.0, step=0.01)
+    sim.run(until=sim.now + 2 * hop.hop_timeout)  # past the retransmission
+    assert acks and hop.rpc.stats.retries == retries + 1
+    assert box["result"][0] == _expected_owner(job, key)
+    # it passed the walk on once: the second copy was dropped
+    assert len([method for sender, method in sent
+                if sender == following.me.address]) == 1
+    assert origin.stats.walks_recovered == 0
+
+
+def test_an_answer_for_another_key_is_dropped():
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    origin = apps[0]
+    key, _path, _owner = _far_key(apps, origin, 2)
+    box = _walking(sim, origin, key)
+    sim.run(until=sim.now + 0.001)  # the walk has left the origin
+    (lookup_id,) = origin._lookups
+    # the answer to the same lookup id of an earlier process at this endpoint
+    origin._rpc_found(lookup_id, (key + 1) % (1 << BITS), apps[1].me, 1)
+    assert lookup_id in origin._lookups and "result" not in box
+    _run_until(sim, lambda: "result" in box, sim.now + 5.0, step=0.01)
+    assert box["result"][0] == _expected_owner(job, key)
+
+
+def test_a_walk_that_spends_its_hop_budget_fails_at_once():
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    origin = apps[0]
+    key, _path, _owner = _far_key(apps, origin, 3)
+    origin.max_hops = 2  # the budget travels with the walk
+    box = {}
+
+    def _gen():
+        try:
+            yield from origin.lookup(key)
+        except LookupFailed as exc:
+            box["error"] = exc
+        box["at"] = sim.now
+
+    started = sim.now
+    Process(sim, _gen(), name="test-lookup").start()
+    _run_until(sim, lambda: "at" in box, started + 5.0, step=0.01)
+    assert isinstance(box.get("error"), LookupFailed)
+    # the node that spent the budget answered: no deadline, no iterative walk
+    assert box["at"] - started < 0.1
+    assert origin.stats.walks_recovered == 0 and not origin._lookups
+
+
+def test_a_walk_lost_with_the_hop_that_held_it_is_recovered_by_the_iterative_walk(
+        monkeypatch):
+    sim, controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    origin = apps[0]
+    key, path, _owner = _far_key(apps, origin, 2)
+    hop, following = path[1], path[2]
+    # the hop's forward is lost, and the hop dies before it sends it again
+    lost = _dropping_first(monkeypatch, hop.me, following.me, "walk")
+    started = sim.now
+    box = _walking(sim, origin, key)
+    _run_until(sim, lambda: bool(lost), started + 1.0, step=0.001)
+    controller.kill_instance(hop.instance, failed=True)
+    deadline = _deadline(origin)
+    # longer than one hop's retransmissions by a path of round trips
+    assert deadline > (1 + origin.hop_retries) * origin.hop_timeout + 2 * 0.020
+    _run_until(sim, lambda: "result" in box, started + deadline + 30.0)
+    assert box["result"][0] == _expected_owner(job, key)
+    assert origin.stats.walks_recovered == 1
+    # the iterative walk ran once the deadline passed, and answered at once
+    assert deadline < box["at"] - started < deadline + 1.0
+    assert not origin._lookups
+
+
+def test_a_walk_run_for_a_joiner_counts_as_maintenance_wherever_it_sends(monkeypatch):
+    sim, _controller, job = _converged(nodes=16)
+    apps = _live_apps(job)
+    bootstrap = apps[0]
+    key, _path, _owner = _far_key(apps, bootstrap, 2)
+    sent = _lookup_messages(monkeypatch)
+    calling = RpcService.a_call  # the recorder: count stabilize rounds and pings too
+    maintenance_calls = []
+
+    def counting(service, dst, method, *args, **kwargs):
+        if method in ("stabilize", "__ping__"):
+            maintenance_calls.append(method)
+        return calling(service, dst, method, *args, **kwargs)
+
+    monkeypatch.setattr(RpcService, "a_call", counting)
+    monkeypatch.setattr(RpcService, "call", counting)
+    before = sum(app.stats.maintenance_rpcs for app in apps)
+    # what a joiner's find_successor call runs at the node it asks
+    walk = Process(sim, bootstrap._rpc_find_successor(key), name="test-join-walk")
+    walk.start()
+    _run_until(sim, walk.done.done, sim.now + 5.0, step=0.01)
+    assert walk.done.result() == _expected_owner(job, key)
+    walked = [method for _sender, method in sent]
+    assert walked.count("walk") >= 3 and walked.count("found") == 1
+    # every message of the walk, at the node that sent it, and nothing else
+    assert (sum(app.stats.maintenance_rpcs for app in apps) - before
+            == len(walked) + len(maintenance_calls))
 
 
 def test_a_joiner_is_spliced_into_the_ring_within_three_stabilize_periods():

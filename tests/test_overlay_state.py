@@ -37,8 +37,10 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
+from repro.sim.futures import FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+from repro.sim.sanitizer import Sanitizer
 from repro.sim.rng import substream
 from test_memory import no_collector  # noqa: F401 - fixture: gc.disable() around the test
 
@@ -104,6 +106,149 @@ def test_the_node_base_keeps_its_contract_for_every_application(no_collector, no
 
 def test_chord_and_pastry_share_one_lookup_walk():
     assert ChordNode.lookup is PastryNode.lookup
+    assert ChordNode._rpc_walk is PastryNode._rpc_walk
+    assert ChordNode._walk is PastryNode._walk
+
+
+# ------------------------------------------------------ the forwarded walk
+def _strict(sim, controller):
+    sanitizer = Sanitizer(sim, strict=True).install()
+    sanitizer.watch_network(controller.network)
+    return sanitizer
+
+
+def _walking(sim, app, key):
+    """Start ``app.lookup(key)``; the box gets the result (or the error) and
+    the time it came."""
+    box = {}
+
+    def _gen():
+        try:
+            box["result"] = yield from app.lookup(key)
+        except FutureCancelled as exc:
+            box["error"] = exc
+        box["at"] = sim.now
+
+    Process(sim, _gen(), name="test-lookup").start()
+    return box
+
+
+def _deadline(app):
+    """When a lookup of ``app`` started now gives its forwarded walk up: a
+    path twice its mean at one smoothed round trip a hop, and one hop's
+    retransmissions."""
+    stats = app.stats
+    path = min(2 * stats.hops_total / stats.lookups_completed, app.max_hops)
+    return (path * min(app.hop_timeout, app.rpc._srtt)
+            + app.hop_timeout * (1 + app.hop_retries))
+
+
+def _run_for(sim, box, patience):
+    deadline = sim.now + patience
+    while "at" not in box and sim.now < deadline:
+        sim.run(until=sim.now + 0.001)
+
+
+def _nothing_left(apps, sim):
+    """No node holds a pending call, lookup or deadline of a walk."""
+    assert all(app.rpc.pending_calls == 0 and not app._lookups for app in apps)
+    assert not any(getattr(entry[2].callback, "__self__", None) in apps
+                   and not entry[2].cancelled for entry in sim._queue
+                   if getattr(entry[2].callback, "__name__", "") == "_expired")
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_a_lookup_asking_k_remote_nodes_takes_k_plus_two_delays_not_two_k_plus_two(
+        node_class):
+    delay = 0.010  # _deploy's ConstantLatency
+    sim, _controller, job = _deploy(node_class.factory(), nodes=40)
+    sim.run(until=80.0)
+    origin = job.live_instances()[0].app
+    asked = set()
+    for key in range(1, 1 << BITS, 1 << (BITS - 6)):
+        box = _walking(sim, origin, key)
+        started = sim.now
+        _run_for(sim, box, 1.0)
+        owner, hops = box["result"]
+        # hops: our own step, one per remote node that stepped (k), the claim
+        remote = hops - 2
+        if remote < 1 or owner == origin.me:  # (our own claim is no message)
+            continue
+        asked.add(remote)
+        # k forwards, the claim (none when the last hop owns the key) and the
+        # answer; the 10 Mbps access links add a little to every message
+        forwarded = box["at"] - started
+        assert forwarded <= (remote + 2) * delay * 1.05
+        walk = Process(sim, origin._walk(key), name="test-walk")
+        started = sim.now
+        walk.start()
+        while not walk.done.done():
+            sim.run(until=sim.now + 0.001)
+        # the iterative walk: a round trip per remote node asked
+        assert walk.done.result() == (owner, hops)
+        assert sim.now - started >= 2 * (remote + 1) * delay
+    assert max(asked) >= 2
+    assert origin.stats.walks_recovered == 0
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_an_origin_killed_mid_walk_leaves_no_call_timer_or_lookup_behind(node_class):
+    sim, controller, job = _deploy(node_class.factory(), nodes=12)
+    sanitizer = _strict(sim, controller)
+    try:
+        sim.run(until=80.0)
+        apps = [instance.app for instance in job.live_instances()]
+        origin = apps[0]
+        box = _walking(sim, origin, (origin.me.id + (1 << (BITS - 1))) % (1 << BITS))
+        sim.run(until=sim.now + 0.015)  # the walk has left the origin
+        assert origin._lookups and "at" not in box
+        controller.kill_instance(origin.instance, failed=True)
+        sim.run(until=sim.now + 10.0)
+        assert isinstance(box["error"], FutureCancelled)
+        _nothing_left(apps, sim)
+        assert sanitizer.violation_count == 0
+    finally:
+        sanitizer.uninstall()
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_an_answer_that_comes_after_the_recovery_answered_is_dropped(
+        monkeypatch, node_class):
+    sim, controller, job = _deploy(node_class.factory(), nodes=12)
+    sanitizer = _strict(sim, controller)
+    try:
+        sim.run(until=80.0)
+        apps = [instance.app for instance in job.live_instances()]
+        origin = apps[0]
+        # hold the walk's answer back until the iterative walk has answered
+        held = []
+        send = Network.send
+
+        def holding(network, src, dst, payload, size):
+            if payload.get("method") == "found" and not held:
+                held.append((network, src, dst, payload, size))
+                return
+            send(network, src, dst, payload, size)
+
+        monkeypatch.setattr(Network, "send", holding)
+        key = (origin.me.id + (1 << (BITS - 1))) % (1 << BITS)
+        box = _walking(sim, origin, key)
+        started = sim.now
+        _run_for(sim, box, _deadline(origin) + 10.0)
+        assert held and origin.stats.walks_recovered == 1
+        assert box["at"] - started > _deadline(origin)
+        late = held[0][3]["args"]
+        assert tuple(late[2:4]) == box["result"]  # the same answer, too late
+        send(*held[0])
+        sim.run(until=sim.now + 5.0)
+        assert box["result"][0] == origin.me or box["result"][0] in {a.me for a in apps}
+        _nothing_left(apps, sim)
+        assert sanitizer.violation_count == 0
+    finally:
+        sanitizer.uninstall()
 
 
 @pytest.mark.parametrize("node_class", [ChordNode, PastryNode],

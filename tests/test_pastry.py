@@ -494,19 +494,42 @@ def test_a_hop_whose_first_request_is_lost_costs_one_rto_on_planetlab(monkeypatc
     sim.run(until=deployment.warmup_end)
     # an origin whose nearest clockwise leaf (called every repair round, so
     # its round trip is known) is near; the key is that leaf's own id: the
-    # walk is the local step and one claim
+    # iterative walk (a lookup's recovery) is the local step and one claim
     origin, owner = next(
         (app, app._sides[0][0]) for app in harness.joined_apps(deployment.job)
         if app._sides[0] and network.one_way_delay(app.me.ip, app._sides[0][0].ip) < 0.1)
     assert origin.rpc.rto[owner.ip] < 0.3
     lost = _dropping_first(monkeypatch, origin.me, owner, "claim")
     started = sim.now
-    walk = Process(sim, origin.lookup(owner.id), name="test-lookup")
+    walk = Process(sim, origin._walk(owner.id), name="test-lookup")
     walk.start()
     finished = _run_until(sim, walk.done.done, started + 5.0, step=0.01)
     assert walk.done.result() == (owner, 2) and lost == [started]
     # the claim went again after its RTO, not after hop_timeout (1.5 s)
     assert finished - started < 0.5
+
+
+def test_a_forwarded_claim_whose_first_attempt_is_lost_costs_one_rto_on_planetlab(
+        monkeypatch):
+    # Pastry refuses the walk before a node joins, so a claim is a call: the
+    # node that sends it (here the origin, whose own step named the owner)
+    # sends it again after its RTO
+    deployment = harness.deploy("pastry", pastry_factory(), nodes=30, hosts=15, seed=2,
+                                testbed="planetlab", duration="short")
+    sim, network = deployment.sim, deployment.network
+    sim.run(until=deployment.warmup_end)
+    origin, owner = next(
+        (app, app._sides[0][0]) for app in harness.joined_apps(deployment.job)
+        if app._sides[0] and network.one_way_delay(app.me.ip, app._sides[0][0].ip) < 0.1)
+    assert origin.rpc.rto[owner.ip] < 0.3
+    lost = _dropping_first(monkeypatch, origin.me, owner, "walk")
+    started = sim.now
+    walk = Process(sim, origin.lookup(owner.id), name="test-lookup")
+    walk.start()
+    finished = _run_until(sim, walk.done.done, started + 5.0, step=0.01)
+    assert walk.done.result() == (owner, 2) and lost == [started]
+    assert finished - started < 0.5
+    assert origin.stats.walks_recovered == 0
 
 
 def test_a_live_peer_slower_than_its_rto_is_suspected_but_never_purged_by_a_lookup():
@@ -589,7 +612,8 @@ def test_a_replacement_at_the_same_endpoint_answers_no_routing_until_joined():
     replacement = fresh.app
     assert replacement.me == victim.me and not replacement.joined
 
-    for method, args in (("step", (key, [])), ("claim", (key,))):
+    for method, args in (("step", (key, [])), ("claim", (key,)),
+                         ("walk", (key, (), 0, origin.max_hops, 0, origin.me, 1, 0))):
         assert "error" in _call(sim, origin, replacement.me, method, *args)
         assert not replacement.joined
     deadline = sim.now + 120.0

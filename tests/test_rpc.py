@@ -233,6 +233,24 @@ def test_envelope_sizes_equal_the_serializers_walk_for_every_envelope_shape():
     assert len(network.checked) == 300 == network.stats.messages_delivered
 
 
+def test_a_one_way_call_runs_its_handler_and_nothing_answers_it():
+    sim = Simulator(7)
+    network = _SizeCheckingNetwork(sim, latency=ConstantLatency(0.010), seed=7)
+    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
+    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
+    seen = []
+    server.register("note", lambda *args: seen.append(args))
+    me = NodeRef("10.0.0.1", 1000, 3405691582)
+    client.send("10.0.0.2:1000", "note", 7, me, (me,), None)
+    client.send("10.0.0.2:1000", "missing", "refused, and silently")
+    sim.run()
+    assert seen == [(7, me, (me,), None)]
+    # the network checked both sizes; no reply, not even the refusal's
+    assert [p["rpc"] for p in network.checked] == ["send", "send"]
+    assert client.stats.calls_sent == 2 and client.pending_calls == 0
+    assert server.stats.calls_received == 2 and server.stats.replies_sent == 0
+
+
 def test_a_reply_to_a_hand_made_call_with_a_non_integer_id_is_sized_the_long_way():
     sim = Simulator(7)
     network = _SizeCheckingNetwork(sim, latency=ConstantLatency(0.010), seed=7)

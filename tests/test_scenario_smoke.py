@@ -101,6 +101,14 @@ def test_scenario_cli_prints_host_time_and_peak_rss_after_the_network_line(capsy
                         r"drain \d+\.\d\d s; peak RSS [1-9]\d* KB", after)
 
 
+def test_a_converged_lossless_ring_recovers_no_lookup_with_the_iterative_walk(capsys):
+    assert main(["chord", "--nodes", "40", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    after = lines[[line.startswith("lookup hops past their RTO: ")
+                   for line in lines].index(True) + 1]
+    assert after == "lookups recovered by the iterative walk: 0"
+
+
 def test_the_cli_has_no_bench_subcommand(capsys):
     # the size sweep is two rows of tools/digest_matrix.py
     with pytest.raises(SystemExit) as exited:

@@ -32,12 +32,14 @@ from repro.testbeds.presets import (
 #: began to resume inside the event completing their future (only
 #: ``events_executed`` moved), the two Chord rows again when Chord's
 #: maintenance became one periodic task and a backed-off far-finger
-#: refresh, and the churn row when lookup hops began to wait the peer's
-#: learned RTO (the stable row did not move); the testbed code did not move.
+#: refresh, the churn row when lookup hops began to wait the peer's
+#: learned RTO (the stable row did not move), and the two Chord rows when
+#: a lookup became a walk forwarded from hop to hop and a join's
+#: announcement a one-way call; the testbed code did not move.
 PRE_TESTBEDS_DIGESTS = {
-    "chord-stable": "dc62d14a09891afe",
+    "chord-stable": "36f7a18897cd55c0",
     "gossip-stable": "c23b4300afdcce27",
-    "chord-churn": "9ae7845058bff10c",
+    "chord-churn": "cf74e10024e6b75c",
 }
 
 
