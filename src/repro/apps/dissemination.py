@@ -10,17 +10,19 @@ flow-level :class:`~repro.net.bandwidth.BandwidthModel`, so download times
 reflect contended 10 Mbps access links rather than per-message latency.
 This makes the swarm the first end-to-end consumer of the bandwidth model.
 
-Control plane per fetched chunk: one ``fetch`` RPC whose handler starts the
-bulk transfer and replies, with the uploader's bitfield, as the last byte
-leaves its uplink: the reply leaves with the last byte and arrives with it,
-so a chunk costs one round trip plus its transfer.  As in BitTorrent, where
-a peer sends its bitfield once per connection and then keeps requesting
-pieces, a download loop polls a random peer with ``have`` only when it has
-no peer: it keeps fetching from the peer that just served it, choosing the
-next chunk from the bitfield that peer's reply carried, until that peer has
-nothing left to offer or answers ``busy``, ``missing`` or not at all.
-Bitfields only grow, so a remembered one never offers a chunk its peer
-lacks (a replacement at a reused endpoint answers ``missing``).
+Control plane per fetch: one ``fetch`` RPC names up to
+:data:`CHUNKS_PER_FETCH` chunks, each picked rarest-first; its handler sends
+them all as one bulk transfer and replies, with the uploader's bitfield, as
+the last byte leaves its uplink: the reply leaves with the last byte and
+arrives with it, so a batch costs one round trip plus its transfer.  As in
+BitTorrent, where a peer sends its bitfield once per connection and then
+keeps requesting pieces, a download loop polls a random peer with ``have``
+only when it has no peer: it keeps fetching from the peer that just served
+it, choosing the next batch from the bitfield that peer's reply carried,
+until that peer has nothing left to offer or answers ``busy``, ``missing``
+or not at all; any of those releases the whole batch.  Bitfields only grow,
+so a remembered one never offers a chunk its peer lacks (a replacement at a
+reused endpoint refuses a batch naming any chunk it lacks with ``missing``).
 Uploaders cap concurrent uploads (``max_uploads``, BitTorrent's unchoke
 slots); saturated peers answer ``busy`` and the requester moves on.
 """
@@ -34,6 +36,10 @@ from repro.apps import harness
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 from repro.sim.process import Process
+
+#: chunks one ``fetch`` asks for: the uploader sends them as one transfer, so
+#: a round trip is paid per batch, not per chunk
+CHUNKS_PER_FETCH = 4
 
 
 @dataclass
@@ -54,7 +60,8 @@ class SwarmNode(harness.OverlayNode):
     chunk; ``fetch_concurrency`` — parallel download loops per node;
     ``max_uploads`` — concurrent upload slots (unchoke limit);
     ``poll_interval`` — idle wait between peer polls; ``fetch_timeout`` —
-    RPC budget for one chunk (must cover the bulk transfer).
+    RPC budget for one fetch (must cover its bulk transfer of up to
+    :data:`CHUNKS_PER_FETCH` chunks).
 
     The first instance of the job becomes the *seed* and starts complete.
     """
@@ -105,10 +112,10 @@ class SwarmNode(harness.OverlayNode):
     def _rpc_have(self) -> List[int]:
         return sorted(self.have)
 
-    def _rpc_fetch(self, chunk: int, requester: dict) -> Generator:
-        """Upload one chunk: bulk-transfer it, reply with our bitfield as its last byte leaves."""
-        chunk = int(chunk)
-        if chunk not in self.have:
+    def _rpc_fetch(self, chunks: List[int], requester: dict) -> Generator:
+        """Upload a batch as one bulk transfer, reply with our bitfield as its last byte leaves."""
+        chunks = [int(chunk) for chunk in chunks]
+        if not self.have.issuperset(chunks):
             return {"ok": False, "reason": "missing"}
         if self._uploads >= self.max_uploads:
             self.stats.busy_rejections += 1
@@ -116,8 +123,8 @@ class SwarmNode(harness.OverlayNode):
         self._uploads += 1
         try:
             destination = NodeRef.coerce(requester)
-            yield self.socket.transfer(destination, self.chunk_size)
-            self.stats.chunks_uploaded += 1
+            yield self.socket.transfer(destination, len(chunks) * self.chunk_size)
+            self.stats.chunks_uploaded += len(chunks)
             # A fresh list: replies travel by reference.
             return {"ok": True, "have": sorted(self.have)}
         finally:
@@ -150,31 +157,36 @@ class SwarmNode(harness.OverlayNode):
                 peer = None
                 yield self.poll_interval * 0.5
                 continue
-            chunk = self._pick_chunk(wanted)
-            self._pending.add(chunk)
+            batch = []
+            while wanted and len(batch) < CHUNKS_PER_FETCH:
+                chunk = self._pick_chunk(wanted)
+                wanted.remove(chunk)
+                batch.append(chunk)
+            self._pending.update(batch)
             try:
-                reply = yield self.rpc.call(peer, "fetch", chunk, self.me,
+                reply = yield self.rpc.call(peer, "fetch", batch, self.me,
                                             timeout=self.fetch_timeout, retries=0)
             except RpcError:
                 self.stats.fetch_failures += 1
                 peer = None
                 continue
             finally:
-                self._pending.discard(chunk)
+                self._pending.difference_update(batch)
             if not reply.get("ok"):
                 peer = None
                 if reply.get("reason") == "busy":
                     yield self.poll_interval * 0.25
                 continue
             remote_have = set(reply["have"])
-            if chunk not in self.have:
-                self.have.add(chunk)
-                self.stats.chunks_fetched += 1
-                self.providers.add((peer.ip, peer.port))
-                if self.complete and self.completed_at is None:
-                    self.completed_at = self.events.sim.now
-                    self.log.info(f"swarm node {self.me} complete "
-                                  f"({self.chunks} chunks)")
+            for chunk in batch:
+                if chunk not in self.have:
+                    self.have.add(chunk)
+                    self.stats.chunks_fetched += 1
+                    self.providers.add((peer.ip, peer.port))
+            if self.complete and self.completed_at is None:
+                self.completed_at = self.events.sim.now
+                self.log.info(f"swarm node {self.me} complete "
+                              f"({self.chunks} chunks)")
 
     def _pick_chunk(self, wanted: List[int]) -> int:
         """Rarest-first among what the peer offers (ties broken randomly)."""

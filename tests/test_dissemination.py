@@ -1,6 +1,9 @@
 """Dissemination: chunk swarming drives the flow-level bandwidth model."""
 
-from repro.apps.dissemination import run_dissemination_scenario, swarm_factory
+import math
+
+from repro.apps.dissemination import (
+    CHUNKS_PER_FETCH, run_dissemination_scenario, swarm_factory)
 from repro.apps.harness import RunConfig, deterministic_report_view
 from repro.core.jobs import JobSpec
 from repro.net.latency import ConstantLatency
@@ -57,13 +60,25 @@ def test_first_instance_seeds_and_everyone_completes():
 def test_chunks_travel_through_the_bandwidth_model():
     sim, _controller, job = _deploy(nodes=6)
     network = next(iter(job.instances)).daemon.network
+    sizes = []
+    transfer = network.transfer
+
+    def record_transfer(src, dst, nbytes):
+        sizes.append(nbytes)
+        return transfer(src, dst, nbytes)
+
+    network.transfer = record_transfer
     sim.run(until=200.0)
-    downloaders = [a for a in _apps(job) if not a.is_seed]
+    apps = _apps(job)
+    downloaders = [a for a in apps if not a.is_seed]
     fetched = sum(a.stats.chunks_fetched for a in downloaders)
     assert fetched == CHUNKS * len(downloaders)
-    # Every fetched chunk is one bulk transfer, not a control message.
-    assert network.stats.transfers_started >= fetched
-    assert network.bandwidth.completed >= fetched
+    # Every fetched chunk's bytes are one bulk transfer's, not a control
+    # message's, and no chunk is sent twice.
+    assert sum(sizes) == fetched * CHUNK_SIZE
+    assert sum(a.stats.chunks_uploaded for a in apps) == fetched
+    assert all(0 < size <= CHUNKS_PER_FETCH * CHUNK_SIZE for size in sizes)
+    assert network.stats.transfers_started == network.bandwidth.completed == len(sizes)
 
 
 def test_constrained_links_slow_the_swarm_down():
@@ -90,7 +105,7 @@ def test_a_peer_that_served_a_chunk_serves_the_next_without_a_poll():
 
 
 def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
-    """Request out, last byte back with the reply: not a third delay."""
+    """Request out, last byte of the batch back with the reply: not a third delay."""
     sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
     network = next(iter(job.instances)).daemon.network
     while len(job.live_instances()) < 2:
@@ -101,24 +116,83 @@ def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
 
     def record_fetch_requests(src, dst, payload, size):
         if isinstance(payload, dict) and payload.get("method") == "fetch":
-            requested.append(sim.now)
+            requested.append((sim.now, list(payload["args"][0])))
         send(src, dst, payload, size)
 
     class Landing(set):
         def add(self, chunk):
-            landed.append(sim.now)
+            landed.append((sim.now, chunk))
             super().add(chunk)
 
     network.send = record_fetch_requests
     downloader.have = Landing()
     sim.run(until=100.0)
-    assert downloader.complete and len(requested) == len(landed) == CHUNKS
-    transfer = 8 * CHUNK_SIZE / 10_000_000.0
-    for sent_at, landed_at in zip(requested, landed):
+    assert downloader.complete
+    assert [chunk for _sent_at, batch in requested for chunk in batch] == [
+        chunk for _landed_at, chunk in landed]
+    assert len(requested) == math.ceil(CHUNKS / CHUNKS_PER_FETCH)
+    arrivals = iter(landed_at for landed_at, _chunk in landed)
+    for sent_at, batch in requested:
+        assert 0 < len(batch) <= CHUNKS_PER_FETCH
+        [landed_at] = {next(arrivals) for _chunk in batch}  # one instant per batch
+        transfer = 8 * len(batch) * CHUNK_SIZE / 10_000_000.0
         # What remains is the request's and the reply's own transmission
         # time over the 10 Mbps links, a fraction of a millisecond.
         extra = landed_at - sent_at - 2 * DELAY - transfer
         assert 0 < extra < DELAY / 10, extra
+
+
+def test_a_fetch_naming_a_chunk_the_uploader_lacks_is_refused_whole():
+    sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
+    network = next(iter(job.instances)).daemon.network
+    while len(_apps(job)) < 2:
+        sim.step()
+    [seed] = [a for a in _apps(job) if a.is_seed]
+    [downloader] = [a for a in _apps(job) if not a.is_seed]
+    # The seed lacks a chunk it still advertises, as a replacement at a
+    # reused endpoint would behind its predecessor's bitfield.
+    lacked = CHUNKS - 1
+    seed.have.discard(lacked)
+    seed.rpc.register("have", lambda: list(range(CHUNKS)))
+    uploads, pending = [], []
+    upload = seed._rpc_fetch
+
+    def record_upload(chunks, requester):
+        started = network.stats.transfers_started
+        reply = yield from upload(chunks, requester)
+        uploads.append((list(chunks), reply,
+                        network.stats.transfers_started - started, seed._uploads))
+        return reply
+
+    send = network.send
+
+    def record_pending(src, dst, payload, size):
+        if isinstance(payload, dict) and payload.get("method") in ("have", "fetch"):
+            pending.append((payload["method"], set(downloader._pending),
+                            set(payload["args"][0]) if payload["method"] == "fetch" else set()))
+        send(src, dst, payload, size)
+
+    seed.rpc.register("fetch", record_upload)
+    network.send = record_pending
+    sim.run(until=20.0)
+    refused = [(chunks, started, slots) for chunks, reply, started, slots in uploads
+               if reply == {"ok": False, "reason": "missing"}]
+    served = [(chunks, started) for chunks, reply, started, _slots in uploads
+              if reply["ok"]]
+    assert len(refused) + len(served) == len(uploads)
+    assert any(len(chunks) > 1 for chunks, _started, _slots in refused)
+    # Refused whole: no transfer, no slot held, and none of its chunks lands.
+    assert all(lacked in chunks and started == 0 and slots == 0
+               for chunks, started, slots in refused)
+    assert all(lacked not in chunks and started == 1 for chunks, started in served)
+    assert (sum(len(chunks) for chunks, _started in served)
+            == downloader.stats.chunks_fetched == CHUNKS - 1)
+    assert downloader.have == set(range(CHUNKS)) - {lacked}
+    # The requester releases every batch: each fetch is pending alone, and
+    # nothing is pending when the loop polls again.
+    assert all(held == batch for method, held, batch in pending if method == "fetch")
+    assert all(not held for method, held, _batch in pending if method == "have")
+    assert seed.stats.have_polls == 0 and seed.stats.busy_rejections == 0
 
 
 def test_a_busy_reply_sends_the_next_fetch_after_a_fresh_poll():
@@ -150,5 +224,6 @@ def test_scenario_runner_reports_completion_and_is_deterministic():
     measured = first["measured"]
     assert measured["issued"] == 9  # every downloader (the seed is excluded)
     assert measured["success_rate"] == 1.0
-    assert first["workload"]["transfers_completed"] >= 9 * 6
+    assert first["workload"]["chunks_uploaded"] == 9 * 6
+    assert first["workload"]["transfers_completed"] >= 9 * math.ceil(6 / CHUNKS_PER_FETCH)
     assert first["cdf_samples_ms"] == sorted(first["cdf_samples_ms"])

@@ -595,7 +595,7 @@ def test_a_held_fetch_reply_bitfield_does_not_change_when_the_uploader_fetches_m
         sim.run(until=sim.now + 0.5)
         uploader = next((a for a in apps if 0 < len(a.have) < a.chunks), None)
     caller = next(a for a in apps if a is not uploader)
-    reply = _call(sim, caller, uploader, "fetch", min(uploader.have), caller.me)
+    reply = _call(sim, caller, uploader, "fetch", [min(uploader.have)], caller.me)
     assert reply["ok"]
     have = reply["have"]
     held = list(have)

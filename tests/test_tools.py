@@ -224,7 +224,7 @@ def test_seed_sweep_prints_each_seeds_measured_line_then_the_total(capsys):
     assert status == 0
     assert lines[0].startswith("chord --nodes 6 --duration short --lookups 12, seeds 0..1")
     assert [line.split(": ")[0] for line in lines[1:]] == [
-        "seed 0", "seed 1", "total", "median p50"]
+        "seed 0", "seed 1", "total", "median p50", "median p95"]
     per_seed = [tuple(map(int, line.split(": ")[1].split("/"))) for line in lines[1:3]]
     assert all(issued == 12 for _correct, issued in per_seed)
     assert lines[3] == "total: {}/24".format(sum(correct for correct, _ in per_seed))
@@ -235,16 +235,19 @@ def test_seed_sweep_reads_the_p50_and_prints_its_median_per_tree(capsys, monkeyp
     report = ("measured downloads: 142/142 correct -> success rate 100.00%\n"
               "downloads under churn: 40/40 correct (100.0%), latency p50=9999ms p95=1ms\n"
               "download latency: mean=5100ms p50=4960ms p95=6924ms max=7001ms\n")
-    assert sweep.parse(report) == (142, 142, 4960)
+    assert sweep.parse(report) == (142, 142, 4960, 6924)
     assert sweep.parse(report.replace("p50=4960ms", "")) is None
-    # Three seeds on two trees: the median of each tree's own p50s.
-    p50s = {"HEAD~1": iter([6874, 6814, 7000]), "here": iter([4960, 4869, 5100])}
+    assert sweep.parse(report.replace("p95=6924ms", "")) is None
+    # Three seeds on two trees: the median of each tree's own p50s and p95s.
+    runs = {"HEAD~1": iter([(6874, 10897), (6814, 9000), (7000, 11000)]),
+            "here": iter([(4960, 6924), (4869, 9100), (5100, 8000)])}
     monkeypatch.setattr(sweep, "export_ref", lambda ref, path: None)
     monkeypatch.setattr(sweep, "measured", lambda tree, command, seed: (
-        10, 10, next(p50s["here" if tree == sweep._REPO else "HEAD~1"])))
+        10, 10, *next(runs["here" if tree == sweep._REPO else "HEAD~1"])))
     assert sweep.main(["dissemination --churn", "--seeds", "3", "--ref", "HEAD~1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["total: 30/30 | 30/30", "median p50: 4960ms | 6874ms"]
+    assert lines[-3:] == ["total: 30/30 | 30/30", "median p50: 4960ms | 6874ms",
+                          "median p95: 8000ms | 10897ms"]
 
 
 # --------------------------------------------------------------- heal_time.py

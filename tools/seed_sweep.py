@@ -7,8 +7,8 @@ Runs ``python -m repro.apps.scenarios <command> --seed i --min-success 0``
 for ``i`` in ``0 .. N-1`` on this working tree and, with ``--ref``, on commit
 ``REF`` unpacked with ``git archive`` (as ``tools/ab.py`` unpacks it).  Prints
 each seed's ``measured <op>s: X/Y`` line per tree, then the totals, then the
-median over the seeds of each run's ``<op> latency: ... p50=Nms``.  A
-churn-sensitive change is judged on the totals and the median: one seed's
+medians over the seeds of each run's ``<op> latency: ... p50=Nms p95=Nms``.
+A churn-sensitive change is judged on the totals and the medians: one seed's
 figures move by chance whenever an event order does.
 
 Exit code 1 when a run fails (an ``error:`` line, a handler error, a
@@ -35,20 +35,21 @@ _REPO = Path(__file__).resolve().parent.parent
 
 #: what the scenarios CLI prints about its measured operations
 MEASURED = re.compile(r"^measured \w+: (\d+)/(\d+) correct", re.MULTILINE)
-LATENCY = re.compile(r"^\w+ latency: .*\bp50=(\d+)ms", re.MULTILINE)
+LATENCY = re.compile(r"^\w+ latency: .*\bp50=(\d+)ms p95=(\d+)ms", re.MULTILINE)
 
 
 def parse(stdout: str) -> Optional[tuple]:
-    """``(correct, issued, p50_ms)`` of one report, or None if a line is missing."""
+    """``(correct, issued, p50_ms, p95_ms)`` of one report, or None if a line is missing."""
     found = MEASURED.search(stdout)
     latency = LATENCY.search(stdout)
     if found is None or latency is None:
         return None
-    return int(found.group(1)), int(found.group(2)), int(latency.group(1))
+    return (int(found.group(1)), int(found.group(2)),
+            int(latency.group(1)), int(latency.group(2)))
 
 
 def measured(tree: Path, command: str, seed: int) -> tuple:
-    """``(correct, issued, p50_ms)`` of one run of ``command`` in ``tree``."""
+    """``(correct, issued, p50_ms, p95_ms)`` of one run of ``command`` in ``tree``."""
     environment = dict(os.environ, PYTHONPATH=str(tree / "src"),
                        PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -82,19 +83,22 @@ def main(argv=None) -> int:
               f"per seed ({' | '.join(trees)})", flush=True)
         totals = {name: [0, 0] for name in trees}
         p50s = {name: [] for name in trees}
+        p95s = {name: [] for name in trees}
         for seed in range(args.seeds):
             cells = []
             for name, tree in trees.items():
-                correct, issued, p50 = measured(tree, args.command, seed)
+                correct, issued, p50, p95 = measured(tree, args.command, seed)
                 totals[name][0] += correct
                 totals[name][1] += issued
                 p50s[name].append(p50)
+                p95s[name].append(p95)
                 cells.append(f"{correct}/{issued}")
             print(f"seed {seed}: {' | '.join(cells)}", flush=True)
         print("total: " + " | ".join(f"{correct}/{issued}" for correct, issued
                                      in totals.values()))
-        print("median p50: " + " | ".join(f"{statistics.median(values):.0f}ms"
-                                          for values in p50s.values()))
+        for label, runs in (("p50", p50s), ("p95", p95s)):
+            print(f"median {label}: " + " | ".join(f"{statistics.median(values):.0f}ms"
+                                                  for values in runs.values()))
     return 0
 
 
