@@ -7,7 +7,9 @@ RPC library — and adds the successor-list fault tolerance the paper's churn
 experiments rely on.  ``stabilize`` is the one fixed-period task: it also
 reads the fingers its successor list covers and checks a silent
 predecessor.  ``fix_fingers`` looks up only the fingers beyond the list's
-reach, and waits longer while they keep coming back unchanged.
+reach, sets each to the nearest by round trip of a few nodes of its interval
+and then only checks that it still answers, waiting longer while nothing
+changes.
 
 Every remote interaction goes through ``instance.rpc`` (and therefore the
 restricted socket): the application never touches the network object.
@@ -22,6 +24,7 @@ is the protocol: handlers, maintenance, routing state.
 
 from __future__ import annotations
 
+import math
 from typing import Generator, List, Optional, Tuple
 
 from repro.apps import harness
@@ -31,6 +34,10 @@ from repro.net.address import NodeRef
 
 #: the successor list's length: the fault-tolerance depth
 SUCCESSOR_LIST_SIZE = 6
+
+#: the nodes of a far finger's interval it is chosen from: the owner of the
+#: interval's start and its successors
+FINGER_CANDIDATES = 6
 
 #: the older name, still imported by ``benchmarks/child.py``
 LookupFailed = harness.LookupFailed
@@ -135,6 +142,11 @@ class ChordNode(harness.RoutingNode):
         self._rpc_notify(node)
         return {"predecessor": self.predecessor, "successors": list(self.successors)}
 
+    def _rpc_successors(self) -> list:
+        """Our successor list, which a far finger's choice draws from; empty
+        before we joined (a new process at a far finger's endpoint)."""
+        return list(self.successors) if self.joined else []
+
     # ------------------------------------------------------------ maintenance
     def _stabilize(self) -> Generator:
         """Verify the successor, adopt a closer one, refresh the successor list;
@@ -199,28 +211,88 @@ class ChordNode(harness.RoutingNode):
             fingers[index] = successors[entry]
 
     def _fix_fingers(self) -> Generator:
-        """Refresh the next finger beyond the successor list's reach with a
-        lookup, round-robin over those indices.
+        """Refresh the next finger beyond the successor list's reach,
+        round-robin over those indices.
+
+        Finger ``i`` may be any node of ``[me + 2**i, me + 2**(i + 1))``.  One
+        that lies there is kept while it answers a ``successors`` call with
+        a list; no answer purges it, and an empty list — a process that has
+        not joined at its endpoint — clears it.  Any other is looked up and
+        chosen by :meth:`_nearest`.  A finger kept, or the same one chosen
+        again, is a round that learned nothing.
 
         Returns how many ``fix_fingers_interval`` periods to wait for the next
         one: one per index it passes, the covered indices included, so a far
         finger comes up as often as in a round-robin over the whole table.
-        The same finger coming back is a round that learned nothing.
         """
         bits = self.bits
         index = max(self._next_finger, self._covered)
         if index == bits:  # the list covers the whole table
             return bits
-        start = ring_add(self.me.id, 1 << index, bits)
-        try:
-            owner, _hops = yield from self.lookup(start, maintenance=True)
-        except harness.LookupFailed:
-            owner = None
-        if owner is None or owner != self.fingers[index]:
-            self.refresh.stir()
-        self.fingers[index] = owner
+        width = 1 << index
+        start = ring_add(self.me.id, width, bits)
+        finger = self.fingers[index]
+        if finger is not None and ring_distance(start, finger.id, bits) < width:
+            self.stats.maintenance_rpcs += 1
+            try:
+                listed = yield self.rpc.call(finger, "successors", timeout=self.hop_timeout,
+                                             retries=self.hop_retries)
+            except RpcError:
+                self._note_dead(finger)
+            else:
+                if not listed and self.fingers[index] == finger:
+                    self.fingers[index] = None
+                    self.refresh.stir()
+        else:
+            try:
+                owner, _hops = yield from self.lookup(start, maintenance=True)
+            except harness.LookupFailed:
+                owner = None
+            if owner is not None:
+                owner = yield from self._nearest(owner, start, width)
+            if owner is None or owner != self.fingers[index]:
+                self.refresh.stir()
+            self.fingers[index] = owner
         self._next_finger = (index + 1) % bits
         return (max(self._next_finger, self._covered) - index) % bits or bits
+
+    def _nearest(self, owner: NodeRef, start: int, width: int) -> Generator:
+        """The finger for ``[start, start + width)``: the nearest by round trip
+        of ``owner`` — the owner of ``start`` — and its successors in the
+        interval, at most :data:`FINGER_CANDIDATES` nodes.
+
+        One ``successors`` call to the owner names them (and times it); a
+        candidate whose host has no ``rpc.rto`` yet is pinged once, one
+        probe after the other.  A node of our own host counts as no delay
+        and one that did not answer as an infinite one; ties go to the node
+        nearer ``start``.  An owner that does not answer is the finger, and
+        so is one past the interval: the interval holds no node.
+        """
+        bits, me, rpc = self.bits, self.me, self.rpc
+        if owner == me:
+            return owner
+        self.stats.maintenance_rpcs += 1
+        try:
+            following = yield rpc.call(owner, "successors", timeout=self.hop_timeout,
+                                       retries=self.hop_retries)
+        except RpcError:
+            return owner
+        candidates = [owner]
+        for node in map(NodeRef.coerce, following):
+            if (len(candidates) == FINGER_CANDIDATES or node == me
+                    or ring_distance(start, node.id, bits) >= width):
+                break
+            candidates.append(node)
+        for node in candidates:
+            if node.ip != me.ip and node.ip not in rpc.rto:
+                self.stats.maintenance_rpcs += 1
+                try:
+                    yield rpc.call(node, "__ping__", timeout=self.hop_timeout, retries=0)
+                except RpcError:
+                    pass
+        rto = rpc.rto
+        return min(candidates,
+                   key=lambda node: 0.0 if node.ip == me.ip else rto.get(node.ip, math.inf))
 
     # ----------------------------------------------------------------- helpers
     def _current_successor(self) -> NodeRef:

@@ -1,14 +1,17 @@
 """Chord: ring formation, lookup correctness, and recovery under churn."""
 
+import math
+
 import pytest
 
 from repro.apps import harness
-from repro.apps.chord import LookupFailed, chord_factory, expected_owner
+from repro.apps.chord import (SUCCESSOR_LIST_SIZE, ChordNode, LookupFailed, chord_factory,
+                              expected_owner)
 from repro.core.jobs import JobSpec
 from repro.lib.ring import ring_add, ring_distance
 from repro.lib.rpc import RpcError, RpcService
 from repro.net.address import NodeRef
-from repro.net.latency import ConstantLatency
+from repro.net.latency import ConstantLatency, MatrixLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
@@ -20,11 +23,13 @@ from test_overlay_state import _deadline, _walking
 from test_pastry import _dropping_first
 
 BITS = 16
+#: the most nodes a far finger is chosen from (``chord.FINGER_CANDIDATES``)
+CANDIDATES = 6
 
 
-def _deploy(nodes=10, seed=0, churn_script=None, **options):
+def _deploy(nodes=10, seed=0, churn_script=None, latency=None, **options):
     sim = Simulator(seed)
-    network = Network(sim, latency=ConstantLatency(0.010), seed=seed)
+    network = Network(sim, latency=latency or ConstantLatency(0.010), seed=seed)
     controller = Controller(sim, network, seed=seed)
     for i in range(nodes):
         controller.register_daemon(
@@ -171,27 +176,42 @@ def test_ring_consistency_sees_a_wrong_pointer():
     assert harness.consistency(job) == 7 / 8
 
 
+def _counting_calls(monkeypatch):
+    """Count the calls every node sends, by method; a predecessor check
+    (``RpcService.ping``) counts as ``ping``.  Returns the counts and the
+    ``__ping__`` calls sent to a host the caller had already timed."""
+    sent, timed = {}, []
+    calling, pinging = RpcService.a_call, RpcService.ping
+
+    def counting(service, dst, method, *args, **kwargs):
+        sent[method] = sent.get(method, 0) + 1
+        if method == "__ping__" and dst.ip in service.rto:
+            timed.append(dst)
+        return calling(service, dst, method, *args, **kwargs)
+
+    def checking(service, dst, timeout=None):
+        sent["ping"] = sent.get("ping", 0) + 1
+        return pinging(service, dst, timeout)
+
+    monkeypatch.setattr(RpcService, "a_call", counting)
+    monkeypatch.setattr(RpcService, "call", counting)
+    monkeypatch.setattr(RpcService, "ping", checking)
+    return sent, timed
+
+
 def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeypatch):
     sim, _controller, job = _converged(nodes=16, until=80.0)
     apps = _live_apps(job)
     rounds = sum(app.stats.maintenance_rounds for app in apps)
-    sent = {}
-    calling = RpcService.a_call
-
-    def counting(service, dst, method, *args, **kwargs):
-        sent[method] = sent.get(method, 0) + 1
-        return calling(service, dst, method, *args, **kwargs)
-
-    monkeypatch.setattr(RpcService, "a_call", counting)
-    monkeypatch.setattr(RpcService, "call", counting)
+    sent, _timed = _counting_calls(monkeypatch)
     sim.run(until=sim.now + 100.0)
     rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
     assert rounds >= 16 * 100.0 / 2.5  # every node stabilized all along
     assert sent["stabilize"] == rounds
-    assert not {"get_predecessor", "successor_list", "notify", "__ping__"} & set(sent)
-    # a lookup's calls are the forwarded walk's hops; its claim and answer
-    # are one-way sends
-    assert set(sent) <= {"stabilize", "walk"}
+    assert not {"get_predecessor", "successor_list", "notify", "ping", "__ping__"} & set(sent)
+    # a lookup's calls are the forwarded walk's hops (its claim and answer
+    # are one-way sends); a kept far finger is checked by ``successors``
+    assert set(sent) <= {"stabilize", "walk", "successors"}
     assert harness.consistency(job) == 1.0
 
 
@@ -216,22 +236,32 @@ def test_a_quiet_ring_backs_its_far_finger_lookups_off_and_never_pings(monkeypat
     sim, _controller, job = _converged(nodes=16)
     apps = _live_apps(job)
     assert any(app._covered < BITS for app in apps)  # some fingers are far
-    sent = {}
-    calling = RpcService.a_call
+    assert all(None not in app.fingers for app in apps)  # and every one is set
+    sent, _timed = _counting_calls(monkeypatch)
+    looked_up = []
+    looking_up = ChordNode.lookup
 
-    def counting(service, dst, method, *args, **kwargs):
-        sent[method] = sent.get(method, 0) + 1
-        return calling(service, dst, method, *args, **kwargs)
+    def recording(node, key, maintenance=False):
+        looked_up.append((node, key))
+        return looking_up(node, key, maintenance)
 
-    monkeypatch.setattr(RpcService, "a_call", counting)
-    far_lookups = []
+    monkeypatch.setattr(ChordNode, "lookup", recording)
+    checks = []
     for _half in range(2):
-        started = sum(app.stats.lookups_started for app in apps)
+        checked = sent.get("successors", 0)
         sim.run(until=sim.now + 150.0)
-        far_lookups.append(sum(app.stats.lookups_started for app in apps) - started)
+        checks.append(sent.get("successors", 0) - checked)
         assert harness.consistency(job) == 1.0
-    assert "__ping__" not in sent
-    assert far_lookups[0] > far_lookups[1]
+    assert not {"__ping__", "ping"} & set(sent)
+    # a finger kept in its interval is checked, less and less often, and
+    # never looked up again; only an interval that holds no node is, its
+    # finger the first node past it
+    assert checks[0] > checks[1] > 0
+    for node, start in looked_up:
+        width = ring_distance(node.me.id, start, BITS)
+        assert width == 1 << (width.bit_length() - 1) >= 1 << node._covered
+        assert ring_distance(start, expected_owner(job, start, BITS).id, BITS) >= width
+    assert all(app.refresh.factor == harness.BACKOFF_CAP for app in apps)
 
 
 def test_a_dead_finger_resets_the_back_off_of_the_far_finger_refresh():
@@ -256,6 +286,120 @@ def test_a_dead_finger_resets_the_back_off_of_the_far_finger_refresh():
     repaired = _run_until(sim, lambda: app.fingers[index] == expected_owner(
         job, start, BITS), reset + longest + 5.0)
     assert repaired is not None
+
+
+def _drive(sim, generator, patience=30.0):
+    """Run one coroutine of a node to its end; its result."""
+    process = Process(sim, generator, name="test-coroutine")
+    process.start()
+    sim.run(until=sim.now + patience)
+    assert process.done.done(), "the coroutine did not end"
+    return process.done.result()
+
+
+def _candidates(job, app, index):
+    """The nodes finger ``index`` is chosen from: the owner of its start and
+    the members after it in its interval, never us, at most
+    ``CANDIDATES``; and the start."""
+    start = ring_add(app.me.id, 1 << index, BITS)
+    members = _members(job)
+    owner = expected_owner(job, start, BITS)
+    at = members.index(owner)
+    candidates = [owner]
+    for step in range(1, CANDIDATES):
+        node = members[(at + step) % len(members)]
+        if node == app.me or ring_distance(start, node.id, BITS) >= 1 << index:
+            break
+        candidates.append(node)
+    return candidates, start
+
+
+def test_a_far_finger_is_the_candidate_of_its_interval_with_the_lowest_rto(monkeypatch):
+    sent, timed = _counting_calls(monkeypatch)
+    draw = substream(7, "delays")
+    hosts = [f"10.0.0.{i + 1}" for i in range(16)]
+    latency = MatrixLatency({(a, b): draw.uniform(0.02, 0.25)
+                             for n, a in enumerate(hosts) for b in hosts[n + 1:]})
+    sim, _controller, job = _deploy(nodes=16, latency=latency)
+    # the node right after the first six of one node's widest interval — a
+    # far one: its successor list does not reach it — is the nearest to it,
+    # so a seventh candidate would be chosen
+    apps = [instance.app for instance in job.live_instances()]
+    half = 1 << (BITS - 1)
+    for app in apps:
+        ring = sorted((ring_distance(app.me.id, other.me.id, BITS), other.me)
+                      for other in apps if other is not app)
+        far = [node for distance, node in ring if distance >= half]
+        if ring[SUCCESSOR_LIST_SIZE - 1][0] < half and len(far) > CANDIDATES:
+            seventh = far[CANDIDATES]
+            break
+    else:
+        raise AssertionError("no node has seven nodes in its far widest interval")
+    for host in hosts:
+        latency.delays.pop((host, app.me.ip), None)
+        latency.delays[(app.me.ip, host)] = 0.02 if host == seventh.ip else 0.15
+    sim.run(until=120.0)
+    assert harness.consistency(job) == 1.0
+    assert sent["__ping__"] > 0 and timed == []  # a probe only times a new host
+    chosen = differs = 0
+    for app in _live_apps(job):
+        for index in range(app._covered, BITS):
+            candidates, start = _candidates(job, app, index)
+            # what the refresh set: a node of the interval, within the first six
+            assert app.fingers[index] in candidates
+            # chosen again now, with every candidate's round trip known
+            finger = _drive(sim, app._nearest(candidates[0], start, 1 << index))
+            rto = [app.rpc.rto.get(node.ip, math.inf) for node in candidates]
+            assert finger == candidates[rto.index(min(rto))]
+            chosen += 1
+            differs += finger != candidates[0]
+    assert timed == []
+    assert chosen >= 16 and differs > 0  # the owner is not always the nearest
+
+
+def _kept_far_finger(job):
+    """A node, a far finger it keeps in its interval that is no neighbour of
+    its, and that finger's instance; the node's refresh is stopped, so that
+    the test runs its rounds."""
+    for app in _live_apps(job):
+        for index in range(app._covered, BITS):
+            finger = app.fingers[index]
+            start = ring_add(app.me.id, 1 << index, BITS)
+            if (ring_distance(start, finger.id, BITS) < 1 << index
+                    and finger not in (*app.successors, app.predecessor)):
+                app.refresh.cancel()
+                (instance,) = [i for i in job.live_instances() if i.app.me == finger]
+                return app, index, instance
+    raise AssertionError("no kept far finger")
+
+
+def test_a_kept_finger_that_dies_is_purged_and_the_next_round_chooses_again():
+    sim, controller, job = _converged(nodes=16)
+    app, index, victim = _kept_far_finger(job)
+    controller.kill_instance(victim, failed=True)
+    noticed, looked_up = app.stats.dead_nodes_noticed, app.stats.lookups_started
+    app._next_finger = index
+    _drive(sim, app._fix_fingers())
+    assert app.fingers[index] is None
+    assert app.stats.dead_nodes_noticed == noticed + 1
+    assert app.stats.lookups_started == looked_up
+    app._next_finger = index
+    _drive(sim, app._fix_fingers())
+    assert app.stats.lookups_started == looked_up + 1
+    assert app.fingers[index] in _candidates(job, app, index)[0]
+
+
+def test_a_kept_finger_whose_endpoint_has_not_joined_is_cleared_not_counted_dead():
+    sim, _controller, job = _converged(nodes=16)
+    app, index, finger = _kept_far_finger(job)
+    finger.app.joined = False  # a new process at the endpoint, not in the ring yet
+    app.refresh.factor = harness.BACKOFF_CAP
+    noticed = app.stats.dead_nodes_noticed
+    app._next_finger = index
+    _drive(sim, app._fix_fingers())
+    assert app.fingers[index] is None
+    assert app.stats.dead_nodes_noticed == noticed
+    assert app.refresh.factor == 1  # the refresh is stirred
 
 
 def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():

@@ -33,13 +33,14 @@ from repro.testbeds.presets import (
 #: ``events_executed`` moved), the two Chord rows again when Chord's
 #: maintenance became one periodic task and a backed-off far-finger
 #: refresh, the churn row when lookup hops began to wait the peer's
-#: learned RTO (the stable row did not move), and the two Chord rows when
+#: learned RTO (the stable row did not move), the two Chord rows when
 #: a lookup became a walk forwarded from hop to hop and a join's
-#: announcement a one-way call; the testbed code did not move.
+#: announcement a one-way call, and again when a far finger became the
+#: nearest of a few nodes of its interval; the testbed code did not move.
 PRE_TESTBEDS_DIGESTS = {
-    "chord-stable": "36f7a18897cd55c0",
+    "chord-stable": "375d5ff087ccc47a",
     "gossip-stable": "c23b4300afdcce27",
-    "chord-churn": "cf74e10024e6b75c",
+    "chord-churn": "ecb4a3787d1cca0d",
 }
 
 

@@ -7,9 +7,11 @@ Runs ``python -m repro.apps.scenarios <command> --seed i --min-success 0``
 for ``i`` in ``0 .. N-1`` on this working tree and, with ``--ref``, on commit
 ``REF`` unpacked with ``git archive`` (as ``tools/ab.py`` unpacks it).  Prints
 each seed's ``measured <op>s: X/Y`` line per tree, then the totals, then the
-medians over the seeds of each run's ``<op> latency: ... p50=Nms p95=Nms``.
-A churn-sensitive change is judged on the totals and the medians: one seed's
-figures move by chance whenever an event order does.
+medians over the seeds of each run's ``<op> latency: ... p50=Nms p95=Nms``
+and, for a command whose runs print one, of its ``maintenance: X RPCs per
+node per second`` (the overlay's upkeep).  A churn-sensitive change is
+judged on the totals and the medians: one seed's figures move by chance
+whenever an event order does.
 
 Exit code 1 when a run fails (an ``error:`` line, a handler error, a
 traceback), 0 otherwise.  Stdlib only.
@@ -36,20 +38,25 @@ _REPO = Path(__file__).resolve().parent.parent
 #: what the scenarios CLI prints about its measured operations
 MEASURED = re.compile(r"^measured \w+: (\d+)/(\d+) correct", re.MULTILINE)
 LATENCY = re.compile(r"^\w+ latency: .*\bp50=(\d+)ms p95=(\d+)ms", re.MULTILINE)
+MAINTENANCE = re.compile(r"^maintenance: ([\d.]+) RPCs per node per second", re.MULTILINE)
 
 
 def parse(stdout: str) -> Optional[tuple]:
-    """``(correct, issued, p50_ms, p95_ms)`` of one report, or None if a line is missing."""
+    """``(correct, issued, p50_ms, p95_ms, maintenance)`` of one report —
+    ``maintenance`` in RPCs per node per second, None for a scenario that
+    prints none —, or None if a measured or latency line is missing."""
     found = MEASURED.search(stdout)
     latency = LATENCY.search(stdout)
     if found is None or latency is None:
         return None
+    upkeep = MAINTENANCE.search(stdout)
     return (int(found.group(1)), int(found.group(2)),
-            int(latency.group(1)), int(latency.group(2)))
+            int(latency.group(1)), int(latency.group(2)),
+            None if upkeep is None else float(upkeep.group(1)))
 
 
 def measured(tree: Path, command: str, seed: int) -> tuple:
-    """``(correct, issued, p50_ms, p95_ms)`` of one run of ``command`` in ``tree``."""
+    """What :func:`parse` reads from one run of ``command`` in ``tree``."""
     environment = dict(os.environ, PYTHONPATH=str(tree / "src"),
                        PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
@@ -84,14 +91,17 @@ def main(argv=None) -> int:
         totals = {name: [0, 0] for name in trees}
         p50s = {name: [] for name in trees}
         p95s = {name: [] for name in trees}
+        upkeep = {name: [] for name in trees}
         for seed in range(args.seeds):
             cells = []
             for name, tree in trees.items():
-                correct, issued, p50, p95 = measured(tree, args.command, seed)
+                correct, issued, p50, p95, maintenance = measured(tree, args.command, seed)
                 totals[name][0] += correct
                 totals[name][1] += issued
                 p50s[name].append(p50)
                 p95s[name].append(p95)
+                if maintenance is not None:
+                    upkeep[name].append(maintenance)
                 cells.append(f"{correct}/{issued}")
             print(f"seed {seed}: {' | '.join(cells)}", flush=True)
         print("total: " + " | ".join(f"{correct}/{issued}" for correct, issued
@@ -99,6 +109,10 @@ def main(argv=None) -> int:
         for label, runs in (("p50", p50s), ("p95", p95s)):
             print(f"median {label}: " + " | ".join(f"{statistics.median(values):.0f}ms"
                                                   for values in runs.values()))
+        if any(upkeep.values()):
+            print("median maintenance: " + " | ".join(
+                f"{statistics.median(values):.3f}" if values else "-"
+                for values in upkeep.values()) + " RPCs per node per second")
     return 0
 
 
