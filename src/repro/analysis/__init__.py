@@ -6,8 +6,7 @@ sweeps -- rests on deterministic event order.  This package makes the
 hazard classes that have actually broken that guarantee *mechanically
 checkable*: a rule-registry-driven AST linter (``python -m repro.analysis``,
 rules ``DET101``..``DET105``) with per-line ``# det: ignore[...]``
-suppressions and a committed baseline (``analysis_baseline.txt``), run in CI
-via ``--check``.
+suppressions, run in CI: any unsuppressed finding fails it.
 
 Its runtime counterpart -- invariant checks at the seams the linter cannot
 see -- is the opt-in sanitizer (:mod:`repro.sim.sanitizer`, ``--sanitize``

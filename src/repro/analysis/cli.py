@@ -1,11 +1,9 @@
 """Driver and command line of the determinism linter.
 
 ``python -m repro.analysis [paths...]`` analyses ``src/repro`` by default,
-applies per-line ``# det: ignore[...]`` suppressions and the committed
-``analysis_baseline.txt``, prints new findings and exits non-zero when any
-remain.  ``--check`` is the CI mode: it additionally fails on *stale*
-baseline entries so the baseline only ever shrinks.  ``--write-baseline``
-accepts the current findings as the new baseline.
+applies per-line ``# det: ignore[...]`` suppressions, prints the findings
+left and exits 1 when any remain, 0 otherwise.  ``--verbose`` also prints
+the suppressed findings; ``--list-rules`` describes every rule.
 """
 
 from __future__ import annotations
@@ -18,14 +16,13 @@ from typing import List, Optional
 
 from repro.analysis import suppress
 from repro.analysis.registry import all_rules, applicable_rules
-from repro.analysis.report import AnalysisResult, Finding, render_json, render_text
+from repro.analysis.report import AnalysisResult, Finding, render_text
 
-DEFAULT_BASELINE = "analysis_baseline.txt"
 DEFAULT_TARGET = os.path.join("src", "repro")
 
 
 def _norm(path: str) -> str:
-    """Stable, baseline-friendly path: relative to cwd, forward slashes."""
+    """Stable path: relative to cwd, forward slashes."""
     rel = os.path.relpath(path)
     if rel.startswith(".."):
         rel = path  # outside the tree: keep it absolute rather than ../../
@@ -56,12 +53,10 @@ def analyse_source(path: str, source: str) -> List[Finding]:
         return [Finding(rule_id="DET000", path=path,
                         line=exc.lineno or 1, col=exc.offset or 0,
                         message=f"syntax error: {exc.msg}",
-                        fixit="fix the syntax error so the file can be analysed",
-                        source_line="")]
-    lines = source.splitlines()
+                        fixit="fix the syntax error so the file can be analysed")]
     findings: List[Finding] = []
     for rule in applicable_rules(path):
-        checker = rule.checker(path, lines)
+        checker = rule.checker(path)
         checker.visit(tree)
         findings.extend(checker.findings)
     suppressions = suppress.parse_suppressions(source)
@@ -71,9 +66,8 @@ def analyse_source(path: str, source: str) -> List[Finding]:
     return findings
 
 
-def run_analysis(paths: List[str],
-                 baseline_text: Optional[str] = None) -> AnalysisResult:
-    """Analyse ``paths`` and apply the baseline; the library entry point."""
+def run_analysis(paths: List[str]) -> AnalysisResult:
+    """Analyse ``paths``; the library entry point."""
     result = AnalysisResult()
     for path in discover_files(paths):
         try:
@@ -84,8 +78,6 @@ def run_analysis(paths: List[str],
             continue
         result.files_analysed += 1
         result.findings.extend(analyse_source(path, source))
-    result.stale_baseline = suppress.apply_baseline(
-        result.findings, suppress.load_baseline(baseline_text))
     return result
 
 
@@ -109,20 +101,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=None,
                         help=f"files/directories to analyse "
                              f"(default: {DEFAULT_TARGET})")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-                        help="baseline of accepted findings "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file entirely")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept current findings: rewrite the baseline "
-                             "and exit 0")
-    parser.add_argument("--check", action="store_true",
-                        help="CI mode: also fail on stale baseline entries")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--verbose", action="store_true",
-                        help="also print suppressed and baseline-masked "
-                             "findings")
+                        help="also print suppressed findings")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every rule and exit")
     args = parser.parse_args(argv)
@@ -131,38 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    paths = args.paths or [DEFAULT_TARGET]
-    baseline_text: Optional[str] = None
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline_text = handle.read()
-        except FileNotFoundError:
-            baseline_text = None
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        result = run_analysis(paths, baseline_text)
-    except ValueError as exc:  # malformed baseline
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            handle.write(suppress.render_baseline(result.findings))
-        accepted = sum(1 for f in result.findings if not f.suppressed)
-        print(f"wrote {accepted} accepted finding(s) to {args.baseline}")
-        return 0
-
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, verbose=args.verbose))
-
-    if result.active_findings:
-        return 1
-    if args.check and result.stale_baseline:
-        return 1
-    return 0
+    result = run_analysis(args.paths or [DEFAULT_TARGET])
+    print(render_text(result, verbose=args.verbose))
+    return 1 if result.active_findings else 0

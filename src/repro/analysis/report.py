@@ -1,10 +1,9 @@
-"""Findings and their rendering (text for humans/CI logs, JSON for tooling)."""
+"""Findings and their text rendering (for humans and CI logs)."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field
+from typing import List
 
 
 @dataclass
@@ -17,17 +16,13 @@ class Finding:
     col: int
     message: str
     fixit: str
-    #: the stripped source line (also the baseline fingerprint component)
-    source_line: str
     #: set when a `# det: ignore[...]` comment covers this line
     suppressed: bool = False
-    #: set when a committed baseline entry masks this finding
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
-        """True when the finding should fail the run (new, unsuppressed)."""
-        return not self.suppressed and not self.baselined
+        """True when the finding should fail the run (unsuppressed)."""
+        return not self.suppressed
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -38,8 +33,6 @@ class AnalysisResult:
     """Everything one linter run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    #: baseline entries no finding matched any more (candidates for removal)
-    stale_baseline: List[str] = field(default_factory=list)
     files_analysed: int = 0
 
     @property
@@ -50,47 +43,19 @@ class AnalysisResult:
     def suppressed_findings(self) -> List[Finding]:
         return [f for f in self.findings if f.suppressed]
 
-    @property
-    def baselined_findings(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.active_findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return counts
-
 
 def render_text(result: AnalysisResult, verbose: bool = False) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines: List[str] = []
     for finding in result.findings:
         if finding.active:
-            tag = ""
-        elif finding.suppressed:
-            tag = " [suppressed]"
-        else:
-            tag = " [baseline]"
-        if finding.active or verbose:
+            lines.append(f"{finding.location()}: {finding.rule_id} {finding.message}")
+            lines.append(f"    fix: {finding.fixit}")
+        elif verbose:
             lines.append(f"{finding.location()}: {finding.rule_id} "
-                         f"{finding.message}{tag}")
-            if finding.active:
-                lines.append(f"    fix: {finding.fixit}")
-    for entry in result.stale_baseline:
-        lines.append(f"stale baseline entry (no longer found): {entry}")
-    active = len(result.active_findings)
+                         f"{finding.message} [suppressed]")
     lines.append(
-        f"analysed {result.files_analysed} files: {active} new finding(s), "
-        f"{len(result.suppressed_findings)} suppressed, "
-        f"{len(result.baselined_findings)} baseline-masked, "
-        f"{len(result.stale_baseline)} stale baseline entr(ies)")
+        f"analysed {result.files_analysed} files: "
+        f"{len(result.active_findings)} finding(s), "
+        f"{len(result.suppressed_findings)} suppressed")
     return "\n".join(lines)
-
-
-def render_json(result: AnalysisResult) -> str:
-    return json.dumps({
-        "files_analysed": result.files_analysed,
-        "findings": [asdict(f) for f in result.findings],
-        "stale_baseline": result.stale_baseline,
-        "counts_by_rule": result.counts_by_rule(),
-    }, indent=2, sort_keys=True)

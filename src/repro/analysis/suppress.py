@@ -1,7 +1,5 @@
-"""Per-line suppressions and the committed findings baseline.
+"""Per-line suppressions of linter findings.
 
-Suppressions
-------------
 A finding is suppressed when its physical source line carries a marker::
 
     start = time.perf_counter()  # det: ignore[DET102]
@@ -10,21 +8,12 @@ A finding is suppressed when its physical source line carries a marker::
 Multiple rule ids are comma-separated: ``# det: ignore[DET101, DET103]``.
 Suppression is deliberate and reviewable -- the marker sits on the line it
 silences, so `git blame` answers "why is this allowed".
-
-Baseline
---------
-``analysis_baseline.txt`` records accepted pre-existing findings so they do
-not block CI while *new* findings still fail it.  Entries are keyed on
-``(rule id, path, stripped source line)`` -- not the line number -- so the
-baseline survives unrelated edits that shift code up or down.  Identical
-lines may appear several times (the baseline is a multiset).
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
 from repro.analysis.report import Finding
 
@@ -60,75 +49,3 @@ def is_suppressed(finding: Finding, suppressions: Dict[int, Set[str]]) -> bool:
         return False
     return ALL_RULES in rules or finding.rule_id in rules
 
-
-# ------------------------------------------------------------------ baseline
-_ENTRY_SEP = "\t"
-
-
-def baseline_key(finding: Finding) -> Tuple[str, str, str]:
-    return (finding.rule_id, finding.path.replace("\\", "/"),
-            finding.source_line)
-
-
-def format_entry(key: Tuple[str, str, str]) -> str:
-    return _ENTRY_SEP.join(key)
-
-
-def load_baseline(text: Optional[str]) -> Counter:
-    """Parse baseline text into a multiset of accepted finding keys.
-
-    Blank lines and ``#`` comments are ignored; malformed lines raise so a
-    corrupted baseline fails loudly instead of silently accepting nothing.
-    """
-    entries: Counter = Counter()
-    if not text:
-        return entries
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split(_ENTRY_SEP)
-        if len(parts) != 3 or not parts[0] or not parts[1]:
-            raise ValueError(f"baseline line {lineno} is malformed "
-                             f"(expected 'RULE<TAB>path<TAB>source line'): "
-                             f"{line!r}")
-        entries[(parts[0], parts[1], parts[2])] += 1
-    return entries
-
-
-def apply_baseline(findings: List[Finding], baseline: Counter) -> List[str]:
-    """Mark findings covered by ``baseline``; return stale entry strings.
-
-    Consumes baseline entries (multiset semantics): two identical hits need
-    two baseline entries.  Suppressed findings never consume an entry.
-    Returns the leftover entries -- accepted findings that no longer exist,
-    which ``--check`` reports so the baseline shrinks over time.
-    """
-    remaining = Counter(baseline)
-    for finding in findings:
-        if finding.suppressed:
-            continue
-        key = baseline_key(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            finding.baselined = True
-    stale = []
-    for key, count in sorted(remaining.items()):
-        stale.extend([format_entry(key)] * count)
-    return stale
-
-
-def render_baseline(findings: List[Finding]) -> str:
-    """Baseline file contents covering every unsuppressed finding."""
-    header = (
-        "# Determinism-linter baseline (see docs/ANALYSIS.md).\n"
-        "# Accepted pre-existing findings: one line per finding,\n"
-        "# 'RULE<TAB>path<TAB>stripped source line'. New findings not listed\n"
-        "# here fail `python -m repro.analysis --check`. Regenerate with\n"
-        "# `python -m repro.analysis --write-baseline` after deliberate\n"
-        "# changes, and prefer fixing or `# det: ignore[...]` suppressing\n"
-        "# over growing this file.\n"
-    )
-    entries = sorted(format_entry(baseline_key(f))
-                     for f in findings if not f.suppressed)
-    return header + "".join(entry + "\n" for entry in entries)

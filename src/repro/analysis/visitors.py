@@ -30,20 +30,15 @@ class BaseChecker(ast.NodeVisitor):
 
     rule = None  # attached by register_checker
 
-    def __init__(self, path: str, source_lines: List[str]):
+    def __init__(self, path: str):
         self.path = path
-        self.source_lines = source_lines
         self.findings: List[Finding] = []
 
     def report(self, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        text = ""
-        if 1 <= line <= len(self.source_lines):
-            text = self.source_lines[line - 1].strip()
         self.findings.append(Finding(
-            rule_id=self.rule.id, path=self.path, line=line, col=col,
-            message=message, fixit=self.rule.fixit, source_line=text))
+            rule_id=self.rule.id, path=self.path, line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0), message=message,
+            fixit=self.rule.fixit))
 
 
 def _call_name(node: ast.Call) -> str:
@@ -185,8 +180,8 @@ class UnorderedIterationChecker(BaseChecker):
     an argument of the order-insensitive call, not the iterable of a loop.
     """
 
-    def __init__(self, path: str, source_lines: List[str]):
-        super().__init__(path, source_lines)
+    def __init__(self, path: str):
+        super().__init__(path)
         self._set_locals: List[Set[str]] = [set()]
 
     # ------------------------------------------------------------- scoping
@@ -293,8 +288,8 @@ class ClassStateChecker(BaseChecker):
     up and is flagged too.
     """
 
-    def __init__(self, path: str, source_lines: List[str]):
-        super().__init__(path, source_lines)
+    def __init__(self, path: str):
+        super().__init__(path)
         self._class_stack: List[str] = []
 
     def _check_body(self, body: List[ast.stmt], scope: str) -> None:

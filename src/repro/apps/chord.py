@@ -39,6 +39,10 @@ SUCCESSOR_LIST_SIZE = 6
 #: interval's start and its successors
 FINGER_CANDIDATES = 6
 
+#: the silence (seconds) after which the predecessor — the node's
+#: ``_watched`` neighbour — is pinged
+CHECK_PREDECESSOR_INTERVAL = 11.0
+
 #: the older name, still imported by ``benchmarks/child.py``
 LookupFailed = harness.LookupFailed
 
@@ -50,9 +54,8 @@ class ChordNode(harness.RoutingNode):
     :class:`~repro.apps.harness.RoutingNode`: ``stabilize_interval`` — the
     period of the one periodic task; ``fix_fingers_interval`` — the
     round-robin period of the far-finger refresh (one finger index per
-    period, backed off while nothing changes);
-    ``check_predecessor_interval`` — the silence after which the
-    predecessor (the node's ``_watched`` neighbour) is pinged.
+    period, backed off while nothing changes).  The hop budget ``max_hops``
+    is three hops per identifier bit.
     """
 
     label = "chord"
@@ -61,9 +64,7 @@ class ChordNode(harness.RoutingNode):
         super()._configure(options)
         self.stabilize_interval = float(options.get("stabilize_interval", 5.0))
         self.fix_fingers_interval = float(options.get("fix_fingers_interval", 4.0))
-        self.check_predecessor_interval = float(
-            options.get("check_predecessor_interval", 11.0))
-        self.max_hops = int(options.get("max_hops", 3 * self.bits))
+        self.max_hops = 3 * self.bits
         self.predecessor: Optional[NodeRef] = None
         self.successors: List[NodeRef] = [self.me]
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
@@ -89,7 +90,7 @@ class ChordNode(harness.RoutingNode):
         """Learn our successor from any member; it is the one to notify."""
         successor = NodeRef.coerce((yield self.rpc.call(
             bootstrap, "find_successor", self.me.id,
-            timeout=self.hop_timeout * 8, retries=1)))
+            timeout=harness.HOP_TIMEOUT * 8, retries=1)))
         self.successors = [successor]
         self._read_fingers()
         return (successor,)
@@ -158,7 +159,7 @@ class ChordNode(harness.RoutingNode):
         repair a successor pointer that overshot by many nodes.  A reply
         proves its sender alive; the last node that answered is our successor.
         The predecessor proves itself alive by its own stabilize calls, so
-        only one silent for ``check_predecessor_interval`` is pinged, and
+        only one silent for :data:`CHECK_PREDECESSOR_INTERVAL` is pinged, and
         dropped when it does not answer.
         """
         self.stats.maintenance_rounds += 1
@@ -171,8 +172,8 @@ class ChordNode(harness.RoutingNode):
             self.stats.maintenance_rpcs += 1
             try:
                 reply = yield self.rpc.call(node, "stabilize", self.me,
-                                            timeout=self.hop_timeout,
-                                            retries=self.hop_retries)
+                                            timeout=harness.HOP_TIMEOUT,
+                                            retries=harness.HOP_RETRIES)
             except RpcError:
                 self._note_dead(node)
                 break
@@ -191,9 +192,9 @@ class ChordNode(harness.RoutingNode):
         self._read_fingers()
         predecessor = self.predecessor
         if (predecessor is not None and self.events.now() - self._watched[1]
-                >= self.check_predecessor_interval):
+                >= CHECK_PREDECESSOR_INTERVAL):
             self.stats.maintenance_rpcs += 1
-            alive = yield self.rpc.ping(predecessor, timeout=self.hop_timeout)
+            alive = yield self.rpc.ping(predecessor, timeout=harness.HOP_TIMEOUT)
             if not alive and self.predecessor == predecessor:
                 self.predecessor = None
                 self.stats.dead_nodes_noticed += 1
@@ -235,8 +236,9 @@ class ChordNode(harness.RoutingNode):
         if finger is not None and ring_distance(start, finger.id, bits) < width:
             self.stats.maintenance_rpcs += 1
             try:
-                listed = yield self.rpc.call(finger, "successors", timeout=self.hop_timeout,
-                                             retries=self.hop_retries)
+                listed = yield self.rpc.call(finger, "successors",
+                                             timeout=harness.HOP_TIMEOUT,
+                                             retries=harness.HOP_RETRIES)
             except RpcError:
                 self._note_dead(finger)
             else:
@@ -273,8 +275,8 @@ class ChordNode(harness.RoutingNode):
             return owner
         self.stats.maintenance_rpcs += 1
         try:
-            following = yield rpc.call(owner, "successors", timeout=self.hop_timeout,
-                                       retries=self.hop_retries)
+            following = yield rpc.call(owner, "successors", timeout=harness.HOP_TIMEOUT,
+                                       retries=harness.HOP_RETRIES)
         except RpcError:
             return owner
         candidates = [owner]
@@ -287,7 +289,7 @@ class ChordNode(harness.RoutingNode):
             if node.ip != me.ip and node.ip not in rpc.rto:
                 self.stats.maintenance_rpcs += 1
                 try:
-                    yield rpc.call(node, "__ping__", timeout=self.hop_timeout, retries=0)
+                    yield rpc.call(node, "__ping__", timeout=harness.HOP_TIMEOUT, retries=0)
                 except RpcError:
                     pass
         rto = rpc.rto

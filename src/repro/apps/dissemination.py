@@ -40,6 +40,9 @@ from repro.sim.process import Process
 #: chunks one ``fetch`` asks for: the uploader sends them as one transfer, so
 #: a round trip is paid per batch, not per chunk
 CHUNKS_PER_FETCH = 4
+#: the RPC budget (seconds) of one fetch: it must cover the bulk transfer of
+#: up to :data:`CHUNKS_PER_FETCH` chunks
+FETCH_TIMEOUT = 60.0
 
 
 @dataclass
@@ -59,9 +62,7 @@ class SwarmNode(harness.OverlayNode):
     Options: ``chunks`` — chunks in the file; ``chunk_size`` — bytes per
     chunk; ``fetch_concurrency`` — parallel download loops per node;
     ``max_uploads`` — concurrent upload slots (unchoke limit);
-    ``poll_interval`` — idle wait between peer polls; ``fetch_timeout`` —
-    RPC budget for one fetch (must cover its bulk transfer of up to
-    :data:`CHUNKS_PER_FETCH` chunks).
+    ``poll_interval`` — idle wait between peer polls.
 
     The first instance of the job becomes the *seed* and starts complete.
     """
@@ -75,7 +76,6 @@ class SwarmNode(harness.OverlayNode):
         self.fetch_concurrency = int(options.get("fetch_concurrency", 3))
         self.max_uploads = int(options.get("max_uploads", 4))
         self.poll_interval = float(options.get("poll_interval", 1.0))
-        self.fetch_timeout = float(options.get("fetch_timeout", 60.0))
         self.have: Set[int] = set()
         #: chunk index -> how many peers were seen advertising it
         self.availability: Dict[int, int] = {}
@@ -165,7 +165,7 @@ class SwarmNode(harness.OverlayNode):
             self._pending.update(batch)
             try:
                 reply = yield self.rpc.call(peer, "fetch", batch, self.me,
-                                            timeout=self.fetch_timeout, retries=0)
+                                            timeout=FETCH_TIMEOUT, retries=0)
             except RpcError:
                 self.stats.fetch_failures += 1
                 peer = None

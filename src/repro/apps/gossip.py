@@ -28,6 +28,11 @@ from repro.net.address import NodeRef
 from repro.sim.process import Process
 from repro.sim.rng import substream
 
+#: descriptors exchanged per Cyclon shuffle
+SHUFFLE_SIZE = 4
+#: the timeout (seconds) of every gossip RPC, sent once
+HOP_TIMEOUT = 1.5
+
 
 @dataclass
 class GossipStats:
@@ -54,10 +59,9 @@ class DeliveryRecord:
 class GossipNode(harness.OverlayNode):
     """One gossip node, bound to one runtime instance.
 
-    Options: ``view_size`` — Cyclon partial-view capacity; ``shuffle_size``
-    — descriptors exchanged per shuffle; ``shuffle_interval`` /
-    ``ae_interval`` — membership and anti-entropy periods; ``fanout`` —
-    eager-push degree; ``hop_timeout`` — RPC timeout.
+    Options: ``view_size`` — Cyclon partial-view capacity;
+    ``shuffle_interval`` / ``ae_interval`` — membership and anti-entropy
+    periods; ``fanout`` — eager-push degree.
     """
 
     label = "gossip"
@@ -67,11 +71,9 @@ class GossipNode(harness.OverlayNode):
 
     def _configure(self, options: dict) -> None:
         self.view_size = int(options.get("view_size", 8))
-        self.shuffle_size = int(options.get("shuffle_size", 4))
         self.shuffle_interval = float(options.get("shuffle_interval", 4.0))
         self.ae_interval = float(options.get("ae_interval", 6.0))
         self.fanout = int(options.get("fanout", 3))
-        self.hop_timeout = float(options.get("hop_timeout", 1.5))
         #: Cyclon partial view: peer -> age (incremented every shuffle round)
         self.view: Dict[Tuple[str, int], List] = {}  # key -> [NodeRef, age]
         #: message id -> delivery record
@@ -104,7 +106,7 @@ class GossipNode(harness.OverlayNode):
         peer_key = max(self.view, key=lambda k: (self.view[k][1], k))
         peer = self.view[peer_key][0]
         others = [entry for key, entry in sorted(self.view.items()) if key != peer_key]
-        sent = self._sample(others, min(self.shuffle_size - 1, len(others)))
+        sent = self._sample(others, min(SHUFFLE_SIZE - 1, len(others)))
         payload = ([{"node": self.me, "age": 0}]
                    + [{"node": entry[0], "age": entry[1]} for entry in sent])
         # The shuffled-out peer leaves the view whatever happens: Cyclon's
@@ -112,7 +114,7 @@ class GossipNode(harness.OverlayNode):
         del self.view[peer_key]
         try:
             reply = yield self.rpc.call(peer, "shuffle", payload,
-                                        timeout=self.hop_timeout, retries=0)
+                                        timeout=HOP_TIMEOUT, retries=0)
         except RpcError:
             self.stats.shuffle_failures += 1
             return
@@ -122,7 +124,7 @@ class GossipNode(harness.OverlayNode):
         """Answer a shuffle: return our own subset, merge what was offered."""
         self.stats.shuffles_answered += 1
         pool = [entry for _key, entry in sorted(self.view.items())]
-        sent = self._sample(pool, min(self.shuffle_size, len(pool)))
+        sent = self._sample(pool, min(SHUFFLE_SIZE, len(pool)))
         reply = [{"node": entry[0], "age": entry[1]} for entry in sent]
         self._merge_view(entries, sent_away=[entry[0] for entry in sent])
         return reply
@@ -182,7 +184,7 @@ class GossipNode(harness.OverlayNode):
         for peer in self._sample(self._view_nodes(), self.fanout):
             self.stats.pushes_sent += 1
             self.rpc.a_call(peer, "push", message_id, hops + 1,
-                            timeout=self.hop_timeout, retries=0)
+                            timeout=HOP_TIMEOUT, retries=0)
         return True
 
     def _rpc_push(self, message_id: str, hops: int) -> bool:
@@ -198,12 +200,12 @@ class GossipNode(harness.OverlayNode):
         peer = self._rng.choice(peers)
         try:
             digest = yield self.rpc.call(peer, "ae_digest",
-                                         timeout=self.hop_timeout, retries=0)
+                                         timeout=HOP_TIMEOUT, retries=0)
             missing = sorted(set(digest) - set(self.store))
             if not missing:
                 return
             found = yield self.rpc.call(peer, "ae_fetch", missing,
-                                        timeout=self.hop_timeout, retries=0)
+                                        timeout=HOP_TIMEOUT, retries=0)
         except RpcError:
             self._note_dead(peer)
             return

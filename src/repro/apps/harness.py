@@ -627,21 +627,24 @@ class LookupFailed(Exception):
 
 #: what one routing decision of a walk says to do next (RoutingNode._decide)
 OWNER, CLAIM, STEP, AVOID = "owner", "claim", "step", "avoid"
+#: the longest a lookup hop waits for an answer (seconds), and how many times
+#: it sends the call again before the next hop counts as unanswered
+HOP_TIMEOUT = 1.5
+HOP_RETRIES = 1
 #: the walks a node remembers serving, to drop a retransmitted one: it comes
-#: within one hop's retransmission timeout (at most ``hop_timeout``) of the
-#: first copy
+#: within one hop's retransmission timeout (at most :data:`HOP_TIMEOUT`) of
+#: the first copy
 WALKS_REMEMBERED = 8
 
 
 class RoutingNode(OverlayNode):
     """A node of a key-based-routing overlay (Chord, Pastry).
 
-    Holds what such overlays share: the identifier width ``bits``, the
-    per-hop RPC settings ``hop_timeout`` / ``hop_retries``, ``me`` with its
-    hashed identifier, the join retry loop, the one :meth:`lookup` walk —
-    forwarded from node to node (:meth:`_rpc_walk`), with the iterative
-    :meth:`_walk` as its recovery — and the liveness state: a call proves a
-    node alive (:meth:`_heard`), one that gets no answer purges it
+    Holds what such overlays share: the identifier width ``bits``, ``me``
+    with its hashed identifier, the join retry loop, the one :meth:`lookup`
+    walk — forwarded from node to node (:meth:`_rpc_walk`), with the
+    iterative :meth:`_walk` as its recovery — and the liveness state: a call
+    proves a node alive (:meth:`_heard`), one that gets no answer purges it
     (:meth:`_note_dead`).  The overlay supplies the ``step`` and ``claim``
     handlers, :meth:`_join_via`, ``_forget`` (the purge), ``neighbours()``
     (next and previous node, for :func:`consistency`), its hop budget
@@ -651,10 +654,10 @@ class RoutingNode(OverlayNode):
 
     A hop that passes the walk on waits the next hop's acknowledgement for
     the retransmission timeout the RPC service estimates (``rpc.rto``), at
-    most ``hop_timeout``, with ``hop_retries`` retransmissions.  A next hop
-    that misses such a shortened deadline may only be slow: the walk routes
-    around it and :meth:`_confirm` asks it once more with the full timeout
-    before it is purged.
+    most :data:`HOP_TIMEOUT`, with :data:`HOP_RETRIES` retransmissions.  A
+    next hop that misses such a shortened deadline may only be slow: the walk
+    routes around it and :meth:`_confirm` asks it once more with the full
+    timeout before it is purged.
     """
 
     refresh: BackoffTask
@@ -662,8 +665,6 @@ class RoutingNode(OverlayNode):
 
     def _configure(self, options: dict) -> None:
         self.bits = int(options.get("bits", 32))
-        self.hop_timeout = float(options.get("hop_timeout", 1.5))
-        self.hop_retries = int(options.get("hop_retries", 1))
         self.me = self.me.with_id(hash_key(f"{self.me.ip}:{self.me.port}", self.bits))
         self.stats = RoutingStats()
         #: the neighbour that proves itself alive by calling us, and when it
@@ -738,14 +739,14 @@ class RoutingNode(OverlayNode):
         # The deadline: a path twice this node's mean (its whole hop budget
         # before it has one), one learned round trip a hop although a hop
         # costs a one-way delay (the service's smoothed round trip, at most
-        # ``hop_timeout``), and one hop's retransmissions.  A walk still on
+        # ``HOP_TIMEOUT``), and one hop's retransmissions.  A walk still on
         # its way answers, or reports its spent hop budget, within it.
-        hop_timeout, completed, srtt = self.hop_timeout, stats.lookups_completed, rpc._srtt
+        completed, srtt = stats.lookups_completed, rpc._srtt
         path = (min(2 * stats.hops_total / completed, self.max_hops) if completed
                 else self.max_hops)
         deadline = sim.schedule(
-            path * (hop_timeout if srtt is None else min(hop_timeout, srtt))
-            + hop_timeout * (1 + self.hop_retries),
+            path * (HOP_TIMEOUT if srtt is None else min(HOP_TIMEOUT, srtt))
+            + HOP_TIMEOUT * (1 + HOP_RETRIES),
             self._expired, lookup_id, key, maintenance)
         self._lookups[lookup_id] = [answer, deadline.cancel, key]
         # (the flag travels as an int: the message sizer counts ints inline)
@@ -869,19 +870,18 @@ class RoutingNode(OverlayNode):
             rpc.send(node, "walk", key, avoid, hops, max_hops, maintenance, origin,
                      lookup_id, claims, *passed)
             return
-        hop_timeout = self.hop_timeout
-        timeout = min(hop_timeout, rpc.rto.get(node.ip, rpc.rto_default))
+        timeout = min(HOP_TIMEOUT, rpc.rto.get(node.ip, rpc.rto_default))
 
         def _unacked(ack: Future) -> None:
             error = ack._exception
             if isinstance(error, RpcError):  # not cancelled: we are alive
-                self._unanswered(node, error, timeout < hop_timeout, maintenance)
+                self._unanswered(node, error, timeout < HOP_TIMEOUT, maintenance)
                 self._rpc_walk(key, avoid + (node.id,), hops + 1, max_hops,
                                maintenance, origin, lookup_id, 0, *path)
 
         rpc.a_call(node, "walk", key, avoid, hops, max_hops, maintenance, origin,
                    lookup_id, claims, *passed, timeout=timeout,
-                   retries=self.hop_retries).add_done_callback(_unacked)
+                   retries=HOP_RETRIES).add_done_callback(_unacked)
 
     def _rpc_found(self, lookup_id: int, key: int, owner: Optional[NodeRef],
                    hops: int, *path: NodeRef) -> None:
@@ -949,7 +949,7 @@ class RoutingNode(OverlayNode):
         """
         stats = self.stats
         learned = self._learned
-        rpc, hop_timeout = self.rpc, self.hop_timeout
+        rpc = self.rpc
         me = self.me
         avoid: set = set()
         current, claims = me, 0
@@ -959,14 +959,14 @@ class RoutingNode(OverlayNode):
                 reply = self._rpc_claim(key) if claims else self._rpc_step(key, list(avoid))
             else:
                 stats.maintenance_rpcs += maintenance
-                timeout = min(hop_timeout, rpc.rto.get(current.ip, rpc.rto_default))
+                timeout = min(HOP_TIMEOUT, rpc.rto.get(current.ip, rpc.rto_default))
                 args = (key,) if claims else (key, list(avoid))
                 try:
                     reply = yield rpc.call(current, "claim" if claims else "step",
-                                           *args, timeout=timeout, retries=self.hop_retries)
+                                           *args, timeout=timeout, retries=HOP_RETRIES)
                 except RpcError as exc:
                     avoid.add(current.id)
-                    self._unanswered(current, exc, timeout < hop_timeout, maintenance)
+                    self._unanswered(current, exc, timeout < HOP_TIMEOUT, maintenance)
                     current, claims = me, 0
                     hops += 1
                     continue
@@ -986,8 +986,9 @@ class RoutingNode(OverlayNode):
     def _unanswered(self, node: NodeRef, exc: RpcError, shortened: bool,
                     maintenance: bool) -> None:
         """A lookup hop got no answer.  A remote error, or a timeout at the
-        full ``hop_timeout``, purges the node at once; a timeout at a deadline
-        shortened to its RTO makes it a suspect, confirmed by one more call."""
+        full :data:`HOP_TIMEOUT`, purges the node at once; a timeout at a
+        deadline shortened to its RTO makes it a suspect, confirmed by one
+        more call."""
         if not shortened or not isinstance(exc, RpcTimeout):
             self._note_dead(node)
             return
@@ -998,12 +999,12 @@ class RoutingNode(OverlayNode):
             self.events.thread(self._confirm, node, maintenance)
 
     def _confirm(self, node: NodeRef, maintenance: bool) -> Generator:
-        """Ping a suspect with the full ``hop_timeout`` and ``hop_retries``:
-        a slow peer answers and is kept, a dead one is purged."""
+        """Ping a suspect with the full :data:`HOP_TIMEOUT` and
+        :data:`HOP_RETRIES`: a slow peer answers and is kept, a dead one is
+        purged."""
         self.stats.maintenance_rpcs += maintenance
         try:
-            yield self.rpc.call(node, "__ping__", timeout=self.hop_timeout,
-                                retries=self.hop_retries)
+            yield self.rpc.call(node, "__ping__", timeout=HOP_TIMEOUT, retries=HOP_RETRIES)
         except RpcError:
             self.stats.suspects_dead += 1
             self._note_dead(node)

@@ -74,12 +74,12 @@ class PastryNode(harness.RoutingNode):
         self.leaf_half = max(1, self.leaf_set_size // 2)
         self.repair_interval = float(options.get("repair_interval", 5.0))
         self.table_probe_interval = float(options.get("table_probe_interval", 8.0))
-        self.max_hops = int(options.get("max_hops", 3 * self.digits + 8))
+        self.max_hops = 3 * self.digits + 8
         #: a live counter-clockwise neighbour (our ``_watched`` one) calls us
         #: at least this often: its repair period with the jitter ``_go_live``
         #: draws (a quarter period at most), plus one timeout for a first try
         #: that was lost
-        self._silence = 1.25 * self.repair_interval + self.hop_timeout
+        self._silence = 1.25 * self.repair_interval + harness.HOP_TIMEOUT
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
         #: of the two sides (a node sits on both while the ring is small)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
@@ -109,9 +109,9 @@ class PastryNode(harness.RoutingNode):
         our new leaves, the ones to notify."""
         owner = NodeRef.coerce((yield self.rpc.call(
             bootstrap, "find_owner", self.me.id,
-            timeout=self.hop_timeout * 8, retries=1)))
+            timeout=harness.HOP_TIMEOUT * 8, retries=1)))
         leafset = yield self.rpc.call(owner, "leafset", self.me,
-                                      timeout=self.hop_timeout, retries=1)
+                                      timeout=harness.HOP_TIMEOUT, retries=1)
         self._learned(bootstrap)
         self._learned(owner)
         self._adopt(leafset)
@@ -120,7 +120,7 @@ class PastryNode(harness.RoutingNode):
         for source in ([bootstrap, owner] if bootstrap != owner else [bootstrap]):
             try:
                 dump = yield self.rpc.call(source, "table_dump",
-                                           timeout=self.hop_timeout, retries=0)
+                                           timeout=harness.HOP_TIMEOUT, retries=0)
             except RpcError:
                 continue
             self._adopt(dump)
@@ -218,8 +218,8 @@ class PastryNode(harness.RoutingNode):
         self.stats.maintenance_rpcs += 1
         try:
             remote = yield self.rpc.call(node, "leafset", self.me, self._leaf_nodes(),
-                                         tuple(self._dead), timeout=self.hop_timeout,
-                                         retries=self.hop_retries)
+                                         tuple(self._dead), timeout=harness.HOP_TIMEOUT,
+                                         retries=harness.HOP_RETRIES)
         except RpcError:
             self._note_dead(node)
             return None
@@ -256,7 +256,7 @@ class PastryNode(harness.RoutingNode):
         # A leaf that called us since the caller's exchange with it began
         # (the time a failing one takes) outlived what the caller saw.
         nearest, heard = self._watched
-        if self.events.now() - heard >= (1 + self.hop_retries) * self.hop_timeout:
+        if self.events.now() - heard >= (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT:
             nearest = None
         probe = None
         for leaf in self._sides[1]:  # nearest first; _forget replaces the tuple
@@ -291,8 +291,8 @@ class PastryNode(harness.RoutingNode):
         entry = self.table[row][column]
         self.stats.maintenance_rpcs += 1
         try:
-            remote = yield self.rpc.call(entry, "row", row, timeout=self.hop_timeout,
-                                         retries=self.hop_retries)
+            remote = yield self.rpc.call(entry, "row", row, timeout=harness.HOP_TIMEOUT,
+                                         retries=harness.HOP_RETRIES)
         except RpcError:
             self._note_dead(entry)
             return

@@ -184,7 +184,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         help="write the measured latency CDF as "
                              "(latency_ms, fraction) CSV to PATH")
     parser.add_argument("--metrics", action="store_true",
-                        help="collect sim-time metrics (counters/gauges/"
+                        help="collect sim-time metrics (counters and "
                              "histograms, aggregated per job); digest-"
                              "excluded, results are identical")
     parser.add_argument("--metrics-out", type=str, default=None, metavar="FILE",

@@ -4,11 +4,11 @@ These modules mirror the library stack in Figure 5 of the paper:
 
 * :mod:`repro.lib.serializer` — wire sizes: what ``llenc`` + ``json``
   would put on the wire, charged by the network models;
-* :mod:`repro.lib.rpc` — remote procedure calls (``call``, ``a_call``,
-  ``ping``, :class:`RpcService`);
+* :mod:`repro.lib.rpc` — remote procedure calls (:class:`RpcService`:
+  ``call``, ``a_call``, ``send``, ``ping``);
 * :mod:`repro.lib.sbsocket` — the restricted (sandboxed) socket layer;
 * :mod:`repro.lib.sbfs` — the sandboxed virtual filesystem;
-* :mod:`repro.lib.logging` — local and remote (collector-based) logging;
+* :mod:`repro.lib.logging` — logging to the job's collector;
 * :mod:`repro.lib.crypto` — hashing and digest helpers;
 * :mod:`repro.lib.misc` — duration parsing and the job's member directory;
 * :mod:`repro.lib.ring` — identifier-ring arithmetic (``between`` et al.).
@@ -16,7 +16,7 @@ These modules mirror the library stack in Figure 5 of the paper:
 
 from repro.lib.ring import between, hash_key, ring_add, ring_distance
 from repro.lib.serializer import SerializationError, estimate_size
-from repro.lib.rpc import RpcError, RpcService, RpcStats, RpcTimeout, a_call, call
+from repro.lib.rpc import RpcError, RpcService, RpcStats, RpcTimeout
 from repro.lib.sbfs import SandboxedFS, SandboxFSError
 from repro.lib.sbsocket import (
     RestrictedSocket,
@@ -43,9 +43,7 @@ __all__ = [
     "SocketRestrictionError",
     "SocketStats",
     "SplayLogger",
-    "a_call",
     "between",
-    "call",
     "crypto",
     "estimate_size",
     "hash_key",

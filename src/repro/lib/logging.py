@@ -1,4 +1,4 @@
-"""The ``log`` library: local and remote (collector-based) logging.
+"""The ``log`` library: logging to a collector.
 
 "The log library allows the developer to print information either locally
 (screen, file) or, more interestingly, send it over the network to a log
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class LogLevel(enum.IntEnum):
@@ -69,7 +69,7 @@ class LogBudget:
 
 
 class SplayLogger:
-    """Per-instance logger with local buffering and optional remote shipping.
+    """Per-instance logger that ships its records to a collector.
 
     Parameters
     ----------
@@ -89,37 +89,27 @@ class SplayLogger:
     """
 
     __slots__ = ("source", "host", "level", "remote_sink", "max_bytes",
-                 "_budget", "clock", "keep_local", "_records", "enabled")
+                 "_budget", "clock")
 
     def __init__(self, source: str, level: LogLevel | str = LogLevel.INFO,
                  remote_sink: Optional[Callable[[LogRecord], None]] = None,
                  max_bytes: Optional[int] = None,
-                 clock: Callable[[], float] = lambda: 0.0,
-                 keep_local: int = 1000, host: str = ""):
+                 clock: Callable[[], float] = lambda: 0.0, host: str = ""):
         self.source = source
         self.host = host
         self.level = LogLevel.coerce(level)
         self.remote_sink = remote_sink
         self.max_bytes = max_bytes
+        # The shipping budget is allocated on first use: at 10k nodes, most
+        # instances log a handful of records (or none).
         self._budget: Optional[LogBudget] = None
         self.clock = clock
-        self.keep_local = keep_local
-        # The local buffer and the shipping budget are allocated on first use:
-        # at 10k nodes, most instances log a handful of records (or none).
-        self._records: Optional[List[LogRecord]] = None
-        self.enabled = True
 
     @property
     def budget(self) -> LogBudget:
         if self._budget is None:
             self._budget = LogBudget(max_bytes=self.max_bytes)
         return self._budget
-
-    @property
-    def records(self) -> List[LogRecord]:
-        if self._records is None:
-            self._records = []
-        return self._records
 
     # -------------------------------------------------------------- emitters
     def log(self, level: LogLevel | str, message: Any,
@@ -131,8 +121,6 @@ class SplayLogger:
         with the record itself (the route is unchanged: same sink, same
         bounded queue, same budget).
         """
-        if not self.enabled:
-            return None
         if level.__class__ is not LogLevel:
             level = LogLevel.coerce(level)
         if level < self.level:
@@ -140,12 +128,6 @@ class SplayLogger:
         record = LogRecord(time=self.clock(), level=level, source=self.source,
                            message=str(message), host=self.host,
                            fields=fields or None)
-        records = self._records
-        if records is None:
-            records = self._records = []
-        records.append(record)
-        if len(records) > self.keep_local:
-            del records[0]
         if self.remote_sink is not None and self.budget.admit(len(record.message) + 32):
             self.remote_sink(record)
         return record
@@ -168,13 +150,3 @@ class SplayLogger:
     def set_level(self, level: LogLevel | str) -> None:
         """Dynamically adjust the minimum severity."""
         self.level = LogLevel.coerce(level)
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def tail(self, count: int = 10) -> List[LogRecord]:
-        """The last ``count`` locally buffered records."""
-        return self._records[-count:] if self._records else []

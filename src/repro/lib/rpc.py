@@ -109,9 +109,9 @@ class RpcService:
     events:
         The instance's :class:`Events` API, used to run generator handlers
         as coroutines and to track timeout timers on the app context.
-    default_timeout / default_retries:
-        Applied when a call does not specify its own.  ``retries`` counts
-        *re*-transmissions: ``retries=2`` means up to three attempts.
+
+    A call's ``retries`` counts *re*-transmissions: ``retries=2`` means up
+    to three attempts, each waiting ``timeout`` seconds for the reply.
 
     The round-trip estimate (see the module docstring) is read through
     ``rto`` and ``rto_default``.  A heard-from host's timeout is
@@ -124,17 +124,13 @@ class RpcService:
     host is given the caller's whole timeout.
     """
 
-    __slots__ = ("socket", "events", "sim", "default_timeout", "default_retries",
-                 "_stats", "_handlers", "_pending", "_call_ids", "_metrics",
-                 "_tracer", "rto", "rto_default", "_srtt", "_rttvar")
+    __slots__ = ("socket", "events", "sim", "_stats", "_handlers", "_pending", "_call_ids",
+                 "_metrics", "_tracer", "rto", "rto_default", "_srtt", "_rttvar")
 
-    def __init__(self, socket: RestrictedSocket, events: Events,
-                 default_timeout: float = 3.0, default_retries: int = 1):
+    def __init__(self, socket: RestrictedSocket, events: Events):
         self.socket = socket
         self.events = events
         self.sim = events.sim
-        self.default_timeout = default_timeout
-        self.default_retries = default_retries
         # Per-instance counters materialise on first touch (services that
         # only ever answer pings pay nothing until then).
         self._stats: Optional[RpcStats] = None
@@ -281,10 +277,9 @@ class RpcService:
 
     # ------------------------------------------------------------ client side
     def a_call(self, dst: "Address | NodeRef | dict | str", method: str, *args: Any,
-               timeout: Optional[float] = None, retries: Optional[int] = None) -> Future:
+               timeout: float = 3.0, retries: int = 1) -> Future:
         """Asynchronous variant of :meth:`call` (observe the future, or ignore it)."""
-        timeout = timeout if timeout is not None else self.default_timeout
-        attempts = (retries if retries is not None else self.default_retries) + 1
+        attempts = retries + 1
         self._call_ids = call_id = self._call_ids + 1
         result = Future()
         args = list(args)
@@ -314,8 +309,7 @@ class RpcService:
         except SocketRestrictionError:
             stats.send_failures += 1
 
-    def ping(self, dst: "Address | NodeRef | dict | str",
-             timeout: Optional[float] = None) -> Future:
+    def ping(self, dst: "Address | NodeRef | dict | str", timeout: float = 3.0) -> Future:
         """Liveness probe: the future completes with ``True``/``False`` (never raises)."""
         result = Future(name="rpc.ping")
         inner = self.a_call(dst, "__ping__", timeout=timeout, retries=0)
@@ -475,16 +469,6 @@ class _PendingCall:
             f"{self.method} to {self.dst} timed out after "
             f"{service.sim._now - self.sent_at:.4g}s "
             f"({self.attempts} x {self.timeout:.4g}s)"))
-
-
-def call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any) -> Future:
-    """Module-level convenience mirroring the paper's ``rpc.call(node, ...)``."""
-    return service.call(dst, method, *args, **kwargs)
-
-
-def a_call(service: RpcService, dst: Any, method: str, *args: Any, **kwargs: Any) -> Future:
-    """Module-level convenience mirroring the paper's ``rpc.a_call(node, ...)``."""
-    return service.a_call(dst, method, *args, **kwargs)
 
 
 def _pong() -> bool:

@@ -6,7 +6,7 @@ handle per deployment sits on ``sim._obs`` — exactly like the sanitizer's
 ``sim._san`` — and the kernel consults it with a single pointer test per
 dispatched event, so everything here is a no-op unless a flag turned it on:
 
-* ``--metrics``: sim-clock-stamped counters/gauges/histograms
+* ``--metrics``: sim-clock-stamped counters and histograms
   (:mod:`repro.obs.metrics`), aggregated per job through the JobStore.
 * ``--trace-out FILE``: causal spans (:mod:`repro.obs.tracing`) exported as
   Perfetto-loadable Chrome trace-event JSON, one track per host, threaded
@@ -33,7 +33,6 @@ from typing import Optional
 from repro.obs.metrics import (  # noqa: F401 - re-exported API
     COUNT_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     LATENCY_BOUNDS_S,
     MetricsRegistry,
@@ -44,7 +43,7 @@ from repro.obs.recorder import FlightRecorder, callback_label
 from repro.obs.tracing import Tracer, load_trace  # noqa: F401 - re-exported
 
 __all__ = [
-    "Observability", "MetricsRegistry", "Counter", "Gauge", "Histogram",
+    "Observability", "MetricsRegistry", "Counter", "Histogram",
     "log_bucket_bounds", "LATENCY_BOUNDS_S", "COUNT_BOUNDS",
     "KernelProfiler", "FlightRecorder", "Tracer", "callback_label",
     "load_trace",

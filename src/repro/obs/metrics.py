@@ -1,4 +1,4 @@
-"""Deterministic metrics primitives: counters, gauges and log-bucket histograms.
+"""Deterministic metrics primitives: counters and log-bucket histograms.
 
 The measurement half of the paper's pitch ("the platform does deployment,
 log collection *and measurement*"): a small registry of named metrics whose
@@ -74,33 +74,15 @@ class Counter:
                 "last_update": round(self.last_update, 6)}
 
 
-class Gauge:
-    """A value that can go up and down (sim-time stamped)."""
-
-    __slots__ = ("name", "value", "last_update")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.last_update = 0.0
-
-    def set(self, value: float, now: float = 0.0) -> None:
-        self.value = value
-        self.last_update = now
-
-    def to_dict(self) -> dict:
-        return {"type": "gauge", "value": self.value,
-                "last_update": round(self.last_update, 6)}
-
-
 class Histogram:
     """Fixed-bound log-bucket histogram with exact sum/min/max.
 
     ``bounds`` are *upper* bucket bounds (inclusive); one overflow bucket
     catches everything above the last bound, so ``len(counts) ==
     len(bounds) + 1``.  Percentiles are estimated as the upper bound of the
-    bucket containing the requested rank (conservative: never below the
-    true percentile by more than one bucket's width).
+    bucket containing the requested rank, and never above the largest
+    observation (conservative: never below the true percentile, and above
+    it by at most one bucket's width).
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max",
@@ -138,7 +120,8 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> float:
-        """Upper bound of the bucket holding the ``fraction`` rank."""
+        """Upper bound of the bucket holding the ``fraction`` rank, at most
+        the largest observation (the bound of the overflow bucket)."""
         if self.count == 0:
             return 0.0
         rank = max(1, int(fraction * self.count + 0.999999))
@@ -147,8 +130,8 @@ class Histogram:
             seen += bucket_count
             if seen >= rank:
                 if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max  # overflow bucket: exact max is known
+                    return min(self.bounds[index], self.max)
+                break
         return self.max
 
     def to_dict(self) -> dict:
@@ -190,12 +173,6 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Counter(name)
-        return metric  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Gauge(name)
         return metric  # type: ignore[return-value]
 
     def histogram(self, name: str,

@@ -9,7 +9,7 @@ discrete-event simulator:
 * :mod:`repro.sim.futures` — completion tokens used by RPC and I/O,
 * :mod:`repro.sim.process` — generator-based cooperative coroutines,
 * :mod:`repro.sim.events_api` — the ``splay.events`` compatible API
-  (``thread``, ``periodic``, ``sleep``, ``fire``/``wait``),
+  (``thread``, ``periodic``, ``timer``, ``sleep``),
 * :mod:`repro.sim.locks` — coroutine locks, semaphores and queues (not
   re-exported here: no bundled code uses them, so no run imports them),
 * :mod:`repro.sim.rng` — deterministic random substreams.
@@ -17,7 +17,7 @@ discrete-event simulator:
 All timing in the simulator is expressed in seconds (floats).
 """
 
-from repro.sim.futures import Future, FutureState, SimTimeoutError, all_of, any_of
+from repro.sim.futures import Future, FutureState, SimTimeoutError
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.events_api import AppContext, Events
@@ -33,7 +33,5 @@ __all__ = [
     "ScheduledEvent",
     "SimTimeoutError",
     "Simulator",
-    "all_of",
-    "any_of",
     "substream",
 ]

@@ -10,9 +10,8 @@ the original system.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.sim.futures import Future
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Process
 
@@ -20,8 +19,8 @@ from repro.sim.process import Process
 class AppContext:
     """Book-keeping for one sandboxed application instance.
 
-    Tracks spawned processes, pending timers, named-event waiters and
-    arbitrary cleanup callbacks.  :meth:`kill` cancels all of them; after the
+    Tracks spawned processes, pending timers and arbitrary cleanup
+    callbacks.  :meth:`kill` cancels all of them; after the
     kill the context refuses to register new activity, which makes races
     between churn and application code harmless.
     """
@@ -153,13 +152,11 @@ class Events:
     main loop.  All activity is tracked on the bound :class:`AppContext`.
     """
 
-    __slots__ = ("sim", "context", "_named_waiters")
+    __slots__ = ("sim", "context")
 
     def __init__(self, sim: Simulator, context: Optional[AppContext] = None):
         self.sim = sim
         self.context = context or AppContext(sim)
-        # Allocated on the first wait(): most instances never use named events.
-        self._named_waiters: Optional[Dict[str, List[Future]]] = None
 
     # --------------------------------------------------------------- threads
     def thread(self, fn: Callable[..., Any], *args: Any, name: str = "", delay: float = 0.0) -> Process:
@@ -218,24 +215,6 @@ class Events:
     def sleep(duration: float) -> float:
         """Return a value to ``yield`` in order to sleep ``duration`` seconds."""
         return float(duration)
-
-    # ---------------------------------------------------------- named events
-    def fire(self, name: str, value: Any = None) -> int:
-        """Wake every coroutine waiting on event ``name``; returns waiter count."""
-        if self._named_waiters is None:
-            return 0
-        waiters = self._named_waiters.pop(name, [])
-        for waiter in waiters:
-            waiter.set_result(value)
-        return len(waiters)
-
-    def wait(self, name: str) -> Future:
-        """Return a future completing on the next :meth:`fire` for ``name``."""
-        future = Future(name=f"event:{name}")
-        if self._named_waiters is None:
-            self._named_waiters = {}
-        self._named_waiters.setdefault(name, []).append(future)
-        return future
 
     # ------------------------------------------------------------------ misc
     def now(self) -> float:

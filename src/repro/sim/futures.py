@@ -8,7 +8,7 @@ a lock, or any other asynchronous completion.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 #: runtime-sanitizer hook called as ``hook(future, operation)`` when a
 #: completion method is invoked on an already-completed future.  Module-global
@@ -138,56 +138,3 @@ class Future:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Future {self.name or id(self)} {self._state.value}>"
 
-
-def all_of(futures: Iterable[Future]) -> Future:
-    """Return a future that completes when every input future completes.
-
-    The result is the list of individual results in input order.  If any
-    input fails, the aggregate fails with the first exception observed.
-    """
-    futures = list(futures)
-    aggregate = Future(name="all_of")
-    if not futures:
-        aggregate.set_result([])
-        return aggregate
-    remaining = {"count": len(futures)}
-
-    def _on_done(_fut: Future) -> None:
-        if aggregate.done():
-            return
-        if _fut.state is FutureState.FAILED:
-            aggregate.set_exception(_fut.exception())  # type: ignore[arg-type]
-            return
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            results = []
-            for fut in futures:
-                results.append(fut.result() if fut.state is FutureState.DONE else None)
-            aggregate.set_result(results)
-
-    for fut in futures:
-        fut.add_done_callback(_on_done)
-    return aggregate
-
-
-def any_of(futures: Iterable[Future]) -> Future:
-    """Return a future completing with the result of the first future to finish."""
-    futures = list(futures)
-    aggregate = Future(name="any_of")
-    if not futures:
-        aggregate.set_result(None)
-        return aggregate
-
-    def _on_done(fut: Future) -> None:
-        if aggregate.done():
-            return
-        if fut.state is FutureState.DONE:
-            aggregate.set_result(fut.result())
-        elif fut.state is FutureState.FAILED:
-            aggregate.set_exception(fut.exception())  # type: ignore[arg-type]
-        else:
-            aggregate.cancel()
-
-    for fut in futures:
-        fut.add_done_callback(_on_done)
-    return aggregate

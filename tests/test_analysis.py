@@ -1,19 +1,14 @@
-"""Determinism linter: per-rule fixtures (positive, negative, suppressed,
-baseline-masked), baseline round-trip/staleness, CLI exit codes, and the
-committed-baseline cleanliness of the tree itself."""
+"""Determinism linter: per-rule fixtures (positive, negative, suppressed),
+CLI exit codes, and the cleanliness of the tree itself."""
 
 import os
 import shutil
 import subprocess
-import sys
 import textwrap
-
-from collections import Counter
 
 import pytest
 
 from repro.analysis import analyse_source, run_analysis
-from repro.analysis import suppress
 from repro.analysis.cli import main
 from repro.analysis.registry import all_rules, applicable_rules, known_rule_ids
 
@@ -296,83 +291,28 @@ def test_suppression_for_a_different_rule_does_not_apply():
     assert det102 and all(not f.suppressed for f in det102)
 
 
-# ----------------------------------------------------------------- baseline
-def _findings_for(source):
-    return analyse_source(SIM_PATH, textwrap.dedent(source))
-
-
-def test_baseline_roundtrip_masks_findings_and_survives_line_drift():
-    source = """
-        import time
-        start = time.time()
-    """
-    findings = _findings_for(source)
-    baseline = suppress.load_baseline(suppress.render_baseline(findings))
-    # Same finding on a different line number: still masked (keys are
-    # (rule, path, stripped source line), not line numbers).
-    shifted = _findings_for("\n\n\n" + textwrap.dedent(source))
-    stale = suppress.apply_baseline(shifted, baseline)
-    assert stale == []
-    assert all(f.baselined for f in shifted)
-    assert not any(f.active for f in shifted)
-
-
-def test_baseline_is_a_multiset_and_reports_stale_entries():
-    findings = _findings_for("""
-        import time
-        a = time.time()
-        b = time.time()
-    """)
-    hits = [f for f in findings if f.rule_id == "DET102"]
-    assert len(hits) == 2
-    # One entry only covers one of the two identical hits.
-    single = Counter({suppress.baseline_key(hits[0]): 1})
-    stale = suppress.apply_baseline(hits, single)
-    assert stale == []
-    assert sum(1 for f in hits if f.baselined) == 1
-    # An entry matching nothing comes back as stale.
-    for finding in hits:
-        finding.baselined = False
-    ghost = Counter({("DET102", "src/repro/sim/gone.py", "x = time.time()"): 1})
-    stale = suppress.apply_baseline(hits, ghost)
-    assert len(stale) == 1 and "gone.py" in stale[0]
-
-
-def test_malformed_baseline_fails_loudly():
-    try:
-        suppress.load_baseline("DET102 only-two-fields")
-    except ValueError as exc:
-        assert "malformed" in str(exc)
-    else:
-        raise AssertionError("malformed baseline was accepted")
-
-
 # ---------------------------------------------------------------- CLI modes
 def test_cli_exit_codes(tmp_path, capsys):
     dirty = tmp_path / "src" / "repro" / "sim" / "dirty.py"
     dirty.parent.mkdir(parents=True)
     dirty.write_text("import time\nstart = time.time()\n", encoding="utf-8")
-    baseline = tmp_path / "baseline.txt"
 
-    # New finding, no baseline: fail.
-    assert main([str(dirty), "--no-baseline"]) == 1
+    # A finding fails the run.
+    assert main([str(dirty)]) == 1
     assert "DET102" in capsys.readouterr().out
 
-    # Accept it into a baseline, then --check passes.
-    assert main([str(dirty), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    assert main([str(dirty), "--baseline", str(baseline), "--check"]) == 0
+    # Suppressed in place: the run passes, and --verbose still shows it.
+    dirty.write_text("import time\nstart = time.time()  # det: ignore[DET102]\n",
+                     encoding="utf-8")
+    assert main([str(dirty)]) == 0
     capsys.readouterr()
+    assert main([str(dirty), "--verbose"]) == 0
+    assert "[suppressed]" in capsys.readouterr().out
 
-    # Fix the file: plain runs pass, --check flags the stale entry.
-    dirty.write_text("value = 1\n", encoding="utf-8")
-    assert main([str(dirty), "--baseline", str(baseline)]) == 0
-    assert main([str(dirty), "--baseline", str(baseline), "--check"]) == 1
-    assert "stale" in capsys.readouterr().out
-
-    # Corrupt baseline: explicit config error, not a silent pass.
-    baseline.write_text("garbage without tabs\n", encoding="utf-8")
-    assert main([str(dirty), "--baseline", str(baseline)]) == 2
+    # A file that does not parse is a finding too.
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n", encoding="utf-8")
+    assert main([str(bad)]) == 1
 
     assert main(["--list-rules"]) == 0
     assert "DET101" in capsys.readouterr().out
@@ -381,30 +321,19 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_reports_syntax_errors_as_findings(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    assert main([str(bad), "--no-baseline"]) == 1
+    findings = run_analysis([str(bad)]).findings
+    assert [f.rule_id for f in findings] == ["DET000"] and findings[0].active
 
 
 # ------------------------------------------------------------ tree is clean
 def test_repository_tree_is_clean_against_the_committed_baseline():
-    with open(os.path.join(ROOT, "analysis_baseline.txt"),
-              encoding="utf-8") as handle:
-        baseline_text = handle.read()
-    result = run_analysis([os.path.join(ROOT, "src", "repro")], baseline_text)
+    # Every finding in the tree is fixed or suppressed in place.
+    result = run_analysis([os.path.join(ROOT, "src", "repro")])
     assert result.files_analysed > 40
     offenders = [f.location() + " " + f.rule_id for f in result.active_findings]
     assert offenders == []
-    assert result.stale_baseline == []
     # The deliberate wall-clock reads (bench timing) are suppressed in place.
     assert {f.rule_id for f in result.suppressed_findings} == {"DET102"}
-
-
-def test_lint_wrapper_matches_ci_invocation():
-    proc = subprocess.run(
-        [sys.executable, os.path.join("tools", "lint_determinism.py"),
-         "--check"],
-        cwd=ROOT, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 new finding(s)" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None,

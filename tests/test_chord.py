@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.apps import harness
-from repro.apps.chord import (SUCCESSOR_LIST_SIZE, ChordNode, LookupFailed, chord_factory,
-                              expected_owner)
+from repro.apps.chord import (CHECK_PREDECESSOR_INTERVAL, SUCCESSOR_LIST_SIZE, ChordNode,
+                              LookupFailed, chord_factory, expected_owner)
 from repro.core.jobs import JobSpec
 from repro.lib.ring import ring_add, ring_distance
 from repro.lib.rpc import RpcError, RpcService
@@ -411,8 +411,8 @@ def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
     heard = app._watched[1]
     assert sim.now - heard < app.stabilize_interval * 1.25  # it calls us
     controller.kill_instance(victim, failed=True)
-    bound = (heard + app.check_predecessor_interval
-             + 1.25 * app.check_predecessor_interval + app.hop_timeout)
+    bound = (heard + CHECK_PREDECESSOR_INTERVAL
+             + 1.25 * CHECK_PREDECESSOR_INTERVAL + harness.HOP_TIMEOUT)
     dropped = _run_until(sim, lambda: app.predecessor != predecessor, bound + 30.0)
     assert dropped is not None and dropped <= bound
 
@@ -444,7 +444,7 @@ def test_a_crash_burst_heals_within_the_predecessor_check_bound(seed):
     # the bound of the three fixed-period tasks this replaces: a dead
     # predecessor dropped within a silent period plus a 1.25-period check and
     # the ping, then the new predecessor's stabilize call
-    bound = (2.25 * app.check_predecessor_interval + app.hop_timeout
+    bound = (2.25 * CHECK_PREDECESSOR_INTERVAL + harness.HOP_TIMEOUT
              + 1.25 * app.stabilize_interval)
     healed = _run_until(sim, lambda: harness.consistency(job) == 1.0, crashed + 60.0)
     assert healed is not None and healed <= crashed + bound
@@ -464,7 +464,7 @@ def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node(
     noticed = app.stats.dead_nodes_noticed
     rounds = app.stats.maintenance_rounds
     _run_until(sim, lambda: app.stats.maintenance_rounds > rounds, sim.now + 10.0)
-    sim.run(until=sim.now + 2 * app.hop_timeout * (1 + app.hop_retries) + 0.5)
+    sim.run(until=sim.now + 2 * harness.HOP_TIMEOUT * (1 + harness.HOP_RETRIES) + 0.5)
     assert app.stats.dead_nodes_noticed == noticed + 1  # the ghost, by its timeout
     assert app.successors[0] == successor
     assert ghost not in app.successors
@@ -506,8 +506,8 @@ def test_a_hop_waits_its_host_rto_and_never_longer_than_hop_timeout(monkeypatch)
         for rto, default, expected in (
                 ({first.ip: 0.25}, 0.3, 0.25),  # the host's own
                 ({}, 0.3, 0.3),  # a host not heard from: the service-wide
-                ({first.ip: 10.0}, 0.3, app.hop_timeout),  # at most hop_timeout
-                ({}, inf, app.hop_timeout)):  # no sample yet: hop_timeout
+                ({first.ip: 10.0}, 0.3, harness.HOP_TIMEOUT),  # at most HOP_TIMEOUT
+                ({}, inf, harness.HOP_TIMEOUT)):  # no sample yet: HOP_TIMEOUT
             walker = Process(sim, walk(key, rto, default), name="test-lookup")
             walker.start()
             sim.run(until=sim.now + 5.0)
@@ -533,9 +533,9 @@ def test_a_hop_that_misses_the_full_hop_timeout_is_purged_without_a_confirming_c
 
     walker = Process(sim, walk(), name="test-lookup")
     walker.start()
-    sim.run(until=sim.now + (1 + app.hop_retries) * app.hop_timeout + 1.0)
+    sim.run(until=sim.now + (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT + 1.0)
     assert walker.done.result()[0] != successor
-    assert waits[0] == ("claim", app.hop_timeout)
+    assert waits[0] == ("claim", harness.HOP_TIMEOUT)
     assert app.stats.hops_suspected == app.stats.suspects_dead == 0
     assert app.stats.dead_nodes_noticed > noticed
     assert successor not in app.successors
@@ -606,7 +606,7 @@ def test_a_lost_forward_is_sent_again_by_the_hop_after_its_rto_and_the_origin_se
     # the origin sent its first forward and nothing more: no second walk
     assert [method for sender, method in sent if sender == origin.me.address] == ["walk"]
     assert origin.stats.walks_recovered == 0
-    # the hop waited its RTO to the next hop (the floor here), not hop_timeout
+    # the hop waited its RTO to the next hop (the floor here), not HOP_TIMEOUT
     assert box["at"] - started < 0.020 * len(path) + 0.3
 
 
@@ -635,7 +635,7 @@ def test_a_retransmitted_walk_is_passed_on_once(monkeypatch):
     retries = hop.rpc.stats.retries
     box = _walking(sim, origin, key)
     _run_until(sim, lambda: "result" in box, sim.now + 5.0, step=0.01)
-    sim.run(until=sim.now + 2 * hop.hop_timeout)  # past the retransmission
+    sim.run(until=sim.now + 2 * harness.HOP_TIMEOUT)  # past the retransmission
     assert acks and hop.rpc.stats.retries == retries + 1
     assert box["result"][0] == _expected_owner(job, key)
     # it passed the walk on once: the second copy was dropped
@@ -698,7 +698,7 @@ def test_a_walk_lost_with_the_hop_that_held_it_is_recovered_by_the_iterative_wal
     controller.kill_instance(hop.instance, failed=True)
     deadline = _deadline(origin)
     # longer than one hop's retransmissions by a path of round trips
-    assert deadline > (1 + origin.hop_retries) * origin.hop_timeout + 2 * 0.020
+    assert deadline > (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT + 2 * 0.020
     _run_until(sim, lambda: "result" in box, started + deadline + 30.0)
     assert box["result"][0] == _expected_owner(job, key)
     assert origin.stats.walks_recovered == 1

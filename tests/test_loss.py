@@ -168,10 +168,10 @@ def test_rpc_retries_recover_from_a_lossy_link():
                       loss=LossModel(seed=11, default_rate=0.4), seed=11)
     _c1, events1, socket1 = _endpoint(sim, network, "10.0.0.1")
     _c2, events2, socket2 = _endpoint(sim, network, "10.0.0.2")
-    client = RpcService(socket1, events1, default_timeout=0.5)
+    client = RpcService(socket1, events1)
     server = RpcService(socket2, events2)
     server.register("echo", lambda v: v)
-    futures = [client.call("10.0.0.2:1000", "echo", i, retries=5)
+    futures = [client.call("10.0.0.2:1000", "echo", i, timeout=0.5, retries=5)
                for i in range(20)]
     sim.run()
     assert all(f.state is FutureState.DONE for f in futures)
@@ -186,10 +186,10 @@ def test_rpc_times_out_when_the_link_is_fully_lossy():
                       loss=LossModel(seed=12, default_rate=1.0), seed=12)
     _c1, events1, socket1 = _endpoint(sim, network, "10.0.0.1")
     _c2, events2, socket2 = _endpoint(sim, network, "10.0.0.2")
-    client = RpcService(socket1, events1, default_timeout=0.2)
+    client = RpcService(socket1, events1)
     server = RpcService(socket2, events2)
     server.register("echo", lambda v: v)
-    future = client.call("10.0.0.2:1000", "echo", 1, retries=2)
+    future = client.call("10.0.0.2:1000", "echo", 1, timeout=0.2, retries=2)
     sim.run()
     assert future.state is FutureState.FAILED
     with pytest.raises(RpcTimeout):
@@ -207,10 +207,10 @@ def test_rpc_survives_the_planetlab_testbed_substrate_loss():
     assert network.loss.default_rate > 0
     _c1, events1, socket1 = _endpoint(sim, network, ips[0])
     _c2, events2, socket2 = _endpoint(sim, network, ips[1])
-    client = RpcService(socket1, events1, default_timeout=2.0)
+    client = RpcService(socket1, events1)
     server = RpcService(socket2, events2)
     server.register("echo", lambda v: v)
-    futures = [client.call(f"{ips[1]}:1000", "echo", i, retries=3)
+    futures = [client.call(f"{ips[1]}:1000", "echo", i, timeout=2.0, retries=3)
                for i in range(100)]
     sim.run()
     assert all(f.state is FutureState.DONE for f in futures)

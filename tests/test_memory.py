@@ -26,6 +26,7 @@ from repro.apps.dissemination import swarm_factory
 from repro.apps.gossip import gossip_factory
 from repro.apps.pastry import pastry_factory
 from repro.runtime.splayd import Instance
+from repro.sim.futures import Future
 
 #: committed ceiling for Python-allocated bytes per deployed node (the
 #: measured footprint is ~11 KB/node; the headroom absorbs allocator and
@@ -182,7 +183,7 @@ class BusyApp:
         pass
 
     def _wait_forever(self):
-        yield self.instance.events.wait("never fired")
+        yield Future()  # nothing ever resolves it
 
     def _call_myself_slowly(self):
         yield self.instance.rpc.call(self.instance.me, "slow_echo", 1, timeout=50.0)

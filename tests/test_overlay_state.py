@@ -17,6 +17,7 @@ import weakref
 
 import pytest
 
+from repro.apps import harness
 from repro.apps import pastry as pastry_module
 from repro.apps.chord import ChordNode, chord_factory
 from repro.apps.dissemination import SwarmNode, swarm_factory
@@ -139,8 +140,8 @@ def _deadline(app):
     retransmissions."""
     stats = app.stats
     path = min(2 * stats.hops_total / stats.lookups_completed, app.max_hops)
-    return (path * min(app.hop_timeout, app.rpc._srtt)
-            + app.hop_timeout * (1 + app.hop_retries))
+    return (path * min(harness.HOP_TIMEOUT, app.rpc._srtt)
+            + harness.HOP_TIMEOUT * (1 + harness.HOP_RETRIES))
 
 
 def _run_for(sim, box, patience):

@@ -290,7 +290,7 @@ def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a
     controller.kill_instance(victim.instance, failed=True)
     noticed, reported = app.stats.dead_nodes_noticed, app.stats.deaths_reported
     # two timed-out tries on the victim, then one round trip to the app
-    _run(sim, caller._leafset_repair(), patience=2 * caller.hop_timeout + 0.1)
+    _run(sim, caller._leafset_repair(), patience=2 * harness.HOP_TIMEOUT + 0.1)
     assert (victim.me.ip, victim.me.port) not in app.leaves
     assert app._sides[1][0] == caller.me and caller._sides[0][0] == app.me
     assert app.stats.deaths_reported == reported + 1
@@ -360,7 +360,7 @@ def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
                         crashed + 60.0)
     assert purged is not None
     assert purged <= crashed + (app._silence + 1.25 * app.repair_interval
-                                + 2 * app.hop_timeout)
+                                + 2 * harness.HOP_TIMEOUT)
     assert _calls(sent, app, victim.me) == ["leafset"]
     assert app.stats.deaths_reported == reported
 
@@ -402,7 +402,7 @@ def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_d
     periods = app.table_periods
     probed = _run_until(sim, lambda: app.table_periods > periods, sim.now + 300.0)
     del app._rng.choice  # later rounds pick at random again
-    unanswered = (1 + app.hop_retries) * app.hop_timeout  # the probe's two attempts
+    unanswered = (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT  # the probe's two attempts
     sim.run(until=probed + unanswered + 0.5)
     assert app.table[row][column] is None and app.refresh.factor == 1
     again = _run_until(sim, lambda: app.table_periods > periods + 1, sim.now + 30.0)
@@ -446,7 +446,7 @@ def test_a_row_probe_that_gets_no_reply_purges_the_entry():
     noticed = app.stats.dead_nodes_noticed
 
     _run(sim, app._table_maintenance(),
-         patience=(1 + app.hop_retries) * app.hop_timeout + 0.5)
+         patience=(1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT + 0.5)
     assert app.table[row][column] is None
     assert app.stats.dead_nodes_noticed == noticed + 1
 
@@ -480,7 +480,7 @@ def test_a_row_probe_whose_first_request_is_lost_keeps_the_entry(monkeypatch):
     lost = _dropping_first(monkeypatch, app.me, entry, "row")
 
     _run(sim, app._table_maintenance(),
-         patience=(1 + app.hop_retries) * app.hop_timeout + 0.5)
+         patience=(1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT + 0.5)
     assert lost and app.rpc.stats.retries == retries + 1
     assert app.table[row][column] == entry
     assert app.stats.dead_nodes_noticed == noticed
@@ -505,7 +505,7 @@ def test_a_hop_whose_first_request_is_lost_costs_one_rto_on_planetlab(monkeypatc
     walk.start()
     finished = _run_until(sim, walk.done.done, started + 5.0, step=0.01)
     assert walk.done.result() == (owner, 2) and lost == [started]
-    # the claim went again after its RTO, not after hop_timeout (1.5 s)
+    # the claim went again after its RTO, not after HOP_TIMEOUT (1.5 s)
     assert finished - started < 0.5
 
 
@@ -548,7 +548,7 @@ def test_a_live_peer_slower_than_its_rto_is_suspected_but_never_purged_by_a_look
     holders = [app for app in origins if slow in app.leaves.values()]
     for origin in origins:
         _run_lookup(sim, origin, slow.id, patience=5.0)
-    sim.run(until=sim.now + (1 + origins[0].hop_retries) * origins[0].hop_timeout)
+    sim.run(until=sim.now + (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT)
     assert sum(app.stats.hops_suspected for app in origins) > 0
     assert [app.stats.suspects_dead for app in origins] == [0] * len(origins)
     assert [app.stats.dead_nodes_noticed for app in origins] == noticed
@@ -563,7 +563,7 @@ def test_a_crashed_peer_is_purged_once_its_one_confirming_call_fails(monkeypatch
     origin = _live_apps(job)[0]
     victim = origin._sides[0][0]
     rpc = origin.rpc
-    assert rpc.rto.get(victim.ip, rpc.rto_default) < origin.hop_timeout
+    assert rpc.rto.get(victim.ip, rpc.rto_default) < harness.HOP_TIMEOUT
     (instance,) = [i for i in job.live_instances() if i.app.me == victim]
     controller.kill_instance(instance, failed=True)
     sent = _recording(monkeypatch)
@@ -577,7 +577,7 @@ def test_a_crashed_peer_is_purged_once_its_one_confirming_call_fails(monkeypatch
     assert all(walk.done.done() and walk.done.result()[0] != victim for walk in walks)
     assert origin.stats.hops_suspected == 2
     assert victim in origin.leaves.values()  # no purge on a shortened deadline
-    sim.run(until=sim.now + (1 + origin.hop_retries) * origin.hop_timeout)
+    sim.run(until=sim.now + (1 + harness.HOP_RETRIES) * harness.HOP_TIMEOUT)
     assert _calls(sent, origin, victim).count("__ping__") == 1
     assert origin.stats.suspects_dead == 1
     assert origin.stats.dead_nodes_noticed == noticed + 1
