@@ -65,11 +65,24 @@ class ChordNode(harness.RoutingNode):
         self.stabilize_interval = float(options.get("stabilize_interval", 5.0))
         self.fix_fingers_interval = float(options.get("fix_fingers_interval", 4.0))
         self.max_hops = 3 * self.bits
+        #: the neighbour state a ``stabilize`` reply carries: both are
+        #: replaced, never mutated, and only when what they hold changes, so
+        #: that its stamp can follow them by identity
         self.predecessor: Optional[NodeRef] = None
-        self.successors: List[NodeRef] = [self.me]
+        self.successors: Tuple[NodeRef, ...] = (self.me,)
         self.fingers: List[Optional[NodeRef]] = [None] * self.bits
         #: finger indices ``0 .. _covered - 1`` are read off the successor list
         self._covered = 0
+        #: the (predecessor, successors, stamp) the last stamp was given to:
+        #: ``(incarnation, version)``, where the incarnation is the instance
+        #: id, so that a new process at a reused endpoint never matches
+        self._stamped: tuple = (None, None, (self.instance.instance_id, 0))
+        #: ``(peer, reply, merged)``: the last full stabilize reply and the
+        #: node that sent it, whose stamp our next call to that node carries,
+        #: and the successor tuple merging it produced and the fingers were
+        #: read off (``None``: not merged yet, or a far-finger write landed
+        #: on a covered index since)
+        self._last_reply: tuple = (None, None, None)
         #: the index the far-finger refresh visits next
         self._next_finger = 0
         self.refresh = harness.BackoffTask(self.events, self._fix_fingers,
@@ -91,7 +104,7 @@ class ChordNode(harness.RoutingNode):
         successor = NodeRef.coerce((yield self.rpc.call(
             bootstrap, "find_successor", self.me.id,
             timeout=harness.HOP_TIMEOUT * 8, retries=1)))
-        self.successors = [successor]
+        self.successors = (successor,)
         self._read_fingers()
         return (successor,)
 
@@ -130,23 +143,36 @@ class ChordNode(harness.RoutingNode):
         the ``_watched`` neighbour whenever there is one."""
         node = NodeRef.coerce(node)
         predecessor = self.predecessor
-        if node != self.me and (predecessor is None
-                                or between(node.id, predecessor.id, self.me.id)):
+        if node is predecessor or node == predecessor:  # the usual caller
+            self._watched = (node, self.events.now())
+        elif node != self.me and (predecessor is None
+                                  or between(node.id, predecessor.id, self.me.id)):
             self.predecessor = node
             self._watched = (node, self.events.now())
-        elif node == predecessor:
-            self._watched = (node, self.events.now())
 
-    def _rpc_stabilize(self, node) -> dict:
+    def _rpc_stabilize(self, node, *seen):
         """One stabilize hop: ``notify``, then what the caller needs to adopt
-        a closer successor and refresh its successor list."""
-        self._rpc_notify(node)
-        return {"predecessor": self.predecessor, "successors": list(self.successors)}
+        a closer successor and refresh its successor list — or, when that is
+        what the stamp ``seen`` covers, the bare stamp.
 
-    def _rpc_successors(self) -> list:
-        """Our successor list, which a far finger's choice draws from; empty
-        before we joined (a new process at a far finger's endpoint)."""
-        return list(self.successors) if self.joined else []
+        The stamp is ``(incarnation, version)``, sent as two arguments: the
+        version moves on when the predecessor or the successor tuple is
+        another object than the last stamp was given to."""
+        self._rpc_notify(node)
+        predecessor, successors, stamp = self._stamped
+        if predecessor is not self.predecessor or successors is not self.successors:
+            predecessor, successors = self.predecessor, self.successors
+            stamp = (stamp[0], stamp[1] + 1)
+            self._stamped = (predecessor, successors, stamp)
+        if seen == stamp:
+            return stamp
+        return {"predecessor": predecessor, "successors": successors, "stamp": stamp}
+
+    def _rpc_successors(self, limit: Optional[int] = None) -> tuple:
+        """Our successor list, at most ``limit`` entries of it, which a far
+        finger's choice draws from; empty before we joined (a new process at
+        a far finger's endpoint)."""
+        return self.successors[:limit] if self.joined else ()
 
     # ------------------------------------------------------------ maintenance
     def _stabilize(self) -> Generator:
@@ -158,6 +184,10 @@ class ChordNode(harness.RoutingNode):
         us and the node, the walk moves on to it (bounded): one round can then
         repair a successor pointer that overshot by many nodes.  A reply
         proves its sender alive; the last node that answered is our successor.
+        The call carries the stamp of the last full reply when it goes to the
+        node that sent it, and a node whose state that stamp still covers
+        answers with the stamp alone: then neither the merge nor the finger
+        read runs again while our list is the one that merge produced.
         The predecessor proves itself alive by its own stabilize calls, so
         only one silent for :data:`CHECK_PREDECESSOR_INTERVAL` is pinged, and
         dropped when it does not answer.
@@ -170,26 +200,38 @@ class ChordNode(harness.RoutingNode):
         hops = 8 if node is not None else 0  # alone: nobody to call
         for _hop in range(hops):
             self.stats.maintenance_rpcs += 1
+            peer, heard, _merged = self._last_reply
+            # ``is``: a node's reference travels as one object; an equal one
+            # that is another object only costs a full reply
+            seen = heard["stamp"] if node is peer else ()
             try:
-                reply = yield self.rpc.call(node, "stabilize", self.me,
+                reply = yield self.rpc.call(node, "stabilize", self.me, *seen,
                                             timeout=harness.HOP_TIMEOUT,
                                             retries=harness.HOP_RETRIES)
             except RpcError:
                 self._note_dead(node)
                 break
+            if type(reply) is dict:
+                self._last_reply = (node, reply, None)
+            else:  # the bare stamp: what we heard last is still true
+                reply = heard
             successor = node
             candidate = NodeRef.coerce(reply["predecessor"] or node)  # none: stop
             if not between(candidate.id, self.me.id, node.id):
                 break
             node = candidate
-        if successor is not None:
-            chain = [successor] + [n for n in map(NodeRef.coerce, reply["successors"])
-                                   if n != self.me]
-            successors = list(dict.fromkeys(chain))[:SUCCESSOR_LIST_SIZE]
-            if successors != self.successors:
-                self.refresh.stir()
-            self.successors = successors
-        self._read_fingers()
+        peer, heard, merged = self._last_reply
+        if reply is not heard or merged is not self.successors:
+            if successor is not None:
+                chain = [successor] + [n for n in map(NodeRef.coerce, reply["successors"])
+                                       if n != self.me]
+                successors = tuple(dict.fromkeys(chain))[:SUCCESSOR_LIST_SIZE]
+                if successors != self.successors:
+                    self.refresh.stir()
+                    self.successors = successors
+                if reply is heard:
+                    self._last_reply = (peer, heard, self.successors)
+            self._read_fingers()
         predecessor = self.predecessor
         if (predecessor is not None and self.events.now() - self._watched[1]
                 >= CHECK_PREDECESSOR_INTERVAL):
@@ -235,15 +277,15 @@ class ChordNode(harness.RoutingNode):
         finger = self.fingers[index]
         if finger is not None and ring_distance(start, finger.id, bits) < width:
             self.stats.maintenance_rpcs += 1
-            try:
-                listed = yield self.rpc.call(finger, "successors",
+            try:  # one entry or none: only whether it has joined counts
+                listed = yield self.rpc.call(finger, "successors", 1,
                                              timeout=harness.HOP_TIMEOUT,
                                              retries=harness.HOP_RETRIES)
             except RpcError:
                 self._note_dead(finger)
             else:
                 if not listed and self.fingers[index] == finger:
-                    self.fingers[index] = None
+                    self._set_finger(index, None)
                     self.refresh.stir()
         else:
             try:
@@ -254,9 +296,17 @@ class ChordNode(harness.RoutingNode):
                 owner = yield from self._nearest(owner, start, width)
             if owner is None or owner != self.fingers[index]:
                 self.refresh.stir()
-            self.fingers[index] = owner
+            self._set_finger(index, owner)
         self._next_finger = (index + 1) % bits
         return (max(self._next_finger, self._covered) - index) % bits or bits
+
+    def _set_finger(self, index: int, node: Optional[NodeRef]) -> None:
+        """Set a far finger; the successor list may have come to cover its
+        index while the refresh waited, and then the next stabilize round
+        merges and reads the fingers off the list again."""
+        self.fingers[index] = node
+        if index < self._covered:
+            self._last_reply = (*self._last_reply[:2], None)
 
     def _nearest(self, owner: NodeRef, start: int, width: int) -> Generator:
         """The finger for ``[start, start + width)``: the nearest by round trip
@@ -306,7 +356,8 @@ class ChordNode(harness.RoutingNode):
         "Closest" means furthest along the clockwise walk from us towards
         the key, i.e. the candidate maximising ``ring_distance(me, node)``.
         """
-        candidates = [f for f in self.fingers if f is not None] + self.successors
+        candidates = [f for f in self.fingers if f is not None]
+        candidates += self.successors
         best: Optional[NodeRef] = None
         best_distance = -1
         me_id = self.me.id
@@ -335,7 +386,8 @@ class ChordNode(harness.RoutingNode):
     def _forget(self, node: NodeRef) -> None:
         """Purge a dead node from the successor list, fingers and predecessor."""
         self.refresh.stir()
-        self.successors = [s for s in self.successors if s != node] or [self.me]
+        if node in self.successors:
+            self.successors = tuple(s for s in self.successors if s != node) or (self.me,)
         self.fingers = [None if f == node else f for f in self.fingers]
         if self.predecessor == node:
             self.predecessor = None

@@ -198,14 +198,14 @@ class RpcService:
         args = payload.get("args", [])
         handler = self._handlers.get(method) or self._builtin(method)
         if handler is None:
-            self._send_reply(reply_to, call_id, ok=False,
+            self._send_reply(reply_to, method, call_id, ok=False,
                              error=f"unknown method: {method}")
             return
         try:
             result = handler(*args)
         except Exception as exc:  # noqa: BLE001 - shipped back to the caller
             self._handler_raised(method, exc)
-            self._send_reply(reply_to, call_id, ok=False, error=repr(exc))
+            self._send_reply(reply_to, method, call_id, ok=False, error=repr(exc))
             return
         tracer = self._tracer
         if type(result) is GeneratorType:
@@ -222,9 +222,10 @@ class RpcService:
                     tracer.add(self.socket.local.ip, f"serve.{method}",
                                started, self.sim.now - started, cat="rpc")
                 if fut.state is FutureState.DONE:
-                    self._send_reply(reply_to, call_id, ok=True, value=fut.result())
+                    self._send_reply(reply_to, method, call_id, ok=True,
+                                     value=fut.result())
                 elif fut.state is FutureState.FAILED:
-                    self._send_reply(reply_to, call_id, ok=False,
+                    self._send_reply(reply_to, method, call_id, ok=False,
                                      error=repr(fut.exception()))
                 # Cancelled (instance killed): no reply — the caller times out,
                 # exactly as with a crashed remote process.
@@ -236,7 +237,7 @@ class RpcService:
                 # Synchronous handler: zero-duration span at the serve instant.
                 tracer.add(self.socket.local.ip, f"serve.{method}",
                            self.sim.now, 0.0, cat="rpc")
-            self._send_reply(reply_to, call_id, ok=True, value=result)
+            self._send_reply(reply_to, method, call_id, ok=True, value=result)
 
     def _builtin(self, method: str) -> Optional[Callable[..., Any]]:
         """The handler every service has unless the application registered the name."""
@@ -254,7 +255,7 @@ class RpcService:
         """
         self.socket.network.stats.record_error(f"{self.socket.local} rpc {method}: {exc!r}")
 
-    def _send_reply(self, dst: Address, call_id: Any, ok: bool,
+    def _send_reply(self, dst: Address, method: str, call_id: Any, ok: bool,
                     value: Any = None, error: Optional[str] = None) -> None:
         if dst is None:
             return  # a one-way call (``send``) is never answered
@@ -274,6 +275,9 @@ class RpcService:
             # The instance died or hit its budget mid-reply; the caller will
             # observe a timeout, as with any crashed peer.
             stats.send_failures += 1
+            return
+        if self._metrics is not None:
+            self._metrics.inc(f"rpc.bytes.{method}.reply", size)
 
     # ------------------------------------------------------------ client side
     def a_call(self, dst: "Address | NodeRef | dict | str", method: str, *args: Any,
@@ -303,11 +307,14 @@ class RpcService:
         args = list(args)
         stats = self._stats or self.stats  # the property allocates
         stats.calls_sent += 1
+        size = _SEND_SIZE + len(method) + _approx_size(args)
         try:
-            self.socket.send(dst, {"rpc": _SEND, "method": method, "args": args},
-                             _SEND_SIZE + len(method) + _approx_size(args))
+            self.socket.send(dst, {"rpc": _SEND, "method": method, "args": args}, size)
         except SocketRestrictionError:
             stats.send_failures += 1
+            return
+        if self._metrics is not None:
+            self._metrics.inc(f"rpc.bytes.{method}", size)
 
     def ping(self, dst: "Address | NodeRef | dict | str", timeout: float = 3.0) -> Future:
         """Liveness probe: the future completes with ``True``/``False`` (never raises)."""
@@ -442,6 +449,8 @@ class _PendingCall:
             return
         self.timer = service.sim.schedule(self.timeout, self.on_timeout)
         service._pending[self.call_id] = self
+        if service._metrics is not None:
+            service._metrics.inc(f"rpc.bytes.{self.method}", self.size)
 
     def on_timeout(self) -> None:
         # The firing event holds our bound method; clear the back-reference

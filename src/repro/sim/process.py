@@ -120,24 +120,24 @@ class Process:
         inline = sim._resume_inline
         sim._resume_inline = False
         try:
-            if self._generator is not None:
+            generator = self._generator
+            # A coroutine that kills *itself* (events.exit()) is executing:
+            # it cannot be thrown into or closed, and the _step frame driving
+            # it observes _killed and stops at the next opportunity.
+            if generator is not None and not generator.gi_running:
                 try:
-                    self._generator.throw(ProcessKilled(reason))
+                    generator.throw(ProcessKilled(reason))
                 except (ProcessKilled, StopIteration):
                     pass
-                except Exception:
+                except Exception as error:  # noqa: BLE001 - a handler error
                     # Application cleanup code misbehaving must not take down
                     # the simulator; the process is being killed regardless.
-                    # This also covers a coroutine killing *itself* (e.g. via
-                    # events.exit()): throw/close on the currently-executing
-                    # generator raise ValueError, and the _step frame driving
-                    # it observes _killed and stops at the next opportunity.
-                    pass
+                    self._report(f"raised while killed: {error!r}")
                 finally:
                     try:
-                        self._generator.close()
-                    except Exception:
-                        pass
+                        generator.close()
+                    except Exception as error:  # noqa: BLE001 - a handler error
+                        self._report(f"raised while closed: {error!r}")
             self.done.cancel()
         finally:
             sim._resume_inline = inline
@@ -255,13 +255,18 @@ class Process:
         else:
             self._pending_event = self.sim.schedule(0.0, self._step, value, error)
 
+    def _report(self, what: str) -> None:
+        """Count an error nothing else will see (the run's handler errors)."""
+        if self.sim.unobserved_failure is not None:
+            self.sim.unobserved_failure(f"{self.name}: {what}")
+
     def _fail(self, error: Exception) -> None:
         """End with ``error``; report it when no done-callback will see it."""
         done = self.done
         if done._state is not _PENDING:
             return  # killed its own context (events.exit) on the way out
-        if done._callbacks is None and self.sim.unobserved_failure is not None:
-            self.sim.unobserved_failure(f"{self.name}: {error!r}")
+        if done._callbacks is None:
+            self._report(repr(error))
         done.set_exception(error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -34,9 +34,10 @@ CAP_BPS = 10_000_000
 #: maintenance protocol changed, when coroutines began to resume inside
 #: the event completing their future, when Chord's maintenance backed off,
 #: when lookup hops began to wait the peer's learned RTO, when a lookup
-#: became a walk forwarded from hop to hop, and when a far finger became the
-#: nearest of a few nodes of its interval; the allocator code did not move)
-PRE_REFACTOR_CHURN_DIGEST = "ecb4a3787d1cca0d"
+#: became a walk forwarded from hop to hop, when a far finger became the
+#: nearest of a few nodes of its interval, and when a quiet stabilize round
+#: began to answer with a bare version stamp; the allocator code did not move)
+PRE_REFACTOR_CHURN_DIGEST = "ffdb5a65d5cc9442"
 
 
 def _model(seed=0, model_class=BandwidthModel, hosts=12, kernel="wheel",

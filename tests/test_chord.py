@@ -27,13 +27,13 @@ BITS = 16
 CANDIDATES = 6
 
 
-def _deploy(nodes=10, seed=0, churn_script=None, latency=None, **options):
+def _deploy(nodes=10, seed=0, churn_script=None, latency=None, slots=3, **options):
     sim = Simulator(seed)
     network = Network(sim, latency=latency or ConstantLatency(0.010), seed=seed)
     controller = Controller(sim, network, seed=seed)
     for i in range(nodes):
         controller.register_daemon(
-            Splayd(sim, network, f"10.0.0.{i + 1}", SplaydLimits(max_instances=3)))
+            Splayd(sim, network, f"10.0.0.{i + 1}", SplaydLimits(max_instances=slots)))
     spec = JobSpec(
         name="chord",
         app_factory=chord_factory(),
@@ -202,8 +202,20 @@ def _counting_calls(monkeypatch):
 def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeypatch):
     sim, _controller, job = _converged(nodes=16, until=80.0)
     apps = _live_apps(job)
+    sim.run(until=sim.now + 2.5)  # one more round each: every list is full
     rounds = sum(app.stats.maintenance_rounds for app in apps)
+    held = [app._last_reply for app in apps]
     sent, _timed = _counting_calls(monkeypatch)
+    replies, reads = [], []
+    for app in apps:
+        def serving(node, *seen, serve=app._rpc_stabilize):
+            replies.append(serve(node, *seen))
+            return replies[-1]
+
+        monkeypatch.setitem(app.rpc._handlers, "stabilize", serving)
+    reading = ChordNode._read_fingers
+    monkeypatch.setattr(ChordNode, "_read_fingers",
+                        lambda node: reads.append(node) or reading(node))
     sim.run(until=sim.now + 100.0)
     rounds = sum(app.stats.maintenance_rounds for app in apps) - rounds
     assert rounds >= 16 * 100.0 / 2.5  # every node stabilized all along
@@ -213,6 +225,62 @@ def test_a_quiet_ring_spends_one_rpc_per_stabilize_round_and_never_pings(monkeyp
     # are one-way sends); a kept far finger is checked by ``successors``
     assert set(sent) <= {"stabilize", "walk", "successors"}
     assert harness.consistency(job) == 1.0
+    # nothing changed: every reply is the bare stamp the caller sent, and no
+    # round merged a list or read the fingers again
+    assert len(replies) == rounds
+    assert all(type(reply) is tuple for reply in replies)
+    assert all(app._last_reply is before for app, before in zip(apps, held))
+    assert reads == []
+
+
+def _stabilize_call(sim, app, node, seen):
+    """What ``node`` answers ``app``'s stabilize call carrying ``seen``; the
+    simulation runs only until the answer is in."""
+    answer = app.rpc.call(node, "stabilize", app.me, *seen, timeout=1.0)
+    _run_until(sim, answer.done, sim.now + 1.0, step=0.001)
+    return answer.result()
+
+
+def test_a_direct_write_to_the_predecessor_shows_in_the_next_reply():
+    sim, _controller, job = _converged(nodes=10)
+    apps = {a.me: a for a in _live_apps(job)}
+    app = _live_apps(job)[0]
+    successor = app.successors[0]
+    stamp = _stabilize_call(sim, app, successor, ())["stamp"]
+    assert _stabilize_call(sim, app, successor, stamp) == stamp  # nothing new
+    ghost = NodeRef(app.me.ip, app.me.port + 1000, id=ring_add(app.me.id, 1, BITS))
+    apps[successor].predecessor = ghost  # no handler, no bump by hand
+    reply = _stabilize_call(sim, app, successor, stamp)
+    assert reply["predecessor"] == ghost and reply["stamp"] != stamp
+    assert _stabilize_call(sim, app, successor, reply["stamp"]) == reply["stamp"]
+    # so does a list written whole, even one equal to the old
+    apps[successor].successors = list(apps[successor].successors)
+    assert type(_stabilize_call(sim, app, successor, reply["stamp"])) is dict
+
+
+def test_a_replacement_at_a_reused_endpoint_gets_the_full_state_whatever_its_version():
+    # One slot per host: the replacement lands on the endpoint it replaces.
+    sim, controller, job = _deploy(nodes=10, slots=1)
+    sim.run(until=60.0)
+    app = _live_apps(job)[0]
+    peer, heard, _merged = app._last_reply
+    assert peer == app.successors[0]
+    (victim,) = [i for i in job.live_instances() if i.app.me == peer]
+    controller.kill_instance(victim, reason="replace")
+    sim.run(until=sim.now + 1.0)
+    (fresh,) = controller.start_instances(job, 1)
+    _run_until(sim, lambda: fresh.app is not None, sim.now + 5.0)
+    replacement = fresh.app
+    assert replacement.me == peer and fresh.instance_id != victim.instance_id
+    # The new process changes its state once per call, so its version counts
+    # through the one we hold: whatever it reaches, we get the full state.
+    _incarnation, version = heard["stamp"]
+    assert version < 32
+    for change in range(32):
+        ghost = NodeRef(peer.ip, peer.port + 1000 + change, id=ring_add(peer.id, -1, BITS))
+        replacement.predecessor = ghost  # nearer than we are: kept
+        reply = replacement._rpc_stabilize(app.me, *heard["stamp"])
+        assert type(reply) is dict and reply["predecessor"] is ghost
 
 
 def test_fingers_read_off_the_successor_list_are_the_true_owners():

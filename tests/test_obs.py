@@ -375,6 +375,30 @@ def test_a_walk_that_spends_its_hop_budget_says_so(workload):
     assert counted["value"] == len(spans) == origin.stats.lookups_failed
 
 
+def test_rpc_bytes_per_method_add_up_to_the_bytes_the_network_carried():
+    """``rpc.bytes.<method>`` counts every call attempt and one-way send,
+    ``rpc.bytes.<method>.reply`` every reply: on a Chord ring, where all
+    traffic is RPC, they sum to the network's ``bytes_sent``."""
+    from repro.apps import harness
+    from repro.apps.chord import ChordNode
+
+    deployment = harness.deploy("chord", ChordNode.factory(), nodes=12, hosts=6,
+                                seed=2, duration="short", metrics=True)
+    deployment.sim.run(until=deployment.warmup_end + 30.0)
+    snapshot = deployment.controller.metrics_for(deployment.job).snapshot()
+    sizes = {name[len("rpc.bytes."):]: metric["value"]
+             for name, metric in snapshot.items() if name.startswith("rpc.bytes.")}
+    assert sum(sizes.values()) == deployment.network.stats.bytes_sent > 0
+    assert sizes["stabilize"] > 0 and sizes["stabilize.reply"] > 0
+    # the joins' walks end in the owner's one-way answer: sent, never answered
+    assert sizes["found"] > 0 and "found.reply" not in sizes
+    # with metrics off nothing is counted: there is no registry to count in
+    plain = harness.deploy("chord", ChordNode.factory(), nodes=4, hosts=2, seed=2,
+                           duration="short")
+    instances = plain.job.live_instances()
+    assert instances and all(instance.rpc._metrics is None for instance in instances)
+
+
 def test_metrics_identical_across_kernels(monkeypatch):
     """The metrics themselves (not just the digest) are kernel-independent,
     except the kernel-specific recycle counter."""

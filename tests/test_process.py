@@ -146,7 +146,7 @@ def test_a_loop_over_complete_futures_does_not_recurse():
 
 
 def test_exit_in_an_in_place_first_step_leaves_nothing_behind():
-    sim, _network, (events, client), _server = _world()
+    sim, network, (events, client), _server = _world()
     context = events.context
     closed = []
 
@@ -166,6 +166,7 @@ def test_exit_in_an_in_place_first_step_leaves_nothing_behind():
     assert process.done.cancelled() and closed == [0.5]
     assert not context.alive and context._processes == [] and context._timers == []
     assert client.pending_calls == 0
+    assert network.stats.handler_errors == 0  # a coroutine that killed itself
     assert sim.pending_events == 1  # the call's delivery; no sleep, no timer
     sim.run()
     assert sim.pending_events == 0
@@ -226,6 +227,37 @@ def test_a_failing_periodic_task_counts_every_firing():
     events.periodic(broken, interval=1.0)
     sim.run(until=3.5)
     assert network.stats.handler_errors == 3
+
+
+def test_a_coroutine_that_raises_while_it_is_killed_is_a_handler_error():
+    sim, network, (events, _client), _server = _world()
+
+    def cleanup_raises():
+        try:
+            yield 10.0
+        finally:
+            raise RuntimeError("cleanup broke")
+
+    def stubborn():
+        try:
+            yield 10.0
+        except ProcessKilled:
+            pass
+        try:
+            yield 10.0  # waits on, killed
+        except GeneratorExit:
+            pass
+        yield 10.0  # and once more: the kill's close() cannot end it
+
+    events.thread(cleanup_raises, name="app@10.0.0.1.cleanup")
+    events.thread(stubborn, name="app@10.0.0.1.stubborn")
+    sim.schedule(1.0, events.context.kill)
+    sim.run()
+    assert network.stats.last_errors == [
+        "app@10.0.0.1.cleanup: raised while killed: RuntimeError('cleanup broke')",
+        "app@10.0.0.1.stubborn: raised while closed: "
+        "RuntimeError('generator ignored GeneratorExit')"]
+    assert network.stats.handler_errors == 2
 
 
 def test_observed_failures_are_not_handler_errors():

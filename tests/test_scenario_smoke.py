@@ -201,7 +201,7 @@ def test_every_quoted_scenarios_command_parses(capsys):
 
 
 # ------------------------------------------------------------ handler errors
-def _broken_stabilize(self, node):
+def _broken_stabilize(self, node, *seen):
     raise KeyError("stabilize is broken")
 
 

@@ -35,12 +35,14 @@ from repro.testbeds.presets import (
 #: refresh, the churn row when lookup hops began to wait the peer's
 #: learned RTO (the stable row did not move), the two Chord rows when
 #: a lookup became a walk forwarded from hop to hop and a join's
-#: announcement a one-way call, and again when a far finger became the
-#: nearest of a few nodes of its interval; the testbed code did not move.
+#: announcement a one-way call, again when a far finger became the
+#: nearest of a few nodes of its interval, and again when a quiet stabilize
+#: round began to answer with a bare version stamp; the testbed code did
+#: not move.
 PRE_TESTBEDS_DIGESTS = {
-    "chord-stable": "375d5ff087ccc47a",
+    "chord-stable": "392be612f851d85a",
     "gossip-stable": "c23b4300afdcce27",
-    "chord-churn": "ecb4a3787d1cca0d",
+    "chord-churn": "ffdb5a65d5cc9442",
 }
 
 

@@ -224,7 +224,8 @@ def test_seed_sweep_prints_each_seeds_measured_line_then_the_total(capsys):
     assert status == 0
     assert lines[0].startswith("chord --nodes 6 --duration short --lookups 12, seeds 0..1")
     assert [line.split(": ")[0] for line in lines[1:]] == [
-        "seed 0", "seed 1", "total", "median p50", "median p95", "median maintenance"]
+        "seed 0", "seed 1", "total", "median p50", "median p95", "median maintenance",
+        "median bytes"]
     per_seed = [tuple(map(int, line.split(": ")[1].split("/"))) for line in lines[1:3]]
     assert all(issued == 12 for _correct, issued in per_seed)
     assert lines[3] == "total: {}/24".format(sum(correct for correct, _ in per_seed))
@@ -235,8 +236,8 @@ def test_seed_sweep_reads_the_p50_and_prints_its_median_per_tree(capsys, monkeyp
     report = ("measured downloads: 142/142 correct -> success rate 100.00%\n"
               "downloads under churn: 40/40 correct (100.0%), latency p50=9999ms p95=1ms\n"
               "download latency: mean=5100ms p50=4960ms p95=6924ms max=7001ms\n")
-    # no maintenance line: a swarm keeps no overlay
-    assert sweep.parse(report) == (142, 142, 4960, 6924, None)
+    # no maintenance line: a swarm keeps no overlay; and no network line here
+    assert sweep.parse(report) == (142, 142, 4960, 6924, None, None)
     assert sweep.parse(report.replace("p50=4960ms", "")) is None
     assert sweep.parse(report.replace("p95=6924ms", "")) is None
     # Three seeds on two trees: the median of each tree's own p50s and p95s.
@@ -244,7 +245,7 @@ def test_seed_sweep_reads_the_p50_and_prints_its_median_per_tree(capsys, monkeyp
             "here": iter([(4960, 6924), (4869, 9100), (5100, 8000)])}
     monkeypatch.setattr(sweep, "export_ref", lambda ref, path: None)
     monkeypatch.setattr(sweep, "measured", lambda tree, command, seed: (
-        10, 10, *next(runs["here" if tree == sweep._REPO else "HEAD~1"]), None))
+        10, 10, *next(runs["here" if tree == sweep._REPO else "HEAD~1"]), None, None))
     assert sweep.main(["dissemination --churn", "--seeds", "3", "--ref", "HEAD~1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3:] == ["total: 30/30 | 30/30", "median p50: 4960ms | 6874ms",
@@ -259,14 +260,32 @@ def test_seed_sweep_reads_the_maintenance_line_and_prints_its_median_per_tree(
               "lookup hops: mean=3.10 max=7\n"
               "maintenance: 0.194 RPCs per node per second while measuring "
               "(5820 RPCs, 150 nodes, 200 s)\n")
-    assert sweep.parse(report) == (197, 200, 1076, 1850, 0.194)
+    assert sweep.parse(report) == (197, 200, 1076, 1850, 0.194, None)
     runs = {"HEAD~1": iter([0.252, 0.261, 0.249]), "here": iter([0.194, 0.201, 0.19])}
     monkeypatch.setattr(sweep, "export_ref", lambda ref, path: None)
     monkeypatch.setattr(sweep, "measured", lambda tree, command, seed: (
-        200, 200, 1000, 2000, next(runs["here" if tree == sweep._REPO else "HEAD~1"])))
+        200, 200, 1000, 2000, next(runs["here" if tree == sweep._REPO else "HEAD~1"]),
+        None))
     assert sweep.main(["chord --churn", "--seeds", "3", "--ref", "HEAD~1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "median maintenance: 0.194 | 0.252 RPCs per node per second"
+
+
+def test_seed_sweep_reads_the_network_bytes_and_prints_their_median_per_tree(
+        capsys, monkeypatch):
+    sweep = _load("seed_sweep")
+    report = ("measured lookups: 200/200 correct -> success rate 100.00%\n"
+              "lookup latency: mean=1100ms p50=1076ms p95=1850ms max=3000ms\n"
+              "network: 38907 sent, 38907 delivered, 0 dropped, 10400123 bytes\n")
+    assert sweep.parse(report) == (200, 200, 1076, 1850, None, 10400123)
+    runs = {"HEAD~1": iter([11863945, 11866423, 11882249]),
+            "here": iter([6297664, 6300000, 6290000])}
+    monkeypatch.setattr(sweep, "export_ref", lambda ref, path: None)
+    monkeypatch.setattr(sweep, "measured", lambda tree, command, seed: (
+        200, 200, 1000, 2000, None, next(runs["here" if tree == sweep._REPO else "HEAD~1"])))
+    assert sweep.main(["chord --nodes 150", "--seeds", "3", "--ref", "HEAD~1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "median bytes: 6297664 | 11866423"
 
 
 # --------------------------------------------------------------- heal_time.py

@@ -7,9 +7,10 @@ Runs ``python -m repro.apps.scenarios <command> --seed i --min-success 0``
 for ``i`` in ``0 .. N-1`` on this working tree and, with ``--ref``, on commit
 ``REF`` unpacked with ``git archive`` (as ``tools/ab.py`` unpacks it).  Prints
 each seed's ``measured <op>s: X/Y`` line per tree, then the totals, then the
-medians over the seeds of each run's ``<op> latency: ... p50=Nms p95=Nms``
-and, for a command whose runs print one, of its ``maintenance: X RPCs per
-node per second`` (the overlay's upkeep).  A churn-sensitive change is
+medians over the seeds of each run's ``<op> latency: ... p50=Nms p95=Nms``,
+of its ``maintenance: X RPCs per node per second`` (the overlay's upkeep)
+for a command whose runs print one, and of the bytes on its ``network: ...
+N bytes`` line.  A churn-sensitive change is
 judged on the totals and the medians: one seed's figures move by chance
 whenever an event order does.
 
@@ -39,20 +40,24 @@ _REPO = Path(__file__).resolve().parent.parent
 MEASURED = re.compile(r"^measured \w+: (\d+)/(\d+) correct", re.MULTILINE)
 LATENCY = re.compile(r"^\w+ latency: .*\bp50=(\d+)ms p95=(\d+)ms", re.MULTILINE)
 MAINTENANCE = re.compile(r"^maintenance: ([\d.]+) RPCs per node per second", re.MULTILINE)
+NETWORK = re.compile(r"^network: .* (\d+) bytes$", re.MULTILINE)
 
 
 def parse(stdout: str) -> Optional[tuple]:
-    """``(correct, issued, p50_ms, p95_ms, maintenance)`` of one report —
-    ``maintenance`` in RPCs per node per second, None for a scenario that
-    prints none —, or None if a measured or latency line is missing."""
+    """``(correct, issued, p50_ms, p95_ms, maintenance, bytes)`` of one
+    report — ``maintenance`` in RPCs per node per second, None for a scenario
+    that prints none, and ``bytes`` the network's, None without its line —,
+    or None if a measured or latency line is missing."""
     found = MEASURED.search(stdout)
     latency = LATENCY.search(stdout)
     if found is None or latency is None:
         return None
     upkeep = MAINTENANCE.search(stdout)
+    network = NETWORK.search(stdout)
     return (int(found.group(1)), int(found.group(2)),
             int(latency.group(1)), int(latency.group(2)),
-            None if upkeep is None else float(upkeep.group(1)))
+            None if upkeep is None else float(upkeep.group(1)),
+            None if network is None else int(network.group(1)))
 
 
 def measured(tree: Path, command: str, seed: int) -> tuple:
@@ -92,16 +97,20 @@ def main(argv=None) -> int:
         p50s = {name: [] for name in trees}
         p95s = {name: [] for name in trees}
         upkeep = {name: [] for name in trees}
+        sent = {name: [] for name in trees}
         for seed in range(args.seeds):
             cells = []
             for name, tree in trees.items():
-                correct, issued, p50, p95, maintenance = measured(tree, args.command, seed)
+                correct, issued, p50, p95, maintenance, size = measured(
+                    tree, args.command, seed)
                 totals[name][0] += correct
                 totals[name][1] += issued
                 p50s[name].append(p50)
                 p95s[name].append(p95)
                 if maintenance is not None:
                     upkeep[name].append(maintenance)
+                if size is not None:
+                    sent[name].append(size)
                 cells.append(f"{correct}/{issued}")
             print(f"seed {seed}: {' | '.join(cells)}", flush=True)
         print("total: " + " | ".join(f"{correct}/{issued}" for correct, issued
@@ -113,6 +122,10 @@ def main(argv=None) -> int:
             print("median maintenance: " + " | ".join(
                 f"{statistics.median(values):.3f}" if values else "-"
                 for values in upkeep.values()) + " RPCs per node per second")
+        if any(sent.values()):
+            print("median bytes: " + " | ".join(
+                f"{statistics.median(values):.0f}" if values else "-"
+                for values in sent.values()))
     return 0
 
 
