@@ -917,18 +917,14 @@ class RoutingNode(OverlayNode):
 
     def _recover(self, lookup_id: int, key: int, maintenance: bool) -> Generator:
         """The iterative walk's race with the forwarded one: its outcome
-        answers the lookup unless the forwarded answer came first."""
+        answers the lookup.  A forwarded answer that comes first kills this
+        walk (:meth:`_rpc_found` stops it), so the lookup is still here."""
         try:
             outcome = yield from self._walk(key, maintenance)
         except LookupFailed as exc:
-            outcome = exc
-        entry = self._lookups.pop(lookup_id, None)
-        if entry is None:
-            return  # the forwarded walk answered first
-        if isinstance(outcome, LookupFailed):
-            entry[0].set_exception(outcome)
+            self._lookups.pop(lookup_id)[0].set_exception(exc)
         else:
-            entry[0].set_result(outcome)
+            self._lookups.pop(lookup_id)[0].set_result(outcome)
 
     def _drop_lookups(self) -> None:
         """Teardown: a lookup in flight ends cancelled, as a pending call does."""

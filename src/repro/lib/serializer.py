@@ -15,7 +15,6 @@ sized once) — for the repository's value types too
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.net.address import Address, NodeRef
@@ -28,26 +27,6 @@ class SerializationError(Exception):
     """Raised for a value that has no JSON form (it could never be sent)."""
 
 
-def _default(obj: Any) -> Any:
-    if isinstance(obj, NodeRef):
-        return {"__noderef__": obj.to_dict()}
-    if isinstance(obj, Address):
-        return {"__address__": obj.to_dict()}
-    if isinstance(obj, (set, frozenset)):
-        return {"__set__": sorted(obj, key=repr)}
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise SerializationError(f"cannot serialise {type(obj).__name__}: {obj!r}")
-
-
-def dumps(value: Any) -> str:
-    """JSON-encode ``value``: how :func:`_approx_size` sizes a type it does not know."""
-    try:
-        return json.dumps(value, default=_default, separators=(",", ":"), sort_keys=False)
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(str(exc)) from exc
-
-
 #: Memoized sizes of NodeRef / Address values.  Node references repeat
 #: enormously across a run (every RPC envelope, successor list and routing
 #: table carries them), so their sizes are computed once per distinct
@@ -56,6 +35,9 @@ def dumps(value: Any) -> str:
 #: past the cap (distinct refs scale with nodes, not with messages).
 _REF_SIZE_CACHE: dict = {}
 _REF_SIZE_CACHE_MAX = 1 << 16
+
+#: the JSON types whose subclasses are sized as the type itself
+_BASES = (dict, list, tuple, str, int, float)
 
 
 def _approx_size(value: Any) -> int:
@@ -148,9 +130,10 @@ def _approx_size(value: Any) -> int:
         return size
     if isinstance(value, (set, frozenset)):
         return 12 + _approx_size(sorted(value, key=repr))
-    # Unknown types go through the real encoder (raises SerializationError
-    # for values that could never be sent anyway).
-    return len(dumps(value).encode("utf-8"))
+    for base in _BASES:
+        if isinstance(value, base):
+            return _approx_size(base(value))  # a subclass: sized as its base
+    raise SerializationError(f"cannot serialise {type(value).__name__}: {value!r}")
 
 
 def estimate_size(value: Any) -> int:

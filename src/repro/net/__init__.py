@@ -12,7 +12,6 @@ from repro.net.latency import (
     CompositeLatency,
     ConstantLatency,
     LatencyModel,
-    MatrixLatency,
     PairwiseLatency,
     TopologyLatency,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "LatencyModel",
     "Listener",
     "LossModel",
-    "MatrixLatency",
     "Message",
     "Network",
     "NetworkStats",

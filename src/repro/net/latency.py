@@ -7,7 +7,7 @@ simulator seed, the same pair always observes the same base delay.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.sim.rng import substream
 
@@ -65,47 +65,22 @@ class PairwiseLatency(LatencyModel):
         return delay
 
 
-class MatrixLatency(LatencyModel):
-    """Explicit per-pair delays with a default for unknown pairs."""
-
-    def __init__(self, delays: Mapping[Tuple[str, str], float], default: float = 0.05,
-                 symmetric: bool = True, local_delay: float = 0.0001):
-        self.delays = dict(delays)
-        self.default = default
-        self.symmetric = symmetric
-        self.local_delay = local_delay
-
-    def one_way(self, src_ip: str, dst_ip: str) -> float:
-        if src_ip == dst_ip:
-            return self.local_delay
-        if (src_ip, dst_ip) in self.delays:
-            return self.delays[(src_ip, dst_ip)]
-        if self.symmetric and (dst_ip, src_ip) in self.delays:
-            return self.delays[(dst_ip, src_ip)]
-        return self.default
-
-
 class TopologyLatency(LatencyModel):
     """Delays computed from shortest paths on an emulated topology (ModelNet).
 
     ``host_attachment`` maps a host IP to the topology node (stub) it is
-    attached to; path delays between topology nodes are provided by the
-    topology object (see :class:`repro.net.topology.TransitStubTopology`).
+    attached to; path delays between topology nodes come from a
+    :class:`repro.net.topology.TransitStubTopology`.
     """
 
     def __init__(self, topology, host_attachment: Mapping[str, int], local_delay: float = 0.0001):
         self.topology = topology
         self.host_attachment = dict(host_attachment)
         self.local_delay = local_delay
-        # Resolved once: with a TransitStubTopology the per-source delay rows
-        # are indexed directly (one dict probe + one list index per message)
-        # instead of going through a path_delay call.  Foreign topology
-        # objects (tests, custom models) keep the method-call path.
-        self._delay_rows = getattr(topology, "_delay_cache", None)
-        self._build_row = getattr(topology, "_build_delay_row", None)
-        if self._delay_rows is None or self._build_row is None:
-            self._delay_rows = None
-            self._build_row = None
+        # The topology's per-source delay rows are indexed directly (one dict
+        # probe + one list index per message), not through path_delay.
+        self._delay_rows = topology._delay_cache
+        self._build_row = topology._build_delay_row
 
     def attach(self, ip: str, topology_node: int) -> None:
         """Attach (or re-attach) a host to a topology node."""
@@ -124,10 +99,7 @@ class TopologyLatency(LatencyModel):
             # Same emulated domain: the paper's ModelNet configuration uses a
             # 10 ms RTT between nodes of the same domain.
             return self.topology.intra_domain_delay
-        rows = self._delay_rows
-        if rows is None:
-            return self.topology.path_delay(src_node, dst_node)
-        row = rows.get(src_node)
+        row = self._delay_rows.get(src_node)
         if row is None:
             row = self._build_row(src_node)
         delay = row[dst_node]

@@ -40,13 +40,12 @@ from repro.obs.metrics import (  # noqa: F401 - re-exported API
 )
 from repro.obs.profiler import KernelProfiler
 from repro.obs.recorder import FlightRecorder, callback_label
-from repro.obs.tracing import Tracer, load_trace  # noqa: F401 - re-exported
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "Observability", "MetricsRegistry", "Counter", "Histogram",
     "log_bucket_bounds", "LATENCY_BOUNDS_S", "COUNT_BOUNDS",
     "KernelProfiler", "FlightRecorder", "Tracer", "callback_label",
-    "load_trace",
 ]
 
 #: ring entries attached to sanitizer violation reports / failure dumps

@@ -19,7 +19,7 @@ viewer renders **one track per host**.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.obs.recorder import FlightRecorder, callback_label
 
@@ -103,20 +103,3 @@ class Tracer:
             json.dump(document, handle, separators=(",", ":"))
             handle.write("\n")
         return len(self.spans)
-
-
-def load_trace(path: str) -> Dict[str, List[dict]]:
-    """Read a trace file back into {host: [complete-events]} (tools/tests)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    events = document["traceEvents"]
-    names = {event["pid"]: event["args"]["name"]
-             for event in events
-             if event.get("ph") == "M" and event.get("name") == "process_name"}
-    by_host: Dict[str, List[dict]] = {}
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        host = names.get(event["pid"], str(event["pid"]))
-        by_host.setdefault(host, []).append(event)
-    return by_host

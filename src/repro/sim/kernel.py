@@ -20,8 +20,8 @@ with no compaction.  A differential schedule fuzzer
 (``tests/test_kernel_fuzz.py``) and the scenario-level digest tests hold this
 kernel to its ``(time, seq)`` execution order event for event.
 
-While :meth:`Simulator.run` or :meth:`Simulator.step` dispatches an event
-and no coroutine's generator is executing, ``_resume_inline`` is true: a
+While :meth:`Simulator.run` dispatches an event and no coroutine's
+generator is executing, ``_resume_inline`` is true: a
 completing future then resumes the coroutine waiting on it, and a process
 started with no delay takes its first step, inside the event that caused it
 (``repro.sim.process``) instead of one zero-delay event later.
@@ -56,10 +56,10 @@ class ScheduledEvent:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
-                 "origin", "_sim", "_epoch")
+                 "origin", "_sim")
 
     def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None, epoch: int = 0):
+                 sim: Optional["Simulator"] = None):
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -71,7 +71,6 @@ class ScheduledEvent:
         #: installed; None otherwise
         self.origin = None
         self._sim = sim
-        self._epoch = epoch
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
@@ -111,17 +110,12 @@ class Simulator:
         self.rng = random.Random(seed)
         #: number of callbacks executed so far (useful for tests and stats)
         self.executed_events = 0
-        #: events that were pending when :meth:`clear` dropped them — they
-        #: neither fired nor were cancelled, so the ``cancelled_events``
-        #: derivation has to account for them separately
-        self._cleared_events = 0
         #: fresh ScheduledEvent constructions — counted on the cold
         #: allocation branch so the recycling hot path stays increment-free;
         #: see the ``recycled_events`` property
         self.allocated_events = 0
         # O(1) pending-event accounting (events scheduled minus fired/cancelled)
         self._pending = 0
-        self._epoch = 0
         self._next_pid = 0
         #: the event queue: a heap of (time, seq, event).  Only ever mutated
         #: in place — run() holds it in a local across callbacks.
@@ -144,7 +138,7 @@ class Simulator:
         #: origin-stamping hook (obs tracing only; the sanitizer stamps
         #: through its own note_scheduled when both are installed)
         self._obs_stamp = None
-        #: true while run()/step() dispatches an event and no coroutine's
+        #: true while run() dispatches an event and no coroutine's
         #: generator is executing (Process._step clears it around send/throw)
         self._resume_inline = False
         #: told ``"<process name>: <exception repr>"`` when a coroutine ends
@@ -172,13 +166,10 @@ class Simulator:
     def cancelled_events(self) -> int:
         """``cancel()`` calls on live events (timer churn; metrics section).
 
-        Derived — every inserted event either fires, is cancelled, was
-        dropped by :meth:`clear`, or is still pending — so the cancel hot
-        path carries no extra increment.  (Cancelling an event that a
-        ``clear()`` already dropped is not counted; the event was dead.)
+        Derived — every inserted event either fires, is cancelled, or is
+        still pending — so the cancel hot path carries no extra increment.
         """
-        return (self._seq - self.executed_events
-                - self._pending - self._cleared_events)
+        return self._seq - self.executed_events - self._pending
 
     def allocate_pid(self) -> int:
         """Next process id (per-simulator, so co-hosted runs stay deterministic)."""
@@ -207,10 +198,9 @@ class Simulator:
             event.args = args
             event.cancelled = False
             event.fired = False
-            event._epoch = self._epoch
         else:
             self.allocated_events += 1
-            event = ScheduledEvent(when, seq, callback, args, self, self._epoch)
+            event = ScheduledEvent(when, seq, callback, args, self)
         if san is not None:
             san.note_scheduled(event)
         elif self._obs_stamp is not None:
@@ -232,14 +222,8 @@ class Simulator:
         finally:
             self._now = now
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at the current instant (after pending same-time events)."""
-        return self.schedule(0.0, callback, *args)
-
     # ----------------------------------------------------------- the queue
     def _note_cancelled(self, event: ScheduledEvent) -> None:
-        if event._epoch != self._epoch:
-            return  # scheduled before a clear(); no longer accounted
         self._pending -= 1
         self._ghosts = ghosts = self._ghosts + 1
         queue = self._queue
@@ -250,60 +234,7 @@ class Simulator:
             heapify(queue)
             self._ghosts = 0
 
-    def _recycle(self, event: ScheduledEvent) -> None:
-        # refs: the caller's local + our parameter + getrefcount's argument.
-        # More means someone still holds the handle, which must stay intact.
-        if _getrefcount is not None and _getrefcount(event) == 3 \
-                and len(self._free) < _FREE_LIST_MAX:
-            event.callback = None
-            event.args = ()
-            self._free.append(event)
-
-    def _pop_next(self) -> Optional[ScheduledEvent]:
-        """Remove and return the next pending event in (time, seq) order."""
-        queue = self._queue
-        while queue:
-            event = heappop(queue)[2]
-            if not event.cancelled:
-                return event
-            self._ghosts -= 1
-            self._recycle(event)
-        return None
-
     # ------------------------------------------------------------------- run
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the event
-        queue was empty (cancelled events are skipped transparently).
-        """
-        event = self._pop_next()
-        if event is None:
-            return False
-        inline = self._resume_inline
-        self._resume_inline = True
-        try:
-            self._execute(event)
-        finally:
-            self._resume_inline = inline
-        self._recycle(event)
-        return True
-
-    def _execute(self, event: ScheduledEvent) -> None:
-        if self._san is not None:
-            self._san.before_execute(event)
-        self._now = event.time
-        event.fired = True
-        self._pending -= 1
-        self.executed_events += 1
-        if self._obs is None:
-            event.callback(*event.args)
-        else:
-            # Observed dispatch (ring/trace/profile): every reference the
-            # observer takes dies before run_event returns, so the refcount
-            # gate still sees exactly the expected handles.
-            self._obs.run_event(event)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue drains or virtual time reaches ``until``.
 
@@ -345,6 +276,8 @@ class Simulator:
                     if obs is None:
                         event.callback(*event.args)
                     else:
+                        # every reference the observer (ring, trace,
+                        # profile) takes dies before run_event returns
                         obs.run_event(event)
                 # refs here: the popped entry tuple + the event local +
                 # getrefcount's argument.  More means an external handle exists.
@@ -366,14 +299,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-cancelled events (O(1))."""
         return self._pending
-
-    def clear(self) -> None:
-        """Drop all pending events (the clock is left unchanged)."""
-        self._epoch += 1
-        self._cleared_events += self._pending
-        self._pending = 0
-        self._queue.clear()
-        self._ghosts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6f} pending={self.pending_events}>"

@@ -11,9 +11,11 @@ be yielded to block:
 * a ``float``/``int`` — sleep that many (virtual) seconds;
 * ``None`` — yield the processor and resume at the same instant;
 * a :class:`~repro.sim.futures.Future` — resume when it completes, receiving
-  its result (or having its exception raised at the yield point);
-* another :class:`Process` — wait for it to terminate;
-* a generator — run it as a child process and wait for its return value.
+  its result (or having its exception raised at the yield point).
+
+Anything else raises :class:`TypeError` at the yield point.  To wait for
+another process, yield its ``done`` future; to run a generator as a
+subroutine, ``yield from`` it.
 
 The return value of the generator (via ``return value``) becomes the result
 of the process's :attr:`Process.done` future.
@@ -22,7 +24,7 @@ A coroutine continues where its future completes: while the kernel
 dispatches an event and no generator is executing
 (``Simulator._resume_inline``), a completing future steps its waiting
 process in place, and ``start()`` with no delay takes the first step in
-place.  Everywhere else — outside ``run()``/``step()``, inside a coroutine
+place.  Everywhere else — outside ``run()``, inside a coroutine
 step or a kill, a future already complete when yielded, ``yield None`` and
 sleeps — the step is a scheduled event, so no generator is ever entered
 while another one executes.
@@ -211,8 +213,6 @@ class Process:
             return
         # What the coroutine yielded says what it waits for.
         if type(yielded) is Future:
-            # Fast path: blocking on an RPC reply is by far the most common
-            # yield in the workloads.
             future = yielded
         elif yielded is None:
             self._pending_event = sim.schedule(0.0, self._step, None, None)
@@ -220,14 +220,6 @@ class Process:
         elif isinstance(yielded, (int, float)):
             self._pending_event = sim.schedule(float(yielded), self._step, None, None)
             return
-        elif isinstance(yielded, Future):
-            future = yielded
-        elif isinstance(yielded, Process):
-            future = yielded.done
-        elif isinstance(yielded, GeneratorType):
-            child = Process(sim, yielded, name=f"{self.name}.child")
-            child.start()
-            future = child.done
         else:
             self._step(None, TypeError(f"cannot wait on yielded value {yielded!r}"))
             return

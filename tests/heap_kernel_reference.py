@@ -3,22 +3,24 @@
 ``HeapSimulator`` is a :class:`repro.sim.kernel.Simulator` — same clock,
 counters, ``ScheduledEvent`` handles, free list, sanitizer / observability
 seams and in-place resumption flag — in which every queue operation
-(insert, pop, the run loop, cancel, clear) is replaced by the simplest
-possible one over its own ``heapq`` of ``(time, seq, event)`` entries.  The kernel's queue (``_queue``) and its
-compaction of cancelled entries are never touched: a cancelled entry here
-waits for its time, so the differential fuzzer compares compaction against
-none.
+(insert, pop, execute, the run loop, cancel) is replaced by the simplest
+possible one over its own ``heapq`` of ``(time, seq, event)`` entries.  The
+kernel's queue (``_queue``) and its compaction of cancelled entries are never
+touched: a cancelled entry here waits for its time, so the differential
+fuzzer compares compaction against none.
 
 Tests swap it in where they build a simulator (``make_simulator``) or a whole
 deployment (``use_kernel``, which patches ``harness.Simulator``): the
 differential schedule fuzzer (``tests/test_kernel_fuzz.py``), the ``KERNELS``
 parametrisation of ``tests/test_kernel.py`` and one scenario-level digest test
 per workload hold the kernel to this queue's ``(time, seq)`` execution order.
+:func:`step` executes one event of either kernel, for tests that single-step.
 """
 
+import sys
 from heapq import heappop, heappush
 
-from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.sim.kernel import _FREE_LIST_MAX, ScheduledEvent, Simulator
 
 #: parametrisation shared by the both-kernel tests: "wheel" is the production
 #: ``Simulator`` (named for the timer wheel it once was; the label keeps the
@@ -42,10 +44,10 @@ class HeapSimulator(Simulator):
             event = self._free.pop()
             if self._san is not None:
                 self._san.check_recycled(event)
-            event.__init__(when, seq, callback, args, self, self._epoch)
+            event.__init__(when, seq, callback, args, self)
         else:
             self.allocated_events += 1
-            event = ScheduledEvent(when, seq, callback, args, self, self._epoch)
+            event = ScheduledEvent(when, seq, callback, args, self)
         if self._san is not None:
             self._san.note_scheduled(event)
         elif self._obs_stamp is not None:
@@ -55,11 +57,17 @@ class HeapSimulator(Simulator):
         return event
 
     def _note_cancelled(self, event):
-        if event._epoch == self._epoch:  # else dropped by clear() already
-            self._pending -= 1
+        self._pending -= 1
+
+    def _recycle(self, event):
+        # refs: the caller's local + this parameter + getrefcount's argument
+        if sys.getrefcount(event) == 3 and len(self._free) < _FREE_LIST_MAX:
+            event.callback = None
+            event.args = ()
+            self._free.append(event)
 
     def _pop_next(self):
-        """The next live event (``step`` executes it), or ``None``."""
+        """The next live event, or ``None``."""
         heap = self._heap
         while heap:
             event = heappop(heap)[2]
@@ -67,6 +75,24 @@ class HeapSimulator(Simulator):
                 return event
             self._recycle(event)
         return None
+
+    def _execute(self, event):
+        """Fire ``event`` under the kernel's dispatch rule: a coroutine
+        continues inside the event that completes its future."""
+        if self._san is not None:
+            self._san.before_execute(event)
+        self._now = event.time
+        event.fired = True
+        self._pending -= 1
+        self.executed_events += 1
+        inline, self._resume_inline = self._resume_inline, True
+        try:
+            if self._obs is None:
+                event.callback(*event.args)
+            else:
+                self._obs.run_event(event)
+        finally:
+            self._resume_inline = inline
 
     def run(self, until=None):
         self._stop_requested = False
@@ -83,19 +109,39 @@ class HeapSimulator(Simulator):
                 self._now = until
                 break
             event = heappop(heap)[2]
-            # the kernel's dispatch rule: a coroutine continues inside the
-            # event that completes its future
-            self._resume_inline = True
-            try:
-                self._execute(event)
-            finally:
-                self._resume_inline = False
+            self._execute(event)
             self._recycle(event)
         return self._now
 
-    def clear(self):
-        super().clear()
-        self._heap.clear()
+
+def step(sim):
+    """Execute the next pending event of ``sim`` (either kernel).
+
+    Returns ``False`` when none is pending.  The oracle pops and executes
+    it itself; on the kernel the event runs inside ``run()``, which a
+    wrapper around its callback stops right after it.
+    """
+    if isinstance(sim, HeapSimulator):
+        event = sim._pop_next()
+        if event is None:
+            return False
+        sim._execute(event)
+        sim._recycle(event)
+        return True
+    live = [entry for entry in sim._queue if not entry[2].cancelled]
+    if not live:
+        return False
+    event = min(live)[2]
+    callback = event.callback
+
+    def once(*args):
+        sim.stop()
+        callback(*args)
+
+    event.callback = once
+    del live, event  # the kernel may recycle the event once it fired
+    sim.run()
+    return True
 
 
 _BY_NAME = {"wheel": Simulator, "heap": HeapSimulator}

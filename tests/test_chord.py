@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from matrix_latency import MatrixLatency
 from repro.apps import harness
 from repro.apps.chord import (CHECK_PREDECESSOR_INTERVAL, SUCCESSOR_LIST_SIZE, ChordNode,
                               LookupFailed, chord_factory, expected_owner)
@@ -11,7 +12,7 @@ from repro.core.jobs import JobSpec
 from repro.lib.ring import ring_add, ring_distance
 from repro.lib.rpc import RpcError, RpcService
 from repro.net.address import NodeRef
-from repro.net.latency import ConstantLatency, MatrixLatency
+from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits

@@ -2,6 +2,7 @@
 
 import math
 
+from heap_kernel_reference import step
 from repro.apps.dissemination import (
     CHUNKS_PER_FETCH, run_dissemination_scenario, swarm_factory)
 from repro.apps.harness import RunConfig, deterministic_report_view
@@ -109,7 +110,7 @@ def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
     sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
     network = next(iter(job.instances)).daemon.network
     while len(job.live_instances()) < 2:
-        sim.step()
+        step(sim)
     [downloader] = [i.app for i in job.live_instances() if not i.app.is_seed]
     requested, landed = [], []
     send = network.send
@@ -146,7 +147,7 @@ def test_a_fetch_naming_a_chunk_the_uploader_lacks_is_refused_whole():
     sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
     network = next(iter(job.instances)).daemon.network
     while len(_apps(job)) < 2:
-        sim.step()
+        step(sim)
     [seed] = [a for a in _apps(job) if a.is_seed]
     [downloader] = [a for a in _apps(job) if not a.is_seed]
     # The seed lacks a chunk it still advertises, as a replacement at a

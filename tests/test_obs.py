@@ -22,12 +22,27 @@ from repro.obs import (
     Observability,
     Tracer,
     callback_label,
-    load_trace,
     log_bucket_bounds,
 )
 from repro.sim.kernel import Simulator
 
 _REPO = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, _REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _trace_by_host(path):
+    """A trace file's complete events per host track, read by the one loader
+    (``tools/trace_summary.py``, which rejects a malformed document)."""
+    summary = _load_tool("trace_summary")
+    return summary.spans_by_host(summary.load_events(str(path)))
 
 
 # ------------------------------------------------------------- bucket math
@@ -187,7 +202,7 @@ def test_chrome_trace_has_one_named_track_per_host(tmp_path):
     assert span["ts"] == 1.0e6 and span["dur"] == 0.25e6  # microseconds
     assert span["args"] == {"k": 1}
 
-    by_host = load_trace(str(path))
+    by_host = _trace_by_host(path)
     assert sorted(by_host) == ["10.0.0.1", "10.0.0.2"]
     assert len(by_host["10.0.0.2"]) == 2
 
@@ -301,7 +316,7 @@ def test_fifty_node_churning_chord_acceptance(workload, tmp_path):
         lookups=25)
     assert report_digest(plain) == report_digest(observed)
 
-    by_host = load_trace(str(trace_path))
+    by_host = _trace_by_host(trace_path)
     assert len(by_host) >= 2            # one track per traced host
     spans = [span for spans in by_host.values() for span in spans]
     assert spans
@@ -416,14 +431,6 @@ def test_metrics_identical_across_kernels(monkeypatch):
 
 
 # ----------------------------------------------------------- CLI + tool smoke
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, _REPO / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_scenarios_cli_writes_metrics_and_trace_artifacts(tmp_path, capsys):
     from repro.apps.scenarios import main

@@ -20,9 +20,11 @@ import pytest
 from repro.apps import harness
 from repro.apps import pastry as pastry_module
 from repro.apps.chord import ChordNode, chord_factory
+from repro.apps.chord import expected_owner as chord_owner
 from repro.apps.dissemination import SwarmNode, swarm_factory
 from repro.apps.gossip import GossipNode, gossip_factory
 from repro.apps.pastry import PastryNode, pastry_factory
+from repro.apps.pastry import expected_owner as pastry_owner
 from repro.core.jobs import JobSpec
 from repro.lib.misc import Membership
 from repro.lib.ring import (
@@ -38,7 +40,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
-from repro.sim.futures import FutureCancelled
+from repro.sim.futures import FutureCancelled, FutureState
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.sanitizer import Sanitizer
@@ -126,7 +128,7 @@ def _walking(sim, app, key):
     def _gen():
         try:
             box["result"] = yield from app.lookup(key)
-        except FutureCancelled as exc:
+        except (FutureCancelled, harness.LookupFailed) as exc:
             box["error"] = exc
         box["at"] = sim.now
 
@@ -246,6 +248,145 @@ def test_an_answer_that_comes_after_the_recovery_answered_is_dropped(
         send(*held[0])
         sim.run(until=sim.now + 5.0)
         assert box["result"][0] == origin.me or box["result"][0] in {a.me for a in apps}
+        _nothing_left(apps, sim)
+        assert sanitizer.violation_count == 0
+    finally:
+        sanitizer.uninstall()
+
+
+def _first_hops(job, origin, node_class):
+    """``(key, node, owner)`` for every key whose walk leaves ``origin`` for
+    a node that does not own it, in key order."""
+    by_ref = {instance.app.me: instance.app for instance in job.live_instances()}
+    owner_of = {ChordNode: chord_owner, PastryNode: pastry_owner}[node_class]
+    for key in range(1, 1 << BITS, 97):
+        reply = origin._rpc_step(key, [])
+        node, owner = NodeRef.coerce(reply["node"]), owner_of(job, key, BITS)
+        if not reply["done"] and node not in (origin.me, owner):
+            yield key, by_ref[node], owner
+
+
+def _first_hop(job, origin, node_class):
+    return next(_first_hops(job, origin, node_class))
+
+
+def _way_around(job, origin, key, node, owner):
+    """True when the walk of ``key`` from ``origin`` that avoids ``node``
+    steps straight on to ``owner``."""
+    by_ref = {instance.app.me: instance.app for instance in job.live_instances()}
+    current, avoid = origin, [node.me.id]
+    for _hop in range(8):
+        reply = current._rpc_step(key, avoid)
+        step = NodeRef.coerce(reply["node"])
+        if reply["done"]:
+            return step == owner
+        if step in (current.me, origin.me, node.me):
+            return False
+        current = by_ref[step]
+    return False
+
+
+def _iterative_walk(sim, app, key):
+    """``app._walk(key)`` run to its end; its done future."""
+    walk = Process(sim, app._walk(key), name="test-walk")
+    walk.start()
+    sim.run(until=sim.now + 5.0)
+    return walk.done
+
+
+def _answers_held(monkeypatch):
+    """Every forwarded walk's ``found`` answer is held back, not sent."""
+    held = []
+    send = Network.send
+
+    def holding(network, src, dst, payload, size):
+        if type(payload) is dict and payload.get("method") == "found":
+            held.append((network, src, dst, payload, size))
+            return
+        send(network, src, dst, payload, size)
+
+    monkeypatch.setattr(Network, "send", holding)
+    return held, send
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_the_iterative_walk_avoids_a_node_whose_step_names_itself(node_class):
+    sim, _controller, job = _deploy(node_class.factory(), nodes=16)
+    sim.run(until=80.0)
+    origin = job.live_instances()[0].app
+    key, stuck, owner = next(hop for hop in _first_hops(job, origin, node_class)
+                             if _way_around(job, origin, *hop))
+    asked = []
+
+    def no_progress(key, avoid):
+        asked.append(list(avoid))
+        return {"node": stuck.me, "done": False}
+
+    stuck.rpc._handlers["step"] = no_progress
+    assert _iterative_walk(sim, origin, key).result()[0] == owner
+    assert asked == [[]]  # asked once, then avoided from the origin on
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_an_iterative_walk_that_spends_its_hop_budget_raises(node_class):
+    sim, _controller, job = _deploy(node_class.factory(), nodes=16)
+    sim.run(until=80.0)
+    origin = job.live_instances()[0].app
+    key, _stuck, _owner = _first_hop(job, origin, node_class)
+    origin.max_hops = 1  # the origin's own step spends it
+    with pytest.raises(harness.LookupFailed, match="exceeded 1 hops"):
+        _iterative_walk(sim, origin, key).result()
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_a_recovery_that_spends_its_hop_budget_fails_the_lookup(monkeypatch, node_class):
+    sim, controller, job = _deploy(node_class.factory(), nodes=12)
+    sanitizer = _strict(sim, controller)
+    try:
+        sim.run(until=80.0)
+        apps = [instance.app for instance in job.live_instances()]
+        origin = apps[0]
+        key, _stuck, _owner = _first_hop(job, origin, node_class)
+        held, _send = _answers_held(monkeypatch)
+        failed, patience = origin.stats.lookups_failed, _deadline(origin) + 10.0
+        box = _walking(sim, origin, key)
+        sim.run(until=sim.now + 0.001)  # the walk has left with its budget
+        origin.max_hops = 1  # the recovery's: the origin's own step spends it
+        _run_for(sim, box, patience)
+        assert held and origin.stats.walks_recovered == 1
+        assert isinstance(box.get("error"), harness.LookupFailed)
+        assert origin.stats.lookups_failed == failed + 1 and not origin._lookups
+        assert sanitizer.violation_count == 0
+    finally:
+        sanitizer.uninstall()
+
+
+@pytest.mark.parametrize("node_class", [ChordNode, PastryNode],
+                         ids=lambda node_class: node_class.__name__)
+def test_a_forwarded_answer_that_comes_during_the_recovery_ends_it(monkeypatch, node_class):
+    sim, controller, job = _deploy(node_class.factory(), nodes=12)
+    sanitizer = _strict(sim, controller)
+    try:
+        sim.run(until=80.0)
+        apps = [instance.app for instance in job.live_instances()]
+        origin = apps[0]
+        key, _stuck, owner = _first_hop(job, origin, node_class)
+        held, send = _answers_held(monkeypatch)
+        box = _walking(sim, origin, key)
+        deadline = sim.now + _deadline(origin) + 10.0
+        while origin.stats.walks_recovered == 0 and sim.now < deadline:
+            sim.run(until=sim.now + 0.001)
+        (entry,) = origin._lookups.values()
+        recovery = entry[1].__self__  # what the lookup stops: the recovery's kill
+        assert held and recovery.alive  # its first call is on its way
+        send(*held[0])  # the forwarded answer, one delay before that reply
+        _run_for(sim, box, 1.0)
+        assert box["result"][0] == owner
+        assert recovery.done.state is FutureState.CANCELLED
+        sim.run(until=sim.now + 5.0)  # past the recovery's reply
         _nothing_left(apps, sim)
         assert sanitizer.violation_count == 0
     finally:

@@ -5,7 +5,7 @@ callback observes is counted as a handler error."""
 
 import pytest
 
-from heap_kernel_reference import KERNELS, make_simulator
+from heap_kernel_reference import KERNELS, make_simulator, step
 from repro.lib.rpc import RpcError, RpcService
 from repro.lib.sbsocket import RestrictedSocket
 from repro.net.address import Address
@@ -53,7 +53,7 @@ def test_rpc_reply_resumes_the_caller_inside_its_delivery_event(kernel):
     sim.run(until=0.015)       # first step, the call's delivery; reply in flight
     assert resumed == []
     before = sim.executed_events
-    assert sim.step()          # the reply's delivery, and the caller with it
+    assert step(sim)           # the reply's delivery, and the caller with it
     assert resumed == [(7, before + 1)]
     sim.run()
     assert sim.executed_events == before + 1
@@ -189,7 +189,7 @@ def test_a_kill_does_not_step_the_instances_other_coroutines():
 
     def watcher(process):
         try:
-            yield process
+            yield process.done
         except ProcessKilled:
             seen.append("killed")
             raise
@@ -273,7 +273,7 @@ def test_observed_failures_are_not_handler_errors():
 
     def parent():
         try:
-            yield child()
+            yield events.thread(child).done  # observed: no handler error
         except ValueError:
             pass
 
@@ -284,3 +284,37 @@ def test_observed_failures_are_not_handler_errors():
     with pytest.raises(RpcError, match="no route"):
         answer.result()
     assert network.stats.handler_errors == 0
+
+
+# ------------------------------------------------------------ what it waits on
+def test_a_yielded_value_it_cannot_wait_on_raises_type_error_at_the_yield():
+    sim, network, (events, _client), _server = _world()
+    refused = []
+
+    def sleeper():
+        yield 1.0
+
+    def waits_on_everything():
+        other = events.thread(sleeper)
+        for value in ("1.0", other, sleeper(), object()):
+            try:
+                yield value
+            except TypeError as exc:
+                refused.append(str(exc))
+        yield other.done  # what a process is waited on by
+        return sim.now
+
+    waiter = events.thread(waits_on_everything)
+    sim.run()
+    assert waiter.done.result() == 1.0
+    assert len(refused) == 4
+    assert all(text.startswith("cannot wait on yielded value") for text in refused)
+
+    def unguarded():
+        yield "later"
+
+    events.thread(unguarded, name="app@10.0.0.1.unguarded")
+    sim.run()
+    assert network.stats.handler_errors == 1
+    assert network.stats.last_errors == [
+        "app@10.0.0.1.unguarded: TypeError(\"cannot wait on yielded value 'later'\")"]

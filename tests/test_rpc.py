@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from matrix_latency import MatrixLatency
+from repro.core.blacklist import Blacklist
 from repro.lib.rpc import RTO_FLOOR, RTO_GRAIN, RpcError, RpcService, RpcTimeout
-from repro.lib.sbsocket import RestrictedSocket, SocketRestrictionError
+from repro.lib.sbsocket import RestrictedSocket, SocketPolicy, SocketRestrictionError
 from repro.lib.serializer import estimate_size
 from repro.net.address import Address, NodeRef
-from repro.net.latency import ConstantLatency, MatrixLatency
+from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.sim.events_api import AppContext, Events
 from repro.sim.futures import FutureState
@@ -382,6 +384,49 @@ def test_call_from_a_closed_socket_fails_at_once_and_counts_one_send_failure(str
     assert (client.stats.calls_sent, client.stats.retries) == (1, 0)
     assert client.pending_calls == 0 and sim.pending_events == 0
     assert network.stats.messages_sent == 0
+
+
+def test_a_one_way_send_the_policy_refuses_counts_one_send_failure(strict_world):
+    sim, network = strict_world
+    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
+    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
+    heard = []
+    server.register("note", heard.append)
+    client.socket.policy = SocketPolicy(blacklist=Blacklist(["10.0.0.2"]))
+    assert client.send("10.0.0.2:1000", "note", 1) is None
+    sim.run()
+    assert (client.stats.calls_sent, client.stats.send_failures) == (1, 1)
+    assert client.socket.stats.messages_refused == 1
+    assert heard == [] and network.stats.messages_sent == 0
+
+
+def test_a_call_the_policy_refuses_fails_its_future_at_once(strict_world):
+    sim, network = strict_world
+    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
+    _endpoint(sim, network, "10.0.0.2")
+    client.socket.policy = SocketPolicy(max_total_bytes=10)
+    future = client.call("10.0.0.2:1000", "anything", retries=3)
+    with pytest.raises(RpcError, match="network budget exceeded"):
+        future.result()
+    assert (client.stats.calls_sent, client.stats.send_failures) == (1, 1)
+    assert client.pending_calls == 0 and sim.pending_events == 0
+
+
+def test_a_reply_the_policy_refuses_counts_one_send_failure_and_the_call_times_out(
+        strict_world):
+    sim, network = strict_world
+    _h1, _c1, _e1, client = _endpoint(sim, network, "10.0.0.1")
+    _h2, _c2, _e2, server = _endpoint(sim, network, "10.0.0.2")
+    server.register("echo", lambda value: value)
+    server.socket.policy = SocketPolicy(blacklist=Blacklist(["10.0.0.1"]))
+    future = client.call("10.0.0.2:1000", "echo", 7, timeout=1.0, retries=0)
+    sim.run()
+    with pytest.raises(RpcTimeout):
+        future.result()
+    assert server.stats.calls_received == 1
+    assert (server.stats.replies_sent, server.stats.send_failures) == (0, 1)
+    assert client.stats.timeouts == 1 and client.stats.replies_received == 0
+    assert network.stats.handler_errors == 0
 
 
 # ------------------------------------------------------ round-trip estimate

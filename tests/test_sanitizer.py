@@ -116,7 +116,7 @@ def test_unscrubbed_free_list_entry_is_caught():
     def stale_callback():
         return None
 
-    dead = ScheduledEvent(1.0, 999, stale_callback, (), sim, sim._epoch)
+    dead = ScheduledEvent(1.0, 999, stale_callback, (), sim)
     dead.fired = True  # dead, but its callback was never scrubbed
     sim._free.append(dead)
     sim.schedule(1.0, lambda: None)

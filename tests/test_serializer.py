@@ -1,5 +1,5 @@
-"""The serializer's encoder fallback: the types its size walk does not know
-go through the real JSON encoder (``dumps`` with ``_default``)."""
+"""The serializer's size walk outside its fast paths: a subclass of a JSON
+type is sized as that type, and any other type raises."""
 
 import pytest
 
@@ -22,5 +22,5 @@ def test_a_dict_subclass_is_sized_like_the_equal_plain_dict():
              "rate": 0.5, "empty": [], "node": NodeRef("10.0.0.1", 2000, 77),
              "nested": {"ids": [4, 5]}}
     subclass = Record(plain)
-    assert type(subclass) is not dict  # the walk does not take it: the encoder does
+    assert type(subclass) is not dict  # not the walk's fast path: sized as its base
     assert estimate_size(subclass) == estimate_size(plain)

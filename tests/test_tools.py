@@ -1,4 +1,5 @@
-"""Repo tools: the CDF plotter (stdlib fallback) and the trace generator."""
+"""Repo tools: the CDF plotter (stdlib fallback), the trace generator, the
+benchmark and matrix drivers and the line tracer."""
 
 import importlib.util
 import json
@@ -358,3 +359,34 @@ def test_digest_matrix_row_of_this_tree_matches_the_committed_file():
     config = "chord --nodes 40 --seed 3 --min-success 0"
     committed = json.loads((_REPO / "DIGESTS.json").read_text())
     assert matrix.run(config) == committed[config]
+
+
+def test_linecov_reports_exactly_the_lines_no_call_reached(tmp_path):
+    linecov = _load("linecov")
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def used(n):\n"
+        "    total = 0\n"
+        "    for i in range(n):\n"
+        "        total += i\n"
+        "    return total\n"
+        "\n"
+        "\n"
+        "def unused(flag):\n"
+        "    if flag:\n"
+        "        return 1\n"
+        "    return (\n"
+        "        2\n"
+        "    )\n")
+    tracer = linecov.LineTracer([source])
+    namespace = {}
+    code = compile(source.read_text(), str(source), "exec")
+    with tracer.tracing():
+        exec(code, namespace)  # noqa: S102 - the sample module's own lines
+        assert namespace["used"](3) == 3
+    executable = sorted(linecov.executable_lines(source))
+    missing = [line for line in executable if line not in tracer.reached[str(source)]]
+    assert missing == [9, 10, 11, 12]  # unused's body; its def line ran
+    assert linecov.ranges(missing, executable) == "9-12"
+    assert linecov.ranges([2, 5], [1, 2, 3, 5]) == "2, 5"
+
