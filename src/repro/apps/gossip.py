@@ -35,19 +35,6 @@ HOP_TIMEOUT = 1.5
 
 
 @dataclass
-class GossipStats:
-    """Per-node counters (aggregated by the scenario report)."""
-
-    shuffles_started: int = 0
-    shuffles_answered: int = 0
-    shuffle_failures: int = 0
-    pushes_sent: int = 0
-    duplicates_ignored: int = 0
-    anti_entropy_rounds: int = 0
-    anti_entropy_recovered: int = 0
-
-
-@dataclass
 class DeliveryRecord:
     """When (and how) one message reached this node."""
 
@@ -78,7 +65,6 @@ class GossipNode(harness.OverlayNode):
         self.view: Dict[Tuple[str, int], List] = {}  # key -> [NodeRef, age]
         #: message id -> delivery record
         self.store: Dict[str, DeliveryRecord] = {}
-        self.stats = GossipStats()
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
@@ -100,7 +86,6 @@ class GossipNode(harness.OverlayNode):
             self._reseed()
             if not self.view:
                 return
-        self.stats.shuffles_started += 1
         for entry in self.view.values():
             entry[1] += 1
         peer_key = max(self.view, key=lambda k: (self.view[k][1], k))
@@ -116,13 +101,11 @@ class GossipNode(harness.OverlayNode):
             reply = yield self.rpc.call(peer, "shuffle", payload,
                                         timeout=HOP_TIMEOUT, retries=0)
         except RpcError:
-            self.stats.shuffle_failures += 1
             return
         self._merge_view(reply, sent_away=[entry[0] for entry in sent])
 
     def _rpc_shuffle(self, entries: list) -> list:
         """Answer a shuffle: return our own subset, merge what was offered."""
-        self.stats.shuffles_answered += 1
         pool = [entry for _key, entry in sorted(self.view.items())]
         sent = self._sample(pool, min(SHUFFLE_SIZE, len(pool)))
         reply = [{"node": entry[0], "age": entry[1]} for entry in sent]
@@ -178,11 +161,9 @@ class GossipNode(harness.OverlayNode):
 
     def _deliver(self, message_id: str, hops: int, via: str) -> bool:
         if message_id in self.store:
-            self.stats.duplicates_ignored += 1
             return False
         self.store[message_id] = DeliveryRecord(self.events.sim.now, hops, via)
         for peer in self._sample(self._view_nodes(), self.fanout):
-            self.stats.pushes_sent += 1
             self.rpc.a_call(peer, "push", message_id, hops + 1,
                             timeout=HOP_TIMEOUT, retries=0)
         return True
@@ -196,7 +177,6 @@ class GossipNode(harness.OverlayNode):
         peers = self._view_nodes()
         if not peers:
             return
-        self.stats.anti_entropy_rounds += 1
         peer = self._rng.choice(peers)
         try:
             digest = yield self.rpc.call(peer, "ae_digest",
@@ -210,8 +190,7 @@ class GossipNode(harness.OverlayNode):
             self._note_dead(peer)
             return
         for message_id, hops in sorted(found.items()):
-            if self._deliver(str(message_id), int(hops) + 1, via="anti-entropy"):
-                self.stats.anti_entropy_recovered += 1
+            self._deliver(str(message_id), int(hops) + 1, via="anti-entropy")
 
     def _rpc_ae_digest(self) -> List[str]:
         return sorted(self.store)

@@ -605,7 +605,6 @@ class RoutingStats:
     lookups_completed: int = 0
     lookups_failed: int = 0
     hops_total: int = 0
-    join_attempts: int = 0
     maintenance_rounds: int = 0
     #: RPCs the maintenance tasks sent, a maintenance lookup's walk included
     maintenance_rpcs: int = 0
@@ -694,7 +693,6 @@ class RoutingNode(OverlayNode):
         state or raises :class:`RpcError`, and returns the nodes to notify.
         """
         for attempt in range(1, 16):
-            self.stats.join_attempts += 1
             bootstrap = self._pick_member()
             if bootstrap is None:
                 yield 2.0
@@ -823,11 +821,11 @@ class RoutingNode(OverlayNode):
         unless the overlay refuses the walk before a node joins
         (``served_once_live``): a refusal must come back to the node that
         named the owner.  A walk whose ``max_hops`` ran out answers ``origin``
-        with no owner.  The origin's deadline covers the one-way legs and a
-        walk lost with the hop that held it.  ``path`` is the nodes that
-        passed the walk on (the origin aside).  A retransmitted walk — its
-        acknowledgement was lost or late — is dropped: the first copy is on
-        its way.
+        with no owner; the origin's own step naming the origin spends them.
+        The origin's deadline covers the one-way legs and a walk lost with
+        the hop that held it.  ``path`` is the nodes that passed the walk on
+        (the origin aside).  A retransmitted walk — its acknowledgement was
+        lost or late — is dropped: the first copy is on its way.
         """
         walks = self._walks
         seen = hash((origin.id, lookup_id, key, hops))  # an int: small to keep
@@ -849,6 +847,9 @@ class RoutingNode(OverlayNode):
                 avoid += (node.id,)
                 claims = 0
                 if me_id == origin.id:
+                    # our own step names us, as every later one would: the
+                    # rest of the budget is spent at once
+                    hops = max_hops
                     continue
                 node = origin
                 break
@@ -940,8 +941,9 @@ class RoutingNode(OverlayNode):
         for its ``claim``, by :meth:`_decide`'s rules.  A node that does not
         answer goes to ``avoid`` and the walk restarts from the local node,
         so a lookup survives nodes failing underneath it while the overlay
-        itself stays connected.  A ``maintenance`` walk counts its RPCs in
-        ``stats.maintenance_rpcs``.
+        itself stays connected; once the local node's step names the local
+        node, no route is left and the hop budget counts as spent.  A
+        ``maintenance`` walk counts its RPCs in ``stats.maintenance_rpcs``.
         """
         stats = self.stats
         learned = self._learned
@@ -974,7 +976,8 @@ class RoutingNode(OverlayNode):
                 return node, hops
             if verdict is AVOID:
                 avoid.add(node.id)
-                current, claims = me, 0
+                # our own step naming us would name us again: the budget is spent
+                current, claims, hops = me, 0, (self.max_hops if current == me else hops)
                 continue
             current, claims = node, (claims + 1 if verdict is CLAIM else 0)
         raise LookupFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
@@ -1267,10 +1270,15 @@ class LookupScenario(Scenario):
 
 
 # --------------------------------------------------------------------- report
+#: the RPC counters a report sums; the digest-relevant ``rpc`` section leaves
+#: the two reply counts to the ``metrics`` section
+RPC_COUNTERS = ("calls_sent", "calls_received", "replies_sent", "replies_received",
+                "retries", "timeouts", "remote_errors", "send_failures")
+
+
 def rpc_totals(job: Job) -> dict:
-    """RPC counters aggregated over instances alive at the end of the run."""
-    totals = {"calls_sent": 0, "calls_received": 0, "retries": 0,
-              "timeouts": 0, "remote_errors": 0, "send_failures": 0}
+    """RPC counters summed over the instances alive at the end of the run."""
+    totals = dict.fromkeys(RPC_COUNTERS, 0)
     for instance in job.live_instances():
         stats = instance.rpc.stats
         for key in totals:
@@ -1282,6 +1290,9 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
     """The report skeleton shared by every workload scenario."""
     sim, network, job = deployment.sim, deployment.network, deployment.job
     controller, config = deployment.controller, deployment.config
+    status = controller.job_status(job)  # flushes the job's log collector
+    collector = controller.store.collectors[job.job_id]
+    rpc = rpc_totals(job)
     report = {
         "scenario": scenario,
         "seed": config.seed,
@@ -1293,7 +1304,7 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         "topology": deployment.testbed_description,
         "virtual_time": sim.now,
         "events_executed": sim.executed_events,
-        "job": controller.job_status(job),
+        "job": status,
         "churn": None,
         "under_churn": None,
         "measured": None,
@@ -1303,7 +1314,8 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
             "messages_dropped": network.stats.messages_dropped,
             "bytes_sent": network.stats.bytes_sent,
         },
-        "rpc": rpc_totals(job),
+        "rpc": {key: count for key, count in rpc.items()
+                if not key.startswith("replies_")},
         # Digest-excluded: a handler that raised is a bug the CLI fails the
         # run on, not a workload result (a run with none keeps its digest).
         "handler_errors": {"count": network.stats.handler_errors,
@@ -1311,8 +1323,8 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         # Digest-excluded (DIGEST_EXCLUDED_KEYS): the fill's work counters;
         # the rates' effects land in the digest-relevant sections above.
         "bw_alloc": network.bandwidth.section(),
-        "log_records_collected": len(controller.job_logs(job)),
-        "log_records_dropped": job.stats.log_records_dropped,
+        "log_records_collected": collector.collected,
+        "log_records_dropped": collector.dropped,
         "control_plane": controller.control_plane_status(),
     }
     # Digest-excluded: wall-clock attribution (deploy vs run vs drain), the
@@ -1335,7 +1347,7 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
         # All digest-excluded for the same reason: observation never feeds
         # back into the workload, and the digest asserts exactly that.
         if obs.metrics_enabled:
-            report["metrics"] = obs.metrics_section(deployment)
+            report["metrics"] = obs.metrics_section(deployment, rpc)
         if obs.tracer is not None:
             report["trace"] = obs.trace_section()
             if config.trace_out is not None:

@@ -259,7 +259,8 @@ def synthetic_availability_trace(hosts: int = 6, duration: float = 300.0,
 
 @dataclass
 class ChurnStats:
-    """Counters exposed by the churn manager (and printed by scenarios)."""
+    """The job's churn counters: the ``churn`` report section and the
+    ``churn_*`` keys of ``Controller.job_status`` read them."""
 
     actions_applied: int = 0
     instances_joined: int = 0
@@ -352,10 +353,8 @@ class ChurnManager:
             # churn study; conflating them would corrupt bench reports.
             if action.kind == "crash":
                 self.stats.instances_crashed += len(victims)
-                self.job.stats.churn_crashes += len(victims)
             else:
                 self.stats.instances_left += len(victims)
-                self.job.stats.churn_leaves += len(victims)
             if action.kind == "replace":
                 self._join(len(victims))
         elif action.kind == "join":
@@ -368,9 +367,9 @@ class ChurnManager:
         Counters are split from the instance-level ones: a host failure is a
         different event population from an instance crash (it takes every
         co-located instance of every job down at once), and churn studies
-        report them separately.  The per-job counts live on ``job.stats``
-        like every other churn counter, so they survive controller-shard
-        failover.
+        report them separately.  The counts live on ``stats`` like every
+        other churn counter; the manager lives on the job store, so they
+        survive controller-shard failover.
         """
         if action.host is not None:
             ips = [self._trace_host_ip(action.host)]
@@ -389,13 +388,11 @@ class ChurnManager:
                     continue  # trace says fail, but the host is already down
                 self.controller.fail_host(ip)
                 self.stats.hosts_failed += 1
-                self.job.stats.churn_host_failures += 1
             else:
                 if alive:
                     continue
                 self.controller.recover_host(ip)
                 self.stats.hosts_recovered += 1
-                self.job.stats.churn_host_recoveries += 1
 
     def _trace_host_ip(self, trace_host: str) -> str:
         """Deterministically bind a trace host id to a deployment daemon.
@@ -430,4 +427,3 @@ class ChurnManager:
             return
         started = self.controller.start_instances(self.job, count)
         self.stats.instances_joined += len(started)
-        self.job.stats.churn_joins += len(started)

@@ -1,4 +1,4 @@
-"""Job descriptors and placement records (the controller's unit of work).
+"""Job descriptors and records (the controller's unit of work).
 
 A *job* is what a user submits to the controller: an application (here a
 Python factory instead of Lua code), the number of instances to deploy, and
@@ -62,49 +62,19 @@ class JobSpec:
             raise ValueError(f"base port out of range: {self.base_port}")
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
-    """One instance's location, as recorded by the controller."""
-
-    instance_id: int
-    ip: str
-    port: int
-
-    def __str__(self) -> str:
-        return f"i{self.instance_id}@{self.ip}:{self.port}"
-
-
 @dataclass(slots=True)
 class JobStats:
-    """Aggregated per-job counters maintained by the control plane.
+    """Per-job instance counters maintained by the control plane.
 
-    All fields live on the job (the shared store's record), never on a
-    controller shard, so they survive a shard failing and another shard
-    claiming the job mid-run — including the log-drop count and the
-    per-shard attribution maps.
+    They live on the job (the shared store's record), never on a controller
+    shard, so they survive a shard failing and another shard claiming the
+    job mid-run.  Churn counts live on the job's churn manager, log counts
+    on its log collector.
     """
 
     instances_started: int = 0
     instances_stopped: int = 0
     instances_failed: int = 0
-    churn_joins: int = 0
-    #: graceful departures only ("leave" and the kill half of "replace")
-    churn_leaves: int = 0
-    #: abrupt "crash" victims — kept separate so benchmarks report churn
-    #: composition accurately
-    churn_crashes: int = 0
-    #: whole-host (daemon) failures/recoveries driven by churn — a third
-    #: population, distinct from both instance-level counters above: one
-    #: host failure kills every co-located instance at once
-    churn_host_failures: int = 0
-    churn_host_recoveries: int = 0
-    log_records: int = 0
-    #: records evicted from the job's bounded collector queue (drop-oldest)
-    log_records_dropped: int = 0
-    #: collected records per controller shard (accumulates across failovers)
-    logs_by_shard: Dict[str, int] = field(default_factory=dict)
-    #: every shard that ever claimed this job, in claim order
-    claimed_by: List[str] = field(default_factory=list)
 
 
 class Job:
@@ -115,12 +85,11 @@ class Job:
     counter here would interleave between co-hosted seeded simulations.
     """
 
-    def __init__(self, spec: JobSpec, created_at: float = 0.0, *, job_id: int):
+    def __init__(self, spec: JobSpec, *, job_id: int):
         spec.validate()
         self.job_id = job_id
         self.spec = spec
         self.state = JobState.PENDING
-        self.created_at = created_at
         self.stats = JobStats()
         #: recorded runtime instances (handles owned by the daemons), keyed by
         #: handle in record order.  A handle leaves on ``record_stop`` only,
@@ -128,13 +97,11 @@ class Job:
         #: order is digest-relevant: ``job_status`` and ``CtlShard.stop``
         #: iterate it.
         self.instances: Dict[Any, None] = {}
-        #: every placement ever made, live or dead (for log attribution)
-        self.placements: List[Placement] = []
         #: shared mutable state visible to all instances (e.g. bootstrap ref)
         self.shared: Dict[str, Any] = {}
-        #: where this job's instance loggers ship records: its collector's
-        #: ``ship``, set by the job store (None for a job outside a store)
-        self.log_sink: Optional[Callable[[Any], None]] = None
+        #: where this job's instance loggers ship records: its log
+        #: collector, set by the job store (None for a job outside a store)
+        self.log_sink: Optional[Any] = None
         self._next_instance_id = 0
         # The alive subset of ``instances``, by instance id.  Every death
         # path funnels through the daemon's reap hook (controller kills,
@@ -151,21 +118,17 @@ class Job:
         """Hand out a never-reused instance id.
 
         Ids are consumed at placement-planning time and *not* returned on a
-        failed spawn: a gap in ``placements`` is harmless, a reused id is
-        not — applications derive their overlay identity from
-        ``(job_id, instance_id)``, so a collision would put two live nodes
-        at the same overlay position.
+        failed spawn: a gap in the ids is harmless, a reused id is not —
+        applications derive their overlay identity from ``(job_id,
+        instance_id)``, so a collision would put two live nodes at the same
+        overlay position.
         """
         value = self._next_instance_id
         self._next_instance_id += 1
         return value
 
-    def record_start(self, instance: Any, placement: Placement) -> None:
+    def record_start(self, instance: Any) -> None:
         self.instances[instance] = None
-        self.placements.append(placement)
-        # Keep the allocator ahead of manually recorded placements too.
-        if placement.instance_id >= self._next_instance_id:
-            self._next_instance_id = placement.instance_id + 1
         self.stats.instances_started += 1
         if instance.alive:  # an app factory may have exited already
             self._live[instance.instance_id] = instance

@@ -10,7 +10,7 @@ controller."
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
@@ -58,11 +58,9 @@ class LogBudget:
 
     max_bytes: Optional[int] = None
     sent_bytes: int = 0
-    dropped_records: int = 0
 
     def admit(self, record_size: int) -> bool:
         if self.max_bytes is not None and self.sent_bytes + record_size > self.max_bytes:
-            self.dropped_records += 1
             return False
         self.sent_bytes += record_size
         return True
@@ -78,8 +76,10 @@ class SplayLogger:
     level:
         Minimum severity to record.
     remote_sink:
-        Callable invoked with each admitted :class:`LogRecord`; the daemon
-        wires this to the controller's log collector.
+        Where records go (the daemon wires the job's
+        :class:`~repro.runtime.jobstore.LogCollector`): its ``ship`` takes
+        each admitted :class:`LogRecord`, its ``refused`` counts the records
+        the budget turned away.
     max_bytes:
         Restriction (in bytes) on remote shipping, enforced by the daemon;
         the :class:`LogBudget` that counts against it is allocated on the
@@ -92,7 +92,7 @@ class SplayLogger:
                  "_budget", "clock")
 
     def __init__(self, source: str, level: LogLevel | str = LogLevel.INFO,
-                 remote_sink: Optional[Callable[[LogRecord], None]] = None,
+                 remote_sink: Optional[Any] = None,
                  max_bytes: Optional[int] = None,
                  clock: Callable[[], float] = lambda: 0.0, host: str = ""):
         self.source = source
@@ -128,8 +128,12 @@ class SplayLogger:
         record = LogRecord(time=self.clock(), level=level, source=self.source,
                            message=str(message), host=self.host,
                            fields=fields or None)
-        if self.remote_sink is not None and self.budget.admit(len(record.message) + 32):
-            self.remote_sink(record)
+        sink = self.remote_sink
+        if sink is not None:
+            if self.budget.admit(len(record.message) + 32):
+                sink.ship(record)
+            else:
+                sink.refused += 1
         return record
 
     def debug(self, message: Any, **fields: Any) -> Optional[LogRecord]:

@@ -72,9 +72,7 @@ class SocketStats:
     """Per-instance traffic accounting, read by the sandbox and the daemon."""
 
     bytes_sent: int = 0
-    bytes_received: int = 0
     messages_sent: int = 0
-    messages_received: int = 0
     messages_refused: int = 0
     messages_dropped_locally: int = 0
 
@@ -119,9 +117,6 @@ class RestrictedSocket:
             self._listening = True
 
     def _dispatch(self, message: Message) -> None:
-        stats = self.stats
-        stats.messages_received += 1
-        stats.bytes_received += message.size
         handlers = self._handlers
         if len(handlers) == 1:
             # Nearly every socket has exactly one handler (the RPC service);

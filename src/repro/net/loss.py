@@ -31,9 +31,8 @@ class LossModel:
         self._pair_rates: Dict[Tuple[str, str], float] = {}
         self._host_rates: Dict[str, float] = {}
         self._rng = substream(seed, "loss-model")
-        #: number of messages dropped so far
-        self.dropped = 0
-        #: number of messages evaluated so far
+        #: number of messages evaluated so far (the drops are the network's
+        #: ``NetworkStats.drops_loss``)
         self.evaluated = 0
 
     def set_pair_rate(self, src_ip: str, dst_ip: str, rate: float) -> None:
@@ -66,10 +65,7 @@ class LossModel:
             rate = self.rate_for(src_ip, dst_ip)
         if rate <= 0.0:
             return False
-        if rate >= 1.0 or self._rng.random() < rate:
-            self.dropped += 1
-            return True
-        return False
+        return rate >= 1.0 or self._rng.random() < rate
 
 
 def _validate_rate(rate: float) -> None:

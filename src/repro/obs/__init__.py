@@ -116,12 +116,13 @@ class Observability:
             profiler.add(event.callback, clock() - started)
 
     # -------------------------------------------------------------- reporting
-    def metrics_section(self, deployment) -> dict:
+    def metrics_section(self, deployment, rpc: dict) -> dict:
         """The digest-excluded ``metrics`` report section.
 
         Pulls the always-on cheap counters (kernel, network, bandwidth,
-        RPC stats, control plane) together with the per-job registry the
-        instances emitted into through the JobStore.
+        control plane) and ``rpc`` — the job's RPC counters, summed by the
+        report — together with the per-job registry the instances emitted
+        into through the JobStore.
         """
         sim = deployment.sim
         network = deployment.network
@@ -129,15 +130,7 @@ class Observability:
         bandwidth = network.bandwidth
         controller = deployment.controller
         job = deployment.job
-
-        rpc = {key: 0 for key in ("calls_sent", "calls_received",
-                                  "replies_sent", "replies_received",
-                                  "retries", "timeouts", "remote_errors",
-                                  "send_failures")}
-        for instance in job.live_instances():
-            instance_stats = instance.rpc.stats
-            for key in rpc:
-                rpc[key] += getattr(instance_stats, key)
+        collector = controller.store.collectors[job.job_id]
 
         return {
             "enabled": True,
@@ -173,8 +166,8 @@ class Observability:
                      "logs_routed": shard.stats.logs_routed}
                     for shard in controller.shards
                 ],
-                "log_records_collected": len(controller.job_logs(job)),
-                "log_records_dropped": job.stats.log_records_dropped,
+                "log_records_collected": collector.collected,
+                "log_records_dropped": collector.dropped,
             },
             "job": controller.job_metrics(job),
         }

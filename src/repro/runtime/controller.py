@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.churn import ChurnManager, parse_churn_script, trace_churn_actions
+from repro.core.churn import ChurnManager, ChurnStats, parse_churn_script, trace_churn_actions
 from repro.core.jobs import Job, JobSpec
 from repro.lib.logging import LogLevel, LogRecord
 from repro.net.network import Network
@@ -66,21 +66,17 @@ class Controller:
     shards:
         Number of stateless front-ends; daemons register round-robin across
         them and each submitted job is claimed by one of them.
-    log_queue_depth / log_drain_interval:
-        Bounds of each per-job log collector queue (drop-oldest when full)
-        and the delay of its drain event.
+    log_queue_depth:
+        Bound of each per-job log collector queue (drop-oldest when full).
     """
 
     def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None,
-                 shards: int = 1, log_queue_depth: int = 4096,
-                 log_drain_interval: float = 0.25):
+                 shards: int = 1, log_queue_depth: int = 4096):
         if shards < 1:
             raise ControllerError("a controller needs at least one shard")
         self.sim = sim
         self.network = network
-        self.store = JobStore(sim, network, seed=seed,
-                              log_queue_depth=log_queue_depth,
-                              log_drain_interval=log_drain_interval)
+        self.store = JobStore(sim, seed=seed, log_queue_depth=log_queue_depth)
         self.shards: List[CtlShard] = [CtlShard(self.store, i) for i in range(shards)]
         self._register_rr = 0
         self._claim_rr = 0
@@ -95,7 +91,7 @@ class Controller:
         return self.store.jobs
 
     @property
-    def churn_managers(self) -> Dict[int, object]:
+    def churn_managers(self) -> Dict[int, ChurnManager]:
         return self.store.churn_managers
 
     def _next_shard(self, cursor: str) -> CtlShard:
@@ -223,8 +219,13 @@ class Controller:
 
         Deliberately excludes per-shard attribution: every value here is
         identical whatever the shard count, so it can feed report digests.
+        The churn counts are the job's churn manager's (zero without one),
+        the log counts its collector's.
         """
-        self.store.collectors[job.job_id].flush()
+        collector = self.store.collectors[job.job_id]
+        collector.flush()
+        churn = self.store.churn_managers.get(job.job_id)
+        churn = churn.stats if churn is not None else ChurnStats()
         sockets = [i.socket.stats for i in job.instances]
         return {
             "job_id": job.job_id,
@@ -234,18 +235,17 @@ class Controller:
             "instances_started": job.stats.instances_started,
             "instances_stopped": job.stats.instances_stopped,
             "instances_failed": job.stats.instances_failed,
-            "churn_joins": job.stats.churn_joins,
-            "churn_leaves": job.stats.churn_leaves,
-            "churn_crashes": job.stats.churn_crashes,
+            "churn_joins": churn.instances_joined,
+            "churn_leaves": churn.instances_left,
+            "churn_crashes": churn.instances_crashed,
             # Host-level churn counters appear only when host churn actually
             # happened: reports (and their digests) of script-only runs stay
             # byte-identical with the pre-testbeds era.
-            **({"churn_host_failures": job.stats.churn_host_failures,
-                "churn_host_recoveries": job.stats.churn_host_recoveries}
-               if (job.stats.churn_host_failures
-                   or job.stats.churn_host_recoveries) else {}),
-            "log_records": job.stats.log_records,
-            "log_records_dropped": job.stats.log_records_dropped,
+            **({"churn_host_failures": churn.hosts_failed,
+                "churn_host_recoveries": churn.hosts_recovered}
+               if churn.hosts_failed or churn.hosts_recovered else {}),
+            "log_records": collector.collected,
+            "log_records_dropped": collector.dropped,
             "bytes_sent": sum(s.bytes_sent for s in sockets),
             "messages_sent": sum(s.messages_sent for s in sockets),
         }
@@ -277,8 +277,8 @@ class Controller:
             "hosts": {
                 "registered": len(self.store.daemons),
                 "down_now": len(self.store.failed_host_ips()),
-                "failures_total": self.store.host_failures_total,
-                "recoveries_total": self.store.host_recoveries_total,
+                "failures_total": sum(s.stats.hosts_failed for s in self.shards),
+                "recoveries_total": sum(s.stats.hosts_recovered for s in self.shards),
             },
         }
 

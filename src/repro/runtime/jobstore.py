@@ -15,10 +15,10 @@ module reproduces that shape:
   round per daemon per control action instead of per-instance calls.  A
   shard *executes*; which shard serves a job or a host is decided by the
   :class:`~repro.runtime.controller.Controller`, the one router.
-* :class:`LogCollector` — one bounded-queue collector per job, whose
-  ``ship`` is the job's log sink.  Instance loggers ship records into the
-  queue (drop-oldest when full, with a counted drop stat — the paper's log
-  throttling) and a drain event moves them into the permanent record list.
+* :class:`LogCollector` — one bounded-queue collector per job, the job's
+  log sink.  Instance loggers ship records into the queue (drop-oldest when
+  full, with a counted drop stat — the paper's log throttling) and a drain
+  event moves them into the permanent record list.
 
 Every fact has one owner: a host is up iff its ``Host.alive`` says so (the
 store's host views are computed from it per call), a record belongs to the
@@ -45,9 +45,8 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.churn import ChurnManager
-from repro.core.jobs import Job, JobSpec, JobState, Placement
+from repro.core.jobs import Job, JobSpec, JobState
 from repro.lib.logging import LogRecord
-from repro.net.network import Network
 from repro.runtime.splayd import Instance, Splayd, SplaydError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import substream
@@ -57,68 +56,72 @@ class ControllerError(Exception):
     """Raised on invalid job commands (unknown job, no capacity, ...)."""
 
 
+#: seconds from a collector's first queued record to the drain that moves
+#: its queue into the record list
+LOG_DRAIN_INTERVAL = 0.25
+
+
 # ------------------------------------------------------------- log collection
 class LogCollector:
     """Per-job log collector process with a bounded ingress queue.
 
     Records shipped by daemons land in ``queue``; when the queue is full the
-    *oldest* queued record is dropped (and counted — both here and on
-    ``job.stats.log_records_dropped``).  A drain event scheduled
-    ``drain_interval`` after the first enqueue moves everything queued into
-    ``records``, the permanent per-job list the controller serves
-    ``job_logs`` from; :meth:`flush` drains synchronously (used at report
-    time so counts never depend on where the simulation happened to stop).
+    *oldest* queued record is dropped (and counted in ``dropped``).  A drain
+    event scheduled :data:`LOG_DRAIN_INTERVAL` after the first enqueue moves
+    everything queued into ``records``, the permanent per-job list the
+    controller serves ``job_logs`` from; :meth:`flush` drains synchronously
+    (used at report time so counts never depend on where the simulation
+    happened to stop).
 
-    :meth:`ship` is the job's log sink — one per job, handed to every
-    instance logger through ``job.log_sink``.  The collector keeps the job's
-    id and stats, not the job: the job refers to its collector, and a
-    reference back would be a cycle only the garbage collector could free.
+    The collector is the job's log sink — one per job, handed to every
+    instance logger through ``job.log_sink``: a logger hands each record its
+    budget admits to :meth:`ship` and counts each one it refuses in
+    ``refused``.  The collector keeps the job's id, not the job: the job
+    refers to its collector, and a reference back would be a cycle only the
+    garbage collector could free.
     """
 
-    def __init__(self, store: "JobStore", job: Job, max_queue: int = 4096,
-                 drain_interval: float = 0.25):
+    def __init__(self, store: "JobStore", job: Job, max_queue: int = 4096):
         if max_queue < 1:
             raise ValueError("log collector queue must hold at least one record")
         self.sim = store.sim
         self.store = store
         self.job_id = job.job_id
-        self.job_stats = job.stats
         self.max_queue = max_queue
-        self.drain_interval = drain_interval
         #: drained (permanently collected) records
         self.records: List[LogRecord] = []
-        #: bounded ingress queue of (record, shard name) pairs
-        self.queue: Deque[Tuple[LogRecord, Optional[str]]] = deque()
+        #: bounded ingress queue
+        self.queue: Deque[LogRecord] = deque()
         self.dropped = 0
         self.collected = 0
+        #: records the instances' log budgets (``log_max_bytes``) refused
+        self.refused = 0
         self.queue_peak = 0
         self._drain_scheduled = False
 
     def ship(self, record: LogRecord) -> None:
-        """The job's log sink: attribute ``record`` to the shard its host is
-        registered with *now* (so attribution follows failover) and enqueue."""
+        """Count ``record`` for the shard its host is registered with *now*
+        (so attribution follows failover) and enqueue it."""
         store = self.store
-        name = store.daemon_shard.get(record.host)
-        shard = store.shards.get(name)
+        shard = store.shards.get(store.daemon_shard.get(record.host))
         if shard is not None:
             shard.stats.logs_routed += 1
-        self.offer(record, name)
+        self.offer(record)
 
-    def offer(self, record: LogRecord, shard: Optional[str] = None) -> bool:
+    def offer(self, record: LogRecord) -> bool:
         """Enqueue one record; returns ``False`` if an old record was dropped."""
         record.job_id = self.job_id
         evicted = False
         if len(self.queue) >= self.max_queue:
             self.queue.popleft()
             self.dropped += 1
-            self.job_stats.log_records_dropped += 1
             evicted = True
-        self.queue.append((record, shard))
+        self.queue.append(record)
         if len(self.queue) > self.queue_peak:
             self.queue_peak = len(self.queue)
         if not self._drain_scheduled:
             self._drain_scheduled = True
-            self.sim.schedule(self.drain_interval, self._drain)
+            self.sim.schedule(LOG_DRAIN_INTERVAL, self._drain)
         return not evicted
 
     def _drain(self) -> None:
@@ -126,14 +129,9 @@ class LogCollector:
         self._drain_queue()
 
     def _drain_queue(self) -> None:
-        while self.queue:
-            record, shard = self.queue.popleft()
-            self.records.append(record)
-            self.collected += 1
-            self.job_stats.log_records += 1
-            if shard is not None:
-                by_shard = self.job_stats.logs_by_shard
-                by_shard[shard] = by_shard.get(shard, 0) + 1
+        self.collected += len(self.queue)
+        self.records.extend(self.queue)
+        self.queue.clear()
 
     def flush(self) -> List[LogRecord]:
         """Drain synchronously and return the collected record list."""
@@ -146,8 +144,8 @@ class LogCollector:
 
     def status(self) -> Dict[str, int]:
         return {"collected": self.collected, "dropped": self.dropped,
-                "pending": len(self.queue), "queue_peak": self.queue_peak,
-                "max_queue": self.max_queue}
+                "refused": self.refused, "pending": len(self.queue),
+                "queue_peak": self.queue_peak, "max_queue": self.max_queue}
 
 
 # ------------------------------------------------------------------ the store
@@ -160,16 +158,12 @@ class JobStore:
     shard's work can be reclaimed without losing bookkeeping.
     """
 
-    def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None,
-                 log_queue_depth: int = 4096, log_drain_interval: float = 0.25):
+    def __init__(self, sim: Simulator, seed: Optional[int] = None,
+                 log_queue_depth: int = 4096):
         self.sim = sim
-        self.network = network
-        self.seed = seed if seed is not None else sim.seed
         self.daemons: Dict[str, Splayd] = {}
         #: daemon ip -> name of the shard it is currently registered with
         self.daemon_shard: Dict[str, str] = {}
-        self.host_failures_total = 0
-        self.host_recoveries_total = 0
         self.jobs: Dict[int, Job] = {}
         #: one collector per job, created with the job
         self.collectors: Dict[int, LogCollector] = {}
@@ -183,8 +177,7 @@ class JobStore:
         #: job_id -> shard currently responsible for the job
         self.claims: Dict[int, "CtlShard"] = {}
         self.log_queue_depth = log_queue_depth
-        self.log_drain_interval = log_drain_interval
-        self._rng = substream(self.seed, "controller")
+        self._rng = substream(seed if seed is not None else sim.seed, "controller")
 
     # ---------------------------------------------------------------- shards
     def alive_shards(self) -> List["CtlShard"]:
@@ -193,7 +186,6 @@ class JobStore:
     def claim(self, job: Job, shard: "CtlShard") -> None:
         self.claims[job.job_id] = shard
         shard.stats.jobs_claimed += 1
-        job.stats.claimed_by.append(shard.name)
 
     def claimant(self, job: Job) -> "CtlShard":
         """The shard responsible for ``job``, reclaiming if the owner died."""
@@ -210,7 +202,6 @@ class JobStore:
         shard = alive[0]  # deterministic: lowest-index survivor
         self.claims[job.job_id] = shard
         shard.stats.jobs_reclaimed += 1
-        job.stats.claimed_by.append(shard.name)
         return shard
 
     def on_shard_failed(self, shard: "CtlShard") -> None:
@@ -271,14 +262,13 @@ class JobStore:
 
     # ------------------------------------------------------------------- jobs
     def create_job(self, spec: JobSpec) -> Job:
-        job = Job(spec, created_at=self.sim.now, job_id=len(self.jobs) + 1)
+        job = Job(spec, job_id=len(self.jobs) + 1)
         self.jobs[job.job_id] = job
-        collector = LogCollector(self, job, max_queue=self.log_queue_depth,
-                                 drain_interval=self.log_drain_interval)
+        collector = LogCollector(self, job, max_queue=self.log_queue_depth)
         self.collectors[job.job_id] = collector
         # One sink per job, resolved here once: every spawn reads it off the
         # job record instead of asking the store.
-        job.log_sink = collector.ship
+        job.log_sink = collector
         return job
 
     def metrics_for(self, job: Job):
@@ -411,7 +401,6 @@ class CtlShard:
 
     def __init__(self, store: JobStore, index: int):
         self.store = store
-        self.index = index
         self.name = f"ctl{index}"
         self.alive = True
         self.stats = ShardStats()
@@ -456,10 +445,7 @@ class CtlShard:
             error: Optional[Exception] = None
             for outcome in self._dispatch(daemon, commands):
                 if isinstance(outcome, Instance):
-                    placement = Placement(instance_id=outcome.instance_id,
-                                          ip=daemon.ip,
-                                          port=outcome.address.port)
-                    job.record_start(outcome, placement)
+                    job.record_start(outcome)
                     started.append(outcome)
                     self.stats.instances_started += 1
                 elif (error is None and isinstance(outcome, Exception)
@@ -539,7 +525,6 @@ class CtlShard:
         finally:
             for instance in victims:
                 instance.job.record_stop(instance, failed=True)
-            self.store.host_failures_total += 1
             self.stats.hosts_failed += 1
             self._check_caches()
 
@@ -553,7 +538,6 @@ class CtlShard:
         if daemon.alive:
             return
         daemon.recover()
-        self.store.host_recoveries_total += 1
         self.stats.hosts_recovered += 1
         self._check_caches()
 

@@ -169,8 +169,6 @@ class Splayd:
         #: this order); the reap hook pops a handle on any death.  Also the
         #: port table: a port is reserved iff a handle in here holds it.
         self.instances: Dict[Instance, None] = {}
-        self.batches_received = 0
-        self.commands_executed = 0
         # One clock closure shared by every instance logger on this host
         # (one per spawn was measurable at 10k nodes).
         self._clock = lambda: self.sim.now
@@ -256,7 +254,6 @@ class Splayd:
         command never aborts the rest of the batch, so the caller always
         learns about every instance that *did* spawn.
         """
-        self.batches_received += 1
         outcomes: List[object] = []
         for command in commands:
             op = command[0]
@@ -272,7 +269,6 @@ class Splayd:
                     raise SplaydError(f"unknown daemon command: {op!r}")
             except Exception as exc:  # noqa: BLE001 - outcome, not control flow
                 outcomes.append(exc)
-            self.commands_executed += 1
         return outcomes
 
     # ------------------------------------------------------------------- stop

@@ -121,14 +121,12 @@ class Sanitizer:
         #: flight recorder (repro.obs.FlightRecorder) whose last entries are
         #: attached to violation reports; wired by the deployment harness
         self.recorder: Optional[Any] = None
-        self._installed = False
 
     # ------------------------------------------------------------ lifecycle
     def install(self) -> "Sanitizer":
         """Attach to the simulator and take the future-legality hook."""
         self.sim._san = self
         _futures_module._misuse_hook = self._future_misuse
-        self._installed = True
         return self
 
     def uninstall(self) -> None:
@@ -137,7 +135,6 @@ class Sanitizer:
             self.sim._san = None
         if _futures_module._misuse_hook == self._future_misuse:
             _futures_module._misuse_hook = None
-        self._installed = False
 
     def __enter__(self) -> "Sanitizer":
         return self.install()

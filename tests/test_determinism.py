@@ -59,7 +59,8 @@ def test_churn_victim_sets_are_identical_across_in_process_runs():
         before = {i.instance_id for i in job.live_instances()}
         sim.run(until=20.0)
         after = {i.instance_id for i in job.live_instances()}
-        return tuple(sorted(before - after)), job.stats.churn_crashes, job.stats.churn_leaves
+        churn = controller.churn_managers[job.job_id].stats
+        return tuple(sorted(before - after)), churn.instances_crashed, churn.instances_left
 
     assert victims() == victims()
 

@@ -306,10 +306,10 @@ def test_bucketed_placement_matches_the_naive_kill_switch_path():
             _uncached(controller)
         job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                         instances=9))
-        controller.start(job)
+        started = controller.start(job)
         controller.fail_host("10.0.0.4")
         sim.run(until=sim.now + 1.0)
-        controller.start_instances(job, 4)  # refill after the failure
-        return [(p.ip, p.instance_id) for p in job.placements]
+        started += controller.start_instances(job, 4)  # refill after the failure
+        return [(i.daemon.ip, i.instance_id) for i in started]
 
     assert placements(caches=True) == placements(caches=False)

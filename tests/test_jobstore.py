@@ -46,8 +46,7 @@ class TestLogCollector:
             collector.offer(_record(f"m{index}"))
         # 5 offered into a 3-slot queue: m0 and m1 evicted, newest retained.
         assert collector.dropped == 2
-        assert job.stats.log_records_dropped == 2
-        assert [r.message for r, _shard in collector.queue] == ["m2", "m3", "m4"]
+        assert [r.message for r in collector.queue] == ["m2", "m3", "m4"]
 
     def test_offer_reports_eviction(self):
         _sim, _job, collector = self._collector(max_queue=1)
@@ -56,21 +55,21 @@ class TestLogCollector:
 
     def test_drain_event_moves_queue_into_records(self):
         sim, job, collector = self._collector(max_queue=10)
-        collector.offer(_record("a"), shard="ctl0")
-        collector.offer(_record("b"), shard="ctl1")
+        collector.offer(_record("a"))
+        collector.offer(_record("b"))
         assert collector.records == [] and collector.pending == 2
-        sim.run(until=1.0)  # the drain event fires drain_interval after enqueue
+        sim.run(until=1.0)  # the drain event fires LOG_DRAIN_INTERVAL after enqueue
         assert [r.message for r in collector.records] == ["a", "b"]
+        assert {r.job_id for r in collector.records} == {job.job_id}
         assert collector.pending == 0
-        assert job.stats.log_records == 2
-        assert job.stats.logs_by_shard == {"ctl0": 1, "ctl1": 1}
+        assert collector.collected == 2
 
     def test_flush_drains_synchronously(self):
-        _sim, job, collector = self._collector(max_queue=10)
+        _sim, _job, collector = self._collector(max_queue=10)
         collector.offer(_record("x"))
         records = collector.flush()
         assert [r.message for r in records] == ["x"]
-        assert job.stats.log_records == 1
+        assert collector.collected == 1
 
     def test_dropped_records_never_reach_the_log(self):
         sim, job, collector = self._collector(max_queue=2)
@@ -81,6 +80,22 @@ class TestLogCollector:
         assert collector.collected == 2
         assert collector.dropped == 4
         assert collector.queue_peak == 2
+
+    def test_records_over_the_log_budget_are_refused_and_reported_once(self):
+        sim, _network, controller = _world(daemons=2)
+        # a record costs its message length + 32 bytes: room for one "hello"
+        job = controller.submit(JobSpec(name="j", app_factory=lambda i: None,
+                                        instances=2, log_max_bytes=40))
+        instances = controller.start(job)
+        for instance in instances:
+            for index in range(3):
+                instance.logger.info(f"hello{index}")
+        sim.run(until=1.0)
+        assert [r.message for r in controller.job_logs(job)] == ["hello0", "hello0"]
+        status = controller.control_plane_status()["collectors"][job.job_id]
+        assert (status["collected"], status["refused"], status["dropped"]) == (2, 4, 0)
+        assert controller.job_metrics(job)["log_collector"] == status
+        assert "refused" not in str(controller.job_status(job))  # digest-relevant
 
     def test_rejects_zero_capacity(self):
         sim = Simulator(0)
@@ -104,8 +119,7 @@ class TestBatchedCommands:
         assert shard.stats.batches_sent == 4
         assert shard.stats.commands_sent == 8
         for daemon in controller.alive_daemons():
-            assert daemon.batches_received == 1
-            assert daemon.commands_executed == 2
+            assert len(daemon.instances) == 2
 
     def test_kill_instances_batches_per_daemon(self):
         _sim, _network, controller = _world(daemons=2, max_instances=4)
@@ -132,8 +146,7 @@ class TestBatchedCommands:
         assert outcomes[0].__class__.__name__ == "Instance"
         assert isinstance(outcomes[1], SplaydError)  # over capacity
         assert isinstance(outcomes[2], SplaydError)  # unknown command
-        assert daemon.batches_received == 1
-        assert daemon.commands_executed == 3
+        assert len(outcomes) == 3
 
     def test_placement_identical_to_sequential_selection(self):
         # The plan-then-batch path must place instances exactly where the
@@ -143,10 +156,10 @@ class TestBatchedCommands:
                                         instances=5))
         controller.start(job)
         by_host = {}
-        for placement in job.placements:
-            by_host[placement.ip] = by_host.get(placement.ip, 0) + 1
+        for instance in job.instances:
+            by_host[instance.daemon.ip] = by_host.get(instance.daemon.ip, 0) + 1
         assert sorted(by_host.values()) == [1, 2, 2]
-        assert {p.instance_id for p in job.placements} == set(range(5))
+        assert {i.instance_id for i in job.instances} == set(range(5))
 
 
 # ----------------------------------------------------------------- sharding
@@ -168,8 +181,7 @@ class TestShards:
         second = controller.submit(JobSpec(name="b", app_factory=lambda i: None))
         assert controller.shard_for(first).name == "ctl0"
         assert controller.shard_for(second).name == "ctl1"
-        assert first.stats.claimed_by == ["ctl0"]
-        assert second.stats.claimed_by == ["ctl1"]
+        assert [s.stats.jobs_claimed for s in controller.shards] == [1, 1]
 
     def test_shard_failure_rehomes_daemons_and_claims(self):
         sim, _network, controller = _world(daemons=4, shards=2, max_instances=4)
@@ -182,13 +194,13 @@ class TestShards:
         # Daemons re-register with the survivor; the claim moves on next use.
         assert set(controller.store.daemon_shard.values()) == {"ctl1"}
         assert controller.shard_for(job).name == "ctl1"
-        assert job.stats.claimed_by == ["ctl0", "ctl1"]
+        assert controller.shards[0].stats.jobs_claimed == 1
         assert controller.shards[1].stats.jobs_reclaimed == 1
         # Churn keeps running through the surviving shard.
         sim.run(until=90.0)
         assert job.state is JobState.RUNNING
         assert job.live_count == 4
-        assert job.stats.churn_leaves > 0
+        assert controller.churn_managers[job.job_id].stats.instances_left > 0
         assert controller.shards[1].stats.batches_sent > 0
 
     def test_no_alive_shard_is_a_controller_error(self):
@@ -201,24 +213,25 @@ class TestShards:
 
 # ------------------------------------------- log counters surviving failover
 def test_log_counters_and_attribution_survive_shard_failover():
-    """Regression: dropped-log counts and per-shard attribution live on the
-    job (the shared store), so a shard dying and another claiming the job
-    mid-run must lose nothing."""
+    """Regression: dropped-log counts live on the job's collector (the
+    shared store) and per-shard attribution on the shards, so a shard dying
+    and another claiming the job mid-run must lose nothing."""
     sim, _network, controller = _world(daemons=2, shards=2, max_instances=2,
                                        log_queue_depth=2)
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                     instances=2, log_level="INFO"))
     instances = controller.start(job)
+    collector = controller.store.collectors[job.job_id]
     # Both daemons log; the 2-slot queue forces drop-oldest evictions.
     for index in range(4):
         instances[0].logger.info(f"before-{index}")
     sim.run(until=1.0)  # drain
-    dropped_before = job.stats.log_records_dropped
-    collected_before = job.stats.log_records
+    dropped_before = collector.dropped
+    collected_before = collector.collected
     assert dropped_before == 2
     assert collected_before == 2
-    by_shard_before = dict(job.stats.logs_by_shard)
-    assert sum(by_shard_before.values()) == collected_before
+    routed_before = [s.stats.logs_routed for s in controller.shards]
+    assert sum(routed_before) == 4  # a record is attributed when it ships
 
     controller.shards[0].fail()
     assert controller.shard_for(job).name == "ctl1"
@@ -228,41 +241,36 @@ def test_log_counters_and_attribution_survive_shard_failover():
     for index in range(3):
         instances[1].logger.info(f"after-{index}")
     sim.run(until=2.0)
-    assert job.stats.log_records_dropped == dropped_before + 1
-    assert job.stats.log_records == collected_before + 2
-    for shard_name, count in by_shard_before.items():
-        assert job.stats.logs_by_shard[shard_name] >= count
-    assert job.stats.logs_by_shard.get("ctl1", 0) > by_shard_before.get("ctl1", 0)
-    # The controller-facing log view agrees with the stats.
-    assert len(controller.job_logs(job)) == job.stats.log_records
+    assert collector.dropped == dropped_before + 1
+    assert collector.collected == collected_before + 2
+    routed = [s.stats.logs_routed for s in controller.shards]
+    assert routed == [routed_before[0], routed_before[1] + 3]
+    # The controller-facing log view agrees with the counts.
+    assert len(controller.job_logs(job)) == collector.collected
     status = controller.job_status(job)
     assert status["log_records_dropped"] == dropped_before + 1
 
 
 # ------------------------------------------- the one router under failover
-#: directive -> (script, what the serving shard's counters gain, the
-#:               job.stats counter and its ChurnStats twin if any, their value)
+#: directive -> (script, what the serving shard's counters gain, the counter
+#:               that counts the action — ChurnStats', job.stats' for a
+#:               stop —, its value)
 ROUTED = {
-    "join": ("at 10s join 2", {"instances_started": 2},
-             "churn_joins", "instances_joined", 2),
-    "leave": ("at 10s leave 2", {"instances_killed": 2},
-              "churn_leaves", "instances_left", 2),
-    "crash": ("at 10s crash 2", {"instances_killed": 2},
-              "churn_crashes", "instances_crashed", 2),
+    "join": ("at 10s join 2", {"instances_started": 2}, "instances_joined", 2),
+    "leave": ("at 10s leave 2", {"instances_killed": 2}, "instances_left", 2),
+    "crash": ("at 10s crash 2", {"instances_killed": 2}, "instances_crashed", 2),
     "replace": ("at 10s replace 2", {"instances_killed": 2, "instances_started": 2},
-                "churn_joins", "instances_joined", 2),
-    "fail": ("at 10s fail 1", {"hosts_failed": 1},
-             "churn_host_failures", "hosts_failed", 1),
+                "instances_joined", 2),
+    "fail": ("at 10s fail 1", {"hosts_failed": 1}, "hosts_failed", 1),
     "recover": ("at 2s fail 1\nat 10s recover 1", {"hosts_recovered": 1},
-                "churn_host_recoveries", "hosts_recovered", 1),
-    "stop": ("at 10s stop", {"instances_killed": 6},
-             "instances_stopped", None, 6),
+                "hosts_recovered", 1),
+    "stop": ("at 10s stop", {"instances_killed": 6}, "instances_stopped", 6),
 }
 
 
 @pytest.mark.parametrize("kind", ROUTED)
 def test_every_churn_directive_lands_through_the_surviving_shard(kind):
-    script, gains, job_counter, churn_counter, value = ROUTED[kind]
+    script, gains, counter, value = ROUTED[kind]
     sim, _network, controller = _world(daemons=4, shards=2, max_instances=4)
     san = Sanitizer(sim, strict=True).install()
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
@@ -284,9 +292,7 @@ def test_every_churn_directive_lands_through_the_surviving_shard(kind):
     assert controller.churn_managers[job.job_id].controller is controller
     churn = controller.churn_managers[job.job_id].stats
     assert churn.by_kind[kind] == 1
-    assert getattr(job.stats, job_counter) == value
-    if churn_counter is not None:
-        assert getattr(churn, churn_counter) == value
+    assert getattr(job.stats if kind == "stop" else churn, counter) == value
     assert (job.state is JobState.STOPPED) == (kind == "stop")
     assert san.counts == {}
 
@@ -310,8 +316,7 @@ def test_two_jobs_sharing_every_host_keep_their_records_and_attribution_apart():
         assert sorted(r.message for r in records) == sorted(
             f"{job.spec.name} {n}" for n in range(6))
         assert {r.job_id for r in records} == {job.job_id}
-        # one daemon per shard, two instances of each job per daemon
-        assert job.stats.logs_by_shard == {"ctl0": 2, "ctl1": 2, "ctl2": 2}
+    # one daemon per shard, two instances of each job per daemon
     assert [s.stats.logs_routed for s in controller.shards] == [4, 4, 4]
 
     # A record is attributed when it ships: after ctl1 dies, what its former
@@ -323,10 +328,9 @@ def test_two_jobs_sharing_every_host_keep_their_records_and_attribution_apart():
             instance.logger.info("after the failover")
     sim.run(until=2.0)
     for job in jobs:
-        assert job.stats.logs_by_shard["ctl1"] == 2  # what it routed while alive
-        assert sum(job.stats.logs_by_shard.values()) == job.stats.log_records == 12
+        assert controller.store.collectors[job.job_id].collected == 12
         assert len(controller.job_logs(job)) == 12
-    assert controller.shards[1].stats.logs_routed == 4
+    assert controller.shards[1].stats.logs_routed == 4  # what it routed while alive
     assert sum(s.stats.logs_routed for s in controller.shards) == 24
 
 
@@ -341,8 +345,8 @@ def test_control_plane_status_reports_shards_and_collectors():
     assert sum(s["batches_sent"] for s in plane["shards"]) > 0
     assert job.job_id in plane["collectors"]
     collector = plane["collectors"][job.job_id]
-    assert set(collector) == {"collected", "dropped", "pending", "queue_peak",
-                              "max_queue"}
+    assert set(collector) == {"collected", "dropped", "refused", "pending",
+                              "queue_peak", "max_queue"}
 
 
 # ------------------------------------------------- batch failure edge cases
@@ -378,10 +382,9 @@ def test_instance_ids_are_never_reused_after_failed_spawns():
     _sim, _network, controller = _world(daemons=1, max_instances=3)
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                     instances=1, base_port=65535))
-    controller.start(job)  # instance 0 holds the daemon's only usable port
+    (first,) = controller.start(job)  # holds the daemon's only usable port
+    assert first.instance_id == 0
     assert controller.start_instances(job, 1) == []  # id 1 consumed, spawn failed
-    controller.kill_instance(next(iter(job.instances)))  # frees the port
+    controller.kill_instance(first)  # frees the port
     (replacement,) = controller.start_instances(job, 1)
     assert replacement.instance_id == 2  # id 1 is gone for good, not recycled
-    ids = [p.instance_id for p in job.placements]
-    assert len(set(ids)) == len(ids)

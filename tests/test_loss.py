@@ -44,18 +44,18 @@ def test_rates_are_validated():
 def test_should_drop_counts_and_is_deterministic_per_seed():
     def drops(seed):
         model = LossModel(seed=seed, default_rate=0.3)
-        return [model.should_drop("a", "b") for _ in range(50)], model.dropped
+        return [model.should_drop("a", "b") for _ in range(50)], model.evaluated
 
-    first, dropped = drops(4)
-    assert drops(4) == (first, dropped)
-    assert dropped == sum(first)
-    assert 0 < dropped < 50
+    first, evaluated = drops(4)
+    assert drops(4) == (first, evaluated)
+    assert evaluated == 50
+    assert 0 < sum(first) < 50
 
     certain = LossModel(seed=1, default_rate=1.0)
     assert all(certain.should_drop("a", "b") for _ in range(5))
     lossless = LossModel(seed=1)
     assert not any(lossless.should_drop("a", "b") for _ in range(5))
-    assert lossless.evaluated == 5 and lossless.dropped == 0
+    assert lossless.evaluated == 5
 
 
 def test_per_pair_loss_only_affects_that_direction_on_the_network():

@@ -56,10 +56,13 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
 #: spawn itself allocates (context, events, socket, logger, RPC service,
 #: handle, table entries) before the application does anything.  Measured
-#: ~2.24 KB on CPython 3.11 (~2.14 KB before the RPC service's round-trip
-#: estimate: four slots and an empty ``rto`` dict); it was ~2.44 KB with an unlisten
-#: closure per listener and a formatted name per thread, and ~4.1 KB while the sandbox FS, log sink and budget, RPC built-in table,
-#: options copy and reap closure were built per instance.
+#: ~2.12 KB on CPython 3.11; ~2.20 KB, measured the same way, while the job
+#: kept a placement record per instance and the socket counted received
+#: traffic.  The RPC service's round-trip estimate (four slots and an empty
+#: ``rto`` dict) added ~0.1 KB; it was ~2.44 KB with an unlisten closure per
+#: listener and a formatted name per thread, and ~4.1 KB while the sandbox
+#: FS, log sink and budget, RPC built-in table, options copy and reap
+#: closure were built per instance.
 IDLE_INSTANCE_CEILING_BYTES = 2_400
 
 
@@ -203,10 +206,11 @@ def no_collector():
 
 
 #: committed ceiling for the Python-allocated bytes one death leaves behind:
-#: the job's placement record (kept for log attribution), the never-reused
-#: instance id, and slack in the tables the handle left.  Measured
-#: ~170 B; it was ~1.6 KB while the instance <-> app cycle kept every dead
-#: sandbox for a collector that the ``tuned`` GC policy all but switches off.
+#: the never-reused instance id, and slack in the tables the handle left.
+#: Measured -122 B, table slack given back (3 B while the job kept a
+#: placement record per instance ever started); it was ~1.6 KB while the
+#: instance <-> app cycle kept every dead sandbox for a collector that the
+#: ``tuned`` GC policy all but switches off.
 PER_DEATH_CEILING_BYTES = 256
 
 

@@ -153,8 +153,11 @@ def _run_for(sim, box, patience):
 
 
 def _nothing_left(apps, sim):
-    """No node holds a pending call, lookup or deadline of a walk."""
-    assert all(app.rpc.pending_calls == 0 and not app._lookups for app in apps)
+    """No node holds a walk's pending call, lookup or deadline (a
+    maintenance call may be in flight at any instant)."""
+    assert not any(call.method in ("walk", "step", "claim")
+                   for app in apps for call in app.rpc._pending.values())
+    assert not any(app._lookups for app in apps)
     assert not any(getattr(entry[2].callback, "__self__", None) in apps
                    and not entry[2].cancelled for entry in sim._queue
                    if getattr(entry[2].callback, "__name__", "") == "_expired")
@@ -326,6 +329,39 @@ def test_the_iterative_walk_avoids_a_node_whose_step_names_itself(node_class):
     stuck.rpc._handlers["step"] = no_progress
     assert _iterative_walk(sim, origin, key).result()[0] == owner
     assert asked == [[]]  # asked once, then avoided from the origin on
+
+
+@pytest.mark.parametrize("walk", ["forwarded", "iterative"])
+def test_a_walk_fails_once_the_origins_own_step_names_the_origin(walk):
+    # Every other node's step names itself, so the origin avoids its routes
+    # one by one until a Chord step of its own falls back to the origin.
+    sim, _controller, job = _deploy(ChordNode.factory(), nodes=16)
+    sim.run(until=80.0)
+    apps = [instance.app for instance in job.live_instances()]
+    origin = apps[0]
+    key = (origin.me.id + (1 << (BITS - 1))) % (1 << BITS)
+    for app in apps[1:]:
+        def no_progress(key, avoid=None, me=app.me):
+            return {"node": me, "done": False}
+        app._rpc_step = app.rpc._handlers["step"] = no_progress
+    named = []
+    own_step = origin._rpc_step
+
+    def counting(key, avoid):
+        reply = own_step(key, avoid)
+        named.append(NodeRef.coerce(reply["node"]))
+        return reply
+
+    origin._rpc_step = counting
+    if walk == "forwarded":
+        box = _walking(sim, origin, key)
+        _run_for(sim, box, 5.0)
+        assert isinstance(box.get("error"), harness.LookupFailed)
+    else:
+        with pytest.raises(harness.LookupFailed):
+            _iterative_walk(sim, origin, key).result()
+    assert len(named) > 2 and named[-1] == origin.me
+    assert named.count(origin.me) == 1  # asked once, not until the budget is spent
 
 
 @pytest.mark.parametrize("node_class", [ChordNode, PastryNode],

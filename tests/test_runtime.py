@@ -94,7 +94,7 @@ def _submitted_job(sim, network, **spec_kwargs):
 
     defaults = dict(name="j", app_factory=lambda i: None, instances=1)
     defaults.update(spec_kwargs)
-    return Job(JobSpec(**defaults), created_at=sim.now, job_id=1)
+    return Job(JobSpec(**defaults), job_id=1)
 
 
 def test_merged_policy_daemon_blacklist_applies_to_instances():
@@ -237,7 +237,7 @@ def test_instance_logs_are_shipped_to_the_controller():
     assert [r.message for r in records] == ["hello from zero", "trouble on one"]
     assert all(r.job_id == job.job_id for r in records)
     assert len(controller.job_logs(job, level="WARN")) == 1
-    assert job.stats.log_records == 2
+    assert controller.job_status(job)["log_records"] == 2
 
 
 def test_after_stop_no_daemon_refers_to_the_job_and_late_records_are_collected():

@@ -129,8 +129,8 @@ def test_fail_host_kills_instances_and_recover_makes_it_placeable_again():
     refill = controller.start_instances(job, 2)
     assert all(i.daemon.ip == victim for i in refill)
     assert controller.host_alive(victim)
-    assert controller.store.host_failures_total == 1
-    assert controller.store.host_recoveries_total == 1
+    hosts = controller.control_plane_status()["hosts"]
+    assert (hosts["failures_total"], hosts["recoveries_total"]) == (1, 1)
 
 
 def test_failing_a_down_host_and_recovering_an_up_host_count_nothing():
@@ -166,12 +166,10 @@ def test_script_driven_host_churn_counts_separately_from_instance_churn():
     assert churn.stats.instances_crashed == 2
     assert churn.stats.hosts_failed == 2
     assert churn.stats.hosts_recovered == 1
-    assert job.stats.churn_crashes == 2
-    assert job.stats.churn_host_failures == 2
-    assert job.stats.churn_host_recoveries == 1
     # host-failure instance deaths are failures, never churn_crashes
     assert job.stats.instances_failed > 2
     status = controller.job_status(job)
+    assert status["churn_crashes"] == 2
     assert status["churn_host_failures"] == 2
     assert status["churn_host_recoveries"] == 1
 
@@ -191,9 +189,10 @@ def test_trace_driven_job_replays_host_churn_deterministically():
         sim, controller, job = _deploy(instances=8, hosts=4, churn_trace=trace)
         sim.run(until=120.0)
         churn = controller.churn_managers[job.job_id]
+        status = controller.job_status(job)
         return (churn.stats.hosts_failed, churn.stats.hosts_recovered,
                 tuple(sorted(controller.failed_host_ips())),
-                job.stats.churn_host_failures, job.stats.churn_host_recoveries)
+                status["churn_host_failures"], status["churn_host_recoveries"])
 
     first = run()
     # t0 blips (fail@20, recover@40) then dies at the 100s horizon... which
@@ -207,13 +206,14 @@ def test_host_counters_survive_controller_shard_failover():
     sim, controller, job = _deploy(
         instances=8, hosts=4, shards=2,
         churn_script="at 5s fail 1\nat 15s fail 1\nat 25s recover 2\n")
+    churn = controller.churn_managers[job.job_id].stats
     sim.run(until=10.0)
-    assert job.stats.churn_host_failures == 1
+    assert churn.hosts_failed == 1
     # the claiming shard dies mid-run; churn keeps flowing via the survivor
     controller.shards[0].fail()
     sim.run(until=30.0)
-    assert job.stats.churn_host_failures == 2
-    assert job.stats.churn_host_recoveries == 2
+    assert churn.hosts_failed == 2
+    assert churn.hosts_recovered == 2
     assert controller.failed_host_ips() == []
 
 
@@ -222,9 +222,10 @@ def test_script_and_trace_compose_on_one_job():
         instances=8, hosts=4,
         churn_script="at 10s crash 2\n", churn_trace="t0 0 30\n t1 0 80\n")
     sim.run(until=90.0)
-    assert job.stats.churn_crashes == 2
+    churn = controller.churn_managers[job.job_id].stats
+    assert churn.instances_crashed == 2
     # t0 fails at 30 (before the 80s horizon), t1 is up through the horizon
-    assert job.stats.churn_host_failures == 1
+    assert churn.hosts_failed == 1
 
 
 def test_chord_replays_the_bundled_trace_end_to_end():
@@ -235,7 +236,7 @@ def test_chord_replays_the_bundled_trace_end_to_end():
     report = run_chord_scenario(
         RunConfig(nodes=16, hosts=8, seed=0, duration="short",
                   churn_trace=trace), lookups=12)
-    # host-level fail/recover events are visible in Job.stats / the report
+    # host-level fail/recover events are visible in the job status / the report
     assert report["job"]["churn_host_failures"] > 0
     assert report["job"]["churn_host_recoveries"] > 0
     assert report["churn"]["hosts_failed"] > 0
