@@ -621,7 +621,12 @@ class RoutingStats:
 
 
 class LookupFailed(Exception):
-    """A lookup exhausted its hop budget or every route attempt failed."""
+    """A lookup spent its hop budget, or no route was left; ``hops`` is how
+    many it walked."""
+
+    def __init__(self, message: str, hops: int = 0):
+        super().__init__(message)
+        self.hops = hops
 
 
 #: what one routing decision of a walk says to do next (RoutingNode._decide)
@@ -753,12 +758,12 @@ class RoutingNode(OverlayNode):
             # answered here and now when this node owns the key
             owner, hops = ((yield answer) if lookup_id in self._lookups
                            else answer.result())
-        except LookupFailed:
+        except LookupFailed as exc:
             stats.lookups_failed += 1
             self.refresh.stir()
             if tracer is not None:
                 tracer.add(self.me.ip, "lookup.failed", started, sim.now - started,
-                           cat="lookup", args={"key": key, "hops": self.max_hops})
+                           cat="lookup", args={"key": key, "hops": exc.hops})
             if rpc._metrics is not None:
                 rpc._metrics.inc("lookup.failed")
             raise
@@ -821,7 +826,8 @@ class RoutingNode(OverlayNode):
         unless the overlay refuses the walk before a node joins
         (``served_once_live``): a refusal must come back to the node that
         named the owner.  A walk whose ``max_hops`` ran out answers ``origin``
-        with no owner; the origin's own step naming the origin spends them.
+        with no owner; once the origin's own step names the origin, no route
+        is left and the lookup fails there.
         The origin's deadline covers the one-way legs and a walk lost with
         the hop that held it.  ``path`` is the nodes that passed the walk on
         (the origin aside).  A retransmitted walk — its acknowledgement was
@@ -844,13 +850,12 @@ class RoutingNode(OverlayNode):
             hops += 1
             verdict, node = self._decide(reply, me, origin, avoid, claims)
             if verdict is AVOID:
+                if me_id == origin.id:
+                    # our own step names us, as every later one would
+                    self._rpc_found(lookup_id, key, None, hops, no_route=True)
+                    return
                 avoid += (node.id,)
                 claims = 0
-                if me_id == origin.id:
-                    # our own step names us, as every later one would: the
-                    # rest of the budget is spent at once
-                    hops = max_hops
-                    continue
                 node = origin
                 break
             if verdict is not OWNER:
@@ -885,11 +890,11 @@ class RoutingNode(OverlayNode):
                    retries=HOP_RETRIES).add_done_callback(_unacked)
 
     def _rpc_found(self, lookup_id: int, key: int, owner: Optional[NodeRef],
-                   hops: int, *path: NodeRef) -> None:
+                   hops: int, *path: NodeRef, no_route: bool = False) -> None:
         """The answer to one of our lookups (no ``owner``: its hop budget ran
-        out).  One that comes after the iterative walk answered, or that
-        answers another key — a walk of an earlier process at this endpoint
-        —, is dropped."""
+        out, or, ``no_route``, the origin's own step named the origin).  One
+        that comes after the iterative walk answered, or that answers another
+        key — a walk of an earlier process at this endpoint —, is dropped."""
         entry = self._lookups.get(lookup_id)
         if entry is None or entry[2] != key:
             return
@@ -898,7 +903,8 @@ class RoutingNode(OverlayNode):
         stop()
         if owner is None:
             answer.set_exception(LookupFailed(
-                f"lookup({key}) from {self.me} exceeded {self.max_hops} hops"))
+                f"lookup({key}) from {self.me}: no route left" if no_route else
+                f"lookup({key}) from {self.me} exceeded {self.max_hops} hops", hops))
             return
         learned = self._learned
         if learned is not None:
@@ -942,7 +948,7 @@ class RoutingNode(OverlayNode):
         answer goes to ``avoid`` and the walk restarts from the local node,
         so a lookup survives nodes failing underneath it while the overlay
         itself stays connected; once the local node's step names the local
-        node, no route is left and the hop budget counts as spent.  A
+        node, no route is left and the walk fails.  A
         ``maintenance`` walk counts its RPCs in ``stats.maintenance_rpcs``.
         """
         stats = self.stats
@@ -975,12 +981,13 @@ class RoutingNode(OverlayNode):
             if verdict is OWNER:
                 return node, hops
             if verdict is AVOID:
+                if current == me:  # our own step naming us would name us again
+                    raise LookupFailed(f"lookup({key}) from {me}: no route left", hops)
                 avoid.add(node.id)
-                # our own step naming us would name us again: the budget is spent
-                current, claims, hops = me, 0, (self.max_hops if current == me else hops)
+                current, claims = me, 0
                 continue
             current, claims = node, (claims + 1 if verdict is CLAIM else 0)
-        raise LookupFailed(f"lookup({key}) from {self.me} exceeded {self.max_hops} hops")
+        raise LookupFailed(f"lookup({key}) from {me} exceeded {self.max_hops} hops", hops)
 
     def _unanswered(self, node: NodeRef, exc: RpcError, shortened: bool,
                     maintenance: bool) -> None:

@@ -145,8 +145,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                              "(results are identical for any N >= 1)")
     parser.add_argument("--sanitize", action="store_true",
                         help="enable runtime invariant checks (clock "
-                             "monotonicity, free-list integrity, future "
-                             "legality, listener/bandwidth consistency); "
+                             "monotonicity, future legality, "
+                             "listener/bandwidth consistency); "
                              "observation-only, results are identical")
     parser.add_argument("--profile", action="store_true",
                         help="attribute wall time and event counts to kernel "
@@ -289,7 +289,6 @@ def _print_observability(report: dict, args: argparse.Namespace) -> None:
         network = metrics["network"]
         registry_size = len(metrics["job"]["registry"])
         print(f"metrics: kernel {kernel['events_dispatched']} dispatched "
-              f"/ {kernel['events_recycled']} recycled "
               f"/ {kernel['events_cancelled']} cancelled; "
               f"drops loss={network['drops_loss']} "
               f"dead-host={network['drops_dead_host']} "

@@ -352,8 +352,8 @@ class RpcService:
         future, timer = pending.result, pending.timer
         # Drop the event back-reference before cancelling: the timer's
         # callback is a bound method holding this _PendingCall, so keeping
-        # ``.timer`` set would close a reference cycle that pins the
-        # cancelled event past the kernel's refcount-gated recycling check.
+        # ``.timer`` set would close a call <-> event cycle that only the
+        # cyclic collector frees; broken, reference counting frees both.
         pending.timer = None
         if timer is not None:
             timer.cancel()
@@ -454,8 +454,8 @@ class _PendingCall:
 
     def on_timeout(self) -> None:
         # The firing event holds our bound method; clear the back-reference
-        # so the kernel can recycle it the moment this callback returns
-        # (attempt() installs a fresh timer on retry).
+        # so the call <-> event cycle breaks and reference counting frees the
+        # event once it has fired (attempt() installs a fresh timer on retry).
         self.timer = None
         result = self.result
         if result._state is not _PENDING:

@@ -52,14 +52,15 @@ class SocketPolicy:
         else:
             blacklist = self.blacklist.merged_with(stricter.blacklist)
         return SocketPolicy(
-            max_total_bytes=_stricter_limit(self.max_total_bytes, stricter.max_total_bytes),
-            max_sockets=_stricter_limit(self.max_sockets, stricter.max_sockets),
+            max_total_bytes=stricter_limit(self.max_total_bytes, stricter.max_total_bytes),
+            max_sockets=stricter_limit(self.max_sockets, stricter.max_sockets),
             drop_rate=max(self.drop_rate, stricter.drop_rate),
             blacklist=blacklist,
         )
 
 
-def _stricter_limit(a: Optional[int], b: Optional[int]) -> Optional[int]:
+def stricter_limit(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The smaller of two limits, where None is no limit."""
     if a is None:
         return b
     if b is None:

@@ -19,11 +19,10 @@ dispatched event, so everything here is a no-op unless a flag turned it on:
   failures and deadline overruns.
 
 Determinism contract: nothing observed here feeds back into the
-simulation — no randomness, no scheduling, no event references held (the
-free-list recycling rules of ``sim/sanitizer.py`` apply) — and every
-report section this package produces (``metrics``/``trace``/``profile``/
-``flight_recorder``) is digest-excluded, so report digests are
-byte-identical with and without every flag.
+simulation — no randomness, no scheduling, no event references held past
+the event's dispatch — and every report section this package produces
+(``metrics``/``trace``/``profile``/``flight_recorder``) is digest-excluded,
+so report digests are byte-identical with and without every flag.
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ class Observability:
 
         Mirrors the sanitizer's provenance stamp (when the sanitizer is
         installed it stamps instead — one writer per event).  Only wired
-        while tracing is on; the stamp itself is a plain string, so the
-        event free list keeps recycling normally.
+        while tracing is on; the stamp itself is a plain string.
         """
         tracer = self.tracer
         event.origin = f"scheduled t={event.time:.6f} by {tracer.current_label()}"
@@ -97,9 +95,9 @@ class Observability:
         """Dispatch one event with observation around the callback.
 
         Called by the kernel *instead of* ``event.callback(*event.args)``
-        when installed.  Everything referencing the event is dropped before
-        this frame returns, so the kernel's refcount-gated free-list
-        recycling sees exactly the references it expects.
+        when installed.  Nothing keeps the event after this frame returns:
+        the ring and the tracer copy its scalars and its callback, so a
+        fired event and its arguments are freed as without observation.
         """
         self.recorder.push_event(event.time, event.seq, event.callback,
                                  event.origin)
@@ -136,7 +134,6 @@ class Observability:
             "enabled": True,
             "kernel": {
                 "events_dispatched": sim.executed_events,
-                "events_recycled": sim.recycled_events,
                 "events_cancelled": sim.cancelled_events,
             },
             "network": {

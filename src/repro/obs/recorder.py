@@ -6,12 +6,11 @@ is rendered oldest-to-newest so CI logs show *what the simulation was doing*
 right before the failure — with the per-event ``origin`` provenance stamped
 by the sanitizer or tracer.
 
-The ring must never pin ``ScheduledEvent`` objects: the kernel recycles
-fired events through a free list gated on ``sys.getrefcount``, so holding a
-reference would silently disable recycling (see ``sim/sanitizer.py``).
-Entries therefore store plain tuples of scalars plus the *callback* object
-(bound methods reference their instance, never the event), and are rendered
-lazily only when a dump is actually requested.
+The ring never holds ``ScheduledEvent`` objects: an event keeps its
+arguments alive, and the ring would then keep the last N events' payloads
+alive with it.  Entries therefore store plain tuples of scalars plus the
+*callback* object (bound methods reference their instance, never the
+event), and are rendered lazily only when a dump is actually requested.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.core.jobs import Job
 from repro.lib.logging import SplayLogger
 from repro.lib.rpc import RpcService
 from repro.lib.sbfs import SandboxedFS
-from repro.lib.sbsocket import RestrictedSocket, SocketPolicy
+from repro.lib.sbsocket import RestrictedSocket, SocketPolicy, stricter_limit
 from repro.net.address import Address, NodeRef
 from repro.net.network import Network
 from repro.sim.events_api import AppContext, Events
@@ -118,7 +118,7 @@ class Instance:
         if fs is None:
             limits, spec = self.daemon.limits, self.job.spec
             fs = self._fs = SandboxedFS(
-                max_bytes=_stricter(limits.fs_max_bytes, spec.fs_max_bytes),
+                max_bytes=stricter_limit(limits.fs_max_bytes, spec.fs_max_bytes),
                 max_open_files=spec.fs_max_files)
         return fs
 
@@ -203,7 +203,7 @@ class Splayd:
                                   policy=policy, seed=self.sim.seed)
         logger = SplayLogger(
             source=name, level=spec.log_level, remote_sink=job.log_sink,
-            max_bytes=_stricter(limits.log_max_bytes, spec.log_max_bytes),
+            max_bytes=stricter_limit(limits.log_max_bytes, spec.log_max_bytes),
             clock=self._clock, host=address.ip)
         rpc = RpcService(socket, events)
         obs = getattr(self.sim, "_obs", None)
@@ -303,11 +303,3 @@ class Splayd:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Splayd {self.ip} {'up' if self.alive else 'down'} "
                 f"instances={len(self.instances)}>")
-
-
-def _stricter(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)

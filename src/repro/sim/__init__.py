@@ -17,7 +17,7 @@ discrete-event simulator:
 All timing in the simulator is expressed in seconds (floats).
 """
 
-from repro.sim.futures import Future, FutureState, SimTimeoutError
+from repro.sim.futures import Future, FutureState
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.events_api import AppContext, Events
@@ -31,7 +31,6 @@ __all__ = [
     "Process",
     "ProcessKilled",
     "ScheduledEvent",
-    "SimTimeoutError",
     "Simulator",
     "substream",
 ]

@@ -197,9 +197,9 @@ class Events:
         # The task is tracked once, as a cleanup; re-armed timers are NOT
         # appended to the context's timer list.  A periodic task re-arms on
         # every firing, so per-arm tracking grew (and re-compacted) the list
-        # forever *and* pinned a reference that kept every fired periodic
-        # timer out of the kernel's free list.  kill() still cancels the
-        # task — cancelling it cancels whichever timer is current.
+        # forever and kept every fired periodic timer alive with it.  kill()
+        # still cancels the task — cancelling it cancels whichever timer is
+        # current.
         first = initial_delay if initial_delay is not None else interval
         first = first + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
         task._current = self.sim.schedule(first, task._fire)

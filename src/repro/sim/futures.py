@@ -20,10 +20,6 @@ from typing import Any, Callable, List, Optional
 _misuse_hook: Optional[Callable[["Future", str], None]] = None
 
 
-class SimTimeoutError(Exception):
-    """Raised (or reported) when an operation exceeds its timeout."""
-
-
 class FutureCancelled(Exception):
     """Raised when waiting on a future that was cancelled."""
 

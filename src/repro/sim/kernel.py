@@ -9,11 +9,11 @@ simulator-owned random number generator.
 The event queue is one :mod:`heapq` of ``(time, seq, event)`` entries.  The
 sequence number is unique, so the key is a total order: events fire by time,
 and same-instant events in the order they were scheduled.  Cancelling is
-lazy — the entry stays queued and is skipped (its event recycled) when it
-surfaces — with one bound: once cancelled entries are more than 64 and at
-least half the queue, the queue is filtered and re-heapified in place, so a
-cancelled timer (and everything its callback references) does not outlive
-the traffic that cancelled it by more than one such compaction.
+lazy — the entry stays queued and is skipped when it surfaces — with one
+bound: once cancelled entries are more than 64 and at least half the queue,
+the queue is filtered and re-heapified in place, so a cancelled timer (and
+everything its callback references) does not outlive the traffic that
+cancelled it by more than one such compaction.
 
 ``tests/heap_kernel_reference.py`` is the reference oracle: the same heap
 with no compaction.  A differential schedule fuzzer
@@ -30,15 +30,8 @@ started with no delay takes its first step, inside the event that caused it
 from __future__ import annotations
 
 import random
-import sys
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
-
-#: CPython-only refcount probe used by the event free-list (None elsewhere).
-_getrefcount = getattr(sys, "getrefcount", None)
-
-#: upper bound on recycled ScheduledEvent objects kept per simulator
-_FREE_LIST_MAX = 4096
 
 #: cancelled entries tolerated in the queue before compaction is considered
 _GHOSTS_MIN = 64
@@ -52,33 +45,20 @@ class ScheduledEvent:
     Instances are returned by :meth:`Simulator.schedule` and
     :meth:`Simulator.schedule_at`.  Calling :meth:`cancel` before the event
     fires prevents the callback from running; cancelling an event that has
-    already fired is a no-op.
+    already fired is a no-op.  ``origin`` is a provenance string ("who
+    scheduled this"), stamped only when a sanitizer (repro.sim.sanitizer) or
+    tracer (repro.obs) is installed; None otherwise.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
                  "origin", "_sim")
-
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        #: provenance string ("who scheduled this"), stamped only when a
-        #: sanitizer (repro.sim.sanitizer) or tracer (repro.obs) is
-        #: installed; None otherwise
-        self.origin = None
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancelled(self)
+        self._sim._note_cancelled(self)
 
     @property
     def pending(self) -> bool:
@@ -110,10 +90,6 @@ class Simulator:
         self.rng = random.Random(seed)
         #: number of callbacks executed so far (useful for tests and stats)
         self.executed_events = 0
-        #: fresh ScheduledEvent constructions — counted on the cold
-        #: allocation branch so the recycling hot path stays increment-free;
-        #: see the ``recycled_events`` property
-        self.allocated_events = 0
         # O(1) pending-event accounting (events scheduled minus fired/cancelled)
         self._pending = 0
         self._next_pid = 0
@@ -122,13 +98,6 @@ class Simulator:
         self._queue: list = []
         #: cancelled entries still in ``_queue``
         self._ghosts = 0
-        # Free-list of dead ScheduledEvent objects — both fired events and
-        # cancelled ones reclaimed when their queue entry surfaces (RPC
-        # timeout timers are almost always cancelled by the reply, so they
-        # dominate).  Recycling only happens when the refcount proves no
-        # external handle survived, so a held event can never be mutated
-        # under its owner's feet.
-        self._free: list[ScheduledEvent] = []
         #: runtime sanitizer (repro.sim.sanitizer.Sanitizer) or None; the
         #: hot paths pay a single pointer test when disabled
         self._san = None
@@ -152,15 +121,10 @@ class Simulator:
         """Current virtual time, in seconds."""
         return self._now
 
-    @property
-    def recycled_events(self) -> int:
-        """Events served from the free list instead of a fresh allocation.
-
-        Every insert either recycles or allocates, so this is derived from
-        the monotonic sequence counter rather than maintained with an
-        increment on the recycling hot path.
-        """
-        return self._seq - self.allocated_events
+    #: always 0: events are not reused.  ``benchmarks/child.py`` still reads
+    #: it as ``sim.kernel.recycled``; it goes with the benchmark's next
+    #: revision (ROADMAP item 2).
+    recycled_events = 0
 
     @property
     def cancelled_events(self) -> int:
@@ -180,27 +144,23 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Every event is inserted in this one frame.
+        Every event is built and inserted in this one frame: its slots are
+        written here, since an ``__init__`` would cost a frame per event.
         """
         if not 0.0 <= delay < _INF:
             raise ValueError(f"delay must be finite and non-negative: {delay!r}")
         when = self._now + delay
         self._seq = seq = self._seq + 1
-        free = self._free
+        event = object.__new__(ScheduledEvent)
+        event.time = when
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.fired = False
+        event.origin = None
+        event._sim = self
         san = self._san
-        if free:
-            event = free.pop()
-            if san is not None:
-                san.check_recycled(event)
-            event.time = when
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            self.allocated_events += 1
-            event = ScheduledEvent(when, seq, callback, args, self)
         if san is not None:
             san.note_scheduled(event)
         elif self._obs_stamp is not None:
@@ -245,7 +205,6 @@ class Simulator:
         """
         self._stop_requested = False
         queue = self._queue
-        free = self._free
         horizon = _INF if until is None else until
         # Hoisted once per run(): observability installs before the run
         # starts, so the per-event test is a local load, not an attribute.
@@ -279,13 +238,6 @@ class Simulator:
                         # every reference the observer (ring, trace,
                         # profile) takes dies before run_event returns
                         obs.run_event(event)
-                # refs here: the popped entry tuple + the event local +
-                # getrefcount's argument.  More means an external handle exists.
-                if _getrefcount is not None and _getrefcount(event) == 3 \
-                        and len(free) < _FREE_LIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
         finally:
             self._resume_inline = inline
         return self._now

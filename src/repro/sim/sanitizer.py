@@ -6,18 +6,15 @@ enabled (``--sanitize`` on every scenario, or :meth:`Sanitizer.install`
 directly), cheap observation-only checks run on the hot path:
 
 * **monotonic clock** -- no event executes at a virtual time before ``now``;
-* **free-list integrity** -- a recycled :class:`ScheduledEvent` must be dead
-  and scrubbed when it leaves the free list (guards the refcount-gated
-  recycling of fired *and* cancelled events);
 * **future legality** -- ``set_result`` / ``set_exception`` on an
   already-completed :class:`~repro.sim.futures.Future` (pending -> done is
   the only legal transition; ``cancel`` on a done future is a documented
   query-style no-op and not reported);
 * **process single-step** -- a coroutine must only be resumed by the step
-  event it armed (a second resumption path racing it is the aliasing
-  symptom the free-list guards exist to prevent), and no coroutine step may
-  begin while another coroutine's generator is executing (the re-entrancy
-  in-place resumption must never create);
+  event it armed (a second resumption path racing it would run the
+  coroutine out of order), and no coroutine step may begin while another
+  coroutine's generator is executing (the re-entrancy in-place resumption
+  must never create);
 * **listener-table consistency** -- after a host is removed, no listener
   entry may keep routing messages to its endpoints;
 * **bandwidth-flow conservation** -- the max-min allocation never hands a
@@ -86,8 +83,6 @@ def _callback_label(callback: Any) -> str:
     (processes, app contexts) the label pinpoints *which* process or timer
     scheduled the event -- the provenance the bug reports of PR 2/6 needed.
     """
-    if callback is None:
-        return "<scrubbed>"
     qualname = getattr(callback, "__qualname__", None) or repr(callback)
     owner = getattr(callback, "__self__", None)
     owner_name = getattr(owner, "name", None)
@@ -112,9 +107,8 @@ class Sanitizer:
         self.strict = strict
         self.violations: List[Violation] = []
         self.counts: Dict[str, int] = {}
-        #: (time, seq, callback) of the executing event — a tuple, not the
-        #: event itself, so the sanitizer never holds a reference that would
-        #: trip the kernel's refcount-gated free-list recycling
+        #: (time, seq, callback) of the executing event — what provenance
+        #: needs, not the event itself, so its arguments are not kept alive
         self.current: Optional[tuple] = None
         #: the process whose generator is executing (set by Process._step)
         self.stepping: Optional[Any] = None
@@ -201,22 +195,6 @@ class Sanitizer:
                 f"executes at t={event.time:.6f}, before now={self.sim._now:.6f}",
                 provenance=event.origin or "unknown")
         self.current = (event.time, event.seq, event.callback)
-
-    def check_recycled(self, event: Any) -> None:
-        """A free-list pop must yield a dead, scrubbed event."""
-        if not event.cancelled and not event.fired:
-            self.record(
-                "free_list",
-                f"free list recycled a live pending event seq={event.seq} "
-                f"({_callback_label(event.callback)}) -- an external handle "
-                f"would observe it mutating under its feet",
-                provenance=event.origin or "unknown")
-        elif event.callback is not None:
-            self.record(
-                "free_list",
-                f"free list held an unscrubbed event seq={event.seq} "
-                f"({_callback_label(event.callback)}): callback still set",
-                provenance=event.origin or "unknown")
 
     # ------------------------------------------------------- future seam
     def _future_misuse(self, future: Any, operation: str) -> None:

@@ -1,7 +1,7 @@
 """Reference oracle: the kernel's binary heap without compaction.
 
 ``HeapSimulator`` is a :class:`repro.sim.kernel.Simulator` — same clock,
-counters, ``ScheduledEvent`` handles, free list, sanitizer / observability
+counters, ``ScheduledEvent`` handles, sanitizer / observability
 seams and in-place resumption flag — in which every queue operation
 (insert, pop, execute, the run loop, cancel) is replaced by the simplest
 possible one over its own ``heapq`` of ``(time, seq, event)`` entries.  The
@@ -17,10 +17,9 @@ per workload hold the kernel to this queue's ``(time, seq)`` execution order.
 :func:`step` executes one event of either kernel, for tests that single-step.
 """
 
-import sys
 from heapq import heappop, heappush
 
-from repro.sim.kernel import _FREE_LIST_MAX, ScheduledEvent, Simulator
+from repro.sim.kernel import ScheduledEvent, Simulator
 
 #: parametrisation shared by the both-kernel tests: "wheel" is the production
 #: ``Simulator`` (named for the timer wheel it once was; the label keeps the
@@ -40,14 +39,10 @@ class HeapSimulator(Simulator):
             raise ValueError(f"delay must be finite and non-negative: {delay!r}")
         when = self._now + delay
         self._seq = seq = self._seq + 1
-        if self._free:
-            event = self._free.pop()
-            if self._san is not None:
-                self._san.check_recycled(event)
-            event.__init__(when, seq, callback, args, self)
-        else:
-            self.allocated_events += 1
-            event = ScheduledEvent(when, seq, callback, args, self)
+        event = object.__new__(ScheduledEvent)
+        event.time, event.seq, event.callback, event.args = when, seq, callback, args
+        event.cancelled = event.fired = False
+        event.origin, event._sim = None, self
         if self._san is not None:
             self._san.note_scheduled(event)
         elif self._obs_stamp is not None:
@@ -59,13 +54,6 @@ class HeapSimulator(Simulator):
     def _note_cancelled(self, event):
         self._pending -= 1
 
-    def _recycle(self, event):
-        # refs: the caller's local + this parameter + getrefcount's argument
-        if sys.getrefcount(event) == 3 and len(self._free) < _FREE_LIST_MAX:
-            event.callback = None
-            event.args = ()
-            self._free.append(event)
-
     def _pop_next(self):
         """The next live event, or ``None``."""
         heap = self._heap
@@ -73,7 +61,6 @@ class HeapSimulator(Simulator):
             event = heappop(heap)[2]
             if not event.cancelled:
                 return event
-            self._recycle(event)
         return None
 
     def _execute(self, event):
@@ -99,8 +86,7 @@ class HeapSimulator(Simulator):
         heap = self._heap
         while not self._stop_requested:
             while heap and heap[0][2].cancelled:
-                event = heappop(heap)[2]
-                self._recycle(event)
+                heappop(heap)
             if not heap:
                 if until is not None and self._now < until:
                     self._now = until
@@ -108,9 +94,7 @@ class HeapSimulator(Simulator):
             if until is not None and heap[0][0] > until:
                 self._now = until
                 break
-            event = heappop(heap)[2]
-            self._execute(event)
-            self._recycle(event)
+            self._execute(heappop(heap)[2])
         return self._now
 
 
@@ -126,7 +110,6 @@ def step(sim):
         if event is None:
             return False
         sim._execute(event)
-        sim._recycle(event)
         return True
     live = [entry for entry in sim._queue if not entry[2].cancelled]
     if not live:
@@ -139,7 +122,6 @@ def step(sim):
         callback(*args)
 
     event.callback = once
-    del live, event  # the kernel may recycle the event once it fired
     sim.run()
     return True
 

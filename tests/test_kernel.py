@@ -317,15 +317,15 @@ def test_pids_are_per_simulator_and_reproducible():
     assert first == second == [1, 2, 3, 4, 5]
 
 
-# ------------------------------------------------------------------ free list
-#: execution-order digest of the churny free-list workload below — committed
-#: so any event-recycling change that perturbs ordering fails loudly
-_FREE_LIST_ORDER_DIGEST = "73985cd4ddd3dcf9"
+# ------------------------------------------------------------- timer churn
+#: execution-order digest of the timer-churn workload below — committed so
+#: any kernel change that perturbs ordering fails loudly
+_TIMER_CHURN_ORDER_DIGEST = "73985cd4ddd3dcf9"
 
 
-def _churny_free_list_run(kernel):
-    """An RPC-shaped workload (timers mostly cancelled) that exercises the
-    event free list hard; returns the simulator and its fire-order digest."""
+def _timer_churn_run(kernel):
+    """An RPC-shaped workload (timers mostly cancelled); returns the
+    simulator and its fire-order digest."""
     import hashlib
 
     sim = make_simulator(kernel, 11)
@@ -350,51 +350,29 @@ def _churny_free_list_run(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_free_list_recycling_preserves_event_order(kernel):
-    sim, digest = _churny_free_list_run(kernel)
-    assert digest == _FREE_LIST_ORDER_DIGEST
-    # The free list actually recycled: executed far more events than live
-    # ScheduledEvent objects, and the list holds returned carcasses.
+def test_timer_churn_preserves_event_order(kernel):
+    sim, digest = _timer_churn_run(kernel)
+    assert digest == _TIMER_CHURN_ORDER_DIGEST
     assert sim.executed_events > 2000
-    assert len(sim._free) > 0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_free_list_never_recycles_externally_held_events(kernel):
+def test_a_held_event_keeps_its_identity_after_it_fires(kernel):
     sim = make_simulator(kernel, 3)
     fired = []
     handle = sim.schedule(1.0, fired.append, "kept")
     sim.schedule(2.0, fired.append, "later")
     sim.run()
     assert fired == ["kept", "later"]
-    # We still hold ``handle``, so the refcount guard must have skipped it:
-    # its identity (callback cleared = recycled) is intact and it is not on
-    # the free list awaiting reuse.
     assert handle.fired
     assert handle.callback is not None
-    assert all(ev is not handle for ev in sim._free)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_free_list_recycles_unreferenced_cancelled_events(kernel):
-    # Cancelled timers whose handles are dropped (the RPC pattern: the reply
-    # cancels the timeout timer and forgets it) must be reclaimed when the
-    # kernel skips over their queue entries — not only executed events.
-    sim = make_simulator(kernel, 7)
-    for _ in range(50):
-        sim.schedule(1.0, lambda: None).cancel()
-    sim.schedule(2.0, lambda: None)  # something to run past the carcasses
-    sim.run()
-    # 50 cancelled + 1 fired event went through; nothing external holds them.
-    assert len(sim._free) == 51
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_free_list_never_recycles_held_cancelled_events(kernel):
+def test_a_held_cancelled_event_stays_cancelled(kernel):
     sim = make_simulator(kernel, 7)
     held = sim.schedule(1.0, lambda: None)
     held.cancel()
     sim.schedule(2.0, lambda: None)
     sim.run()
     assert held.cancelled
-    assert all(ev is not held for ev in sim._free)

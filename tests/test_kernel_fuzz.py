@@ -29,7 +29,7 @@ class _Twin:
         self.trace = []
         self.seqs = {}      # label -> seq its event was scheduled with
         self.handles = []   # two thirds of the handles ever returned, fired
-        #                     or not; the rest are dropped so they can recycle
+        #                     or not; the rest are dropped, as most callers do
         self.compactions = 0  # cancels that shrank the kernel's queue
 
     def fire(self, label, program):

@@ -356,12 +356,19 @@ def test_a_walk_fails_once_the_origins_own_step_names_the_origin(walk):
     if walk == "forwarded":
         box = _walking(sim, origin, key)
         _run_for(sim, box, 5.0)
-        assert isinstance(box.get("error"), harness.LookupFailed)
+        error = box.get("error")
+        assert isinstance(error, harness.LookupFailed)
     else:
-        with pytest.raises(harness.LookupFailed):
+        with pytest.raises(harness.LookupFailed) as raised:
             _iterative_walk(sim, origin, key).result()
+        error = raised.value
     assert len(named) > 2 and named[-1] == origin.me
     assert named.count(origin.me) == 1  # asked once, not until the budget is spent
+    # the failure names its cause, not the hop budget it did not spend: each
+    # remote node named took the origin's step and its own, and then the
+    # origin's last step named the origin
+    assert "no route left" in str(error) and "exceeded" not in str(error)
+    assert error.hops == 2 * len(named) - 1 < origin.max_hops
 
 
 @pytest.mark.parametrize("node_class", [ChordNode, PastryNode],

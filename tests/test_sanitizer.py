@@ -15,7 +15,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.network import Network
 from repro.sim import futures as futures_module
 from repro.sim.futures import Future
-from repro.sim.kernel import ScheduledEvent, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 
@@ -99,36 +99,9 @@ def test_cancel_of_a_done_future_is_a_benign_no_op():
     assert san.violations == []
 
 
-# -------------------------------------------------------- free-list integrity
-def test_recycling_a_live_pending_event_is_caught():
+def test_schedule_and_run_churn_records_nothing():
     sim, san = _installed()
-    live = sim.schedule(5.0, lambda: None)
-    assert live.pending
-    sim._free.append(live)  # aliasing bug: recycled while still scheduled
-    sim.schedule(1.0, lambda: None)
-    assert san.counts.get("free_list") == 1
-    assert "live pending event" in san.violations[0].detail
-
-
-def test_unscrubbed_free_list_entry_is_caught():
-    sim, san = _installed()
-
-    def stale_callback():
-        return None
-
-    dead = ScheduledEvent(1.0, 999, stale_callback, (), sim)
-    dead.fired = True  # dead, but its callback was never scrubbed
-    sim._free.append(dead)
-    sim.schedule(1.0, lambda: None)
-    assert san.counts.get("free_list") == 1
-    assert "unscrubbed" in san.violations[0].detail
-    assert "stale_callback" in san.violations[0].detail
-
-
-def test_normal_free_list_recycling_records_nothing():
-    sim, san = _installed()
-    # Fired events are scrubbed and recycled by the kernel itself; churning
-    # through many schedule/run cycles must not trip the checker.
+    # Churning through many schedule/run cycles must not trip a checker.
     for _ in range(50):
         sim.schedule(0.01, lambda: None)
         sim.run()

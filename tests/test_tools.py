@@ -390,3 +390,19 @@ def test_linecov_reports_exactly_the_lines_no_call_reached(tmp_path):
     assert linecov.ranges(missing, executable) == "9-12"
     assert linecov.ranges([2, 5], [1, 2, 3, 5]) == "2, 5"
 
+
+def test_linecov_reports_against_the_lines_it_read_before_the_runs(tmp_path):
+    linecov = _load("linecov")
+    source = tmp_path / "sample.py"
+    source.write_text("def used():\n    return 1\n\n\ndef unused():\n    return 2\n")
+    tracer = linecov.LineTracer([source])
+    namespace = {}
+    code = compile(source.read_text(), str(source), "exec")
+    with tracer.tracing():
+        exec(code, namespace)  # noqa: S102 - the sample module's own lines
+        assert namespace["used"]() == 1
+    # an edit after the snapshot shifts every line of the file by two
+    source.write_text("import os\nimport sys\n" + source.read_text())
+    assert sorted(linecov.executable_lines(source)) == [1, 2, 3, 4, 7, 8]
+    assert tracer.executable[str(source)] == [1, 2, 5, 6]
+    assert tracer.unreached(str(source)) == [6]  # unused's body
