@@ -224,7 +224,7 @@ class RunConfig:
     warmup_grace: float = 60.0
     #: ``"short"`` shrinks the default windows and op counts (CI smoke)
     duration: str = "full"
-    #: controller front-ends sharing the job store
+    #: controller front-ends sharing the controller's tables
     ctl_shards: int = 1
     #: runtime sanitizer (:mod:`repro.sim.sanitizer`), observation-only
     sanitize: bool = False
@@ -405,7 +405,7 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
 
     warmup_end = config.join_window + config.warmup_grace
     churn_end = warmup_end
-    # The churn manager the shard just built holds the combined (script +
+    # The churn manager the controller just built holds the combined (script +
     # trace) action list — the single source of truth for when churn ends.
     manager = controller.churn_managers.get(job.job_id)
     if manager is not None and manager.actions:
@@ -1298,7 +1298,7 @@ def base_report(scenario: str, deployment: Deployment) -> dict:
     sim, network, job = deployment.sim, deployment.network, deployment.job
     controller, config = deployment.controller, deployment.config
     status = controller.job_status(job)  # flushes the job's log collector
-    collector = controller.store.collectors[job.job_id]
+    collector = job.log_sink
     rpc = rpc_totals(job)
     report = {
         "scenario": scenario,

@@ -141,7 +141,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         help="deployment environment preset to build")
     parser.add_argument("--ctl-shards", type=int, default=_DEFAULTS.ctl_shards,
                         metavar="N",
-                        help="controller front-ends sharing the job store "
+                        help="controller front-ends sharing the controller's tables "
                              "(results are identical for any N >= 1)")
     parser.add_argument("--sanitize", action="store_true",
                         help="enable runtime invariant checks (clock "

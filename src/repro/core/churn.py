@@ -279,11 +279,11 @@ class ChurnManager:
     """Replays a churn script against one job through the controller.
 
     The manager never touches application state directly: leaves and crashes
-    go through the controller's ``kill_instances`` (one batched command
-    round per affected daemon, ultimately :meth:`AppContext.kill` — exactly
-    like a daemon tearing down a sandboxed process) and joins go through
+    go through the controller's ``kill_instances`` (one command round per
+    affected daemon, ultimately :meth:`AppContext.kill` — exactly like a
+    daemon tearing down a sandboxed process) and joins go through
     ``start_instances``.  The ``controller`` handle is the
-    :class:`~repro.runtime.controller.Controller` facade, which routes every
+    :class:`~repro.runtime.controller.Controller`, which serves every
     command through the job's (or the host's) *current* shard — so churn
     keeps working when the shard that started the job dies mid-run.
     """
@@ -344,8 +344,8 @@ class ChurnManager:
         if action.kind in ("leave", "crash", "replace"):
             victims = self._pick_victims(action)
             if victims:
-                # One batched control round (grouped per daemon by the
-                # controller shard) instead of one call per victim.
+                # One control round per daemon instead of one call per
+                # victim.
                 self.controller.kill_instances(
                     victims, reason=f"churn:{action.kind}@{self.sim.now:.1f}",
                     failed=(action.kind == "crash"))
@@ -368,7 +368,7 @@ class ChurnManager:
         different event population from an instance crash (it takes every
         co-located instance of every job down at once), and churn studies
         report them separately.  The counts live on ``stats`` like every
-        other churn counter; the manager lives on the job store, so they
+        other churn counter; the manager lives on the controller, so they
         survive controller-shard failover.
         """
         if action.host is not None:

@@ -66,10 +66,9 @@ class JobSpec:
 class JobStats:
     """Per-job instance counters maintained by the control plane.
 
-    They live on the job (the shared store's record), never on a controller
-    shard, so they survive a shard failing and another shard claiming the
-    job mid-run.  Churn counts live on the job's churn manager, log counts
-    on its log collector.
+    They live on the job, never on a controller shard, so they survive a
+    shard failing and another shard claiming the job mid-run.  Churn counts
+    live on the job's churn manager, log counts on its log collector.
     """
 
     instances_started: int = 0
@@ -80,9 +79,11 @@ class JobStats:
 class Job:
     """The controller-side record of one submitted job.
 
-    ``job_id`` is supplied by the owning job store (its per-deployment
-    count) so that id-derived randomness is reproducible; a process-wide
-    counter here would interleave between co-hosted seeded simulations.
+    Every per-job fact lives here once: the instances, the counters, the
+    log sink and the metrics registry.  ``job_id`` is supplied by the
+    controller (its per-deployment count) so that id-derived randomness is
+    reproducible; a process-wide counter here would interleave between
+    co-hosted seeded simulations.
     """
 
     def __init__(self, spec: JobSpec, *, job_id: int):
@@ -94,14 +95,18 @@ class Job:
         #: recorded runtime instances (handles owned by the daemons), keyed by
         #: handle in record order.  A handle leaves on ``record_stop`` only,
         #: so an instance that exited on its own stays listed (dead).  The
-        #: order is digest-relevant: ``job_status`` and ``CtlShard.stop``
+        #: order is digest-relevant: ``job_status`` and ``Controller.stop``
         #: iterate it.
         self.instances: Dict[Any, None] = {}
         #: shared mutable state visible to all instances (e.g. bootstrap ref)
         self.shared: Dict[str, Any] = {}
         #: where this job's instance loggers ship records: its log
-        #: collector, set by the job store (None for a job outside a store)
+        #: collector, set at submit (None for a job outside a controller)
         self.log_sink: Optional[Any] = None
+        #: the job's metrics registry (``repro.obs``), set at submit when the
+        #: installed observability plane records metrics; every instance's
+        #: RPC service counts into it
+        self.metrics: Optional[Any] = None
         self._next_instance_id = 0
         # The alive subset of ``instances``, by instance id.  Every death
         # path funnels through the daemon's reap hook (controller kills,

@@ -7,7 +7,7 @@ handle per deployment sits on ``sim._obs`` — exactly like the sanitizer's
 dispatched event, so everything here is a no-op unless a flag turned it on:
 
 * ``--metrics``: sim-clock-stamped counters and histograms
-  (:mod:`repro.obs.metrics`), aggregated per job through the JobStore.
+  (:mod:`repro.obs.metrics`), one registry per job (``job.metrics``).
 * ``--trace-out FILE``: causal spans (:mod:`repro.obs.tracing`) exported as
   Perfetto-loadable Chrome trace-event JSON, one track per host, threaded
   on the kernel's per-event ``origin`` provenance.
@@ -120,7 +120,7 @@ class Observability:
         Pulls the always-on cheap counters (kernel, network, bandwidth,
         control plane) and ``rpc`` — the job's RPC counters, summed by the
         report — together with the per-job registry the instances emitted
-        into through the JobStore.
+        into (``job.metrics``).
         """
         sim = deployment.sim
         network = deployment.network
@@ -128,7 +128,7 @@ class Observability:
         bandwidth = network.bandwidth
         controller = deployment.controller
         job = deployment.job
-        collector = controller.store.collectors[job.job_id]
+        collector = job.log_sink
 
         return {
             "enabled": True,
@@ -158,9 +158,9 @@ class Observability:
             "control_plane": {
                 "shards": [
                     {"name": shard.name,
-                     "batches_sent": shard.stats.batches_sent,
-                     "commands_sent": shard.stats.commands_sent,
-                     "logs_routed": shard.stats.logs_routed}
+                     "batches_sent": shard.batches_sent,
+                     "commands_sent": shard.commands_sent,
+                     "logs_routed": shard.logs_routed}
                     for shard in controller.shards
                 ],
                 "log_records_collected": collector.collected,

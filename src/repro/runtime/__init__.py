@@ -7,19 +7,19 @@ deploys code, and collects logs and statistics."
 
 * :mod:`repro.runtime.splayd` — the per-host daemon: enforces the merged
   socket policy and filesystem quotas, spawns each application instance in a
-  fresh :class:`~repro.sim.events_api.AppContext`, executes the controller's
-  batched command rounds (``batch_exec``), and tears instances down on
-  request (controller command, churn, or host failure);
-* :mod:`repro.runtime.jobstore` — the shared database tier: the
-  :class:`JobStore` (jobs, placements, host registry, churn bookkeeping),
-  the stateless :class:`CtlShard` front-ends that claim jobs from it, and
-  the bounded per-job :class:`LogCollector` queues;
-* :mod:`repro.runtime.controller` — splayctl as a facade: one store plus N
-  shards behind the historical single-controller API.
+  fresh :class:`~repro.sim.events_api.AppContext` when the controller
+  calls ``spawn``, and tears instances down on request (controller
+  command, churn, or host failure);
+* :mod:`repro.runtime.jobstore` — the control plane's records: the
+  :class:`CtlShard` record of each controller front-end, the bounded
+  per-job :class:`LogCollector` queues and the placement planner;
+* :mod:`repro.runtime.controller` — splayctl, the one control-plane
+  object: the daemon registry, the jobs, their claims and churn managers,
+  and every command sent to a daemon.
 """
 
 from repro.runtime.splayd import Host, Instance, Splayd, SplaydError, SplaydLimits
-from repro.runtime.jobstore import ControllerError, CtlShard, JobStore, LogCollector, ShardStats
+from repro.runtime.jobstore import ControllerError, CtlShard, LogCollector
 from repro.runtime.controller import Controller
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "CtlShard",
     "Host",
     "Instance",
-    "JobStore",
     "LogCollector",
-    "ShardStats",
     "Splayd",
     "SplaydError",
     "SplaydLimits",

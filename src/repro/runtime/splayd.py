@@ -13,18 +13,17 @@ quotas), logger (wired to the job's log collector) and RPC service — and
 then hands the bundle to the job's application factory.  Killing the context
 tears everything down instantly, which is exactly what churn exploits.
 
-Public entry points: :class:`Splayd` (``spawn`` / ``stop_instance`` /
-``batch_exec`` — the controller shards' one-round-per-daemon command
-channel — plus ``fail`` / ``recover`` for host churn), the per-instance
-handle :class:`Instance`, and the administrator limits
-:class:`SplaydLimits`.
+Public entry points: :class:`Splayd` (``spawn`` / ``stop_instance``, which
+the controller calls in one round per daemon per control action, plus
+``fail`` / ``recover`` for host churn), the per-instance handle
+:class:`Instance`, and the administrator limits :class:`SplaydLimits`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.jobs import Job
 from repro.lib.logging import SplayLogger
@@ -35,9 +34,6 @@ from repro.net.address import Address, NodeRef
 from repro.net.network import Network
 from repro.sim.events_api import AppContext, Events
 from repro.sim.kernel import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.jobstore import JobStore
 
 
 class SplaydError(Exception):
@@ -162,9 +158,6 @@ class Splayd:
         self.host = Host(ip)
         self.ip = self.host.ip
         self.limits = limits or SplaydLimits()
-        #: the one pointer into the control plane, set by JobStore.add_daemon
-        #: (per-job metrics registries live there)
-        self.store: Optional["JobStore"] = None
         #: live instances keyed by handle, in spawn order (``fail`` kills in
         #: this order); the reap hook pops a handle on any death.  Also the
         #: port table: a port is reserved iff a handle in here holds it.
@@ -206,11 +199,9 @@ class Splayd:
             max_bytes=stricter_limit(limits.log_max_bytes, spec.log_max_bytes),
             clock=self._clock, host=address.ip)
         rpc = RpcService(socket, events)
-        obs = getattr(self.sim, "_obs", None)
-        if obs is not None and obs.metrics_enabled and self.store is not None:
-            # Store-resident like the log collector: the registry is per-job
-            # and survives shard failover with the store.
-            rpc.bind_metrics(self.store.metrics_for(job))
+        if job.metrics is not None:
+            # Per job like the log sink: one registry for every instance.
+            rpc.bind_metrics(job.metrics)
         instance = Instance(job, instance_id, self, context, events, socket, rpc, logger)
         self.instances[instance] = None
         context.add_cleanup(instance._reap)
@@ -238,38 +229,6 @@ class Splayd:
                 if not self.network.is_listening(address):
                     return address
         raise SplaydError(f"no free port on {self.ip} at or above {base_port}")
-
-    # ------------------------------------------------------------------ batch
-    def batch_exec(self, commands: List[tuple]) -> List[object]:
-        """Execute a list of controller commands in one round trip.
-
-        This is the shards' command channel: instead of one call per
-        instance, a controller shard sends one batch per daemon per control
-        action.  Commands are ``("spawn", job, instance_id)`` or
-        ``("kill", instance, reason)``, executed in order; the returned list
-        holds one outcome per command — the :class:`Instance` for a spawn,
-        ``True`` for a kill, or the exception the command raised
-        (a :class:`SplaydError` for daemon-side refusals, anything else for
-        application bugs — the shard decides what to surface).  A failing
-        command never aborts the rest of the batch, so the caller always
-        learns about every instance that *did* spawn.
-        """
-        outcomes: List[object] = []
-        for command in commands:
-            op = command[0]
-            try:
-                if op == "spawn":
-                    _, job, instance_id = command
-                    outcomes.append(self.spawn(job, instance_id))
-                elif op == "kill":
-                    _, instance, reason = command
-                    self.stop_instance(instance, reason=reason)
-                    outcomes.append(True)
-                else:
-                    raise SplaydError(f"unknown daemon command: {op!r}")
-            except Exception as exc:  # noqa: BLE001 - outcome, not control flow
-                outcomes.append(exc)
-        return outcomes
 
     # ------------------------------------------------------------------- stop
     def stop_instance(self, instance: Instance, reason: str = "stopped") -> None:

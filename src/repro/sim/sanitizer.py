@@ -264,14 +264,14 @@ class Sanitizer:
                         provenance=self.current_label())
 
     # --------------------------------------------------- control-plane seam
-    def check_store_views(self, store: Any) -> None:
+    def check_store_views(self, controller: Any) -> None:
         """Every job's live view must equal a from-scratch recompute.
 
         Churn victim selection and harness iteration trust the incrementally
         maintained live table and its memoized list on
         :class:`~repro.core.jobs.Job`; a missed update would steer victim
         draws (and thereby the RNG stream) long before any report field
-        looks wrong.  Called by the controller shards after every control
+        looks wrong.  Called by the controller after every control
         action.  Only a *populated* cache is compared — an unpopulated cache
         cannot be stale, and rebuilding it here would hide the very laziness
         being checked.
@@ -280,11 +280,11 @@ class Sanitizer:
         # own table — are maintained by different hooks (record_start /
         # record_death vs spawn / reap) and must agree on who is alive.
         hosted: Dict[Any, set] = {}
-        for daemon in store.daemons.values():
+        for daemon in controller.daemons.values():
             for instance in daemon.instances:
                 hosted.setdefault(instance.job, set()).add(instance)
-        for job_id in sorted(store.jobs):
-            job = store.jobs[job_id]
+        for job_id in sorted(controller.jobs):
+            job = controller.jobs[job_id]
             expected = job._recompute_live_instances()
             cached = job._live_cache
             if cached is not None and cached != expected:

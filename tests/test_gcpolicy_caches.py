@@ -4,7 +4,7 @@ The two perf cuts behind the flattened per-event cost curve are guarded
 here: the host-interpreter GC policy (``repro.sim.gcpolicy``) must be
 digest-neutral across every workload and kernel, and each job's cached
 live set (``core/jobs.py``) must stay coherent with a from-scratch
-recompute — and the store's host views (computed per call from
+recompute — and the controller's host views (computed per call from
 ``Host.alive``) with the daemons — through instance churn, scripted host
 churn and trace-driven host churn, with the runtime sanitizer able to catch
 a live cache that goes stale or instance tables that disagree.  The
@@ -27,6 +27,7 @@ from repro.apps.pastry import run_pastry_scenario
 from repro.core.churn import synthetic_availability_trace
 from repro.core.jobs import JobSpec
 from repro.net.network import Network
+from repro.runtime import controller as controller_module
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.gcpolicy import GC_MODES, GCPolicy, TUNED_THRESHOLDS
@@ -147,7 +148,7 @@ def _world(seed=0, daemons=6, max_instances=4):
 
 def _store_views(controller):
     return (controller.alive_host_ips(), controller.failed_host_ips(),
-            [d.ip for d in controller.store.alive_daemons()])
+            [d.ip for d in controller.alive_daemons()])
 
 
 def test_cached_views_track_instance_and_host_churn():
@@ -155,7 +156,6 @@ def test_cached_views_track_instance_and_host_churn():
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                     instances=8))
     controller.start(job)
-    store = controller.store
     assert [i.instance_id for i in job.live_instances()] == list(range(8))
 
     # Instance death through the daemon's reap path invalidates the job's
@@ -171,27 +171,26 @@ def test_cached_views_track_instance_and_host_churn():
     assert "10.0.0.2" in controller.failed_host_ips()
     assert "10.0.0.2" not in controller.alive_host_ips()
     assert controller.alive_host_ips() == sorted(
-        d.ip for d in store.daemons.values() if d.alive)
+        d.ip for d in controller.daemons.values() if d.alive)
     controller.recover_host("10.0.0.2")
     assert "10.0.0.2" in controller.alive_host_ips()
     assert controller.failed_host_ips() == []
     assert job.live_instances() == job._recompute_live_instances()
 
 
-def _uncached(controller):
-    """Make ``controller``'s store plan every placement from scratch: the
-    world the bucketed planner is compared against."""
-    store = controller.store
-    store.plan_placements = lambda job, count: naive_plan(store, job, count)
+def _uncached(monkeypatch):
+    """Make every controller plan each placement from scratch: the world the
+    bucketed planner is compared against."""
+    monkeypatch.setattr(controller_module, "plan_placements", naive_plan)
 
 
-def naive_plan(store, job, count):
+def naive_plan(daemons, job, count, rng):
     """The original planner: rebuild and sort every candidate per instance."""
     plan = []
     pending = {}
     for _ in range(count):
         candidates = []
-        for daemon in store.alive_daemons():
+        for daemon in daemons:
             load = len(daemon.instances) + pending.get(daemon.ip, 0)
             if daemon.limits.max_instances is not None and \
                     load >= daemon.limits.max_instances:
@@ -204,17 +203,15 @@ def naive_plan(store, job, count):
         candidates.sort(key=lambda entry: (entry[0], entry[1].ip))
         emptiest = candidates[0][0]
         pool = [daemon for load, daemon in candidates if load == emptiest]
-        daemon = store._rng.choice(pool)
+        daemon = rng.choice(pool)
         plan.append((daemon, job.allocate_instance_id()))
         pending[daemon.ip] = pending.get(daemon.ip, 0) + 1
     return plan
 
 
-def test_cached_and_uncached_worlds_agree_through_host_churn():
-    def timeline(caches):
+def test_cached_and_uncached_worlds_agree_through_host_churn(monkeypatch):
+    def timeline():
         sim, _network, controller = _world(seed=5)
-        if not caches:
-            _uncached(controller)
         job = controller.submit(JobSpec(
             name="app", app_factory=lambda i: None, instances=10,
             churn_script=("at 5s crash 30%\nat 8s fail 1\n"
@@ -227,7 +224,9 @@ def test_cached_and_uncached_worlds_agree_through_host_churn():
                               [i.instance_id for i in job.live_instances()]))
         return snapshots
 
-    assert timeline(caches=True) == timeline(caches=False)
+    cached = timeline()
+    _uncached(monkeypatch)
+    assert timeline() == cached
 
 
 @pytest.mark.parametrize("churn_kwargs", [
@@ -240,19 +239,14 @@ def test_scenario_digests_identical_with_caches_under_churn(churn_kwargs,
     # End-to-end: scripted instance churn and trace-driven host churn both
     # hammer the invalidation paths; the sanitizer cross-checks every cache
     # against a recompute after each control action and must stay silent,
-    # and a deployment whose store plans every placement from scratch must
-    # report the same digest.
+    # and a deployment whose controller plans every placement from scratch
+    # must report the same digest.
     config = RunConfig(nodes=12, seed=4, duration="short", sanitize=True,
                        **churn_kwargs)
     cached = run_chord_scenario(config)
     assert cached["sanitizer"]["violations"] == 0
 
-    class UncachedController(Controller):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            _uncached(self)
-
-    monkeypatch.setattr("repro.apps.harness.Controller", UncachedController)
+    _uncached(monkeypatch)
     oracle = run_chord_scenario(config)
     assert report_digest(cached) == report_digest(oracle)
 
@@ -296,14 +290,12 @@ def test_sanitizer_catches_disagreeing_instance_tables(stale_side):
 
 
 # ---------------------------------------------------------- bucketed planner
-def test_bucketed_placement_matches_the_naive_kill_switch_path():
+def test_bucketed_placement_matches_the_naive_kill_switch_path(monkeypatch):
     # The bucketed planner must consume the RNG and pick daemons exactly
     # like the original sort-the-world-per-instance loop, including across
     # capacity exhaustion and post-churn refills.
-    def placements(caches):
+    def placements():
         sim, _network, controller = _world(seed=13, daemons=5, max_instances=3)
-        if not caches:
-            _uncached(controller)
         job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                         instances=9))
         started = controller.start(job)
@@ -312,4 +304,6 @@ def test_bucketed_placement_matches_the_naive_kill_switch_path():
         started += controller.start_instances(job, 4)  # refill after the failure
         return [(i.daemon.ip, i.instance_id) for i in started]
 
-    assert placements(caches=True) == placements(caches=False)
+    cached = placements()
+    _uncached(monkeypatch)
+    assert placements() == cached

@@ -1,16 +1,17 @@
-"""Control-plane scale-out: job store, controller shards, batched daemon
-commands, bounded log collectors, and shard failover."""
+"""Control-plane scale-out: the controller's tables, shard records, one
+command round per daemon, bounded log collectors, and shard failover."""
 
 from dataclasses import asdict
 
 import pytest
 
+from repro.core.churn import ChurnScriptError
 from repro.core.jobs import JobSpec, JobState
 from repro.lib.logging import LogRecord, LogLevel
 from repro.net.network import Network
 from repro.runtime.controller import Controller, ControllerError
 from repro.runtime.jobstore import LogCollector
-from repro.runtime.splayd import Splayd, SplaydError, SplaydLimits
+from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.kernel import Simulator
 from repro.sim.sanitizer import Sanitizer
 
@@ -38,7 +39,8 @@ class TestLogCollector:
         network = Network(sim, seed=0)
         controller = Controller(sim, network, seed=0)
         job = controller.submit(JobSpec(name="j", app_factory=lambda i: None))
-        return sim, job, LogCollector(controller.store, job, max_queue=max_queue)
+        return sim, job, LogCollector(sim, job, controller.daemon_shard,
+                                      max_queue=max_queue)
 
     def test_drop_oldest_when_queue_is_full(self):
         _sim, job, collector = self._collector(max_queue=3)
@@ -103,7 +105,7 @@ class TestLogCollector:
         controller = Controller(sim, network, seed=0)
         job = controller.submit(JobSpec(name="j", app_factory=lambda i: None))
         with pytest.raises(ValueError, match="at least one"):
-            LogCollector(controller.store, job, max_queue=0)
+            LogCollector(sim, job, controller.daemon_shard, max_queue=0)
 
 
 # ------------------------------------------------------------------- batching
@@ -115,9 +117,9 @@ class TestBatchedCommands:
         instances = controller.start(job)
         assert len(instances) == 8
         shard = controller.shards[0]
-        # 8 spawns over 4 daemons: one batch_exec round per daemon, not 8.
-        assert shard.stats.batches_sent == 4
-        assert shard.stats.commands_sent == 8
+        # 8 spawns over 4 daemons: one command round per daemon, not 8.
+        assert shard.batches_sent == 4
+        assert shard.commands_sent == 8
         for daemon in controller.alive_daemons():
             assert len(daemon.instances) == 2
 
@@ -127,26 +129,12 @@ class TestBatchedCommands:
                                         instances=6))
         instances = controller.start(job)
         shard = controller.shards[0]
-        batches_before = shard.stats.batches_sent
+        batches_before = shard.batches_sent
         controller.kill_instances(instances, reason="test")
         # 6 kills over 2 daemons: exactly 2 more batches.
-        assert shard.stats.batches_sent == batches_before + 2
+        assert shard.batches_sent == batches_before + 2
         assert job.live_count == 0
         assert job.stats.instances_stopped == 6
-
-    def test_batch_exec_failure_does_not_abort_the_batch(self):
-        sim, network, _controller = _world()
-        daemon = Splayd(sim, network, "10.0.9.1", SplaydLimits(max_instances=1))
-        from repro.core.jobs import Job
-
-        job = Job(JobSpec(name="j", app_factory=lambda i: None, instances=1),
-                  job_id=1)
-        outcomes = daemon.batch_exec([("spawn", job, 0), ("spawn", job, 1),
-                                      ("bogus-op",)])
-        assert outcomes[0].__class__.__name__ == "Instance"
-        assert isinstance(outcomes[1], SplaydError)  # over capacity
-        assert isinstance(outcomes[2], SplaydError)  # unknown command
-        assert len(outcomes) == 3
 
     def test_placement_identical_to_sequential_selection(self):
         # The plan-then-batch path must place instances exactly where the
@@ -166,7 +154,7 @@ class TestBatchedCommands:
 class TestShards:
     def test_daemons_round_robin_across_shards(self):
         _sim, _network, controller = _world(daemons=4, shards=2)
-        names = sorted(controller.store.daemon_shard.values())
+        names = sorted(shard.name for shard in controller.daemon_shard.values())
         assert names == ["ctl0", "ctl0", "ctl1", "ctl1"]
 
     def test_controller_requires_at_least_one_shard(self):
@@ -181,7 +169,7 @@ class TestShards:
         second = controller.submit(JobSpec(name="b", app_factory=lambda i: None))
         assert controller.shard_for(first).name == "ctl0"
         assert controller.shard_for(second).name == "ctl1"
-        assert [s.stats.jobs_claimed for s in controller.shards] == [1, 1]
+        assert [s.jobs_claimed for s in controller.shards] == [1, 1]
 
     def test_shard_failure_rehomes_daemons_and_claims(self):
         sim, _network, controller = _world(daemons=4, shards=2, max_instances=4)
@@ -190,38 +178,39 @@ class TestShards:
             churn_script="from 5s to 60s every 5s replace 25%\n"))
         controller.start(job)
         assert controller.shard_for(job).name == "ctl0"
-        controller.shards[0].fail()
+        controller.fail_shard(controller.shards[0])
         # Daemons re-register with the survivor; the claim moves on next use.
-        assert set(controller.store.daemon_shard.values()) == {"ctl1"}
+        assert {s.name for s in controller.daemon_shard.values()} == {"ctl1"}
         assert controller.shard_for(job).name == "ctl1"
-        assert controller.shards[0].stats.jobs_claimed == 1
-        assert controller.shards[1].stats.jobs_reclaimed == 1
+        assert controller.shards[0].jobs_claimed == 1
+        assert controller.shards[1].jobs_reclaimed == 1
         # Churn keeps running through the surviving shard.
         sim.run(until=90.0)
         assert job.state is JobState.RUNNING
         assert job.live_count == 4
         assert controller.churn_managers[job.job_id].stats.instances_left > 0
-        assert controller.shards[1].stats.batches_sent > 0
+        assert controller.shards[1].batches_sent > 0
 
     def test_no_alive_shard_is_a_controller_error(self):
         _sim, _network, controller = _world(daemons=2, shards=1)
         job = controller.submit(JobSpec(name="app", app_factory=lambda i: None))
-        controller.shards[0].fail()
+        controller.fail_shard(controller.shards[0])
         with pytest.raises(ControllerError, match="no alive controller shard"):
             controller.start(job)
+        assert job.state is JobState.PENDING
 
 
 # ------------------------------------------- log counters surviving failover
 def test_log_counters_and_attribution_survive_shard_failover():
-    """Regression: dropped-log counts live on the job's collector (the
-    shared store) and per-shard attribution on the shards, so a shard dying
+    """Regression: dropped-log counts live on the job's collector and
+    per-shard attribution on the shard records, so a shard dying
     and another claiming the job mid-run must lose nothing."""
     sim, _network, controller = _world(daemons=2, shards=2, max_instances=2,
                                        log_queue_depth=2)
     job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
                                     instances=2, log_level="INFO"))
     instances = controller.start(job)
-    collector = controller.store.collectors[job.job_id]
+    collector = job.log_sink
     # Both daemons log; the 2-slot queue forces drop-oldest evictions.
     for index in range(4):
         instances[0].logger.info(f"before-{index}")
@@ -230,10 +219,10 @@ def test_log_counters_and_attribution_survive_shard_failover():
     collected_before = collector.collected
     assert dropped_before == 2
     assert collected_before == 2
-    routed_before = [s.stats.logs_routed for s in controller.shards]
+    routed_before = [s.logs_routed for s in controller.shards]
     assert sum(routed_before) == 4  # a record is attributed when it ships
 
-    controller.shards[0].fail()
+    controller.fail_shard(controller.shards[0])
     assert controller.shard_for(job).name == "ctl1"
 
     # Logging continues: counters accumulate on top of the pre-failover
@@ -243,7 +232,7 @@ def test_log_counters_and_attribution_survive_shard_failover():
     sim.run(until=2.0)
     assert collector.dropped == dropped_before + 1
     assert collector.collected == collected_before + 2
-    routed = [s.stats.logs_routed for s in controller.shards]
+    routed = [s.logs_routed for s in controller.shards]
     assert routed == [routed_before[0], routed_before[1] + 3]
     # The controller-facing log view agrees with the counts.
     assert len(controller.job_logs(job)) == collector.collected
@@ -279,14 +268,14 @@ def test_every_churn_directive_lands_through_the_surviving_shard(kind):
     dead, survivor = controller.shards
     assert controller.shard_for(job) is dead
     sim.run(until=5.0)
-    dead.fail()  # the claiming shard dies before the action fires
-    dead_before, survivor_before = asdict(dead.stats), asdict(survivor.stats)
+    controller.fail_shard(dead)  # the claiming shard dies before the action fires
+    dead_before, survivor_before = asdict(dead), asdict(survivor)
     sim.run(until=15.0)
-    # The manager holds the facade, and the facade routes per call: the job's
+    # The manager holds the controller, which routes per call: the job's
     # commands follow the claim, the host's follow the daemon's registration.
-    assert asdict(dead.stats) == dead_before
+    assert asdict(dead) == dead_before
     moved = {name: count - survivor_before[name]
-             for name, count in asdict(survivor.stats).items()
+             for name, count in asdict(survivor).items()
              if count != survivor_before[name]}
     assert {name: moved.get(name) for name in gains} == gains
     assert controller.churn_managers[job.job_id].controller is controller
@@ -317,21 +306,21 @@ def test_two_jobs_sharing_every_host_keep_their_records_and_attribution_apart():
             f"{job.spec.name} {n}" for n in range(6))
         assert {r.job_id for r in records} == {job.job_id}
     # one daemon per shard, two instances of each job per daemon
-    assert [s.stats.logs_routed for s in controller.shards] == [4, 4, 4]
+    assert [s.logs_routed for s in controller.shards] == [4, 4, 4]
 
     # A record is attributed when it ships: after ctl1 dies, what its former
     # host emits counts for the heir.
-    controller.shards[1].fail()
-    assert "ctl1" not in controller.store.daemon_shard.values()
+    controller.fail_shard(controller.shards[1])
+    assert controller.shards[1] not in controller.daemon_shard.values()
     for job, fleet in zip(jobs, fleets):
         for instance in fleet:
             instance.logger.info("after the failover")
     sim.run(until=2.0)
     for job in jobs:
-        assert controller.store.collectors[job.job_id].collected == 12
+        assert job.log_sink.collected == 12
         assert len(controller.job_logs(job)) == 12
-    assert controller.shards[1].stats.logs_routed == 4  # what it routed while alive
-    assert sum(s.stats.logs_routed for s in controller.shards) == 24
+    assert controller.shards[1].logs_routed == 4  # what it routed while alive
+    assert sum(s.logs_routed for s in controller.shards) == 24
 
 
 def test_control_plane_status_reports_shards_and_collectors():
@@ -373,6 +362,25 @@ def test_raising_app_factory_surfaces_and_leaves_no_orphans():
     controller.stop(job)
     assert not daemon.instances
     assert daemon.has_capacity()
+
+
+@pytest.mark.parametrize("field, text", [
+    ("churn_script", "at 5s explode 10%\n"),
+    ("churn_trace", "t0 0\n"),
+])
+def test_a_malformed_churn_spec_deploys_nothing(field, text):
+    """Regression: the churn actions are parsed before the job leaves
+    PENDING, so a malformed script or trace raises with no instance spawned
+    and no churn manager built."""
+    _sim, _network, controller = _world(daemons=2, max_instances=4)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=3, **{field: text}))
+    with pytest.raises(ChurnScriptError):
+        controller.start(job)
+    assert job.state is JobState.PENDING
+    assert not job.instances
+    assert all(not daemon.instances for daemon in controller.daemons.values())
+    assert controller.churn_managers == {}
 
 
 def test_instance_ids_are_never_reused_after_failed_spawns():

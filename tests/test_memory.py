@@ -295,3 +295,26 @@ def test_dead_application_is_freed_by_refcount(no_collector, factory, kill):
     # the handle's counters stay readable after death
     assert instance.rpc.stats.calls_sent == calls_sent
     assert instance.me.ip == instance.daemon.ip
+
+
+#: most instance attributes a node may hold.  CPython 3.11 keeps the
+#: instances of a class on one shared key table while they hold at most 29
+#: attributes: a node's ``__dict__`` is 296 B then, and 1,584 B from the
+#: 30th on.  A joined PastryNode holds 29, ChordNode 28, SwarmNode 24 and
+#: GossipNode 15.
+MAX_NODE_ATTRIBUTES = 29
+
+
+@pytest.mark.parametrize("factory", [chord_factory, pastry_factory,
+                                     gossip_factory, swarm_factory],
+                         ids=["chord", "pastry", "gossip", "dissemination"])
+def test_joined_node_keeps_its_attributes_on_the_shared_key_table(factory):
+    deployment = harness.deploy("attributes", factory(), nodes=12, hosts=6, seed=3,
+                                join_window=10.0, settle=5.0, gc_policy="off")
+    deployment.sim.run(until=15.0)
+    apps = [instance.app for instance in deployment.job.live_instances()]
+    assert apps and all(app.joined for app in apps)
+    widest = max(len(vars(app)) for app in apps)
+    assert widest <= MAX_NODE_ATTRIBUTES, (
+        f"a joined {type(apps[0]).__name__} holds {widest} instance attributes; "
+        f"past {MAX_NODE_ATTRIBUTES} its __dict__ leaves the shared key table")

@@ -307,7 +307,7 @@ def test_fifty_node_churning_chord_acceptance(workload, tmp_path):
     names = {span["name"] for span in spans}
     assert any(name.startswith("rpc.") for name in names)
     assert any(name.startswith("serve.") for name in names)
-    # Per-job metrics flowed through the JobStore path.
+    # Per-job metrics flowed into the job's one registry.
     registry_section = observed["metrics"]["job"]["registry"]
     assert any(name.startswith("rpc.latency_s.") for name in registry_section)
     # The lookup-level span, one per completed lookup (the measured ones, the
@@ -369,7 +369,7 @@ def test_a_walk_that_spends_its_hop_budget_says_so(workload):
              if span[3] == "lookup.failed"]
     assert all(span[2] == origin.me.ip and span[5]["hops"] == 2 for span in spans)
     assert set(failed) <= {span[5]["key"] for span in spans}
-    counted = deployment.controller.metrics_for(job).snapshot()["lookup.failed"]
+    counted = job.metrics.snapshot()["lookup.failed"]
     assert counted["value"] == len(spans) == origin.stats.lookups_failed
 
 
@@ -383,7 +383,7 @@ def test_rpc_bytes_per_method_add_up_to_the_bytes_the_network_carried():
     deployment = harness.deploy("chord", ChordNode.factory(), nodes=12, hosts=6,
                                 seed=2, duration="short", metrics=True)
     deployment.sim.run(until=deployment.warmup_end + 30.0)
-    snapshot = deployment.controller.metrics_for(deployment.job).snapshot()
+    snapshot = deployment.job.metrics.snapshot()
     sizes = {name[len("rpc.bytes."):]: metric["value"]
              for name, metric in snapshot.items() if name.startswith("rpc.bytes.")}
     assert sum(sizes.values()) == deployment.network.stats.bytes_sent > 0
@@ -394,6 +394,7 @@ def test_rpc_bytes_per_method_add_up_to_the_bytes_the_network_carried():
     plain = harness.deploy("chord", ChordNode.factory(), nodes=4, hosts=2, seed=2,
                            duration="short")
     instances = plain.job.live_instances()
+    assert plain.job.metrics is None
     assert instances and all(instance.rpc._metrics is None for instance in instances)
 
 

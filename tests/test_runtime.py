@@ -209,7 +209,7 @@ def test_host_failure_survives_a_failing_cleanup():
     assert job.live_count == 0
     assert job.stats.instances_failed == 3
     assert not job.instances
-    assert not controller.store.daemons["10.0.0.1"].instances
+    assert not controller.daemons["10.0.0.1"].instances
     assert controller.failed_host_ips() == ["10.0.0.1"]
 
 
@@ -242,7 +242,6 @@ def test_instance_logs_are_shipped_to_the_controller():
 
 def test_after_stop_no_daemon_refers_to_the_job_and_late_records_are_collected():
     _sim, _network, controller = _world(daemons=3, max_instances=2)
-    store = controller.store
     job = controller.submit(JobSpec(name="first", app_factory=lambda i: None,
                                     instances=4, log_level="INFO"))
     instances = controller.start(job)
@@ -263,7 +262,7 @@ def test_after_stop_no_daemon_refers_to_the_job_and_late_records_are_collected()
         job_ref, spec_ref = weakref.ref(job), weakref.ref(job.spec)
         del job, instances
         assert job_ref() is not None
-        del store.jobs[job_id], store.collectors[job_id], store.claims[job_id]
+        del controller.jobs[job_id], controller.claims[job_id]
         assert job_ref() is None and spec_ref() is None
     finally:
         gc.enable()

@@ -136,7 +136,7 @@ def test_fail_host_kills_instances_and_recover_makes_it_placeable_again():
 def test_failing_a_down_host_and_recovering_an_up_host_count_nothing():
     sim, controller, job = _deploy(instances=10, hosts=5)
     victim = controller.daemon_ips()[0]
-    shard = controller.store.shard_for_daemon(victim)
+    shard = controller.daemon_shard[victim]
     assert controller.fail_host(victim) > 0
     failed = job.stats.instances_failed
     assert controller.fail_host(victim) == 0  # already down: not a failure
@@ -144,7 +144,7 @@ def test_failing_a_down_host_and_recovering_an_up_host_count_nothing():
     controller.recover_host(victim)  # already up: not a recovery
     hosts = controller.control_plane_status()["hosts"]
     assert (hosts["down_now"], hosts["failures_total"], hosts["recoveries_total"]) == (0, 1, 1)
-    assert (shard.stats.hosts_failed, shard.stats.hosts_recovered) == (1, 1)
+    assert (shard.hosts_failed, shard.hosts_recovered) == (1, 1)
     assert job.stats.instances_failed == failed
 
 
@@ -210,7 +210,7 @@ def test_host_counters_survive_controller_shard_failover():
     sim.run(until=10.0)
     assert churn.hosts_failed == 1
     # the claiming shard dies mid-run; churn keeps flowing via the survivor
-    controller.shards[0].fail()
+    controller.fail_shard(controller.shards[0])
     sim.run(until=30.0)
     assert churn.hosts_failed == 2
     assert churn.hosts_recovered == 2
