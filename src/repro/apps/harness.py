@@ -504,7 +504,7 @@ class OverlayNode:
 
     def _join(self, delay: float) -> None:
         if delay > 0:
-            self.events.timer(delay, self._go_live)
+            self.events.thread(self._go_live, delay=delay)
         else:
             self._go_live()
 

@@ -1,10 +1,10 @@
 """The ``splay.events`` compatible API.
 
 Every SPLAY application instance receives an :class:`Events` object bound to
-its :class:`AppContext`.  The context keeps track of every process and timer
-the application creates so that the daemon (or the churn manager) can tear
-the instance down instantly — exactly like killing the sandboxed process in
-the original system.
+its :class:`AppContext`.  The context holds the application's processes that
+are still running and its cleanup callbacks, so that the daemon (or the churn
+manager) can tear the instance down instantly — exactly like killing the
+sandboxed process in the original system.
 """
 
 from __future__ import annotations
@@ -19,52 +19,31 @@ from repro.sim.process import Process
 class AppContext:
     """Book-keeping for one sandboxed application instance.
 
-    Tracks spawned processes, pending timers and arbitrary cleanup
-    callbacks.  :meth:`kill` cancels all of them; after the
-    kill the context refuses to register new activity, which makes races
-    between churn and application code harmless.
+    Holds the processes that are still running, in the order they were
+    tracked (a process leaves the list as it ends), and arbitrary cleanup
+    callbacks.  :meth:`kill` ends all of them; after the kill the context
+    refuses to register new activity, which makes races between churn and
+    application code harmless.
     """
 
-    __slots__ = ("sim", "name", "alive", "_processes", "_timers", "_cleanups",
-                 "_timer_high_water", "_process_high_water")
+    __slots__ = ("sim", "name", "alive", "_processes", "_cleanups")
 
     def __init__(self, sim: Simulator, name: str = "app"):
         self.sim = sim
         self.name = name
         self.alive = True
         self._processes: List[Process] = []
-        self._timers: List[ScheduledEvent] = []
         self._cleanups: List[Callable[[], None]] = []
-        # Compaction water marks: without pruning these lists grow without
-        # bound over a long run (and kill() would walk millions of dead
-        # entries).  The threshold doubles with the surviving population so a
-        # context with genuinely many live entries does not re-scan on every
-        # append; the floor is small because dead entries pin their objects
-        # (a process pins its whole generator frame) across every context of
-        # a 10k-node deployment.
-        self._timer_high_water = 16
-        self._process_high_water = 16
 
     # --------------------------------------------------------------- tracking
     def track_process(self, process: Process) -> Process:
+        """Hold ``process`` until it ends; one that already ended is skipped."""
         if not self.alive:
             process.kill("context dead")
-            return process
-        self._processes.append(process)
-        if len(self._processes) >= self._process_high_water:
-            self._processes = [p for p in self._processes if not p.done.done()]
-            self._process_high_water = max(16, 2 * len(self._processes))
+        elif not process.done.done():
+            process._context = self
+            self._processes.append(process)
         return process
-
-    def track_timer(self, event: ScheduledEvent) -> ScheduledEvent:
-        if not self.alive:
-            event.cancel()
-            return event
-        self._timers.append(event)
-        if len(self._timers) >= self._timer_high_water:
-            self._timers = [t for t in self._timers if t.pending]
-            self._timer_high_water = max(16, 2 * len(self._timers))
-        return event
 
     def add_cleanup(self, callback: Callable[[], None]) -> None:
         """Register a callback run when the context is killed."""
@@ -83,12 +62,13 @@ class AppContext:
         if not self.alive:
             return
         self.alive = False
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        for process in self._processes:
+        # Kill a snapshot in start order.  Detach it first: a process that
+        # ends during another one's kill must not look for itself in a list.
+        processes, self._processes = self._processes, []
+        for process in processes:
+            process._context = None
+        for process in processes:
             process.kill(reason)
-        self._processes.clear()
         cleanups, self._cleanups = self._cleanups, []
         error: Optional[Exception] = None
         for callback in cleanups:
@@ -194,21 +174,13 @@ class Events:
         if interval <= 0:
             raise ValueError("periodic interval must be positive")
         task = PeriodicTask(self, fn, interval, jitter)
-        # The task is tracked once, as a cleanup; re-armed timers are NOT
-        # appended to the context's timer list.  A periodic task re-arms on
-        # every firing, so per-arm tracking grew (and re-compacted) the list
-        # forever and kept every fired periodic timer alive with it.  kill()
-        # still cancels the task — cancelling it cancels whichever timer is
-        # current.
+        # The task is tracked once, as a cleanup: cancelling it cancels
+        # whichever timer is current.
         first = initial_delay if initial_delay is not None else interval
         first = first + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
         task._current = self.sim.schedule(first, task._fire)
         self.context.add_cleanup(task.cancel)
         return task
-
-    def timer(self, delay: float, fn: Callable[[], Any]) -> ScheduledEvent:
-        """Run ``fn`` once, ``delay`` seconds from now."""
-        return self.context.track_timer(self.sim.schedule(delay, lambda: self.thread(fn)))
 
     # ---------------------------------------------------------------- sleeps
     @staticmethod

@@ -92,7 +92,6 @@ class Simulator:
         self.executed_events = 0
         # O(1) pending-event accounting (events scheduled minus fired/cancelled)
         self._pending = 0
-        self._next_pid = 0
         #: the event queue: a heap of (time, seq, event).  Only ever mutated
         #: in place — run() holds it in a local across callbacks.
         self._queue: list = []
@@ -134,11 +133,6 @@ class Simulator:
         still pending — so the cancel hot path carries no extra increment.
         """
         return self._seq - self.executed_events - self._pending
-
-    def allocate_pid(self) -> int:
-        """Next process id (per-simulator, so co-hosted runs stay deterministic)."""
-        self._next_pid += 1
-        return self._next_pid
 
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:

@@ -20,6 +20,11 @@ subroutine, ``yield from`` it.
 The return value of the generator (via ``return value``) becomes the result
 of the process's :attr:`Process.done` future.
 
+A process tracked by an application's
+:class:`~repro.sim.events_api.AppContext` leaves the context's list where it
+ends: on return, on an exception, on :class:`ProcessKilled` or in
+:meth:`Process.kill`.  The context holds no finished process.
+
 A coroutine continues where its future completes: while the kernel
 dispatches an event and no generator is executing
 (``Simulator._resume_inline``), a completing future steps its waiting
@@ -54,22 +59,18 @@ class Process:
     sim:
         The simulator providing the clock.
     generator:
-        The coroutine to drive.  Plain callables are invoked immediately on
-        start and the process completes with their return value.
+        The coroutine to drive.  A plain callable is invoked on the first
+        step and the process completes with its return value.
     name:
-        Optional label used in diagnostics.
+        Label used in diagnostics.
     """
 
-    __slots__ = ("pid", "sim", "name", "_generator", "_plain_callable", "done",
-                 "_started", "_killed", "_pending_event", "_waiting_on")
+    __slots__ = ("sim", "name", "_generator", "_plain_callable", "done",
+                 "_started", "_killed", "_pending_event", "_waiting_on", "_context")
 
-    def __init__(self, sim: Simulator, generator: Any, name: str = ""):
-        # pids come from the simulator so that two seeded simulations running
-        # in the same Python process allocate identical, reproducible ids
-        # (a process-wide class counter would interleave them).
-        self.pid = sim.allocate_pid()
+    def __init__(self, sim: Simulator, generator: Any, name: str = "process"):
         self.sim = sim
-        self.name = name or f"process-{self.pid}"
+        self.name = name
         self._generator: Optional[Generator] = generator if isinstance(generator, GeneratorType) else None
         self._plain_callable: Optional[Callable[[], Any]] = None
         if self._generator is None:
@@ -83,6 +84,8 @@ class Process:
         self._killed = False
         self._pending_event: Optional[ScheduledEvent] = None
         self._waiting_on: Optional[Future] = None
+        #: the AppContext holding this process while it runs (set by it)
+        self._context = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self, delay: float = 0.0) -> "Process":
@@ -112,6 +115,7 @@ class Process:
         if self.done.done() or self._killed:
             return
         self._killed = True
+        self._untrack()
         if self._pending_event is not None:
             self._pending_event.cancel()
             self._pending_event = None
@@ -144,11 +148,6 @@ class Process:
         finally:
             sim._resume_inline = inline
 
-    @property
-    def alive(self) -> bool:
-        """True while the coroutine has not yet terminated."""
-        return self._started and not self.done.done()
-
     # ----------------------------------------------------------------- steps
     def _first_step(self) -> None:
         self._pending_event = None
@@ -160,14 +159,10 @@ class Process:
             except Exception as exc:  # noqa: BLE001 - propagate via the future
                 self._fail(exc)
                 return
-            if isinstance(result, GeneratorType):
-                # A callable returning a generator is treated as a coroutine.
-                self._generator = result
-                self._step(None, None)
-                return
             # The callable may have killed its own context (events.exit), in
             # which case ``done`` is already cancelled — don't complete it.
             if self.done._state is _PENDING:
+                self._untrack()
                 self.done.set_result(result)
             return
         self._step(None, None)
@@ -203,9 +198,11 @@ class Process:
             # ``done`` already cancelled; completing it again would be the
             # exact double-completion the sanitizer flags.
             if self.done._state is _PENDING:
+                self._untrack()
                 self.done.set_result(getattr(stop, "value", None))
             return
         except ProcessKilled:
+            self._untrack()
             self.done.cancel()
             return
         except Exception as error:  # noqa: BLE001 - propagate via the future
@@ -247,6 +244,13 @@ class Process:
         else:
             self._pending_event = self.sim.schedule(0.0, self._step, value, error)
 
+    def _untrack(self) -> None:
+        """Leave the context's list of running processes (the process ends)."""
+        context = self._context
+        if context is not None:
+            self._context = None
+            context._processes.remove(self)
+
     def _report(self, what: str) -> None:
         """Count an error nothing else will see (the run's handler errors)."""
         if self.sim.unobserved_failure is not None:
@@ -257,6 +261,7 @@ class Process:
         done = self.done
         if done._state is not _PENDING:
             return  # killed its own context (events.exit) on the way out
+        self._untrack()
         if done._callbacks is None:
             self._report(repr(error))
         done.set_exception(error)

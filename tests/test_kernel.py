@@ -302,21 +302,6 @@ def test_unknown_kernel_is_rejected():
         Simulator(0, "heap")
 
 
-# ------------------------------------------------------------------ pids
-def test_pids_are_per_simulator_and_reproducible():
-    from repro.sim.process import Process
-
-    def pids():
-        sim = Simulator(1)
-        procs = [Process(sim, (lambda: (yield 0.0))(), name=f"p{i}")
-                 for i in range(5)]
-        return [p.pid for p in procs]
-
-    first = pids()
-    second = pids()  # same process, fresh simulator: identical pid sequence
-    assert first == second == [1, 2, 3, 4, 5]
-
-
 # ------------------------------------------------------------- timer churn
 #: execution-order digest of the timer-churn workload below — committed so
 #: any kernel change that perturbs ordering fails loudly

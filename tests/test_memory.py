@@ -26,7 +26,9 @@ from repro.apps.dissemination import swarm_factory
 from repro.apps.gossip import gossip_factory
 from repro.apps.pastry import pastry_factory
 from repro.runtime.splayd import Instance
+from repro.sim.events_api import Events
 from repro.sim.futures import Future
+from repro.sim.kernel import Simulator
 
 #: committed ceiling for Python-allocated bytes per deployed node (the
 #: measured footprint is ~11 KB/node; the headroom absorbs allocator and
@@ -56,7 +58,8 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
 #: spawn itself allocates (context, events, socket, logger, RPC service,
 #: handle, table entries) before the application does anything.  Measured
-#: ~2.12 KB on CPython 3.11; ~2.20 KB, measured the same way, while the job
+#: ~2.04 KB on CPython 3.11; ~2.12 KB while the context kept a timer list of
+#: its own; ~2.20 KB, measured the same way, while the job
 #: kept a placement record per instance and the socket counted received
 #: traffic.  The RPC service's round-trip estimate (four slots and an empty
 #: ``rto`` dict) added ~0.1 KB; it was ~2.44 KB with an unlisten closure per
@@ -87,9 +90,11 @@ def test_idle_instance_stays_under_its_memory_ceiling():
 
 
 #: committed ceiling for Python-allocated bytes per application *thread*
-#: waiting for its first step: process, ``done`` future, timer, tracking
-#: entries.  Measured ~535 B; it was ~625 B while every unnamed thread got a
-#: formatted ``"<context name>.thread"`` string of its own.
+#: waiting for its first step: process, ``done`` future, the event of its
+#: first step, its slot in the context's process list.  Measured ~496 B; it
+#: was ~520 B while every process drew a simulator-wide id, and ~625 B while
+#: every unnamed thread got a formatted ``"<context name>.thread"`` string of
+#: its own.
 THREAD_CEILING_BYTES = 580
 
 
@@ -167,7 +172,7 @@ class BusyApp:
         instance.socket.listen(self._on_datagram)
         instance.context.add_cleanup(self._tick)
         events.periodic(self._tick, 2.0, jitter=0.5)
-        events.timer(30.0, self._tick)
+        events.thread(self._tick, delay=30.0)
         events.thread(self._wait_forever)
         events.thread(self._call_myself_slowly)
         events.thread(self._call_nobody, "10.9.9.9:1")
@@ -295,6 +300,53 @@ def test_dead_application_is_freed_by_refcount(no_collector, factory, kill):
     # the handle's counters stay readable after death
     assert instance.rpc.stats.calls_sent == calls_sent
     assert instance.me.ip == instance.daemon.ip
+
+
+def _napper():
+    yield 1.0
+
+
+def _breaker():
+    yield 1.0
+    raise ValueError("ends by raising")
+
+
+@pytest.mark.parametrize("target, kill_at", [(_napper, None), (_breaker, None),
+                                             (_napper, 0.5)],
+                         ids=["return", "exception", "kill"])
+def test_an_ended_thread_leaves_its_context(target, kill_at):
+    sim = Simulator(1)
+    events = Events(sim)
+    process = events.thread(target)
+    if kill_at is not None:
+        sim.schedule(kill_at, process.kill)
+    assert events.context._processes == [process]
+    sim.run()
+    assert process.done.done() and events.context._processes == []
+
+
+def test_a_returned_thread_is_freed_by_refcount(no_collector):
+    sim = Simulator(1)
+    events = Events(sim)
+    generator = weakref.ref(events.thread(_napper)._generator)
+    sim.run()
+    assert events.context._processes == []
+    assert generator() is None, "a returned thread's generator is still held"
+
+
+@pytest.mark.parametrize("factory", APPS.values(), ids=APPS.keys())
+def test_a_live_context_holds_only_running_processes(factory):
+    deployment = harness.deploy("running", factory(), nodes=12, hosts=6, seed=3,
+                                join_window=10.0, settle=5.0, gc_policy="off")
+    sim, job = deployment.sim, deployment.job
+    sim.run(until=15.0)
+    deployment.controller.kill_instances(job.live_instances()[::4], reason="test")
+    sim.run(until=60.0)
+    for instance in job.live_instances():
+        context = instance.context
+        for process in context._processes:
+            assert not process.done.done(), f"{process} has ended but is still held"
+            assert process._context is context
 
 
 #: most instance attributes a node may hold.  CPython 3.11 keeps the

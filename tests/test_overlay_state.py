@@ -424,7 +424,7 @@ def test_a_forwarded_answer_that_comes_during_the_recovery_ends_it(monkeypatch, 
             sim.run(until=sim.now + 0.001)
         (entry,) = origin._lookups.values()
         recovery = entry[1].__self__  # what the lookup stops: the recovery's kill
-        assert held and recovery.alive  # its first call is on its way
+        assert held and not recovery.done.done()  # its first call is on its way
         send(*held[0])  # the forwarded answer, one delay before that reply
         _run_for(sim, box, 1.0)
         assert box["result"][0] == owner

@@ -153,7 +153,7 @@ def test_exit_in_an_in_place_first_step_leaves_nothing_behind():
     def quitter():
         try:
             client.call(SERVER, "anything", timeout=5.0)  # in flight + its timer
-            events.timer(3.0, lambda: None)
+            events.thread(lambda: None, delay=3.0)
             events.exit()
             yield 1.0
         finally:
@@ -164,7 +164,7 @@ def test_exit_in_an_in_place_first_step_leaves_nothing_behind():
     sim.run(until=0.5)
     process = spawned[0]
     assert process.done.cancelled() and closed == [0.5]
-    assert not context.alive and context._processes == [] and context._timers == []
+    assert not context.alive and context._processes == []
     assert client.pending_calls == 0
     assert network.stats.handler_errors == 0  # a coroutine that killed itself
     assert sim.pending_events == 1  # the call's delivery; no sleep, no timer
@@ -202,6 +202,34 @@ def test_a_kill_does_not_step_the_instances_other_coroutines():
     # the worker's kill cancels what the watcher waits on; the watcher is
     # killed before that resumption would have run
     assert seen == ["killed"]
+
+
+def test_a_process_ended_during_its_instances_kill_is_not_looked_for():
+    sim, network, (events, _client), _server = _world()
+    ended, later = [], []
+
+    def first():
+        try:
+            yield 10.0
+        finally:
+            ended.append("first")
+            later[0].kill("ended by the first one's cleanup")
+
+    def second():
+        try:
+            yield 10.0
+        finally:
+            ended.append("second")
+
+    events.thread(first)
+    later.append(events.thread(second))
+    sim.schedule(1.0, events.context.kill)
+    sim.run()
+    # the kill walks its snapshot in start order; the second process ends
+    # inside the first one's kill, and the context's new list is not touched
+    assert ended == ["first", "second"]
+    assert events.context._processes == []
+    assert network.stats.handler_errors == 0
 
 
 # ------------------------------------------------- unobserved failures count
