@@ -73,7 +73,7 @@ class PastryNode(harness.RoutingNode):
         self.leaf_set_size = int(options.get("leaf_set_size", DEFAULT_LEAF_SET_SIZE))
         self.leaf_half = max(1, self.leaf_set_size // 2)
         self.repair_interval = float(options.get("repair_interval", 5.0))
-        self.table_probe_interval = float(options.get("table_probe_interval", 8.0))
+        table_probe_interval = float(options.get("table_probe_interval", 8.0))
         self.max_hops = 3 * self.digits + 8
         #: a live counter-clockwise neighbour (our ``_watched`` one) calls us
         #: at least this often: its repair period with the jitter ``_go_live``
@@ -90,8 +90,12 @@ class PastryNode(harness.RoutingNode):
         #: length, column = next digit of the destination
         self.table: List[List[Optional[NodeRef]]] = [
             [None] * (1 << self.base_bits) for _ in range(self.digits)]
+        #: id -> the very reference last folded in by :meth:`_learned` since
+        #: the last purge, for which the fold-in is a no-op (see there); it
+        #: starts with ``me``, which every neighbour's leaf set names
+        self._known: Dict[int, NodeRef] = {self.me.id: self.me}
         self.refresh = harness.BackoffTask(self.events, self._table_maintenance,
-                                           self.table_probe_interval)
+                                           table_probe_interval)
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
@@ -381,14 +385,28 @@ class PastryNode(harness.RoutingNode):
 
     def _adopt(self, entries) -> None:
         """Learn the nodes another node's message lists, but not a leaf we
-        found dead since: a reference it has not purged yet must not revive it."""
-        for node in map(NodeRef.coerce, entries):
-            if (node.ip, node.port) not in self._dead:
-                self._learned(node)
+        found dead since: a reference it has not purged yet must not revive it.
+        A reference already folded in costs one probe of ``_known``: dead or
+        not, :meth:`_learned` would leave everything as it is."""
+        known, dead, learned = self._known.get, self._dead, self._learned
+        for node in entries:
+            if type(node) is NodeRef and known(node.id) is node:
+                continue
+            node = NodeRef.coerce(node)
+            if (node.ip, node.port) not in dead:
+                learned(node)
 
     def _learned(self, node: NodeRef) -> None:
-        """Fold a freshly observed node into the leaf set and routing table."""
-        if node is None or node.id is None or node == self.me:
+        """Fold a freshly observed node into the leaf set and routing table.
+
+        Between two purges both only grow: a side's tail only gets nearer, a
+        slot only goes from empty to filled.  So once a reference is folded
+        in, folding in the same object again changes nothing until
+        :meth:`_forget` removes something and starts ``_known`` afresh.
+        """
+        if node is None or self._known.get(node.id) is node:
+            return
+        if node.id is None or node == self.me:
             return
         if (node.ip, node.port) not in self.leaves and self._offer_leaf(node):
             self._sides_changed()
@@ -397,6 +415,7 @@ class PastryNode(harness.RoutingNode):
         if slot is not None and self.table[slot[0]][slot[1]] is None:
             self.table[slot[0]][slot[1]] = node
             self.refresh.stir()
+        self._known[node.id] = node
 
     def _leaf_key(self, node: NodeRef, direction: int) -> tuple:
         """Sort key of a side: ring distance from us going ``direction``, then endpoint."""
@@ -428,9 +447,10 @@ class PastryNode(harness.RoutingNode):
     def _forget(self, node: NodeRef) -> None:
         """Purge a dead node: from the leaf set, remembering its endpoint as
         dead (the last ``leaf_set_size`` of them), and from the routing-table
-        slot it holds."""
+        slot it holds.  Either removal starts ``_known`` afresh."""
         self.refresh.stir()
         if self.leaves.pop((node.ip, node.port), None) is not None:
+            self._known = {self.me.id: self.me}
             self._dead[node.ip, node.port] = None
             if len(self._dead) > self.leaf_set_size:
                 del self._dead[next(iter(self._dead))]
@@ -443,6 +463,7 @@ class PastryNode(harness.RoutingNode):
         slot = self._slot(node.id)
         if slot is not None and self.table[slot[0]][slot[1]] == node:
             self.table[slot[0]][slot[1]] = None
+            self._known = {self.me.id: self.me}
 
 
 pastry_factory = PastryNode.factory

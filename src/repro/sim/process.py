@@ -157,7 +157,7 @@ class Process:
             try:
                 result = self._plain_callable()
             except Exception as exc:  # noqa: BLE001 - propagate via the future
-                self._fail(exc)
+                self._fail(exc.with_traceback(None))  # see _fail
                 return
             # The callable may have killed its own context (events.exit), in
             # which case ``done`` is already cancelled — don't complete it.
@@ -206,7 +206,7 @@ class Process:
             self.done.cancel()
             return
         except Exception as error:  # noqa: BLE001 - propagate via the future
-            self._fail(error)
+            self._fail(error.with_traceback(error.__traceback__.tb_next))  # see _fail
             return
         # What the coroutine yielded says what it waits for.
         if type(yielded) is Future:
@@ -257,7 +257,14 @@ class Process:
             self.sim.unobserved_failure(f"{self.name}: {what}")
 
     def _fail(self, error: Exception) -> None:
-        """End with ``error``; report it when no done-callback will see it."""
+        """End with ``error``; report it when no done-callback will see it.
+
+        The caller drops from the traceback the frame that caught ``error``
+        (``_step`` or ``_first_step``), which holds this process, so reference
+        counting alone frees a process that raised.  A generator's frames
+        drop their caller when it ends, but a plain callable's frames still
+        reach that one as ``f_back``: its error keeps no traceback at all.
+        """
         done = self.done
         if done._state is not _PENDING:
             return  # killed its own context (events.exit) on the way out

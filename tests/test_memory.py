@@ -334,6 +334,22 @@ def test_a_returned_thread_is_freed_by_refcount(no_collector):
     assert generator() is None, "a returned thread's generator is still held"
 
 
+def test_a_raising_thread_is_freed_by_refcount(no_collector):
+    def call():
+        raise ValueError("ends by raising")
+
+    sim = Simulator(1)
+    events = Events(sim)
+    generator = weakref.ref(events.thread(_breaker)._generator)
+    plain = weakref.ref(call)
+    events.thread(call)
+    del call
+    sim.run()
+    assert events.context._processes == []
+    assert generator() is None, "a raising thread's generator is still held"
+    assert plain() is None, "a raising plain callable is still held"
+
+
 @pytest.mark.parametrize("factory", APPS.values(), ids=APPS.keys())
 def test_a_live_context_holds_only_running_processes(factory):
     deployment = harness.deploy("running", factory(), nodes=12, hosts=6, seed=3,

@@ -682,6 +682,83 @@ def test_incremental_leaf_set_matches_the_sorting_model(seed):
             assert app._leaf_covers(key) == model.leaf_covers(key)
 
 
+class MemoFreePastry(PastryNode):
+    """Pastry whose memo of folded-in references never remembers: every
+    reference takes the whole path through ``_learned``."""
+
+    _known = property(lambda self: {}, lambda self, value: None)
+
+
+def _routing_view(app):
+    """Everything the memo could change, by ``(ip, port, id)``."""
+    def triple(node):
+        return None if node is None else (node.ip, node.port, node.id)
+
+    watched, heard = app._watched
+    return {"leaves": [triple(n) for n in app.leaves.values()],
+            "sides": [[triple(n) for n in side] for side in app._sides],
+            "table": [[triple(n) for n in row] for row in app.table],
+            "dead": list(app._dead), "probing": sorted(app._probing),
+            "watched": (triple(watched), heard), "factor": app.refresh.factor,
+            "reported": app.stats.deaths_reported}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_memo_of_folded_in_references_changes_nothing(seed):
+    rng = random.Random(seed)
+    leaf_set_size = rng.choice([2, 4, 8])
+    app, model = [
+        _deploy(factory, nodes=1, seed=seed, leaf_set_size=leaf_set_size)[2]
+        .live_instances()[0].app
+        for factory in (pastry_factory(), MemoFreePastry.factory())]
+    me, size = app.me, 1 << BITS
+    assert (model.me.ip, model.me.port, model.me.id) == (me.ip, me.port, me.id)
+    # a small pool, so the very objects recur, saturate the set and die while
+    # held; one shares our identifier, and one has none
+    pool = [_ref(index) for index in range(rng.choice([6, 14, 40]))]
+    pool.append(NodeRef("10.9.9.9", 20000, me.id))
+    odd = [me, NodeRef(me.ip, me.port, me.id), NodeRef("10.9.9.8", 20000, None)]
+
+    def reference():
+        """A pooled object, mostly; else an equal copy, a dict or an odd one."""
+        node, draw = rng.choice(pool), rng.random()
+        if draw < 0.15:
+            return NodeRef(node.ip, node.port, node.id)
+        if draw < 0.2:
+            return node.to_dict()
+        return rng.choice(odd) if draw < 0.3 else node
+
+    for step in range(400):
+        for node in (app, model):
+            node.refresh.factor = 2  # a stir reads as 1 afterwards
+        action = rng.random()
+        if action < 0.45:  # a reply or a request carrying a leaf set or a row
+            entries = tuple(reference() for _ in range(rng.randrange(9)))
+            calls = [(node._adopt, entries) for node in (app, model)]
+        elif action < 0.6:  # a call from the node
+            entry = reference()
+            calls = [(node._heard, entry) for node in (app, model)]
+        elif action < 0.8:  # a call to the node got no answer
+            entry = rng.choice(pool + [me])
+            calls = [(node._note_dead, entry) for node in (app, model)]
+        else:  # a repair call whose death list names leaves of ours
+            caller = rng.choice(pool)
+            reach = (me.id - caller.id) % size
+            # mostly a caller that holds us as its nearest clockwise leaf
+            leaves = tuple(n for n in rng.sample(pool, rng.randrange(1, 6))
+                           if rng.random() < 0.2
+                           or not 0 < (n.id - caller.id) % size < reach) + (me,)
+            dead = tuple((n.ip, n.port) for n in rng.sample(
+                pool, rng.randrange(len(pool) // 2)) + list(app._sides[1]))
+            if rng.random() < 0.5:  # the watched neighbour has been silent
+                for node in (app, model):
+                    node._watched = (node._watched[0], node.events.now() - 60.0)
+            calls = [(node._rpc_leafset, caller, leaves, dead) for node in (app, model)]
+        for call, *args in calls:
+            call(*args)
+        assert _routing_view(app) == _routing_view(model), f"step {step}: {calls[0]}"
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_directory_matches_the_list_it_replaced(seed):
     rng = random.Random(seed)

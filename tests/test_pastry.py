@@ -424,6 +424,7 @@ def test_a_row_reply_fills_only_empty_slots_of_that_row():
     held = NodeRef("10.9.9.9", 9, id=held_column << (BITS - BASE_BITS))
     app.table[0] = [None] * len(app.table[0])
     app.table[0][column], app.table[0][held_column] = probed, held
+    app._known = {app.me.id: app.me}  # the row was emptied behind the memo's back
     app._rng.choice = lambda options: (0, column)
 
     _run(sim, app._table_maintenance(), patience=0.05)  # one round trip

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 _REPO = Path(__file__).resolve().parent.parent
 _TOOLS = _REPO / "tools"
 
@@ -84,6 +86,38 @@ def test_work_counter_gate_fails_only_above_the_ceiling():
     assert gate.over_ceiling(metrics, counters, 1000) == (1000, False)
     assert gate.over_ceiling(metrics, counters, 999) == (1000, True)
     assert gate.over_ceiling(metrics, counters, 5000) == (1000, False)
+
+
+def test_work_counter_check_runs_only_the_named_workloads(tmp_path, monkeypatch, capsys):
+    gate = _load("check_work_counters")
+    spec = {"python": f"{sys.version_info.major}.{sys.version_info.minor}", "seed": 4,
+            "workloads": {"chord_steady": [{"counters": ["lib.rpc.calls"], "ceiling": 10}],
+                          "pastry_churn_planetlab": [{"counters": [
+                              "apps.workload.calls", "lib.ring.calls"], "ceiling": 10}]}}
+    ceilings = tmp_path / "ceilings.json"
+    ceilings.write_text(json.dumps(spec))
+    monkeypatch.setattr(gate, "_CEILINGS", ceilings)
+    runs = []
+
+    def traced(workload, seed):
+        runs.append((workload, seed))
+        return {name: {"value": value} for name, value in (
+            ("lib.rpc.calls", 12), ("apps.workload.calls", 6), ("lib.ring.calls", 4))}
+
+    monkeypatch.setattr(gate, "traced_metrics", traced)
+    assert gate.main(["pastry_churn_planetlab"]) == 0
+    assert runs == [("pastry_churn_planetlab", 4)]
+    assert capsys.readouterr().out == ("pastry_churn_planetlab: apps.workload.calls + "
+                                       "lib.ring.calls = 10 (ceiling 10) ok\n")
+    assert gate.main([]) == 1  # every workload: chord_steady is over its ceiling
+    assert runs[1:] == [("chord_steady", 4), ("pastry_churn_planetlab", 4)]
+    assert "= 12 (ceiling 10) OVER" in capsys.readouterr().out
+    for argv, status in ((["--help"], 0), (["no_such_workload"], 2)):
+        with pytest.raises(SystemExit) as exited:
+            gate.main(argv)
+        assert exited.value.code == status
+    assert "usage:" in capsys.readouterr().out
+    assert len(runs) == 3  # neither ran a benchmark
 
 
 def test_work_counter_ceilings_name_declared_benchmark_counters():

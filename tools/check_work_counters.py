@@ -17,11 +17,13 @@ counters depend on the interpreter's minor version (3.12 inlines list
 comprehensions, so it counts fewer calls): running under another version
 than the one the ceilings were recorded with is an error, not a pass.
 
-Usage: ``python tools/check_work_counters.py``
+Usage: ``python tools/check_work_counters.py [WORKLOAD ...]`` (no names:
+every workload of the file).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -49,15 +51,25 @@ def traced_metrics(workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     spec = json.loads(_CEILINGS.read_text())
+    parser = argparse.ArgumentParser(
+        description="Fail if a traced benchmark run exceeds its committed call ceilings.")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help="re-derive only these workloads' gates (default: all "
+                             f"of {', '.join(spec['workloads'])})")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.workloads if name not in spec["workloads"]]
+    if unknown:
+        parser.error(f"no gate for workload {', '.join(unknown)}")
     running = f"{sys.version_info.major}.{sys.version_info.minor}"
     if running != spec["python"]:
         print(f"error: ceilings were recorded under Python {spec['python']}, "
               f"this is {running}; call counts differ between versions")
         return 2
     failed = False
-    for workload, gates in spec["workloads"].items():
+    for workload in args.workloads or spec["workloads"]:
+        gates = spec["workloads"][workload]
         metrics = traced_metrics(workload, spec["seed"])  # one run, every gate
         for gate in gates:
             total, over = over_ceiling(metrics, gate["counters"], gate["ceiling"])
