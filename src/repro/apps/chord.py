@@ -39,6 +39,13 @@ SUCCESSOR_LIST_SIZE = 6
 #: interval's start and its successors
 FINGER_CANDIDATES = 6
 
+#: the period (seconds) of ``stabilize``, the one periodic task
+STABILIZE_INTERVAL = 5.0
+
+#: the base wait (seconds) of the far-finger refresh: one finger index per
+#: period, backed off while nothing changes
+FIX_FINGERS_INTERVAL = 4.0
+
 #: the silence (seconds) after which the predecessor — the node's
 #: ``_watched`` neighbour — is pinged
 CHECK_PREDECESSOR_INTERVAL = 11.0
@@ -50,20 +57,19 @@ LookupFailed = harness.LookupFailed
 class ChordNode(harness.RoutingNode):
     """One Chord node, bound to one runtime instance.
 
-    Options (from ``JobSpec.options`` or keyword overrides), beyond those of
-    :class:`~repro.apps.harness.RoutingNode`: ``stabilize_interval`` — the
-    period of the one periodic task; ``fix_fingers_interval`` — the
-    round-robin period of the far-finger refresh (one finger index per
-    period, backed off while nothing changes).  The hop budget ``max_hops``
-    is three hops per identifier bit.
+    Options (from ``JobSpec.options`` or keyword overrides): those of
+    :class:`~repro.apps.harness.RoutingNode`.  The maintenance periods are
+    :data:`STABILIZE_INTERVAL` and :data:`FIX_FINGERS_INTERVAL`; the hop
+    budget ``max_hops`` is three hops per identifier bit.
     """
+
+    __slots__ = ("predecessor", "successors", "fingers", "_covered", "_stamped",
+                 "_last_reply", "_next_finger")
 
     label = "chord"
 
     def _configure(self, options: dict) -> None:
         super()._configure(options)
-        self.stabilize_interval = float(options.get("stabilize_interval", 5.0))
-        self.fix_fingers_interval = float(options.get("fix_fingers_interval", 4.0))
         self.max_hops = 3 * self.bits
         #: the neighbour state a ``stabilize`` reply carries: both are
         #: replaced, never mutated, and only when what they hold changes, so
@@ -86,14 +92,14 @@ class ChordNode(harness.RoutingNode):
         #: the index the far-finger refresh visits next
         self._next_finger = 0
         self.refresh = harness.BackoffTask(self.events, self._fix_fingers,
-                                           self.fix_fingers_interval)
+                                           FIX_FINGERS_INTERVAL)
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
         self.joined = True
         self.members.add(self.me)
-        self.events.periodic(self._stabilize, self.stabilize_interval,
-                             jitter=self.stabilize_interval * 0.25)
+        self.events.periodic(self._stabilize, STABILIZE_INTERVAL,
+                             jitter=STABILIZE_INTERVAL * 0.25)
         # round-robin from index 0: the first far finger comes up after the
         # covered ones would have
         self.refresh.start(max(1, self._covered))
@@ -264,9 +270,9 @@ class ChordNode(harness.RoutingNode):
         chosen by :meth:`_nearest`.  A finger kept, or the same one chosen
         again, is a round that learned nothing.
 
-        Returns how many ``fix_fingers_interval`` periods to wait for the next
-        one: one per index it passes, the covered indices included, so a far
-        finger comes up as often as in a round-robin over the whole table.
+        Returns how many :data:`FIX_FINGERS_INTERVAL` periods to wait for the
+        next one: one per index it passes, the covered indices included, so a
+        far finger comes up as often as in a round-robin over the whole table.
         """
         bits = self.bits
         index = max(self._next_finger, self._covered)

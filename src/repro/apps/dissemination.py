@@ -23,7 +23,7 @@ until that peer has nothing left to offer or answers ``busy``, ``missing``
 or not at all; any of those releases the whole batch.  Bitfields only grow,
 so a remembered one never offers a chunk its peer lacks (a replacement at a
 reused endpoint refuses a batch naming any chunk it lacks with ``missing``).
-Uploaders cap concurrent uploads (``max_uploads``, BitTorrent's unchoke
+Uploaders cap concurrent uploads (:data:`MAX_UPLOADS`, BitTorrent's unchoke
 slots); saturated peers answer ``busy`` and the requester moves on.
 """
 
@@ -43,9 +43,15 @@ CHUNKS_PER_FETCH = 4
 #: the RPC budget (seconds) of one fetch: it must cover the bulk transfer of
 #: up to :data:`CHUNKS_PER_FETCH` chunks
 FETCH_TIMEOUT = 60.0
+#: parallel download loops per node
+FETCH_CONCURRENCY = 3
+#: concurrent upload slots per node (the unchoke limit)
+MAX_UPLOADS = 4
+#: the idle wait (seconds) between peer polls
+POLL_INTERVAL = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SwarmStats:
     """Per-node counters (aggregated by the scenario report)."""
 
@@ -60,12 +66,15 @@ class SwarmNode(harness.OverlayNode):
     """One swarm participant, bound to one runtime instance.
 
     Options: ``chunks`` — chunks in the file; ``chunk_size`` — bytes per
-    chunk; ``fetch_concurrency`` — parallel download loops per node;
-    ``max_uploads`` — concurrent upload slots (unchoke limit);
-    ``poll_interval`` — idle wait between peer polls.
+    chunk.  Download loops, upload slots and the poll wait are
+    :data:`FETCH_CONCURRENCY`, :data:`MAX_UPLOADS` and :data:`POLL_INTERVAL`.
 
     The first instance of the job becomes the *seed* and starts complete.
     """
+
+    __slots__ = ("socket", "chunks", "chunk_size", "have", "availability",
+                 "_pending", "_uploads", "started_at", "completed_at", "is_seed",
+                 "providers", "stats")
 
     label = "swarm"
 
@@ -73,9 +82,6 @@ class SwarmNode(harness.OverlayNode):
         self.socket = self.instance.socket
         self.chunks = int(options.get("chunks", 24))
         self.chunk_size = int(options.get("chunk_size", 65536))
-        self.fetch_concurrency = int(options.get("fetch_concurrency", 3))
-        self.max_uploads = int(options.get("max_uploads", 4))
-        self.poll_interval = float(options.get("poll_interval", 1.0))
         self.have: Set[int] = set()
         #: chunk index -> how many peers were seen advertising it
         self.availability: Dict[int, int] = {}
@@ -100,7 +106,7 @@ class SwarmNode(harness.OverlayNode):
         # The measured download time starts when the fetch workers do, not at
         # instance creation — the join stagger is not download latency.
         self.started_at = self.events.sim.now
-        for worker in range(self.fetch_concurrency):
+        for worker in range(FETCH_CONCURRENCY):
             self.events.thread(self._fetch_loop,
                                name=f"{self.instance.context.name}.fetch{worker}")
 
@@ -117,7 +123,7 @@ class SwarmNode(harness.OverlayNode):
         chunks = [int(chunk) for chunk in chunks]
         if not self.have.issuperset(chunks):
             return {"ok": False, "reason": "missing"}
-        if self._uploads >= self.max_uploads:
+        if self._uploads >= MAX_UPLOADS:
             self.stats.busy_rejections += 1
             return {"ok": False, "reason": "busy"}
         self._uploads += 1
@@ -139,14 +145,14 @@ class SwarmNode(harness.OverlayNode):
             if peer is None:
                 peer = self._pick_member()
                 if peer is None:
-                    yield self.poll_interval
+                    yield POLL_INTERVAL
                     continue
                 try:
                     self.stats.have_polls += 1
                     advertised = yield self.rpc.call(peer, "have", timeout=3.0, retries=0)
                 except RpcError:
                     peer = None
-                    yield self.poll_interval * 0.5
+                    yield POLL_INTERVAL * 0.5
                     continue
                 # Availability counts what peers advertised to a poll only.
                 for chunk in advertised:
@@ -155,7 +161,7 @@ class SwarmNode(harness.OverlayNode):
             wanted = sorted(remote_have - self.have - self._pending)
             if not wanted:
                 peer = None
-                yield self.poll_interval * 0.5
+                yield POLL_INTERVAL * 0.5
                 continue
             batch = []
             while wanted and len(batch) < CHUNKS_PER_FETCH:
@@ -175,7 +181,7 @@ class SwarmNode(harness.OverlayNode):
             if not reply.get("ok"):
                 peer = None
                 if reply.get("reason") == "busy":
-                    yield self.poll_interval * 0.25
+                    yield POLL_INTERVAL * 0.25
                 continue
             remote_have = set(reply["have"])
             for chunk in batch:

@@ -32,9 +32,12 @@ from repro.sim.rng import substream
 SHUFFLE_SIZE = 4
 #: the timeout (seconds) of every gossip RPC, sent once
 HOP_TIMEOUT = 1.5
+#: the periods (seconds) of the Cyclon shuffle and of the anti-entropy pull
+SHUFFLE_INTERVAL = 4.0
+AE_INTERVAL = 6.0
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     """When (and how) one message reached this node."""
 
@@ -46,10 +49,12 @@ class DeliveryRecord:
 class GossipNode(harness.OverlayNode):
     """One gossip node, bound to one runtime instance.
 
-    Options: ``view_size`` — Cyclon partial-view capacity;
-    ``shuffle_interval`` / ``ae_interval`` — membership and anti-entropy
-    periods; ``fanout`` — eager-push degree.
+    Options: ``view_size`` — Cyclon partial-view capacity; ``fanout`` —
+    eager-push degree.  The membership and anti-entropy periods are
+    :data:`SHUFFLE_INTERVAL` and :data:`AE_INTERVAL`.
     """
+
+    __slots__ = ("view_size", "fanout", "view", "store")
 
     label = "gossip"
     # Cyclon has no founder state: whoever finds the directory empty (the first
@@ -58,8 +63,6 @@ class GossipNode(harness.OverlayNode):
 
     def _configure(self, options: dict) -> None:
         self.view_size = int(options.get("view_size", 8))
-        self.shuffle_interval = float(options.get("shuffle_interval", 4.0))
-        self.ae_interval = float(options.get("ae_interval", 6.0))
         self.fanout = int(options.get("fanout", 3))
         #: Cyclon partial view: peer -> age (incremented every shuffle round)
         self.view: Dict[Tuple[str, int], List] = {}  # key -> [NodeRef, age]
@@ -73,10 +76,10 @@ class GossipNode(harness.OverlayNode):
             self._view_add(seed, age=0)
         self.joined = True
         self.members.add(self.me)
-        self.events.periodic(self._shuffle, self.shuffle_interval,
-                             jitter=self.shuffle_interval * 0.25)
-        self.events.periodic(self._anti_entropy, self.ae_interval,
-                             jitter=self.ae_interval * 0.25)
+        self.events.periodic(self._shuffle, SHUFFLE_INTERVAL,
+                             jitter=SHUFFLE_INTERVAL * 0.25)
+        self.events.periodic(self._anti_entropy, AE_INTERVAL,
+                             jitter=AE_INTERVAL * 0.25)
         self.log.info(f"gossip node {self.me} live (view={len(self.view)})")
 
     # ----------------------------------------------------------- membership

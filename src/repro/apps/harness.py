@@ -438,7 +438,13 @@ class OverlayNode:
     and through :meth:`_join` by everyone else.  Job option ``join_window``:
     joins are staggered uniformly over this many seconds to avoid a
     thundering herd at deployment.
+
+    Every node class declares its ``__slots__``: a splayd hosts many
+    instances, and a node keeps no ``__dict__``.
     """
+
+    __slots__ = ("instance", "events", "rpc", "log", "me", "joined", "_rng",
+                 "members", "__weakref__")
 
     label = ""
     #: an empty directory is founded anew, not joined (gossip: no founder state)
@@ -464,16 +470,15 @@ class OverlayNode:
         self.joined = False
         self._rng = substream(instance.events.sim.seed, self.label,
                               instance.job.job_id, instance.instance_id)
-        options = {**instance.options, **overrides}
-        self.join_window = float(options.get("join_window", 30.0))
-        self._configure(options)
+        self._configure({**instance.options, **overrides})
         for served_as, name in self._handlers:
             self.rpc.register(served_as, getattr(self, name))
 
     @classmethod
     def factory(cls, **options) -> Callable:
         """A :class:`JobSpec` application factory; ``options`` override the
-        job options for every instance (``chord_factory(bits=10)``)."""
+        job options :meth:`_configure` reads, for every instance
+        (``chord_factory(bits=10)``)."""
         def _factory(instance):
             node = cls(instance, **options)
             node.start()
@@ -494,8 +499,8 @@ class OverlayNode:
         if first or (self.founds_when_empty and not members):
             self._found()
         else:
-            self._join(self._rng.uniform(0.0, self.join_window)
-                       if self.join_window > 0 else 0.0)
+            join_window = float(self.instance.options.get("join_window", 30.0))
+            self._join(self._rng.uniform(0.0, join_window) if join_window > 0 else 0.0)
         # Keep the shared member registry honest on teardown.
         self.instance.context.add_cleanup(lambda: members.discard(self.me))
 
@@ -597,7 +602,7 @@ class BackoffTask:
             self._current = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingStats:
     """Per-node counters of a key-based-routing overlay."""
 
@@ -663,6 +668,9 @@ class RoutingNode(OverlayNode):
     routes around it and :meth:`_confirm` asks it once more with the full
     timeout before it is purged.
     """
+
+    __slots__ = ("bits", "stats", "max_hops", "refresh", "_watched", "_dead",
+                 "_probing", "_lookups", "_lookup_ids", "_walks")
 
     refresh: BackoffTask
     _learned = None
@@ -1129,9 +1137,9 @@ class Scenario:
     ``report_lines`` (``workload`` report keys the CLI prints),
     ``default_churn_script`` (what ``--churn`` replays) and ``params``, one
     ``(name, default, help)`` entry per workload parameter — at once a runner
-    keyword, an attribute of the run and a CLI flag — and three hooks.
-    :meth:`run` resolves churn, deploys, starts, drains and reports the same
-    way for every workload.
+    keyword, an attribute of the run and a CLI flag; each is a count or a
+    size, at least 1 — and three hooks.  :meth:`run` resolves churn, deploys,
+    starts, drains and reports the same way for every workload.
     """
 
     name = ""
@@ -1148,7 +1156,10 @@ class Scenario:
             raise TypeError(f"the {self.name} scenario takes no parameter "
                             f"{', '.join(unknown)}")
         for name, default, _help in self.params:
-            setattr(self, name, params.get(name, default))
+            value = params.get(name, default)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
+            setattr(self, name, value)
         if config.churn and config.churn_script is None:
             config = replace(config, churn_script=self.default_churn_script)
         # resolved here, so a deployment that cannot be laid out is refused

@@ -40,9 +40,21 @@ from repro.lib.ring import between, digit_at, numeric_distance, shared_prefix_le
 from repro.lib.rpc import RpcError
 from repro.net.address import NodeRef
 
-#: default leaf-set capacity (total, half per side) — also reported by the
-#: scenario, so keep the node constructor and this constant in sync
+#: the leaf-set capacity (total, half per side), as the scenario reports it
 DEFAULT_LEAF_SET_SIZE = 8
+#: the leaves kept on each side: the nearest clockwise and counter-clockwise
+LEAF_HALF = DEFAULT_LEAF_SET_SIZE // 2
+
+#: the fixed period (seconds) of the leaf-set repair
+REPAIR_INTERVAL = 5.0
+#: the base wait (seconds) of the routing-table probe, backed off while its
+#: rows teach nothing
+TABLE_PROBE_INTERVAL = 8.0
+
+#: a live counter-clockwise neighbour (a node's ``_watched`` one) calls it at
+#: least this often: its repair period with the jitter ``_go_live`` draws (a
+#: quarter period at most), plus one timeout for a first try that was lost
+SILENCE = 1.25 * REPAIR_INTERVAL + harness.HOP_TIMEOUT
 
 #: the older name, still imported by ``benchmarks/child.py``
 RouteFailed = harness.LookupFailed
@@ -53,10 +65,12 @@ class PastryNode(harness.RoutingNode):
 
     Options (from ``JobSpec.options`` or keyword overrides), beyond those of
     :class:`~repro.apps.harness.RoutingNode`: ``base_bits`` — bits per
-    routing digit (``b``; base is ``2**b``); ``leaf_set_size`` — total
-    leaf-set capacity (half per side); ``repair_interval`` /
-    ``table_probe_interval`` — maintenance periods.
+    routing digit (``b``; base is ``2**b``).  The leaf set holds
+    :data:`DEFAULT_LEAF_SET_SIZE` nodes; the maintenance periods are
+    :data:`REPAIR_INTERVAL` and :data:`TABLE_PROBE_INTERVAL`.
     """
+
+    __slots__ = ("base_bits", "digits", "leaves", "_sides", "table", "_known")
 
     label = "pastry"
     #: a node still joining answers no routing: a replacement at a reused
@@ -70,20 +84,11 @@ class PastryNode(harness.RoutingNode):
             raise ValueError(
                 f"bits ({self.bits}) must be a multiple of base_bits ({self.base_bits})")
         self.digits = self.bits // self.base_bits
-        self.leaf_set_size = int(options.get("leaf_set_size", DEFAULT_LEAF_SET_SIZE))
-        self.leaf_half = max(1, self.leaf_set_size // 2)
-        self.repair_interval = float(options.get("repair_interval", 5.0))
-        table_probe_interval = float(options.get("table_probe_interval", 8.0))
         self.max_hops = 3 * self.digits + 8
-        #: a live counter-clockwise neighbour (our ``_watched`` one) calls us
-        #: at least this often: its repair period with the jitter ``_go_live``
-        #: draws (a quarter period at most), plus one timeout for a first try
-        #: that was lost
-        self._silence = 1.25 * self.repair_interval + harness.HOP_TIMEOUT
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
         #: of the two sides (a node sits on both while the ring is small)
         self.leaves: Dict[Tuple[str, int], NodeRef] = {}
-        #: the ``leaf_half`` nearest nodes clockwise and counter-clockwise,
+        #: the :data:`LEAF_HALF` nearest nodes clockwise and counter-clockwise,
         #: nearest first; each tuple is replaced when that side changes
         self._sides: List[Tuple[NodeRef, ...]] = [(), ()]
         #: routing table: ``table[row][column]`` — row = shared prefix
@@ -95,7 +100,7 @@ class PastryNode(harness.RoutingNode):
         #: starts with ``me``, which every neighbour's leaf set names
         self._known: Dict[int, NodeRef] = {self.me.id: self.me}
         self.refresh = harness.BackoffTask(self.events, self._table_maintenance,
-                                           table_probe_interval)
+                                           TABLE_PROBE_INTERVAL)
 
     # -------------------------------------------------------------- lifecycle
     def _go_live(self) -> None:
@@ -103,8 +108,8 @@ class PastryNode(harness.RoutingNode):
         self.members.add(self.me)
         for name in self.served_once_live:
             self.rpc.register(name, getattr(self, "_rpc_" + name))
-        self.events.periodic(self._leafset_repair, self.repair_interval,
-                             jitter=self.repair_interval * 0.25)
+        self.events.periodic(self._leafset_repair, REPAIR_INTERVAL,
+                             jitter=REPAIR_INTERVAL * 0.25)
         self.refresh.start()
         self.log.info(f"node {self.me} up (id={self.me.id:0{self.digits}x})")
 
@@ -194,12 +199,12 @@ class PastryNode(harness.RoutingNode):
         neighbour pair, since the callee learns our side from the call.
 
         A leaf that does not answer is purged and the next one called, at
-        most ``leaf_half`` calls a round, so the death travels on in the call
-        that succeeds.  Then a nearest counter-clockwise leaf that has not
-        called us for ``_silence`` seconds gets one exchange of its own.
+        most :data:`LEAF_HALF` calls a round, so the death travels on in the
+        call that succeeds.  Then a nearest counter-clockwise leaf that has not
+        called us for :data:`SILENCE` seconds gets one exchange of its own.
         """
         self.stats.maintenance_rounds += 1
-        for _call in range(self.leaf_half):
+        for _call in range(LEAF_HALF):
             clockwise = self._sides[0]
             if not clockwise:
                 yield from self._reseed()
@@ -210,7 +215,7 @@ class PastryNode(harness.RoutingNode):
                 self._kept(clockwise[0], remote, reported)
                 break
         counter_clockwise = self._sides[1]
-        if counter_clockwise and self.events.now() - self._watched[1] >= self._silence:
+        if counter_clockwise and self.events.now() - self._watched[1] >= SILENCE:
             neighbour = counter_clockwise[0]
             if ((yield from self._exchange(neighbour)) is not None
                     and self._watched[0] == neighbour):
@@ -341,7 +346,7 @@ class PastryNode(harness.RoutingNode):
 
     def _leaf_covers(self, key: int) -> bool:
         """True when ``key`` falls inside the span of our leaf set."""
-        if len(self.leaves) < 2 * self.leaf_half:
+        if len(self.leaves) < 2 * LEAF_HALF:
             # Alone we own everything, and an unsaturated leaf set holds every
             # member we know of: numeric closeness decides ownership directly.
             return True
@@ -427,11 +432,11 @@ class PastryNode(harness.RoutingNode):
         admitted = False
         for index, direction in enumerate((1, -1)):  # clockwise, counter-clockwise
             side = self._sides[index]
-            if (len(side) < self.leaf_half or self._leaf_key(node, direction)
+            if (len(side) < LEAF_HALF or self._leaf_key(node, direction)
                     < self._leaf_key(side[-1], direction)):
                 grown = list(side)
                 insort(grown, node, key=lambda n: self._leaf_key(n, direction))
-                self._sides[index] = tuple(grown[: self.leaf_half])
+                self._sides[index] = tuple(grown[:LEAF_HALF])
                 admitted = True
         return admitted
 
@@ -446,13 +451,13 @@ class PastryNode(harness.RoutingNode):
 
     def _forget(self, node: NodeRef) -> None:
         """Purge a dead node: from the leaf set, remembering its endpoint as
-        dead (the last ``leaf_set_size`` of them), and from the routing-table
-        slot it holds.  Either removal starts ``_known`` afresh."""
+        dead (the last :data:`DEFAULT_LEAF_SET_SIZE` of them), and from the
+        routing-table slot it holds.  Either removal starts ``_known`` afresh."""
         self.refresh.stir()
         if self.leaves.pop((node.ip, node.port), None) is not None:
             self._known = {self.me.id: self.me}
             self._dead[node.ip, node.port] = None
-            if len(self._dead) > self.leaf_set_size:
+            if len(self._dead) > DEFAULT_LEAF_SET_SIZE:
                 del self._dead[next(iter(self._dead))]
             # The vacancy on a side goes to the nearest survivor from the
             # other side: offer every survivor to both sides afresh.
@@ -492,7 +497,7 @@ class PastryScenario(harness.LookupScenario):
 
     def __init__(self, config: harness.RunConfig, **params) -> None:
         super().__init__(config, **params)
-        if self.base_bits < 1 or self.bits % self.base_bits:
+        if self.bits % self.base_bits:
             raise ValueError(f"bits ({self.bits}) must be a multiple of "
                              f"base_bits ({self.base_bits})")
 

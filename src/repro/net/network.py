@@ -39,10 +39,10 @@ class NetworkStats:
     drops_no_listener: int = 0
     last_errors: List[str] = field(default_factory=list)
 
-    def record_error(self, error: str, cap: int = 20) -> None:
+    def record_error(self, error: str) -> None:
         self.handler_errors += 1
         self.last_errors.append(error)
-        if len(self.last_errors) > cap:
+        if len(self.last_errors) > 20:  # the last 20 are kept
             del self.last_errors[0]
 
 

@@ -58,10 +58,10 @@ class Observability:
                  "_stamp")
 
     def __init__(self, sim, metrics: bool = False, tracing: bool = False,
-                 profile: bool = False, ring_size: int = 256):
+                 profile: bool = False):
         self.sim = sim
         self.metrics_enabled = metrics
-        self.recorder = FlightRecorder(ring_size)
+        self.recorder = FlightRecorder()
         self.tracer = (Tracer(clock=lambda: sim.now, recorder=self.recorder)
                        if tracing else None)
         self.profiler = KernelProfiler() if profile else None

@@ -32,8 +32,6 @@ class FlightRecorder:
     __slots__ = ("capacity", "_ring", "_next", "total")
 
     def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
         self.capacity = capacity
         self._ring: List[Optional[Tuple]] = [None] * capacity
         self._next = 0          # index the next entry lands in

@@ -162,8 +162,8 @@ class Events:
         process.start(delay)
         return self.context.track_process(process)
 
-    def periodic(self, fn: Callable[[], Any], interval: float, jitter: float = 0.0,
-                 initial_delay: Optional[float] = None) -> PeriodicTask:
+    def periodic(self, fn: Callable[[], Any], interval: float,
+                 jitter: float = 0.0) -> PeriodicTask:
         """Run ``fn`` every ``interval`` seconds (as done for Chord stabilization).
 
         ``fn`` may be a plain function or a generator function; each firing
@@ -176,8 +176,7 @@ class Events:
         task = PeriodicTask(self, fn, interval, jitter)
         # The task is tracked once, as a cleanup: cancelling it cancels
         # whichever timer is current.
-        first = initial_delay if initial_delay is not None else interval
-        first = first + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
+        first = interval + (self.sim.rng.uniform(0.0, jitter) if jitter else 0.0)
         task._current = self.sim.schedule(first, task._fire)
         self.context.add_cleanup(task.cancel)
         return task

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from matrix_latency import MatrixLatency
-from repro.apps import harness
+from repro.apps import chord, harness
 from repro.apps.chord import (CHECK_PREDECESSOR_INTERVAL, SUCCESSOR_LIST_SIZE, ChordNode,
                               LookupFailed, chord_factory, expected_owner)
 from repro.core.jobs import JobSpec
@@ -28,6 +28,19 @@ BITS = 16
 CANDIDATES = 6
 
 
+@pytest.fixture(autouse=True)
+def _short_periods(monkeypatch):
+    """The tests' rings stabilize and fix fingers every 2 s."""
+    monkeypatch.setattr(chord, "STABILIZE_INTERVAL", 2.0)
+    monkeypatch.setattr(chord, "FIX_FINGERS_INTERVAL", 2.0)
+
+
+def _module_periods(monkeypatch):
+    """The periods a deployed ring runs at."""
+    monkeypatch.setattr(chord, "STABILIZE_INTERVAL", 5.0)
+    monkeypatch.setattr(chord, "FIX_FINGERS_INTERVAL", 4.0)
+
+
 def _deploy(nodes=10, seed=0, churn_script=None, latency=None, slots=3, **options):
     sim = Simulator(seed)
     network = Network(sim, latency=latency or ConstantLatency(0.010), seed=seed)
@@ -40,8 +53,7 @@ def _deploy(nodes=10, seed=0, churn_script=None, latency=None, slots=3, **option
         app_factory=chord_factory(),
         instances=nodes,
         churn_script=churn_script,
-        options={"bits": BITS, "join_window": 10.0,
-                 "stabilize_interval": 2.0, "fix_fingers_interval": 2.0, **options},
+        options={"bits": BITS, "join_window": 10.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)
@@ -471,14 +483,14 @@ def test_a_kept_finger_whose_endpoint_has_not_joined_is_cleared_not_counted_dead
     assert app.refresh.factor == 1  # the refresh is stirred
 
 
-def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
-    sim, controller, job = _converged(nodes=10, stabilize_interval=5.0,
-                                      fix_fingers_interval=4.0)
+def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period(monkeypatch):
+    _module_periods(monkeypatch)
+    sim, controller, job = _converged(nodes=10)
     app = _live_apps(job)[0]
     predecessor = app.predecessor
     (victim,) = [i for i in job.live_instances() if i.app.me == predecessor]
     heard = app._watched[1]
-    assert sim.now - heard < app.stabilize_interval * 1.25  # it calls us
+    assert sim.now - heard < chord.STABILIZE_INTERVAL * 1.25  # it calls us
     controller.kill_instance(victim, failed=True)
     bound = (heard + CHECK_PREDECESSOR_INTERVAL
              + 1.25 * CHECK_PREDECESSOR_INTERVAL + harness.HOP_TIMEOUT)
@@ -486,9 +498,9 @@ def test_a_crashed_predecessor_is_dropped_once_silent_for_one_check_period():
     assert dropped is not None and dropped <= bound
 
 
-def test_a_crashed_successor_is_replaced_by_the_next_list_entry():
-    sim, controller, job = _converged(nodes=10, stabilize_interval=5.0,
-                                      fix_fingers_interval=4.0)
+def test_a_crashed_successor_is_replaced_by_the_next_list_entry(monkeypatch):
+    _module_periods(monkeypatch)
+    sim, controller, job = _converged(nodes=10)
     app = _live_apps(job)[0]
     successor, next_entry = app.successors[:2]
     (victim,) = [i for i in job.live_instances() if i.app.me == successor]
@@ -496,14 +508,14 @@ def test_a_crashed_successor_is_replaced_by_the_next_list_entry():
     controller.kill_instance(victim, failed=True)
     replaced = _run_until(sim, lambda: app.successors[0] != successor,
                           crashed + 30.0)
-    assert replaced is not None and replaced <= crashed + 2 * app.stabilize_interval
+    assert replaced is not None and replaced <= crashed + 2 * chord.STABILIZE_INTERVAL
     assert app.successors[0] == next_entry
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_a_crash_burst_heals_within_the_predecessor_check_bound(seed):
-    sim, _controller, job = _deploy(nodes=40, seed=seed, stabilize_interval=5.0,
-                                    fix_fingers_interval=4.0,
+def test_a_crash_burst_heals_within_the_predecessor_check_bound(monkeypatch, seed):
+    _module_periods(monkeypatch)
+    sim, _controller, job = _deploy(nodes=40, seed=seed,
                                     churn_script="at 100s crash 10%\n")
     sim.run(until=99.0)
     assert harness.consistency(job) == 1.0
@@ -514,14 +526,15 @@ def test_a_crash_burst_heals_within_the_predecessor_check_bound(seed):
     # predecessor dropped within a silent period plus a 1.25-period check and
     # the ping, then the new predecessor's stabilize call
     bound = (2.25 * CHECK_PREDECESSOR_INTERVAL + harness.HOP_TIMEOUT
-             + 1.25 * app.stabilize_interval)
+             + 1.25 * chord.STABILIZE_INTERVAL)
     healed = _run_until(sim, lambda: harness.consistency(job) == 1.0, crashed + 60.0)
     assert healed is not None and healed <= crashed + bound
 
 
-def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node():
-    sim, _controller, job = _converged(nodes=10, stabilize_interval=5.0,
-                                       fix_fingers_interval=4.0)
+def test_a_walked_candidate_that_does_not_answer_leaves_the_last_answering_node(
+        monkeypatch):
+    _module_periods(monkeypatch)
+    sim, _controller, job = _converged(nodes=10)
     apps = {a.me: a for a in _live_apps(job)}
     app = _live_apps(job)[0]
     successor = app.successors[0]
@@ -816,20 +829,19 @@ def test_a_joiner_is_spliced_into_the_ring_within_three_stabilize_periods():
     healed = _run_until(sim, lambda: harness.consistency(job) == 1.0,
                         joined + 30.0)
     assert healed is not None
-    assert healed <= joined + 3 * newcomer.stabilize_interval
+    assert healed <= joined + 3 * chord.STABILIZE_INTERVAL
     members = _members(job)
     assert newcomer.me in members
 
 
 # ------------------------------------------------------ the workload driver
-def _stream(sim, job, raising):
+def _stream(monkeypatch, sim, job, raising):
     """Run ``harness.lookup_stream`` with every lookup raising ``raising``."""
-    def _broken_lookup(key):
+    def _broken_lookup(self, key):
         raise raising
         yield  # pragma: no cover - makes this a generator
 
-    for app in _live_apps(job):
-        app.lookup = _broken_lookup
+    monkeypatch.setattr(ChordNode, "lookup", _broken_lookup)
     results = []
     driver = Process(sim, harness.lookup_stream(
         sim, job, 3, 0.25, BITS, substream(0, "test"), results,
@@ -842,18 +854,18 @@ def _stream(sim, job, raising):
 @pytest.mark.parametrize("raising", [
     LookupFailed("no route"), RpcError("timed out"), FutureCancelled(),
     ProcessKilled("origin killed")])
-def test_lookup_stream_records_churn_failures_as_failed_lookups(raising):
+def test_lookup_stream_records_churn_failures_as_failed_lookups(monkeypatch, raising):
     sim, _controller, job = _deploy(nodes=4)
     sim.run(until=30.0)
-    driver, results = _stream(sim, job, raising)
+    driver, results = _stream(monkeypatch, sim, job, raising)
     assert driver.done.result() is None
     assert [(r.completed, r.correct) for r in results] == [(False, False)] * 3
 
 
-def test_lookup_stream_lets_any_other_exception_fail_the_driver():
+def test_lookup_stream_lets_any_other_exception_fail_the_driver(monkeypatch):
     sim, _controller, job = _deploy(nodes=4)
     sim.run(until=30.0)
-    driver, results = _stream(sim, job, KeyError("a bug, not churn"))
+    driver, results = _stream(monkeypatch, sim, job, KeyError("a bug, not churn"))
     assert results == []
     with pytest.raises(KeyError):
         driver.done.result()

@@ -2,7 +2,10 @@
 
 import math
 
+import pytest
+
 from heap_kernel_reference import step
+from repro.apps import dissemination
 from repro.apps.dissemination import (
     CHUNKS_PER_FETCH, run_dissemination_scenario, swarm_factory)
 from repro.apps.harness import RunConfig, deterministic_report_view
@@ -16,6 +19,16 @@ from repro.sim.kernel import Simulator
 CHUNKS = 8
 CHUNK_SIZE = 32768
 DELAY = 0.010  # one-way, every host pair
+
+
+@pytest.fixture(autouse=True)
+def _short_polls(monkeypatch):
+    """The tests' download loops wait 0.5 s between idle polls."""
+    monkeypatch.setattr(dissemination, "POLL_INTERVAL", 0.5)
+
+
+def _one_download_loop(monkeypatch):
+    monkeypatch.setattr(dissemination, "FETCH_CONCURRENCY", 1)
 
 
 def _deploy(nodes=8, seed=0, churn_script=None, link_bps=10_000_000.0, **options):
@@ -33,7 +46,7 @@ def _deploy(nodes=8, seed=0, churn_script=None, link_bps=10_000_000.0, **options
         instances=nodes,
         churn_script=churn_script,
         options={"chunks": CHUNKS, "chunk_size": CHUNK_SIZE,
-                 "join_window": 5.0, "poll_interval": 0.5, **options},
+                 "join_window": 5.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)
@@ -105,9 +118,10 @@ def test_a_peer_that_served_a_chunk_serves_the_next_without_a_poll():
     assert 0 < downloader.stats.have_polls < CHUNKS
 
 
-def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
+def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request(monkeypatch):
     """Request out, last byte of the batch back with the reply: not a third delay."""
-    sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
+    _one_download_loop(monkeypatch)
+    sim, _controller, job = _deploy(nodes=2)
     network = next(iter(job.instances)).daemon.network
     while len(job.live_instances()) < 2:
         step(sim)
@@ -143,8 +157,9 @@ def test_a_fetched_chunk_lands_two_one_way_delays_after_its_request():
         assert 0 < extra < DELAY / 10, extra
 
 
-def test_a_fetch_naming_a_chunk_the_uploader_lacks_is_refused_whole():
-    sim, _controller, job = _deploy(nodes=2, fetch_concurrency=1)
+def test_a_fetch_naming_a_chunk_the_uploader_lacks_is_refused_whole(monkeypatch):
+    _one_download_loop(monkeypatch)
+    sim, _controller, job = _deploy(nodes=2)
     network = next(iter(job.instances)).daemon.network
     while len(_apps(job)) < 2:
         step(sim)
@@ -196,8 +211,10 @@ def test_a_fetch_naming_a_chunk_the_uploader_lacks_is_refused_whole():
     assert seed.stats.have_polls == 0 and seed.stats.busy_rejections == 0
 
 
-def test_a_busy_reply_sends_the_next_fetch_after_a_fresh_poll():
-    sim, _controller, job = _deploy(nodes=2, max_uploads=0, fetch_concurrency=1)
+def test_a_busy_reply_sends_the_next_fetch_after_a_fresh_poll(monkeypatch):
+    _one_download_loop(monkeypatch)
+    monkeypatch.setattr(dissemination, "MAX_UPLOADS", 0)
+    sim, _controller, job = _deploy(nodes=2)
     sim.run(until=30.0)
     [seed] = [a for a in _apps(job) if a.is_seed]
     [downloader] = [a for a in _apps(job) if not a.is_seed]

@@ -1,5 +1,8 @@
 """Gossip: Cyclon view maintenance and epidemic broadcast coverage."""
 
+import pytest
+
+from repro.apps import gossip
 from repro.apps.gossip import gossip_factory
 from repro.core.jobs import JobSpec
 from repro.net.latency import ConstantLatency
@@ -7,6 +10,13 @@ from repro.net.network import Network
 from repro.runtime.controller import Controller
 from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.kernel import Simulator
+
+
+@pytest.fixture(autouse=True)
+def _short_periods(monkeypatch):
+    """The tests' nodes shuffle every 2 s and pull every 3 s."""
+    monkeypatch.setattr(gossip, "SHUFFLE_INTERVAL", 2.0)
+    monkeypatch.setattr(gossip, "AE_INTERVAL", 3.0)
 
 
 def _deploy(nodes=12, seed=0, churn_script=None, **options):
@@ -21,8 +31,7 @@ def _deploy(nodes=12, seed=0, churn_script=None, **options):
         app_factory=gossip_factory(),
         instances=nodes,
         churn_script=churn_script,
-        options={"join_window": 5.0, "shuffle_interval": 2.0,
-                 "ae_interval": 3.0, **options},
+        options={"join_window": 5.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)

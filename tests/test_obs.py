@@ -326,19 +326,21 @@ def test_fifty_node_churning_chord_acceptance(workload, tmp_path):
 
 
 @pytest.mark.parametrize("workload", ["chord", "pastry"])
-def test_a_walk_that_spends_its_hop_budget_says_so(workload):
+def test_a_walk_that_spends_its_hop_budget_says_so(monkeypatch, workload):
     """``max_hops=2`` is a local step plus one remote answer: a key owned
     far away fails with ``harness.LookupFailed``, a ``lookup.failed`` span
     and the ``lookup.failed`` counter."""
-    from repro.apps import harness
+    from repro.apps import harness, pastry
     from repro.apps.chord import ChordNode
     from repro.apps.pastry import PastryNode
     from repro.sim.process import Process
 
     # binary digits and a two-node leaf set: Pastry needs several hops too
+    monkeypatch.setattr(pastry, "DEFAULT_LEAF_SET_SIZE", 2)
+    monkeypatch.setattr(pastry, "LEAF_HALF", 1)
     factory = {
         "chord": ChordNode.factory(),
-        "pastry": PastryNode.factory(base_bits=1, leaf_set_size=2),
+        "pastry": PastryNode.factory(base_bits=1),
     }[workload]
     failure = harness.LookupFailed
     deployment = harness.deploy(workload, factory, nodes=30, hosts=15, seed=4,

@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from repro.apps import harness
+from repro.apps import dissemination, harness
 from repro.apps import pastry as pastry_module
 from repro.apps.chord import ChordNode, chord_factory
 from repro.apps.chord import expected_owner as chord_owner
@@ -46,6 +46,7 @@ from repro.sim.process import Process
 from repro.sim.sanitizer import Sanitizer
 from repro.sim.rng import substream
 from test_memory import no_collector  # noqa: F401 - fixture: gc.disable() around the test
+from test_pastry import _repair_every
 
 BITS = 16
 BASE_BITS = 4
@@ -332,7 +333,7 @@ def test_the_iterative_walk_avoids_a_node_whose_step_names_itself(node_class):
 
 
 @pytest.mark.parametrize("walk", ["forwarded", "iterative"])
-def test_a_walk_fails_once_the_origins_own_step_names_the_origin(walk):
+def test_a_walk_fails_once_the_origins_own_step_names_the_origin(monkeypatch, walk):
     # Every other node's step names itself, so the origin avoids its routes
     # one by one until a Chord step of its own falls back to the origin.
     sim, _controller, job = _deploy(ChordNode.factory(), nodes=16)
@@ -340,19 +341,19 @@ def test_a_walk_fails_once_the_origins_own_step_names_the_origin(walk):
     apps = [instance.app for instance in job.live_instances()]
     origin = apps[0]
     key = (origin.me.id + (1 << (BITS - 1))) % (1 << BITS)
-    for app in apps[1:]:
-        def no_progress(key, avoid=None, me=app.me):
-            return {"node": me, "done": False}
-        app._rpc_step = app.rpc._handlers["step"] = no_progress
     named = []
-    own_step = origin._rpc_step
+    own_step = ChordNode._rpc_step
 
-    def counting(key, avoid):
-        reply = own_step(key, avoid)
+    def stepping(self, key, avoid=None):
+        if self is not origin:
+            return {"node": self.me, "done": False}
+        reply = own_step(self, key, avoid)
         named.append(NodeRef.coerce(reply["node"]))
         return reply
 
-    origin._rpc_step = counting
+    monkeypatch.setattr(ChordNode, "_rpc_step", stepping)
+    for app in apps[1:]:
+        app.rpc._handlers["step"] = app._rpc_step
     if walk == "forwarded":
         box = _walking(sim, origin, key)
         _run_for(sim, box, 5.0)
@@ -558,7 +559,7 @@ def test_learning_a_held_reference_sorts_nothing_and_keeps_the_snapshots(monkeyp
     app = job.live_instances()[0].app
     for index in range(40):
         app._learned(_ref(index))
-    assert len(app.leaves) == app.leaf_set_size
+    assert len(app.leaves) == pastry_module.DEFAULT_LEAF_SET_SIZE
     views = (app._sides[0], app._sides[1], app._leaf_nodes())
     far = max((_ref(i) for i in range(40, 400)),
               key=lambda n: min(ring_distance(app.me.id, n.id, BITS),
@@ -581,6 +582,12 @@ def test_learning_a_held_reference_sorts_nothing_and_keeps_the_snapshots(monkeyp
 
 
 # ----------------------------------------------------------- order equivalence
+def _leaf_set_of(monkeypatch, capacity):
+    """Pastry nodes hold ``capacity`` leaves, half of them a side."""
+    monkeypatch.setattr(pastry_module, "DEFAULT_LEAF_SET_SIZE", capacity)
+    monkeypatch.setattr(pastry_module, "LEAF_HALF", capacity // 2)
+
+
 class SortedLeafModel:
     """The re-sort-per-reference leaf set and scan-all-slots table it replaced."""
 
@@ -647,13 +654,12 @@ class SortedLeafModel:
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_incremental_leaf_set_matches_the_sorting_model(seed):
+def test_incremental_leaf_set_matches_the_sorting_model(monkeypatch, seed):
     rng = random.Random(seed)
-    leaf_set_size = rng.choice([2, 4, 8])
-    _sim, _controller, job = _deploy(pastry_factory(), nodes=1, seed=seed,
-                                     leaf_set_size=leaf_set_size)
+    _leaf_set_of(monkeypatch, rng.choice([2, 4, 8]))
+    _sim, _controller, job = _deploy(pastry_factory(), nodes=1, seed=seed)
     app = job.live_instances()[0].app
-    model = SortedLeafModel(app.me, BITS, BASE_BITS, app.leaf_half)
+    model = SortedLeafModel(app.me, BITS, BASE_BITS, pastry_module.LEAF_HALF)
     # a small pool so references recur, saturate the set and die while held;
     # one shares our identifier (no routing-table slot), one has none
     pool = [_ref(index) for index in range(rng.choice([6, 14, 40]))]
@@ -704,12 +710,11 @@ def _routing_view(app):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_the_memo_of_folded_in_references_changes_nothing(seed):
+def test_the_memo_of_folded_in_references_changes_nothing(monkeypatch, seed):
     rng = random.Random(seed)
-    leaf_set_size = rng.choice([2, 4, 8])
+    _leaf_set_of(monkeypatch, rng.choice([2, 4, 8]))
     app, model = [
-        _deploy(factory, nodes=1, seed=seed, leaf_set_size=leaf_set_size)[2]
-        .live_instances()[0].app
+        _deploy(factory, nodes=1, seed=seed)[2].live_instances()[0].app
         for factory in (pastry_factory(), MemoFreePastry.factory())]
     me, size = app.me, 1 << BITS
     assert (model.me.ip, model.me.port, model.me.id) == (me.ip, me.port, me.id)
@@ -808,8 +813,9 @@ def _call(sim, app, callee, method, *args):
     return box["reply"]
 
 
-def test_a_held_pastry_reply_does_not_change_when_the_callee_does():
-    sim, _controller, job = _deploy(pastry_factory(), nodes=10, repair_interval=2.0)
+def test_a_held_pastry_reply_does_not_change_when_the_callee_does(monkeypatch):
+    _repair_every(monkeypatch, 2.0)
+    sim, _controller, job = _deploy(pastry_factory(), nodes=10)
     sim.run(until=60.0)
     caller, callee = [i.app for i in job.live_instances()[:2]]
     leafset = _call(sim, caller, callee, "leafset", caller.me)
@@ -832,9 +838,10 @@ def test_a_held_pastry_reply_does_not_change_when_the_callee_does():
     assert list(row) == held_row
 
 
-def test_a_held_have_reply_does_not_change_when_the_callee_fetches_more():
+def test_a_held_have_reply_does_not_change_when_the_callee_fetches_more(monkeypatch):
+    monkeypatch.setattr(dissemination, "POLL_INTERVAL", 0.5)
     sim, _controller, job = _deploy(swarm_factory(), nodes=4, chunks=16,
-                                    chunk_size=262144, poll_interval=0.5)
+                                    chunk_size=262144)
     apps = [i.app for i in job.live_instances()]
     callee = None
     while callee is None:  # advance until some downloader is part-way through
@@ -848,9 +855,11 @@ def test_a_held_have_reply_does_not_change_when_the_callee_fetches_more():
     assert list(have) == held
 
 
-def test_a_held_fetch_reply_bitfield_does_not_change_when_the_uploader_fetches_more():
+def test_a_held_fetch_reply_bitfield_does_not_change_when_the_uploader_fetches_more(
+        monkeypatch):
+    monkeypatch.setattr(dissemination, "POLL_INTERVAL", 0.5)
     sim, _controller, job = _deploy(swarm_factory(), nodes=4, chunks=16,
-                                    chunk_size=262144, poll_interval=0.5)
+                                    chunk_size=262144)
     apps = [i.app for i in job.live_instances()]
     uploader = None
     while uploader is None:  # advance until some downloader is part-way through

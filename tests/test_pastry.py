@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from repro.apps import harness
-from repro.apps.pastry import PastryNode, pastry_factory
+from repro.apps import harness, pastry
+from repro.apps.pastry import SILENCE, PastryNode, pastry_factory
 from repro.core.jobs import JobSpec
 from repro.lib.ring import numeric_distance, shared_prefix_length
 from repro.lib.rpc import RTO_FLOOR, RpcError, RpcService
@@ -22,6 +22,24 @@ BITS = 16
 BASE_BITS = 4
 
 
+def _repair_every(monkeypatch, seconds):
+    """Repair leaf sets every ``seconds``; the silence window follows, as
+    the module derives it."""
+    monkeypatch.setattr(pastry, "REPAIR_INTERVAL", seconds)
+    monkeypatch.setattr(pastry, "SILENCE", 1.25 * seconds + harness.HOP_TIMEOUT)
+
+
+def _probe_tables_every(monkeypatch, seconds):
+    monkeypatch.setattr(pastry, "TABLE_PROBE_INTERVAL", seconds)
+
+
+@pytest.fixture(autouse=True)
+def _short_periods(monkeypatch):
+    """The tests' rings repair every 2 s and probe a table row every 3 s."""
+    _repair_every(monkeypatch, 2.0)
+    _probe_tables_every(monkeypatch, 3.0)
+
+
 def _deploy(nodes=10, seed=0, churn_script=None, factory=pastry_factory,
             slots=3, **options):
     sim = Simulator(seed)
@@ -35,8 +53,7 @@ def _deploy(nodes=10, seed=0, churn_script=None, factory=pastry_factory,
         app_factory=factory(),
         instances=nodes,
         churn_script=churn_script,
-        options={"bits": BITS, "base_bits": BASE_BITS, "join_window": 10.0,
-                 "repair_interval": 2.0, "table_probe_interval": 3.0, **options},
+        options={"bits": BITS, "base_bits": BASE_BITS, "join_window": 10.0, **options},
     )
     job = controller.submit(spec)
     controller.start(job)
@@ -296,7 +313,7 @@ def test_a_crashed_leaf_reaches_its_clockwise_neighbour_on_a_death_list_not_by_a
     assert app.stats.deaths_reported == reported + 1
     assert app.stats.dead_nodes_noticed == noticed
     assert _calls(sent, app, victim.me) == []
-    assert sim.now < heard + app._silence
+    assert sim.now < heard + pastry.SILENCE
 
 
 def test_a_live_leaf_the_caller_skipped_is_probed_kept_and_taught_to_it(monkeypatch):
@@ -343,11 +360,11 @@ def test_a_reported_leaf_that_called_since_is_probed_kept_and_taken_back(monkeyp
 
 
 def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
-    sim, controller, job = _deploy(nodes=16, factory=_MutedPastry.factory,
-                                   repair_interval=5.0)
+    assert SILENCE == 1.25 * 5.0 + 1.5  # 7.75 s: the module's own value, no knob
+    _repair_every(monkeypatch, 5.0)
+    sim, controller, job = _deploy(nodes=16, factory=_MutedPastry.factory)
     sim.run(until=80.0)
     apps, app = _neighbours(job)
-    assert app._silence == 1.25 * 5.0 + 1.5  # 7.75 s: the options, no knob
     victim = apps[app._sides[1][0]]
     # nobody reports the death: the victim's own counter-clockwise
     # neighbour, which would find it, runs no repair round
@@ -359,7 +376,7 @@ def test_a_silent_counter_clockwise_neighbour_is_probed_and_purged(monkeypatch):
     purged = _run_until(sim, lambda: (victim.me.ip, victim.me.port) not in app.leaves,
                         crashed + 60.0)
     assert purged is not None
-    assert purged <= crashed + (app._silence + 1.25 * app.repair_interval
+    assert purged <= crashed + (pastry.SILENCE + 1.25 * pastry.REPAIR_INTERVAL
                                 + 2 * harness.HOP_TIMEOUT)
     assert _calls(sent, app, victim.me) == ["leafset"]
     assert app.stats.deaths_reported == reported
@@ -409,10 +426,11 @@ def test_the_table_probe_wait_doubles_while_rows_teach_nothing_and_resets_on_a_d
     assert again is not None and again <= probed + unanswered + 1.25 * 3.0
 
 
-def test_a_row_reply_fills_only_empty_slots_of_that_row():
+def test_a_row_reply_fills_only_empty_slots_of_that_row(monkeypatch):
     # no maintenance at all: only the probe under test changes the table
-    sim, _controller, job = _deploy(nodes=16, repair_interval=1000.0,
-                                    table_probe_interval=1000.0)
+    _repair_every(monkeypatch, 1000.0)
+    _probe_tables_every(monkeypatch, 1000.0)
+    sim, _controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     apps = {app.me: app for app in _live_apps(job)}
     app = next(iter(apps.values()))
@@ -436,8 +454,9 @@ def test_a_row_reply_fills_only_empty_slots_of_that_row():
         (0, column): probed, (0, held_column): held})
 
 
-def test_a_row_probe_that_gets_no_reply_purges_the_entry():
-    sim, _controller, job = _deploy(nodes=16, table_probe_interval=1000.0)
+def test_a_row_probe_that_gets_no_reply_purges_the_entry(monkeypatch):
+    _probe_tables_every(monkeypatch, 1000.0)
+    sim, _controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     app = _live_apps(job)[0]
     row, column = app._slot(app.me.id ^ (1 << (BITS - 1)))
@@ -471,7 +490,8 @@ def _dropping_first(monkeypatch, caller, callee, method):
 
 
 def test_a_row_probe_whose_first_request_is_lost_keeps_the_entry(monkeypatch):
-    sim, _controller, job = _deploy(nodes=16, table_probe_interval=1000.0)
+    _probe_tables_every(monkeypatch, 1000.0)
+    sim, _controller, job = _deploy(nodes=16)
     sim.run(until=80.0)
     app = _live_apps(job)[0]
     row, column, entry = next((r, c, e) for r, cells in enumerate(app.table)
@@ -558,8 +578,9 @@ def test_a_live_peer_slower_than_its_rto_is_suspected_but_never_purged_by_a_look
 
 def test_a_crashed_peer_is_purged_once_its_one_confirming_call_fails(monkeypatch):
     # no maintenance: only the walks' verdicts purge anything
-    sim, controller, job = _deploy(nodes=12, repair_interval=1000.0,
-                                   table_probe_interval=1000.0)
+    _repair_every(monkeypatch, 1000.0)
+    _probe_tables_every(monkeypatch, 1000.0)
+    sim, controller, job = _deploy(nodes=12)
     sim.run(until=80.0)
     origin = _live_apps(job)[0]
     victim = origin._sides[0][0]
@@ -651,8 +672,9 @@ def test_leaf_consistency_sees_a_wrong_neighbour():
 # A repair period outlasts the leafset call's timeout (1.5 s, one retry)
 # at the default 5 s: the one a node spends noticing each dead neighbour.
 @pytest.mark.parametrize("seed", [0, 4])
-def test_leaf_sets_heal_within_three_repair_periods_of_a_crash(seed):
-    sim, _controller, job = _deploy(nodes=20, seed=seed, repair_interval=5.0,
+def test_leaf_sets_heal_within_three_repair_periods_of_a_crash(monkeypatch, seed):
+    _repair_every(monkeypatch, 5.0)
+    sim, _controller, job = _deploy(nodes=20, seed=seed,
                                     churn_script="at 80s crash 10%\n")
     sim.run(until=79.0)
     assert harness.consistency(job) == 1.0
@@ -663,10 +685,11 @@ def test_leaf_sets_heal_within_three_repair_periods_of_a_crash(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_leaf_sets_heal_within_three_repair_periods_of_a_replace_wave(seed):
+def test_leaf_sets_heal_within_three_repair_periods_of_a_replace_wave(monkeypatch, seed):
     # One slot per host: each replacement reuses the endpoint of the node it
     # replaces, and is bounced off until it has joined.
-    sim, _controller, job = _deploy(nodes=20, seed=seed, slots=1, repair_interval=5.0,
+    _repair_every(monkeypatch, 5.0)
+    sim, _controller, job = _deploy(nodes=20, seed=seed, slots=1,
                                     churn_script="at 80s replace 20%\n")
     sim.run(until=79.0)
     assert harness.consistency(job) == 1.0

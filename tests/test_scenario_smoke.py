@@ -149,6 +149,23 @@ def test_cli_rejects_a_malformed_command_line_with_one_error_line(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gossip", "--view-size", "0"],
+    ["gossip", "--fanout", "-1"],
+    ["chord", "--bits", "0"],
+    ["dissemination", "--chunks", "0"],
+    ["dissemination", "--chunk-size", "-10"],
+], ids=" ".join)
+def test_cli_refuses_a_workload_parameter_below_one_before_it_deploys(argv, capsys):
+    # each of these used to run: to a handler error in every shuffle (an
+    # empty view), to a silent pass (no push), or to a failed success bar
+    assert main(argv + ["--nodes", "10", "--duration", "short"]) == 2
+    captured = capsys.readouterr()
+    name = argv[1][2:].replace("-", "_")
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be at least 1, not {argv[2]}\n"
+
+
 _REPO = Path(__file__).resolve().parent.parent
 _QUOTING = ["README.md", "docs/*.md", ".claude/skills/verify/SKILL.md",
             ".github/workflows/ci.yml"]
