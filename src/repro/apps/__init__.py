@@ -13,8 +13,8 @@ through ``instance.rpc`` / ``instance.events`` / ``instance.fs`` /
   epidemic broadcast;
 * :mod:`repro.apps.dissemination` — BitTorrent-style rarest-first chunk
   swarming over the flow-level bandwidth model;
-* :mod:`repro.apps.registry` / :mod:`repro.apps.harness` — the pluggable
-  scenario registry, the shared deploy/churn/measure/report pipeline and
+* :mod:`repro.apps.registry` / :mod:`repro.apps.harness` — the list of
+  the four scenarios, the shared deploy/churn/measure/report pipeline and
   the two node bases the four applications above are written on;
 * :mod:`repro.apps.scenarios` — end-to-end experiment entry points
   (``python -m repro.apps.scenarios chord|pastry|gossip|dissemination``).

@@ -57,7 +57,7 @@ from repro.sim.futures import Future, FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.rng import substream
-from repro.testbeds import get_testbed
+from repro.testbeds import default_host_policy, get_testbed
 
 #: the flagship churn timeline shared by the Chord/Pastry/gossip scenarios:
 #: a crash burst, a continuous-replacement window, then a join wave — times
@@ -251,16 +251,18 @@ class RunConfig:
     def resolved(self) -> "RunConfig":
         """This run with its deployment-dependent defaults filled in.
 
-        ``hosts`` becomes the testbed's default for ``nodes`` (at most
-        :data:`MAX_HOSTS`) and the windows become numbers
-        (:func:`scaled_windows`).  ``churn`` names no script of its own: a
+        ``hosts`` becomes :func:`~repro.testbeds.default_host_policy` of
+        ``nodes`` (at most :data:`MAX_HOSTS`) and the windows become numbers
+        (:func:`scaled_windows`); an unknown ``testbed`` is a ``KeyError``.
+        ``churn`` names no script of its own: a
         :class:`Scenario` supplies its ``default_churn_script``, and a bare
         ``churn`` is a :class:`ValueError` rather than a run without churn.
         """
         if self.churn and self.churn_script is None:
             raise ValueError("churn is set but no churn_script says what it replays")
+        get_testbed(self.testbed)  # an unknown name fails before anything is built
         hosts = (self.hosts if self.hosts is not None
-                 else get_testbed(self.testbed).default_hosts(self.nodes))
+                 else default_host_policy(self.nodes))
         if hosts > MAX_HOSTS:
             raise ValueError(f"cannot lay out {hosts} hosts: the address plan "
                              f"supports at most {MAX_HOSTS}")
@@ -374,7 +376,7 @@ def deploy(name: str, app_factory: Callable, config: Optional[RunConfig] = None,
                 sanitizer.recorder = observability.recorder
         host_count = config.hosts
         ips = host_ips(host_count)
-        built = get_testbed(config.testbed).build(sim, ips, seed)
+        built = get_testbed(config.testbed).builder(sim, ips, seed)
         network = built.network
         if sanitizer is not None:
             sanitizer.watch_network(network)

@@ -60,6 +60,14 @@ SILENCE = 1.25 * REPAIR_INTERVAL + harness.HOP_TIMEOUT
 RouteFailed = harness.LookupFailed
 
 
+def check_digits(bits: int, base_bits: int) -> None:
+    """Refuse a ``bits``-wide identifier that is no whole number of base
+    ``2**base_bits`` digits: the scenario before it deploys, a node of a
+    direct deploy as it starts."""
+    if bits % base_bits:
+        raise ValueError(f"bits ({bits}) must be a multiple of base_bits ({base_bits})")
+
+
 class PastryNode(harness.RoutingNode):
     """One Pastry node, bound to one runtime instance.
 
@@ -80,9 +88,8 @@ class PastryNode(harness.RoutingNode):
     def _configure(self, options: dict) -> None:
         super()._configure(options)
         self.base_bits = int(options.get("base_bits", 4))
-        if self.bits % self.base_bits:
-            raise ValueError(
-                f"bits ({self.bits}) must be a multiple of base_bits ({self.base_bits})")
+        if self.bits % self.base_bits:  # inline: a valid node makes no extra call
+            check_digits(self.bits, self.base_bits)
         self.digits = self.bits // self.base_bits
         self.max_hops = 3 * self.digits + 8
         #: the leaf set, keyed by endpoint, in ``(ip, port)`` order: the union
@@ -497,9 +504,7 @@ class PastryScenario(harness.LookupScenario):
 
     def __init__(self, config: harness.RunConfig, **params) -> None:
         super().__init__(config, **params)
-        if self.bits % self.base_bits:
-            raise ValueError(f"bits ({self.bits}) must be a multiple of "
-                             f"base_bits ({self.base_bits})")
+        check_digits(self.bits, self.base_bits)
 
     def app(self) -> tuple:
         return pastry_factory(), {"bits": self.bits, "base_bits": self.base_bits}

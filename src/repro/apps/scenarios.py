@@ -1,6 +1,6 @@
 """End-to-end experiment scenarios (``python -m repro.apps.scenarios``).
 
-Every registered workload (Chord, Pastry, epidemic gossip, BitTorrent-style
+Each of the four workloads (Chord, Pastry, epidemic gossip, BitTorrent-style
 dissemination — see :mod:`repro.apps.registry`) gets a subcommand with the
 same deployment/churn/measurement plumbing: deploy through the controller
 onto splayd daemons spread over the selected testbed preset (``--testbed``:
@@ -41,7 +41,7 @@ from repro.apps import harness, registry
 from repro.apps.harness import RunConfig
 from repro.core.churn import parse_availability_trace, parse_churn_script
 from repro.sim.gcpolicy import GC_MODES
-from repro.testbeds import testbed_names
+from repro.testbeds import TESTBEDS
 
 
 # ------------------------------------------------------------------ reporting
@@ -136,7 +136,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                           spec: type[harness.Scenario]) -> None:
     parser.add_argument("--seed", type=int, default=_DEFAULTS.seed,
                         help="root determinism seed")
-    parser.add_argument("--testbed", choices=testbed_names(),
+    parser.add_argument("--testbed", choices=list(TESTBEDS),
                         default=_DEFAULTS.testbed,
                         help="deployment environment preset to build")
     parser.add_argument("--ctl-shards", type=int, default=_DEFAULTS.ctl_shards,
@@ -319,7 +319,7 @@ def _dump_flight_recorder(report: dict) -> None:
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The command line: one subcommand per registered workload."""
+    """The command line: one subcommand per workload."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.apps.scenarios",
         description="SPLAY reproduction scenarios")

@@ -179,7 +179,7 @@ class RpcService:
     def _on_message(self, message: Message) -> None:
         payload = message.payload
         if type(payload) is not dict:
-            return  # not RPC traffic; other listeners may handle it
+            return  # a datagram that is not RPC: dropped
         rpc = payload.get("rpc")
         if rpc == _CALL:
             self._serve_call(message, payload, message.src)

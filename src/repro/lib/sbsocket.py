@@ -12,7 +12,7 @@ be injected to emulate lossy links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.blacklist import Blacklist
 from repro.lib.serializer import estimate_size
@@ -86,8 +86,8 @@ class RestrictedSocket:
     transfers) goes through it, so the policy is enforced uniformly.
     """
 
-    __slots__ = ("network", "context", "local", "policy", "stats", "_handlers",
-                 "_listening", "_open_sockets", "_seed", "_rng", "_closed")
+    __slots__ = ("network", "context", "local", "policy", "stats", "_listening",
+                 "_open_sockets", "_seed", "_rng", "_closed")
 
     def __init__(self, network: Network, context: AppContext, local: Address,
                  policy: Optional[SocketPolicy] = None, seed: int = 0):
@@ -96,7 +96,6 @@ class RestrictedSocket:
         self.local = local
         self.policy = policy or SocketPolicy()
         self.stats = SocketStats()
-        self._handlers: List[Callable[[Message], Any]] = []
         self._listening = False
         self._open_sockets = 0
         self._seed = seed
@@ -109,23 +108,17 @@ class RestrictedSocket:
 
     # ------------------------------------------------------------- listening
     def listen(self, handler: Callable[[Message], Any]) -> None:
-        """Register ``handler`` for incoming messages on the local endpoint."""
-        self._check_closed()
-        self._handlers.append(handler)
-        if not self._listening:
-            self._charge_socket()
-            self.network.listen(self.local, self._dispatch, context=self.context)
-            self._listening = True
+        """Hand every message arriving at the local endpoint to ``handler``.
 
-    def _dispatch(self, message: Message) -> None:
-        handlers = self._handlers
-        if len(handlers) == 1:
-            # Nearly every socket has exactly one handler (the RPC service);
-            # skip the defensive copy that guards mutation during iteration.
-            handlers[0](message)
-            return
-        for handler in list(handlers):
-            handler(message)
+        A socket has one receiver (on every instance, its RPC service), which
+        the network calls directly; a second ``listen`` raises ``ValueError``.
+        """
+        self._check_closed()
+        if self._listening:
+            raise ValueError(f"{self.local} already has a receiver")
+        self._charge_socket()
+        self.network.listen(self.local, handler, context=self.context)
+        self._listening = True
 
     # ---------------------------------------------------------------- sending
     def send(self, dst: "Address | NodeRef | dict | str", payload: Any,
@@ -228,7 +221,6 @@ class RestrictedSocket:
         if self._listening:
             self.network.unlisten(self.local)
             self._listening = False
-        self._handlers.clear()
 
 
 def _coerce_address(value: "Address | NodeRef | dict | str") -> Address:

@@ -77,14 +77,10 @@ class TopologyLatency(LatencyModel):
         self.topology = topology
         self.host_attachment = dict(host_attachment)
         self.local_delay = local_delay
-        # The topology's per-source delay rows are indexed directly (one dict
-        # probe + one list index per message), not through path_delay.
+        # The topology's per-source delay rows are indexed directly: one dict
+        # probe + one list index per message.
         self._delay_rows = topology._delay_cache
         self._build_row = topology._build_delay_row
-
-    def attach(self, ip: str, topology_node: int) -> None:
-        """Attach (or re-attach) a host to a topology node."""
-        self.host_attachment[ip] = topology_node
 
     def one_way(self, src_ip: str, dst_ip: str) -> float:
         if src_ip == dst_ip:

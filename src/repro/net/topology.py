@@ -58,7 +58,9 @@ class TransitStubTopology:
         #: stub node -> transit node it hangs off
         self.stub_parent: Dict[int, int] = {}
         # Per-source delay rows: a flat list indexed by (contiguous) node id,
-        # with the host-access component already folded in.  Node ids are
+        # with the host-access component (half the intra-domain delay on each
+        # side, so co-located and remote hosts are consistent) already folded
+        # in; NaN marks an unreachable node.  Node ids are
         # assigned densely in _build, so a list replaces a dict per source
         # (which retained ~15 MB at 500 topology nodes) and the hot lookup
         # is one C-level index.  Float values repeat massively
@@ -132,22 +134,6 @@ class TransitStubTopology:
     def intra_domain_delay(self) -> float:
         """One-way delay between two hosts attached to the same stub node."""
         return self.intra_domain_rtt / 2.0
-
-    def path_delay(self, src_node: int, dst_node: int) -> float:
-        """One-way delay between two topology nodes (shortest path on edge delays).
-
-        A host-access component (half the intra-domain delay on each side) is
-        added so that co-located hosts and remote hosts are consistent.
-        """
-        if src_node == dst_node:
-            return self.intra_domain_delay
-        cache = self._delay_cache.get(src_node)
-        if cache is None:
-            cache = self._build_delay_row(src_node)
-        delay = cache[dst_node]
-        if delay != delay:  # NaN marks an unreachable node
-            raise KeyError(f"no path between topology nodes {src_node} and {dst_node}")
-        return delay
 
     def _build_delay_row(self, src_node: int) -> List[float]:
         # Dijkstra, relaxing exactly as the graph library that is now the

@@ -1,4 +1,4 @@
-"""Pluggable deployment environments (testbeds).
+"""Deployment environments (testbeds).
 
 Paper counterpart: Section 5.4 — the same SPLAY applications run unchanged
 on a local cluster, on ModelNet, on PlanetLab and on mixed deployments
@@ -7,30 +7,18 @@ environment-shaped: a :class:`TestbedSpec` bundles the topology, latency,
 loss, bandwidth and host-load models behind one name, and the harness
 builds whatever the selected spec describes.
 
-Built-in presets (see :mod:`repro.testbeds.presets`): ``transit-stub``
-(the historical default), ``cluster``, ``planetlab`` and ``mixed``.
+The four presets are the :data:`~repro.testbeds.presets.TESTBEDS` table:
+``transit-stub`` (the historical default), ``cluster``, ``planetlab`` and
+``mixed``; a new environment is one more entry there.
 """
 
-from repro.testbeds.spec import (
-    BuiltTestbed,
-    TestbedSpec,
-    UnknownTestbedError,
-    all_specs,
-    default_host_policy,
-    get_testbed,
-    load_builtin,
-    register,
-    testbed_names,
-)
+from repro.testbeds.spec import BuiltTestbed, TestbedSpec, default_host_policy
+from repro.testbeds.presets import TESTBEDS, get_testbed
 
 __all__ = [
     "BuiltTestbed",
+    "TESTBEDS",
     "TestbedSpec",
-    "UnknownTestbedError",
-    "all_specs",
     "default_host_policy",
     "get_testbed",
-    "load_builtin",
-    "register",
-    "testbed_names",
 ]

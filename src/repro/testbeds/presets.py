@@ -1,4 +1,5 @@
-"""Built-in testbed presets: cluster, transit-stub, planetlab, mixed.
+"""The four testbed presets, one :data:`TESTBEDS` table: transit-stub,
+cluster, planetlab, mixed.
 
 Paper counterpart: the evaluation environments of Section 5 — a local
 cluster, the ModelNet transit-stub emulation, PlanetLab (lognormal
@@ -7,8 +8,9 @@ a cluster and PlanetLab at once.  Each preset builds the full substrate
 (latency + loss + bandwidth + host load) for a host address plan; the
 harness deploys the same workloads unchanged on any of them.
 
-All four presets share the historical host-count policy, so
-``--testbed planetlab`` changes the environment, never the deployment size.
+All four presets share one host-count policy
+(:func:`~repro.testbeds.spec.default_host_policy`), so ``--testbed
+planetlab`` changes the environment, never the deployment size.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.net.loss import LossModel
 from repro.net.network import Network
 from repro.net.topology import TransitStubTopology
 from repro.sim.kernel import Simulator
-from repro.testbeds.spec import BuiltTestbed, TestbedSpec, register
+from repro.testbeds.spec import BuiltTestbed, TestbedSpec
 
 #: a dedicated cluster: uniform sub-millisecond one-way delay, gigabit
 #: links, no loss, no host load
@@ -148,27 +150,27 @@ def _build_mixed(sim: Simulator, ips: List[str], seed: int) -> BuiltTestbed:
         })
 
 
-#: the historical default comes first so CLI help lists it first
-TRANSIT_STUB = register(TestbedSpec(
-    name="transit-stub",
-    help="ModelNet transit-stub emulation (the paper's default testbed)",
-    builder=_build_transit_stub,
-))
+#: the four presets, the historical default first so CLI help lists it first
+TESTBEDS = {spec.name: spec for spec in (
+    TestbedSpec(name="transit-stub",
+                help="ModelNet transit-stub emulation (the paper's default testbed)",
+                builder=_build_transit_stub),
+    TestbedSpec(name="cluster",
+                help="dedicated cluster: uniform low latency, lossless gigabit links",
+                builder=_build_cluster),
+    TestbedSpec(name="planetlab",
+                help="PlanetLab: lognormal latencies, substrate loss, overloaded hosts",
+                builder=_build_planetlab),
+    TestbedSpec(name="mixed",
+                help="mixed deployment: one cluster half, one PlanetLab half",
+                builder=_build_mixed),
+)}
 
-CLUSTER = register(TestbedSpec(
-    name="cluster",
-    help="dedicated cluster: uniform low latency, lossless gigabit links",
-    builder=_build_cluster,
-))
 
-PLANETLAB = register(TestbedSpec(
-    name="planetlab",
-    help="PlanetLab: lognormal latencies, substrate loss, overloaded hosts",
-    builder=_build_planetlab,
-))
-
-MIXED = register(TestbedSpec(
-    name="mixed",
-    help="mixed deployment: one cluster half, one PlanetLab half",
-    builder=_build_mixed,
-))
+def get_testbed(name: str) -> TestbedSpec:
+    """The preset called ``name``; a ``KeyError`` names the known ones."""
+    try:
+        return TESTBEDS[name]
+    except KeyError:
+        known = ", ".join(TESTBEDS)
+        raise KeyError(f"unknown testbed {name!r} (known: {known})") from None

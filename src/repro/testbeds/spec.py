@@ -1,17 +1,18 @@
-"""Testbed specifications and their registry.
+"""Testbed specifications.
 
 A *testbed* is everything environment-shaped about a deployment: the
 topology (if any), the latency model, the loss model, the host-load /
-processing-delay model, link capacities and the default host-count policy.
-Workloads never see any of it directly — the harness resolves a testbed by
-name, asks it to build the network substrate, and deploys the same job on
+processing-delay model and link capacities.
+Workloads never see any of it directly — the harness looks a testbed up by
+name, calls its builder for the network substrate, and deploys the same job on
 whatever comes back.  That is the paper's Section 5.4 contract: the same
 application runs unchanged on a local cluster, on PlanetLab, or on a mixed
 deployment spanning both.
 
 Public entry points: :class:`TestbedSpec` (one named environment),
-:class:`BuiltTestbed` (the substrate a builder returns), and the registry
-functions :func:`register` / :func:`get_testbed` / :func:`testbed_names`.
+:class:`BuiltTestbed` (the substrate a builder returns) and
+:func:`default_host_policy` (the host count of every testbed); the four
+presets are :data:`repro.testbeds.presets.TESTBEDS`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
 
-class UnknownTestbedError(KeyError):
-    """Raised when looking up a testbed name nobody registered."""
-
-
 def default_host_policy(nodes: int) -> int:
-    """The historical host-count heuristic: half the instances, at least 8."""
+    """The host count of every testbed: half the instances, at least 8, so
+    switching testbeds never changes the deployment size."""
     return max(8, nodes // 2)
 
 
@@ -58,10 +56,7 @@ class TestbedSpec:
 
     ``builder`` receives ``(sim, ips, seed)`` — the simulator, the host
     address plan and the root seed — and returns a fully wired
-    :class:`BuiltTestbed`.  ``default_hosts`` maps an instance count to the
-    testbed's default host count (every built-in uses the historical
-    ``max(8, nodes // 2)`` so switching testbeds never silently changes the
-    deployment size).
+    :class:`BuiltTestbed`.
     """
 
     #: not a test class, whatever pytest thinks of the name
@@ -70,46 +65,3 @@ class TestbedSpec:
     name: str
     help: str
     builder: Callable[[Simulator, List[str], int], BuiltTestbed]
-    default_hosts: Callable[[int], int] = default_host_policy
-
-    def build(self, sim: Simulator, ips: List[str], seed: int) -> BuiltTestbed:
-        built = self.builder(sim, ips, seed)
-        built.name = self.name
-        return built
-
-
-_REGISTRY: Dict[str, TestbedSpec] = {}
-
-
-def register(spec: TestbedSpec) -> TestbedSpec:
-    """Add ``spec`` to the registry (idempotent for the same object)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing is not spec:
-        raise ValueError(f"testbed {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get_testbed(name: str) -> TestbedSpec:
-    load_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise UnknownTestbedError(
-            f"unknown testbed {name!r} (known: {known})") from None
-
-
-def all_specs() -> List[TestbedSpec]:
-    """Registered specs, in registration order (transit-stub first)."""
-    load_builtin()
-    return list(_REGISTRY.values())
-
-
-def testbed_names() -> List[str]:
-    return [spec.name for spec in all_specs()]
-
-
-def load_builtin() -> None:
-    """Import the built-in preset module (it registers on import)."""
-    from repro.testbeds import presets  # noqa: F401  (local: import cycle)

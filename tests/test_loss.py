@@ -202,7 +202,7 @@ def test_rpc_survives_the_planetlab_testbed_substrate_loss():
     """The planetlab preset's 2% substrate loss is absorbed by RPC retries."""
     sim = Simulator(21)
     ips = harness.host_ips(4)
-    built = get_testbed("planetlab").build(sim, ips, seed=21)
+    built = get_testbed("planetlab").builder(sim, ips, 21)
     network = built.network
     assert network.loss.default_rate > 0
     _c1, events1, socket1 = _endpoint(sim, network, ips[0])

@@ -58,15 +58,16 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
 #: spawn itself allocates (context, events, socket, logger, RPC service,
 #: handle, table entries) before the application does anything.  Measured
-#: ~2.04 KB on CPython 3.11; ~2.12 KB while the context kept a timer list of
-#: its own; ~2.20 KB, measured the same way, while the job
-#: kept a placement record per instance and the socket counted received
-#: traffic.  The RPC service's round-trip estimate (four slots and an empty
-#: ``rto`` dict) added ~0.1 KB; it was ~2.44 KB with an unlisten closure per
-#: listener and a formatted name per thread, and ~4.1 KB while the sandbox
-#: FS, log sink and budget, RPC built-in table, options copy and reap
-#: closure were built per instance.
-IDLE_INSTANCE_CEILING_BYTES = 2_400
+#: ~1.88 KB on CPython 3.11; ~2.04 KB while a socket kept a list of
+#: receivers and a bound dispatcher that called them; ~2.12 KB while the
+#: context kept a timer list of its own; ~2.20 KB, measured the same way,
+#: while the job kept a placement record per instance and the socket
+#: counted received traffic.  The RPC service's round-trip estimate (four
+#: slots and an empty ``rto`` dict) added ~0.1 KB; it was ~2.44 KB with an
+#: unlisten closure per listener and a formatted name per thread, and
+#: ~4.1 KB while the sandbox FS, log sink and budget, RPC built-in table,
+#: options copy and reap closure were built per instance.
+IDLE_INSTANCE_CEILING_BYTES = 2_100
 
 
 def test_idle_instance_stays_under_its_memory_ceiling():
@@ -169,7 +170,6 @@ class BusyApp:
         events, rpc = instance.events, instance.rpc
         rpc.register("echo", self.echo)
         rpc.register("slow_echo", self.slow_echo)
-        instance.socket.listen(self._on_datagram)
         instance.context.add_cleanup(self._tick)
         events.periodic(self._tick, 2.0, jitter=0.5)
         events.thread(self._tick, delay=30.0)
@@ -183,9 +183,6 @@ class BusyApp:
     def slow_echo(self, value):
         yield 40.0
         return value
-
-    def _on_datagram(self, message):
-        pass
 
     def _tick(self):
         pass

@@ -97,6 +97,20 @@ def test_listener_tied_to_dead_context_stops_receiving():
     assert not network.is_listening(dst)
 
 
+def test_a_socket_refuses_a_second_receiver_and_keeps_the_first():
+    sim, network, _a, _b = _net()
+    socket = RestrictedSocket(network, AppContext(sim), Address("10.0.0.2", 2),
+                              policy=SocketPolicy(max_sockets=1))
+    first, second = [], []
+    socket.listen(first.append)
+    with pytest.raises(ValueError, match="already has a receiver"):
+        socket.listen(second.append)
+    network.send(Address("10.0.0.1", 1), socket.local, "x", 10)
+    sim.run()
+    assert [message.payload for message in first] == ["x"] and second == []
+    assert socket._open_sockets == 1  # the refused receiver took no slot
+
+
 def test_handler_errors_are_recorded_not_raised_by_default():
     sim, network, _a, _b = _net()
     dst = Address("10.0.0.2", 2)

@@ -289,7 +289,6 @@ def test_fifty_node_churning_chord_acceptance(workload, tmp_path):
     from repro.apps import registry
     from repro.apps.harness import report_digest
 
-    registry.load_builtin()
     runner = registry.get_spec(workload).runner
     config = RunConfig(nodes=50, hosts=25, seed=7, churn=True, duration="short")
     plain = runner(config, lookups=25)

@@ -88,6 +88,13 @@ def _run_lookup(sim, app, key, patience=60.0):
     return box["owner"], box["hops"]
 
 
+def test_a_direct_deploy_refuses_bits_that_are_no_multiple_of_base_bits():
+    # the scenario refuses them before it deploys; the node checks the same way
+    with pytest.raises(ValueError) as excinfo:
+        _deploy(nodes=2, factory=lambda: PastryNode.factory(bits=30, base_bits=4))
+    assert str(excinfo.value) == "bits (30) must be a multiple of base_bits (4)"
+
+
 def test_every_node_joins_and_builds_leaf_sets():
     sim, _controller, job = _deploy(nodes=10)
     sim.run(until=60.0)

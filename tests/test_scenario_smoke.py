@@ -166,6 +166,13 @@ def test_cli_refuses_a_workload_parameter_below_one_before_it_deploys(argv, caps
     assert captured.err == f"error: {name} must be at least 1, not {argv[2]}\n"
 
 
+def test_cli_refuses_bits_that_are_no_multiple_of_base_bits_before_it_deploys(capsys):
+    assert main(["pastry", "--bits", "30", "--base-bits", "4", "--nodes", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bits (30) must be a multiple of base_bits (4)\n"
+
+
 _REPO = Path(__file__).resolve().parent.parent
 _QUOTING = ["README.md", "docs/*.md", ".claude/skills/verify/SKILL.md",
             ".github/workflows/ci.yml"]

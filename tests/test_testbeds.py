@@ -1,4 +1,4 @@
-"""Testbeds: preset registry, substrate properties, digest compatibility."""
+"""Testbeds: the preset table, substrate properties, digest compatibility."""
 
 from dataclasses import replace
 
@@ -10,14 +10,7 @@ from repro.apps.gossip import run_gossip_scenario
 from repro.apps.harness import RunConfig
 from repro.net.hostload import HostLoadModel
 from repro.sim.kernel import Simulator
-from repro import testbeds
-from repro.testbeds import (
-    BuiltTestbed,
-    TestbedSpec,
-    UnknownTestbedError,
-    get_testbed,
-    register,
-)
+from repro.testbeds import TESTBEDS, get_testbed
 from repro.testbeds.presets import (
     CLUSTER_ONE_WAY_DELAY,
     PLANETLAB_LINK_BPS,
@@ -49,33 +42,29 @@ PRE_TESTBEDS_DIGESTS = {
 def _build(name, hosts=8, seed=0):
     sim = Simulator(seed)
     ips = harness.host_ips(hosts)
-    return sim, ips, get_testbed(name).build(sim, ips, seed)
+    return sim, ips, get_testbed(name).builder(sim, ips, seed)
 
 
-# ------------------------------------------------------------------- registry
+# --------------------------------------------------------------------- table
 def test_builtin_presets_are_registered_with_the_default_first():
-    names = testbeds.testbed_names()
-    assert names[0] == "transit-stub"
-    assert set(names) >= {"transit-stub", "cluster", "planetlab", "mixed"}
+    assert list(TESTBEDS) == ["transit-stub", "cluster", "planetlab", "mixed"]
+    assert all(spec.name == name for name, spec in TESTBEDS.items())
 
 
 def test_unknown_testbed_raises_with_known_names():
-    with pytest.raises(UnknownTestbedError, match="transit-stub"):
+    with pytest.raises(KeyError) as excinfo:
         get_testbed("modelnet-xl")
-
-
-def test_registering_a_conflicting_name_is_rejected():
-    def _builder(sim, ips, seed):  # pragma: no cover - never built
-        return BuiltTestbed(name="cluster", network=None)
-
-    with pytest.raises(ValueError, match="already registered"):
-        register(TestbedSpec(name="cluster", help="imposter", builder=_builder))
+    assert type(excinfo.value) is KeyError
+    assert "transit-stub, cluster, planetlab, mixed" in str(excinfo.value)
+    # the run configuration refuses it before anything is built
+    with pytest.raises(KeyError, match="modelnet-xl"):
+        RunConfig(testbed="modelnet-xl", hosts=4).resolved()
 
 
 def test_every_preset_shares_the_default_host_policy():
-    for name in testbeds.testbed_names():
-        assert get_testbed(name).default_hosts(50) == 25
-        assert get_testbed(name).default_hosts(4) == 8
+    for name in TESTBEDS:
+        assert RunConfig(testbed=name, nodes=50).resolved().hosts == 25
+        assert RunConfig(testbed=name, nodes=4).resolved().hosts == 8
 
 
 # -------------------------------------------------------------------- presets

@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from repro.net.latency import TopologyLatency
 from repro.net.topology import TransitStubTopology
 
 nx = pytest.importorskip("networkx")
@@ -91,7 +92,8 @@ def test_unreachable_node_raises_key_error():
     topology = TransitStubTopology(2, 3, 3, 8, seed=1)
     island = topology.node_count
     topology._adj[island] = {}
+    latency = TopologyLatency(topology, {"10.0.0.1": 0, "10.0.0.2": island})
     with pytest.raises(KeyError, match="no path"):
-        topology.path_delay(0, island)
+        latency.one_way("10.0.0.1", "10.0.0.2")
     with pytest.raises(KeyError, match="no path"):
-        topology.path_delay(island, 0)
+        latency.one_way("10.0.0.2", "10.0.0.1")
