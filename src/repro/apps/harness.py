@@ -1297,12 +1297,18 @@ RPC_COUNTERS = ("calls_sent", "calls_received", "replies_sent", "replies_receive
 
 
 def rpc_totals(job: Job) -> dict:
-    """RPC counters summed over the instances alive at the end of the run."""
+    """RPC counters summed over the instances alive at the end of the run.
+
+    An instance that never used ``instance.rpc`` has no service and counts
+    zero: reading its counters builds nothing.
+    """
     totals = dict.fromkeys(RPC_COUNTERS, 0)
     for instance in job.live_instances():
-        stats = instance.rpc.stats
-        for key in totals:
-            totals[key] += getattr(stats, key)
+        service = instance._rpc
+        if service is not None:
+            stats = service.stats
+            for key in totals:
+                totals[key] += getattr(stats, key)
     return totals
 
 

@@ -138,7 +138,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser,
                         help="root determinism seed")
     parser.add_argument("--testbed", choices=list(TESTBEDS),
                         default=_DEFAULTS.testbed,
-                        help="deployment environment preset to build")
+                        help="deployment environment preset to build: " + "; ".join(
+                            f"{name} - {testbed.help}" for name, testbed in TESTBEDS.items()))
     parser.add_argument("--ctl-shards", type=int, default=_DEFAULTS.ctl_shards,
                         metavar="N",
                         help="controller front-ends sharing the controller's tables "

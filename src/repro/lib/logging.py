@@ -56,11 +56,11 @@ class LogRecord:
 class LogBudget:
     """Restriction on the amount of data an instance may ship to the collector."""
 
-    max_bytes: Optional[int] = None
+    max_bytes: int
     sent_bytes: int = 0
 
     def admit(self, record_size: int) -> bool:
-        if self.max_bytes is not None and self.sent_bytes + record_size > self.max_bytes:
+        if self.sent_bytes + record_size > self.max_bytes:
             return False
         self.sent_bytes += record_size
         return True
@@ -83,7 +83,8 @@ class SplayLogger:
     max_bytes:
         Restriction (in bytes) on remote shipping, enforced by the daemon;
         the :class:`LogBudget` that counts against it is allocated on the
-        first shipped record.
+        first shipped record.  ``None`` ships every record and allocates no
+        budget.
     clock:
         Callable returning the current virtual time.
     """
@@ -100,16 +101,11 @@ class SplayLogger:
         self.level = LogLevel.coerce(level)
         self.remote_sink = remote_sink
         self.max_bytes = max_bytes
-        # The shipping budget is allocated on first use: at 10k nodes, most
-        # instances log a handful of records (or none).
+        # The shipping budget is allocated on first use, and only under a
+        # limit: at 10k nodes, most instances log a handful of records (or
+        # none).
         self._budget: Optional[LogBudget] = None
         self.clock = clock
-
-    @property
-    def budget(self) -> LogBudget:
-        if self._budget is None:
-            self._budget = LogBudget(max_bytes=self.max_bytes)
-        return self._budget
 
     # -------------------------------------------------------------- emitters
     def log(self, level: LogLevel | str, message: Any,
@@ -130,10 +126,15 @@ class SplayLogger:
                            fields=fields or None)
         sink = self.remote_sink
         if sink is not None:
-            if self.budget.admit(len(record.message) + 32):
-                sink.ship(record)
-            else:
-                sink.refused += 1
+            max_bytes = self.max_bytes
+            if max_bytes is not None:
+                budget = self._budget
+                if budget is None:
+                    budget = self._budget = LogBudget(max_bytes)
+                if not budget.admit(len(record.message) + 32):
+                    sink.refused += 1
+                    return record
+            sink.ship(record)
         return record
 
     def debug(self, message: Any, **fields: Any) -> Optional[LogRecord]:

@@ -62,7 +62,7 @@ class Observability:
         self.sim = sim
         self.metrics_enabled = metrics
         self.recorder = FlightRecorder()
-        self.tracer = (Tracer(clock=lambda: sim.now, recorder=self.recorder)
+        self.tracer = (Tracer(clock=sim.clock, recorder=self.recorder)
                        if tracing else None)
         self.profiler = KernelProfiler() if profile else None
         # Origin-stamping hook ``Simulator.schedule`` consults; None keeps the

@@ -181,8 +181,7 @@ class Controller:
         if obs is not None and obs.metrics_enabled:
             # imported here: a run without metrics never loads repro.obs
             from repro.obs.metrics import MetricsRegistry
-            sim = self.sim
-            job.metrics = MetricsRegistry(clock=lambda: sim.now)
+            job.metrics = MetricsRegistry(clock=self.sim.clock)
         self.jobs[job.job_id] = job
         self.claims[job.job_id] = shard
         shard.jobs_claimed += 1
@@ -373,7 +372,8 @@ class Controller:
         collector.flush()
         churn = self.churn_managers.get(job.job_id)
         churn = churn.stats if churn is not None else ChurnStats()
-        sockets = [i.socket.stats for i in job.instances]
+        # an instance that never used its socket sent nothing: none is built
+        sockets = [i._socket.stats for i in job.instances if i._socket is not None]
         return {
             "job_id": job.job_id,
             "name": job.spec.name,

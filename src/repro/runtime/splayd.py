@@ -6,12 +6,15 @@ process; the local administrator sets resource limits that the controller
 can only further restrict."
 
 In this reproduction a :class:`Splayd` owns one simulated :class:`Host` on
-the network.  Spawning an instance creates a fresh
-:class:`~repro.sim.events_api.AppContext` plus the full sandbox stack around
-it — restricted socket (merged policy), sandboxed filesystem (merged
-quotas), logger (wired to the job's log collector) and RPC service — and
-then hands the bundle to the job's application factory.  Killing the context
-tears everything down instantly, which is exactly what churn exploits.
+the network.  Spawning an instance reserves its endpoint and creates a fresh
+:class:`~repro.sim.events_api.AppContext`, its events API and its logger
+(wired to the job's log collector), then hands the handle to the job's
+application factory.  The other libraries are built on first use, as a
+SPLAY application loads what it ``require``-s: the restricted socket
+(merged policy), the RPC service that listens on it, the node's own
+reference and the sandboxed filesystem (merged quotas).  Killing the
+context tears everything down instantly, which is exactly what churn
+exploits.
 
 Public entry points: :class:`Splayd` (``spawn`` / ``stop_instance``, which
 the controller calls in one round per daemon per control action, plus
@@ -72,30 +75,34 @@ class Instance:
 
     This is the object handed to the application factory — the equivalent of
     the ``job`` table a SPLAY application receives: ``instance.me`` is the
-    node's own reference, ``instance.events``/``rpc``/``fs``/``logger`` are
-    the sandboxed libraries, and ``instance.options`` carries the job's
-    deployment options (the job's own dict, shared by every instance:
-    read-only for applications).
+    node's own reference, ``instance.events``/``rpc``/``socket``/``fs``/
+    ``logger`` are the sandboxed libraries, and ``instance.options`` carries
+    the job's deployment options (the job's own dict, shared by every
+    instance: read-only for applications).
+
+    ``socket``, ``rpc``, ``me`` and ``fs`` are built on first use, so an
+    instance pays only for the libraries it uses: the first ``rpc`` builds
+    the socket and starts listening on it.  ``address`` is reserved from
+    spawn to death whether anything listens on it or not.
     """
 
-    __slots__ = ("job", "instance_id", "daemon", "context", "events",
-                 "socket", "rpc", "_fs", "logger", "me", "options", "app")
+    __slots__ = ("job", "instance_id", "daemon", "context", "events", "address",
+                 "_socket", "_rpc", "_me", "_fs", "logger", "options", "app")
 
     def __init__(self, job: Job, instance_id: int, daemon: "Splayd",
-                 context: AppContext, events: Events, socket: RestrictedSocket,
-                 rpc: RpcService, logger: SplayLogger):
+                 context: AppContext, events: Events, address: Address,
+                 logger: SplayLogger):
         self.job = job
         self.instance_id = instance_id
         self.daemon = daemon
         self.context = context
         self.events = events
-        self.socket = socket
-        self.rpc = rpc
-        # The sandboxed filesystem materialises on first use: no bundled
-        # workload touches it, and it is two containers per instance.
+        self.address = address
+        self._socket: Optional[RestrictedSocket] = None
+        self._rpc: Optional[RpcService] = None
+        self._me: Optional[NodeRef] = None
         self._fs: Optional[SandboxedFS] = None
         self.logger = logger
-        self.me = NodeRef.from_address(socket.local)
         self.options: Dict[str, Any] = job.spec.options
         #: set by the daemon after the app factory runs
         self.app: Any = None
@@ -105,8 +112,35 @@ class Instance:
         return self.context.alive
 
     @property
-    def address(self) -> Address:
-        return self.socket.local
+    def socket(self) -> RestrictedSocket:
+        socket = self._socket
+        if socket is None:
+            daemon, stricter = self.daemon, self.job.spec.socket_policy
+            policy = daemon.limits.socket_policy
+            if stricter is not None:
+                policy = policy.merged_with(stricter)
+            socket = self._socket = RestrictedSocket(
+                daemon.network, self.context, self.address, policy=policy,
+                seed=daemon.sim.seed)
+        return socket
+
+    @property
+    def rpc(self) -> RpcService:
+        rpc = self._rpc
+        if rpc is None:
+            rpc = RpcService(self.socket, self.events)  # listens
+            if self.job.metrics is not None:
+                # Per job like the log sink: one registry for every instance.
+                rpc.bind_metrics(self.job.metrics)
+            self._rpc = rpc
+        return rpc
+
+    @property
+    def me(self) -> NodeRef:
+        me = self._me
+        if me is None:
+            me = self._me = NodeRef.from_address(self.address)
+        return me
 
     @property
     def fs(self) -> SandboxedFS:
@@ -123,7 +157,8 @@ class Instance:
         (controller stop, host failure, the app's own ``events.exit()``), so
         this is where the daemon's and the job's tables let the handle go."""
         self.daemon.instances.pop(self, None)  # frees the slot and the port
-        self.socket.close()
+        if self._socket is not None:
+            self._socket.close()
         if self._fs is not None:
             self._fs.wipe()
         self.job.record_death(self)
@@ -151,6 +186,8 @@ class Splayd:
         job's own restrictions.
     """
 
+    __slots__ = ("sim", "network", "host", "ip", "limits", "instances")
+
     def __init__(self, sim: Simulator, network: Network, ip: str,
                  limits: Optional[SplaydLimits] = None):
         self.sim = sim
@@ -162,9 +199,6 @@ class Splayd:
         #: this order); the reap hook pops a handle on any death.  Also the
         #: port table: a port is reserved iff a handle in here holds it.
         self.instances: Dict[Instance, None] = {}
-        # One clock closure shared by every instance logger on this host
-        # (one per spawn was measurable at 10k nodes).
-        self._clock = lambda: self.sim.now
         network.add_host(self.host)
 
     # ---------------------------------------------------------------- queries
@@ -188,28 +222,19 @@ class Splayd:
         address = self._allocate_address(spec.base_port)
         name = f"{spec.name}#{job.job_id}.i{instance_id}@{address.ip}:{address.port}"
         context = AppContext(self.sim, name=name)
-        events = Events(self.sim, context)
-        policy = limits.socket_policy
-        if spec.socket_policy is not None:
-            policy = policy.merged_with(spec.socket_policy)
-        socket = RestrictedSocket(self.network, context, address,
-                                  policy=policy, seed=self.sim.seed)
         logger = SplayLogger(
             source=name, level=spec.log_level, remote_sink=job.log_sink,
             max_bytes=stricter_limit(limits.log_max_bytes, spec.log_max_bytes),
-            clock=self._clock, host=address.ip)
-        rpc = RpcService(socket, events)
-        if job.metrics is not None:
-            # Per job like the log sink: one registry for every instance.
-            rpc.bind_metrics(job.metrics)
-        instance = Instance(job, instance_id, self, context, events, socket, rpc, logger)
+            clock=self.sim.clock, host=address.ip)
+        instance = Instance(job, instance_id, self, context, Events(self.sim, context),
+                            address, logger)
         self.instances[instance] = None
         context.add_cleanup(instance._reap)
         try:
             app = spec.app_factory(instance)
         except Exception:
             # A broken application factory must not leave a half-built
-            # instance holding a slot, port and listener on this daemon.
+            # instance holding a slot, port or listener on this daemon.
             context.kill("app factory failed")
             raise
         if context.alive:  # a factory may exit on its own: a dead handle keeps no app
@@ -222,7 +247,7 @@ class Splayd:
         or not) and by no listener on the network."""
         taken = set()
         for instance in self.instances:  # a comprehension is a frame per spawn
-            taken.add(instance.socket.local.port)
+            taken.add(instance.address.port)
         for port in range(base_port, 65536):
             if port not in taken:
                 address = Address(self.ip, port)

@@ -30,6 +30,7 @@ started with no delay takes its first step, inside the event that caused it
 from __future__ import annotations
 
 import random
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -84,6 +85,10 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now: float = 0.0
+        #: :attr:`now` as a zero-argument callable, one object per simulator
+        #: that every instance logger, the metrics registry and the tracer
+        #: share; a C-level partial, so a read runs no Python frame
+        self.clock: Callable[[], float] = partial(getattr, self, "_now")
         self._seq: int = 0
         self._stop_requested = False
         self.seed = seed

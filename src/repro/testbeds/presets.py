@@ -62,7 +62,7 @@ def _build_transit_stub(sim: Simulator, ips: List[str], seed: int) -> BuiltTestb
     for ip in ips:
         network.bandwidth.set_capacity(ip, topology.link_bandwidth_bps,
                                        topology.link_bandwidth_bps)
-    return BuiltTestbed(name="transit-stub", network=network, topology=topology,
+    return BuiltTestbed(network=network, topology=topology,
                         description=topology.describe())
 
 
@@ -72,7 +72,7 @@ def _build_cluster(sim: Simulator, ips: List[str], seed: int) -> BuiltTestbed:
     for ip in ips:
         network.bandwidth.set_capacity(ip, CLUSTER_LINK_BPS, CLUSTER_LINK_BPS)
     return BuiltTestbed(
-        name="cluster", network=network,
+        network=network,
         description={
             "testbed": "cluster",
             "hosts": len(ips),
@@ -97,7 +97,7 @@ def _build_planetlab(sim: Simulator, ips: List[str], seed: int) -> BuiltTestbed:
         network.bandwidth.set_capacity(ip, PLANETLAB_LINK_BPS, PLANETLAB_LINK_BPS)
     load.attach(network, ips)
     return BuiltTestbed(
-        name="planetlab", network=network,
+        network=network,
         description={
             "testbed": "planetlab",
             "hosts": len(ips),
@@ -140,7 +140,7 @@ def _build_mixed(sim: Simulator, ips: List[str], seed: int) -> BuiltTestbed:
         network.bandwidth.set_capacity(ip, PLANETLAB_LINK_BPS, PLANETLAB_LINK_BPS)
     load.attach(network, planetlab_ips)
     return BuiltTestbed(
-        name="mixed", network=network, groups=groups,
+        network=network, groups=groups,
         description={
             "testbed": "mixed",
             "hosts": len(ips),

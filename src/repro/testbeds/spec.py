@@ -43,7 +43,6 @@ class BuiltTestbed:
     to its sub-testbed name on mixed deployments (empty otherwise).
     """
 
-    name: str
     network: Network
     topology: Optional[Any] = None
     description: Dict[str, Any] = field(default_factory=dict)
@@ -56,7 +55,8 @@ class TestbedSpec:
 
     ``builder`` receives ``(sim, ips, seed)`` — the simulator, the host
     address plan and the root seed — and returns a fully wired
-    :class:`BuiltTestbed`.
+    :class:`BuiltTestbed`; ``help`` is the preset's line in the CLI's
+    ``--testbed`` help.
     """
 
     #: not a test class, whatever pytest thinks of the name

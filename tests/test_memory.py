@@ -56,18 +56,19 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 
 
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
-#: spawn itself allocates (context, events, socket, logger, RPC service,
-#: handle, table entries) before the application does anything.  Measured
-#: ~1.88 KB on CPython 3.11; ~2.04 KB while a socket kept a list of
-#: receivers and a bound dispatcher that called them; ~2.12 KB while the
-#: context kept a timer list of its own; ~2.20 KB, measured the same way,
-#: while the job kept a placement record per instance and the socket
-#: counted received traffic.  The RPC service's round-trip estimate (four
-#: slots and an empty ``rto`` dict) added ~0.1 KB; it was ~2.44 KB with an
-#: unlisten closure per listener and a formatted name per thread, and
+#: spawn itself allocates (context, events, logger, handle, endpoint, table
+#: entries) before the application does anything; the socket, RPC service
+#: and ``me`` are built on first use.  Measured 970 B on CPython 3.11 (954
+#: on 3.12, 1,030 on 3.10); ~1.88 KB while every spawn built the socket,
+#: the RPC service with its listener and ``me``; ~2.04 KB while a socket
+#: kept a list of receivers and a bound dispatcher that called them;
+#: ~2.12 KB while the context kept a timer list of its own; ~2.20 KB,
+#: measured the same way, while the job kept a placement record per
+#: instance and the socket counted received traffic.  It was ~2.44 KB with
+#: an unlisten closure per listener and a formatted name per thread, and
 #: ~4.1 KB while the sandbox FS, log sink and budget, RPC built-in table,
 #: options copy and reap closure were built per instance.
-IDLE_INSTANCE_CEILING_BYTES = 2_100
+IDLE_INSTANCE_CEILING_BYTES = 1_090
 
 
 def test_idle_instance_stays_under_its_memory_ceiling():
@@ -124,11 +125,13 @@ def test_thread_stays_under_its_memory_ceiling():
 
 #: committed ceiling for Python-allocated bytes per registered *host*: the
 #: daemon with its instance table, the host record, latency attachment, link
-#: capacities and job-store entries.  Measured 1,219 B on CPython 3.11; it
-#: was 1,548 B while every daemon also kept a reserved-port set, a sink table
-#: and a second back-pointer, and ~1.87 KB with one ``SplaydLimits`` +
+#: capacities and job-store entries.  Measured 546 B on CPython 3.11 (544 on
+#: 3.12, 606 on 3.10); 845 B while the daemon kept a ``__dict__`` and a
+#: clock closure of its own for its instances' loggers.  It was 1,548 B
+#: while every daemon also kept a reserved-port set, a sink table and a
+#: second back-pointer, and ~1.87 KB with one ``SplaydLimits`` +
 #: ``SocketPolicy`` pair per host.
-HOST_CEILING_BYTES = 1_400
+HOST_CEILING_BYTES = 620
 
 
 def test_host_stays_under_its_memory_ceiling():

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.apps import harness
 from repro.core.blacklist import Blacklist
 from repro.core.jobs import JobSpec, JobState
 from repro.lib.rpc import RpcError
@@ -124,7 +125,8 @@ def test_fs_quota_is_the_stricter_of_daemon_and_job():
 
 def test_kill_instance_tears_down_sandbox_and_frees_the_slot():
     sim, network, controller = _world(daemons=1, max_instances=1)
-    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+    # the app uses its RPC library, so the instance listens
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: i.rpc,
                                     instances=1))
     (instance,) = controller.start(job)
     daemon = instance.daemon
@@ -137,6 +139,71 @@ def test_kill_instance_tears_down_sandbox_and_frees_the_slot():
     assert job.live_count == 0
     # The freed slot can host a replacement instance.
     assert len(controller.start_instances(job, 1)) == 1
+
+
+# ------------------------------------------------ libraries built on first use
+def test_an_app_that_uses_no_library_holds_only_its_port():
+    sim, network, controller = _world(daemons=1, max_instances=2)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=1, base_port=30000))
+    (idle,) = controller.start(job)
+    # no socket, no socket charge, no listener, no RPC service, no reference
+    assert (idle._socket, idle._rpc, idle._me) == (None, None, None)
+    assert not network.is_listening(idle.address)
+    # the port is reserved all the same, until the instance dies
+    (neighbour,) = controller.start_instances(job, 1)
+    assert (idle.address.port, neighbour.address.port) == (30000, 30001)
+    controller.kill_instance(idle, reason="test")
+    assert idle._socket is None  # the teardown built nothing either
+    (replacement,) = controller.start_instances(job, 1)
+    assert replacement.address.port == 30000
+    # a dead sandbox loads no library
+    with pytest.raises(SocketRestrictionError, match="closed"):
+        idle.rpc
+
+
+def test_the_first_rpc_listens_charges_one_socket_and_binds_the_metrics():
+    deployment = harness.deploy("lazy", lambda i: None, nodes=2, hosts=1, seed=1,
+                                join_window=0.0, warmup_grace=0.0, settle=0.0,
+                                metrics=True, gc_policy="off")
+    first, second = deployment.job.live_instances()
+    rpc = first.rpc
+    assert first.rpc is rpc and first.socket is rpc.socket
+    assert deployment.network.is_listening(first.address)
+    assert first.socket._open_sockets == 1
+    assert rpc._metrics is deployment.job.metrics is not None
+    assert first.me.address == first.address
+    # only the instance that used it
+    assert second._rpc is None and not deployment.network.is_listening(second.address)
+
+
+def test_killing_an_instance_that_listens_frees_its_port_and_listener():
+    sim, network, controller = _world(daemons=1, max_instances=1)
+    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
+                                    instances=1))
+    (instance,) = controller.start(job)
+    address = instance.address
+    # first used after the spawn, so its cleanup comes after the daemon's reap
+    call = instance.rpc.call("10.0.0.9:1", "anything", timeout=5.0)
+    assert network.is_listening(address) and instance.rpc.pending_calls == 1
+    controller.kill_instance(instance, reason="test")
+    assert (address.ip, address.port) not in network._listeners
+    assert instance.rpc.pending_calls == 0 and call.cancelled()
+    (replacement,) = controller.start_instances(job, 1)
+    assert replacement.address == address  # the port is free again
+    assert replacement.rpc and network.is_listening(address)  # and so is the endpoint
+
+
+def test_a_report_over_instances_without_rpc_builds_no_service():
+    deployment = harness.deploy("no-rpc", lambda i: None, nodes=4, hosts=2, seed=1,
+                                join_window=0.0, warmup_grace=0.0, settle=0.0,
+                                metrics=True, gc_policy="off")
+    instances = deployment.job.live_instances()
+    report = harness.base_report("no-rpc", deployment)
+    assert all(i._rpc is None and i._socket is None for i in instances)
+    assert set(report["rpc"].values()) == {0}
+    assert set(harness.rpc_totals(deployment.job).values()) == {0}
+    assert (report["job"]["bytes_sent"], report["job"]["messages_sent"]) == (0, 0)
 
 
 def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():

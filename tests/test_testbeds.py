@@ -8,6 +8,7 @@ from repro.apps import harness
 from repro.apps.chord import run_chord_scenario
 from repro.apps.gossip import run_gossip_scenario
 from repro.apps.harness import RunConfig
+from repro.apps.scenarios import main
 from repro.net.hostload import HostLoadModel
 from repro.sim.kernel import Simulator
 from repro.testbeds import TESTBEDS, get_testbed
@@ -49,6 +50,16 @@ def _build(name, hosts=8, seed=0):
 def test_builtin_presets_are_registered_with_the_default_first():
     assert list(TESTBEDS) == ["transit-stub", "cluster", "planetlab", "mixed"]
     assert all(spec.name == name for name, spec in TESTBEDS.items())
+
+
+def test_scenario_help_names_every_preset_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["chord", "--help"])
+    assert exited.value.code == 0
+    # argparse wraps (also at hyphens): compare with the whitespace taken out
+    shown = "".join(capsys.readouterr().out.split())
+    for name, spec in TESTBEDS.items():
+        assert "".join(f"{name} - {spec.help}".split()) in shown
 
 
 def test_unknown_testbed_raises_with_known_names():
