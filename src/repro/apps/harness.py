@@ -35,9 +35,7 @@ that runs it), :func:`lookup_stream` / :func:`drain`, and :func:`base_report`
 
 from __future__ import annotations
 
-import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -56,7 +54,7 @@ from repro.runtime.splayd import Splayd, SplaydLimits
 from repro.sim.futures import Future, FutureCancelled
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, ProcessKilled
-from repro.sim.rng import substream
+from repro.sim.rng import sha256, substream
 from repro.testbeds import default_host_policy, get_testbed
 
 #: the flagship churn timeline shared by the Chord/Pastry/gossip scenarios:
@@ -167,7 +165,7 @@ def report_digest(report: dict) -> str:
     """Seed-stable digest of a report's :func:`deterministic_report_view`."""
     data = deterministic_report_view(report)
     encoded = json.dumps(data, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()[:16]
+    return sha256(encoded).hexdigest()[:16]
 
 
 def write_cdf(path: str, latencies_ms: List[float]) -> int:
@@ -176,6 +174,8 @@ def write_cdf(path: str, latencies_ms: List[float]) -> int:
     ``fraction`` is the empirical CDF: the share of samples at or below each
     latency.  Returns the number of samples written.
     """
+    import csv  # only a run that writes a CDF pays for it
+
     ordered = sorted(latencies_ms)
     total = len(ordered)
     with open(path, "w", encoding="utf-8", newline="") as handle:

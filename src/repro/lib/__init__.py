@@ -9,7 +9,9 @@ These modules mirror the library stack in Figure 5 of the paper:
 * :mod:`repro.lib.sbsocket` — the restricted (sandboxed) socket layer;
 * :mod:`repro.lib.sbfs` — the sandboxed virtual filesystem;
 * :mod:`repro.lib.logging` — logging to the job's collector;
-* :mod:`repro.lib.crypto` — hashing and digest helpers;
+* :mod:`repro.lib.crypto` — hashing and HMAC signatures, imported only by
+  an app that asks for it (``from repro.lib import crypto``): it maps
+  OpenSSL, which no bundled code needs;
 * :mod:`repro.lib.misc` — duration parsing and the job's member directory;
 * :mod:`repro.lib.ring` — identifier-ring arithmetic (``between`` et al.).
 """
@@ -25,7 +27,7 @@ from repro.lib.sbsocket import (
     SocketStats,
 )
 from repro.lib.logging import LogBudget, LogLevel, LogRecord, SplayLogger
-from repro.lib import crypto, misc
+from repro.lib import misc
 
 __all__ = [
     "LogBudget",
@@ -44,7 +46,6 @@ __all__ = [
     "SocketStats",
     "SplayLogger",
     "between",
-    "crypto",
     "estimate_size",
     "hash_key",
     "misc",

@@ -1,53 +1,16 @@
-"""The ``crypto`` library: hashing, digests, signatures.
+"""The ``crypto`` library: secure hashing and signatures.
 
 The paper lists a crypto library with "cryptographic functions for data
-encryption and decryption, secure hashing, signatures, etc.".  Applications
-in this reproduction use it for key hashing (DHTs), content digests
-(BitTorrent piece verification) and log integrity tags.
+encryption and decryption, secure hashing, signatures, etc.".  Here they are
+the standard library's: ``crypto.sha1`` and ``crypto.sha256`` (hash
+constructors), ``crypto.hmac.new(key, data, "sha1")`` for a tag and
+``crypto.hmac.compare_digest`` to check one in constant time.
+
+An application imports it itself (``from repro.lib import crypto``); no
+bundled one does, and no run loads it, because ``hashlib`` and ``hmac`` map
+OpenSSL's libcrypto.  Node and key ids hash through :mod:`repro.sim.rng`,
+which does not.
 """
 
-from __future__ import annotations
-
-import hashlib
-import hmac as _hmac
-from typing import Union
-
-Bytes = Union[bytes, str]
-
-
-def _as_bytes(data: Bytes) -> bytes:
-    return data.encode("utf-8") if isinstance(data, str) else data
-
-
-def sha1(data: Bytes) -> str:
-    """Hex SHA-1 digest (used for DHT keys and BitTorrent piece hashes)."""
-    return hashlib.sha1(_as_bytes(data)).hexdigest()
-
-
-def sha256(data: Bytes) -> str:
-    """Hex SHA-256 digest."""
-    return hashlib.sha256(_as_bytes(data)).hexdigest()
-
-
-def sha1_int(data: Bytes, bits: int = 160) -> int:
-    """SHA-1 digest truncated to ``bits`` bits, as an integer."""
-    value = int.from_bytes(hashlib.sha1(_as_bytes(data)).digest(), "big")
-    if bits >= 160:
-        return value
-    return value >> (160 - bits)
-
-
-def hmac_sha1(key: Bytes, data: Bytes) -> str:
-    """Hex HMAC-SHA1 tag (used for daemon/controller authentication keys)."""
-    return _hmac.new(_as_bytes(key), _as_bytes(data), hashlib.sha1).hexdigest()
-
-
-def verify_hmac_sha1(key: Bytes, data: Bytes, tag: str) -> bool:
-    """Constant-time verification of an HMAC-SHA1 tag."""
-    return _hmac.compare_digest(hmac_sha1(key, data), tag)
-
-
-def checksum(data: Bytes) -> int:
-    """A fast 32-bit checksum for block integrity checks in dissemination apps."""
-    digest = hashlib.sha1(_as_bytes(data)).digest()
-    return int.from_bytes(digest[:4], "big")
+import hmac
+from hashlib import sha1, sha256

@@ -8,8 +8,9 @@ cache's key placement.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Union
+
+from repro.sim.rng import sha1
 
 Bytes = Union[bytes, str]
 
@@ -60,7 +61,7 @@ def hash_key(data: Bytes, bits: int = 160) -> int:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    digest = hashlib.sha1(data).digest()
+    digest = sha1(data).digest()
     value = int.from_bytes(digest, "big")
     if bits >= 160:
         return value

@@ -5,13 +5,28 @@ comparison of competing algorithms under the very same churn scenarios").
 All stochastic components in this reproduction draw from substreams derived
 deterministically from a root seed and a tuple of labels, so that e.g. the
 latency model and the workload generator never perturb each other's draws.
+
+Every hash a run computes comes from here: :func:`sha1` (node and key ids,
+:func:`repro.lib.ring.hash_key`) and :func:`sha256` (these seeds, and
+:func:`repro.apps.harness.report_digest`). They are the interpreter's
+built-in SHA modules, as :mod:`random` takes its ``sha512``: ``hashlib``
+computes the very same digests, but would map OpenSSL's libcrypto into every
+run for a few thousand short hashes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Any
+
+try:
+    from _sha1 import sha1
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        from _sha256 import sha256  # 3.10, 3.11
+except ImportError:  # an interpreter built without its own SHA modules
+    from hashlib import sha1, sha256
 
 
 def substream(seed: int, *labels: Any) -> random.Random:
@@ -26,7 +41,7 @@ def substream(seed: int, *labels: Any) -> random.Random:
     >>> substream(42, "latency", 3).random() != substream(42, "loss", 3).random()
     True
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(str(seed).encode("utf-8"))
     for label in labels:
         digest.update(b"\x1f")

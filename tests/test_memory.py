@@ -7,6 +7,11 @@ re-inflate the footprint.  ``tracemalloc`` counts Python-allocator bytes
 only — a stable, platform-independent proxy for the RSS the benchmark
 measures end to end.
 
+``tracemalloc`` does not see a C library's pages: a shared library an
+import maps (OpenSSL's libcrypto under ``hashlib``) adds to RSS and to no
+ceiling here.  ``tests/test_import_hygiene.py`` is the gate for those: it
+fails if a whole run loads such a module.
+
 The second half is the teardown contract: a dead application is freed by
 reference counting, with the cycle collector *disabled* — the default GC
 policy freezes the deployed population and all but switches the collector

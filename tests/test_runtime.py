@@ -241,14 +241,18 @@ def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():
 
 def test_a_port_is_reserved_exactly_as_long_as_its_instance_lives():
     _sim, network, controller = _world(daemons=1, max_instances=3)
-    job = controller.submit(JobSpec(name="app", app_factory=lambda i: None,
-                                    instances=3, base_port=30000))
+    # only the second instance builds its RPC service, and so listens
+    job = controller.submit(JobSpec(name="app", instances=3, base_port=30000,
+                                    app_factory=lambda i: i.address.port == 30001 and i.rpc))
     first, second, third = controller.start(job)
     assert [i.address.port for i in (first, second, third)] == [30000, 30001, 30002]
+    assert not network.is_listening(first.address)
+    assert network.is_listening(second.address)
     # A live instance holds its port whether or not it listens on it: the
     # daemon's instance table is the port table, the listener table only
     # adds endpoints somebody else bound.
     network.unlisten(second.address)
+    assert not network.is_listening(second.address)
     controller.kill_instance(first, reason="test")
     (fourth,) = controller.start_instances(job, 1)
     assert fourth.address.port == 30000  # the dead instance's, not 30001
