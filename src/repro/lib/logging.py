@@ -5,6 +5,11 @@
 collector managed by the controller.  If need be, the amount of data sent to
 the log collector can be restricted by a splayd, as instructed by the
 controller."
+
+A logger hands each record to its job's collector
+(:class:`~repro.runtime.jobstore.LogCollector`), which counts every record
+and keeps only a bounded window of the newest: a record outlives its
+instance only as long as the window holds it.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class SplayLogger:
         Where records go (the daemon wires the job's
         :class:`~repro.runtime.jobstore.LogCollector`): its ``ship`` takes
         each admitted :class:`LogRecord`, its ``refused`` counts the records
-        the budget turned away.
+        the budget turned away.  The logger keeps no record itself.
     max_bytes:
         Restriction (in bytes) on remote shipping, enforced by the daemon;
         the :class:`LogBudget` that counts against it is allocated on the

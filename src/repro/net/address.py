@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Address:
     """An ``ip:port`` endpoint on the simulated network."""
 
@@ -45,14 +45,15 @@ _ADDRESS_CACHE: dict = {}
 _ADDRESS_CACHE_MAX = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """A reference to a participating node, as exchanged by applications.
 
     This mirrors the ``n = {ip, port, id}`` structure of the paper's Chord
     listing (Listing 3, ``job.me``).  The ``id`` field is optional: plain
     membership protocols (Cyclon, epidemic broadcast) only use the address,
-    whereas DHTs carry their ring/key-space identifier.
+    whereas DHTs carry their ring/key-space identifier.  Both endpoint
+    classes are slotted: overlay tables hold thousands of them.
     """
 
     ip: str

@@ -338,9 +338,12 @@ class Controller:
 
     # ------------------------------------------------------------------- logs
     def job_logs(self, job: Job, level: Optional[str] = None) -> List[LogRecord]:
+        """The job's newest collected records, oldest first: at most its
+        collector's ``max_queue``, filtered to ``level`` and above if given.
+        Counts of every record are in :meth:`job_status`."""
         records = job.log_sink.flush()
         if level is None:
-            return list(records)
+            return records
         minimum = LogLevel.coerce(level)
         return [r for r in records if r.level >= minimum]
 

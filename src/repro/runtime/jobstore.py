@@ -13,7 +13,8 @@ module holds what it keeps and the one pure decision it makes:
 * :class:`LogCollector` — one bounded-queue collector per job, the job's
   log sink.  Instance loggers ship records into the queue (drop-oldest when
   full, with a counted drop stat — the paper's log throttling) and a drain
-  event moves them into the permanent record list.
+  event moves them into a window of the newest records, as deep as the
+  queue; the counts cover every record.
 * :func:`plan_placements` — which alive daemons take a job's next
   instances, drawn from the controller's placement RNG.
 
@@ -47,7 +48,7 @@ class ControllerError(Exception):
 
 
 #: seconds from a collector's first queued record to the drain that moves
-#: its queue into the record list
+#: its queue into the record window
 LOG_DRAIN_INTERVAL = 0.25
 
 
@@ -82,10 +83,15 @@ class LogCollector:
     Records shipped by daemons land in ``queue``; when the queue is full the
     *oldest* queued record is dropped (and counted in ``dropped``).  A drain
     event scheduled :data:`LOG_DRAIN_INTERVAL` after the first enqueue moves
-    everything queued into ``records``, the permanent per-job list the
-    controller serves ``job_logs`` from; :meth:`flush` drains synchronously
-    (used at report time so counts never depend on where the simulation
-    happened to stop).
+    everything queued into ``records``, the window of the newest
+    ``max_queue`` drained records that the controller serves ``job_logs``
+    from; :meth:`flush` drains synchronously (used at report time so counts
+    never depend on where the simulation happened to stop).  The window is
+    what keeps control-plane memory following the live instances: a record
+    holds its instance's name, and a run that lives long ships records
+    without end.  ``collected``, ``dropped``, ``refused`` and
+    ``queue_peak`` count every record, whether the window still holds it
+    or not.
 
     The collector is the job's log sink — one per job, ``job.log_sink``,
     handed to every instance logger: a logger hands each record its budget
@@ -104,8 +110,8 @@ class LogCollector:
         self.routes = routes
         self.job_id = job.job_id
         self.max_queue = max_queue
-        #: drained (permanently collected) records
-        self.records: List[LogRecord] = []
+        #: the newest ``max_queue`` drained records, oldest first
+        self.records: Deque[LogRecord] = deque(maxlen=max_queue)
         #: bounded ingress queue
         self.queue: Deque[LogRecord] = deque()
         self.dropped = 0
@@ -149,9 +155,9 @@ class LogCollector:
         self.queue.clear()
 
     def flush(self) -> List[LogRecord]:
-        """Drain synchronously and return the collected record list."""
+        """Drain synchronously and return the record window, oldest first."""
         self._drain_queue()
-        return self.records
+        return list(self.records)
 
     @property
     def pending(self) -> int:

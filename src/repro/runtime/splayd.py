@@ -153,9 +153,10 @@ class Instance:
         return fs
 
     def _reap(self) -> None:
-        """Context cleanup: the one death path every kill funnels through
-        (controller stop, host failure, the app's own ``events.exit()``), so
-        this is where the daemon's and the job's tables let the handle go."""
+        """Run first by the context's kill, as its owner: the one death path
+        every kill funnels through (controller stop, host failure, the app's
+        own ``events.exit()``), so this is where the daemon's and the job's
+        tables let the handle go."""
         self.daemon.instances.pop(self, None)  # frees the slot and the port
         if self._socket is not None:
             self._socket.close()
@@ -229,7 +230,7 @@ class Splayd:
         instance = Instance(job, instance_id, self, context, Events(self.sim, context),
                             address, logger)
         self.instances[instance] = None
-        context.add_cleanup(instance._reap)
+        context.owner = instance  # its _reap runs first at the kill
         try:
             app = spec.app_factory(instance)
         except Exception:

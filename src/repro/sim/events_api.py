@@ -2,9 +2,10 @@
 
 Every SPLAY application instance receives an :class:`Events` object bound to
 its :class:`AppContext`.  The context holds the application's processes that
-are still running and its cleanup callbacks, so that the daemon (or the churn
-manager) can tear the instance down instantly — exactly like killing the
-sandboxed process in the original system.
+are still running, its cleanup callbacks and the daemon's handle of the
+instance, so that the daemon (or the churn manager) can tear the instance
+down instantly — exactly like killing the sandboxed process in the original
+system.
 """
 
 from __future__ import annotations
@@ -21,19 +22,25 @@ class AppContext:
 
     Holds the processes that are still running, in the order they were
     tracked (a process leaves the list as it ends), and arbitrary cleanup
-    callbacks.  :meth:`kill` ends all of them; after the kill the context
-    refuses to register new activity, which makes races between churn and
-    application code harmless.
+    callbacks; both lists are allocated on first use, so an instance that
+    starts no thread and registers no cleanup pays for neither.  ``owner``
+    is the daemon's handle of the instance (or None): its ``_reap`` runs
+    first in the teardown, before the cleanups, and the kill clears the
+    slot, so no handle <-> context cycle outlives the instance.
+    :meth:`kill` ends all of them; after the kill the context refuses to
+    register new activity, which makes races between churn and application
+    code harmless.
     """
 
-    __slots__ = ("sim", "name", "alive", "_processes", "_cleanups")
+    __slots__ = ("sim", "name", "alive", "owner", "_processes", "_cleanups")
 
     def __init__(self, sim: Simulator, name: str = "app"):
         self.sim = sim
         self.name = name
         self.alive = True
-        self._processes: List[Process] = []
-        self._cleanups: List[Callable[[], None]] = []
+        self.owner: Any = None
+        self._processes: Optional[List[Process]] = None
+        self._cleanups: Optional[List[Callable[[], None]]] = None
 
     # --------------------------------------------------------------- tracking
     def track_process(self, process: Process) -> Process:
@@ -42,7 +49,11 @@ class AppContext:
             process.kill("context dead")
         elif not process.done.done():
             process._context = self
-            self._processes.append(process)
+            processes = self._processes
+            if processes is None:
+                self._processes = [process]
+            else:
+                processes.append(process)
         return process
 
     def add_cleanup(self, callback: Callable[[], None]) -> None:
@@ -50,35 +61,46 @@ class AppContext:
         if not self.alive:
             callback()
             return
-        self._cleanups.append(callback)
+        cleanups = self._cleanups
+        if cleanups is None:
+            self._cleanups = [callback]
+        else:
+            cleanups.append(callback)
 
     # ------------------------------------------------------------------ kill
     def kill(self, reason: str = "killed") -> None:
         """Terminate everything the application created.
 
-        Every cleanup runs even when one of them raises; the first failure
+        The processes end first, in start order; then the owner's reap and
+        every cleanup run, even when one of them raises; the first failure
         is re-raised once the teardown is complete.
         """
         if not self.alive:
             return
         self.alive = False
-        # Kill a snapshot in start order.  Detach it first: a process that
-        # ends during another one's kill must not look for itself in a list.
-        processes, self._processes = self._processes, []
-        for process in processes:
-            process._context = None
-        for process in processes:
-            process.kill(reason)
-        cleanups, self._cleanups = self._cleanups, []
+        processes = self._processes
+        if processes:
+            # Detach the processes first: one that ends during another
+            # one's kill must not look for itself in the list.  Nothing
+            # joins the list while it is walked (the context is dead).
+            for process in processes:
+                process._context = None
+            for process in processes:
+                process.kill(reason)
+            processes.clear()
+        callbacks, self._cleanups = self._cleanups or [], None
+        owner, self.owner = self.owner, None
+        if owner is not None:
+            callbacks.insert(0, owner._reap)
         error: Optional[Exception] = None
-        for callback in cleanups:
+        for callback in callbacks:
             try:
                 callback()
             except Exception as exc:  # noqa: BLE001 - finish the teardown first
                 error = error or exc
         if error is not None:
-            # Cleanups keep the control plane's tables truthful (the daemon's
-            # reap hook is one), so a failing one must reach the caller.
+            # The owner's reap and the cleanups keep the control plane's
+            # tables truthful, so a failure must reach the caller.
             raise error
 
     def __repr__(self) -> str:  # pragma: no cover

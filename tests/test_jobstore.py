@@ -59,7 +59,7 @@ class TestLogCollector:
         sim, job, collector = self._collector(max_queue=10)
         collector.offer(_record("a"))
         collector.offer(_record("b"))
-        assert collector.records == [] and collector.pending == 2
+        assert len(collector.records) == 0 and collector.pending == 2
         sim.run(until=1.0)  # the drain event fires LOG_DRAIN_INTERVAL after enqueue
         assert [r.message for r in collector.records] == ["a", "b"]
         assert {r.job_id for r in collector.records} == {job.job_id}
@@ -82,6 +82,25 @@ class TestLogCollector:
         assert collector.collected == 2
         assert collector.dropped == 4
         assert collector.queue_peak == 2
+
+    def test_the_window_keeps_the_newest_max_queue_records_in_order(self):
+        sim, _network, controller = _world(daemons=1, log_queue_depth=3)
+        job = controller.submit(JobSpec(name="j", app_factory=lambda i: None,
+                                        instances=1, log_level="DEBUG"))
+        (instance,) = controller.start(job)
+        levels = ["info", "warn", "debug", "error"] * 2
+        for index, level in enumerate(levels):
+            getattr(instance.logger, level)(f"m{index}")
+            if index % 2:
+                sim.run(until=sim.now + 1.0)  # two records per drain
+        collector = job.log_sink
+        # eight drained through a three-record window: every one counted,
+        # none dropped (the queue never held more than two), the newest kept
+        assert (collector.collected, collector.dropped, collector.queue_peak) == (8, 0, 2)
+        assert len(collector.records) == collector.max_queue == 3
+        assert [r.message for r in controller.job_logs(job)] == ["m5", "m6", "m7"]
+        assert [r.message for r in controller.job_logs(job, level="WARN")] == ["m5", "m7"]
+        assert controller.job_status(job)["log_records"] == 8
 
     def test_records_over_the_log_budget_are_refused_and_reported_once(self):
         sim, _network, controller = _world(daemons=2)
@@ -234,8 +253,10 @@ def test_log_counters_and_attribution_survive_shard_failover():
     assert collector.collected == collected_before + 2
     routed = [s.logs_routed for s in controller.shards]
     assert routed == [routed_before[0], routed_before[1] + 3]
-    # The controller-facing log view agrees with the counts.
-    assert len(controller.job_logs(job)) == collector.collected
+    # The controller-facing log view is the window of the newest records
+    # (as deep as the queue); the counts cover every record.
+    assert [r.message for r in controller.job_logs(job)] == ["after-1", "after-2"]
+    assert collector.collected == 4
     status = controller.job_status(job)
     assert status["log_records_dropped"] == dropped_before + 1
 

@@ -22,6 +22,7 @@ memory grows with every churn round.
 import gc
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -30,7 +31,11 @@ from repro.apps.chord import chord_factory
 from repro.apps.dissemination import swarm_factory
 from repro.apps.gossip import gossip_factory
 from repro.apps.pastry import pastry_factory
-from repro.runtime.splayd import Instance
+from repro.core.jobs import JobSpec
+from repro.net.address import Address, NodeRef
+from repro.net.network import Network
+from repro.runtime.controller import Controller
+from repro.runtime.splayd import Instance, Splayd, SplaydLimits
 from repro.sim.events_api import Events
 from repro.sim.futures import Future
 from repro.sim.kernel import Simulator
@@ -61,19 +66,14 @@ def test_thousand_node_deploy_stays_under_per_node_memory_ceiling():
 
 
 #: committed ceiling for Python-allocated bytes per *idle* instance: what a
-#: spawn itself allocates (context, events, logger, handle, endpoint, table
-#: entries) before the application does anything; the socket, RPC service
-#: and ``me`` are built on first use.  Measured 970 B on CPython 3.11 (954
-#: on 3.12, 1,030 on 3.10); ~1.88 KB while every spawn built the socket,
-#: the RPC service with its listener and ``me``; ~2.04 KB while a socket
-#: kept a list of receivers and a bound dispatcher that called them;
-#: ~2.12 KB while the context kept a timer list of its own; ~2.20 KB,
-#: measured the same way, while the job kept a placement record per
-#: instance and the socket counted received traffic.  It was ~2.44 KB with
-#: an unlisten closure per listener and a formatted name per thread, and
-#: ~4.1 KB while the sandbox FS, log sink and budget, RPC built-in table,
-#: options copy and reap closure were built per instance.
-IDLE_INSTANCE_CEILING_BYTES = 1_090
+#: spawn itself allocates before the application does anything — the
+#: handle, its context and events API, its logger, the formatted context
+#: name (shared by the logger's ``source`` and the default thread name), the
+#: slotted endpoint and the daemon's and the job's table entries.  The
+#: socket, the RPC service, ``me`` and the context's process and cleanup
+#: lists are built on first use.  Measured 730 B on CPython 3.11; the
+#: headroom covers 3.10, which reads about 6 % more.
+IDLE_INSTANCE_CEILING_BYTES = 820
 
 
 def test_idle_instance_stays_under_its_memory_ceiling():
@@ -98,10 +98,9 @@ def test_idle_instance_stays_under_its_memory_ceiling():
 
 #: committed ceiling for Python-allocated bytes per application *thread*
 #: waiting for its first step: process, ``done`` future, the event of its
-#: first step, its slot in the context's process list.  Measured ~496 B; it
-#: was ~520 B while every process drew a simulator-wide id, and ~625 B while
-#: every unnamed thread got a formatted ``"<context name>.thread"`` string of
-#: its own.
+#: first step, its slot in the context's process list (here the list
+#: itself: each instance's first thread allocates it).  Measured 523 B on
+#: CPython 3.11.
 THREAD_CEILING_BYTES = 580
 
 
@@ -257,6 +256,66 @@ def test_memory_stays_flat_under_churn_without_the_collector(no_collector):
         f"by reference counting")
 
 
+class LoggingBootApp:
+    """Logs one line when its boot timer fires, as a booting SPLAY app does."""
+
+    def __init__(self, instance):
+        self.instance = instance
+        instance.events.thread(self._up, delay=0.3)
+
+    def _up(self):
+        self.instance.logger.info(f"instance {self.instance.instance_id} up")
+
+
+#: records a job's collector keeps in the test below (its queue depth)
+LOG_WINDOW = 256
+
+#: committed ceiling for the Python-allocated bytes one death leaves behind
+#: once the job's log window is full: a new record pushes the oldest out,
+#: and with it its message, its time and the dead instance's name.
+#: Measured 14 B on CPython 3.11 (table slack); a collector that keeps
+#: every record leaves 277 B.
+LOGGED_DEATH_CEILING_BYTES = 64
+
+
+def test_a_full_log_window_keeps_memory_flat_under_churn(no_collector):
+    # the first rounds grow the job's and the daemons' tables to their
+    # churn size; the rounds after them are measured
+    nodes, warmup, rounds = 500, 10, 20
+    tracemalloc.start()
+    try:
+        sim = Simulator(5)
+        network = Network(sim, seed=5)
+        controller = Controller(sim, network, seed=5, log_queue_depth=LOG_WINDOW)
+        for index in range(nodes // 2):
+            controller.register_daemon(Splayd(sim, network, f"10.0.0.{index + 1}",
+                                              SplaydLimits(max_instances=4)))
+        job = controller.submit(JobSpec(name="logged", app_factory=LoggingBootApp,
+                                        instances=nodes, log_level="INFO"))
+        controller.start(job)
+        sim.run(until=1.0)  # every boot logged: the window is full
+        traced = []
+        for _ in range(rounds):
+            controller.kill_instances(job.live_instances()[::5])
+            assert len(controller.start_instances(job, nodes // 5)) == nodes // 5
+            sim.run(until=sim.now + 1.0)  # the replacements boot, log and drain
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    collector = job.log_sink
+    # the first boots overflow the queue; every record since was collected
+    assert (collector.collected, collector.dropped) == (
+        LOG_WINDOW + rounds * (nodes // 5), nodes - LOG_WINDOW)
+    deaths = (rounds - warmup) * (nodes // 5)
+    per_death = (traced[-1] - traced[warmup - 1]) / deaths
+    assert per_death < LOGGED_DEATH_CEILING_BYTES, (
+        f"{per_death:.0f} bytes stay behind per dead instance "
+        f"({traced[warmup - 1]} -> {traced[-1]} traced bytes over {deaths} deaths, "
+        f"ceiling {LOGGED_DEATH_CEILING_BYTES}): the collector keeps records "
+        f"beyond its window")
+    assert len(collector.records) == LOG_WINDOW
+
+
 def _kill_by_controller(deployment, instance):
     deployment.controller.kill_instances([instance], reason="test")
 
@@ -391,3 +450,15 @@ def test_a_joined_node_has_no_instance_dict(factory, most_slots):
         assert not hasattr(app, "__dict__"), type(app).__name__
         # every slot holds a value: none is declared for nothing
         assert [name for name in slots if not hasattr(app, name)] == []
+
+
+def test_endpoints_have_no_instance_dict():
+    # overlay tables hold thousands of these: a slotted frozen dataclass is
+    # about 40 B smaller than one with a ``__dict__``
+    address, ref = Address("10.0.0.1", 20000), NodeRef("10.0.0.1", 20000, 7)
+    assert not hasattr(address, "__dict__") and not hasattr(ref, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        ref.port = 1
+    # value semantics are the dataclass's: the id takes no part in them
+    assert ref == NodeRef("10.0.0.1", 20000) and hash(ref) == hash(NodeRef("10.0.0.1", 20000))
+    assert ref.address == address and address < Address("10.0.0.1", 20001)

@@ -15,6 +15,7 @@ from repro.net.address import Address
 from repro.net.network import Network
 from repro.runtime.controller import Controller, ControllerError
 from repro.runtime.splayd import Splayd, SplaydError, SplaydLimits
+from repro.sim.events_api import AppContext
 from repro.sim.kernel import Simulator
 
 
@@ -150,11 +151,16 @@ def test_an_app_that_uses_no_library_holds_only_its_port():
     # no socket, no socket charge, no listener, no RPC service, no reference
     assert (idle._socket, idle._rpc, idle._me) == (None, None, None)
     assert not network.is_listening(idle.address)
+    # no thread and no cleanup: the context holds neither list, only its
+    # owner, whose reap is the teardown
+    context = idle.context
+    assert (context._processes, context._cleanups, context.owner) == (None, None, idle)
     # the port is reserved all the same, until the instance dies
     (neighbour,) = controller.start_instances(job, 1)
     assert (idle.address.port, neighbour.address.port) == (30000, 30001)
     controller.kill_instance(idle, reason="test")
     assert idle._socket is None  # the teardown built nothing either
+    assert context.owner is None  # no handle <-> context cycle outlives the kill
     (replacement,) = controller.start_instances(job, 1)
     assert replacement.address.port == 30000
     # a dead sandbox loads no library
@@ -217,10 +223,10 @@ def test_failing_cleanup_finishes_the_teardown_and_reaches_the_caller():
     def boom():
         raise RuntimeError("cleanup exploded")
 
-    # First in line, so every sandbox cleanup (pending RPCs, the daemon's
-    # reap hook, which also closes the socket and takes its listener down)
-    # and the application's own come after the failure.
-    broken.context._cleanups.insert(0, boom)
+    # The daemon's reap (the context's owner, which also closes the socket
+    # and takes its listener down) runs first; the application's own
+    # cleanup comes after the failure.
+    broken.context.add_cleanup(boom)
     broken.context.add_cleanup(lambda: ran.append("app cleanup"))
 
     with pytest.raises(RuntimeError, match="cleanup exploded"):
@@ -272,7 +278,7 @@ def test_host_failure_survives_a_failing_cleanup():
     def boom():
         raise RuntimeError("cleanup exploded")
 
-    first.context._cleanups.insert(0, boom)
+    first.context.add_cleanup(boom)
     with pytest.raises(RuntimeError, match="cleanup exploded"):
         controller.fail_host("10.0.0.1")
     # Every instance of the host died, not just the ones before the failure.
@@ -282,6 +288,23 @@ def test_host_failure_survives_a_failing_cleanup():
     assert not job.instances
     assert not controller.daemons["10.0.0.1"].instances
     assert controller.failed_host_ips() == ["10.0.0.1"]
+
+
+def test_a_failing_reap_still_runs_every_cleanup_and_reaches_the_caller():
+    ran = []
+
+    class Owner:
+        def _reap(self):
+            ran.append("reap")
+            raise RuntimeError("reap exploded")
+
+    context = AppContext(Simulator(0), name="app")
+    context.owner = Owner()
+    context.add_cleanup(lambda: ran.append("cleanup"))
+    with pytest.raises(RuntimeError, match="reap exploded"):
+        context.kill()
+    assert ran == ["reap", "cleanup"]
+    assert not context.alive and context.owner is None
 
 
 def test_host_failure_kills_all_instances_on_it():

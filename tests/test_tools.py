@@ -337,6 +337,21 @@ def test_heal_time_prints_each_seeds_heal_times_then_the_medians(capsys):
     assert lines[2].split(": ")[1] == lines[1].split(": ")[1]  # one seed: its own median
 
 
+def test_node_footprint_prints_bytes_per_joined_node_and_the_largest_lines(capsys):
+    footprint = _load("node_footprint")
+    assert footprint.main(["chord", "--nodes", "40", "--until", "400"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("chord: 40 nodes, 40 joined at t = 400 s; ")
+    traced = int(lines[0].split("; ")[1].split()[0].replace(",", ""))
+    per_node = int(lines[1].split()[3].replace(",", ""))
+    assert per_node == round(traced / 40)
+    assert lines[2] == "largest lines, bytes per joined node:"
+    sizes = [int(line.split()[0].replace(",", "")) for line in lines[3:]]
+    assert len(sizes) == footprint.TOP_LINES
+    assert sizes == sorted(sizes, reverse=True) and sizes[-1] > 0
+    assert all(":" in line.split()[1] for line in lines[3:])
+
+
 # ------------------------------------------------------------ digest_matrix.py
 _CANNED_REPORT = """\
 === SPLAY scenario: chord (seed=3, nodes=40, hosts=20, bits=32) ===
